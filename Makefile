@@ -79,9 +79,10 @@ gobench:
 representative:
 	$(GO) test ./internal/paracrash/ -run 'TestRepresentative|TestClassKey|TestCrashDigest|FuzzStateDigest' -count=1 -v
 
-# O(delta) reconstruction gate: the incremental engine's differential suite
-# (every backend, both workload families) — verdict equivalence against the
-# legacy full-restore engine, state-level Serialize/Hash identity of delta
+# O(delta) reconstruction gate: the one exploration engine against its
+# references (every backend, both workload families) — the committed report
+# fingerprints (testdata/fingerprints.golden), the per-state full-rebuild
+# reference (reference_test.go), state-level Serialize/Hash identity of delta
 # reconstruction, fault transparency and kill/resume chaos.
 incremental:
 	$(GO) test ./internal/paracrash/ -run 'TestIncremental' -count=1 -v

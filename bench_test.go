@@ -228,40 +228,6 @@ func BenchmarkExploreRepresentative(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreIncremental contrasts O(delta) incremental reconstruction
-// against the legacy full-restore engine on the same heaviest configuration
-// as BenchmarkExploreParallel. With the knob on, moving between crash states
-// costs one O(1) prefix-root restore per *changed* server plus the ops past
-// the shared prefix, instead of restoring every server and replaying every
-// kept op; "restores" and "replayed" collapse while the reports stay
-// verdict-identical by construction (see TestIncrementalEngineEquivalence).
-func BenchmarkExploreIncremental(b *testing.B) {
-	prog, _ := exps.ProgramByName("ARVR")
-	h5p := workloads.DefaultH5Params()
-	for _, bc := range []struct {
-		name  string
-		noinc bool
-	}{{"full-restore", true}, {"incremental", false}} {
-		b.Run(bc.name, func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.Mode = core.ModeBrute
-			opts.DisableIncremental = bc.noinc
-			for i := 0; i < b.N; i++ {
-				rep, err := exps.RunOne("beegfs", prog, opts, h5p, exps.ConfigFor("beegfs"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				covered := rep.Stats.StatesChecked + rep.Stats.StatesDeduped
-				b.ReportMetric(float64(rep.Stats.ServerRestores), "restores")
-				b.ReportMetric(float64(rep.Stats.OpsReplayed), "replayed")
-				if covered > 0 {
-					b.ReportMetric(float64(rep.Stats.ServerRestores)/float64(covered), "restores/state")
-				}
-			}
-		})
-	}
-}
-
 // --- Ablation benchmarks for DESIGN.md's called-out design choices ---------
 
 // BenchmarkAblation_SemanticPruning contrasts the object-map victim filter
@@ -285,26 +251,27 @@ func benchmarkAblationSemantic(b *testing.B, disable bool) {
 func BenchmarkAblation_SemanticPruningOn(b *testing.B)  { benchmarkAblationSemantic(b, false) }
 func BenchmarkAblation_SemanticPruningOff(b *testing.B) { benchmarkAblationSemantic(b, true) }
 
-// BenchmarkAblation_TSP contrasts the greedy tour against recording-order
-// visiting in the optimized mode: the tour minimises per-server diffs, so
-// server restores drop.
-func benchmarkAblationTSP(b *testing.B, disable bool) {
+// BenchmarkAblation_VisitOrder contrasts the greedy tour (optimized mode)
+// against generation-order visiting (pruning mode) over the same
+// reconstructor: the tour minimises per-server diffs, so server restores
+// drop. The two modes differ in nothing else.
+func BenchmarkAblation_VisitOrder(b *testing.B) {
 	prog, _ := exps.ProgramByName("ARVR")
 	h5p := workloads.DefaultH5Params()
-	for i := 0; i < b.N; i++ {
-		opts := core.DefaultOptions()
-		opts.Mode = core.ModeOptimized
-		opts.DisableTSP = disable
-		rep, err := exps.RunOne("beegfs", prog, opts, h5p, exps.ConfigFor("beegfs"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rep.Stats.ServerRestores), "restores")
+	for _, mode := range []core.Mode{core.ModePruning, core.ModeOptimized} {
+		b.Run(mode.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				opts := core.DefaultOptions()
+				opts.Mode = mode
+				rep, err := exps.RunOne("beegfs", prog, opts, h5p, exps.ConfigFor("beegfs"))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(rep.Stats.ServerRestores), "restores")
+			}
+		})
 	}
 }
-
-func BenchmarkAblation_TSPOn(b *testing.B)  { benchmarkAblationTSP(b, false) }
-func BenchmarkAblation_TSPOff(b *testing.B) { benchmarkAblationTSP(b, true) }
 
 // BenchmarkAblation_FrontMode contrasts all-cuts crash fronts against
 // end-of-execution fronts: cuts find in-flight atomicity splits at the

@@ -59,8 +59,6 @@ func main() {
 	fuzzFaultRate := flag.Float64("fault-rate", 0, "fuzz: inject faults into the engine's own I/O with this probability in [0,1] (0 = off)")
 	representative := flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class")
 	noRep := flag.Bool("no-representative", false, "check every crash state brute-force-equivalently (same as -representative=false)")
-	incremental := flag.Bool("incremental", true, "reconstruct crash states in O(delta) via cached prefix-root restores and delta replay")
-	noInc := flag.Bool("no-incremental", false, "rebuild every crash state with a full restore and replay (same as -incremental=false)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
@@ -82,27 +80,20 @@ func main() {
 	if *fuzzFaultRate < 0 || *fuzzFaultRate > 1 {
 		fatal(fmt.Errorf("-fault-rate must be in [0,1], got %g", *fuzzFaultRate))
 	}
-	repSet, incSet := false, false
+	repSet := false
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "representative":
+		if f.Name == "representative" {
 			repSet = true
-		case "incremental":
-			incSet = true
 		}
 	})
 	if repSet && *representative && *noRep {
 		fatal(fmt.Errorf("-representative=true conflicts with -no-representative"))
-	}
-	if incSet && *incremental && *noInc {
-		fatal(fmt.Errorf("-incremental=true conflicts with -no-incremental"))
 	}
 	// opts carries the knobs into the option-taking experiments; the §6.4
 	// speedups contrast pins its own settings to measure the paper's
 	// strategies in isolation.
 	opts := core.DefaultOptions()
 	opts.DisableRepresentative = *noRep || !*representative
-	opts.DisableIncremental = *noInc || !*incremental
 
 	h5p := workloads.DefaultH5Params()
 	run := func(name string) {

@@ -49,8 +49,6 @@ func main() {
 
 		representative = flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class")
 		noRep          = flag.Bool("no-representative", false, "check every crash state brute-force-equivalently (same as -representative=false)")
-		incremental    = flag.Bool("incremental", true, "reconstruct crash states in O(delta) via cached prefix-root restores and delta replay")
-		noInc          = flag.Bool("no-incremental", false, "rebuild every crash state with a full restore and replay (same as -incremental=false)")
 
 		remote = flag.String("remote", "", "submit the run as a job to a paracrashd at this address (e.g. localhost:7077) instead of exploring locally")
 		apiKey = flag.String("api-key", "", "API key for a multi-tenant paracrashd (with -remote); also honours the PARACRASH_API_KEY environment variable")
@@ -104,23 +102,16 @@ func main() {
 	if len(sinkSpecs) > 0 && *sinkInterval <= 0 {
 		fatalIf(fmt.Errorf("-sink-interval must be > 0 when sinks are attached, got %v", *sinkInterval))
 	}
-	repSet, incSet := false, false
+	repSet := false
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "representative":
+		if f.Name == "representative" {
 			repSet = true
-		case "incremental":
-			incSet = true
 		}
 	})
 	if repSet && *representative && *noRep {
 		fatalIf(fmt.Errorf("-representative=true conflicts with -no-representative"))
 	}
-	if incSet && *incremental && *noInc {
-		fatalIf(fmt.Errorf("-incremental=true conflicts with -no-incremental"))
-	}
 	repOn := *representative && !*noRep
-	incOn := *incremental && !*noInc
 
 	if *list {
 		fmt.Println("file systems:", strings.Join(exps.FSNames(), ", "))
@@ -158,7 +149,6 @@ func main() {
 			Clients: *clients, Rows: *rows, Cols: *cols,
 			ResizeRows: *rrows, ResizeCols: *rcols,
 			Representative: &repOn,
-			Incremental:    &incOn,
 		}, *jsonOut, *verbose))
 	}
 
@@ -166,7 +156,6 @@ func main() {
 	opts.Emulator.K = *k
 	opts.Workers = *workers
 	opts.DisableRepresentative = !repOn
-	opts.DisableIncremental = !incOn
 	switch *mode {
 	case "brute":
 		opts.Mode = core.ModeBrute

@@ -23,22 +23,16 @@ type BenchRecord struct {
 	// exploration (recovered-content equivalence classes); the trajectory
 	// keeps one brute-force contrast cell with it off so the
 	// StatesChecked/StatesDeduped drop is visible inside a single file.
-	Representative bool `json:"representative"`
-	// Incremental records whether the cell ran with O(delta) incremental
-	// reconstruction (prefix-root restore + delta replay); the trajectory
-	// keeps one contrast cell with it off so the ServerRestores/OpsReplayed
-	// collapse is visible inside a single file.
-	Incremental bool    `json:"incremental"`
-	Seconds     float64 `json:"seconds"`
+	Representative bool    `json:"representative"`
+	Seconds        float64 `json:"seconds"`
 	// StatesPerSec is the verdict throughput: states covered per second,
 	// counting both reconstructed representatives and class-attributed
 	// members (Stats.StatesChecked + Stats.StatesDeduped over Seconds).
 	StatesPerSec float64 `json:"states_per_sec"`
 	// RestoresPerState is the reconstruction amortisation: server restores
-	// charged per covered state. The legacy engine pays one restore per
-	// server per reconstructed state; the incremental engine pays one per
-	// *changed* server, so this is the bench field that proves the O(delta)
-	// win (strictly below the per-state restore count of the legacy cell).
+	// charged per covered state. The reconstructor pays one restore per
+	// *changed* server, so a full rebuild per state would read as the server
+	// count here.
 	RestoresPerState float64         `json:"restores_per_state"`
 	Bugs             int             `json:"bugs"`
 	Stats            paracrash.Stats `json:"stats"`
@@ -92,7 +86,6 @@ type benchCell struct {
 	mode     paracrash.Mode
 	workers  int
 	norep    bool
-	noinc    bool
 	// fast marks the cells of the quick `make benchgate` subset: the
 	// headline ARVR/BeeGFS cell plus one cheap contrast per axis, enough
 	// to catch a hot-path regression in seconds.
@@ -101,22 +94,20 @@ type benchCell struct {
 
 // benchCells is the fixed benchmark trajectory: the §6.4 strategy contrast
 // on ARVR/BeeGFS plus one representative cell per remaining file system.
-// The first cells differ only in the representative-exploration and
-// incremental-reconstruction knobs, so every BENCH_*.json carries its own
-// brute-force and full-restore baselines for the class-attribution and
-// O(delta) savings.
+// The first cells differ only in the representative-exploration knob, so
+// every BENCH_*.json carries its own brute-force baseline for the
+// class-attribution savings.
 var benchCells = []benchCell{
-	{"beegfs", "ARVR", paracrash.ModeBrute, 1, true, true, false}, // exhaustive full-restore baseline
-	{"beegfs", "ARVR", paracrash.ModeBrute, 1, true, false, false},
-	{"beegfs", "ARVR", paracrash.ModeBrute, 1, false, false, true},
-	{"beegfs", "ARVR", paracrash.ModeBrute, 0, false, false, true}, // parallel, one worker per CPU
-	{"beegfs", "ARVR", paracrash.ModePruning, 1, false, false, false},
-	{"beegfs", "ARVR", paracrash.ModeOptimized, 1, false, false, false},
-	{"orangefs", "CR", paracrash.ModePruning, 1, false, false, false},
-	{"glusterfs", "WAL", paracrash.ModePruning, 1, false, false, false},
-	{"gpfs", "H5-create", paracrash.ModePruning, 1, false, false, false},
-	{"lustre", "H5-resize", paracrash.ModePruning, 1, false, false, false},
-	{"ext4", "CR", paracrash.ModePruning, 1, false, false, true},
+	{"beegfs", "ARVR", paracrash.ModeBrute, 1, true, false}, // exhaustive baseline
+	{"beegfs", "ARVR", paracrash.ModeBrute, 1, false, true},
+	{"beegfs", "ARVR", paracrash.ModeBrute, 0, false, true}, // parallel, one worker per CPU
+	{"beegfs", "ARVR", paracrash.ModePruning, 1, false, false},
+	{"beegfs", "ARVR", paracrash.ModeOptimized, 1, false, false},
+	{"orangefs", "CR", paracrash.ModePruning, 1, false, false},
+	{"glusterfs", "WAL", paracrash.ModePruning, 1, false, false},
+	{"gpfs", "H5-create", paracrash.ModePruning, 1, false, false},
+	{"lustre", "H5-resize", paracrash.ModePruning, 1, false, false},
+	{"ext4", "CR", paracrash.ModePruning, 1, false, true},
 }
 
 // benchReps is how many times each cell runs; the fastest run's duration
@@ -168,7 +159,6 @@ func BenchCells(h5p workloads.H5Params, subset string, sinks ...obs.MetricSink) 
 			Program: cell.prog, FS: cell.fs,
 			Mode: cell.mode.String(), Workers: cell.workers,
 			Representative: !cell.norep,
-			Incremental:    !cell.noinc,
 		}
 		var best *paracrash.Report
 		var bestObs *obs.Run
@@ -178,7 +168,6 @@ func BenchCells(h5p workloads.H5Params, subset string, sinks ...obs.MetricSink) 
 			opts.Mode = cell.mode
 			opts.Workers = cell.workers
 			opts.DisableRepresentative = cell.norep
-			opts.DisableIncremental = cell.noinc
 			opts.Obs = run
 			rep, err := RunOne(cell.fs, prog, opts, h5p, ConfigFor(cell.fs))
 			if err != nil {

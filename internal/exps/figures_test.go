@@ -164,6 +164,31 @@ func TestUnrecoverableFileSystemIsReported(t *testing.T) {
 	}
 }
 
+// TestPassThroughWrapperChangesNothing: wrapping a backend in an
+// interface-embedding struct must not change what the engine does — the
+// per-server capture/restore the reconstructor needs is part of
+// pfs.FileSystem, not a capability a wrapper silently hides. The whole
+// report, effort stats included, equals the bare backend's.
+func TestPassThroughWrapperChangesNothing(t *testing.T) {
+	run := func(wrap bool) string {
+		fs, err := NewFS("beegfs", ConfigFor("beegfs"), trace.NewRecorder())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wrap {
+			fs = &brokenRecoveryFS{FileSystem: fs}
+		}
+		rep, err := paracrash.Run(fs, nil, workloads.ARVR(), paracrash.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ReportFingerprint(rep)
+	}
+	if bare, wrapped := run(false), run(true); bare != wrapped {
+		t.Errorf("wrapped backend reports differently:\n--- bare ---\n%s--- wrapped ---\n%s", bare, wrapped)
+	}
+}
+
 // TestTraceDumpAndJSON exercises the Figure 2/9 trace tooling.
 func TestTraceDumpAndJSON(t *testing.T) {
 	prog, _ := ProgramByName("ARVR")

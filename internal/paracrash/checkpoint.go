@@ -44,8 +44,8 @@ var (
 )
 
 // checkpointVersion is the journal format version; bump on any change to
-// ckptHeader or ckptRecord.
-const checkpointVersion = 1
+// ckptHeader, ckptRecord or the checkpointConfig field list.
+const checkpointVersion = 2
 
 // defaultCheckpointEvery is the record-batch size between automatic
 // flushes; the journal is also flushed on every run exit path.
@@ -301,14 +301,10 @@ func checkpointConfig(workload, fsName string, opts Options) string {
 	// attributed, never journaled), so resuming a brute journal into a
 	// representative run — or vice versa — would change which states are
 	// charged as resumed and break the byte-identical-resume guarantee.
-	// noinc is fingerprinted for the same reason effort-only knobs like
-	// norep are: the two engines journal the same verdicts, but resuming a
-	// journal written by one engine into the other would change the charge
-	// replay (full-cost vs arithmetic delta) and break byte-identical resume.
-	return fmt.Sprintf("v%d|%s|%s|%s|pfs=%d|lib=%d|k=%d|fm=%d|mf=%d|ms=%d|mlo=%d|mls=%d|nosem=%t|notsp=%t|norep=%t|noinc=%t",
+	return fmt.Sprintf("v%d|%s|%s|%s|pfs=%d|lib=%d|k=%d|fm=%d|mf=%d|ms=%d|mlo=%d|mls=%d|nosem=%t|norep=%t",
 		checkpointVersion, workload, fsName, opts.Mode,
 		opts.PFSModel, opts.LibModel,
 		opts.Emulator.K, opts.Emulator.FrontMode, opts.Emulator.MaxFronts, opts.Emulator.MaxStates,
 		opts.MaxLayerOps, opts.MaxLegalStates,
-		opts.DisableSemanticPruning, opts.DisableTSP, opts.DisableRepresentative, opts.DisableIncremental)
+		opts.DisableSemanticPruning, opts.DisableRepresentative)
 }

@@ -1,6 +1,7 @@
 package paracrash
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -144,14 +145,18 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 }
 
 // TestCheckpointVersionAndHeaderDamage: wrong version or an unparsable
-// header both mean a fresh start with a warning, never an error.
+// header both mean a fresh start with a warning, never an error. The v1 case
+// is a journal as the previous format wrote it (its fingerprint still
+// carries the notsp/noinc fields version 2 dropped).
 func TestCheckpointVersionAndHeaderDamage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	cases := map[string]string{
 		"version": `{"version":99,"config":"cfg"}` + "\n",
 		"garbage": "not json at all\n",
 		"empty":   "",
-		"dupkeys": `{"version":1,"config":"cfg"}` + "\n" + `{"key":"a"}` + "\n" + `{"key":"a"}` + "\n",
+		"v1": `{"version":1,"config":"v1|ARVR|beegfs|pruning|pfs=2|lib=3|k=1|fm=0|mf=20000|ms=200000|mlo=20|mls=50000|nosem=false|notsp=false|norep=false|noinc=false"}` + "\n" +
+			`{"key":"a|1","consistent":true}` + "\n",
+		"dupkeys": fmt.Sprintf(`{"version":%d,"config":"cfg"}`, checkpointVersion) + "\n" + `{"key":"a"}` + "\n" + `{"key":"a"}` + "\n",
 	}
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {

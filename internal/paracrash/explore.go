@@ -60,8 +60,9 @@ const (
 	// ModePruning skips crash states matching already-identified bug
 	// scenarios and applies semantic (object-map) victim pruning.
 	ModePruning
-	// ModeOptimized adds incremental crash-state reconstruction with
-	// TSP-ordered visiting on top of pruning.
+	// ModeOptimized visits the crash states along a greedy TSP tour over
+	// servers-changed distance on top of pruning; brute force and pruning
+	// visit them in generation order.
 	ModeOptimized
 )
 
@@ -143,14 +144,13 @@ type Options struct {
 	Workers int
 
 	// Ablation switches (the design choices measured by the Ablation
-	// benchmarks; both default to the paper's behaviour).
+	// benchmarks; both default to the paper's behaviour). The TSP ablation
+	// needs no switch: ModePruning and ModeOptimized differ only in visiting
+	// order.
 	//
 	// DisableSemanticPruning turns off the object-map victim filter in the
 	// pruning/optimized modes (paper §5.3's "semantic information" rule).
 	DisableSemanticPruning bool
-	// DisableTSP makes the optimized mode visit crash states in recording
-	// order instead of the greedy travelling-salesman tour.
-	DisableTSP bool
 	// DisableRepresentative turns off representative-state exploration
 	// (see representative.go) and falls back to checking every crash state
 	// brute-force. The default (off) groups states into equivalence classes
@@ -158,17 +158,6 @@ type Options struct {
 	// attributes its verdict to every member, so the report stays
 	// byte-identical while Stats.StatesChecked collapses to the class count.
 	DisableRepresentative bool
-	// DisableIncremental turns off O(delta) incremental reconstruction and
-	// falls back to the legacy engine: every checked state restores all
-	// servers from the initial snapshot and replays its full kept sequence.
-	// The default (off) moves between crash states by restoring cached
-	// per-server prefix roots (O(1) structurally-shared snapshots) and
-	// replaying only the delta ops, charging Stats.ServerRestores and
-	// Stats.OpsReplayed for exactly that smaller effort. Reports are
-	// byte-identical either way; only effort stats and wall time differ.
-	// File systems that do not implement pfs.IncrementalStater always use
-	// the legacy engine regardless of this setting.
-	DisableIncremental bool
 
 	// LegalMemo, when non-nil, shares legal-state sets across runs of the
 	// same workload on the same file system (see LegalMemo); the fuzz
@@ -436,11 +425,9 @@ type session struct {
 	// memoScope namespaces this run inside opts.LegalMemo ("" = memo off).
 	memoScope string
 
-	// recon, when non-nil, is the O(delta) incremental reconstruction engine
-	// (see reconstruct.go): it tracks the live cluster's per-server state,
-	// caches prefix roots and carries the arithmetic effort accounting. nil
-	// means the legacy full-restore engine (Options.DisableIncremental, or a
-	// FileSystem without the pfs.IncrementalStater capability). Each session
+	// recon is the O(delta) incremental reconstruction engine (see
+	// reconstruct.go): it tracks the live cluster's per-server state, caches
+	// prefix roots and carries the arithmetic effort accounting. Each session
 	// owns its reconstructor — shard workers build one over their clone.
 	recon *reconstructor
 
@@ -490,10 +477,6 @@ func (s *session) bindObs(r *obs.Run, prefix string) {
 	s.gaugeLegalPFS = r.Gauge(prefix + "legal/pfs")
 	s.gaugeLegalLib = r.Gauge(prefix + "legal/lib")
 }
-
-// incremental reports whether this session runs the O(delta) incremental
-// reconstruction engine.
-func (s *session) incremental() bool { return s.recon != nil }
 
 // chargeRestores charges n server restores to the stats and the counters.
 func (s *session) chargeRestores(n int) {
@@ -604,12 +587,9 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 	if opts.LegalMemo != nil {
 		s.memoScope = legalMemoScope(fs, w.Name(), ops, opts)
 	}
-	if !opts.DisableIncremental {
-		if inc, ok := fs.(pfs.IncrementalStater); ok {
-			// O(delta) engine: newReconstructor returns nil when the initial
-			// snapshot lacks a store for some server, falling back to legacy.
-			s.recon = newReconstructor(s, inc)
-		}
+	var err error
+	if s.recon, err = newReconstructor(s); err != nil {
+		return nil, err
 	}
 	s.bindObs(opts.Obs, "")
 	s.stats.TraceOps = len(ops)
@@ -729,18 +709,14 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	}
 	s.outcomeFor = lookup
 
-	// Prime the cluster for incremental exploration: the golden replay left
-	// re-executed content on the live stores — including on servers the
-	// traced run's lowermost ops never touched (replayed client ops may
-	// allocate fresh object IDs and place data differently). The legacy
-	// engine wipes that implicitly by restoring every server per state; the
-	// incremental engine only ever touches servers with universe ops, so
-	// everything else must start (and then provably stays) at the initial
-	// content. One O(1)-per-server adoption, uncharged like the restores
-	// inside the golden replay.
-	if s.incremental() {
-		fs.Restore(initial)
-	}
+	// Prime the cluster: the golden replay left re-executed content on the
+	// live stores — including on servers the traced run's lowermost ops never
+	// touched (replayed client ops may allocate fresh object IDs and place
+	// data differently). The reconstructor only ever touches servers with
+	// universe ops, so everything else must start (and then provably stays)
+	// at the initial content. One O(1)-per-server adoption, uncharged like
+	// the restores inside the golden replay.
+	fs.Restore(initial)
 
 	// Phase 3: crash emulation + checking.
 	emuCfg := opts.emulatorConfig()
@@ -821,7 +797,7 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	if opts.Mode == ModeOptimized || parallel {
 		// Collect states first: the optimized mode orders them with a
 		// greedy TSP over per-server distance, the parallel engine shards
-		// them across workers.
+		// them across workers and merges along the same ordered walk.
 		stopGen := opts.Obs.Phase(obs.PhaseGenerate)
 		var states []CrashState
 		s.stats.StatesGenerated = emu.Generate(emuCfg, func(cs CrashState) bool {
@@ -830,26 +806,10 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 		})
 		stopGen()
 		stopExplore := opts.Obs.Phase(obs.PhaseExplore)
-		switch {
-		case parallel && len(states) > 1:
+		if parallel && len(states) > 1 {
 			s.runParallel(states, cloner, workers, skip, handle, bugs)
-		case opts.Mode == ModeOptimized && lookup != nil && !s.incremental():
-			// External verdicts under the legacy optimized engine: replay the
-			// serial TSP walk with arithmetic charging, resolving verdicts
-			// through the lookup — the same merge pass the in-process parallel
-			// engine runs over its result board.
-			s.mergeOptimized(states, skip, handle)
-		case opts.Mode == ModeOptimized:
-			s.runOptimized(states, skip, handle)
-		default:
-			for _, cs := range states {
-				if ctx.Err() != nil {
-					break
-				}
-				if !skip(cs) {
-					handle(cs)
-				}
-			}
+		} else {
+			s.visitOrdered(states, skip, handle)
 		}
 		stopExplore()
 	} else {
@@ -918,26 +878,6 @@ func (s *session) client(proc string) (pfs.Client, error) {
 	return c, nil
 }
 
-// reconstruct restores the initial snapshot and applies the kept lowermost
-// ops in recording order. An injected replay fault aborts the attempt (the
-// retry loop rolls back its charges); genuine application errors mean the
-// op's effect is lost (its target was never persisted) — exactly the crash
-// semantics we emulate.
-func (s *session) reconstruct(cs CrashState) error {
-	s.fs.Restore(s.initial)
-	s.chargeRestores(len(s.fs.Procs()))
-	for _, i := range s.emu.Universe {
-		if !cs.Keep.Get(i) {
-			continue
-		}
-		if err := s.fs.ApplyLowermost(s.g.Ops[i]); err != nil && faultinject.Is(err) {
-			return err
-		}
-		s.chargeReplayed(1)
-	}
-	return nil
-}
-
 // check reconstructs the crash state, runs recovery and performs the
 // top-down layer checks. Results are cached per (front, keep). States that
 // violate commit durability cannot occur and count as consistent (the
@@ -986,13 +926,11 @@ func (s *session) check(cs CrashState) checkResult {
 			return r
 		}
 	}
-	if s.incremental() {
-		// Charge the arithmetic O(delta) cost of the visit up front: the
-		// charge is a pure function of the visit sequence, so faulted
-		// retries — and states that end up quarantined — report exactly the
-		// effort an unfaulted walk would.
-		s.recon.chargeState(cs)
-	}
+	// Charge the arithmetic O(delta) cost of the visit up front: the charge
+	// is a pure function of the visit sequence, so faulted retries — and
+	// states that end up quarantined — report exactly the effort an
+	// unfaulted walk would.
+	s.recon.chargeState(cs)
 	r := s.checkWithRetry(cs)
 	s.checkCache[key] = r
 	s.recordClass(ckey, r)
@@ -1001,28 +939,16 @@ func (s *session) check(cs CrashState) checkResult {
 }
 
 // chargeOutcome charges the stats a serial reconstruction+verdict of cs
-// would have charged, given its already-computed result. Under the legacy
-// engine skipped states charge nothing (their failed attempts were rolled
-// back); the incremental engine advances its arithmetic walk for every
-// charged visit — including quarantined ones, whose reconstruction was
-// attempted — so resumed and parallel runs replay identical charge
-// sequences.
+// would have charged, given its already-computed result. The arithmetic
+// walk advances for every charged visit — including quarantined ones, whose
+// reconstruction was attempted — so resumed and parallel runs replay
+// identical charge sequences.
 func (s *session) chargeOutcome(cs CrashState, r checkResult) {
-	if s.incremental() {
-		s.recon.chargeState(cs)
-		if r.skipped {
-			s.ctrSkipped.Inc()
-			return
-		}
-		s.chargeLegal(r)
-		return
-	}
+	s.recon.chargeState(cs)
 	if r.skipped {
 		s.ctrSkipped.Inc()
 		return
 	}
-	s.chargeRestores(len(s.fs.Procs()))
-	s.chargeReplayed(s.keptUniverse(cs))
 	s.chargeLegal(r)
 }
 
@@ -1039,7 +965,7 @@ func (s *session) journal(key string, r checkResult) {
 }
 
 // checkWithRetry runs reconstruct+verdict attempts under the retry policy.
-// Each failed attempt is charge-neutral (attemptCheck rolls back), so a
+// Attempts charge nothing (check already paid the arithmetic delta), so a
 // state that eventually succeeds charges exactly what an unfaulted run
 // would have — the basis of the fault-transparency guarantee.
 func (s *session) checkWithRetry(cs CrashState) checkResult {
@@ -1066,41 +992,25 @@ func (s *session) checkWithRetry(cs CrashState) checkResult {
 	}
 }
 
-// attemptCheck performs one reconstruct+verdict attempt. Panics anywhere in
-// the backend are quarantined into errors, and a failed attempt rolls its
-// restore/replay charges back (stats and counters in lockstep), leaving the
-// accounting as if the attempt never ran.
+// attemptCheck performs one reconstruct+verdict attempt, quarantining
+// backend panics into errors. Nothing needs rolling back on failure: bring
+// leaves faulted servers marked dirty for the next attempt to re-restore,
+// and whatever mutates the cluster inside the verdict (recovery, legal-state
+// replay) marks every server dirty before it starts.
 func (s *session) attemptCheck(cs CrashState) (res checkResult, err error) {
-	if s.incremental() {
-		// Incremental attempts charge nothing (check already paid the
-		// arithmetic delta), so no rollback needs arranging: bring quarantines
-		// its own panics and leaves faulted servers marked dirty for the next
-		// attempt to re-restore, and scratchVerdict restores the applied
-		// state around the (possibly panicking) verdict.
-		if err := s.recon.bring(cs); err != nil {
-			return checkResult{}, err
-		}
-		return s.scratchVerdict(cs)
-	}
-	restores, replayed := s.stats.ServerRestores, s.stats.OpsReplayed
-	defer func() {
-		if p := recover(); p != nil {
-			res = checkResult{}
-			if fe, ok := faultinject.FromPanic(p); ok {
-				err = fe
-			} else {
-				err = fmt.Errorf("panic during check: %v", p)
-			}
-		}
-		if err != nil {
-			s.ctrRestores.Add(int64(restores - s.stats.ServerRestores))
-			s.ctrReplayed.Add(int64(replayed - s.stats.OpsReplayed))
-			s.stats.ServerRestores, s.stats.OpsReplayed = restores, replayed
-		}
-	}()
-	if err = s.reconstruct(cs); err != nil {
+	if err := s.recon.bring(cs); err != nil {
 		return checkResult{}, err
 	}
+	defer func() {
+		if pv := recover(); pv != nil {
+			res = checkResult{}
+			if fe, ok := faultinject.FromPanic(pv); ok {
+				err = fe
+			} else {
+				err = fmt.Errorf("panic during verdict: %v", pv)
+			}
+		}
+	}()
 	return s.verdict(cs)
 }
 
@@ -1137,18 +1047,6 @@ func (s *session) withRetry(fn func() error) error {
 	return lastErr
 }
 
-// keptUniverse counts the kept replayable ops of a crash state — the number
-// of ops reconstruct would replay.
-func (s *session) keptUniverse(cs CrashState) int {
-	n := 0
-	for _, i := range s.emu.Universe {
-		if cs.Keep.Get(i) {
-			n++
-		}
-	}
-	return n
-}
-
 // chargeLegal folds a verdict's recorded legal-set sizes into the stats
 // (idempotent: the maxima only grow).
 func (s *session) chargeLegal(r checkResult) {
@@ -1165,40 +1063,20 @@ func (s *session) chargeLegal(r checkResult) {
 // loop; genuine recovery/mount failures remain verdicts — they are what the
 // checker exists to find.
 func (s *session) verdict(cs CrashState) (checkResult, error) {
-	var tree *pfs.Tree
-	var treeStr string
-	if s.incremental() {
-		// Recovery is a pure function of the kept set, so states sharing a
-		// Keep (and the digest shadow pipeline that already classified this
-		// one) share one memoised fsck+mount outcome.
-		o, err := s.recon.recoveredOutcome(cs)
-		if err != nil {
-			return checkResult{}, err
-		}
-		if o.recoverErr != "" {
-			return checkResult{layer: "pfs", consequence: "unrecoverable file system: " + o.recoverErr, state: "UNRECOVERABLE"}, nil
-		}
-		if o.mountErr != "" {
-			return checkResult{layer: "pfs", consequence: "mount failed after fsck: " + o.mountErr, state: "UNMOUNTABLE"}, nil
-		}
-		tree, treeStr = o.tree, o.treeStr
-	} else {
-		if err := s.fs.Recover(); err != nil {
-			if faultinject.Is(err) {
-				return checkResult{}, err
-			}
-			return checkResult{layer: "pfs", consequence: fmt.Sprintf("unrecoverable file system: %v", err), state: "UNRECOVERABLE"}, nil
-		}
-		var err error
-		tree, err = s.fs.Mount()
-		if err != nil {
-			if faultinject.Is(err) {
-				return checkResult{}, err
-			}
-			return checkResult{layer: "pfs", consequence: fmt.Sprintf("mount failed after fsck: %v", err), state: "UNMOUNTABLE"}, nil
-		}
-		treeStr = tree.Serialize()
+	// Recovery is a pure function of the kept set, so states sharing a Keep
+	// (and the digest shadow pipeline that already classified this one)
+	// share one memoised fsck+mount outcome.
+	o, err := s.recon.recoveredOutcome(cs)
+	if err != nil {
+		return checkResult{}, err
 	}
+	if o.recoverErr != "" {
+		return checkResult{layer: "pfs", consequence: "unrecoverable file system: " + o.recoverErr, state: "UNRECOVERABLE"}, nil
+	}
+	if o.mountErr != "" {
+		return checkResult{layer: "pfs", consequence: "mount failed after fsck: " + o.mountErr, state: "UNMOUNTABLE"}, nil
+	}
+	tree, treeStr := o.tree, o.treeStr
 
 	pfsStatus := s.pfsOps.StatusAgainst(cs.Front)
 
@@ -1361,11 +1239,9 @@ func (s *session) replayPFS(sel []int) (string, error) {
 	rec := s.fs.Recorder()
 	rec.SetEnabled(false)
 	s.fs.Restore(s.initial)
-	if s.recon != nil {
-		// The replay mutates the whole cluster; the incremental walk's
-		// physical tracking must not trust any server afterwards.
-		s.recon.markAllDirty()
-	}
+	// The replay mutates the whole cluster; the reconstructor's physical
+	// tracking must not trust any server afterwards.
+	s.recon.markAllDirty()
 	for _, pos := range sel {
 		op := s.pfsOps.Ops[pos]
 		c, err := s.client(op.Proc)
@@ -1414,217 +1290,15 @@ func intsKey(sel []int) string {
 	return b.String()
 }
 
-// runOptimized visits states in TSP order with incremental reconstruction:
-// only servers whose kept-op subsequence changed are restored and
-// re-applied; recovery and checking run on a scratch snapshot.
-//
-// Fault tolerance splits the walk in two: the arithmetic walk (cur) charges
-// exactly what an unfaulted incremental visit would pay, per visited state,
-// while the physical walk (phys) tracks what is actually on the cluster. A
-// faulted attempt re-restores the touched servers without extra charges, so
-// a run whose faults heal — and a resumed run replaying journaled verdicts —
-// reports stats byte-identical to an uninterrupted unfaulted run.
-func (s *session) runOptimized(states []CrashState, skip func(CrashState) bool, handle func(CrashState)) {
-	if s.incremental() {
-		s.visitOrdered(states, skip, handle)
-		return
-	}
-	if len(states) == 0 {
-		return
-	}
-	procs, serverOps := s.emu.serverProcs()
-	sigs := stateSigs(states, procs, serverOps)
-	order := exploreOrder(len(states), len(procs), sigs, s.opts.DisableTSP)
-
-	cur := make([]string, len(procs))
-	phys := make([]string, len(procs))
-	for i := range cur {
-		cur[i] = "\x00unset"
-		phys[i] = "\x00unset"
-	}
-
-	for _, idx := range order {
-		if s.ctx.Err() != nil {
-			return
-		}
-		cs := states[idx]
-		if skip(cs) {
-			continue
-		}
-		key := cs.Front.Key() + "|" + cs.Keep.Key()
-		ckey := ""
-		if s.representative() {
-			ckey = s.classKey(cs)
-		}
-		if ckey != "" {
-			if _, ok := s.checkCache[key]; !ok {
-				if r, hit := s.classes[ckey]; hit {
-					// Class member: attribute the representative's verdict.
-					// Neither the arithmetic walk nor the physical cluster
-					// advances — the incremental tour simply steps over the
-					// state, which is exactly the effort the report shows.
-					s.attributeClass(key, r)
-					applied := s.fs.Snapshot()
-					handle(cs)
-					s.fs.Restore(applied)
-					continue
-				}
-			}
-		}
-		// Arithmetic charging: the incremental restore/replay cost this
-		// state adds to the walk, independent of faults and resume.
-		for pi, p := range procs {
-			if cur[pi] == sigs[idx][pi] {
-				continue
-			}
-			s.chargeRestores(1)
-			for _, n := range serverOps[p] {
-				if cs.Keep.Get(n) {
-					s.chargeReplayed(1)
-				}
-			}
-			cur[pi] = sigs[idx][pi]
-		}
-		if _, ok := s.checkCache[key]; !ok {
-			if r, ok := s.resumed[key]; ok {
-				// Journaled verdict: seed the cache before handle's check so
-				// the serial resumed path (which charges full reconstruction)
-				// is bypassed — the arithmetic walk above already paid.
-				if r.skipped {
-					s.ctrSkipped.Inc()
-				} else {
-					s.chargeLegal(r)
-				}
-				s.checkCache[key] = r
-				s.recordClass(ckey, r)
-			} else {
-				r := s.optimizedCheck(cs, sigs[idx], procs, serverOps, phys)
-				s.checkCache[key] = r
-				s.recordClass(ckey, r)
-				s.journal(key, r)
-			}
-		}
-		// handle's classifier probes may reconstruct other states on the
-		// live cluster; restore the applied state afterwards so the physical
-		// walk tracking stays truthful.
-		applied := s.fs.Snapshot()
-		handle(cs)
-		s.fs.Restore(applied)
-	}
-}
-
-// optimizedCheck brings the physical cluster to the state's per-server
-// signature and judges it, retrying faulted attempts under the policy. No
-// stats are charged here — the arithmetic walk in runOptimized carries the
-// accounting — so retries are invisible in the report.
-func (s *session) optimizedCheck(cs CrashState, sig []string, procs []string, serverOps map[string][]int, phys []string) checkResult {
-	att := s.opts.Retry.attempts()
-	var lastErr error
-	for a := 0; a < att; a++ {
-		if a > 0 {
-			s.ctrRetries.Inc()
-			time.Sleep(s.opts.Retry.backoffAt(a))
-		}
-		r, err := s.optimizedAttempt(cs, sig, procs, serverOps, phys)
-		if err == nil {
-			return r
-		}
-		if faultinject.Is(err) {
-			s.ctrFaults.Inc()
-		}
-		lastErr = err
-	}
-	s.ctrSkipped.Inc()
-	return checkResult{
-		skipped:     true,
-		consequence: fmt.Sprintf("quarantined after %d attempts: %v", att, lastErr),
-	}
-}
-
-// optimizedAttempt is one physical sync + scratch verdict. A server whose
-// apply faults mid-way is marked dirty so the next attempt (or the next
-// state) restores it from the snapshot instead of trusting partial state.
-func (s *session) optimizedAttempt(cs CrashState, sig []string, procs []string, serverOps map[string][]int, phys []string) (checkResult, error) {
-	for pi, p := range procs {
-		if phys[pi] == sig[pi] {
-			continue
-		}
-		phys[pi] = "\x00dirty"
-		if err := s.syncServer(cs, p, serverOps[p]); err != nil {
-			return checkResult{}, err
-		}
-		phys[pi] = sig[pi]
-	}
-	return s.scratchVerdict(cs)
-}
-
-// syncServer restores one server to the initial snapshot and applies the
-// crash state's kept ops on it, quarantining panics into errors.
-func (s *session) syncServer(cs CrashState, p string, ops []int) (err error) {
-	defer func() {
-		if pv := recover(); pv != nil {
-			if fe, ok := faultinject.FromPanic(pv); ok {
-				err = fe
-			} else {
-				err = fmt.Errorf("panic applying ops on %s: %v", p, pv)
-			}
-		}
-	}()
-	s.fs.RestoreServer(s.initial, p)
-	for _, n := range ops {
-		if !cs.Keep.Get(n) {
-			continue
-		}
-		if aerr := s.fs.ApplyLowermost(s.g.Ops[n]); aerr != nil && faultinject.Is(aerr) {
-			return aerr
-		}
-	}
-	return nil
-}
-
-// scratchVerdict judges the applied state without losing the walk's
-// physical tracking — including when the verdict panics. The incremental
-// engine needs no snapshot here: the only cluster mutation the verdict can
-// make is recovery, and recoveredOutcome marks the mutated servers dirty so
-// the next bring restores them from prefix roots. The legacy optimized
-// engine snapshots and restores the applied state around the verdict.
-func (s *session) scratchVerdict(cs CrashState) (res checkResult, err error) {
-	var applied *pfs.State
-	if !s.incremental() {
-		applied = s.fs.Snapshot()
-	}
-	defer func() {
-		if pv := recover(); pv != nil {
-			res = checkResult{}
-			if fe, ok := faultinject.FromPanic(pv); ok {
-				err = fe
-			} else {
-				err = fmt.Errorf("panic during verdict: %v", pv)
-			}
-		}
-		if applied != nil {
-			s.fs.Restore(applied)
-		}
-	}()
-	return s.verdict(cs)
-}
-
-// visitOrdered is the incremental engine's ordered walk, shared by the
-// serial optimized mode and the optimized parallel merge: states are visited
-// along the greedy TSP tour (recording order under DisableTSP) and every one
-// goes through the uniform check path. No per-loop accounting or snapshot
-// juggling remains here — the reconstructor carries both the physical delta
-// reconstruction and the arithmetic charging, and classifier probes inside
-// handle reconstruct through the same path, keeping the physical tracking
-// truthful without save/restore wrappers.
+// visitOrdered is the one ordered walk, shared by the serial collected path
+// and the parallel/fleet merge: states are visited in visitOrder and every
+// one goes through the uniform check path. No per-loop accounting or
+// snapshot juggling lives here — the reconstructor carries both the physical
+// delta reconstruction and the arithmetic charging, and classifier probes
+// inside handle reconstruct through the same path, keeping the physical
+// tracking truthful without save/restore wrappers.
 func (s *session) visitOrdered(states []CrashState, skip func(CrashState) bool, handle func(CrashState)) {
-	if len(states) == 0 {
-		return
-	}
-	procs, serverOps := s.emu.serverProcs()
-	sigs := stateSigs(states, procs, serverOps)
-	order := exploreOrder(len(states), len(procs), sigs, s.opts.DisableTSP)
-	for _, idx := range order {
+	for _, idx := range s.visitOrder(states, ShardSpec{Count: 1}.indices(len(states))) {
 		if s.ctx.Err() != nil {
 			return
 		}

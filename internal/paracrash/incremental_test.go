@@ -40,9 +40,9 @@ func incrementalPrograms(t *testing.T) []*workloads.Program {
 	return progs
 }
 
-// runEngine runs one (backend, program) cell with the given engine selection
-// and returns the report.
-func runEngine(t *testing.T, backend string, prog *workloads.Program, mode paracrash.Mode, workers int, legacy bool) *paracrash.Report {
+// runEngine runs one (backend, program) cell with default options and
+// returns the report.
+func runEngine(t *testing.T, backend string, prog *workloads.Program, mode paracrash.Mode, workers int) *paracrash.Report {
 	t.Helper()
 	fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
 	if err != nil {
@@ -51,7 +51,6 @@ func runEngine(t *testing.T, backend string, prog *workloads.Program, mode parac
 	opts := paracrash.DefaultOptions()
 	opts.Mode = mode
 	opts.Workers = workers
-	opts.DisableIncremental = legacy
 	rep, err := paracrash.Run(fs, nil, prog, opts)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", backend, prog.Name(), err)
@@ -59,34 +58,34 @@ func runEngine(t *testing.T, backend string, prog *workloads.Program, mode parac
 	return rep
 }
 
-// TestIncrementalEngineEquivalence is the engine-differential oracle: on
-// every backend and both workload families, the O(delta) incremental engine
-// must reach the exact verdicts of the legacy full-restore engine — same
-// inconsistent states, consequences, legal-state counts, bugs and skip list
-// (the ReportKernel) — while paying no more restores or op replays, and the
-// incremental engine itself must be schedule-independent (serial and
-// parallel runs byte-identical including effort stats).
+// TestIncrementalEngineEquivalence holds the one exploration engine to its
+// reference on every backend and both workload families: every generated
+// crash state, walked in the mode's visiting order, must reconstruct and
+// recover exactly as a full rebuild on a fresh cluster does, at no more than
+// a full rebuild's charge per visit (paracrash.ReferenceDiff); and the
+// engine must be schedule-independent (serial and parallel runs
+// byte-identical including effort stats). The complete reports are pinned by
+// TestIncrementalGoldenFingerprints.
 func TestIncrementalEngineEquivalence(t *testing.T) {
 	progs := incrementalPrograms(t)
 	for _, backend := range exps.FSNames() {
 		for _, prog := range progs {
-			for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModeOptimized} {
+			for _, mode := range goldenModes {
 				t.Run(backend+"/"+prog.Name()+"/"+mode.String(), func(t *testing.T) {
-					legacy := runEngine(t, backend, prog, mode, 1, true)
-					inc := runEngine(t, backend, prog, mode, 1, false)
-					if lk, ik := exps.ReportKernel(legacy), exps.ReportKernel(inc); lk != ik {
-						t.Errorf("verdicts diverge between engines:\n--- legacy ---\n%s--- incremental ---\n%s", lk, ik)
+					fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
+					if err != nil {
+						t.Fatal(err)
 					}
-					if inc.Stats.ServerRestores > legacy.Stats.ServerRestores {
-						t.Errorf("incremental charged more restores than legacy: %d > %d",
-							inc.Stats.ServerRestores, legacy.Stats.ServerRestores)
+					checked, err := paracrash.ReferenceDiff(fs, prog, mode)
+					if err != nil {
+						t.Error(err)
 					}
-					if inc.Stats.OpsReplayed > legacy.Stats.OpsReplayed {
-						t.Errorf("incremental charged more op replays than legacy: %d > %d",
-							inc.Stats.OpsReplayed, legacy.Stats.OpsReplayed)
+					if checked == 0 {
+						t.Error("no crash states generated; the reference check is vacuous")
 					}
 
-					par := runEngine(t, backend, prog, mode, 4, false)
+					inc := runEngine(t, backend, prog, mode, 1)
+					par := runEngine(t, backend, prog, mode, 4)
 					if sf, pf := exps.ReportFingerprint(inc), exps.ReportFingerprint(par); sf != pf {
 						t.Errorf("incremental serial and parallel runs diverge:\n--- serial ---\n%s--- workers=4 ---\n%s", sf, pf)
 					}
@@ -100,7 +99,7 @@ func TestIncrementalEngineEquivalence(t *testing.T) {
 // every backend, reconstructing each crash state the incremental way (only
 // the crashed servers restored, each replaying only its own kept ops, in
 // per-server order) must leave the cluster byte-identical — Serialize of
-// every store — to the legacy way (every server restored, kept ops replayed
+// every store — to the full rebuild (every server restored, kept ops replayed
 // in universe order). This is the physical-commutativity invariant the
 // O(delta) engine rests on, checked directly against the stores rather than
 // through verdicts.
@@ -157,7 +156,8 @@ func TestIncrementalReconstructionContent(t *testing.T) {
 
 				fs.Restore(initial)
 				for p, ops := range serverOps {
-					fs.RestoreServer(initial, p)
+					snap, _ := initial.ServerSnap(p)
+					fs.RestoreServerSnap(p, snap)
 					for _, i := range ops {
 						if cs.Keep.Get(i) {
 							_ = fs.ApplyLowermost(g.Ops[i])
@@ -196,7 +196,7 @@ func TestIncrementalFaultTransparency(t *testing.T) {
 	for _, backend := range []string{"beegfs", "lustre"} {
 		for _, workers := range []int{1, 4} {
 			t.Run(backend+"/workers="+itoa(workers), func(t *testing.T) {
-				base := runEngine(t, backend, prog, paracrash.ModeOptimized, workers, false)
+				base := runEngine(t, backend, prog, paracrash.ModeOptimized, workers)
 
 				fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
 				if err != nil {
@@ -231,7 +231,7 @@ func TestIncrementalFaultTransparency(t *testing.T) {
 func TestIncrementalChaosResume(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	backend := "lustre"
-	base := runEngine(t, backend, prog, paracrash.ModeOptimized, 1, false)
+	base := runEngine(t, backend, prog, paracrash.ModeOptimized, 1)
 	baseFP := exps.ReportFingerprint(base)
 
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")

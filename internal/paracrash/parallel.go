@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"paracrash/internal/obs"
@@ -96,8 +95,9 @@ func (b *resultBoard) cancel() {
 	b.cond.Broadcast()
 }
 
-// shardStates deals n state indices round-robin onto w shards, so each
-// shard samples the whole front sequence (neighbouring states of one front
+// shardStates deals n state indices onto at most w shards — the ShardSpec
+// partition a fleet run uses, in-process. Round-robin dealing lets each
+// shard sample the whole front sequence (neighbouring states of one front
 // share Front bitsets and differ in few servers, keeping shard-local TSP
 // tours short).
 func shardStates(n, w int) [][]int {
@@ -108,8 +108,8 @@ func shardStates(n, w int) [][]int {
 		w = 1
 	}
 	shards := make([][]int, w)
-	for i := 0; i < n; i++ {
-		shards[i%w] = append(shards[i%w], i)
+	for i := range shards {
+		shards[i] = ShardSpec{Index: i, Count: w}.indices(n)
 	}
 	return shards
 }
@@ -120,8 +120,7 @@ func stateKey(cs CrashState) string {
 }
 
 // serverProcs returns ServerOps plus the sorted proc names — the
-// deterministic per-server iteration order shared by the serial optimized
-// walk, the shard workers and the merge accounting.
+// deterministic per-server iteration order of the reconstructor.
 func (e *Emulator) serverProcs() ([]string, map[string][]int) {
 	serverOps := e.ServerOps()
 	procs := make([]string, 0, len(serverOps))
@@ -132,45 +131,37 @@ func (e *Emulator) serverProcs() ([]string, map[string][]int) {
 	return procs, serverOps
 }
 
-// stateSigs computes the per-state, per-server signatures of the kept
-// subsequence (the distance basis of the incremental reconstruction).
-func stateSigs(states []CrashState, procs []string, serverOps map[string][]int) [][]string {
-	sigs := make([][]string, len(states))
-	for i, cs := range states {
-		sigs[i] = make([]string, len(procs))
-		for pi, p := range procs {
-			var b strings.Builder
-			for _, n := range serverOps[p] {
-				if cs.Keep.Get(n) {
-					fmt.Fprintf(&b, "%d,", n)
-				}
-			}
-			sigs[i][pi] = b.String()
+// visitOrder returns ids — indices into states — in the mode's visiting
+// order: as given (generation order) for brute force and pruning, along the
+// greedy TSP tour over servers-changed distance for the optimized mode. The
+// distance basis is the reconstructor's per-server signature, so the tour
+// minimises exactly the restores the walk will be charged.
+func (s *session) visitOrder(states []CrashState, ids []int) []int {
+	if s.opts.Mode != ModeOptimized {
+		return ids
+	}
+	sigs := make([][]string, len(ids))
+	for k, id := range ids {
+		ks := s.recon.keptOf(states[id])
+		sigs[k] = make([]string, len(ks))
+		for pi := range ks {
+			sigs[k][pi] = ks[pi].sig()
 		}
 	}
-	return sigs
-}
-
-// exploreOrder returns the optimized visiting order: the greedy TSP tour
-// over servers-changed distance, or recording order when disabled.
-func exploreOrder(n, nprocs int, sigs [][]string, disableTSP bool) []int {
-	if disableTSP {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		return order
-	}
-	dist := func(i, j int) int {
+	tour := tsp.GreedyOrder(len(ids), func(i, j int) int {
 		d := 0
-		for pi := 0; pi < nprocs; pi++ {
+		for pi := range sigs[i] {
 			if sigs[i][pi] != sigs[j][pi] {
 				d++
 			}
 		}
 		return d
+	})
+	order := make([]int, len(ids))
+	for k, t := range tour {
+		order[k] = ids[t]
 	}
-	return tsp.GreedyOrder(n, dist)
+	return order
 }
 
 // shardSession builds a worker's private session around a detached clone:
@@ -202,14 +193,11 @@ func (s *session) shardSession(fs pfs.FileSystem) *session {
 		resumed: s.resumed,
 	}
 	ws.bindObs(s.obs, "worker/")
-	if s.recon != nil {
-		if inc, ok := fs.(pfs.IncrementalStater); ok {
-			// The clone gets its own reconstructor (private physical tracking
-			// and prefix-root caches over the clone's stores, worker/-prefixed
-			// arithmetic charges) seeded from the same shared initial snapshot.
-			ws.recon = newReconstructor(ws, inc)
-		}
-	}
+	// The clone gets its own reconstructor (private physical tracking and
+	// prefix-root caches over the clone's stores, worker/-prefixed arithmetic
+	// charges) seeded from the same shared initial snapshot — which prepare
+	// already proved holds a store for every server.
+	ws.recon, _ = newReconstructor(ws)
 	return ws
 }
 
@@ -261,14 +249,7 @@ func (s *session) runParallel(states []CrashState, cloner pfs.Cloner, workers in
 					}
 				}
 			}()
-			switch {
-			case ws.incremental():
-				ws.exploreShardIncremental(states, ids, bugs, board, pending)
-			case ws.opts.Mode == ModeOptimized:
-				ws.exploreShardOptimized(states, ids, bugs, board, pending)
-			default:
-				ws.exploreShard(states, ids, bugs, board, pending)
-			}
+			ws.exploreShard(states, ids, bugs, board, pending)
 		}(ws, ids, pending)
 	}
 
@@ -287,86 +268,32 @@ func (s *session) runParallel(states []CrashState, cloner pfs.Cloner, workers in
 		return board.await(id)
 	}
 	stopMerge := s.obs.Phase(obs.PhaseMerge)
-	if s.opts.Mode == ModeOptimized && s.incremental() {
-		// The incremental merge is the serial ordered walk verbatim: check
-		// resolves verdicts through outcomeFor (the board) and the primary's
-		// reconstructor charges the arithmetic walk, so no merge-specific
-		// accounting pass is needed.
-		s.visitOrdered(states, skip, handle)
-	} else if s.opts.Mode == ModeOptimized {
-		s.mergeOptimized(states, skip, handle)
-	} else {
-		for _, cs := range states {
-			if s.ctx.Err() != nil {
-				break
-			}
-			if !skip(cs) {
-				handle(cs)
-			}
-		}
-	}
+	// The merge is the serial ordered walk verbatim: check resolves verdicts
+	// through outcomeFor (the board) and the primary's reconstructor charges
+	// the arithmetic walk, so no merge-specific accounting pass is needed.
+	s.visitOrdered(states, skip, handle)
 	stopMerge()
 	s.outcomeFor = nil
 	wg.Wait()
 }
 
-// exploreShard judges the worker's states in index order (the brute/pruning
-// visiting order), publishing every verdict to the board.
-func (ws *session) exploreShard(states []CrashState, ids []int, bugs *BugSet, board *resultBoard, pending *obs.Gauge) {
-	for _, id := range ids {
-		if ws.ctx.Err() != nil {
-			return
-		}
-		cs := states[id]
-		if ws.opts.Mode != ModeBrute && bugs.KnownBad(cs) {
-			board.skip(id)
-			ws.ctrPruned.Inc()
-			pending.Add(-1)
-			continue
-		}
-		board.publish(id, ws.check(cs))
-		if ws.dedupKeys[stateKey(cs)] {
-			ws.ctrDeduped.Inc()
-		} else {
-			ws.ctrChecked.Inc()
-		}
-		pending.Add(-1)
-	}
-}
-
-// exploreShardIncremental judges the worker's states with the O(delta)
-// reconstructor: along a shard-local TSP tour in optimized mode, in index
-// order otherwise. All per-state logic lives in ws.check — the worker's
+// exploreShard is the one worker loop — in-process shard workers and fleet
+// RunShard alike: it judges the worker's states in visitOrder (a shard-local
+// TSP tour in optimized mode, index order otherwise), publishing every
+// verdict to the board. All per-state logic lives in ws.check — the worker's
 // private reconstructor tracks the clone's physical state, caches prefix
 // roots and charges the worker/-prefixed counters arithmetically.
-func (ws *session) exploreShardIncremental(states []CrashState, ids []int, bugs *BugSet, board *resultBoard, pending *obs.Gauge) {
-	if len(ids) == 0 {
-		return
-	}
-	order := make([]int, len(ids))
-	for k := range order {
-		order[k] = k
-	}
-	if ws.opts.Mode == ModeOptimized {
-		shard := make([]CrashState, len(ids))
-		for k, id := range ids {
-			shard[k] = states[id]
-		}
-		procs, serverOps := ws.emu.serverProcs()
-		sigs := stateSigs(shard, procs, serverOps)
-		order = exploreOrder(len(shard), len(procs), sigs, ws.opts.DisableTSP)
-	}
-	// Prime the fresh clone with the full initial snapshot (an O(1) adoption
-	// per server): the reconstructor only ever touches servers with universe
-	// ops, so servers the traced run never wrote would otherwise keep their
-	// empty mkfs state instead of the initial content every crash state
-	// shares.
+func (ws *session) exploreShard(states []CrashState, ids []int, bugs *BugSet, board *resultBoard, pending *obs.Gauge) {
+	// Prime the cluster with the full initial snapshot (an O(1) adoption per
+	// server): the reconstructor only ever touches servers with universe ops,
+	// so on a fresh clone servers the traced run never wrote would otherwise
+	// keep their empty mkfs state instead of the initial content every crash
+	// state shares.
 	ws.fs.Restore(ws.initial)
-	for _, k := range order {
+	for _, id := range ws.visitOrder(states, ids) {
 		if ws.ctx.Err() != nil {
 			return
 		}
-		id := ids[k]
 		cs := states[id]
 		if ws.opts.Mode != ModeBrute && bugs.KnownBad(cs) {
 			board.skip(id)
@@ -382,185 +309,4 @@ func (ws *session) exploreShardIncremental(states []CrashState, ids []int, bugs 
 		}
 		pending.Add(-1)
 	}
-}
-
-// exploreShardOptimized judges the worker's states along a shard-local TSP
-// tour with incremental per-server reconstruction (the serial optimized
-// engine, confined to the shard).
-func (ws *session) exploreShardOptimized(states []CrashState, ids []int, bugs *BugSet, board *resultBoard, pending *obs.Gauge) {
-	if len(ids) == 0 {
-		return
-	}
-	shard := make([]CrashState, len(ids))
-	for k, id := range ids {
-		shard[k] = states[id]
-	}
-	procs, serverOps := ws.emu.serverProcs()
-	sigs := stateSigs(shard, procs, serverOps)
-	order := exploreOrder(len(shard), len(procs), sigs, ws.opts.DisableTSP)
-
-	// Prime the fresh clone with the full initial snapshot: procs only
-	// lists servers with universe ops, so servers the traced run never
-	// touched would otherwise keep their empty mkfs state instead of the
-	// initial content every crash state shares. (The serial walk needs no
-	// such step — its live cluster already holds every server's content.)
-	ws.fs.Restore(ws.initial)
-
-	// cur charges the worker's effort counters along the unfaulted walk;
-	// phys tracks what is physically on the clone (optimizedCheck re-syncs
-	// dirty servers after a faulted attempt without extra charges).
-	cur := make([]string, len(procs))
-	phys := make([]string, len(procs))
-	for i := range cur {
-		cur[i] = "\x00unset"
-		phys[i] = "\x00unset"
-	}
-	for _, k := range order {
-		if ws.ctx.Err() != nil {
-			return
-		}
-		cs := shard[k]
-		if bugs.KnownBad(cs) {
-			board.skip(ids[k])
-			ws.ctrPruned.Inc()
-			pending.Add(-1)
-			continue
-		}
-		ckey := ""
-		if ws.representative() {
-			ckey = ws.classKey(cs)
-			if r, hit := ws.classes[ckey]; hit {
-				// Class member: publish the shard-local representative's
-				// verdict without advancing the incremental tour. The class
-				// verdict is byte-identical to what this state would compute
-				// (the class key captures every verdict input), so the merge
-				// stays deterministic regardless of shard-local class shape.
-				board.publish(ids[k], r)
-				ws.ctrDeduped.Inc()
-				pending.Add(-1)
-				continue
-			}
-		}
-		for pi, p := range procs {
-			if cur[pi] == sigs[k][pi] {
-				continue
-			}
-			ws.ctrRestores.Inc()
-			for _, n := range serverOps[p] {
-				if cs.Keep.Get(n) {
-					ws.ctrReplayed.Inc()
-				}
-			}
-			cur[pi] = sigs[k][pi]
-		}
-		r, ok := ws.resumed[stateKey(cs)]
-		if !ok {
-			r = ws.optimizedCheck(cs, sigs[k], procs, serverOps, phys)
-			// In-process workers carry no checkpoint (the merge journals);
-			// a fleet shard run owns its journal and records here.
-			ws.journal(stateKey(cs), r)
-		}
-		ws.recordClass(ckey, r)
-		board.publish(ids[k], r)
-		ws.ctrChecked.Inc()
-		pending.Add(-1)
-	}
-}
-
-// mergeOptimized replays the serial optimized walk — same global TSP order,
-// same pruning, same cache discipline — but reconstructs nothing: the
-// incremental restore/replay work is charged arithmetically and verdicts
-// come from s.outcomeFor (the in-process result board, or a fleet run's
-// shard-report lookup), with a local fallback when no verdict was published
-// (a worker skipped the state speculatively).
-func (s *session) mergeOptimized(states []CrashState, skip func(CrashState) bool, handle func(CrashState)) {
-	procs, serverOps := s.emu.serverProcs()
-	sigs := stateSigs(states, procs, serverOps)
-	order := exploreOrder(len(states), len(procs), sigs, s.opts.DisableTSP)
-
-	cur := make([]string, len(procs))
-	for i := range cur {
-		cur[i] = "\x00unset"
-	}
-	for _, idx := range order {
-		if s.ctx.Err() != nil {
-			return
-		}
-		cs := states[idx]
-		if skip(cs) {
-			continue
-		}
-		key := stateKey(cs)
-		ckey := ""
-		if s.representative() {
-			ckey = s.classKey(cs)
-		}
-		if ckey != "" {
-			if _, ok := s.checkCache[key]; !ok {
-				if res, hit := s.classes[ckey]; hit {
-					// Class member, mirroring the serial optimized walk: the
-					// verdict is attributed, the arithmetic tour does not
-					// advance, and the board entry (the worker published one
-					// for every state) is simply never awaited.
-					s.attributeClass(key, res)
-					handle(cs)
-					continue
-				}
-			}
-		}
-		for pi, p := range procs {
-			if cur[pi] == sigs[idx][pi] {
-				continue
-			}
-			s.chargeRestores(1)
-			for _, n := range serverOps[p] {
-				if cs.Keep.Get(n) {
-					s.chargeReplayed(1)
-				}
-			}
-			cur[pi] = sigs[idx][pi]
-		}
-		if _, ok := s.checkCache[key]; !ok {
-			if res, ok := s.resumed[key]; ok {
-				// Journaled verdict: the arithmetic walk above already paid
-				// the reconstruction, so only the legal-set sizes (or the
-				// skip) remain to account.
-				if res.skipped {
-					s.ctrSkipped.Inc()
-				} else {
-					s.chargeLegal(res)
-				}
-				s.checkCache[key] = res
-				s.recordClass(ckey, res)
-			} else {
-				res, published := s.outcomeFor(key)
-				if !published {
-					res = s.computeScratch(cs) // counts its own quarantines
-				} else if res.skipped {
-					s.ctrSkipped.Inc()
-				}
-				s.checkCache[key] = res
-				s.recordClass(ckey, res)
-				s.chargeLegal(res)
-				s.journal(key, res)
-			}
-		}
-		handle(cs)
-	}
-}
-
-// computeScratch reconstructs and judges a state on the primary cluster —
-// with the same bounded retry as the serial engine — without charging
-// restore/replay stats (the optimized merge accounts those through its
-// incremental simulation).
-func (s *session) computeScratch(cs CrashState) checkResult {
-	restores, replayed := s.stats.ServerRestores, s.stats.OpsReplayed
-	res := s.checkWithRetry(cs)
-	// Roll the counters back in lockstep with the stats so the obs totals
-	// keep reconciling 1:1 with the reported Stats. (Failed attempts already
-	// rolled themselves back; this cancels the successful attempt's charge.)
-	s.ctrRestores.Add(int64(restores - s.stats.ServerRestores))
-	s.ctrReplayed.Add(int64(replayed - s.stats.OpsReplayed))
-	s.stats.ServerRestores, s.stats.OpsReplayed = restores, replayed
-	return res
 }

@@ -1,6 +1,7 @@
 package paracrash
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -110,6 +111,37 @@ func TestCloneDetachedIsIndependent(t *testing.T) {
 	}
 	if _, ok := ctree.Entries["/d/extra"]; !ok {
 		t.Error("clone lost its own mutation")
+	}
+}
+
+// partialSnapshotFS is a file system whose Snapshot leaves out one server's
+// store — an implementation keeping that server's state somewhere pfs.State
+// does not carry.
+type partialSnapshotFS struct {
+	pfs.FileSystem
+	omit string
+}
+
+func (p partialSnapshotFS) Snapshot() *pfs.State {
+	st := p.FileSystem.Snapshot()
+	delete(st.FS, p.omit)
+	delete(st.Dev, p.omit)
+	return st
+}
+
+// TestMissingServerStoreFailsLoudly: a snapshot without a store for some
+// server cannot seed crash-state reconstruction, and the run must say so,
+// naming the server, before exploring anything.
+func TestMissingServerStoreFailsLoudly(t *testing.T) {
+	for _, omit := range beegfs.New(pfs.DefaultConfig(), trace.NewRecorder()).Procs() {
+		fs := partialSnapshotFS{FileSystem: beegfs.New(pfs.DefaultConfig(), trace.NewRecorder()), omit: omit}
+		_, err := Run(fs, nil, renameWorkload{}, DefaultOptions())
+		var mse *missingStoreError
+		if !errors.As(err, &mse) {
+			t.Errorf("run without a store for %s: got %v, want a missingStoreError", omit, err)
+		} else if mse.proc != omit {
+			t.Errorf("error names %q, want %q", mse.proc, omit)
+		}
 	}
 }
 

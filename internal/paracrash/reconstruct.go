@@ -1,10 +1,10 @@
-// Incremental O(delta) crash-state reconstruction.
+// Incremental O(delta) crash-state reconstruction — the explorer's only
+// reconstruction engine.
 //
-// The legacy engine rebuilt every crash state from scratch: restore every
-// server store from the initial snapshot, then replay every kept lowermost
-// op. With the vfs/blockdev substrates now persistent (O(1) snapshot and
-// restore), reconstruction can move *between* crash states by undoing and
-// applying op deltas instead:
+// The vfs/blockdev substrates are persistent (O(1) snapshot and restore), so
+// instead of rebuilding every crash state from the initial snapshot the
+// reconstructor moves the live cluster *between* crash states by undoing and
+// applying op deltas:
 //
 //   - Every server's reconstruction target is its kept-op subsequence (the
 //     same per-server signature the greedy-TSP ordering minimises distance
@@ -23,8 +23,12 @@
 // and Stats.OpsReplayed for exactly the restores and op replays an unfaulted
 // serial walk would perform. Because the simulation is a pure function of
 // the visit sequence, faulted retries, checkpoint resume and parallel merge
-// all report byte-identical effort stats — the same invariant the legacy
-// engine maintained with per-attempt charge rollback, now by construction.
+// all report byte-identical effort stats by construction.
+//
+// The engine's reference lives in test code: reference_test.go rebuilds every
+// generated state on a fresh cluster (restore everything, replay every kept
+// op in universe order) and requires the identical recovery outcome, and
+// testdata/fingerprints.golden pins the complete reports.
 package paracrash
 
 import (
@@ -58,8 +62,7 @@ const unsetSig = "\x00unset"
 // clone); it owns the per-server physical signature tracking and the
 // prefix-root caches.
 type reconstructor struct {
-	s   *session
-	inc pfs.IncrementalStater
+	s *session
 
 	procs     []string         // sorted servers with universe ops
 	serverOps map[string][]int // proc -> universe node indices, in order
@@ -149,14 +152,24 @@ func (sk serverKept) sig() string {
 	return sk.keys[len(sk.keys)-1]
 }
 
-// newReconstructor builds the incremental reconstruction state for s, or
-// returns nil when the initial snapshot lacks a store for some server (an
-// external FileSystem keeping state outside vfs/blockdev stores — the
-// caller then falls back to the legacy full-restore engine).
-func newReconstructor(s *session, inc pfs.IncrementalStater) *reconstructor {
+// missingStoreError reports that the initial snapshot holds no store for a
+// server process: the file system keeps that server's persistent state
+// outside the vfs/blockdev stores pfs.State carries, so crash states cannot
+// be reconstructed on it.
+type missingStoreError struct {
+	proc string // the server process the snapshot lacks
+}
+
+func (e *missingStoreError) Error() string {
+	return fmt.Sprintf("paracrash: initial snapshot holds no store for server %q", e.proc)
+}
+
+// newReconstructor builds the reconstruction state for s. It fails with a
+// *missingStoreError when the initial snapshot lacks a store for some server.
+func newReconstructor(s *session) (*reconstructor, error) {
 	procs, serverOps := s.emu.serverProcs()
 	r := &reconstructor{
-		s: s, inc: inc, procs: procs, serverOps: serverOps,
+		s: s, procs: procs, serverOps: serverOps,
 		initials: make([]pfs.ServerSnap, len(procs)),
 		phys:     make([]string, len(procs)),
 		roots:    make([]map[string]pfs.ServerSnap, len(procs)),
@@ -167,7 +180,7 @@ func newReconstructor(s *session, inc pfs.IncrementalStater) *reconstructor {
 	for pi, p := range procs {
 		snap, ok := s.initial.ServerSnap(p)
 		if !ok {
-			return nil
+			return nil, &missingStoreError{proc: p}
 		}
 		r.initials[pi] = snap
 		r.phys[pi] = unsetSig
@@ -185,13 +198,13 @@ func newReconstructor(s *session, inc pfs.IncrementalStater) *reconstructor {
 		}
 		snap, ok := s.initial.ServerSnap(p)
 		if !ok {
-			return nil
+			return nil, &missingStoreError{proc: p}
 		}
 		r.others = append(r.others, p)
 		r.otherSnaps = append(r.otherSnaps, snap)
 	}
 	r.outcomes = map[string]*recoveredOutcome{}
-	return r
+	return r, nil
 }
 
 // markAllDirty records that something mutated the whole cluster in place
@@ -278,7 +291,7 @@ func (r *reconstructor) keptOf(cs CrashState) []serverKept {
 // restore per server whose signature changes, plus the kept ops past the
 // longest simulated cached prefix. It must be called exactly once per
 // charged visit (fresh verdict, resumed verdict, board verdict), never for
-// cache hits or class attributions — the rule every engine shares.
+// cache hits or class attributions.
 func (r *reconstructor) chargeState(cs CrashState) {
 	ks := r.keptOf(cs)
 	for pi := range r.procs {
@@ -324,7 +337,7 @@ func (r *reconstructor) bring(cs CrashState) error {
 	}
 	if r.othersDirty {
 		for i, p := range r.others {
-			if !r.inc.RestoreServerSnap(p, r.otherSnaps[i]) {
+			if !r.s.fs.RestoreServerSnap(p, r.otherSnaps[i]) {
 				return fmt.Errorf("paracrash: incremental restore of %s failed", p)
 			}
 		}
@@ -366,7 +379,7 @@ func (r *reconstructor) bringServer(sk serverKept, pi int, want string) (err err
 		r.roots[pi] = map[string]pfs.ServerSnap{}
 		base, last = r.initials[pi], 0
 	}
-	if !r.inc.RestoreServerSnap(p, base) {
+	if !r.s.fs.RestoreServerSnap(p, base) {
 		return fmt.Errorf("paracrash: incremental restore of %s failed", p)
 	}
 	for k := last; k < len(kept); k++ {
@@ -377,7 +390,7 @@ func (r *reconstructor) bringServer(sk serverKept, pi int, want string) (err err
 		// semantics); the prefix root still captures the deterministic
 		// "state after attempting ops 0..k".
 		if _, ok := r.roots[pi][keys[k]]; !ok {
-			if snap, ok := r.inc.CaptureServer(p); ok {
+			if snap, ok := r.s.fs.CaptureServer(p); ok {
 				r.roots[pi][keys[k]] = snap
 			}
 		}

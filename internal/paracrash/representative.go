@@ -41,7 +41,6 @@ import (
 	"sync"
 
 	"paracrash/internal/causality"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
 )
@@ -74,104 +73,51 @@ func (s *session) classKey(cs CrashState) string {
 	return b.String()
 }
 
-// crashDigest runs the shadow pipeline for a kept set: restore the initial
-// snapshot, apply the kept replayable ops in recording order, run recovery
-// and mount, and digest the outcome (recovery and mount failures fold their
-// deterministic error text in — states that fail differently must not share
-// a class, their consequences differ). The pipeline leaves the live cluster
-// repairable (legacy: a full snapshot is restored; incremental: mutated
-// servers are marked dirty and the next bring restores them from prefix
-// roots) and nothing is charged: this is the emulator's in-memory
-// classification step, not a modeled cluster touch.
+// crashDigest runs the shadow pipeline for a kept set: bring the cluster to
+// the kept ops, run recovery and mount, and digest the outcome (recovery and
+// mount failures fold their deterministic error text in — states that fail
+// differently must not share a class, their consequences differ). The
+// pipeline leaves the live cluster repairable (mutated servers are marked
+// dirty and the next bring restores them from prefix roots) and nothing is
+// charged: this is the emulator's in-memory classification step, not a
+// modeled cluster touch.
 // Injected faults retry under the policy like any other faultable work; an
 // exhausted retry budget surfaces as an error and the caller falls back to
 // a private class.
 func (s *session) crashDigest(cs CrashState) (string, error) {
-	var kk string
-	if s.incremental() {
-		kk = s.recon.keepKey(cs)
-	} else {
-		kk = cs.Keep.Key()
-	}
+	kk := s.recon.keepKey(cs)
 	if d, ok := s.imageDigests[kk]; ok {
 		return d, nil
 	}
+	// Reconstruct the kept set through the reconstructor and judge the live
+	// cluster. The reconstruction is uncharged, and both its prefix roots and
+	// the recovery outcome stay cached: when this state misses its class and
+	// needs a real verdict next, bring and fsck+mount are both no-ops.
 	var content string
-	var err error
-	if s.incremental() {
-		// O(delta) shadow pipeline: reconstruct the kept set through the
-		// reconstructor (per-server order — ops on different servers commute,
-		// so the content matches the recording-order replay below) and judge
-		// a scratch copy. The reconstruction is uncharged like the legacy
-		// branch, and both its prefix roots and the recovery outcome stay
-		// cached: when this state misses its class and needs a real verdict
-		// next, bring and fsck+mount are both no-ops.
-		err = s.withRetry(func() error {
-			if berr := s.recon.bring(cs); berr != nil {
-				return berr
-			}
-			o, derr := s.recon.recoveredOutcome(cs)
-			if derr != nil {
-				return derr
-			}
-			switch {
-			case o.recoverErr != "":
-				content = "UNRECOVERABLE: " + o.recoverErr
-			case o.mountErr != "":
-				content = "UNMOUNTABLE: " + o.mountErr
-			default:
-				content = o.treeStr
-			}
-			return nil
-		})
-	} else {
-		saved := s.fs.Snapshot()
-		err = s.withRetry(func() error {
-			s.fs.Restore(s.initial)
-			for _, i := range s.emu.Universe {
-				if !cs.Keep.Get(i) {
-					continue
-				}
-				if aerr := s.fs.ApplyLowermost(s.g.Ops[i]); aerr != nil && faultinject.Is(aerr) {
-					return aerr
-				}
-			}
-			c, derr := s.recoveredContent()
-			if derr != nil {
-				return derr
-			}
-			content = c
-			return nil
-		})
-		s.fs.Restore(saved)
-	}
+	err := s.withRetry(func() error {
+		if berr := s.recon.bring(cs); berr != nil {
+			return berr
+		}
+		o, derr := s.recon.recoveredOutcome(cs)
+		if derr != nil {
+			return derr
+		}
+		switch {
+		case o.recoverErr != "":
+			content = "UNRECOVERABLE: " + o.recoverErr
+		case o.mountErr != "":
+			content = "UNMOUNTABLE: " + o.mountErr
+		default:
+			content = o.treeStr
+		}
+		return nil
+	})
 	if err != nil {
 		return "", err
 	}
 	d := StateDigest("crash", content)
 	s.imageDigests[kk] = d
 	return d, nil
-}
-
-// recoveredContent runs recovery and mount on the current cluster state and
-// returns its canonical content (deterministic failure text folded in —
-// states that fail differently must not share a class). Injected faults
-// surface as errors for the retry loop.
-func (s *session) recoveredContent() (string, error) {
-	if rerr := s.fs.Recover(); rerr != nil {
-		if faultinject.Is(rerr) {
-			return "", rerr
-		}
-		return "UNRECOVERABLE: " + rerr.Error(), nil
-	}
-	tree, merr := s.fs.Mount()
-	if merr != nil {
-		if faultinject.Is(merr) {
-			return "", merr
-		}
-		return "UNMOUNTABLE: " + merr.Error(), nil
-	}
-	return tree.Serialize(), nil
 }
 
 // frontStatus memoises a layer's status vector per crash front (many states

@@ -42,6 +42,10 @@ func digestSession(t *testing.T) (*session, []CrashState) {
 		frontPFSStatus: map[string]string{},
 		frontLibStatus: map[string]string{},
 	}
+	var err error
+	if s.recon, err = newReconstructor(s); err != nil {
+		t.Fatal(err)
+	}
 	var states []CrashState
 	emu.Generate(s.opts.Emulator, func(cs CrashState) bool {
 		states = append(states, cs)
@@ -122,16 +126,15 @@ func TestClassKeyNeverCollidesAcrossRecoveredContent(t *testing.T) {
 
 // TestCrashDigestDeterministicAndStatePreserving pins two contracts the
 // call sites rely on: repeated digests of one state are identical (memo or
-// not), and the shadow pipeline restores the live cluster exactly as it
-// found it — the optimized walk's physical-state tracking depends on that.
+// not), and the shadow pipeline — whose recovery mutates the live cluster in
+// place — leaves the reconstructor's physical tracking truthful: the next
+// bring of any state still lands on exactly that state's content.
 func TestCrashDigestDeterministicAndStatePreserving(t *testing.T) {
 	s, states := digestSession(t)
-	cs := states[len(states)/2]
-	before := s.fs.Snapshot()
-	beforeTree, err := s.fs.Mount()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs, other := states[len(states)/2], states[0]
+	want := recoveredContent(t, s, other)
+	s.recon.markAllDirty() // recoveredContent rebuilt the cluster behind the reconstructor's back
+
 	d1, err := s.crashDigest(cs)
 	if err != nil {
 		t.Fatal(err)
@@ -144,12 +147,14 @@ func TestCrashDigestDeterministicAndStatePreserving(t *testing.T) {
 	if d1 != d2 {
 		t.Fatalf("crashDigest not deterministic: %q vs %q", d1, d2)
 	}
-	afterTree, err := s.fs.Mount()
+	if err := s.recon.bring(other); err != nil {
+		t.Fatal(err)
+	}
+	o, err := s.recon.recoveredOutcome(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if beforeTree.Serialize() != afterTree.Serialize() {
-		t.Fatal("shadow pipeline left the live cluster in a different state")
+	if o.treeStr != want {
+		t.Fatalf("bring after the shadow pipeline reconstructed the wrong content:\n%q\nwant\n%q", o.treeStr, want)
 	}
-	s.fs.Restore(before)
 }

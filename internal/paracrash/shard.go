@@ -1,8 +1,9 @@
 // Shard-scoped exploration: the cross-process half of the fleet design.
 // A coordinator partitions one run's crash-state space into Count shards by
-// dealing the deterministic generation order round-robin (the same dealing
-// shardStates uses in-process), hands each shard to a worker process, and
-// merges the shard reports back into the byte-identical serial report.
+// dealing the deterministic generation order round-robin (ShardSpec.indices,
+// which also deals the in-process shards), hands each shard to a worker
+// process, and merges the shard reports back into the byte-identical serial
+// report.
 //
 // RunShard is the worker side: it rebuilds the full analysis state (trace,
 // causality graph, emulator universe, golden states — prepare is pure per
@@ -58,8 +59,9 @@ func (sp ShardSpec) Validate() error {
 // resumes only into the same shard of the same partition.
 func (sp ShardSpec) suffix() string { return fmt.Sprintf("|shard=%d/%d", sp.Index, sp.Count) }
 
-// indices returns the generation indices this shard owns out of n states —
-// the round-robin dealing shardStates uses, expressed per shard.
+// indices returns the generation indices this shard owns out of n states:
+// the round-robin dealing, the one partition function of in-process and
+// fleet sharding alike.
 func (sp ShardSpec) indices(n int) []int {
 	var ids []int
 	for i := sp.Index; i < n; i += sp.Count {
@@ -184,21 +186,14 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 	opts.Obs.Counter("states/generated").Add(int64(generated))
 	opts.Obs.Gauge("shard/states").Set(int64(len(ids)))
 
-	// Judge the shard with the in-process worker loops: an empty BugSet (no
+	// Judge the shard with the in-process worker loop: an empty BugSet (no
 	// speculative pruning cross-process) and a board to collect verdicts.
-	// The loops publish a verdict for every owned id unless cancelled.
+	// The loop publishes a verdict for every owned id unless cancelled.
 	board := newResultBoard(len(states))
 	bugs := NewBugSet()
 	pending := opts.Obs.Gauge("shard/pending")
 	stopExplore := opts.Obs.Phase(obs.PhaseExplore)
-	switch {
-	case s.incremental():
-		s.exploreShardIncremental(states, ids, bugs, board, pending)
-	case opts.Mode == ModeOptimized:
-		s.exploreShardOptimized(states, ids, bugs, board, pending)
-	default:
-		s.exploreShard(states, ids, bugs, board, pending)
-	}
+	s.exploreShard(states, ids, bugs, board, pending)
 	stopExplore()
 
 	// Leave the cluster at the untouched post-run state, like RunContext.
@@ -209,13 +204,15 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 
 	rep := &ShardReport{Shard: shard, Config: config, StatesGenerated: generated}
 	for _, id := range ids {
-		res, ok := board.await(id) // published: the loops covered every id
+		res, ok := board.await(id) // published: the loop covered every id
 		if !ok {
 			return nil, fmt.Errorf("paracrash: shard %s: no verdict for state %d", shard, id)
 		}
 		rep.Verdicts = append(rep.Verdicts, newVerdict(stateKey(states[id]), res))
 	}
-	rep.StatesChecked = len(s.checkCache)
+	// attributeClass fills checkCache for class members too; only the rest
+	// were reconstructed.
+	rep.StatesChecked = len(s.checkCache) - len(s.dedupKeys)
 	return rep, nil
 }
 

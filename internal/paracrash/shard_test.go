@@ -63,7 +63,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 					opts := paracrash.DefaultOptions()
 					opts.Mode = mode
 					opts.Workers = 1
-					standalone := runEngine(t, backend, prog, mode, 1, false)
+					standalone := runEngine(t, backend, prog, mode, 1)
 					merged := mergeShards(t, backend, prog, opts, runShards(t, backend, prog, opts, 3))
 					if sf, mf := exps.ReportFingerprint(standalone), exps.ReportFingerprint(merged); sf != mf {
 						t.Errorf("3-shard fleet report differs from standalone:\n--- standalone ---\n%s--- fleet ---\n%s", sf, mf)
@@ -75,9 +75,9 @@ func TestShardMergeEquivalence(t *testing.T) {
 }
 
 // TestShardMergeEquivalenceKnobs re-runs the byte-identity oracle on one
-// backend with the engine ablation knobs flipped: the legacy full-restore
-// engine, representative exploration off, and a single-shard partition
-// (the degenerate fleet) must all merge to their standalone fingerprints.
+// backend with the remaining knobs flipped: representative exploration off,
+// a single-shard partition (the degenerate fleet) and more shards than
+// workers must all merge to their standalone fingerprints.
 func TestShardMergeEquivalenceKnobs(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	backend := "beegfs"
@@ -86,8 +86,6 @@ func TestShardMergeEquivalenceKnobs(t *testing.T) {
 		mut    func(*paracrash.Options)
 		shards int
 	}{
-		{"legacy-engine", func(o *paracrash.Options) { o.DisableIncremental = true }, 3},
-		{"legacy-optimized", func(o *paracrash.Options) { o.DisableIncremental = true; o.Mode = paracrash.ModeOptimized }, 3},
 		{"no-representative", func(o *paracrash.Options) { o.DisableRepresentative = true }, 3},
 		{"single-shard", func(o *paracrash.Options) {}, 1},
 		{"many-shards", func(o *paracrash.Options) {}, 7},
@@ -105,9 +103,27 @@ func TestShardMergeEquivalenceKnobs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			merged := mergeShards(t, backend, prog, opts, runShards(t, backend, prog, opts, tc.shards))
+			reports := runShards(t, backend, prog, opts, tc.shards)
+			merged := mergeShards(t, backend, prog, opts, reports)
 			if sf, mf := exps.ReportFingerprint(standalone), exps.ReportFingerprint(merged); sf != mf {
 				t.Errorf("fleet report differs from standalone:\n--- standalone ---\n%s--- fleet ---\n%s", sf, mf)
+			}
+			// StatesChecked counts reconstructed states only: class members
+			// attributed from a representative carry a verdict but no check.
+			checked, verdicts := 0, 0
+			for _, sr := range reports {
+				if sr.StatesChecked > len(sr.Verdicts) {
+					t.Errorf("shard %s: StatesChecked %d exceeds its %d verdicts", sr.Shard, sr.StatesChecked, len(sr.Verdicts))
+				}
+				checked += sr.StatesChecked
+				verdicts += len(sr.Verdicts)
+			}
+			if opts.DisableRepresentative {
+				if checked != verdicts {
+					t.Errorf("without class attribution every verdict is a check: %d checked, %d verdicts", checked, verdicts)
+				}
+			} else if checked >= verdicts {
+				t.Errorf("class members counted as checked: %d checked, %d verdicts", checked, verdicts)
 			}
 		})
 	}
@@ -185,7 +201,7 @@ func TestShardChaosResume(t *testing.T) {
 	opts := paracrash.DefaultOptions()
 	opts.Mode = paracrash.ModeOptimized
 	opts.Workers = 1
-	base := runEngine(t, backend, prog, paracrash.ModeOptimized, 1, false)
+	base := runEngine(t, backend, prog, paracrash.ModeOptimized, 1)
 	baseFP := exps.ReportFingerprint(base)
 
 	const count = 3

@@ -264,22 +264,6 @@ func (c *Cluster) Restore(st *State) {
 	}
 }
 
-// RestoreServer resets one server store to its state in st.
-func (c *Cluster) RestoreServer(st *State, proc string) {
-	defer c.TimeOp("pfs/restore-server")()
-	if s := c.FSServer(proc); s != nil {
-		if snap, ok := st.FS[proc]; ok {
-			s.FS.Restore(snap)
-		}
-		return
-	}
-	if s := c.Block(proc); s != nil {
-		if snap, ok := st.Dev[proc]; ok {
-			s.Dev.Restore(snap)
-		}
-	}
-}
-
 // ApplyLowermost applies a recorded lowermost op to the live store of the
 // proc it was traced on. With a fault plan armed, the replay is a fault
 // point keyed by the op identity: a torn-write injection applies the first

@@ -100,9 +100,13 @@ type FileSystem interface {
 	Snapshot() *State
 	// Restore resets all servers to the snapshot.
 	Restore(*State)
-	// RestoreServer resets a single server store to its snapshot state,
-	// enabling incremental crash-state reconstruction.
-	RestoreServer(s *State, proc string)
+	// CaptureServer snapshots proc's store in O(1). ok is false when proc
+	// names no server.
+	CaptureServer(proc string) (snap ServerSnap, ok bool)
+	// RestoreServerSnap resets proc's store to a previously captured snap
+	// in O(1), the unit of incremental crash-state reconstruction. ok is
+	// false when proc names no server.
+	RestoreServerSnap(proc string, snap ServerSnap) (ok bool)
 
 	// ApplyLowermost applies a recorded lowermost op's payload to the live
 	// server store it was traced on. Errors mean the op's effect is lost
@@ -132,7 +136,7 @@ type FileSystem interface {
 // disabled (clones are never traced).
 //
 // A *State produced by Snapshot is immutable once taken and safe to share
-// across goroutines: Restore/RestoreServer adopt its structurally-shared
+// across goroutines: Restore/RestoreServerSnap adopt its structurally-shared
 // store snapshots copy-on-write and nothing writes into it.
 type Cloner interface {
 	CloneDetached() FileSystem
@@ -230,7 +234,7 @@ func (t *Tree) Diff(o *Tree) string {
 }
 
 // State is a snapshot of every server store in a cluster. A State is
-// immutable once taken: Restore/RestoreServer adopt its stores
+// immutable once taken: Restore/RestoreServerSnap adopt its stores
 // copy-on-write and never write into it, so one State (e.g. the initial
 // snapshot) can back concurrent reconstructions in many cluster clones at
 // once, each restore costing O(1) per server.

@@ -143,12 +143,15 @@ func TestClusterSnapshotRestore(t *testing.T) {
 	// Partial restore touches only the named server.
 	must(t, c.FSServer("s/0").FS.WriteAt("/a", 0, []byte("x")))
 	must(t, c.FSServer("s/1").FS.Create("/b"))
-	c.RestoreServer(snap, "s/1")
+	s1, _ := snap.ServerSnap("s/1")
+	if !c.RestoreServerSnap("s/1", s1) {
+		t.Fatal("RestoreServerSnap refused s/1")
+	}
 	if sz, _ := c.FSServer("s/0").FS.Size("/a"); sz != 1 {
-		t.Fatal("RestoreServer touched the wrong server")
+		t.Fatal("RestoreServerSnap touched the wrong server")
 	}
 	if c.FSServer("s/1").FS.Exists("/b") {
-		t.Fatal("RestoreServer did not reset the named server")
+		t.Fatal("RestoreServerSnap did not reset the named server")
 	}
 }
 

@@ -18,20 +18,6 @@ type ServerSnap struct {
 // Valid reports whether the snap holds a store.
 func (s ServerSnap) Valid() bool { return s.fs != nil || s.dev != nil }
 
-// IncrementalStater is an optional capability of FileSystems whose server
-// stores support O(1) per-server capture and restore. Every Cluster-based
-// FileSystem implements it for free; external implementations that keep
-// persistent state outside vfs/blockdev stores simply lack it, and the
-// explorer falls back to whole-cluster Restore + full replay for them.
-type IncrementalStater interface {
-	// CaptureServer snapshots proc's store in O(1). ok is false when proc
-	// names no server.
-	CaptureServer(proc string) (snap ServerSnap, ok bool)
-	// RestoreServerSnap resets proc's store to a previously captured snap
-	// in O(1). ok is false when proc names no server.
-	RestoreServerSnap(proc string, snap ServerSnap) (ok bool)
-}
-
 // CaptureServer snapshots a single server store in O(1).
 func (c *Cluster) CaptureServer(proc string) (ServerSnap, bool) {
 	if s := c.FSServer(proc); s != nil {

@@ -46,12 +46,13 @@ func TestStateRestoreAliasing(t *testing.T) {
 	}
 
 	// Per-server restore path.
-	c.RestoreServer(st, "mds/0")
+	mds, _ := st.ServerSnap("mds/0")
+	c.RestoreServerSnap("mds/0", mds)
 	if err := c.FSServer("mds/0").FS.Append("/seed", []byte("tail")); err != nil {
 		t.Fatal(err)
 	}
 	if got := stateSerial(st, "mds/0"); got != want {
-		t.Fatalf("snapshot state mutated through RestoreServer:\n%s", got)
+		t.Fatalf("snapshot state mutated through RestoreServerSnap:\n%s", got)
 	}
 }
 
@@ -60,9 +61,8 @@ func TestStateRestoreAliasing(t *testing.T) {
 // the live store, and restoring it must not let new writes leak back in.
 func TestCaptureServerSnapAliasing(t *testing.T) {
 	c := testCluster(t)
-	var inc IncrementalStater = c // Cluster provides the capability
 
-	snap, ok := inc.CaptureServer("oss/0")
+	snap, ok := c.CaptureServer("oss/0")
 	if !ok {
 		t.Fatal("CaptureServer failed for oss/0")
 	}
@@ -71,7 +71,7 @@ func TestCaptureServerSnapAliasing(t *testing.T) {
 	if err := c.FSServer("oss/0").FS.WriteAt("/seed", 0, []byte("XXXXX")); err != nil {
 		t.Fatal(err)
 	}
-	if !inc.RestoreServerSnap("oss/0", snap) {
+	if !c.RestoreServerSnap("oss/0", snap) {
 		t.Fatal("RestoreServerSnap failed for oss/0")
 	}
 	if got := c.FSServer("oss/0").FS.Serialize(); got != want {
@@ -81,17 +81,17 @@ func TestCaptureServerSnapAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-restoring the same snap must still give the captured content.
-	if !inc.RestoreServerSnap("oss/0", snap) {
+	if !c.RestoreServerSnap("oss/0", snap) {
 		t.Fatal("second RestoreServerSnap failed")
 	}
 	if got := c.FSServer("oss/0").FS.Serialize(); got != want {
 		t.Fatalf("captured snap mutated by post-restore write:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 
-	if _, ok := inc.CaptureServer("nope"); ok {
+	if _, ok := c.CaptureServer("nope"); ok {
 		t.Fatal("CaptureServer accepted unknown proc")
 	}
-	if inc.RestoreServerSnap("nope", snap) {
+	if c.RestoreServerSnap("nope", snap) {
 		t.Fatal("RestoreServerSnap accepted unknown proc")
 	}
 	var zero ServerSnap

@@ -79,10 +79,6 @@ type JobRequest struct {
 	// the engine default: on). Set false for a brute-force-equivalent run
 	// that reconstructs every crash state.
 	Representative *bool `json:"representative,omitempty"`
-	// Incremental toggles O(delta) incremental crash-state reconstruction
-	// (nil keeps the engine default: on). Set false to rebuild every crash
-	// state with a full restore and replay. Explore jobs only.
-	Incremental *bool `json:"incremental,omitempty"`
 	// Shards requests a fleet partition width for this explore job: the
 	// coordinator splits the crash-state space into this many shards for
 	// worker processes to claim. 0 keeps the daemon's default; values are
@@ -215,9 +211,6 @@ func (r *JobRequest) options(maxWorkers int) core.Options {
 	}
 	if r.Representative != nil {
 		opts.DisableRepresentative = !*r.Representative
-	}
-	if r.Incremental != nil {
-		opts.DisableIncremental = !*r.Incremental
 	}
 	return opts
 }

@@ -14,8 +14,10 @@
 //	go run ./internal/tools/benchdiff [-gate] [-max-regress 0.20] \
 //	    [-baseline OLD.json] [-subset] [-dir .] NEW_BENCH.json
 //
-// Cells are matched by (program, fs, mode, workers, representative,
-// incremental). In gate mode a baseline cell missing from the new run is a
+// Cells are matched by (program, fs, mode, workers, representative).
+// Records of the retired full-restore engine — an explicit
+// "incremental": false in files written before the engine became the only
+// one — are ignored on either side. In gate mode a baseline cell missing from the new run is a
 // violation — unless -subset declares the new run as an intentional subset
 // (the fast benchgate cell set), in which case only cells present on both
 // sides are compared. New cells are never violations: the trajectory
@@ -42,7 +44,7 @@ type benchRecord struct {
 	Mode             string  `json:"mode"`
 	Workers          int     `json:"workers"`
 	Representative   bool    `json:"representative"`
-	Incremental      bool    `json:"incremental"`
+	Incremental      *bool   `json:"incremental"` // retired knob; nil in current files
 	StatesPerSec     float64 `json:"states_per_sec"`
 	RestoresPerState float64 `json:"restores_per_state"`
 	Err              string  `json:"error"`
@@ -244,7 +246,10 @@ func load(path string) (map[string]benchRecord, *fleetRecord, error) {
 	}
 	out := make(map[string]benchRecord, len(sum.Records))
 	for _, r := range sum.Records {
-		key := fmt.Sprintf("%s/%s/%s/workers=%d/rep=%t/inc=%t", r.Program, r.FS, r.Mode, r.Workers, r.Representative, r.Incremental)
+		if r.Incremental != nil && !*r.Incremental {
+			continue
+		}
+		key := fmt.Sprintf("%s/%s/%s/workers=%d/rep=%t", r.Program, r.FS, r.Mode, r.Workers, r.Representative)
 		out[key] = r
 	}
 	return out, sum.Fleet, nil

@@ -37,7 +37,8 @@ func execBenchdiff(t *testing.T, args ...string) (string, int) {
 	return string(out), exitErr.ExitCode()
 }
 
-// cell builds one synthetic record JSON fragment.
+// cell builds one synthetic record JSON fragment in the shape files written
+// before the "incremental" knob was retired carry (the committed baselines).
 func cell(prog, fs, mode string, workers int, sps, rps float64) string {
 	return fmt.Sprintf(`{"program":%q,"fs":%q,"mode":%q,"workers":%d,"representative":true,"incremental":true,"states_per_sec":%g,"restores_per_state":%g}`,
 		prog, fs, mode, workers, sps, rps)
@@ -83,7 +84,7 @@ func TestGateFixtures(t *testing.T) {
 				cell("CR", "ext4", "pruning", 1, 2000, 1.0),
 			},
 			wantExit: 1,
-			wantOut:  "FAIL: ARVR/beegfs/brute-force/workers=1/rep=true/inc=true states_per_sec",
+			wantOut:  "FAIL: ARVR/beegfs/brute-force/workers=1/rep=true states_per_sec",
 		},
 		{
 			name: "restores_per_state increase fails",
@@ -111,7 +112,7 @@ func TestGateFixtures(t *testing.T) {
 				cell("WAL", "glusterfs", "pruning", 1, 3000, 0.3),
 			},
 			wantExit: 0,
-			wantOut:  "note: new cell WAL/glusterfs/pruning/workers=1/rep=true/inc=true",
+			wantOut:  "note: new cell WAL/glusterfs/pruning/workers=1/rep=true",
 		},
 		{
 			name: "missing cell fails the gate",
@@ -119,7 +120,7 @@ func TestGateFixtures(t *testing.T) {
 				cell("ARVR", "beegfs", "brute-force", 1, 1000, 0.5),
 			},
 			wantExit: 1,
-			wantOut:  "FAIL: cell CR/ext4/pruning/workers=1/rep=true/inc=true missing",
+			wantOut:  "FAIL: cell CR/ext4/pruning/workers=1/rep=true missing",
 		},
 		{
 			name: "declared subset tolerates missing cells",
@@ -163,6 +164,38 @@ func TestGateFixtures(t *testing.T) {
 			}
 			if !strings.Contains(out, tc.wantOut) {
 				t.Fatalf("output missing %q:\n%s", tc.wantOut, out)
+			}
+		})
+	}
+}
+
+// TestGateAcrossRetiredIncrementalField: fresh records no longer carry
+// "incremental", committed baselines do. A fresh cell must still pair with
+// its pre-change baseline cell — pass within tolerance, fail on a regression
+// — and the baseline's retired full-restore cell must not count as missing.
+func TestGateAcrossRetiredIncrementalField(t *testing.T) {
+	fresh := func(sps float64) string {
+		return fmt.Sprintf(`{"program":"ARVR","fs":"beegfs","mode":"brute-force","workers":1,"representative":true,"states_per_sec":%g,"restores_per_state":0.5}`, sps)
+	}
+	legacy := `{"program":"ARVR","fs":"beegfs","mode":"brute-force","workers":1,"representative":true,"incremental":false,"states_per_sec":300,"restores_per_state":5}`
+	for _, tc := range []struct {
+		name     string
+		sps      float64
+		wantExit int
+		wantOut  string
+	}{
+		{"matches", 950, 0, "no cell regressed"},
+		{"regression still fails", 700, 1, "FAIL: ARVR/beegfs/brute-force/workers=1/rep=true states_per_sec"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := writeSummary(t, dir, "BENCH_0001.json", legacy, cell("ARVR", "beegfs", "brute-force", 1, 1000, 0.5))
+			out, code := execBenchdiff(t, "-gate", "-baseline", base, writeSummary(t, dir, "fresh.json", fresh(tc.sps)))
+			if code != tc.wantExit || !strings.Contains(out, tc.wantOut) {
+				t.Fatalf("exit = %d, want %d with %q\noutput:\n%s", code, tc.wantExit, tc.wantOut, out)
+			}
+			if strings.Contains(out, "note: new cell") || strings.Contains(out, "missing") {
+				t.Fatalf("fresh cell did not pair with its baseline cell:\n%s", out)
 			}
 		})
 	}
