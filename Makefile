@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck doclint persistlint test race ci bench benchgate gobench experiments examples fuzz fuzz-smoke chaos representative incremental selfcheck clean
+.PHONY: all build vet fmtcheck doclint persistlint test race ci bench benchgate benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental selfcheck clean
 
 all: build vet test
 
@@ -42,7 +42,7 @@ race:
 	$(GO) test -race ./...
 
 # Everything a change must pass before it lands.
-ci: build vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental selfcheck benchgate
+ci: build vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental selfcheck benchgate benchcheck
 
 # Run the benchmark trajectory with observability enabled and write the
 # per-run summary (phase timings, counters, Stats) as BENCH_<stamp>.json,
@@ -67,6 +67,13 @@ benchgate:
 	trap 'rm -f "$$out"' EXIT; \
 	$(GO) run ./cmd/experiments -exp bench -bench-cells fast -bench-out "$$out" && \
 	$(GO) run ./internal/tools/benchdiff -gate -subset fast -max-regress $(BENCHGATE_TOLERANCE) "$$out"
+
+# The benchmark harness checking itself (benchmark/ is a module of its own,
+# so `go test ./...` does not reach it): every workload's verdicts against
+# golden.json, matrix-k1 against the paper's Table 3, and the workload and
+# metric tables against BENCHMARK.json. About 6 s.
+benchcheck:
+	$(GO) test -C benchmark . -count=1
 
 # Go micro/macro benchmarks (paper tables and figures as testing.B).
 gobench:

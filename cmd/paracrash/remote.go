@@ -107,8 +107,9 @@ func runRemote(addr, apiKey string, req serve.JobRequest, jsonOut, verbose bool)
 }
 
 // streamEvents relays the job's NDJSON progress stream to stderr until the
-// daemon closes it (the job reached a terminal state). Stream errors are
-// non-fatal: the result poll below is the source of truth.
+// daemon closes it, which it does once the job's terminal record is
+// written. Stream errors are non-fatal: the job record is the source of
+// truth, and waitTerminal reads it either way.
 func streamEvents(base, apiKey, id string) {
 	resp, err := doRequest(http.MethodGet, base+"/v1/jobs/"+id+"/events", apiKey, nil)
 	if err != nil {
@@ -126,7 +127,10 @@ func streamEvents(base, apiKey, id string) {
 	}
 }
 
-// waitTerminal polls the job until it reaches a terminal state.
+// waitTerminal fetches the job once it is terminal. After a stream read to
+// its end the first fetch is the terminal one; the 250ms poll is left for a
+// job with no stream to follow (one loaded by a restarted daemon answers
+// 410 on /events) or whose stream broke.
 func waitTerminal(base, apiKey, id string) (serve.Job, bool) {
 	for {
 		resp, err := doRequest(http.MethodGet, base+"/v1/jobs/"+id, apiKey, nil)

@@ -71,7 +71,7 @@ func main() {
 		role      = flag.String("role", "standalone", "process role: standalone, coordinator (shard explore jobs across workers) or worker (claim and judge shards)")
 		shards    = flag.Int("shards", 0, "coordinator: default shard count per explore job (a job may request its own; < 2 runs in-process)")
 		maxShards = flag.Int("max-shards", 16, "coordinator: cap on any job's requested shard count")
-		fleetPoll = flag.Duration("fleet-poll", 0, "fleet poll cadence: coordinator result scan / worker task scan (0 = role default)")
+		fleetPoll = flag.Duration("fleet-poll", 0, "fleet fallback poll cadence, for when no directory-change event arrives: coordinator result check / worker task listing (0 = role default)")
 		leaseTTL  = flag.Duration("lease-ttl", 3*time.Second, "worker: shard lease time-to-live; a dead worker's shard is reclaimed after at most this long")
 		heartbeat = flag.Duration("heartbeat", 0, "worker: lease renewal cadence (0 = lease-ttl/3)")
 		workerID  = flag.String("worker-id", "", "worker: identity in leases and shard results (default worker-<pid>)")

@@ -2,7 +2,11 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,39 +17,62 @@ import (
 	core "paracrash/internal/paracrash"
 )
 
-// startFleet builds a coordinator scheduler over a persistent store and n
-// worker loops sharing its directory, all tuned for test latencies.
-func startFleet(t *testing.T, dir string, shards, workers int) (*Scheduler, *Store, func()) {
+// testFleet is a coordinator scheduler over a persistent store plus worker
+// loops sharing its directory, every cadence left at its production default.
+type testFleet struct {
+	sched   *Scheduler
+	store   *Store
+	obs     *obs.Run   // the coordinator's daemon-level run
+	workers []*obs.Run // one run per worker
+	stop    func()     // stops the workers, then drains the scheduler
+}
+
+// startFleetWith builds a testFleet; tweak (nilable) sees the scheduler and
+// the workers before anything is started.
+func startFleetWith(t *testing.T, dir string, cfg SchedulerConfig, workers int, tweak func(*Scheduler, []*FleetWorker)) *testFleet {
 	t.Helper()
 	st, warns := OpenStore(dir)
 	if len(warns) > 0 {
 		t.Fatal(warns[0])
 	}
-	s := NewScheduler(SchedulerConfig{
-		MaxConcurrent: 1,
-		Fleet:         &FleetConfig{Shards: shards, Poll: 5 * time.Millisecond},
-	}, st, nil)
-	s.Start()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
+	f := &testFleet{store: st, obs: obs.NewRun()}
+	f.sched = NewScheduler(cfg, st, f.obs)
+	var ws []*FleetWorker
 	for i := 0; i < workers; i++ {
-		w, err := NewFleetWorker(FleetWorkerConfig{Dir: dir, ID: fmt.Sprintf("w%d", i), Poll: 5 * time.Millisecond})
+		run := obs.NewRun()
+		w, err := NewFleetWorker(FleetWorkerConfig{Dir: dir, ID: fmt.Sprintf("w%d", i), Obs: run})
 		if err != nil {
 			t.Fatal(err)
 		}
+		ws = append(ws, w)
+		f.workers = append(f.workers, run)
+	}
+	if tweak != nil {
+		tweak(f.sched, ws)
+	}
+	f.sched.Start()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for _, w := range ws {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_ = w.Run(ctx)
 		}()
 	}
-	stop := func() {
+	f.stop = func() {
 		cancel()
 		wg.Wait()
-		_ = s.Drain(context.Background())
+		_ = f.sched.Drain(context.Background())
 	}
-	return s, st, stop
+	return f
+}
+
+// startFleet is the common case: one job at a time, a default shard width.
+func startFleet(t *testing.T, dir string, shards, workers int) (*Scheduler, *Store, func()) {
+	t.Helper()
+	f := startFleetWith(t, dir, SchedulerConfig{MaxConcurrent: 1, Fleet: &FleetConfig{Shards: shards}}, workers, nil)
+	return f.sched, f.store, f.stop
 }
 
 // standaloneFingerprint runs the same request in-process (serial engine)
@@ -107,7 +134,7 @@ func TestFleetShardFailureFailsJob(t *testing.T) {
 	}
 	s := NewScheduler(SchedulerConfig{
 		MaxConcurrent: 1,
-		Fleet:         &FleetConfig{Shards: 2, Poll: 5 * time.Millisecond},
+		Fleet:         &FleetConfig{Shards: 2},
 	}, st, nil)
 	s.Start()
 	defer s.Drain(context.Background())
@@ -214,5 +241,133 @@ func TestChaosFleetWorkerDeathLeaseReclaim(t *testing.T) {
 	}
 	if resumed == 0 {
 		t.Error("no reclaimed shard resumed a dead worker's checkpoint journal")
+	}
+}
+
+// shardFilesOf lists the fleet records — task, result, lease, shard
+// checkpoint — that dir still holds for the job.
+func shardFilesOf(t *testing.T, dir, job string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range ents {
+		if strings.Contains(e.Name(), sanitizeID(job)+"-shard-") {
+			out = append(out, e.Name())
+		}
+	}
+	return out
+}
+
+// waitCounter waits for the counter to reach at least want.
+func waitCounter(t *testing.T, run *obs.Run, name string, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for run.Counter(name).Value() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, never reached %d", name, run.Counter(name).Value(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// failingWatch stands in for a host with no inotify instance left.
+func failingWatch(string, func(dirEvent)) (*dirWatcher, error) {
+	return nil, errors.New("inotify_init1: too many open files")
+}
+
+// TestFleetTimeoutEndsTheWork: a fleet job that times out is canceled for
+// good — nothing resubmits it — so none of its shard records may stay
+// behind to keep workers busy: not for a worker that starts later, and not
+// for one that is judging a shard when the timeout strikes, whether a
+// watch or only its heartbeat tells it so.
+func TestFleetTimeoutEndsTheWork(t *testing.T) {
+	const heartbeat = time.Second // the default
+	for _, tc := range []struct {
+		name   string
+		watch  func(string, func(dirEvent)) (*dirWatcher, error)
+		within time.Duration // from the cancel to the worker letting go
+	}{
+		{"watch", watchDir, heartbeat / 2},
+		{"heartbeat", failingWatch, heartbeat + time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "watch" && runtime.GOOS != "linux" {
+				t.Skip("no directory watch on this platform")
+			}
+			dir := t.TempDir()
+			f := startFleetWith(t, dir, SchedulerConfig{MaxConcurrent: 1, Fleet: &FleetConfig{Shards: 2}}, 0, nil)
+			defer f.stop()
+			submit := func(timeout float64) Job {
+				t.Helper()
+				job, err := f.sched.Submit(JobRequest{Kind: JobKindExplore, FS: "beegfs", Program: "ARVR", Mode: "brute", TimeoutSeconds: timeout})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return job
+			}
+
+			// No worker: the tasks are never claimed and go with the job.
+			idle := submit(0.05)
+			waitState(t, f.store, idle.ID, JobCanceled)
+			if left := shardFilesOf(t, dir, idle.ID); len(left) > 0 {
+				t.Errorf("timed-out job left %v", left)
+			}
+
+			// A worker that starts afterwards finds nothing to do. Every
+			// fault point of its engine sleeps, so the shard it claims next
+			// is still being judged when that job times out.
+			run := obs.NewRun()
+			w, err := NewFleetWorker(FleetWorkerConfig{
+				Dir: dir, ID: "slow", Obs: run,
+				Faults: faultinject.New(faultinject.Config{Seed: 1, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindLatency}, Latency: 200 * time.Millisecond}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.watchDir = tc.watch
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				_ = w.Run(ctx)
+			}()
+			defer func() {
+				cancel()
+				<-done
+			}()
+			waitCounter(t, run, "fleet/dir-scans", 1)
+			if n := run.Counter("fleet/claims").Value(); n != 0 {
+				t.Errorf("a worker started after the timeout claimed %d shards of the canceled job", n)
+			}
+
+			// Mid-shard: the worker lets go without a result. The timeout
+			// leaves room for a pickup by the poll ticker alone.
+			busy := submit(1.5)
+			waitCounter(t, run, "fleet/claims", 1)
+			waitState(t, f.store, busy.ID, JobCanceled)
+			doneAtCancel := run.Counter("fleet/shards-done").Value()
+			canceled := time.Now()
+			waitCounter(t, run, "fleet/leases-lost", 1)
+			if d := time.Since(canceled); d > tc.within {
+				t.Errorf("the worker judged on for %v after the cancel, want %v at most", d, tc.within)
+			}
+			// A worker going by an old listing may still claim the job's
+			// other shard, find its task gone and drop the lease again.
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				left := shardFilesOf(t, dir, busy.ID)
+				if len(left) == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("job that timed out mid-shard left %v", left)
+				}
+			}
+			if n := run.Counter("fleet/shards-done").Value(); n != doneAtCancel {
+				t.Errorf("fleet/shards-done went from %d to %d after the cancel: the worker computed for a canceled job", doneAtCancel, n)
+			}
+		})
 	}
 }

@@ -107,6 +107,14 @@ type Scheduler struct {
 	draining bool
 	runs     map[string]*jobRun
 
+	// The coordinator's directory watch (shard.go): started by Start, closed
+	// by Drain, nil when not a coordinator or when it could not start.
+	watch *dirWatcher
+	// watchDir starts it; tests substitute one that fails.
+	watchDir func(dir string, on func(dirEvent)) (*dirWatcher, error)
+	watchMu  sync.Mutex
+	waiting  map[string]chan struct{} // job → wake channel of its executeFleet
+
 	// executor runs one job's payload; tests substitute it to control job
 	// duration and failure modes without spinning real explorations. It
 	// receives the whole job (not just the request) so the real executor can
@@ -140,6 +148,9 @@ func NewScheduler(cfg SchedulerConfig, store *Store, run *obs.Run) *Scheduler {
 		router: obs.NewRouter(),
 		fq:     newFairQueue(),
 		runs:   map[string]*jobRun{},
+
+		watchDir: watchDir,
+		waiting:  map[string]chan struct{}{},
 
 		ctrSubmitted: run.Counter("jobs/submitted"),
 		ctrRejected:  run.Counter("jobs/rejected"),
@@ -194,8 +205,12 @@ func (s *Scheduler) Router() *obs.Router {
 	return s.router
 }
 
-// Start launches the worker pool.
+// Start launches the worker pool and, on a coordinator, the directory
+// watch its jobs wait on.
 func (s *Scheduler) Start() {
+	if s.fleetEnabled() {
+		s.watchResults()
+	}
 	for i := 0; i < s.cfg.MaxConcurrent; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -311,8 +326,9 @@ func (s *Scheduler) Draining() bool {
 }
 
 // Drain stops admission and waits for the queue to empty and in-flight
-// jobs to finish. When ctx expires first, the remaining jobs are cancelled
-// and Drain waits for them to acknowledge. Idempotent.
+// jobs to finish, then closes the coordinator's directory watch. When ctx
+// expires first, the remaining jobs are cancelled and Drain waits for them
+// to acknowledge. Idempotent.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -326,14 +342,16 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		return nil
 	case <-ctx.Done():
 		s.cancelAll()
 		<-done
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	s.watch.Close() // no job is left to wake
+	return err
 }
 
 // cancelAll cancels every live job's context (drain-deadline path).
@@ -360,7 +378,8 @@ func (s *Scheduler) timeoutFor(req JobRequest) time.Duration {
 }
 
 // runJob executes one job with timeout, cancellation and panic isolation,
-// then records the terminal state and closes the event stream.
+// then records the terminal state and, only then, closes the event stream:
+// a client that reads the stream to its end finds the job terminal.
 func (s *Scheduler) runJob(job *Job) {
 	s.mu.Lock()
 	jr := s.runs[job.ID]
@@ -394,13 +413,6 @@ func (s *Scheduler) runJob(job *Job) {
 
 	report, fuzz, err := s.safeExecute(ctx, job, jr.run)
 
-	// Close flushes the final progress event, which also closes every
-	// events-stream subscriber. Detaching from the router then folds the
-	// job's final counters into the fleet totals and ends its per-job
-	// /metrics series (bounded label cardinality).
-	jr.run.Close()
-	s.router.Detach(job.ID)
-
 	end := time.Now().UTC()
 	perr := s.store.Update(job.ID, func(j *Job) {
 		j.FinishedAt = &end
@@ -430,6 +442,13 @@ func (s *Scheduler) runJob(job *Job) {
 	default:
 		s.ctrFailed.Inc()
 	}
+
+	// Close flushes the final progress event, which also closes every
+	// events-stream subscriber. Detaching from the router then folds the
+	// job's final counters into the fleet totals and ends its per-job
+	// /metrics series (bounded label cardinality).
+	jr.run.Close()
+	s.router.Detach(job.ID)
 }
 
 // safeExecute isolates panics: a panic anywhere in the engine becomes a

@@ -33,9 +33,14 @@ import (
 )
 
 // Environment markers that flip the test binary into scenario mode.
+// envSelfCheckScenario selects the scenario, envSelfCheckDir its state
+// directory.
 const (
 	envSelfCheckScenario = "PARACRASH_SELFCHECK_SCENARIO"
 	envSelfCheckDir      = "PARACRASH_SELFCHECK_DIR"
+
+	scenarioSelfCheck   = "1"      // the self-check daemon below
+	scenarioFleetWorker = "worker" // a bare fleet worker (TestWakeupCrossProcess)
 )
 
 // selfCheckRequest is the one job every scenario run executes: small
@@ -45,11 +50,24 @@ var selfCheckRequest = JobRequest{Kind: JobKindExplore, FS: "ext4", Program: "CR
 
 // TestMain doubles the test binary as the self-check scenario daemon.
 func TestMain(m *testing.M) {
-	if os.Getenv(envSelfCheckScenario) == "1" {
+	switch os.Getenv(envSelfCheckScenario) {
+	case scenarioSelfCheck:
 		runSelfCheckScenario()
-		return
+	case scenarioFleetWorker:
+		runFleetWorkerScenario()
+	default:
+		os.Exit(m.Run())
 	}
-	os.Exit(m.Run())
+}
+
+// runFleetWorkerScenario is a worker process at production cadences, as
+// `paracrashd -role worker` runs one, until its parent kills it.
+func runFleetWorkerScenario() {
+	w, err := NewFleetWorker(FleetWorkerConfig{Dir: os.Getenv(envSelfCheckDir), ID: "xproc"})
+	if err != nil {
+		scenarioFatalf("worker: %v", err)
+	}
+	_ = w.Run(context.Background())
 }
 
 // scenarioFatalf aborts a scenario subprocess with a diagnosable message.
@@ -210,7 +228,7 @@ func runScenario(t *testing.T, dir, crashPoint string, hit int) scenarioResult {
 	defer cancel()
 	cmd := exec.CommandContext(ctx, os.Args[0])
 	cmd.Env = append(os.Environ(),
-		envSelfCheckScenario+"=1",
+		envSelfCheckScenario+"="+scenarioSelfCheck,
 		envSelfCheckDir+"="+dir,
 		statefs.EnvCrashPoint+"="+crashPoint,
 	)

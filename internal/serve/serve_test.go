@@ -467,6 +467,55 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStreamEndMeansTerminal: the event stream closes only after the
+// terminal record is in the store, so the first GET a client makes after
+// reading the stream to its end never finds the job still running — 200
+// times out of 200.
+func TestStreamEndMeansTerminal(t *testing.T) {
+	st, _ := OpenStore("")
+	s := NewScheduler(SchedulerConfig{}, st, nil)
+	s.Start()
+	defer s.Drain(context.Background())
+	srv := httptest.NewServer(NewServer(s, st, nil))
+	defer srv.Close()
+
+	for i := 0; i < 200; i++ {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"fs":"ext4","program":"CR","mode":"pruning"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var job Job
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: %s, %v", i, resp.Status, err)
+		}
+
+		events, err := http.Get(srv.URL + "/v1/jobs/" + job.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, events.Body)
+		events.Body.Close()
+		if err != nil || events.StatusCode != http.StatusOK {
+			t.Fatalf("events %d: %s, %v", i, events.Status, err)
+		}
+
+		got, err := http.Get(srv.URL + "/v1/jobs/" + job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(got.Body).Decode(&job)
+		got.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.State != JobDone || job.Report == nil {
+			t.Fatalf("job %d: first GET after the stream ended says %s, want done with a report", i, job.State)
+		}
+	}
+}
+
 // TestRetiredIncrementalField: JobRequest lost its "incremental" toggle when
 // the engine lost its second reconstruction path. Job records persisted by
 // an earlier daemon may still carry it and must keep loading; a client still

@@ -2,16 +2,25 @@
 //
 // The coordinator partitions a job's crash-state space into Count shards
 // and writes one task record per shard into the shared results directory.
-// Worker processes (cmd/paracrashd -role worker) scan for tasks, claim a
+// Worker processes (cmd/paracrashd -role worker) pick tasks up, claim a
 // shard's lease (lease.go), judge the shard with paracrash.RunShard —
 // journaling verdicts to a shard-scoped checkpoint so a reclaimed shard
 // resumes the dead worker's frontier — and persist a result record. The
-// coordinator polls for results and merges them with MergeShards into the
-// byte-identical standalone report.
+// coordinator collects the results and merges them with MergeShards into
+// the byte-identical standalone report.
 //
 // Everything is files in one directory with the store's temp+rename+fsync
 // discipline: the fleet needs no RPC fabric beyond a shared file system,
 // which is the natural deployment substrate for a PFS testing tool.
+//
+// Both sides wait the same way: one select over a directory watch
+// (watch_linux.go) and a poll ticker. The watch names the record that just
+// landed, so a woken worker reads that one task file and a woken
+// coordinator looks for its own job's result files — no listing, no
+// parsing to test existence. The ticker is the liveness fallback at the cadence it
+// always had: it alone serves writers on other hosts of a shared file
+// system, platforms without inotify, exhausted watch limits and dropped
+// events, and it alone finds expired leases.
 package serve
 
 import (
@@ -23,6 +32,8 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"paracrash/internal/exps"
@@ -90,15 +101,9 @@ func ListShardTasks(dir string) ([]ShardTask, error) {
 	}
 	var out []ShardTask
 	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			continue
+		if t, ok := readShardTask(p); ok {
+			out = append(out, t)
 		}
-		var t ShardTask
-		if err := json.Unmarshal(data, &t); err != nil || t.Version != FleetVersion || t.Job == "" {
-			continue
-		}
-		out = append(out, t)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Job != out[b].Job {
@@ -107,6 +112,20 @@ func ListShardTasks(dir string) ([]ShardTask, error) {
 		return out[a].Shard.Index < out[b].Shard.Index
 	})
 	return out, nil
+}
+
+// readShardTask loads one task record; ok=false when it is missing,
+// unparsable or version-skewed.
+func readShardTask(path string) (ShardTask, bool) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return ShardTask{}, false
+	}
+	var t ShardTask
+	if err := json.Unmarshal(data, &t); err != nil || t.Version != FleetVersion || t.Job == "" {
+		return ShardTask{}, false
+	}
+	return t, true
 }
 
 // WriteShardResult persists one result record.
@@ -135,7 +154,7 @@ func ReadShardResult(dir, job string, index int) (ShardResult, bool, error) {
 }
 
 // RemoveShardFiles deletes every fleet record of one job — tasks, results,
-// leases and shard checkpoints — after the merge (or a terminal failure).
+// leases and shard checkpoints — once the job has ended, however it ended.
 func RemoveShardFiles(dir, job string, count int) {
 	for i := 0; i < count; i++ {
 		os.Remove(shardTaskPath(dir, job, i))
@@ -156,7 +175,10 @@ type FleetWorkerConfig struct {
 	LeaseTTL time.Duration
 	// Heartbeat is the renewal cadence. Default LeaseTTL/3.
 	Heartbeat time.Duration
-	// Poll is the task-scan cadence when idle. Default 500ms.
+	// Poll is the fallback cadence: how often an idle worker lists the
+	// directory for tasks the watch did not announce (written from another
+	// host, or while the watch was down) and for expired leases. Tasks
+	// written on this host are picked up as they land. Default 500ms.
 	Poll time.Duration
 	// Retry/Faults mirror the scheduler's engine knobs.
 	Retry  core.RetryPolicy
@@ -189,6 +211,9 @@ func (c FleetWorkerConfig) withDefaults() FleetWorkerConfig {
 type FleetWorker struct {
 	cfg    FleetWorkerConfig
 	leases *LeaseDir
+	inbox  inbox
+	// watchDir starts the directory watch; tests substitute one that fails.
+	watchDir func(dir string, on func(dirEvent)) (*dirWatcher, error)
 }
 
 // NewFleetWorker builds a worker over the shared directory.
@@ -204,72 +229,199 @@ func NewFleetWorker(cfg FleetWorkerConfig) (*FleetWorker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FleetWorker{cfg: cfg, leases: ld}, nil
+	return &FleetWorker{cfg: cfg, leases: ld, inbox: inbox{wake: make(chan struct{}, 1)}, watchDir: watchDir}, nil
 }
 
 // ID returns the worker's identity.
 func (w *FleetWorker) ID() string { return w.cfg.ID }
 
-// Run is the worker loop: scan for tasks, claim one, judge it, repeat.
-// It returns when ctx is cancelled. Shards run one at a time — fleet
+// inboxCap bounds the task names an inbox holds for a busy worker; past it
+// the names are dropped and the worker lists the directory instead.
+const inboxCap = 1024
+
+// inbox is what the directory watch has told a worker since it last
+// looked. The watch's goroutine fills it, the worker loop empties it.
+type inbox struct {
+	// wake has room for one signal, so an event that lands between a look
+	// at the directory and the wait on wake is kept, not lost.
+	wake chan struct{}
+
+	mu       sync.Mutex
+	tasks    []string      // task files to try: just written, or their lease just removed
+	overflow bool          // events were dropped: only a listing says what there is
+	running  string        // task file of the shard being judged ("" when idle)
+	removed  chan struct{} // signalled when running is deleted: its job is over
+}
+
+// on files one watch event. Everything but task arrivals, lease removals
+// and the removal of the running shard's task is somebody else's record.
+func (b *inbox) on(ev dirEvent) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	task := ""
+	switch {
+	case ev.name == "":
+		b.overflow = true
+	case ev.removed && ev.name == b.running:
+		signal(b.removed)
+		return
+	case !ev.removed && strings.HasPrefix(ev.name, "task-"):
+		task = ev.name
+	case ev.removed && strings.HasPrefix(ev.name, "lease-"):
+		// A released lease frees its shard: task-X and lease-X share X.
+		task = "task-" + strings.TrimPrefix(ev.name, "lease-")
+	default:
+		return
+	}
+	if len(b.tasks) >= inboxCap {
+		b.tasks, b.overflow = nil, true
+	}
+	if !b.overflow {
+		b.tasks = append(b.tasks, task)
+	}
+	signal(b.wake)
+}
+
+// take empties the inbox. With overflow set the names are incomplete and
+// the caller must list the directory.
+func (b *inbox) take() (tasks []string, overflow bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	tasks, overflow = b.tasks, b.overflow
+	b.tasks, b.overflow = nil, false
+	return tasks, overflow
+}
+
+// follow names the task file of the shard about to be judged ("" for none)
+// and returns the channel signalled if the watch sees that file deleted.
+func (b *inbox) follow(name string) <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.running, b.removed = name, make(chan struct{}, 1)
+	return b.removed
+}
+
+// signal leaves one wake-up in a one-slot channel, or none if one is
+// already waiting there.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// Run is the worker loop: pick up a task, claim it, judge it, repeat. It
+// returns when ctx is cancelled. Shards run one at a time — fleet
 // parallelism is across worker processes, and a shard explores serially.
+//
+// The loop wakes on the directory watch, which names the task to try, and
+// on the poll ticker, which lists the directory: at start-up, every Poll,
+// and when the watch dropped events.
 func (w *FleetWorker) Run(ctx context.Context) error {
+	watch, err := w.watchDir(w.cfg.Dir, w.inbox.on)
+	if err != nil {
+		w.cfg.Obs.Counter("fleet/watch-errors").Inc()
+	}
+	defer watch.Close()
 	tick := time.NewTicker(w.cfg.Poll)
 	defer tick.Stop()
+	// Without a watch nothing announces what arrived during the work: keep
+	// listing until a listing finds nothing to do.
+	list := func() {
+		for w.scan(ctx) && watch == nil {
+		}
+	}
+	list() // tasks may predate the watch
 	for {
-		worked := w.runOne(ctx)
 		if ctx.Err() != nil {
 			return ctx.Err()
-		}
-		if worked {
-			continue // drain the backlog before sleeping
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-tick.C:
+			list()
+		case <-w.inbox.wake:
+			names, overflow := w.inbox.take()
+			if overflow {
+				w.cfg.Obs.Counter("fleet/watch-errors").Inc()
+				list()
+				continue
+			}
+			w.cfg.Obs.Counter("fleet/wakeups").Inc()
+			for _, name := range names {
+				if t, ok := readShardTask(filepath.Join(w.cfg.Dir, name)); ok && ctx.Err() == nil {
+					w.tryTask(ctx, t)
+				}
+			}
 		}
 	}
 }
 
-// runOne scans once and processes at most one claimable task, reporting
-// whether it did any work.
-func (w *FleetWorker) runOne(ctx context.Context) bool {
+// scan lists the directory once and tries every task in it, reporting
+// whether it judged any shard.
+func (w *FleetWorker) scan(ctx context.Context) bool {
+	w.cfg.Obs.Counter("fleet/dir-scans").Inc()
 	tasks, err := ListShardTasks(w.cfg.Dir)
 	if err != nil {
 		w.cfg.Obs.Counter("fleet/scan-errors").Inc()
 		return false
 	}
+	worked := false
 	for _, t := range tasks {
 		if ctx.Err() != nil {
-			return false
+			break
 		}
-		if _, done, _ := ReadShardResult(w.cfg.Dir, t.Job, t.Shard.Index); done {
-			continue
+		if w.tryTask(ctx, t) {
+			worked = true
 		}
-		lease, err := w.leases.Claim(leaseTaskForShard(t.Job, t.Shard.Index), w.cfg.ID, w.cfg.LeaseTTL)
-		if err != nil {
-			if !errors.Is(err, ErrLeaseHeld) {
-				w.cfg.Obs.Counter("fleet/claim-errors").Inc()
-			}
-			continue
-		}
-		if lease.Epoch > 1 {
-			w.cfg.Obs.Counter("fleet/reclaims").Inc()
-		}
-		w.cfg.Obs.Counter("fleet/claims").Inc()
-		w.runTask(ctx, t, lease)
-		return true
 	}
-	return false
+	return worked
+}
+
+// tryTask judges the shard if it is still to be done and nobody else holds
+// it, reporting whether it did. The task may come from an old listing or a
+// stale event: every check is against the directory as it is now.
+func (w *FleetWorker) tryTask(ctx context.Context, t ShardTask) bool {
+	if _, err := os.Stat(shardResultPath(w.cfg.Dir, t.Job, t.Shard.Index)); err == nil {
+		return false // judged; the coordinator has yet to merge it
+	}
+	lease, err := w.leases.Claim(leaseTaskForShard(t.Job, t.Shard.Index), w.cfg.ID, w.cfg.LeaseTTL)
+	if err != nil {
+		if !errors.Is(err, ErrLeaseHeld) {
+			w.cfg.Obs.Counter("fleet/claim-errors").Inc()
+		}
+		return false
+	}
+	if lease.Epoch > 1 {
+		w.cfg.Obs.Counter("fleet/reclaims").Inc()
+	}
+	w.cfg.Obs.Counter("fleet/claims").Inc()
+	w.runTask(ctx, t, lease)
+	return true
 }
 
 // runTask judges one claimed shard under a heartbeat, writes the result and
 // releases the lease. A lost lease (another worker reclaimed us after a
-// stall) abandons the shard silently — the new owner produces the result.
+// stall) abandons the shard silently — the new owner produces the result —
+// and so does a removed task file: its job is over.
 func (w *FleetWorker) runTask(ctx context.Context, t ShardTask, lease *Lease) {
-	// The heartbeat renews until the shard finishes; losing the lease
-	// cancels the shard so we stop burning CPU on work we no longer own.
+	task := shardTaskPath(w.cfg.Dir, t.Job, t.Shard.Index)
+	removed := w.inbox.follow(filepath.Base(task))
+	defer w.inbox.follow("")
+	// The claim came first, so a job that ended before this look removes
+	// its lease after our create; one that ends later is caught below.
+	if _, err := os.Stat(task); os.IsNotExist(err) {
+		w.abandon(t, lease)
+		return
+	}
+
+	// The heartbeat renews until the shard finishes; losing the lease or
+	// the task cancels the shard so we stop burning CPU on work nobody
+	// will use. The watch reports a removed task at once; every beat looks
+	// for itself, for when there is no watch. (The lease going with the
+	// task is no substitute: a renewal that read it just before writes it
+	// back.)
 	hbCtx, hbCancel := context.WithCancel(ctx)
 	defer hbCancel()
 	lost := make(chan struct{})
@@ -280,7 +432,14 @@ func (w *FleetWorker) runTask(ctx context.Context, t ShardTask, lease *Lease) {
 			select {
 			case <-hbCtx.Done():
 				return
+			case <-removed:
+				close(lost)
+				return
 			case <-tick.C:
+				if _, err := os.Stat(task); os.IsNotExist(err) {
+					close(lost)
+					return
+				}
 				if err := w.leases.Renew(lease, w.cfg.LeaseTTL); err != nil {
 					if errors.Is(err, ErrLeaseLost) {
 						close(lost)
@@ -304,6 +463,10 @@ func (w *FleetWorker) runTask(ctx context.Context, t ShardTask, lease *Lease) {
 	report, err := w.executeShard(shardCtx, t)
 	hbCancel()
 
+	if _, serr := os.Stat(task); os.IsNotExist(serr) {
+		w.abandon(t, lease)
+		return
+	}
 	select {
 	case <-lost:
 		// Presumed dead and reclaimed: the new owner resumed our journal;
@@ -335,6 +498,16 @@ func (w *FleetWorker) runTask(ctx context.Context, t ShardTask, lease *Lease) {
 		return
 	}
 	_ = w.leases.Release(lease)
+}
+
+// abandon drops a shard whose task file is gone: the job timed out, failed
+// or was merged from another result, and the coordinator is removing its
+// records. Nobody will read a result or resume the journal, so the worker
+// leaves neither, nor its lease.
+func (w *FleetWorker) abandon(t ShardTask, lease *Lease) {
+	os.Remove(shardCheckpointPath(w.cfg.Dir, t.Job, t.Shard.Index))
+	_ = w.leases.Release(lease) // gone already, or ours to remove
+	w.cfg.Obs.Counter("fleet/leases-lost").Inc()
 }
 
 // executeShard runs the engine for one shard with panic isolation, resuming
@@ -377,7 +550,10 @@ type FleetConfig struct {
 	Shards int
 	// MaxShards caps any job's requested partition width (default 16).
 	MaxShards int
-	// Poll is the coordinator's result-poll cadence (default 250ms).
+	// Poll is the fallback cadence: how often a waiting job looks for
+	// results the watch did not announce (written from another host, or
+	// while the watch was down). Results written on this host are picked
+	// up as they land. Default 250ms.
 	Poll time.Duration
 }
 
@@ -403,6 +579,52 @@ func (c FleetConfig) effectiveShards(req JobRequest) int {
 	return n
 }
 
+// watchResults starts the coordinator's directory watch, one for the
+// scheduler however many jobs are in flight. A watch that cannot start is
+// counted and left nil: every job then waits on its poll ticker alone.
+func (s *Scheduler) watchResults() {
+	w, err := s.watchDir(s.store.Dir(), func(ev dirEvent) {
+		s.watchMu.Lock()
+		defer s.watchMu.Unlock()
+		switch {
+		case ev.name == "":
+			// Events were dropped: any job may have missed its result.
+			s.obs.Counter("fleet/watch-errors").Inc()
+			for _, wake := range s.waiting {
+				signal(wake)
+			}
+		case !ev.removed && strings.HasPrefix(ev.name, "result-"):
+			// result-<job>-shard-<i>.json
+			if i := strings.LastIndex(ev.name, "-shard-"); i >= len("result-") {
+				if wake, ok := s.waiting[ev.name[len("result-"):i]]; ok {
+					signal(wake)
+				}
+			}
+		}
+	})
+	if err != nil {
+		s.obs.Counter("fleet/watch-errors").Inc()
+	}
+	s.watch = w
+}
+
+// awaitResults registers a job for result wake-ups and returns its
+// one-slot wake channel plus the call that unregisters it. Register before
+// the first look at the directory: a result landing between a look and the
+// wait then leaves its signal in the channel instead of being lost.
+func (s *Scheduler) awaitResults(job string) (<-chan struct{}, func()) {
+	key := sanitizeID(job)
+	wake := make(chan struct{}, 1)
+	s.watchMu.Lock()
+	s.waiting[key] = wake
+	s.watchMu.Unlock()
+	return wake, func() {
+		s.watchMu.Lock()
+		delete(s.waiting, key)
+		s.watchMu.Unlock()
+	}
+}
+
 // executeFleet is the coordinator's explore path: write one task per shard,
 // wait for worker results, merge. Fuzz jobs and width<2 partitions never
 // reach here (execute falls back to the in-process engine).
@@ -414,6 +636,13 @@ func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, co
 	}
 	dir := s.store.Dir()
 	run.Gauge("fleet/shards").Set(int64(count))
+	wake, unregister := s.awaitResults(job.ID)
+	defer unregister()
+	// Every way out of here ends the job for good — done, failed, or
+	// canceled by its timeout or a drain deadline, none of which is ever
+	// resubmitted — so its fleet records go on every path. A worker still
+	// judging one of its shards sees the task file go and abandons it.
+	defer RemoveShardFiles(dir, job.ID, count)
 	for i := 0; i < count; i++ {
 		// Tasks are idempotent per job ID: a coordinator resuming an
 		// interrupted job rewrites identical tasks, and shards that already
@@ -424,9 +653,10 @@ func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, co
 	}
 	s.obs.Counter("fleet/shards-dispatched").Add(int64(count))
 
-	// Poll for results. Workers own all the retry machinery (lease reclaim,
+	// Wait for results. Workers own all the retry machinery (lease reclaim,
 	// checkpoint resume); the coordinator only waits — bounded by the job's
-	// timeout like any other job.
+	// timeout like any other job — woken by the watch when one of its
+	// results lands and by the ticker in case the watch never says so.
 	reports := make([]*core.ShardReport, count)
 	have := make([]bool, count)
 	pending := count
@@ -437,6 +667,8 @@ func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, co
 			if have[i] {
 				continue
 			}
+			// A result not there yet costs one failed open; only one that
+			// has landed is read and parsed.
 			res, ok, err := ReadShardResult(dir, job.ID, i)
 			if err != nil {
 				run.Counter("fleet/result-read-errors").Inc()
@@ -446,7 +678,6 @@ func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, co
 				continue
 			}
 			if res.Err != "" {
-				RemoveShardFiles(dir, job.ID, count)
 				return nil, fmt.Errorf("serve: shard %d/%d failed on worker %s: %s", i, count, res.Worker, res.Err)
 			}
 			reports[i] = res.Report
@@ -460,11 +691,10 @@ func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, co
 		}
 		select {
 		case <-ctx.Done():
-			// Cancellation/timeout: leave tasks and results in place — a
-			// resubmitted job (same ID) reuses finished shards and workers
-			// resume the unfinished ones from their journals.
 			return nil, ctx.Err()
 		case <-tick.C:
+		case <-wake:
+			s.obs.Counter("fleet/wakeups").Inc()
 		}
 	}
 
@@ -482,6 +712,5 @@ func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, co
 	if opts.Checkpoint != nil {
 		os.Remove(opts.Checkpoint.Path())
 	}
-	RemoveShardFiles(dir, job.ID, count)
 	return rep, nil
 }
