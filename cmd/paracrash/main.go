@@ -34,7 +34,7 @@ func main() {
 		pfsModel = flag.String("pfs-model", "causal", "PFS consistency model: strict, commit, causal, baseline")
 		libModel = flag.String("lib-model", "baseline", "I/O library consistency model")
 		k        = flag.Int("k", 1, "max victims per crash front (Algorithm 1's k)")
-		workers  = flag.Int("workers", 0, "parallel exploration workers (0 = one per CPU, 1 = serial)")
+		workers  = flag.Int("workers", 1, "parallel exploration workers (1 = serial, the default; 0 = one per CPU)")
 		servers  = flag.Int("servers", 0, "override total server count (0 = paper default)")
 		stripe   = flag.Int64("stripe", 0, "override stripe size in bytes (0 = default)")
 		clients  = flag.Int("clients", 2, "MPI ranks for the parallel programs")
@@ -180,13 +180,11 @@ func main() {
 		opts.Checkpoint = ckpt
 	}
 
-	// Observability: one run per invocation, attached only when requested
-	// (the nil default keeps the engine's hot paths free of metric work).
-	var run *obs.Run
-	if *metricsPath != "" || *progress || *progJSONL != "" || *pprofAddr != "" || len(sinkSpecs) > 0 {
-		run = obs.NewRun()
-		opts.Obs = run
-	}
+	// Observability: one run per invocation. It is always attached — a
+	// capped enumeration is reported through its counters and nowhere else —
+	// while sinks, progress and the metrics file come only when asked for.
+	run := obs.NewRun()
+	opts.Obs = run
 	// Telemetry pipeline: route the run's samples to the requested sinks
 	// on the sampling interval (fleet series only — a CLI run is one job).
 	// Closed explicitly before reporting, because the bugs-found exit path
@@ -259,6 +257,9 @@ func main() {
 	run.Close() // flush the final progress event before reporting
 	closeTelemetry()
 	fatalIf(err)
+	for _, line := range capWarnings(run, opts.Emulator) {
+		fmt.Fprintln(os.Stderr, "paracrash:", line)
+	}
 	if ckpt != nil {
 		fmt.Fprintf(os.Stderr, "paracrash: checkpoint %s: resumed %d verdicts", ckpt.Path(), ckpt.Resumed())
 		if w := ckpt.Warnings(); len(w) > 0 {
@@ -297,6 +298,19 @@ func main() {
 	if len(rep.Bugs) > 0 {
 		os.Exit(1)
 	}
+}
+
+// capWarnings names the enumeration caps the run hit. A capped run's report
+// looks exactly like an exhaustive one's; only the emulator's counters tell.
+func capWarnings(run *obs.Run, cfg core.EmulatorConfig) []string {
+	var out []string
+	if run.Counter("emulate/states-capped").Value() > 0 {
+		out = append(out, fmt.Sprintf("crash-state enumeration stopped at MaxStates=%d with states left; the report covers only those", cfg.MaxStates))
+	}
+	if run.Counter("emulate/fronts-capped").Value() > 0 {
+		out = append(out, fmt.Sprintf("crash-front enumeration stopped at MaxFronts=%d with fronts left; the report covers only those", cfg.MaxFronts))
+	}
+	return out
 }
 
 func fatalIf(err error) {

@@ -4,8 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
 	"testing"
+
+	"paracrash/internal/obs"
+	core "paracrash/internal/paracrash"
 )
 
 // TestMain doubles the test binary as the CLI when the re-exec marker is
@@ -153,5 +157,60 @@ func TestCLIResumeAndFaults(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "resumed") || strings.Contains(stderr, "resumed 0 verdicts") {
 		t.Fatalf("second run did not report resumed verdicts; stderr: %s", stderr)
+	}
+}
+
+// TestCLIWorkersDefault: with no -workers the run is serial (the parallel
+// engine never starts, so its "workers" gauge stays unset); an explicit
+// -workers 0 still means one worker per CPU.
+func TestCLIWorkersDefault(t *testing.T) {
+	workersGauge := func(extra ...string) (int64, bool) {
+		t.Helper()
+		path := t.TempDir() + "/metrics.json"
+		args := append([]string{"-fs", "beegfs", "-program", "ARVR", "-metrics", path}, extra...)
+		if code, stderr := runCLI(t, args...); code != 1 { // the cell has bugs
+			t.Fatalf("%v: exit code %d; stderr: %s", args, code, stderr)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum struct {
+			Gauges map[string]int64 `json:"gauges"`
+		}
+		if err := json.Unmarshal(raw, &sum); err != nil {
+			t.Fatal(err)
+		}
+		v, ok := sum.Gauges["workers"]
+		return v, ok
+	}
+	if v, ok := workersGauge(); ok {
+		t.Fatalf("no -workers: the parallel engine ran with %d workers", v)
+	}
+	if v, ok := workersGauge("-workers", "1"); ok {
+		t.Fatalf("-workers 1: the parallel engine ran with %d workers", v)
+	}
+	if runtime.NumCPU() > 1 {
+		if v, _ := workersGauge("-workers", "0"); v != int64(runtime.NumCPU()) {
+			t.Fatalf("-workers 0: %d workers, want one per CPU (%d)", v, runtime.NumCPU())
+		}
+	}
+}
+
+// TestCapWarnings: each cap the emulator flags becomes one line naming it;
+// an uncapped run says nothing.
+func TestCapWarnings(t *testing.T) {
+	cfg := core.DefaultOptions().Emulator
+	run := obs.NewRun()
+	if w := capWarnings(run, cfg); len(w) != 0 {
+		t.Fatalf("uncapped run warned: %q", w)
+	}
+	run.Counter("emulate/states-capped").Inc()
+	if w := capWarnings(run, cfg); len(w) != 1 || !strings.Contains(w[0], "MaxStates=200000") {
+		t.Fatalf("states cap: %q", w)
+	}
+	run.Counter("emulate/fronts-capped").Inc()
+	if w := capWarnings(run, cfg); len(w) != 2 || !strings.Contains(w[1], "MaxFronts=20000") {
+		t.Fatalf("both caps: %q", w)
 	}
 }

@@ -13,6 +13,11 @@ import (
 // it; the exploration engine shares crash-front bitsets read-only across
 // workers (mutating methods like Set/Subtract are only ever applied to
 // Clone()d copies there).
+//
+// The crash emulator runs its per-candidate loop on scratch bitsets and
+// relies on Get, Equal, Union, Subtract, Intersect and Hash (and the
+// built-in copy) not allocating; Clone, Key and Members allocate and are
+// kept out of that loop.
 type Bitset []uint64
 
 // NewBitset returns a bitset able to hold n bits, all clear.
@@ -72,6 +77,13 @@ func (b Bitset) Subtract(o Bitset) {
 	}
 }
 
+// Intersect sets b to b ∩ o.
+func (b Bitset) Intersect(o Bitset) {
+	for i := range b {
+		b[i] &= o[i]
+	}
+}
+
 // Intersects reports whether b ∩ o is non-empty.
 func (b Bitset) Intersects(o Bitset) bool {
 	for i := range b {
@@ -99,6 +111,16 @@ func (b Bitset) Key() string {
 		binary.LittleEndian.PutUint64(buf[8*i:], w)
 	}
 	return string(buf)
+}
+
+// Hash returns a 64-bit hash of the words (FNV-1a over words, not bytes).
+// Equal hashes do not imply equal sets: confirm a hit with Equal.
+func (b Bitset) Hash() uint64 {
+	h := uint64(14695981039346656037)
+	for _, w := range b {
+		h = (h ^ w) * 1099511628211
+	}
+	return h
 }
 
 // Members returns the indices of set bits in ascending order.

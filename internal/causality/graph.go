@@ -6,9 +6,9 @@
 // Concurrency: Graph and PersistOrder are fully precomputed by Build and
 // NewPersistOrder respectively and never mutated afterwards, so all their
 // query methods (HB, Ideals, DownwardClosed, SyncFeasible, PersistsBefore,
-// DependsOn, ...) are safe to call from multiple goroutines concurrently.
-// The parallel exploration engine relies on this: shard workers share one
-// Graph and one PersistOrder without locking.
+// Closure, DependsOn, ...) are safe to call from multiple goroutines
+// concurrently. The parallel exploration engine relies on this: shard
+// workers share one Graph and one PersistOrder without locking.
 package causality
 
 import (
@@ -305,17 +305,24 @@ func (c PersistConfig) IsBlock(proc string) bool {
 }
 
 // PersistOrder precomputes the persists-before relation (Algorithm 2) over
-// a universe of lowermost-layer nodes.
+// a universe of lowermost-layer nodes, its transitive closure per node, and
+// the coverage of every sync, so the crash emulator's per-candidate queries
+// (DependsOn, SyncFeasible) are a few word operations.
 type PersistOrder struct {
 	g        *Graph
 	universe []int
 	// pb[a].Get(b) ⇔ universe[a] persists-before universe[b]
 	pb []Bitset
 	// posOf maps graph node index -> position in universe (-1 if absent).
-	posOf map[int]int
-	// coveredBy[s] lists the graph nodes whose persistence a completed
-	// sync node s guarantees (same file or device, executed before s).
-	coveredBy map[int][]int
+	posOf []int
+	// closure[a] holds, over graph nodes, universe[a] and everything
+	// reachable from it through persists-before.
+	closure []Bitset
+	// syncs lists the sync nodes that cover anything; covered[k] holds, over
+	// graph nodes, the ops whose persistence a completed syncs[k] guarantees
+	// (same file or device, executed before it).
+	syncs   []int
+	covered []Bitset
 }
 
 // NewPersistOrder computes persists-before over the given lowermost nodes.
@@ -324,7 +331,11 @@ func NewPersistOrder(g *Graph, universe []int, cfg PersistConfig) *PersistOrder 
 		g:        g,
 		universe: universe,
 		pb:       make([]Bitset, len(universe)),
-		posOf:    make(map[int]int, len(universe)),
+		posOf:    make([]int, len(g.Ops)),
+		closure:  make([]Bitset, len(universe)),
+	}
+	for i := range po.posOf {
+		po.posOf[i] = -1
 	}
 	for k, i := range universe {
 		po.posOf[i] = k
@@ -347,11 +358,25 @@ func NewPersistOrder(g *Graph, universe []int, cfg PersistConfig) *PersistOrder 
 			}
 		}
 	}
+	// Transitive closure in one reverse pass: every persists-before edge
+	// implies happens-before, which points forward in recording (universe)
+	// order, so closure[b] is final before any a < b reads it. A successor
+	// already in closure[a] brought its whole closure along.
+	for a := len(universe) - 1; a >= 0; a-- {
+		c := NewBitset(len(g.Ops))
+		c.Set(universe[a])
+		for _, b := range po.pb[a].Members() {
+			if !c.Get(universe[b]) {
+				c.Union(po.closure[b])
+			}
+		}
+		po.closure[a] = c
+	}
 	// Sync coverage: once a sync completes, the operations it covers are
 	// durable — no later crash can lose them.
-	po.coveredBy = map[int][]int{}
 	for _, s := range syncs {
 		os := g.Ops[s]
+		var covered Bitset
 		for _, i := range universe {
 			if i == s {
 				continue
@@ -361,8 +386,15 @@ func NewPersistOrder(g *Graph, universe []int, cfg PersistConfig) *PersistOrder 
 				continue
 			}
 			if cfg.IsBlock(oi.Proc) || (os.FileID != "" && os.FileID == oi.FileID) {
-				po.coveredBy[s] = append(po.coveredBy[s], i)
+				if covered == nil {
+					covered = NewBitset(len(g.Ops))
+				}
+				covered.Set(i)
 			}
+		}
+		if covered != nil {
+			po.syncs = append(po.syncs, s)
+			po.covered = append(po.covered, covered)
 		}
 	}
 	return po
@@ -370,14 +402,15 @@ func NewPersistOrder(g *Graph, universe []int, cfg PersistConfig) *PersistOrder 
 
 // SyncFeasible reports whether a crash state (front, keep) respects commit
 // durability: every op covered by a sync that completed within the front
-// must be in keep. States violating this cannot occur on real storage.
+// must be in keep. States violating this cannot occur on real storage. It
+// does not allocate.
 func (po *PersistOrder) SyncFeasible(front, keep Bitset) bool {
-	for s, covered := range po.coveredBy {
+	for k, s := range po.syncs {
 		if !front.Get(s) {
 			continue
 		}
-		for _, o := range covered {
-			if front.Get(o) && !keep.Get(o) {
+		for w, c := range po.covered[k] {
+			if c&front[w]&^keep[w] != 0 {
 				return false
 			}
 		}
@@ -440,42 +473,36 @@ func (po *PersistOrder) computePersistsBefore(i, j int, cfg PersistConfig, syncs
 // PersistsBefore reports whether graph node i persists-before graph node j.
 // Both must be members of the universe.
 func (po *PersistOrder) PersistsBefore(i, j int) bool {
-	a, ok1 := po.posOf[i]
-	b, ok2 := po.posOf[j]
-	if !ok1 || !ok2 {
+	a, b := po.posOf[i], po.posOf[j]
+	if a < 0 || b < 0 {
 		return false
 	}
 	return po.pb[a].Get(b)
 }
 
-// DependsOn returns the closure of Algorithm 1's depends_on: the set of
-// universe nodes (as graph indices) that cannot persist if victim does not,
-// i.e. victim plus every op reachable through persists-before.
+// Closure returns Algorithm 1's depends_on for victim over the whole trace:
+// victim plus every universe node reachable from it through persists-before,
+// as a bitset over graph nodes (nil when victim is outside the universe).
+// The result is shared and must not be modified.
+func (po *PersistOrder) Closure(victim int) Bitset {
+	if v := po.posOf[victim]; v >= 0 {
+		return po.closure[v]
+	}
+	return nil
+}
+
+// DependsOn returns Algorithm 1's depends_on within a crash front: the
+// universe nodes of within (as graph indices) that cannot persist if victim
+// does not, as a fresh bitset. within must be nil (the whole trace) or a
+// happens-before ideal of the universe that contains victim — every crash
+// front is. Persists-before implies happens-before, so such a set holds
+// every intermediate node of any persists-before path ending inside it, and
+// the closure within it is simply Closure(victim) ∩ within.
 func (po *PersistOrder) DependsOn(victim int, within Bitset) Bitset {
 	out := NewBitset(len(po.g.Ops))
-	v, ok := po.posOf[victim]
-	if !ok {
-		return out
-	}
-	out.Set(victim)
-	// Worklist closure over the persists-before relation.
-	work := []int{v}
-	seen := NewBitset(len(po.universe))
-	seen.Set(v)
-	for len(work) > 0 {
-		a := work[0]
-		work = work[1:]
-		for _, b := range po.pb[a].Members() {
-			nodeB := po.universe[b]
-			if within != nil && !within.Get(nodeB) {
-				continue
-			}
-			if !seen.Get(b) {
-				seen.Set(b)
-				out.Set(nodeB)
-				work = append(work, b)
-			}
-		}
+	copy(out, po.Closure(victim))
+	if within != nil {
+		out.Intersect(within)
 	}
 	return out
 }

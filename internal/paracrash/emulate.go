@@ -56,7 +56,8 @@ type Emulator struct {
 	Universe []int // replayable lowermost node indices, in recording order
 	PO       *causality.PersistOrder
 	// Obs, when set, receives generation counters (emulate/fronts,
-	// emulate/states). Nil disables collection at zero cost.
+	// emulate/states and the effort breakdown behind them, see Generate).
+	// Nil disables collection at zero cost.
 	Obs *obs.Run
 	// Faults, when set, perturbs enumeration timing at the per-front fault
 	// point. Generation must stay deterministic, so any fault drawn here
@@ -83,98 +84,139 @@ func NewEmulator(g *causality.Graph, pc causality.PersistConfig) *Emulator {
 }
 
 // Generate enumerates crash states, invoking visit for each; enumeration
-// stops when visit returns false. Duplicate (Front, Keep) pairs are
-// suppressed. Returns the number of states visited.
+// stops when visit returns false or a cap is hit. Returns the number of
+// states visited.
+//
+// Per front, a combination of victims is a drop set — the union of the
+// victims' precomputed persists-before closures (PersistOrder.Closure), one
+// scratch bitset per depth — and its keep set is front AND-NOT drop, built in
+// a second scratch. A victim already in the drop set leaves the keep set as
+// its parent combination's, which was tested before it, so it is descended
+// through but not tested again. Feasibility and duplicate detection run on
+// the scratch; Keep and Victims are copied only for an emitted state, which
+// owns them. Duplicates are tracked per front on Keep alone (word hash, then
+// Equal) and forgotten at the next front: Ideals yields each front once, so
+// (Front, Keep) pairs cannot repeat across fronts, and the emulator holds no
+// per-state data past the front that produced it.
+//
+// MaxStates and MaxFronts end the run only once a further state or front
+// shows up, and then set emulate/states-capped or emulate/fronts-capped: a
+// run that reaches a cap exactly with nothing left is complete, not capped.
 func (e *Emulator) Generate(cfg EmulatorConfig, visit func(CrashState) bool) int {
-	seen := map[string]bool{}
 	count := 0
-	stopped := false
+	var candidates, duplicates, infeasible, closureHits int64
 	ctrFronts := e.Obs.Counter("emulate/fronts")
 	ctrStates := e.Obs.Counter("emulate/states")
+	ctrStatesCapped := e.Obs.Counter("emulate/states-capped")
+	ctrFrontsCapped := e.Obs.Counter("emulate/fronts-capped")
 
-	emit := func(cs CrashState) bool {
-		// Skip physically impossible states: an op covered by a completed
-		// sync cannot be lost.
-		if !e.PO.SyncFeasible(cs.Front, cs.Keep) {
+	n, k := e.G.Len(), max(cfg.K, 0)
+	var front causality.Bitset
+	keep := causality.NewBitset(n)
+	drop := make([]causality.Bitset, k+1) // drop[d]: closures of the first d victims
+	for d := range drop {
+		drop[d] = causality.NewBitset(n)
+	}
+	chosen := make([]int, 0, k)
+	seen := map[uint64][]causality.Bitset{} // this front's emitted keep sets, by hash
+
+	// test judges the keep scratch and emits a copy when it is a new,
+	// physically possible state: an op covered by a completed sync cannot
+	// be lost.
+	test := func() bool {
+		candidates++
+		if !e.PO.SyncFeasible(front, keep) {
+			infeasible++
 			return true
 		}
-		key := cs.Front.Key() + "|" + cs.Keep.Key()
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
-		count++
-		ctrStates.Inc()
-		if !visit(cs) {
-			stopped = true
-			return false
+		h := keep.Hash()
+		for _, prev := range seen[h] {
+			if prev.Equal(keep) {
+				duplicates++
+				return true
+			}
 		}
 		if cfg.MaxStates > 0 && count >= cfg.MaxStates {
-			stopped = true
+			candidates-- // the state that proves the cap cut something off is not part of the run
+			ctrStatesCapped.Inc()
 			return false
+		}
+		seen[h] = append(seen[h], keep.Clone())
+		count++
+		ctrStates.Inc()
+		return visit(CrashState{Front: front, Keep: keep.Clone(), Victims: append([]int(nil), chosen...)})
+	}
+
+	var cands []int
+	var choose func(start, d int) bool
+	choose = func(start, d int) bool {
+		if d == k {
+			return true
+		}
+		for i := start; i < len(cands); i++ {
+			v := cands[i]
+			chosen = append(chosen[:d], v)
+			copy(drop[d+1], drop[d])
+			if drop[d].Get(v) {
+				closureHits++
+			} else {
+				drop[d+1].Union(e.PO.Closure(v))
+				copy(keep, front)
+				keep.Subtract(drop[d+1])
+				if !test() {
+					return false
+				}
+			}
+			if !choose(i+1, d+1) {
+				return false
+			}
 		}
 		return true
 	}
 
-	perFront := func(front causality.Bitset) bool {
+	perFront := func(f causality.Bitset) bool {
 		ctrFronts.Inc()
-		e.Faults.Sleep("emulate/front", front.Key())
+		if e.Faults != nil {
+			e.Faults.Sleep("emulate/front", f.Key())
+		}
+		front = f
+		clear(seen)
 		// Victim candidates: lowermost ops inside the front.
-		var cands []int
+		cands = cands[:0]
 		for _, i := range e.Universe {
-			if !front.Get(i) {
-				continue
+			if front.Get(i) && (cfg.VictimFilter == nil || cfg.VictimFilter(e.G.Ops[i])) {
+				cands = append(cands, i)
 			}
-			if cfg.VictimFilter != nil && !cfg.VictimFilter(e.G.Ops[i]) {
-				continue
-			}
-			cands = append(cands, i)
 		}
-		// n = 0: the normal state (everything persisted).
-		if !emit(CrashState{Front: front, Keep: front.Clone()}) {
-			return false
-		}
-		// n = 1..K victims.
-		var choose func(start int, chosen []int) bool
-		choose = func(start int, chosen []int) bool {
-			if len(chosen) > 0 {
-				keep := front.Clone()
-				for _, v := range chosen {
-					keep.Subtract(e.PO.DependsOn(v, front))
-				}
-				cs := CrashState{Front: front, Keep: keep, Victims: append([]int(nil), chosen...)}
-				if !emit(cs) {
-					return false
-				}
-			}
-			if len(chosen) == cfg.K {
-				return true
-			}
-			for i := start; i < len(cands); i++ {
-				if !choose(i+1, append(chosen, cands[i])) {
-					return false
-				}
-			}
-			return true
-		}
-		return choose(0, nil)
+		// n = 0: the normal state (everything persisted); then 1..K victims.
+		chosen = chosen[:0]
+		copy(keep, front)
+		return test() && choose(0, 0)
 	}
 
 	switch cfg.FrontMode {
 	case FrontEnd:
-		full := causality.NewBitset(e.G.Len())
+		full := causality.NewBitset(n)
 		for _, i := range e.Universe {
 			full.Set(i)
 		}
 		perFront(full)
 	case FrontAllCuts:
-		e.G.Ideals(e.Universe, cfg.MaxFronts, func(front causality.Bitset) bool {
-			if stopped {
+		// The cap is applied here, on the front after the last allowed one,
+		// which tells a capped enumeration from one that ended at the cap.
+		fronts := 0
+		e.G.Ideals(e.Universe, 0, func(f causality.Bitset) bool {
+			if fronts++; cfg.MaxFronts > 0 && fronts > cfg.MaxFronts {
+				ctrFrontsCapped.Inc()
 				return false
 			}
-			return perFront(front)
+			return perFront(f)
 		})
 	}
+	e.Obs.Counter("emulate/candidates").Add(candidates)
+	e.Obs.Counter("emulate/duplicates").Add(duplicates)
+	e.Obs.Counter("emulate/infeasible").Add(infeasible)
+	e.Obs.Counter("emulate/closure-hits").Add(closureHits)
 	return count
 }
 

@@ -138,9 +138,11 @@ type Options struct {
 	// clients and caches; their verdicts are merged on the calling
 	// goroutine in the exact serial visiting order, so the report is
 	// byte-identical to a Workers=1 run except for Stats.Duration.
-	// 0 (the zero value) means runtime.NumCPU(); 1 forces today's serial
-	// engine. File systems that do not implement pfs.Cloner always run
-	// serially regardless of this setting.
+	// 1 — what DefaultOptions sets — is the serial engine, which is the
+	// faster one on every cell measured so far (benchmark/README.md,
+	// parallel.speedup_w2); 0 (the zero value) means runtime.NumCPU(). File
+	// systems that do not implement pfs.Cloner always run serially
+	// regardless of this setting.
 	Workers int
 
 	// Ablation switches (the design choices measured by the Ablation
@@ -238,7 +240,7 @@ func DefaultOptions() Options {
 		},
 		MaxLayerOps:    20,
 		MaxLegalStates: 50000,
-		Workers:        runtime.NumCPU(),
+		Workers:        1,
 	}
 }
 

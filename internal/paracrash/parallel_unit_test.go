@@ -3,6 +3,7 @@ package paracrash
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"paracrash/internal/pfs"
@@ -184,5 +185,17 @@ func TestRunParallelMatchesSerialWhiteBox(t *testing.T) {
 				t.Errorf("%v: state %d differs:\n%+v\n%+v", mode, i, a, b)
 			}
 		}
+	}
+}
+
+// TestWorkersDefaultIsSerial: DefaultOptions runs the serial engine (the
+// faster one on every measured cell); the zero value still asks for one
+// worker per CPU.
+func TestWorkersDefaultIsSerial(t *testing.T) {
+	if w := DefaultOptions().Workers; w != 1 {
+		t.Fatalf("DefaultOptions().Workers = %d, want 1", w)
+	}
+	if w := (Options{}).effectiveWorkers(); w != runtime.NumCPU() {
+		t.Fatalf("Workers=0 resolves to %d workers, want one per CPU (%d)", w, runtime.NumCPU())
 	}
 }

@@ -73,7 +73,7 @@ type JobRequest struct {
 	// K is Algorithm 1's victims-per-front bound (default 1).
 	K int `json:"k,omitempty"`
 	// Workers is the per-job exploration worker budget; the scheduler
-	// clamps it to its per-job maximum. 0 keeps the scheduler's default.
+	// clamps it to its per-job maximum. 0 (or omitted) means one per CPU.
 	Workers int `json:"workers,omitempty"`
 	// Representative toggles representative-state exploration (nil keeps
 	// the engine default: on). Set false for a brute-force-equivalent run
@@ -203,10 +203,8 @@ func (r *JobRequest) options(maxWorkers int) core.Options {
 	if r.K > 0 {
 		opts.Emulator.K = r.K
 	}
-	if r.Workers > 0 {
-		opts.Workers = r.Workers
-	}
-	if maxWorkers > 0 && opts.Workers > maxWorkers {
+	opts.Workers = r.Workers // 0 or omitted = one per CPU, whatever DefaultOptions says
+	if maxWorkers > 0 && (opts.Workers == 0 || opts.Workers > maxWorkers) {
 		opts.Workers = maxWorkers
 	}
 	if r.Representative != nil {

@@ -594,3 +594,21 @@ func writeFile(t *testing.T, path, content string) {
 		t.Fatal(err)
 	}
 }
+
+// TestJobWorkersZeroMeansPerCPU: a request that omits workers (or sends 0)
+// keeps meaning one per CPU — not the engine's serial default — capped by
+// the daemon's per-job maximum.
+func TestJobWorkersZeroMeansPerCPU(t *testing.T) {
+	if w := (&JobRequest{}).options(0).Workers; w != 0 {
+		t.Fatalf("workers omitted, no cap: Options.Workers = %d, want 0 (one per CPU)", w)
+	}
+	if w := (&JobRequest{}).options(3).Workers; w != 3 {
+		t.Fatalf("workers omitted, cap 3: Options.Workers = %d, want 3", w)
+	}
+	if w := (&JobRequest{Workers: 2}).options(3).Workers; w != 2 {
+		t.Fatalf("workers 2, cap 3: Options.Workers = %d", w)
+	}
+	if w := (&JobRequest{Workers: 8}).options(3).Workers; w != 3 {
+		t.Fatalf("workers 8, cap 3: Options.Workers = %d", w)
+	}
+}
