@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck doclint persistlint test race ci bench benchgate benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental emulate selfcheck clean
+.PHONY: all build vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental emulate selfcheck clean
 
 all: build vet test
 
@@ -41,35 +41,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Everything a change must pass before it lands. benchgate is not in the
-# list: against its stale committed baseline it fails about as often at a
-# parent commit as at a change (ROADMAP 1a), and a red that means nothing
-# hides one that does.
+# Everything a change must pass before it lands.
 ci: build vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental emulate selfcheck benchcheck
-
-# Run the benchmark trajectory with observability enabled and write the
-# per-run summary (phase timings, counters, Stats) as BENCH_<stamp>.json,
-# then diff states_per_sec per cell against the latest committed trajectory
-# file and warn on >20% regressions.
-bench:
-	@out=BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json; \
-	$(GO) run ./cmd/experiments -exp bench -bench-out $$out && \
-	$(GO) run ./internal/tools/benchdiff $$out
-
-# Enforced perf-regression gate: the benchdiff gate-mode unit tests, then a
-# fresh run of the fast fixed-seed cell subset compared against the latest
-# committed BENCH_*.json. A cell whose states_per_sec drops, or whose
-# restores_per_state rises, beyond the tolerance fails the build (exit 1).
-# The default tolerance is deliberately loose — wall-clock throughput varies
-# across machines — while still catching order-of-magnitude hot-path
-# regressions; tighten it locally with BENCHGATE_TOLERANCE=0.2.
-BENCHGATE_TOLERANCE ?= 0.5
-benchgate:
-	$(GO) test ./internal/tools/benchdiff/ -count=1
-	@out=$$(mktemp); \
-	trap 'rm -f "$$out"' EXIT; \
-	$(GO) run ./cmd/experiments -exp bench -bench-cells fast -bench-out "$$out" && \
-	$(GO) run ./internal/tools/benchdiff -gate -subset fast -max-regress $(BENCHGATE_TOLERANCE) "$$out"
 
 # The benchmark harness checking itself (benchmark/ is a module of its own,
 # so `go test ./...` does not reach it): every workload's verdicts against
@@ -156,3 +129,4 @@ selfcheck:
 
 clean:
 	$(GO) clean ./...
+	rm -rf .bench_build/

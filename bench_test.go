@@ -11,7 +11,6 @@ package paracrash_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"paracrash/internal/exps"
@@ -160,71 +159,6 @@ func BenchmarkTable2_Deployments(b *testing.B) {
 				b.Fatal(fmt.Errorf("%s: %w", fsName, err))
 			}
 		}
-	}
-}
-
-// BenchmarkExploreParallel contrasts the serial engine against the
-// worker-pool engine on the heaviest configuration — brute-force ARVR on
-// BeeGFS, where every generated crash state is reconstructed and checked —
-// for 1 worker and one worker per CPU. The reports are identical by
-// construction (see TestParallelMatchesSerial); this measures the wall-clock
-// payoff.
-func BenchmarkExploreParallel(b *testing.B) {
-	prog, _ := exps.ProgramByName("ARVR")
-	h5p := workloads.DefaultH5Params()
-	counts := []int{1, 4, runtime.NumCPU()}
-	seen := map[int]bool{}
-	var ws []int
-	for _, w := range counts {
-		if !seen[w] {
-			seen[w] = true
-			ws = append(ws, w)
-		}
-	}
-	for _, w := range ws {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.Mode = core.ModeBrute
-			opts.Workers = w
-			for i := 0; i < b.N; i++ {
-				rep, err := exps.RunOne("beegfs", prog, opts, h5p, exps.ConfigFor("beegfs"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(rep.Stats.StatesChecked), "states")
-			}
-		})
-	}
-}
-
-// BenchmarkExploreRepresentative contrasts representative-state exploration
-// against exhaustive checking on the same heaviest configuration as
-// BenchmarkExploreParallel. With the knob on, most generated states are
-// attributed from their recovered-content equivalence class instead of
-// being reconstructed, so "checked" collapses toward the class count while
-// "covered" (checked + attributed) stays at the brute-force total; the
-// reports are equivalent by construction (see TestRepresentativeDifferential*).
-func BenchmarkExploreRepresentative(b *testing.B) {
-	prog, _ := exps.ProgramByName("ARVR")
-	h5p := workloads.DefaultH5Params()
-	for _, bc := range []struct {
-		name  string
-		norep bool
-	}{{"exhaustive", true}, {"representative", false}} {
-		b.Run(bc.name, func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.Mode = core.ModeBrute
-			opts.DisableRepresentative = bc.norep
-			for i := 0; i < b.N; i++ {
-				rep, err := exps.RunOne("beegfs", prog, opts, h5p, exps.ConfigFor("beegfs"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(rep.Stats.StatesChecked), "checked")
-				b.ReportMetric(float64(rep.Stats.StatesChecked+rep.Stats.StatesDeduped), "covered")
-				b.ReportMetric(float64(rep.Stats.ServerRestores), "restores")
-			}
-		})
 	}
 }
 

@@ -3,16 +3,14 @@
 //
 // Usage:
 //
+//	experiments -exp fig5       # consistency-model demonstration
 //	experiments -exp fig8       # inconsistent crash states per program × FS
 //	experiments -exp fig9       # ARVR traces across file systems (Fig 2/9)
 //	experiments -exp fig10      # brute vs pruning vs optimized timing
 //	experiments -exp fig11      # scalability with server count
-//	experiments -exp fig5       # consistency-model demonstration
 //	experiments -exp table3     # the aggregated bug list
 //	experiments -exp sensitivity # the Table 3 sensitivity studies
 //	experiments -exp speedups   # §6.4 headline numbers on ARVR/BeeGFS
-//	experiments -exp parallel   # worker-pool engine vs serial wall clock
-//	experiments -exp bench      # benchmark trajectory -> BENCH_*.json
 //	experiments -exp fuzz       # metamorphic fuzz campaign over the engine
 //	experiments -exp all        # every experiment above except fuzz
 //
@@ -20,10 +18,12 @@
 // "all" does not include it; run it explicitly:
 //
 //	experiments -exp fuzz -seeds 64 -fuzz-out corpus/
+//
+// Performance is measured elsewhere: `bash benchmark/run.sh` (see
+// benchmark/README.md) is the repository's one benchmark.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -35,17 +35,54 @@ import (
 	"paracrash/internal/fuzzcamp"
 	"paracrash/internal/obs"
 	core "paracrash/internal/paracrash"
-	"paracrash/internal/serve"
 	"paracrash/internal/workloads"
 )
 
+// settings is what the flags resolve to once validated: everything an
+// experiment needs besides its own name.
+type settings struct {
+	// opts carries the knobs into the option-taking experiments; the §6.4
+	// speedups contrast pins its own settings to measure the paper's
+	// strategies in isolation.
+	opts    core.Options
+	h5p     workloads.H5Params
+	servers []int
+	fuzz    fuzzcamp.Config
+	// fuzzProgress streams the campaign's live progress to stderr.
+	fuzzProgress bool
+}
+
+// experiments is the one ordered table behind the -exp usage string, what
+// "all" runs and the unknown-experiment error. The fuzz campaign is a
+// correctness gate rather than a paper artifact, so "all" leaves it out.
+var experiments = []struct {
+	name  string
+	inAll bool
+	run   func(*settings)
+}{
+	{"fig5", true, func(*settings) { fmt.Println(exps.Fig5()) }},
+	{"fig8", true, func(s *settings) { fmt.Println(exps.Fig8(s.opts, s.h5p).Format()) }},
+	{"fig9", true, func(s *settings) { fmt.Println(exps.Fig9(s.h5p)) }},
+	{"fig10", true, func(s *settings) { fmt.Println(exps.FormatFig10(exps.Fig10(s.h5p))) }},
+	{"fig11", true, func(s *settings) { fmt.Println(exps.FormatFig11(exps.Fig11(s.servers, s.h5p))) }},
+	{"table3", true, func(s *settings) { fmt.Println(exps.FormatTable3(exps.Table3(s.opts, s.h5p))) }},
+	{"sensitivity", true, func(*settings) { fmt.Println(exps.Sensitivity()) }},
+	{"speedups", true, runSpeedups},
+	{"fuzz", false, runFuzz},
+}
+
+// experimentNames lists every value -exp accepts, in table order.
+func experimentNames() string {
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), ", ")
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig5, fig8, fig9, fig10, fig11, table3, sensitivity, speedups, parallel, bench, fuzz, all")
+	exp := flag.String("exp", "all", "experiment: "+experimentNames())
 	servers := flag.String("servers", "4,6,8,16,32", "server counts for fig11")
-	benchOut := flag.String("bench-out", "", "bench: write the BENCH_*.json summary to this file (default stdout)")
-	benchCells := flag.String("bench-cells", "all", "bench: cell subset to run: all, or fast (the quick benchgate set)")
-	var sinkSpecs obs.SinkSpecList
-	flag.Var(&sinkSpecs, "sink", "bench: attach a telemetry sink for per-cell metrics (repeatable): stdout, stderr, jsonl:PATH, push:URL")
 	fuzzSeeds := flag.Int("seeds", 64, "fuzz: number of generated workload seeds")
 	fuzzSeedStart := flag.Int64("seed-start", 0, "fuzz: first generator seed")
 	fuzzEnumOps := flag.Int("enum-ops", 2, "fuzz: also enumerate all op sequences up to this length (0 = off)")
@@ -89,178 +126,94 @@ func main() {
 	if repSet && *representative && *noRep {
 		fatal(fmt.Errorf("-representative=true conflicts with -no-representative"))
 	}
-	// opts carries the knobs into the option-taking experiments; the §6.4
-	// speedups contrast pins its own settings to measure the paper's
-	// strategies in isolation.
-	opts := core.DefaultOptions()
-	opts.DisableRepresentative = *noRep || !*representative
+	// Like the fuzz flags above, -servers is checked whatever -exp says: a
+	// bad count must not surface after "all" has run for seconds.
+	counts, err := parseServerCounts(*servers)
+	if err != nil {
+		fatal(fmt.Errorf("-servers: %w", err))
+	}
 
-	h5p := workloads.DefaultH5Params()
-	run := func(name string) {
-		switch name {
-		case "fig5":
-			fmt.Println(exps.Fig5())
-		case "fig8":
-			res := exps.Fig8(opts, h5p)
-			fmt.Println(res.Format())
-		case "fig9":
-			fmt.Println(exps.Fig9(h5p))
-		case "fig10":
-			fmt.Println(exps.FormatFig10(exps.Fig10(h5p)))
-		case "fig11":
-			counts, err := parseServerCounts(*servers)
-			if err != nil {
-				fatal(fmt.Errorf("-servers: %w", err))
-			}
-			fmt.Println(exps.FormatFig11(exps.Fig11(counts, h5p)))
-		case "table3":
-			fmt.Println(exps.FormatTable3(exps.Table3(opts, h5p)))
-		case "sensitivity":
-			fmt.Println(exps.Sensitivity())
-		case "speedups":
-			res, err := exps.Speedups("beegfs", "ARVR", h5p)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			fmt.Println("§6.4 exploration speedups (ARVR on BeeGFS):")
-			fmt.Printf("  brute-force: %4d states checked, %d server restores, %.4fs (%d bugs)\n",
-				res.BruteStates, res.BruteRestores, res.BruteSeconds, res.BruteBugs)
-			fmt.Printf("  pruning:     %4d states checked, %.4fs (%d bugs)\n",
-				res.PrunedStates, res.PrunedSeconds, res.PrunedBugs)
-			fmt.Printf("  optimized:   %d server restores, %.4fs (%d bugs)\n",
-				res.OptRestores, res.OptimizedSeconds, res.OptBug)
-			if res.PrunedStates > 0 {
-				fmt.Printf("  state reduction: %.1fx; restore reduction: %.1fx\n",
-					float64(res.BruteStates)/float64(res.PrunedStates),
-					float64(res.BruteRestores)/float64(maxInt(res.OptRestores, 1)))
-			}
-		case "parallel":
-			res, err := exps.ParallelSpeedup("beegfs", "ARVR", h5p)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			fmt.Println("parallel exploration (brute-force ARVR on BeeGFS):")
-			fmt.Printf("  serial   (workers=1):  %.4fs\n", res.SerialSeconds)
-			fmt.Printf("  parallel (workers=%d): %.4fs  (%.1fx speedup)\n", res.Workers, res.ParallelSeconds, res.Speedup)
-			fmt.Printf("  states checked: %d, bugs: %d, reports identical: %v\n", res.States, res.Bugs, res.Identical)
-		case "bench":
-			sinks, closers, err := parseSinks(sinkSpecs)
-			if err != nil {
-				fatal(err)
-			}
-			sum, err := exps.BenchCells(h5p, *benchCells, sinks...)
-			for _, c := range closers {
-				_ = c()
-			}
-			if err != nil {
-				fatal(err)
-			}
-			// The fleet cell: coordinator + workers + tenants stormed through
-			// the HTTP API by the load generator. The fast subset keeps the
-			// storm small so `make benchgate` stays quick.
-			fleetCfg := serve.FleetBenchConfig{Workers: 3, Tenants: 2, Shards: 2, Jobs: 24, Concurrency: 8}
-			if *benchCells == "fast" {
-				fleetCfg.Jobs, fleetCfg.Concurrency = 12, 6
-			}
-			sum.Fleet, err = serve.BenchFleet(context.Background(), fleetCfg)
-			if err != nil {
-				fatal(err)
-			}
-			out, err := sum.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			if *benchOut == "" {
-				fmt.Println(string(out))
-				break
-			}
-			if err := os.WriteFile(*benchOut, out, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("benchmark summary written to %s (%d records)\n", *benchOut, len(sum.Records))
-		case "fuzz":
-			var backends []string
-			for _, b := range strings.Split(*fuzzBackends, ",") {
-				if b = strings.TrimSpace(b); b != "" {
-					backends = append(backends, b)
-				}
-			}
-			var orun *obs.Run
-			if *fuzzProgress {
-				orun = obs.NewRun()
-				orun.AddSink(&obs.HumanSink{W: os.Stderr})
-				orun.StartProgress(time.Second)
-			}
-			res, err := fuzzcamp.Run(fuzzcamp.Config{
-				Backends:   backends,
-				SeedStart:  *fuzzSeedStart,
-				Seeds:      *fuzzSeeds,
-				EnumOps:    *fuzzEnumOps,
-				TimeBudget: *fuzzTime,
-				CorpusDir:  *fuzzOut,
-				Obs:        orun,
-				Retry:      core.RetryPolicy{MaxAttempts: *fuzzRetries, Backoff: *fuzzBackoff},
-				FaultSeed:  *fuzzFaultSeed,
-				FaultRate:  *fuzzFaultRate,
+	s := &settings{
+		opts:         core.DefaultOptions(),
+		h5p:          workloads.DefaultH5Params(),
+		servers:      counts,
+		fuzzProgress: *fuzzProgress,
+		fuzz: fuzzcamp.Config{
+			SeedStart:  *fuzzSeedStart,
+			Seeds:      *fuzzSeeds,
+			EnumOps:    *fuzzEnumOps,
+			TimeBudget: *fuzzTime,
+			CorpusDir:  *fuzzOut,
+			Retry:      core.RetryPolicy{MaxAttempts: *fuzzRetries, Backoff: *fuzzBackoff},
+			FaultSeed:  *fuzzFaultSeed,
+			FaultRate:  *fuzzFaultRate,
 
-				DisableRepresentative: opts.DisableRepresentative,
-			})
-			if orun != nil {
-				orun.Close()
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			fmt.Print(res.Format())
-			if !res.OK() {
-				os.Exit(1)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", name)
-			os.Exit(2)
+			DisableRepresentative: *noRep || !*representative,
+		},
+	}
+	s.opts.DisableRepresentative = s.fuzz.DisableRepresentative
+	for _, b := range strings.Split(*fuzzBackends, ",") {
+		if b = strings.TrimSpace(b); b != "" {
+			s.fuzz.Backends = append(s.fuzz.Backends, b)
 		}
 	}
 
-	if *exp == "all" {
-		for _, name := range []string{"fig5", "fig8", "fig9", "fig10", "fig11", "table3", "sensitivity", "speedups", "parallel", "bench"} {
-			fmt.Printf("################ %s ################\n", name)
-			run(name)
+	known := false
+	for _, e := range experiments {
+		if *exp == "all" && e.inAll {
+			fmt.Printf("################ %s ################\n", e.name)
+		} else if *exp != e.name {
+			continue
 		}
-		return
+		known = true
+		e.run(s)
 	}
-	run(*exp)
+	if !known {
+		fatal(fmt.Errorf("unknown experiment %q (want %s)", *exp, experimentNames()))
+	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// runSpeedups prints the §6.4 headline numbers on ARVR/BeeGFS.
+func runSpeedups(s *settings) {
+	res, err := exps.Speedups("beegfs", "ARVR", s.h5p)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
-	return b
+	fmt.Println("§6.4 exploration speedups (ARVR on BeeGFS):")
+	fmt.Printf("  brute-force: %4d states checked, %d server restores, %.4fs (%d bugs)\n",
+		res.BruteStates, res.BruteRestores, res.BruteSeconds, res.BruteBugs)
+	fmt.Printf("  pruning:     %4d states checked, %.4fs (%d bugs)\n",
+		res.PrunedStates, res.PrunedSeconds, res.PrunedBugs)
+	fmt.Printf("  optimized:   %d server restores, %.4fs (%d bugs)\n",
+		res.OptRestores, res.OptimizedSeconds, res.OptBug)
+	if res.PrunedStates > 0 {
+		fmt.Printf("  state reduction: %.1fx; restore reduction: %.1fx\n",
+			float64(res.BruteStates)/float64(res.PrunedStates),
+			float64(res.BruteRestores)/float64(max(res.OptRestores, 1)))
+	}
 }
 
-// parseSinks resolves -sink specs into live sinks plus their closers. An
-// error from any spec closes the sinks already opened so a bad third spec
-// does not leak the first two files.
-func parseSinks(specs obs.SinkSpecList) ([]obs.MetricSink, []func() error, error) {
-	var sinks []obs.MetricSink
-	var closers []func() error
-	for _, spec := range specs {
-		sink, closer, err := obs.ParseSinkSpec(spec)
-		if err != nil {
-			for _, c := range closers {
-				_ = c()
-			}
-			return nil, nil, err
-		}
-		sinks = append(sinks, sink)
-		closers = append(closers, closer)
+// runFuzz runs the metamorphic campaign and exits 1 when an oracle failed.
+func runFuzz(s *settings) {
+	cfg := s.fuzz
+	if s.fuzzProgress {
+		cfg.Obs = obs.NewRun()
+		cfg.Obs.AddSink(&obs.HumanSink{W: os.Stderr})
+		cfg.Obs.StartProgress(time.Second)
 	}
-	return sinks, closers, nil
+	res, err := fuzzcamp.Run(cfg)
+	if cfg.Obs != nil {
+		cfg.Obs.Close()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	fmt.Print(res.Format())
+	if !res.OK() {
+		os.Exit(1)
+	}
 }
 
 // parseServerCounts parses fig11's comma-separated server counts. Every

@@ -539,57 +539,6 @@ func ReportKernel(rep *paracrash.Report) string {
 	return b.String()
 }
 
-// ParallelResult compares serial against parallel exploration of one
-// (program, fs) cell.
-type ParallelResult struct {
-	Workers         int
-	SerialSeconds   float64
-	ParallelSeconds float64
-	Speedup         float64
-	// Identical reports whether the two runs produced byte-identical
-	// reports (modulo Duration) — the engine's determinism guarantee.
-	Identical bool
-	States    int
-	Bugs      int
-}
-
-// ParallelSpeedup measures the worker-pool engine against the serial
-// engine on a brute-force exploration (every crash state is checked, so
-// the work parallelises fully) and verifies the determinism guarantee.
-func ParallelSpeedup(fsName, progName string, h5p workloads.H5Params) (*ParallelResult, error) {
-	prog, err := ProgramByName(progName)
-	if err != nil {
-		return nil, err
-	}
-	run := func(workers int) (*paracrash.Report, error) {
-		opts := paracrash.DefaultOptions()
-		opts.Mode = paracrash.ModeBrute
-		opts.Workers = workers
-		return RunOne(fsName, prog, opts, h5p, ConfigFor(fsName))
-	}
-	serial, err := run(1)
-	if err != nil {
-		return nil, err
-	}
-	workers := runtime.NumCPU()
-	par, err := run(workers)
-	if err != nil {
-		return nil, err
-	}
-	res := &ParallelResult{
-		Workers:         workers,
-		SerialSeconds:   serial.Stats.Duration.Seconds(),
-		ParallelSeconds: par.Stats.Duration.Seconds(),
-		Identical:       ReportFingerprint(serial) == ReportFingerprint(par),
-		States:          par.Stats.StatesChecked,
-		Bugs:            len(par.Bugs),
-	}
-	if res.ParallelSeconds > 0 {
-		res.Speedup = res.SerialSeconds / res.ParallelSeconds
-	}
-	return res, nil
-}
-
 // Speedups measures the three strategies on one (program, fs) pair.
 func Speedups(fsName, progName string, h5p workloads.H5Params) (*SpeedupResult, error) {
 	prog, err := ProgramByName(progName)

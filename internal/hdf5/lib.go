@@ -614,10 +614,3 @@ func ParseDims(b []byte) (rows, cols int, err error) {
 	}
 	return d[0], d[1], nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -55,13 +55,6 @@ type Collector interface {
 	CollectMetrics(dst []Metric) []Metric
 }
 
-// CollectorFunc adapts a function to the Collector interface (synthetic
-// series such as bench throughput, wrappers composing collectors).
-type CollectorFunc func(dst []Metric) []Metric
-
-// CollectMetrics implements Collector.
-func (f CollectorFunc) CollectMetrics(dst []Metric) []Metric { return f(dst) }
-
 // CollectMetrics implements Collector on a Run: counters, then gauges,
 // then timers (each timer as two counter samples, <name>/seconds and
 // <name>/count), all in registration order. A nil run collects nothing.

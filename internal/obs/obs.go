@@ -280,7 +280,7 @@ type TimerStat struct {
 }
 
 // Summary is the end-of-run metrics snapshot: the schema behind the
-// -metrics JSON file and the BENCH_*.json trajectory.
+// -metrics JSON file.
 type Summary struct {
 	StartedAt   time.Time        `json:"started_at"`
 	WallSeconds float64          `json:"wall_seconds"`

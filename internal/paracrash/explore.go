@@ -1310,10 +1310,3 @@ func (s *session) visitOrdered(states []CrashState, skip func(CrashState) bool, 
 		}
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -77,6 +77,18 @@ func runJobs(t *testing.T, s *Scheduler, st *Store, req JobRequest, n int) ([]ti
 	return lat, last
 }
 
+// percentile picks the pth percentile from sorted latencies (nearest-rank).
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(p * float64(len(sorted)))
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
+}
+
 func medianOf(ds []time.Duration) time.Duration {
 	s := slices.Clone(ds)
 	slices.Sort(s)

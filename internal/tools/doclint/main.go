@@ -3,14 +3,18 @@
 // functions, methods, and const/var groups — must be documented. It is
 // the documentation gate behind `make doclint` (part of `make ci`).
 //
+// A root that holds a Makefile gets one more check: every `make <target>`
+// its README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md cite in backticks
+// must name a target the Makefile defines, so deleting a target cannot
+// leave the prose pointing at nothing.
+//
 // Usage:
 //
 //	go run ./internal/tools/doclint [-skip dir,dir] [root ...]
 //
 // Each root is walked recursively; _test.go files, testdata and any
-// -skip directories are ignored. Exit status is 1 when any exported
-// identifier is undocumented, with one "file:line: identifier" per
-// finding.
+// -skip directories are ignored. Exit status is 1 on any finding, printed
+// one "file:line: problem" per line.
 package main
 
 import (
@@ -22,6 +26,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -69,13 +74,60 @@ func main() {
 	for _, dir := range dirs {
 		problems = append(problems, lintDir(dir)...)
 	}
+	for _, root := range roots {
+		problems = append(problems, lintMakeTargets(root)...)
+	}
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Println(p)
 		}
-		fmt.Fprintf(os.Stderr, "doclint: %d undocumented exported identifiers\n", len(problems))
+		fmt.Fprintf(os.Stderr, "doclint: %d problems\n", len(problems))
 		os.Exit(1)
 	}
+}
+
+var (
+	// makeRule matches a rule line of a Makefile; special targets such as
+	// .PHONY start with a dot and are not rules anyone cites.
+	makeRule = regexp.MustCompile(`(?m)^([A-Za-z0-9][A-Za-z0-9_.-]*)[ \t]*:(?:[^=]|$)`)
+	// makeCite matches a backticked `make <target>` in prose, with or
+	// without arguments after the target. Option-first and VAR=value-first
+	// forms name no target in that position and are left alone.
+	makeCite = regexp.MustCompile("`make ([A-Za-z0-9][A-Za-z0-9_.-]*)[ `]")
+)
+
+// lintMakeTargets reports every `make <target>` cited in root's documents
+// whose target root's Makefile does not define. A root without a Makefile
+// has nothing to check.
+func lintMakeTargets(root string) []string {
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return nil
+	}
+	targets := map[string]bool{}
+	for _, m := range makeRule.FindAllSubmatch(mk, -1) {
+		targets[string(m[1])] = true
+	}
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		docs = append(docs, filepath.Join(root, name))
+	}
+	sort.Strings(docs)
+	var out []string
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			continue
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range makeCite.FindAllStringSubmatch(line, -1) {
+				if !targets[m[1]] {
+					out = append(out, fmt.Sprintf("%s:%d: `make %s` names no target in the Makefile", doc, i+1, m[1]))
+				}
+			}
+		}
+	}
+	return out
 }
 
 func hasGoFiles(dir string) bool {
