@@ -498,12 +498,27 @@ type SpeedupResult struct {
 	BruteBugs, PrunedBugs, OptBug int
 }
 
+// fingerprintStats are the Stats a ReportFingerprint covers: the trace and
+// state counts, which every path through one configuration must reproduce.
+type fingerprintStats struct {
+	TraceOps, LowermostOps                    int
+	StatesGenerated, StatesChecked            int
+	StatesDeduped, StateClasses, StatesPruned int
+}
+
 // ReportFingerprint canonicalises a report for equality comparison across
-// runs: every field except the wall-clock Duration (the one quantity a
-// parallel run is allowed to change).
+// serial, parallel, sharded, resumed and faulted runs: verdicts and state
+// counts (generated, checked, deduped, pruned, classes), but not the
+// quantities those paths legitimately change — wall-clock Duration and the
+// measured effort (restores, op replays, the legal-set sizes actually
+// enumerated, verdicts resumed from a journal).
 func ReportFingerprint(rep *paracrash.Report) string {
-	stats := rep.Stats
-	stats.Duration = 0
+	st := rep.Stats
+	stats := fingerprintStats{
+		TraceOps: st.TraceOps, LowermostOps: st.LowermostOps,
+		StatesGenerated: st.StatesGenerated, StatesChecked: st.StatesChecked,
+		StatesDeduped: st.StatesDeduped, StateClasses: st.StateClasses, StatesPruned: st.StatesPruned,
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|%s|%s|%+v|%d|%d\n", rep.Program, rep.FS, rep.Mode, stats, rep.Inconsistent, rep.LibOnly)
 	for _, st := range rep.States {

@@ -19,13 +19,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with the cur
 // goldenModes are the three exploration strategies every golden cell runs.
 var goldenModes = []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning, paracrash.ModeOptimized}
 
-// TestIncrementalGoldenFingerprints pins the complete report — verdicts and
-// effort stats, everything but Duration — of every cell of the differential
-// matrix (6 backends × incrementalPrograms × 3 modes × Workers {1,4}), plus
-// H5-create on every backend so the top-down library branch of the verdict
-// is covered. The golden file was generated by the engines this one replaced
-// and must never need regenerating for an engine refactor: a diff here means
-// report bytes moved.
+// TestIncrementalGoldenFingerprints pins the report of every cell of the
+// differential matrix (6 backends × incrementalPrograms × 3 modes × Workers
+// {1,4}), plus H5-create on every backend so the top-down library branch of
+// the verdict is covered: the ReportFingerprint hash (verdicts and state
+// counts) on every line, and the measured restores and op replays on the
+// serial lines. A hash diff means report bytes moved; an effort diff means
+// the engine does different work, which a change must name beforehand.
 func TestIncrementalGoldenFingerprints(t *testing.T) {
 	h5, err := exps.ProgramByName("H5-create")
 	if err != nil {
@@ -76,7 +76,14 @@ func TestIncrementalGoldenFingerprints(t *testing.T) {
 	}
 }
 
+// goldenLine writes one cell: the ReportFingerprint hash, plus the effort
+// counts on serial cells. A parallel run's effort depends on speculative-skip
+// timing, so workers=4 lines carry the hash only.
 func goldenLine(buf *bytes.Buffer, backend, prog string, mode paracrash.Mode, workers int, rep *paracrash.Report) {
-	fmt.Fprintf(buf, "%s/%s/%s/workers=%d %x\n", backend, prog, mode, workers,
+	fmt.Fprintf(buf, "%s/%s/%s/workers=%d %x", backend, prog, mode, workers,
 		sha256.Sum256([]byte(exps.ReportFingerprint(rep))))
+	if workers == 1 {
+		fmt.Fprintf(buf, " restores=%d replayed=%d", rep.Stats.ServerRestores, rep.Stats.OpsReplayed)
+	}
+	buf.WriteByte('\n')
 }
