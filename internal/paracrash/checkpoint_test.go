@@ -21,8 +21,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("fresh resume = %v, %v", got, err)
 	}
 	want := map[string]checkResult{
-		"f1|k1": {consistent: true, pfsLegalN: 3, libLegalN: 2},
-		"f1|k2": {consistent: false, layer: "PFS", consequence: "data loss", state: "s", pfsLegalN: 1},
+		"f1|k1": {consistent: true},
+		"f1|k2": {consistent: false, layer: "PFS", consequence: "data loss", state: "s"},
 		"f2|k1": {consistent: true},
 	}
 	for k, r := range want {
@@ -145,9 +145,10 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 }
 
 // TestCheckpointVersionAndHeaderDamage: wrong version or an unparsable
-// header both mean a fresh start with a warning, never an error. The v1 case
-// is a journal as the previous format wrote it (its fingerprint still
-// carries the notsp/noinc fields version 2 dropped).
+// header both mean a fresh start with a warning, never an error. The v1 and
+// v2 cases are journals as earlier formats wrote them: v1's fingerprint
+// still carries the notsp/noinc fields version 2 dropped, v2's the norep
+// field and per-record legal-set sizes version 3 dropped.
 func TestCheckpointVersionAndHeaderDamage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	cases := map[string]string{
@@ -156,6 +157,8 @@ func TestCheckpointVersionAndHeaderDamage(t *testing.T) {
 		"empty":   "",
 		"v1": `{"version":1,"config":"v1|ARVR|beegfs|pruning|pfs=2|lib=3|k=1|fm=0|mf=20000|ms=200000|mlo=20|mls=50000|nosem=false|notsp=false|norep=false|noinc=false"}` + "\n" +
 			`{"key":"a|1","consistent":true}` + "\n",
+		"v2": `{"version":2,"config":"v2|ARVR|beegfs|pruning|pfs=2|lib=3|k=1|fm=0|mf=20000|ms=200000|mlo=20|mls=50000|nosem=false|norep=false"}` + "\n" +
+			`{"key":"a|1","consistent":true,"pfs_legal_n":3}` + "\n",
 		"dupkeys": fmt.Sprintf(`{"version":%d,"config":"cfg"}`, checkpointVersion) + "\n" + `{"key":"a"}` + "\n" + `{"key":"a"}` + "\n",
 	}
 	for name, content := range cases {
@@ -223,16 +226,11 @@ func TestCheckpointConfigCoversVerdictKnobs(t *testing.T) {
 		t.Error("fingerprint ignores file system")
 	}
 
-	norep := DefaultOptions()
-	norep.DisableRepresentative = true
-	if checkpointConfig("ARVR", "beegfs", norep) == fp {
-		t.Error("fingerprint ignores DisableRepresentative: representative journals hold one record per class, so a journal written in one mode must not resume a run in the other")
-	}
-
 	transparent := DefaultOptions()
 	transparent.Workers = 7
 	transparent.Retry = RetryPolicy{MaxAttempts: 9}
+	transparent.DisableRepresentative = true
 	if checkpointConfig("ARVR", "beegfs", transparent) != fp {
-		t.Error("fingerprint moves on verdict-transparent options (Workers/Retry)")
+		t.Error("fingerprint moves on verdict-transparent options (Workers/Retry/DisableRepresentative)")
 	}
 }

@@ -3,6 +3,7 @@ package paracrash_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -164,6 +165,76 @@ func TestCheckpointResumeIdentical(t *testing.T) {
 		t.Fatalf("unexpected resume warnings: %v", w)
 	}
 	t.Logf("resumed %d verdicts", ckpt.Resumed())
+}
+
+// runARVR runs the beegfs/ARVR cell and returns the report.
+func runARVR(t *testing.T, opts paracrash.Options) *paracrash.Report {
+	t.Helper()
+	prog, err := exps.ProgramByName("ARVR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := exps.RunOne("beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestCheckpointResumeMeasuresEffort: a run over a complete journal takes
+// its verdicts from the journal, says so in StatesResumed, and does less
+// physical work than the run that wrote it — the restores it reports are
+// the ones it performed, not the ones a fresh walk would have.
+func TestCheckpointResumeMeasuresEffort(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	opts := paracrash.DefaultOptions()
+	opts.Checkpoint = paracrash.OpenCheckpoint(path)
+	fresh := runARVR(t, opts)
+	opts.Checkpoint = paracrash.OpenCheckpoint(path)
+	resumed := runARVR(t, opts)
+
+	if fresh.Stats.StatesResumed != 0 {
+		t.Errorf("fresh run reports %d resumed verdicts", fresh.Stats.StatesResumed)
+	}
+	if resumed.Stats.StatesResumed == 0 {
+		t.Error("resumed run reports no resumed verdicts")
+	}
+	if resumed.Stats.ServerRestores >= fresh.Stats.ServerRestores {
+		t.Errorf("resumed run restored %d servers, fresh run %d: resuming saved no work",
+			resumed.Stats.ServerRestores, fresh.Stats.ServerRestores)
+	}
+	if exps.ReportFingerprint(resumed) != exps.ReportFingerprint(fresh) {
+		t.Error("resumed report differs from the fresh one")
+	}
+}
+
+// TestCheckpointResumeAcrossRepresentative: DisableRepresentative is not
+// part of the journal fingerprint, because check consults the class before
+// the journal. A journal written with representative exploration off
+// resumes into a run with it on, and the reverse, each reproducing a fresh
+// run of the reading configuration.
+func TestCheckpointResumeAcrossRepresentative(t *testing.T) {
+	for _, writerOff := range []bool{true, false} {
+		path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+		writer := paracrash.DefaultOptions()
+		writer.DisableRepresentative = writerOff
+		writer.Checkpoint = paracrash.OpenCheckpoint(path)
+		runARVR(t, writer)
+
+		reader := paracrash.DefaultOptions()
+		reader.DisableRepresentative = !writerOff
+		want := exps.ReportFingerprint(runARVR(t, reader))
+		ckpt := paracrash.OpenCheckpoint(path)
+		reader.Checkpoint = ckpt
+		got := runARVR(t, reader)
+		label := fmt.Sprintf("journal written with DisableRepresentative=%t", writerOff)
+		if w := ckpt.Warnings(); len(w) != 0 || ckpt.Resumed() == 0 {
+			t.Errorf("%s: resumed %d verdicts, warnings %v", label, ckpt.Resumed(), w)
+		}
+		if fp := exps.ReportFingerprint(got); fp != want {
+			t.Errorf("%s: resumed report differs from a fresh run:\n--- fresh ---\n%s--- resumed ---\n%s", label, want, fp)
+		}
+	}
 }
 
 // TestChaosResumeDeterminism is the `make chaos` gate: a run under random

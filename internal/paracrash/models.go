@@ -282,7 +282,9 @@ func (lo *LayerOps) ClosedSet(status []Status) map[int]bool {
 // PreservedSets enumerates the legal preserved sets of the layer under the
 // model for the given front statuses, invoking visit with the positions of
 // preserved ops (ascending) until visit returns false or limit sets have
-// been produced (limit <= 0 means unlimited).
+// been produced (limit <= 0 means unlimited). It reports whether the limit
+// cut the enumeration short: the check is made on the set after the last
+// allowed one, so an enumeration holding exactly limit sets is not capped.
 //
 // Required ops depend on the model; optional ops may each be present or
 // absent. Strict and causal additionally require downward closure under
@@ -290,7 +292,7 @@ func (lo *LayerOps) ClosedSet(status []Status) map[int]bool {
 // directly (ideals of the candidate poset, with branches that can no
 // longer include a required op pruned), so the cost is proportional to the
 // number of legal sets rather than 2^n.
-func (lo *LayerOps) PreservedSets(m Model, status []Status, limit int, visit func(sel []int) bool) {
+func (lo *LayerOps) PreservedSets(m Model, status []Status, limit int, visit func(sel []int) bool) (capped bool) {
 	var candidates []int
 	required := map[int]bool{}
 	switch m {
@@ -346,6 +348,10 @@ func (lo *LayerOps) PreservedSets(m Model, status []Status, limit int, visit fun
 			return
 		}
 		if k == len(candidates) {
+			if limit > 0 && count >= limit {
+				capped, stopped = true, true
+				return
+			}
 			out := make([]int, 0, len(candidates))
 			for i, c := range candidates {
 				if in[i] {
@@ -353,9 +359,7 @@ func (lo *LayerOps) PreservedSets(m Model, status []Status, limit int, visit fun
 				}
 			}
 			count++
-			if !visit(out) || (limit > 0 && count >= limit) {
-				stopped = true
-			}
+			stopped = !visit(out)
 			return
 		}
 		c := candidates[k]
@@ -398,4 +402,5 @@ func (lo *LayerOps) PreservedSets(m Model, status []Status, limit int, visit fun
 		rec(k + 1)
 	}
 	rec(0)
+	return capped
 }

@@ -1,10 +1,13 @@
 package paracrash
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"paracrash/internal/causality"
+	"paracrash/internal/obs"
+	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
 	"paracrash/internal/vfs"
 )
@@ -136,6 +139,80 @@ func TestPreservedSetsRespectLimit(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("limit ignored: %d sets", n)
 	}
+}
+
+// TestPreservedSetsCapped: the fixture's commit model has 8 sets. A limit
+// below that is reported as capped; a limit the enumeration ends exactly at,
+// or above it, is not.
+func TestPreservedSetsCapped(t *testing.T) {
+	g, lo := buildLayerFixture()
+	status := lo.StatusAgainst(fullFront(g))
+	for _, tc := range []struct {
+		limit, want int
+		capped      bool
+	}{{7, 7, true}, {8, 8, false}, {9, 8, false}} {
+		n := 0
+		capped := lo.PreservedSets(ModelCommit, status, tc.limit, func([]int) bool { n++; return true })
+		if n != tc.want || capped != tc.capped {
+			t.Errorf("limit %d: %d sets, capped=%t; want %d, capped=%t", tc.limit, n, capped, tc.want, tc.capped)
+		}
+	}
+}
+
+// LegalCapCounts is exported to the external tests, which can build library
+// cells. On the cell newCell builds, it finds the generated state whose
+// front has the most preserved sets on layer ("pfs" or "lib") — n of them —
+// and enumerates that front's legal set on a fresh session at
+// MaxLegalStates n-1, n and n+1, returning the layer's capped counter and
+// the set size after each.
+func LegalCapCounts(newCell func() (pfs.FileSystem, Library, Workload), layer string) (n int, capped, sizes [3]int, err error) {
+	open := func(limit int) (*session, *obs.Run, error) {
+		fs, lib, w := newCell()
+		opts := DefaultOptions()
+		opts.MaxLegalStates = limit
+		opts.Obs = obs.NewRun()
+		s, err := prepare(context.Background(), fs, lib, w, opts)
+		return s, opts.Obs, err
+	}
+	layerOps := func(s *session) (*LayerOps, Model) {
+		if layer == "lib" {
+			return s.libOps, s.opts.LibModel
+		}
+		return s.pfsOps, s.opts.PFSModel
+	}
+	s, _, err := open(0)
+	if err != nil {
+		return 0, capped, sizes, err
+	}
+	lo, model := layerOps(s)
+	var widest CrashState
+	s.emu.Generate(s.opts.emulatorConfig(), func(cs CrashState) bool {
+		c := 0
+		lo.PreservedSets(model, lo.StatusAgainst(cs.Front), 0, func([]int) bool { c++; return true })
+		if c > n {
+			n, widest = c, cs
+		}
+		return true
+	})
+	for i, limit := range []int{n - 1, n, n + 1} {
+		s, r, err := open(limit)
+		if err != nil {
+			return n, capped, sizes, err
+		}
+		lo, _ := layerOps(s)
+		status := lo.StatusAgainst(widest.Front)
+		if layer == "lib" {
+			sizes[i] = len(s.legalLib(widest, status))
+		} else {
+			set, err := s.legalPFS(widest, status)
+			if err != nil {
+				return n, capped, sizes, err
+			}
+			sizes[i] = len(set)
+		}
+		capped[i] = int(r.Summary().Counters["legal/"+layer+"-capped"])
+	}
+	return n, capped, sizes, nil
 }
 
 func TestCausalClosureEnforced(t *testing.T) {

@@ -9,12 +9,13 @@ import (
 	"paracrash/internal/workloads"
 )
 
-// durRE matches the wall-clock field of Report.Format, the only part of a
-// report that legitimately differs between runs.
-var durRE = regexp.MustCompile(`\| [0-9.]+s`)
+// effortRE matches the effort line of Report.Format — legal-set sizes,
+// restores, op replays and wall-clock time — the part of a report that
+// legitimately differs between runs of one configuration.
+var effortRE = regexp.MustCompile(`(?m)^legal states: .*$`)
 
 // runFingerprinted runs one (program, file system) cell and returns both the
-// structural fingerprint and the rendered report with timings masked.
+// structural fingerprint and the rendered report with effort masked.
 func runFingerprinted(t *testing.T, fsName, progName string, mode paracrash.Mode, workers int) (string, string) {
 	t.Helper()
 	prog, err := exps.ProgramByName(progName)
@@ -28,14 +29,14 @@ func runFingerprinted(t *testing.T, fsName, progName string, mode paracrash.Mode
 	if err != nil {
 		t.Fatalf("RunOne(%s on %s, workers=%d): %v", progName, fsName, workers, err)
 	}
-	return exps.ReportFingerprint(rep), durRE.ReplaceAllString(rep.Format(), "| <dur>")
+	return exps.ReportFingerprint(rep), effortRE.ReplaceAllString(rep.Format(), "legal states: <effort>")
 }
 
 // TestParallelMatchesSerial is the parallel engine's contract: for every
 // backend and a representative workload mix, a 4-worker exploration must
 // produce a report identical to the serial engine's — same crash states, same
-// bugs with the same dedup keys, same statistics, same rendered text modulo
-// wall-clock time.
+// bugs with the same dedup keys, same state counts, same rendered text modulo
+// the effort line.
 func TestParallelMatchesSerial(t *testing.T) {
 	type cell struct {
 		prog string

@@ -112,10 +112,10 @@ func TestShardMergeEquivalenceKnobs(t *testing.T) {
 			// attributed from a representative carry a verdict but no check.
 			checked, verdicts := 0, 0
 			for _, sr := range reports {
-				if sr.StatesChecked > len(sr.Verdicts) {
-					t.Errorf("shard %s: StatesChecked %d exceeds its %d verdicts", sr.Shard, sr.StatesChecked, len(sr.Verdicts))
+				if sr.Stats.StatesChecked > len(sr.Verdicts) {
+					t.Errorf("shard %s: StatesChecked %d exceeds its %d verdicts", sr.Shard, sr.Stats.StatesChecked, len(sr.Verdicts))
 				}
-				checked += sr.StatesChecked
+				checked += sr.Stats.StatesChecked
 				verdicts += len(sr.Verdicts)
 			}
 			if opts.DisableRepresentative {
