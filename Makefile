@@ -3,12 +3,18 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental emulate selfcheck clean
+.PHONY: all build crossbuild vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental emulate selfcheck clean
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+# `make crossbuild`: the tree must also build for the platforms without
+# inotify, which take the polling fallback in internal/serve/watch_other.go.
+crossbuild:
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -42,7 +48,7 @@ race:
 	$(GO) test -race ./...
 
 # Everything a change must pass before it lands.
-ci: build vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental emulate selfcheck benchcheck
+ci: build crossbuild vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental emulate selfcheck benchcheck
 
 # The benchmark harness checking itself (benchmark/ is a module of its own,
 # so `go test ./...` does not reach it): every workload's verdicts against

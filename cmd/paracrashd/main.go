@@ -35,7 +35,7 @@
 // The coordinator partitions explore jobs into shards; workers claim
 // shards via leases, judge them (journaling verdicts so a dead worker's
 // shard resumes where it stopped), and the coordinator merges the results
-// into the byte-identical standalone report. -tenants arms multi-tenant
+// into a report with the standalone run's verdicts. -tenants arms multi-tenant
 // authentication, quotas, rate limits and priority scheduling; see
 // docs/OPERATIONS.md.
 package main

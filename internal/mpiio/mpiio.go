@@ -110,12 +110,3 @@ func Barrier(rec *trace.Recorder, procs []string) {
 		rec.Record(trace.Op{Layer: trace.LayerMPI, Proc: p, Name: "MPI_Barrier(exit)", MsgID: m})
 	}
 }
-
-// BarrierClients is a convenience for workloads holding open files.
-func BarrierClients(rec *trace.Recorder, files ...*File) {
-	procs := make([]string, len(files))
-	for i, f := range files {
-		procs[i] = f.Proc()
-	}
-	Barrier(rec, procs)
-}

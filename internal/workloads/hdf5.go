@@ -282,11 +282,6 @@ func H5ParallelResize(p H5Params) *H5Workload {
 	}
 }
 
-// H5Programs returns the sequential library programs in paper order.
-func H5Programs(p H5Params) []*H5Workload {
-	return []*H5Workload{H5Create(p), H5Delete(p), H5Rename(p), H5Resize(p), CDFCreate(p)}
-}
-
 // ParallelPrograms returns the parallel library programs.
 func ParallelPrograms(p H5Params) []*H5Workload {
 	return []*H5Workload{H5ParallelCreate(p), H5ParallelResize(p)}
