@@ -221,12 +221,12 @@ func EmulatorDiff(fs pfs.FileSystem, lib Library, w Workload, cfg EmulatorConfig
 	}
 	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
 		agree(cs)
-		res := s.check(cs)
+		res, _ := s.check(cs)
 		return res.consistent || res.skipped, res.state
 	})
 	for _, cs := range got {
 		agree(cs)
-		res := s.check(cs)
+		res, _ := s.check(cs)
 		if res.consistent || res.skipped {
 			continue
 		}
