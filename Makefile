@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build crossbuild vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental emulate selfcheck clean
+.PHONY: all build crossbuild vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental emulate legal selfcheck clean
 
 all: build vet test
 
@@ -48,7 +48,7 @@ race:
 	$(GO) test -race ./...
 
 # Everything a change must pass before it lands.
-ci: build crossbuild vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental emulate selfcheck benchcheck
+ci: build crossbuild vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental emulate legal selfcheck benchcheck
 
 # The benchmark harness checking itself (benchmark/ is a module of its own,
 # so `go test ./...` does not reach it): every workload's verdicts against
@@ -82,6 +82,18 @@ incremental:
 # the allocation and memory bounds, and both caps tested at the cap.
 emulate:
 	$(GO) test ./internal/causality ./internal/paracrash -run 'TestEmulator|TestPersistOrder|TestGenerate' -count=1
+
+# `make legal`: the library legal-state walk (LayerOps.walk over resumable
+# replays, skipping subtrees whose replay state was walked) against the
+# from-scratch enumeration kept in legal_reference_test.go: every paper
+# program's library status vectors on all six backends, four models, k <= 2,
+# caps n-1, n and n+1, with legal/lib-sets reconciled to PreservedSets; the
+# replay-step unit tests in hdf5 and stack; and a Workers=4 run under -race
+# for the parse memo the workers share.
+legal:
+	$(GO) test ./internal/hdf5 ./internal/stack -run 'TestClone|TestAppendState|TestReplay|TestDigest' -count=1
+	$(GO) test ./internal/paracrash/ -run 'TestLegalLib' -count=1 -v
+	$(GO) test -race ./internal/paracrash/ -run 'TestLegalLibParallel' -count=1
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

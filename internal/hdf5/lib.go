@@ -1,8 +1,12 @@
 package hdf5
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -91,6 +95,38 @@ func Open(be Backend) (*File, error) {
 
 // Image returns the current in-memory image (for inspection).
 func (f *File) Image() []byte { return append([]byte(nil), f.img...) }
+
+// Clone returns a copy of f that flushes to be: the image, the dirty set and
+// the superblock are copied, so neither file's writes reach the other.
+func (f *File) Clone(be Backend) *File {
+	return &File{be: be, img: bytes.Clone(f.img), dirty: maps.Clone(f.dirty), sup: f.sup}
+}
+
+// AppendState appends everything a later op or flush of f depends on
+// besides its backend — the image, the dirty extents in address order and
+// the superblock — to b, length-prefixed, so two files append the same bytes
+// exactly when they are in the same state.
+func (f *File) AppendState(b []byte) []byte {
+	addrs := make([]int64, 0, len(f.dirty))
+	for a := range f.dirty {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(f.img)))
+	b = append(b, f.img...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(addrs)))
+	for _, a := range addrs {
+		d := f.dirty[a]
+		b = binary.LittleEndian.AppendUint64(b, uint64(a))
+		b = binary.LittleEndian.AppendUint64(b, uint64(d.size))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(d.tag)))
+		b = append(b, d.tag...)
+	}
+	for _, v := range []int64{f.sup.Root, f.sup.EOF, int64(f.sup.Status)} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
 
 // alloc reserves size bytes at EOF.
 func (f *File) alloc(size int) int64 {

@@ -48,8 +48,23 @@ type Library interface {
 	// the tree, returning the repaired tree and whether anything changed.
 	RecoverTree(t *pfs.Tree) (*pfs.Tree, bool)
 	// Replay re-executes the given library ops on a fresh copy of the
-	// seeded state and returns the canonical logical state.
+	// seeded state and returns the canonical logical state: LegalState of
+	// Apply folded over ops from Start.
 	Replay(ops []*trace.Op) (string, error)
+
+	// Start returns the replay state of the seeded image before any op.
+	// Replay states are values: Apply returns a new state and leaves the one
+	// it is given untouched, so a walk can branch from any of them.
+	Start() any
+	// Apply returns st with op replayed on it. An op whose prerequisites st
+	// lacks is lost, as in a crash.
+	Apply(st any, op *trace.Op) any
+	// Digest identifies a replay state: states with equal digests reach
+	// equal states under every sequence of further ops.
+	Digest(st any) string
+	// LegalState persists a copy of st and returns its canonical logical
+	// state.
+	LegalState(st any) (string, error)
 }
 
 // Mode selects the crash-state exploration strategy (paper §5 and §6.4).
@@ -466,6 +481,9 @@ type session struct {
 	ctrSkipped       *obs.Counter
 	ctrLegalPFSCap   *obs.Counter
 	ctrLegalLibCap   *obs.Counter
+	ctrLibSets       *obs.Counter // sets the library model admits, skipped subtrees included
+	ctrLibReplayed   *obs.Counter // leaves turned into a legal state
+	ctrLibSteps      *obs.Counter // library op applies
 	gaugeLegalPFS    *obs.Gauge
 	gaugeLegalLib    *obs.Gauge
 }
@@ -488,6 +506,9 @@ func (s *session) bindObs(r *obs.Run, prefix string) {
 	s.ctrSkipped = r.Counter(prefix + "states/skipped")
 	s.ctrLegalPFSCap = r.Counter(prefix + "legal/pfs-capped")
 	s.ctrLegalLibCap = r.Counter(prefix + "legal/lib-capped")
+	s.ctrLibSets = r.Counter(prefix + "legal/lib-sets")
+	s.ctrLibReplayed = r.Counter(prefix + "legal/lib-replayed")
+	s.ctrLibSteps = r.Counter(prefix + "legal/lib-steps")
 	s.gaugeLegalPFS = r.Gauge(prefix + "legal/pfs")
 	s.gaugeLegalLib = r.Gauge(prefix + "legal/lib")
 }
@@ -674,11 +695,7 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 		return nil, fmt.Errorf("paracrash: golden replay: %w", err)
 	}
 	if s.libOps != nil {
-		allLib := make([]int, s.libOps.Len())
-		for i := range allLib {
-			allLib[i] = i
-		}
-		s.goldenLib, _ = s.replayLib(allLib)
+		s.goldenLib, _ = lib.Replay(s.libOps.Ops)
 	}
 	stopGraph()
 	return s, nil
@@ -1162,18 +1179,17 @@ func firstLineDiff(a, b string) string {
 	return "no textual diff"
 }
 
-// legalCache holds the legal-state sets and the replays that enumerate
+// legalCache holds the legal-state sets and the PFS replays that enumerate
 // them. Both are pure functions of the selection, so the sessions of one
-// parallel run share a cache: each set is enumerated, and each selection
-// replayed, once per run instead of once per worker. mu is held for a whole
-// enumeration, which also makes that work independent of which session
-// reaches a set first. Sessions that own a cache alone (prepare's golden
-// replays) may skip the lock.
+// parallel run share a cache: each set is enumerated, and each PFS
+// selection replayed, once per run instead of once per worker. mu is held
+// for a whole enumeration, which also makes that work independent of which
+// session reaches a set first. Sessions that own a cache alone (prepare's
+// golden replay) may skip the lock.
 type legalCache struct {
 	mu         sync.Mutex
 	pfsReplays map[string]string
 	pfsSets    map[string]map[string]bool
-	libReplays map[string]string
 	libSets    map[string]map[string]bool
 }
 
@@ -1181,7 +1197,6 @@ func newLegalCache() *legalCache {
 	return &legalCache{
 		pfsReplays: map[string]string{},
 		pfsSets:    map[string]map[string]bool{},
-		libReplays: map[string]string{},
 		libSets:    map[string]map[string]bool{},
 	}
 }
@@ -1224,7 +1239,10 @@ func (s *session) legalPFS(cs CrashState, status []Status) (map[string]bool, err
 	return set, nil
 }
 
-// legalLib returns the set of legal library logical states for the front.
+// legalLib returns the set of legal library logical states for the front,
+// enumerated in one walk that applies one op per include edge to a
+// resumable replay and skips every subtree whose replay state it has walked
+// (see LayerOps.walk).
 func (s *session) legalLib(cs CrashState, status []Status) map[string]bool {
 	key := statusKey(status)
 	s.legal.mu.Lock()
@@ -1238,12 +1256,19 @@ func (s *session) legalLib(cs CrashState, status []Status) map[string]bool {
 		return set
 	}
 	set := map[string]bool{}
-	if s.libOps.PreservedSets(s.opts.LibModel, status, s.opts.MaxLegalStates, func(sel []int) bool {
-		if st, err := s.replayLib(sel); err == nil {
-			set[st] = true
+	step := func(st any, pos int) any {
+		s.ctrLibSteps.Inc()
+		return s.lib.Apply(st, s.libOps.Ops[pos])
+	}
+	n, capped := s.libOps.walk(s.opts.LibModel, status, s.opts.MaxLegalStates, s.lib.Start(), step, s.lib.Digest, func(_ []int, st any) bool {
+		s.ctrLibReplayed.Inc()
+		if ls, err := s.lib.LegalState(st); err == nil {
+			set[ls] = true
 		}
 		return true
-	}) {
+	})
+	s.ctrLibSets.Add(int64(n))
+	if capped {
 		s.ctrLegalLibCap.Inc()
 	}
 	s.legal.libSets[key] = set
@@ -1297,24 +1322,6 @@ func (s *session) replayPFS(sel []int) (string, error) {
 		return "", err
 	}
 	s.legal.pfsReplays[key] = st
-	return st, nil
-}
-
-// replayLib re-executes the selected library ops via the library's replayer.
-func (s *session) replayLib(sel []int) (string, error) {
-	key := intsKey(sel)
-	if st, ok := s.legal.libReplays[key]; ok {
-		return st, nil
-	}
-	ops := make([]*trace.Op, len(sel))
-	for i, pos := range sel {
-		ops[i] = s.libOps.Ops[pos]
-	}
-	st, err := s.lib.Replay(ops)
-	if err != nil {
-		return "", err
-	}
-	s.legal.libReplays[key] = st
 	return st, nil
 }
 

@@ -19,6 +19,7 @@ package paracrash
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"paracrash/internal/causality"
@@ -293,6 +294,24 @@ func (lo *LayerOps) ClosedSet(status []Status) map[int]bool {
 // longer include a required op pruned), so the cost is proportional to the
 // number of legal sets rather than 2^n.
 func (lo *LayerOps) PreservedSets(m Model, status []Status, limit int, visit func(sel []int) bool) (capped bool) {
+	_, capped = lo.walk(m, status, limit, nil, nil, nil, func(sel []int, _ any) bool { return visit(sel) })
+	return capped
+}
+
+// walk is PreservedSets' include/exclude recursion carrying a replay state:
+// each include edge steps the state by that op (step nil: the state stays
+// root), and each leaf receives its set with the state its ops reached. It
+// returns how many sets the model admits up to limit.
+//
+// With digest non-nil, a subtree is walked once per key: its depth, the
+// in/out bits of the earlier candidates that a candidate at or below it
+// names as a predecessor (the only earlier choices it can see; none under
+// commit and baseline) and the digest of the state entering it. A second
+// subtree with the same key offers the same choices from the same state, so
+// its leaves reach states already visited: it is skipped, and only the
+// number of sets it holds — memoised when it was walked — is counted, so
+// limit cuts the enumeration exactly where the full walk would.
+func (lo *LayerOps) walk(m Model, status []Status, limit int, root any, step func(st any, pos int) any, digest func(st any) string, leaf func(sel []int, st any) bool) (sets int, capped bool) {
 	var candidates []int
 	required := map[int]bool{}
 	switch m {
@@ -339,13 +358,48 @@ func (lo *LayerOps) PreservedSets(m Model, status []Status, limit int, visit fun
 		}
 	}
 
+	// lastUse[p] is the last candidate naming candidate p as a predecessor
+	// (-1: none), so p's bit is part of the subtree keys down to that depth.
+	lastUse := make([]int, len(candidates))
+	for p := range lastUse {
+		lastUse[p] = -1
+	}
+	for k, ps := range preds {
+		for _, p := range ps {
+			lastUse[p] = k
+		}
+	}
+	walked := map[string]int{} // subtree key -> sets below it
+
 	in := make([]bool, len(candidates))
 	count := 0
 	stopped := false
-	var rec func(k int)
-	rec = func(k int) {
+	var rec func(k int, st any)
+	rec = func(k int, st any) {
 		if stopped {
 			return
+		}
+		if digest != nil {
+			key := append(strconv.AppendInt(nil, int64(k), 10), ':')
+			for p := 0; p < k; p++ {
+				if lastUse[p] >= k {
+					key = strconv.AppendBool(key, in[p])
+				}
+			}
+			key = append(key, digest(st)...)
+			if n, ok := walked[string(key)]; ok {
+				if limit > 0 && count+n > limit {
+					count, capped, stopped = limit, true, true
+				} else {
+					count += n
+				}
+				return
+			}
+			defer func(from int) {
+				if !stopped {
+					walked[string(key)] = count - from
+				}
+			}(count)
 		}
 		if k == len(candidates) {
 			if limit > 0 && count >= limit {
@@ -359,7 +413,7 @@ func (lo *LayerOps) PreservedSets(m Model, status []Status, limit int, visit fun
 				}
 			}
 			count++
-			stopped = !visit(out)
+			stopped = !leaf(out, st)
 			return
 		}
 		c := candidates[k]
@@ -375,8 +429,12 @@ func (lo *LayerOps) PreservedSets(m Model, status []Status, limit int, visit fun
 			}
 		}
 		if canInclude {
+			next := st
+			if step != nil {
+				next = step(st, c)
+			}
 			in[k] = true
-			rec(k + 1)
+			rec(k+1, next)
 			in[k] = false
 			if stopped {
 				return
@@ -399,8 +457,8 @@ func (lo *LayerOps) PreservedSets(m Model, status []Status, limit int, visit fun
 				}
 			}
 		}
-		rec(k + 1)
+		rec(k+1, st)
 	}
-	rec(0)
-	return capped
+	rec(0, root)
+	return count, capped
 }

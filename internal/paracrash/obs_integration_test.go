@@ -92,8 +92,9 @@ func TestObsCountersReconcileWithStats(t *testing.T) {
 }
 
 // TestObsRestoreShares: the digest and legal-replay sub-counters are shares
-// of restores/servers, and the capped-enumeration counters are registered
-// at 0 on a run whose legal sets fit under MaxLegalStates.
+// of restores/servers, the capped-enumeration counters are registered at 0
+// on a run whose legal sets fit under MaxLegalStates, and so are the
+// library walk's counters on a run without a library layer.
 func TestObsRestoreShares(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rep, r := runWithObs(t, paracrash.ModeBrute, workers)
@@ -105,7 +106,7 @@ func TestObsRestoreShares(t *testing.T) {
 		if shares := c["restores/legal"] + c["restores/digest"]; shares > int64(rep.Stats.ServerRestores) {
 			t.Errorf("workers=%d: shares add up to %d, more than the %d restores", workers, shares, rep.Stats.ServerRestores)
 		}
-		for _, name := range []string{"legal/pfs-capped", "legal/lib-capped"} {
+		for _, name := range []string{"legal/pfs-capped", "legal/lib-capped", "legal/lib-sets", "legal/lib-replayed", "legal/lib-steps"} {
 			if v, ok := c[name]; !ok || v != 0 {
 				t.Errorf("workers=%d: %s = %d (registered %t), want registered at 0", workers, name, v, ok)
 			}

@@ -371,3 +371,26 @@ func TestFleetTimeoutEndsTheWork(t *testing.T) {
 		})
 	}
 }
+
+// TestInboxCap tests the worker inbox at its cap: inboxCap−1 and inboxCap
+// task events keep every name with no overflow; one more drops the names and
+// sets overflow, so the worker lists the directory instead.
+func TestInboxCap(t *testing.T) {
+	for _, n := range []int{inboxCap - 1, inboxCap, inboxCap + 1} {
+		b := inbox{wake: make(chan struct{}, 1)}
+		for i := 0; i < n; i++ {
+			b.on(dirEvent{name: fmt.Sprintf("task-%d", i)})
+		}
+		tasks, overflow := b.take()
+		if n <= inboxCap {
+			if overflow || len(tasks) != n || tasks[n-1] != fmt.Sprintf("task-%d", n-1) {
+				t.Errorf("%d events: %d names kept, overflow=%t; want all %d, no overflow", n, len(tasks), overflow, n)
+			}
+		} else if !overflow || len(tasks) != 0 {
+			t.Errorf("%d events: %d names kept, overflow=%t; want none kept and overflow", n, len(tasks), overflow)
+		}
+		if len(b.wake) != 1 {
+			t.Errorf("%d events: the worker was not woken", n)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -585,6 +586,33 @@ func TestHTTPBackpressure(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
+	}
+}
+
+// TestSubmitBodyCap tests the submit body limit at the cap: a valid job
+// padded with leading whitespace to exactly maxSubmitBytes is accepted, and
+// one byte more is a 400.
+func TestSubmitBodyCap(t *testing.T) {
+	st, _ := OpenStore("")
+	s, gate := gatedScheduler(SchedulerConfig{}, st)
+	defer func() { close(gate); s.Drain(context.Background()) }()
+	srv := httptest.NewServer(NewServer(s, st, nil))
+	defer srv.Close()
+
+	const job = `{"fs":"beegfs","program":"ARVR"}`
+	for _, tc := range []struct {
+		size, want int
+	}{{maxSubmitBytes, http.StatusAccepted}, {maxSubmitBytes + 1, http.StatusBadRequest}} {
+		body := strings.Repeat(" ", tc.size-len(job)) + job
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body: status %d (%s), want %d", tc.size, resp.StatusCode, bytes.TrimSpace(msg), tc.want)
+		}
 	}
 }
 

@@ -6,8 +6,12 @@
 package stack
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 
 	"paracrash/internal/hdf5"
 	"paracrash/internal/mpiio"
@@ -286,6 +290,11 @@ type Library struct {
 	ClearIncreaseEOF bool
 
 	seed []byte
+
+	// parsed memoises the canonical logical state of each file image by its
+	// sha256. The parallel workers of one run share the adapter, hence mu.
+	mu     sync.Mutex
+	parsed map[[sha256.Size]byte]string
 }
 
 // NewLibrary returns a Library adapter for the file at path.
@@ -323,8 +332,27 @@ func (l *Library) StateFromTree(t *pfs.Tree) (string, error) {
 	if !ok || e.Dir {
 		return "", fmt.Errorf("stack: %q missing from recovered namespace", l.FilePath)
 	}
-	st := hdf5.Parse(e.Data, l.Dialect == DialectNetCDF)
-	return st.Serialize(), nil
+	return l.parse(e.Data), nil
+}
+
+// parse returns the canonical logical state of a file image, parsing each
+// distinct image once.
+func (l *Library) parse(img []byte) string {
+	key := sha256.Sum256(img)
+	l.mu.Lock()
+	st, ok := l.parsed[key]
+	l.mu.Unlock()
+	if ok {
+		return st
+	}
+	st = hdf5.Parse(img, l.Dialect == DialectNetCDF).Serialize()
+	l.mu.Lock()
+	if l.parsed == nil {
+		l.parsed = map[[sha256.Size]byte]string{}
+	}
+	l.parsed[key] = st
+	l.mu.Unlock()
+	return st
 }
 
 // RecoverTree implements paracrash.Library: h5clear on the file image.
@@ -352,50 +380,108 @@ func (l *Library) RecoverTree(t *pfs.Tree) (*pfs.Tree, bool) {
 
 // Replay implements paracrash.Library: the preserved library ops run
 // against a fresh in-memory copy of the seeded image, then everything is
-// persisted and parsed.
+// persisted and parsed. It is Start, Apply over ops and LegalState, with
+// the ops applied in place.
 func (l *Library) Replay(ops []*trace.Op) (string, error) {
-	be := &hdf5.MemBackend{Buf: append([]byte(nil), l.seed...)}
-	var f *hdf5.File
+	r := l.start()
 	for _, op := range ops {
-		kind := opKind(op.Name)
-		if kind == "open" {
-			nf, err := hdf5.Open(be)
-			if err == nil {
-				f = nf
-			}
-			continue
-		}
-		if f == nil {
-			continue // ops before a preserved open have no effect
-		}
-		// Individual op failures mean the preserved set lacks this op's
-		// prerequisites; the op is simply lost, like in a crash.
-		switch kind {
-		case "create":
-			if string(op.Data) == "group" {
-				_ = f.CreateGroup(op.Path)
-			} else if r, c, err := hdf5.ParseDims(op.Data); err == nil {
-				_ = f.CreateDataset(op.Path, r, c)
-			}
-		case "write":
-			_ = f.WriteDatasetAt(op.Path, int(op.Offset), op.Data)
-		case "delete":
-			_ = f.Delete(op.Path)
-		case "move":
-			_ = f.Move(op.Path, op.Path2)
-		case "resize":
-			if r, c, err := hdf5.ParseDims(op.Data); err == nil {
-				_ = f.Resize(op.Path, r, c)
-			}
-		case "flush":
-			_ = f.Flush()
-		case "close":
-			_ = f.Close()
-		}
+		r.apply(op)
 	}
-	if f != nil {
+	return l.LegalState(r)
+}
+
+// replay is one resumable library replay: the in-memory backend and, once a
+// preserved open has run, the file open on it. A replay handed out by Start
+// or Apply is never modified again.
+type replay struct {
+	be     *hdf5.MemBackend
+	f      *hdf5.File // nil until a preserved open succeeds
+	digest string
+}
+
+func (l *Library) start() *replay {
+	return &replay{be: &hdf5.MemBackend{Buf: bytes.Clone(l.seed)}}
+}
+
+// Start implements paracrash.Library: the seeded image with no op applied.
+func (l *Library) Start() any {
+	r := l.start()
+	r.sum()
+	return r
+}
+
+// Apply implements paracrash.Library: a copy of st with op replayed on it.
+func (l *Library) Apply(st any, op *trace.Op) any {
+	r := st.(*replay)
+	next := &replay{be: &hdf5.MemBackend{Buf: bytes.Clone(r.be.Buf)}}
+	if r.f != nil {
+		next.f = r.f.Clone(next.be)
+	}
+	next.apply(op)
+	next.sum()
+	return next
+}
+
+// Digest implements paracrash.Library: the sha256 of the backend image and
+// the open file's state.
+func (l *Library) Digest(st any) string { return st.(*replay).digest }
+
+// LegalState implements paracrash.Library: a copy of st is flushed and its
+// image parsed.
+func (l *Library) LegalState(st any) (string, error) {
+	r := st.(*replay)
+	be := &hdf5.MemBackend{Buf: bytes.Clone(r.be.Buf)}
+	if r.f != nil {
+		_ = r.f.Clone(be).Flush()
+	}
+	return l.parse(be.Buf), nil
+}
+
+func (r *replay) sum() {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(len(r.be.Buf)))
+	b = append(b, r.be.Buf...)
+	if r.f != nil {
+		b = r.f.AppendState(b)
+	}
+	sum := sha256.Sum256(b)
+	r.digest = string(sum[:])
+}
+
+// apply replays op on r in place.
+func (r *replay) apply(op *trace.Op) {
+	kind := opKind(op.Name)
+	if kind == "open" {
+		if nf, err := hdf5.Open(r.be); err == nil {
+			r.f = nf
+		}
+		return
+	}
+	f := r.f
+	if f == nil {
+		return // ops before a preserved open have no effect
+	}
+	// Individual op failures mean the preserved set lacks this op's
+	// prerequisites; the op is simply lost, like in a crash.
+	switch kind {
+	case "create":
+		if string(op.Data) == "group" {
+			_ = f.CreateGroup(op.Path)
+		} else if rows, cols, err := hdf5.ParseDims(op.Data); err == nil {
+			_ = f.CreateDataset(op.Path, rows, cols)
+		}
+	case "write":
+		_ = f.WriteDatasetAt(op.Path, int(op.Offset), op.Data)
+	case "delete":
+		_ = f.Delete(op.Path)
+	case "move":
+		_ = f.Move(op.Path, op.Path2)
+	case "resize":
+		if rows, cols, err := hdf5.ParseDims(op.Data); err == nil {
+			_ = f.Resize(op.Path, rows, cols)
+		}
+	case "flush":
 		_ = f.Flush()
+	case "close":
+		_ = f.Close()
 	}
-	st := hdf5.Parse(be.Buf, l.Dialect == DialectNetCDF)
-	return st.Serialize(), nil
 }
