@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build crossbuild vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental emulate legal selfcheck clean
+.PHONY: all build crossbuild vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental emulate legal selfcheck sloc clean
 
 all: build vet test
 
@@ -72,7 +72,8 @@ representative:
 # references (every backend, both workload families) — the committed report
 # fingerprints (testdata/fingerprints.golden), the per-state full-rebuild
 # reference (reference_test.go), state-level Serialize/Hash identity of delta
-# reconstruction, fault transparency and kill/resume chaos.
+# reconstruction, effort independent of the visiting order, fault
+# transparency and kill/resume chaos.
 incremental:
 	$(GO) test ./internal/paracrash/ -run 'TestIncremental' -count=1 -v
 
@@ -144,6 +145,14 @@ chaos:
 selfcheck:
 	$(GO) test ./internal/statefs/ -count=1
 	$(GO) test ./internal/serve/ -run 'TestSelfCheck' -count=1 -v
+
+# `make sloc`: non-test Go lines (wc -l) per package directory, then their
+# total — the numbers the ROADMAP's size targets use. benchmark/ is a module
+# of its own and is left out. Informational only: `ci` does not run it.
+sloc:
+	@find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print0 | \
+		xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total outside benchmark/\n", t }'
 
 clean:
 	$(GO) clean ./...

@@ -116,11 +116,10 @@ func benchmarkFig10(b *testing.B, mode core.Mode) {
 
 func BenchmarkFig10_BruteForce(b *testing.B) { benchmarkFig10(b, core.ModeBrute) }
 func BenchmarkFig10_Pruning(b *testing.B)    { benchmarkFig10(b, core.ModePruning) }
-func BenchmarkFig10_Optimized(b *testing.B)  { benchmarkFig10(b, core.ModeOptimized) }
 
 // BenchmarkFig11_Servers<N> measures exploration cost as the cluster grows
 // (Figure 11's scalability curve): H5-create on BeeGFS with shrinking
-// stripes, end-of-execution crash fronts, optimized exploration.
+// stripes, end-of-execution crash fronts, pruning exploration.
 func benchmarkFig11(b *testing.B, servers int) {
 	prog, _ := exps.ProgramByName("H5-create")
 	h5p := workloads.DefaultH5Params()
@@ -132,7 +131,6 @@ func benchmarkFig11(b *testing.B, servers int) {
 		conf.StripeSize = 16
 	}
 	opts := core.DefaultOptions()
-	opts.Mode = core.ModeOptimized
 	opts.Emulator.FrontMode = core.FrontEnd
 	for i := 0; i < b.N; i++ {
 		rep, err := exps.RunOne("beegfs", prog, opts, h5p, conf)
@@ -184,28 +182,6 @@ func benchmarkAblationSemantic(b *testing.B, disable bool) {
 
 func BenchmarkAblation_SemanticPruningOn(b *testing.B)  { benchmarkAblationSemantic(b, false) }
 func BenchmarkAblation_SemanticPruningOff(b *testing.B) { benchmarkAblationSemantic(b, true) }
-
-// BenchmarkAblation_VisitOrder contrasts the greedy tour (optimized mode)
-// against generation-order visiting (pruning mode) over the same
-// reconstructor: the tour minimises per-server diffs, so server restores
-// drop. The two modes differ in nothing else.
-func BenchmarkAblation_VisitOrder(b *testing.B) {
-	prog, _ := exps.ProgramByName("ARVR")
-	h5p := workloads.DefaultH5Params()
-	for _, mode := range []core.Mode{core.ModePruning, core.ModeOptimized} {
-		b.Run(mode.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := core.DefaultOptions()
-				opts.Mode = mode
-				rep, err := exps.RunOne("beegfs", prog, opts, h5p, exps.ConfigFor("beegfs"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(rep.Stats.ServerRestores), "restores")
-			}
-		})
-	}
-}
 
 // BenchmarkAblation_FrontMode contrasts all-cuts crash fronts against
 // end-of-execution fronts: cuts find in-flight atomicity splits at the

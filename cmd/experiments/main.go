@@ -6,7 +6,7 @@
 //	experiments -exp fig5       # consistency-model demonstration
 //	experiments -exp fig8       # inconsistent crash states per program × FS
 //	experiments -exp fig9       # ARVR traces across file systems (Fig 2/9)
-//	experiments -exp fig10      # brute vs pruning vs optimized timing
+//	experiments -exp fig10      # brute vs pruning timing
 //	experiments -exp fig11      # scalability with server count
 //	experiments -exp table3     # the aggregated bug list
 //	experiments -exp sensitivity # the Table 3 sensitivity studies
@@ -94,8 +94,7 @@ func main() {
 	fuzzBackoff := flag.Duration("retry-backoff", 0, "fuzz: base backoff between check retries (0 = default 2ms)")
 	fuzzFaultSeed := flag.Int64("fault-seed", 0, "fuzz: fault-injection seed (with -fault-rate)")
 	fuzzFaultRate := flag.Float64("fault-rate", 0, "fuzz: inject faults into the engine's own I/O with this probability in [0,1] (0 = off)")
-	representative := flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class")
-	noRep := flag.Bool("no-representative", false, "check every crash state brute-force-equivalently (same as -representative=false)")
+	representative := flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class (false = check every crash state)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
@@ -116,15 +115,6 @@ func main() {
 	}
 	if *fuzzFaultRate < 0 || *fuzzFaultRate > 1 {
 		fatal(fmt.Errorf("-fault-rate must be in [0,1], got %g", *fuzzFaultRate))
-	}
-	repSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "representative" {
-			repSet = true
-		}
-	})
-	if repSet && *representative && *noRep {
-		fatal(fmt.Errorf("-representative=true conflicts with -no-representative"))
 	}
 	// Like the fuzz flags above, -servers is checked whatever -exp says: a
 	// bad count must not surface after "all" has run for seconds.
@@ -148,7 +138,7 @@ func main() {
 			FaultSeed:  *fuzzFaultSeed,
 			FaultRate:  *fuzzFaultRate,
 
-			DisableRepresentative: *noRep || !*representative,
+			DisableRepresentative: !*representative,
 		},
 	}
 	s.opts.DisableRepresentative = s.fuzz.DisableRepresentative
@@ -183,14 +173,12 @@ func runSpeedups(s *settings) {
 	fmt.Println("§6.4 exploration speedups (ARVR on BeeGFS):")
 	fmt.Printf("  brute-force: %4d states checked, %d server restores, %.4fs (%d bugs)\n",
 		res.BruteStates, res.BruteRestores, res.BruteSeconds, res.BruteBugs)
-	fmt.Printf("  pruning:     %4d states checked, %.4fs (%d bugs)\n",
-		res.PrunedStates, res.PrunedSeconds, res.PrunedBugs)
-	fmt.Printf("  optimized:   %d server restores, %.4fs (%d bugs)\n",
-		res.OptRestores, res.OptimizedSeconds, res.OptBug)
+	fmt.Printf("  pruning:     %4d states checked, %d server restores, %.4fs (%d bugs)\n",
+		res.PrunedStates, res.PrunedRestores, res.PrunedSeconds, res.PrunedBugs)
 	if res.PrunedStates > 0 {
 		fmt.Printf("  state reduction: %.1fx; restore reduction: %.1fx\n",
 			float64(res.BruteStates)/float64(res.PrunedStates),
-			float64(res.BruteRestores)/float64(max(res.OptRestores, 1)))
+			float64(res.BruteRestores)/float64(max(res.PrunedRestores, 1)))
 	}
 }
 

@@ -101,7 +101,7 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"malformed retry backoff", []string{"-exp", "fuzz", "-retry-backoff", "soon"}, "invalid value"},
 		{"fault rate above one", []string{"-exp", "fuzz", "-fault-rate", "2"}, "-fault-rate must be in [0,1]"},
 		{"negative fault rate", []string{"-exp", "fuzz", "-fault-rate", "-0.5"}, "-fault-rate must be in [0,1]"},
-		{"representative conflict", []string{"-exp", "fig5", "-representative=true", "-no-representative"}, "-representative=true conflicts with -no-representative"},
+		{"retired no-representative flag", []string{"-exp", "fig5", "-no-representative"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

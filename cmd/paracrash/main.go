@@ -5,7 +5,7 @@
 // Usage:
 //
 //	paracrash -fs beegfs -program ARVR
-//	paracrash -fs lustre -program H5-resize -mode optimized -k 2
+//	paracrash -fs lustre -program H5-resize -mode brute -k 2
 //	paracrash -fs gpfs -program CDF-create -pfs-model causal -lib-model baseline
 //	paracrash -list
 package main
@@ -30,7 +30,7 @@ func main() {
 	var (
 		fsName   = flag.String("fs", "beegfs", "file system under test (beegfs, orangefs, glusterfs, gpfs, lustre, ext4)")
 		progName = flag.String("program", "ARVR", "test program (see -list)")
-		mode     = flag.String("mode", "pruning", "exploration strategy: brute, pruning, optimized")
+		mode     = flag.String("mode", "pruning", "exploration strategy: brute, pruning")
 		pfsModel = flag.String("pfs-model", "causal", "PFS consistency model: strict, commit, causal, baseline")
 		libModel = flag.String("lib-model", "baseline", "I/O library consistency model")
 		k        = flag.Int("k", 1, "max victims per crash front (Algorithm 1's k)")
@@ -47,8 +47,7 @@ func main() {
 		dumpPath = flag.String("dump-trace", "", "write the traced execution as JSON to this file instead of testing")
 		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
 
-		representative = flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class")
-		noRep          = flag.Bool("no-representative", false, "check every crash state brute-force-equivalently (same as -representative=false)")
+		representative = flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class (false = check every crash state)")
 
 		remote = flag.String("remote", "", "submit the run as a job to a paracrashd at this address (e.g. localhost:7077) instead of exploring locally")
 		apiKey = flag.String("api-key", "", "API key for a multi-tenant paracrashd (with -remote); also honours the PARACRASH_API_KEY environment variable")
@@ -102,16 +101,8 @@ func main() {
 	if len(sinkSpecs) > 0 && *sinkInterval <= 0 {
 		fatalIf(fmt.Errorf("-sink-interval must be > 0 when sinks are attached, got %v", *sinkInterval))
 	}
-	repSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "representative" {
-			repSet = true
-		}
-	})
-	if repSet && *representative && *noRep {
-		fatalIf(fmt.Errorf("-representative=true conflicts with -no-representative"))
-	}
-	repOn := *representative && !*noRep
+	exploreMode, err := core.ParseMode(*mode)
+	fatalIf(err)
 
 	if *list {
 		fmt.Println("file systems:", strings.Join(exps.FSNames(), ", "))
@@ -148,24 +139,15 @@ func main() {
 			K: *k, Workers: *workers, Shards: *shards,
 			Clients: *clients, Rows: *rows, Cols: *cols,
 			ResizeRows: *rrows, ResizeCols: *rcols,
-			Representative: &repOn,
+			Representative: representative,
 		}, *jsonOut, *verbose))
 	}
 
 	opts := core.DefaultOptions()
 	opts.Emulator.K = *k
 	opts.Workers = *workers
-	opts.DisableRepresentative = !repOn
-	switch *mode {
-	case "brute":
-		opts.Mode = core.ModeBrute
-	case "pruning":
-		opts.Mode = core.ModePruning
-	case "optimized":
-		opts.Mode = core.ModeOptimized
-	default:
-		fatalIf(fmt.Errorf("unknown mode %q", *mode))
-	}
+	opts.DisableRepresentative = !*representative
+	opts.Mode = exploreMode
 	opts.PFSModel, err = core.ParseModel(*pfsModel)
 	fatalIf(err)
 	opts.LibModel, err = core.ParseModel(*libModel)

@@ -24,12 +24,13 @@ func TestMain(m *testing.M) {
 }
 
 // runCLI re-executes the test binary as the paracrash CLI with args and
-// returns its exit code and combined stderr.
-func runCLI(t *testing.T, args ...string) (int, string) {
+// returns its exit code, stdout and stderr.
+func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "PARACRASH_CLI_UNDER_TEST=1")
-	var stderr strings.Builder
+	var stdout, stderr strings.Builder
+	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	err := cmd.Run()
 	code := 0
@@ -38,11 +39,11 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 	} else if err != nil {
 		t.Fatalf("running CLI: %v", err)
 	}
-	return code, stderr.String()
+	return code, stdout.String(), stderr.String()
 }
 
 // TestCLIFlagValidation checks that every invalid knob reaches stderr
-// with a non-zero exit.
+// with exit code 2.
 func TestCLIFlagValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -56,6 +57,7 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"zero clients", []string{"-clients", "0"}, "-clients must be >= 1"},
 		{"unknown program", []string{"-program", "NOPE"}, "unknown program"},
 		{"unknown mode", []string{"-fs", "ext4", "-program", "CR", "-mode", "bogus"}, "unknown mode"},
+		{"retired optimized mode", []string{"-fs", "ext4", "-program", "CR", "-mode", "optimized"}, `mode "optimized" is retired`},
 		{"unknown model", []string{"-fs", "ext4", "-program", "CR", "-pfs-model", "bogus"}, "unknown"},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"positional args", []string{"stray", "args"}, "unexpected arguments"},
@@ -68,7 +70,7 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"malformed fault rate", []string{"-fault-rate", "often"}, "invalid value"},
 		{"remote with resume", []string{"-remote", "localhost:1", "-resume", "ckpt.jsonl"}, "local-only"},
 		{"remote with fault rate", []string{"-remote", "localhost:1", "-fault-rate", "0.5"}, "local-only"},
-		{"representative conflict", []string{"-representative=true", "-no-representative"}, "-representative=true conflicts with -no-representative"},
+		{"retired no-representative flag", []string{"-no-representative"}, "flag provided but not defined"},
 		{"bad sink spec", []string{"-sink", "bogus"}, "unknown sink spec"},
 		{"bad sink jsonl path", []string{"-sink", "jsonl:"}, "unknown sink spec"},
 		{"bad sink push scheme", []string{"-sink", "push:ftp://x"}, "unknown sink spec"},
@@ -76,9 +78,9 @@ func TestCLIFlagValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, stderr := runCLI(t, tc.args...)
-			if code == 0 {
-				t.Fatalf("exit code 0, want non-zero; stderr: %s", stderr)
+			code, _, stderr := runCLI(t, tc.args...)
+			if code != 2 {
+				t.Fatalf("exit code %d, want 2; stderr: %s", code, stderr)
 			}
 			if !strings.Contains(stderr, tc.wantMsg) {
 				t.Fatalf("stderr %q does not contain %q", stderr, tc.wantMsg)
@@ -88,14 +90,17 @@ func TestCLIFlagValidation(t *testing.T) {
 }
 
 // TestCLICleanRun keeps the zero-exit path honest: a valid local run on
-// the clean ext4/CR cell exits 0, with representative exploration on
-// (the default), forced off, and off via the alias.
+// the clean ext4/CR cell exits 0 with representative exploration on (the
+// default) and off, and only the run with it on reports classes.
 func TestCLICleanRun(t *testing.T) {
-	for _, extra := range [][]string{nil, {"-no-representative"}, {"-representative=false"}} {
+	for _, extra := range [][]string{nil, {"-representative=false"}} {
 		args := append([]string{"-fs", "ext4", "-program", "CR"}, extra...)
-		code, stderr := runCLI(t, args...)
+		code, stdout, stderr := runCLI(t, args...)
 		if code != 0 {
 			t.Fatalf("%v: exit code %d, want 0; stderr: %s", args, code, stderr)
+		}
+		if classes := strings.Contains(stdout, "\nrepresentative: "); classes != (extra == nil) {
+			t.Fatalf("%v: class line printed = %t:\n%s", args, classes, stdout)
 		}
 	}
 }
@@ -106,7 +111,7 @@ func TestCLICleanRun(t *testing.T) {
 // run is.
 func TestCLISinkJSONL(t *testing.T) {
 	path := t.TempDir() + "/metrics.jsonl"
-	code, stderr := runCLI(t, "-fs", "ext4", "-program", "CR", "-sink", "jsonl:"+path)
+	code, _, stderr := runCLI(t, "-fs", "ext4", "-program", "CR", "-sink", "jsonl:"+path)
 	if code != 0 {
 		t.Fatalf("exit code %d; stderr: %s", code, stderr)
 	}
@@ -144,14 +149,14 @@ func TestCLIResumeAndFaults(t *testing.T) {
 	ckpt := t.TempDir() + "/ckpt.jsonl"
 	args := []string{"-fs", "ext4", "-program", "CR",
 		"-resume", ckpt, "-fault-rate", "0.3", "-fault-seed", "7", "-retries", "4"}
-	code, stderr := runCLI(t, args...)
+	code, _, stderr := runCLI(t, args...)
 	if code != 0 {
 		t.Fatalf("first run exit code %d; stderr: %s", code, stderr)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("first run left no checkpoint journal: %v", err)
 	}
-	code, stderr = runCLI(t, args...)
+	code, _, stderr = runCLI(t, args...)
 	if code != 0 {
 		t.Fatalf("second run exit code %d; stderr: %s", code, stderr)
 	}
@@ -168,7 +173,7 @@ func TestCLIWorkersDefault(t *testing.T) {
 		t.Helper()
 		path := t.TempDir() + "/metrics.json"
 		args := append([]string{"-fs", "beegfs", "-program", "ARVR", "-metrics", path}, extra...)
-		if code, stderr := runCLI(t, args...); code != 1 { // the cell has bugs
+		if code, _, stderr := runCLI(t, args...); code != 1 { // the cell has bugs
 			t.Fatalf("%v: exit code %d; stderr: %s", args, code, stderr)
 		}
 		raw, err := os.ReadFile(path)

@@ -384,13 +384,13 @@ type Fig10Row struct {
 }
 
 // Fig10 measures the exploration strategies on the user-level file systems
-// (paper Figure 10: brute-force vs pruning vs optimized on BeeGFS,
-// OrangeFS, GlusterFS).
+// (paper Figure 10: brute-force vs pruning on BeeGFS, OrangeFS, GlusterFS;
+// the paper's third, TSP-ordered strategy is not reproduced, see DESIGN.md).
 func Fig10(h5p workloads.H5Params) []Fig10Row {
 	var out []Fig10Row
 	for _, fsName := range []string{"beegfs", "orangefs", "glusterfs"} {
 		for _, prog := range Programs() {
-			for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning, paracrash.ModeOptimized} {
+			for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning} {
 				opts := paracrash.DefaultOptions()
 				opts.Mode = mode
 				rep, err := RunOne(fsName, prog, opts, h5p, ConfigFor(fsName))
@@ -437,7 +437,7 @@ type Fig11Row struct {
 // Fig11 measures scalability in the number of servers (paper Figure 11:
 // HDF5 programs on BeeGFS, OrangeFS, GlusterFS with 4–32 servers; the
 // stripe size shrinks as servers grow so files split into more chunks).
-// Crash emulation uses end-of-execution fronts, keeping the optimized
+// Crash emulation uses end-of-execution fronts, keeping the pruning
 // exploration linear while brute-force cut enumeration grows exponentially.
 func Fig11(serverCounts []int, h5p workloads.H5Params) []Fig11Row {
 	var out []Fig11Row
@@ -460,7 +460,6 @@ func Fig11(serverCounts []int, h5p workloads.H5Params) []Fig11Row {
 					conf.StripeSize = 16
 				}
 				opts := paracrash.DefaultOptions()
-				opts.Mode = paracrash.ModeOptimized
 				opts.Emulator.FrontMode = paracrash.FrontEnd
 				rep, err := RunOne(fsName, prog, opts, h5p, conf)
 				if err != nil {
@@ -480,7 +479,7 @@ func Fig11(serverCounts []int, h5p workloads.H5Params) []Fig11Row {
 // FormatFig11 renders the scalability table.
 func FormatFig11(rows []Fig11Row) string {
 	var b strings.Builder
-	b.WriteString("Figure 11: scalability with the number of servers (optimized exploration)\n\n")
+	b.WriteString("Figure 11: scalability with the number of servers (pruning exploration)\n\n")
 	fmt.Fprintf(&b, "%-12s %-20s %8s %10s %8s %6s\n", "fs", "program", "servers", "seconds", "states", "bugs")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-12s %-20s %8d %10.4f %8d %6d\n", r.FS, r.Program, r.Servers, r.Seconds, r.States, r.Bugs)
@@ -488,14 +487,13 @@ func FormatFig11(rows []Fig11Row) string {
 	return b.String()
 }
 
-// Speedups reproduces the §6.4 headline numbers on ARVR/BeeGFS: crash
-// state counts and per-state reconstruction effort across the strategies.
+// SpeedupResult holds the §6.4 headline numbers on ARVR/BeeGFS: crash
+// state counts and reconstruction effort of the two strategies.
 type SpeedupResult struct {
 	BruteStates, PrunedStates     int
 	BruteSeconds, PrunedSeconds   float64
-	OptimizedSeconds              float64
-	BruteRestores, OptRestores    int
-	BruteBugs, PrunedBugs, OptBug int
+	BruteRestores, PrunedRestores int
+	BruteBugs, PrunedBugs         int
 }
 
 // fingerprintStats are the Stats a ReportFingerprint covers: the trace and
@@ -554,38 +552,32 @@ func ReportKernel(rep *paracrash.Report) string {
 	return b.String()
 }
 
-// Speedups measures the three strategies on one (program, fs) pair.
+// Speedups measures the two strategies on one (program, fs) pair.
 func Speedups(fsName, progName string, h5p workloads.H5Params) (*SpeedupResult, error) {
 	prog, err := ProgramByName(progName)
 	if err != nil {
 		return nil, err
 	}
-	res := &SpeedupResult{}
-	for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning, paracrash.ModeOptimized} {
+	run := func(mode paracrash.Mode) (*paracrash.Report, error) {
 		opts := paracrash.DefaultOptions()
 		opts.Mode = mode
 		// The §6.4 contrast measures the paper's strategies in isolation;
-		// representative bucketing would mask the pruning/optimized deltas.
+		// representative bucketing would mask the pruning deltas.
 		opts.DisableRepresentative = true
-		rep, err := RunOne(fsName, prog, opts, h5p, ConfigFor(fsName))
-		if err != nil {
-			return nil, err
-		}
-		switch mode {
-		case paracrash.ModeBrute:
-			res.BruteStates = rep.Stats.StatesChecked
-			res.BruteSeconds = rep.Stats.Duration.Seconds()
-			res.BruteRestores = rep.Stats.ServerRestores
-			res.BruteBugs = len(rep.Bugs)
-		case paracrash.ModePruning:
-			res.PrunedStates = rep.Stats.StatesChecked
-			res.PrunedSeconds = rep.Stats.Duration.Seconds()
-			res.PrunedBugs = len(rep.Bugs)
-		case paracrash.ModeOptimized:
-			res.OptimizedSeconds = rep.Stats.Duration.Seconds()
-			res.OptRestores = rep.Stats.ServerRestores
-			res.OptBug = len(rep.Bugs)
-		}
+		return RunOne(fsName, prog, opts, h5p, ConfigFor(fsName))
 	}
-	return res, nil
+	brute, err := run(paracrash.ModeBrute)
+	if err != nil {
+		return nil, err
+	}
+	pruned, err := run(paracrash.ModePruning)
+	if err != nil {
+		return nil, err
+	}
+	return &SpeedupResult{
+		BruteStates: brute.Stats.StatesChecked, PrunedStates: pruned.Stats.StatesChecked,
+		BruteSeconds: brute.Stats.Duration.Seconds(), PrunedSeconds: pruned.Stats.Duration.Seconds(),
+		BruteRestores: brute.Stats.ServerRestores, PrunedRestores: pruned.Stats.ServerRestores,
+		BruteBugs: len(brute.Bugs), PrunedBugs: len(pruned.Bugs),
+	}, nil
 }

@@ -50,8 +50,8 @@ func TestFig8Shape(t *testing.T) {
 }
 
 // TestFig10Shape asserts the strategy ordering the paper reports: pruning
-// never checks more states than brute force, and the optimized strategy
-// never restores more servers.
+// never checks more states or restores more servers than brute force, and
+// never loses every bug brute force finds.
 func TestFig10Shape(t *testing.T) {
 	rows := Fig10(workloads.DefaultH5Params())
 	if len(rows) == 0 {
@@ -69,20 +69,19 @@ func TestFig10Shape(t *testing.T) {
 	for k, m := range byMode {
 		brute, okB := m[paracrash.ModeBrute]
 		prune, okP := m[paracrash.ModePruning]
-		opt, okO := m[paracrash.ModeOptimized]
-		if !okB || !okP || !okO {
+		if !okB || !okP {
 			continue
 		}
 		if prune.Stats.StatesChecked > brute.Stats.StatesChecked {
 			t.Errorf("%v: pruning checked more states than brute (%d > %d)",
 				k, prune.Stats.StatesChecked, brute.Stats.StatesChecked)
 		}
-		if opt.Stats.ServerRestores > brute.Stats.ServerRestores {
-			t.Errorf("%v: optimized restored more servers than brute (%d > %d)",
-				k, opt.Stats.ServerRestores, brute.Stats.ServerRestores)
+		if prune.Stats.ServerRestores > brute.Stats.ServerRestores {
+			t.Errorf("%v: pruning restored more servers than brute (%d > %d)",
+				k, prune.Stats.ServerRestores, brute.Stats.ServerRestores)
 		}
-		if brute.Bugs > 0 && opt.Bugs == 0 {
-			t.Errorf("%v: optimized lost all bugs", k)
+		if brute.Bugs > 0 && prune.Bugs == 0 {
+			t.Errorf("%v: pruning lost all bugs", k)
 		}
 	}
 	if out := FormatFig10(rows); !strings.Contains(out, "brute-force") {

@@ -312,7 +312,7 @@ func TestPaperAttributionSplit(t *testing.T) {
 // --- Exploration strategies find the same bugs (paper §6.4) ----------------
 
 func TestModesFindSameBugs(t *testing.T) {
-	// POSIX programs: all three strategies report identical bug sets. The
+	// POSIX programs: both strategies report identical bug sets. The
 	// library programs may drop redundant manifestations under pruning
 	// (the paper's rule skips scenarios already explained by a known
 	// pair), so there the pruned set must be a non-empty subset.
@@ -322,7 +322,7 @@ func TestModesFindSameBugs(t *testing.T) {
 	}{{"ARVR", true}, {"WAL", true}, {"H5-delete", false}} {
 		prog, _ := ProgramByName(tc.prog)
 		sets := map[paracrash.Mode]map[string]bool{}
-		for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning, paracrash.ModeOptimized} {
+		for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning} {
 			opts := paracrash.DefaultOptions()
 			opts.Mode = mode
 			rep, err := RunOne("beegfs", prog, opts, workloads.DefaultH5Params(), ConfigFor("beegfs"))
@@ -337,27 +337,24 @@ func TestModesFindSameBugs(t *testing.T) {
 			}
 			sets[mode] = set
 		}
-		brute := sets[paracrash.ModeBrute]
-		for _, mode := range []paracrash.Mode{paracrash.ModePruning, paracrash.ModeOptimized} {
-			got := sets[mode]
-			if len(got) == 0 {
-				t.Errorf("%s: %v found no bugs", tc.prog, mode)
-				continue
+		brute, got := sets[paracrash.ModeBrute], sets[paracrash.ModePruning]
+		if len(got) == 0 {
+			t.Errorf("%s: pruning found no bugs", tc.prog)
+			continue
+		}
+		for sig := range got {
+			if !brute[sig] {
+				t.Errorf("%s: pruning found %q that brute-force missed", tc.prog, sig)
 			}
-			for sig := range got {
-				if !brute[sig] {
-					t.Errorf("%s: %v found %q that brute-force missed", tc.prog, mode, sig)
-				}
-			}
-			if tc.exact && len(got) != len(brute) {
-				t.Errorf("%s: %v found %d bugs, brute %d", tc.prog, mode, len(got), len(brute))
-			}
+		}
+		if tc.exact && len(got) != len(brute) {
+			t.Errorf("%s: pruning found %d bugs, brute %d", tc.prog, len(got), len(brute))
 		}
 	}
 }
 
 // TestPruningReducesWork: the pruning strategy checks strictly fewer states
-// and the optimized strategy restores strictly fewer servers (paper §6.4).
+// and restores strictly fewer servers (paper §6.4).
 func TestPruningReducesWork(t *testing.T) {
 	res, err := Speedups("beegfs", "ARVR", workloads.DefaultH5Params())
 	if err != nil {
@@ -366,12 +363,11 @@ func TestPruningReducesWork(t *testing.T) {
 	if res.PrunedStates >= res.BruteStates {
 		t.Errorf("pruning checked %d states, brute %d", res.PrunedStates, res.BruteStates)
 	}
-	if res.OptRestores >= res.BruteRestores {
-		t.Errorf("optimized restored %d servers, brute %d", res.OptRestores, res.BruteRestores)
+	if res.PrunedRestores >= res.BruteRestores {
+		t.Errorf("pruning restored %d servers, brute %d", res.PrunedRestores, res.BruteRestores)
 	}
-	if res.BruteBugs != res.PrunedBugs || res.BruteBugs != res.OptBug {
-		t.Errorf("strategies found different bug counts: %d/%d/%d",
-			res.BruteBugs, res.PrunedBugs, res.OptBug)
+	if res.BruteBugs != res.PrunedBugs {
+		t.Errorf("strategies found different bug counts: %d/%d", res.BruteBugs, res.PrunedBugs)
 	}
 }
 

@@ -10,8 +10,8 @@
 //  2. serial-vs-parallel differential: a Workers=1 and a Workers=N brute
 //     exploration must produce byte-identical reports (the parallel engine's
 //     determinism contract);
-//  3. pruning soundness: every bug cause reported by the pruning/optimized
-//     strategies must also be reported by brute force, and pruning must not
+//  3. pruning soundness: every bug cause reported by the pruning strategy
+//     must also be reported by brute force, and pruning must not
 //     go vacuously silent on a workload where brute force finds bugs.
 //
 // An oracle failure triggers delta-debugging minimization of the workload

@@ -21,8 +21,8 @@ const (
 	// Workers=1 and Workers=N brute explorations must produce reports that
 	// are byte-identical modulo wall time.
 	OracleDifferential = "differential"
-	// OraclePruning checks pruning soundness at the bug-cause level: pruned
-	// and optimized explorations must not report causes brute force does not
+	// OraclePruning checks pruning soundness at the bug-cause level: the
+	// pruning exploration must not report causes brute force does not
 	// (no false positives) and must not be vacuously silent when brute force
 	// finds bugs. Raw signature equality is deliberately NOT required — the
 	// reported operation pair is a per-group representative that shifts with
@@ -135,8 +135,8 @@ func firstDiffLine(a, b string) string {
 
 // evalCell runs the full oracle battery for one workload × backend cell:
 // four serial brute runs (one per consistency model), one parallel brute
-// run, the two pruned-strategy runs and the brute-force-per-state
-// reference run of the representative oracle — eight explorer invocations.
+// run, the pruning run and the brute-force-per-state reference run of the
+// representative oracle — seven explorer invocations.
 func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending, error) {
 	models := []paracrash.Model{
 		paracrash.ModelStrict, paracrash.ModelCommit,
@@ -214,46 +214,42 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 
 	// Oracle 3: pruning soundness against the causal brute run.
 	bruteCauses := causeKeys(brute[paracrash.ModelCausal])
-	for _, mode := range []paracrash.Mode{paracrash.ModePruning, paracrash.ModeOptimized} {
-		mode := mode
-		rep, err := c.explore(backend, prog, mode, paracrash.ModelCausal, 1)
+	rep, err := c.explore(backend, prog, paracrash.ModePruning, paracrash.ModelCausal, 1)
+	if err != nil {
+		return nil, fmt.Errorf("pruning/causal: %w", err)
+	}
+	pred := func(body []workloads.Op) bool {
+		p := workloads.NewProgram(prog.Name(), prog.PreambleOps(), body)
+		b, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, 1)
 		if err != nil {
-			return nil, fmt.Errorf("%s/causal: %w", mode, err)
+			return false
 		}
-		pred := func(body []workloads.Op) bool {
-			p := workloads.NewProgram(prog.Name(), prog.PreambleOps(), body)
-			b, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, 1)
-			if err != nil {
-				return false
-			}
-			pr, err := c.explore(backend, p, mode, paracrash.ModelCausal, 1)
-			if err != nil {
-				return false
-			}
-			return len(missingFrom(causeKeys(pr), causeKeys(b))) > 0 ||
-				(len(b.Bugs) > 0 && len(pr.Bugs) == 0)
+		pr, err := c.explore(backend, p, paracrash.ModePruning, paracrash.ModelCausal, 1)
+		if err != nil {
+			return false
 		}
-		if stray := missingFrom(causeKeys(rep), bruteCauses); len(stray) > 0 {
-			out = append(out, &pending{
-				v: &Violation{
-					Oracle: OraclePruning, Backend: backend, Workload: prog.Name(),
-					Signature: fmt.Sprintf("%s|%s|%s|stray|%s", OraclePruning, backend, mode, stray[0]),
-					Detail: fmt.Sprintf("%s reports cause(s) brute force does not: %s",
-						mode, strings.Join(capList(stray, 3), ", ")),
-				},
-				pred: pred,
-			})
-		} else if len(brute[paracrash.ModelCausal].Bugs) > 0 && len(rep.Bugs) == 0 {
-			out = append(out, &pending{
-				v: &Violation{
-					Oracle: OraclePruning, Backend: backend, Workload: prog.Name(),
-					Signature: fmt.Sprintf("%s|%s|%s|vacuous", OraclePruning, backend, mode),
-					Detail: fmt.Sprintf("brute force finds %d cause group(s) but %s finds none",
-						len(bruteCauses), mode),
-				},
-				pred: pred,
-			})
-		}
+		return len(missingFrom(causeKeys(pr), causeKeys(b))) > 0 ||
+			(len(b.Bugs) > 0 && len(pr.Bugs) == 0)
+	}
+	if stray := missingFrom(causeKeys(rep), bruteCauses); len(stray) > 0 {
+		out = append(out, &pending{
+			v: &Violation{
+				Oracle: OraclePruning, Backend: backend, Workload: prog.Name(),
+				Signature: fmt.Sprintf("%s|%s|pruning|stray|%s", OraclePruning, backend, stray[0]),
+				Detail: fmt.Sprintf("pruning reports cause(s) brute force does not: %s",
+					strings.Join(capList(stray, 3), ", ")),
+			},
+			pred: pred,
+		})
+	} else if len(brute[paracrash.ModelCausal].Bugs) > 0 && len(rep.Bugs) == 0 {
+		out = append(out, &pending{
+			v: &Violation{
+				Oracle: OraclePruning, Backend: backend, Workload: prog.Name(),
+				Signature: fmt.Sprintf("%s|%s|pruning|vacuous", OraclePruning, backend),
+				Detail:    fmt.Sprintf("brute force finds %d cause group(s) but pruning finds none", len(bruteCauses)),
+			},
+			pred: pred,
+		})
 	}
 
 	// Oracle 4: representative-exploration equivalence on the causal brute

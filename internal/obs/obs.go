@@ -39,10 +39,9 @@ const (
 	// PhaseGraph covers causality analysis, layer-op extraction and the
 	// golden-state replays.
 	PhaseGraph = "graph-build"
-	// PhaseGenerate covers crash-state enumeration (Algorithm 1) when it
-	// runs as a separate collection pass (optimized/parallel engines). The
-	// streaming brute/pruning engine interleaves generation with checking
-	// and charges both to PhaseExplore.
+	// PhaseGenerate covers crash-state enumeration (Algorithm 1). Every
+	// run — serial, parallel or fleet shard — generates its whole state list
+	// before it explores it.
 	PhaseGenerate = "generate"
 	// PhaseExplore covers crash-state reconstruction and checking.
 	PhaseExplore = "explore"

@@ -286,10 +286,10 @@ func (c *Checkpoint) flushLocked() error {
 }
 
 // checkpointConfig fingerprints every option that influences crash-state
-// verdicts. Workers, Retry, Faults, Obs and DisableRepresentative are
-// deliberately excluded: they change scheduling, effort, fault weather or
-// which states are attributed from a class, never a verdict, so a journal
-// written under one of each is valid under any other.
+// verdicts, so a journal written under one configuration resumes only into
+// the same one. TestCheckpointConfigCoversOptions holds every Options and
+// EmulatorConfig field to this, and lists with its reason each field left
+// out because it cannot change a verdict.
 func checkpointConfig(workload, fsName string, opts Options) string {
 	return fmt.Sprintf("v%d|%s|%s|%s|pfs=%d|lib=%d|k=%d|fm=%d|mf=%d|ms=%d|mlo=%d|mls=%d|nosem=%t",
 		checkpointVersion, workload, fsName, opts.Mode,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -215,7 +216,7 @@ func TestCheckpointConfigCoversVerdictKnobs(t *testing.T) {
 	fp := checkpointConfig("ARVR", "beegfs", base)
 
 	changed := DefaultOptions()
-	changed.Mode = ModeOptimized
+	changed.Mode = ModeBrute
 	if checkpointConfig("ARVR", "beegfs", changed) == fp {
 		t.Error("fingerprint ignores Mode")
 	}
@@ -232,5 +233,88 @@ func TestCheckpointConfigCoversVerdictKnobs(t *testing.T) {
 	transparent.DisableRepresentative = true
 	if checkpointConfig("ARVR", "beegfs", transparent) != fp {
 		t.Error("fingerprint moves on verdict-transparent options (Workers/Retry/DisableRepresentative)")
+	}
+}
+
+// TestCheckpointConfigCoversOptions walks Options and EmulatorConfig by
+// reflection, from a brute-force, a pruning and a pruning-without-semantics
+// base: setting any field to a different value must move the checkpoint
+// fingerprint, unless emulatorConfig discards the caller's value, or the
+// field is listed below with the reason it cannot change a verdict. A field
+// added to either struct fails here until it is fingerprinted or listed.
+func TestCheckpointConfigCoversOptions(t *testing.T) {
+	exempt := map[string]string{
+		"Workers":               "scheduling: parallel verdicts equal serial ones",
+		"Retry":                 "a healed fault leaves the verdict unchanged; a quarantined state has none",
+		"Faults":                "injected faults heal or quarantine, they never alter a verdict",
+		"Obs":                   "collection is passive",
+		"LegalMemo":             "holds the legal sets this run would enumerate itself",
+		"Checkpoint":            "is the journal the fingerprint guards",
+		"DisableRepresentative": "changes which states are attributed from a class, never a verdict",
+	}
+	// vary sets v to a value different from the one it holds.
+	vary := func(name string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Func:
+			v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value {
+				out := make([]reflect.Value, v.Type().NumOut())
+				for i := range out {
+					out[i] = reflect.Zero(v.Type().Out(i))
+				}
+				return out
+			}))
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+		default:
+			t.Fatalf("Options.%s: no way to vary a %s; extend this test", name, v.Kind())
+		}
+	}
+	same := func(a, b reflect.Value) bool {
+		if a.Kind() == reflect.Func {
+			return a.Pointer() == b.Pointer()
+		}
+		return reflect.DeepEqual(a.Interface(), b.Interface())
+	}
+
+	brute, nosem := DefaultOptions(), DefaultOptions()
+	brute.Mode = ModeBrute
+	nosem.DisableSemanticPruning = true
+	for _, base := range []Options{brute, DefaultOptions(), nosem} {
+		fp := checkpointConfig("ARVR", "beegfs", base)
+		var walk func(prefix string, field func(*Options) reflect.Value, typ reflect.Type)
+		walk = func(prefix string, field func(*Options) reflect.Value, typ reflect.Type) {
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				name := prefix + f.Name
+				get := func(o *Options) reflect.Value { return field(o).Field(i) }
+				if _, ok := exempt[name]; ok {
+					continue
+				}
+				if f.Type.Kind() == reflect.Struct {
+					walk(name+".", get, f.Type)
+					continue
+				}
+				o := base
+				vary(name, get(&o))
+				if checkpointConfig("ARVR", "beegfs", o) != fp {
+					continue
+				}
+				if strings.HasPrefix(name, "Emulator.") {
+					seen := func(o Options) reflect.Value {
+						return reflect.ValueOf(o.emulatorConfig()).FieldByName(f.Name)
+					}
+					if same(seen(o), seen(base)) {
+						continue // the engine never sees the caller's value
+					}
+				}
+				t.Errorf("%s/nosem=%t base: Options.%s reaches the run but not the checkpoint fingerprint; fingerprint it in checkpointConfig or exempt it here with its reason",
+					base.Mode, base.DisableSemanticPruning, name)
+			}
+		}
+		walk("", func(o *Options) reflect.Value { return reflect.ValueOf(o).Elem() }, reflect.TypeOf(base))
 	}
 }

@@ -46,7 +46,9 @@ type EmulatorConfig struct {
 	// unlimited).
 	MaxStates int
 	// VictimFilter, when non-nil, rejects victim candidates (used by the
-	// semantic pruning: data-chunk writes are not reordered).
+	// semantic pruning: data-chunk writes are not reordered). A run derives
+	// it from Options.Mode and Options.DisableSemanticPruning and ignores
+	// the value in Options.Emulator; it is for callers of Generate.
 	VictimFilter func(*trace.Op) bool
 }
 

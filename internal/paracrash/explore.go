@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -68,6 +67,7 @@ type Library interface {
 }
 
 // Mode selects the crash-state exploration strategy (paper §5 and §6.4).
+// Both modes visit the crash states in generation order.
 type Mode int
 
 const (
@@ -76,11 +76,12 @@ const (
 	// ModePruning skips crash states matching already-identified bug
 	// scenarios and applies semantic (object-map) victim pruning.
 	ModePruning
-	// ModeOptimized visits the crash states along a greedy TSP tour over
-	// servers-changed distance on top of pruning; brute force and pruning
-	// visit them in generation order.
-	ModeOptimized
 )
+
+// retiredMode names the mode that visited pruning's crash states along a
+// greedy TSP tour. Every reconstruction restores every server, so the tour
+// saved nothing and was removed.
+const retiredMode = "optimized"
 
 // String returns the mode name.
 func (m Mode) String() string {
@@ -89,26 +90,20 @@ func (m Mode) String() string {
 		return "brute-force"
 	case ModePruning:
 		return "pruning"
-	case ModeOptimized:
-		return "optimized"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
 }
 
-// MarshalJSON renders the mode by name.
-func (m Mode) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + m.String() + `"`), nil
+// MarshalText renders the mode by name.
+func (m Mode) MarshalText() ([]byte, error) {
+	return []byte(m.String()), nil
 }
 
-// UnmarshalJSON parses the mode by name, inverting MarshalJSON so
-// persisted reports round-trip.
-func (m *Mode) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	parsed, err := ParseMode(s)
+// UnmarshalText parses a stored mode name, inverting MarshalText so
+// persisted reports round-trip (see storedMode).
+func (m *Mode) UnmarshalText(text []byte) error {
+	parsed, err := storedMode(string(text))
 	if err != nil {
 		return err
 	}
@@ -117,18 +112,30 @@ func (m *Mode) UnmarshalJSON(data []byte) error {
 }
 
 // ParseMode parses an exploration-strategy name ("brute" and "brute-force"
-// are synonyms).
+// are synonyms). It is the one list of mode names the CLIs and the job
+// service accept; the retired "optimized" is refused by name.
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "brute", "brute-force":
 		return ModeBrute, nil
 	case "pruning":
 		return ModePruning, nil
-	case "optimized":
-		return ModeOptimized, nil
+	case retiredMode:
+		return 0, fmt.Errorf("paracrash: mode %q is retired (it was pruning in another visiting order); use pruning", s)
 	default:
-		return 0, fmt.Errorf("paracrash: unknown exploration mode %q", s)
+		return 0, fmt.Errorf("paracrash: unknown mode %q (want brute or pruning)", s)
 	}
+}
+
+// storedMode is ParseMode for names read back from stored data: a persisted
+// Report.Mode, or the mode of a stored job request or shard task. It reads
+// the retired "optimized" as pruning, whose crash states it judged, so data
+// written before the retirement still loads.
+func storedMode(s string) (Mode, error) {
+	if s == retiredMode {
+		return ModePruning, nil
+	}
+	return ParseMode(s)
 }
 
 // Options configures a testing run.
@@ -140,7 +147,8 @@ type Options struct {
 	// LibModel is the model the I/O library is tested against (the paper
 	// uses baseline and causal).
 	LibModel Model
-	// Emulator bounds (victims, fronts, caps).
+	// Emulator bounds (victims, fronts, caps). Its VictimFilter is ignored:
+	// the run derives the filter from Mode and DisableSemanticPruning.
 	Emulator EmulatorConfig
 	// MaxLayerOps guards the preserved-set enumeration (commit/baseline
 	// enumerate subsets of the unconstrained ops).
@@ -165,12 +173,10 @@ type Options struct {
 	Workers int
 
 	// Ablation switches (the design choices measured by the Ablation
-	// benchmarks; both default to the paper's behaviour). The TSP ablation
-	// needs no switch: ModePruning and ModeOptimized differ only in visiting
-	// order.
+	// benchmarks; both default to the paper's behaviour).
 	//
 	// DisableSemanticPruning turns off the object-map victim filter in the
-	// pruning/optimized modes (paper §5.3's "semantic information" rule).
+	// pruning mode (paper §5.3's "semantic information" rule).
 	DisableSemanticPruning bool
 	// DisableRepresentative turns off representative-state exploration
 	// (see representative.go) and falls back to checking every crash state
@@ -446,10 +452,9 @@ type session struct {
 	// memoScope namespaces this run inside opts.LegalMemo ("" = memo off).
 	memoScope string
 
-	// recon is the O(delta) incremental reconstruction engine (see
-	// reconstruct.go): it tracks the live cluster's per-server state and
-	// caches prefix roots. Each session owns its reconstructor — shard
-	// workers build one over their clone.
+	// recon is the reconstruction engine (see reconstruct.go): it caches
+	// prefix roots and recovered outcomes. Each session owns its
+	// reconstructor — shard workers build one over their clone.
 	recon *reconstructor
 
 	// resumed holds verdicts replayed from a checkpoint journal, keyed like
@@ -718,20 +723,41 @@ func (s *session) resumeCheckpoint(config string) error {
 	return nil
 }
 
-// emulatorConfig materialises the crash-emulation bounds for phase 3,
-// including the semantic-pruning victim filter. Shard workers and the merge
-// must build the identical configuration: it decides which crash states are
-// generated, and with them the generation order the shard keys index.
+// emulatorConfig materialises the crash-emulation bounds for phase 3. The
+// victim filter is derived here, whatever the caller set: the semantic
+// filter in pruning mode, nil in brute force or with semantic pruning off,
+// so the Mode and nosem= fields of checkpointConfig fingerprint it. Shard
+// workers and the merge must build the identical configuration: it decides
+// which crash states are generated, and with them the generation order the
+// shard keys index.
 func (o Options) emulatorConfig() EmulatorConfig {
 	emuCfg := o.Emulator
+	emuCfg.VictimFilter = nil
 	if o.Mode != ModeBrute && !o.DisableSemanticPruning {
-		emuCfg.VictimFilter = func(op *trace.Op) bool {
-			// Semantic pruning: data-chunk updates of library datasets are
-			// not reordered (paper §5.3).
-			return !strings.HasPrefix(op.Tag, "h5:data")
-		}
+		emuCfg.VictimFilter = semanticVictim
 	}
 	return emuCfg
+}
+
+// semanticVictim is semantic pruning's victim filter: data-chunk updates of
+// library datasets are not reordered (paper §5.3).
+func semanticVictim(op *trace.Op) bool {
+	return !strings.HasPrefix(op.Tag, "h5:data")
+}
+
+// generate enumerates the run's crash states in generation order, the one
+// visiting order of every run: serial, in-process parallel and fleet shard
+// alike. It stops early when the run is cancelled.
+func (s *session) generate() []CrashState {
+	stopGen := s.opts.Obs.Phase(obs.PhaseGenerate)
+	defer stopGen()
+	var states []CrashState
+	s.stats.StatesGenerated = s.emu.Generate(s.opts.emulatorConfig(), func(cs CrashState) bool {
+		states = append(states, cs)
+		return s.ctx.Err() == nil
+	})
+	s.opts.Obs.Counter("states/generated").Add(int64(s.stats.StatesGenerated))
+	return states
 }
 
 // runPipeline is the full exploration pipeline behind RunContext and
@@ -769,18 +795,7 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	}
 	s.outcomeFor = lookup
 
-	// Prime the cluster: the golden replay left re-executed content on the
-	// live stores — including on servers the traced run's lowermost ops never
-	// touched (replayed client ops may allocate fresh object IDs and place
-	// data differently). The reconstructor only ever touches servers with
-	// universe ops, so everything else must start (and then provably stays)
-	// at the initial content. One O(1)-per-server adoption of setup, not
-	// counted as a restore.
-	fs.Restore(initial)
-
 	// Phase 3: crash emulation + checking.
-	emuCfg := opts.emulatorConfig()
-
 	report := &Report{Program: w.Name(), FS: fs.Name(), Mode: opts.Mode}
 	bugs := NewBugSet()
 	classifier := NewClassifier(emu, func(cs CrashState) (bool, string) {
@@ -844,45 +859,16 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 		}
 	}
 
+	states := s.generate()
 	workers := opts.effectiveWorkers()
 	cloner, _ := fs.(pfs.Cloner)
-	parallel := workers > 1 && cloner != nil && lookup == nil
-
-	if opts.Mode == ModeOptimized || parallel {
-		// Collect states first: the optimized mode orders them with a
-		// greedy TSP over per-server distance, the parallel engine shards
-		// them across workers and merges along the same ordered walk.
-		stopGen := opts.Obs.Phase(obs.PhaseGenerate)
-		var states []CrashState
-		s.stats.StatesGenerated = emu.Generate(emuCfg, func(cs CrashState) bool {
-			states = append(states, cs)
-			return ctx.Err() == nil
-		})
-		stopGen()
-		stopExplore := opts.Obs.Phase(obs.PhaseExplore)
-		if parallel && len(states) > 1 {
-			s.runParallel(states, cloner, workers, skip, handle, bugs)
-		} else {
-			s.visitOrdered(states, skip, handle)
-		}
-		stopExplore()
+	stopExplore := opts.Obs.Phase(obs.PhaseExplore)
+	if workers > 1 && cloner != nil && lookup == nil && len(states) > 1 {
+		s.runParallel(states, cloner, workers, skip, handle, bugs)
 	} else {
-		// Streaming engine: generation and checking interleave, so the
-		// combined pass is charged to the explore phase (the emulate/*
-		// counters still break out enumeration volume).
-		stopExplore := opts.Obs.Phase(obs.PhaseExplore)
-		s.stats.StatesGenerated = emu.Generate(emuCfg, func(cs CrashState) bool {
-			if ctx.Err() != nil {
-				return false
-			}
-			if !skip(cs) {
-				handle(cs)
-			}
-			return true
-		})
-		stopExplore()
+		s.visitOrdered(states, skip, handle)
 	}
-	opts.Obs.Counter("states/generated").Add(int64(s.stats.StatesGenerated))
+	stopExplore()
 
 	// Restore the live cluster to the untouched post-run state (also on
 	// cancellation, so a reused file system is never left mid-crash-state).
@@ -1019,10 +1005,9 @@ func (s *session) journal(key string, r checkResult) {
 // A state that eventually succeeds carries the verdict an unfaulted run
 // would have — the basis of the fault-transparency guarantee — while every
 // attempt's restores and op applies are counted as the work they were.
-// Nothing needs rolling back between attempts: bring leaves faulted servers
-// marked dirty for the next attempt to re-restore, and whatever mutates the
-// cluster inside the verdict (recovery, legal-state replay) marks every
-// server dirty before it starts.
+// Nothing needs rolling back between attempts: every bring restores every
+// server before it replays anything, so no attempt trusts what a faulted
+// one, a recovery or a legal-state replay left on the cluster.
 func (s *session) checkWithRetry(cs CrashState) checkResult {
 	var r checkResult
 	err := s.withRetry(func() (err error) {
@@ -1300,9 +1285,6 @@ func (s *session) replayPFS(sel []int) (string, error) {
 	s.fs.Restore(s.initial)
 	s.countRestores(len(s.fs.Procs()))
 	s.ctrLegalRestore.Add(int64(len(s.fs.Procs())))
-	// The replay mutates the whole cluster; the reconstructor's physical
-	// tracking must not trust any server afterwards.
-	s.recon.markAllDirty()
 	for _, pos := range sel {
 		op := s.pfsOps.Ops[pos]
 		c, err := s.client(op.Proc)
@@ -1333,19 +1315,16 @@ func intsKey(sel []int) string {
 	return b.String()
 }
 
-// visitOrdered is the one ordered walk, shared by the serial collected path
-// and the parallel/fleet merge: states are visited in visitOrder and every
-// one goes through the uniform check path. No per-loop accounting or
-// snapshot juggling lives here — the reconstructor carries the physical
-// delta reconstruction and counts its own work, and classifier probes
-// inside handle reconstruct through the same path, keeping the physical
-// tracking truthful without save/restore wrappers.
+// visitOrdered is the one ordered walk, shared by the serial run and the
+// parallel/fleet merge: states are visited in generation order and every
+// one goes through the uniform check path. No per-loop accounting lives
+// here — the reconstructor counts its own work, and classifier probes inside
+// handle reconstruct through the same path.
 func (s *session) visitOrdered(states []CrashState, skip func(CrashState) bool, handle func(CrashState)) {
-	for _, idx := range s.visitOrder(states, ShardSpec{Count: 1}.indices(len(states))) {
+	for _, cs := range states {
 		if s.ctx.Err() != nil {
 			return
 		}
-		cs := states[idx]
 		if !skip(cs) {
 			handle(cs)
 		}

@@ -44,8 +44,6 @@ func TestFaultTransparency(t *testing.T) {
 		{paracrash.ModeBrute, 1},
 		{paracrash.ModePruning, 1},
 		{paracrash.ModePruning, 4},
-		{paracrash.ModeOptimized, 1},
-		{paracrash.ModeOptimized, 4},
 	}
 	var totalInjected int64
 	for _, c := range cells {
@@ -292,13 +290,12 @@ func TestChaosResumeDeterminism(t *testing.T) {
 	}
 }
 
-// TestCancelMidMergeNoLeak cancels a latency-faulted parallel optimized run
+// TestCancelMidMergeNoLeak cancels a latency-faulted parallel run
 // — the faults stretch the merge window — and asserts all goroutines drain.
 func TestCancelMidMergeNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	opts := paracrash.DefaultOptions()
-	opts.Mode = paracrash.ModeOptimized
 	opts.Workers = 4
 	opts.Faults = faultinject.New(faultinject.Config{
 		Seed: 3, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindLatency},

@@ -16,11 +16,11 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with the current output")
 
-// goldenModes are the three exploration strategies every golden cell runs.
-var goldenModes = []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning, paracrash.ModeOptimized}
+// goldenModes are the two exploration strategies every golden cell runs.
+var goldenModes = []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning}
 
 // TestIncrementalGoldenFingerprints pins the report of every cell of the
-// differential matrix (6 backends × incrementalPrograms × 3 modes × Workers
+// differential matrix (6 backends × incrementalPrograms × 2 modes × Workers
 // {1,4}), plus H5-create on every backend so the top-down library branch of
 // the verdict is covered: the ReportFingerprint hash (verdicts and state
 // counts) on every line, and the measured restores and op replays on the

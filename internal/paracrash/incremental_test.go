@@ -3,6 +3,8 @@ package paracrash_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"testing"
 	"time"
@@ -60,9 +62,9 @@ func runEngine(t *testing.T, backend string, prog *workloads.Program, mode parac
 
 // TestIncrementalEngineEquivalence holds the one exploration engine to its
 // reference on every backend and both workload families: every generated
-// crash state, walked in the mode's visiting order, must reconstruct and
-// recover exactly as a full rebuild on a fresh cluster does, at no more than
-// a full rebuild's charge per visit (paracrash.ReferenceDiff); and the
+// crash state must reconstruct and recover exactly as a full rebuild on a
+// fresh cluster does, at no more than a full rebuild's work per state
+// (paracrash.ReferenceDiff); and the
 // engine must be schedule-independent (serial and parallel runs
 // byte-identical including effort stats). The complete reports are pinned by
 // TestIncrementalGoldenFingerprints.
@@ -88,6 +90,68 @@ func TestIncrementalEngineEquivalence(t *testing.T) {
 					par := runEngine(t, backend, prog, mode, 4)
 					if sf, pf := exps.ReportFingerprint(inc), exps.ReportFingerprint(par); sf != pf {
 						t.Errorf("incremental serial and parallel runs diverge:\n--- serial ---\n%s--- workers=4 ---\n%s", sf, pf)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestIncrementalEffortOrderIndependent pins the premise behind visiting
+// crash states in generation order only: reconstruction work does not depend
+// on the order. Walking a cell's states in generation order and in a seeded
+// permutation must measure the same restores, op applies and legal-set
+// sizes, with representative exploration on and off. The cells stay far
+// below the reconstructor's 4,096-entry caches, whose resets would make the
+// counts depend on order for a reason unrelated to this premise.
+func TestIncrementalEffortOrderIndependent(t *testing.T) {
+	gen := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
+	h5, err := exps.ProgramByName("H5-create")
+	if err != nil {
+		t.Fatal(err)
+	}
+	identity := func(n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		return ids
+	}
+	shuffled := func(n int) []int { return rand.New(rand.NewSource(29)).Perm(n) }
+	for _, backend := range exps.FSNames() {
+		for _, prog := range []string{gen.Name(), h5.Name} {
+			for _, rep := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/%s/representative=%t", backend, prog, rep), func(t *testing.T) {
+					opts := paracrash.DefaultOptions()
+					opts.Mode = paracrash.ModeBrute
+					opts.DisableRepresentative = !rep
+					effort := func(perm func(int) []int) paracrash.Stats {
+						t.Helper()
+						fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
+						if err != nil {
+							t.Fatal(err)
+						}
+						var w paracrash.Workload = gen
+						var lib paracrash.Library
+						if prog == h5.Name {
+							w, lib = h5.Make(workloads.DefaultH5Params())
+						}
+						st, err := paracrash.OrderEffort(fs, lib, w, opts, perm)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return st
+					}
+					inOrder, permuted := effort(identity), effort(shuffled)
+					if inOrder.StatesGenerated < 2 || inOrder.StatesGenerated > 1024 {
+						t.Fatalf("%d states generated; want a cell with something to reorder and far below the caches", inOrder.StatesGenerated)
+					}
+					type work struct{ restores, replayed, legalPFS, legalLib int }
+					a := work{inOrder.ServerRestores, inOrder.OpsReplayed, inOrder.LegalPFSStates, inOrder.LegalLibStates}
+					b := work{permuted.ServerRestores, permuted.OpsReplayed, permuted.LegalPFSStates, permuted.LegalLibStates}
+					if a != b {
+						t.Errorf("effort depends on visiting order over %d states: generation order %+v, permuted %+v",
+							inOrder.StatesGenerated, a, b)
 					}
 				})
 			}
@@ -196,14 +260,13 @@ func TestIncrementalFaultTransparency(t *testing.T) {
 	for _, backend := range []string{"beegfs", "lustre"} {
 		for _, workers := range []int{1, 4} {
 			t.Run(backend+"/workers="+itoa(workers), func(t *testing.T) {
-				base := runEngine(t, backend, prog, paracrash.ModeOptimized, workers)
+				base := runEngine(t, backend, prog, paracrash.ModePruning, workers)
 
 				fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
 				if err != nil {
 					t.Fatal(err)
 				}
 				opts := paracrash.DefaultOptions()
-				opts.Mode = paracrash.ModeOptimized
 				opts.Workers = workers
 				plan := faultinject.New(faultinject.Config{Seed: 42, Rate: 0.3})
 				opts.Faults = plan
@@ -231,7 +294,7 @@ func TestIncrementalFaultTransparency(t *testing.T) {
 func TestIncrementalChaosResume(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	backend := "lustre"
-	base := runEngine(t, backend, prog, paracrash.ModeOptimized, 1)
+	base := runEngine(t, backend, prog, paracrash.ModePruning, 1)
 	baseFP := exps.ReportFingerprint(base)
 
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
@@ -246,7 +309,6 @@ func TestIncrementalChaosResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := paracrash.DefaultOptions()
-		opts.Mode = paracrash.ModeOptimized
 		opts.Checkpoint = paracrash.OpenCheckpoint(path)
 		opts.Checkpoint.Every = 1
 		opts.Faults = faultinject.New(faultinject.Config{Seed: 7, Rate: 0.25})

@@ -248,7 +248,7 @@ func TestParseModel(t *testing.T) {
 }
 
 func TestModeAndKindStrings(t *testing.T) {
-	if ModeBrute.String() != "brute-force" || ModePruning.String() != "pruning" || ModeOptimized.String() != "optimized" {
+	if ModeBrute.String() != "brute-force" || ModePruning.String() != "pruning" {
 		t.Error("mode strings wrong")
 	}
 	if BugReordering.String() != "reordering" || BugAtomicity.String() != "atomicity" || BugUnknown.String() != "unknown" {

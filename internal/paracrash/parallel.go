@@ -36,7 +36,6 @@ import (
 
 	"paracrash/internal/obs"
 	"paracrash/internal/pfs"
-	"paracrash/internal/tsp"
 )
 
 // resultBoard collects worker verdicts, and the class keys the workers
@@ -105,9 +104,7 @@ func (b *resultBoard) cancel() {
 
 // shardStates deals n state indices onto at most w shards — the ShardSpec
 // partition a fleet run uses, in-process. Round-robin dealing lets each
-// shard sample the whole front sequence (neighbouring states of one front
-// share Front bitsets and differ in few servers, keeping shard-local TSP
-// tours short).
+// shard sample the whole front sequence.
 func shardStates(n, w int) [][]int {
 	if w > n {
 		w = n
@@ -139,39 +136,6 @@ func (e *Emulator) serverProcs() ([]string, map[string][]int) {
 	return procs, serverOps
 }
 
-// visitOrder returns ids — indices into states — in the mode's visiting
-// order: as given (generation order) for brute force and pruning, along the
-// greedy TSP tour over servers-changed distance for the optimized mode. The
-// distance basis is the reconstructor's per-server signature, so the tour
-// minimises the servers whose content changes between consecutive states.
-func (s *session) visitOrder(states []CrashState, ids []int) []int {
-	if s.opts.Mode != ModeOptimized {
-		return ids
-	}
-	sigs := make([][]string, len(ids))
-	for k, id := range ids {
-		ks := s.recon.keptOf(states[id])
-		sigs[k] = make([]string, len(ks))
-		for pi := range ks {
-			sigs[k][pi] = ks[pi].sig()
-		}
-	}
-	tour := tsp.GreedyOrder(len(ids), func(i, j int) int {
-		d := 0
-		for pi := range sigs[i] {
-			if sigs[i][pi] != sigs[j][pi] {
-				d++
-			}
-		}
-		return d
-	})
-	order := make([]int, len(ids))
-	for k, t := range tour {
-		order[k] = ids[t]
-	}
-	return order
-}
-
 // shardSession builds a worker's private session around a detached clone:
 // shared read-only analysis state and legal-state cache, private clients
 // and check caches. The worker's effort lands on worker/-prefixed counters;
@@ -199,10 +163,9 @@ func (s *session) shardSession(fs pfs.FileSystem) *session {
 		resumed: s.resumed,
 	}
 	ws.bindObs(s.obs, "worker/")
-	// The clone gets its own reconstructor (private physical tracking and
-	// prefix-root caches over the clone's stores) seeded from the same shared
-	// initial snapshot — which prepare already proved holds a store for every
-	// server.
+	// The clone gets its own reconstructor (private prefix-root caches over
+	// the clone's stores) seeded from the same shared initial snapshot —
+	// which prepare already proved holds a store for every server.
 	ws.recon, _ = newReconstructor(ws)
 	return ws
 }
@@ -289,19 +252,12 @@ func (s *session) runParallel(states []CrashState, cloner pfs.Cloner, workers in
 }
 
 // exploreShard is the one worker loop — in-process shard workers and fleet
-// RunShard alike: it judges the worker's states in visitOrder (a shard-local
-// TSP tour in optimized mode, index order otherwise), publishing every
-// verdict to the board. All per-state logic lives in ws.check — the worker's
-// private reconstructor tracks the clone's physical state, caches prefix
-// roots and counts the work in the worker's own Stats.
+// RunShard alike: it judges the worker's states in generation order,
+// publishing every verdict to the board. All per-state logic lives in
+// ws.check — the worker's private reconstructor caches prefix roots and
+// counts the work in the worker's own Stats.
 func (ws *session) exploreShard(states []CrashState, ids []int, bugs *BugSet, board *resultBoard, pending *obs.Gauge) {
-	// Prime the cluster with the full initial snapshot (an O(1) adoption per
-	// server): the reconstructor only ever touches servers with universe ops,
-	// so on a fresh clone servers the traced run never wrote would otherwise
-	// keep their empty mkfs state instead of the initial content every crash
-	// state shares.
-	ws.fs.Restore(ws.initial)
-	for _, id := range ws.visitOrder(states, ids) {
+	for _, id := range ids {
 		if ws.ctx.Err() != nil {
 			return
 		}

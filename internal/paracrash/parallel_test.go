@@ -45,7 +45,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	cells := []cell{
 		{"ARVR", paracrash.ModeBrute},
 		{"ARVR", paracrash.ModePruning},
-		{"ARVR", paracrash.ModeOptimized},
 		{"WAL", paracrash.ModePruning},
 		{"H5-create", paracrash.ModePruning},
 	}

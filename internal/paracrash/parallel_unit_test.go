@@ -152,7 +152,7 @@ func TestMissingServerStoreFailsLoudly(t *testing.T) {
 // measured effort (restores, op replays, legal-set sizes, resumed verdicts)
 // is left out, as ReportFingerprint leaves it out.
 func TestRunParallelMatchesSerialWhiteBox(t *testing.T) {
-	for _, mode := range []Mode{ModeBrute, ModePruning, ModeOptimized} {
+	for _, mode := range []Mode{ModeBrute, ModePruning} {
 		run := func(workers int) *Report {
 			opts := DefaultOptions()
 			opts.Mode = mode

@@ -1,27 +1,24 @@
-// Incremental O(delta) crash-state reconstruction — the explorer's only
+// Crash-state reconstruction by prefix roots — the explorer's only
 // reconstruction engine.
 //
 // The vfs/blockdev substrates are persistent (O(1) snapshot and restore), so
-// instead of rebuilding every crash state from the initial snapshot the
-// reconstructor moves the live cluster *between* crash states by undoing and
-// applying op deltas:
+// a server's kept-op subsequence need not be replayed from the initial
+// snapshot every time:
 //
-//   - Every server's reconstruction target is its kept-op subsequence (the
-//     same per-server signature the greedy-TSP ordering minimises distance
-//     over). A server whose signature is unchanged from the previous state
-//     is not touched at all.
 //   - While building a server's kept sequence, the reconstructor captures an
 //     O(1) store snapshot after every applied op — a chain of prefix roots.
-//     The chain is an undo log in snapshot form: "undoing" the ops that the
-//     next crash state drops is restoring the longest prefix root the two
-//     states share, and only the ops past that prefix are replayed. Under
-//     TSP ordering adjacent states share long prefixes, so most transitions
-//     are one O(1) restore plus a handful of op applies.
+//     Reconstructing a crash state restores each server from the longest
+//     prefix root its kept sequence shares with one built before, and only
+//     the ops past that prefix are replayed.
+//   - Every reconstruction restores every server. Recovery and legal-state
+//     replay mutate the whole cluster in place, and one of them runs between
+//     any two reconstructions, so there is no state left to reuse; a restore
+//     is O(1) anyway. What the prefix roots save is op applies, and that
+//     saving does not depend on the order states are visited in.
 //
 // Effort is counted where it happens: every server-store restore and every
 // lowermost op apply bring performs lands in Stats.ServerRestores and
-// Stats.OpsReplayed — including the repairs a recovery or legal-state replay
-// forces on the next bring, and the shadow pipeline's reconstructions for
+// Stats.OpsReplayed — including the shadow pipeline's reconstructions for
 // class digests. Faulted retries, resumed verdicts and parallel workers
 // therefore report the work they actually did, not a serial walk's.
 //
@@ -49,14 +46,8 @@ import (
 // prefixes are contiguous from the empty prefix.
 const maxPrefixRoots = 4096
 
-// dirtySig marks a server whose physical content is mid-build, was
-// abandoned by a faulted build, or has not been brought to any crash state
-// yet, and must be restored before reuse.
-const dirtySig = "\x00dirty"
-
-// reconstructor moves the live cluster between crash states in O(delta).
-// One reconstructor serves one session (the primary's or a shard worker's
-// clone); it owns the per-server physical signature tracking and the
+// reconstructor brings the live cluster to crash states. One reconstructor
+// serves one session (the primary's or a shard worker's clone); it owns the
 // prefix-root caches.
 type reconstructor struct {
 	s *session
@@ -64,19 +55,13 @@ type reconstructor struct {
 	procs     []string         // sorted servers with universe ops
 	serverOps map[string][]int // proc -> universe node indices, in order
 
-	initials []pfs.ServerSnap // per-proc initial store snapshot
+	initials []pfs.ServerSnap            // per-proc initial store snapshot
+	roots    []map[string]pfs.ServerSnap // per-proc prefix key -> captured root
 
 	// others are the cluster's servers without universe ops: no crash state
-	// ever changes them, but recovery and legal-state replay mutate the
-	// whole cluster in place, so they need restoring (always to the initial
-	// snapshot) when a mutation dirtied them.
-	others      []string
-	otherSnaps  []pfs.ServerSnap
-	othersDirty bool
-
-	// Physical state: what is actually on the cluster.
-	phys  []string                    // per-proc signature currently applied
-	roots []map[string]pfs.ServerSnap // per-proc prefix key -> captured root
+	// changes them, so every bring restores them to the initial snapshot.
+	others     []string
+	otherSnaps []pfs.ServerSnap
 
 	// keptMemo caches per-Keep kept sequences and their cumulative prefix
 	// keys (many states share a Keep via distinct fronts, and the classifier
@@ -130,19 +115,10 @@ type recoveredOutcome struct {
 
 // serverKept is one server's kept-op subsequence for a Keep, with the
 // cumulative prefix keys ("n0," then "n0,n1," ...). keys[k] identifies the
-// store state after applying kept[0..k]; the final key (or "" when nothing
-// is kept) is the server's reconstruction signature.
+// store state after applying kept[0..k].
 type serverKept struct {
 	kept []int
 	keys []string
-}
-
-// sig returns the server's reconstruction signature.
-func (sk serverKept) sig() string {
-	if len(sk.keys) == 0 {
-		return ""
-	}
-	return sk.keys[len(sk.keys)-1]
 }
 
 // missingStoreError reports that the initial snapshot holds no store for a
@@ -164,7 +140,6 @@ func newReconstructor(s *session) (*reconstructor, error) {
 	r := &reconstructor{
 		s: s, procs: procs, serverOps: serverOps,
 		initials: make([]pfs.ServerSnap, len(procs)),
-		phys:     make([]string, len(procs)),
 		roots:    make([]map[string]pfs.ServerSnap, len(procs)),
 		keptMemo: map[string][]serverKept{},
 	}
@@ -174,7 +149,6 @@ func newReconstructor(s *session) (*reconstructor, error) {
 			return nil, &missingStoreError{proc: p}
 		}
 		r.initials[pi] = snap
-		r.phys[pi] = dirtySig
 		r.roots[pi] = map[string]pfs.ServerSnap{}
 	}
 	inProcs := map[string]bool{}
@@ -196,18 +170,6 @@ func newReconstructor(s *session) (*reconstructor, error) {
 	return r, nil
 }
 
-// markAllDirty records that something mutated the whole cluster in place
-// (recovery, legal-state replay): every server must be restored before the
-// next crash state is trusted. Each repair is one O(1) restore — from a
-// cached prefix root for op servers, from the initial snapshot for the
-// rest — so marking is always sound and never more than O(servers) work.
-func (r *reconstructor) markAllDirty() {
-	for pi := range r.phys {
-		r.phys[pi] = dirtySig
-	}
-	r.othersDirty = true
-}
-
 // recoveredOutcome brings the live cluster to cs and runs recovery and mount
 // on it, memoising the result per kept set: a kept set whose outcome is
 // cached needs no reconstruction at all. Injected faults surface as errors
@@ -221,12 +183,6 @@ func (r *reconstructor) recoveredOutcome(cs CrashState) (*recoveredOutcome, erro
 	if err := r.bring(cs); err != nil {
 		return nil, err
 	}
-	// Recovery mutates the server stores in place. Marking every server
-	// dirty up front (rather than snapshotting and restoring the whole
-	// cluster around the mutation) lets the next bring repair exactly the
-	// servers the next state needs, each with one O(1) prefix-root restore —
-	// and holds even when a fault or panic aborts recovery mid-way.
-	r.markAllDirty()
 	o := &recoveredOutcome{}
 	if rerr := r.s.fs.Recover(); rerr != nil {
 		if faultinject.Is(rerr) {
@@ -250,9 +206,7 @@ func (r *reconstructor) recoveredOutcome(cs CrashState) (*recoveredOutcome, erro
 }
 
 // keptOf returns the per-server kept sequences of cs with their cumulative
-// prefix keys, memoised per kept set: keptOf(cs)[pi].sig() is the final
-// prefix key of server pi's kept sequence, "" when the server keeps
-// nothing. The cached slices are read-only.
+// prefix keys, memoised per kept set. The cached slices are read-only.
 func (r *reconstructor) keptOf(cs CrashState) []serverKept {
 	kk := r.keepKey(cs)
 	if ks, ok := r.keptMemo[kk]; ok {
@@ -279,39 +233,40 @@ func (r *reconstructor) keptOf(cs CrashState) []serverKept {
 	return ks
 }
 
-// bring physically reconstructs cs on the live cluster, touching only
-// servers whose signature differs from what is already applied, and counts
-// every restore and op apply it performs. Injected faults abort with the
-// touched server marked dirty, so a retry re-restores it from a cached
-// prefix instead of trusting partial state.
+// bring reconstructs cs on the live cluster and counts every restore and op
+// apply it performs. It restores every server — an op server from the
+// longest cached prefix root of its kept sequence, any other from the
+// initial snapshot — and replays only the uncached suffixes. An injected
+// fault aborts it; the retry's bring starts over from restores again.
 func (r *reconstructor) bring(cs CrashState) error {
 	ks := r.keptOf(cs)
 	for pi := range r.procs {
-		want := ks[pi].sig()
-		if r.phys[pi] == want {
-			continue
-		}
-		if err := r.bringServer(ks[pi], pi, want); err != nil {
+		if err := r.bringServer(ks[pi], pi); err != nil {
 			return err
 		}
 	}
-	if r.othersDirty {
-		for i, p := range r.others {
-			if !r.s.fs.RestoreServerSnap(p, r.otherSnaps[i]) {
-				return fmt.Errorf("paracrash: incremental restore of %s failed", p)
-			}
-			r.s.countRestores(1)
+	for i, p := range r.others {
+		if err := r.restore(p, r.otherSnaps[i]); err != nil {
+			return err
 		}
-		r.othersDirty = false
 	}
+	return nil
+}
+
+// restore puts snap back on server p and counts the restore.
+func (r *reconstructor) restore(p string, snap pfs.ServerSnap) error {
+	if !r.s.fs.RestoreServerSnap(p, snap) {
+		return fmt.Errorf("paracrash: restore of %s failed", p)
+	}
+	r.s.countRestores(1)
 	return nil
 }
 
 // bringServer rebuilds one server: restore the longest cached prefix root
 // (the initial snapshot when none is cached) and apply the remaining kept
 // ops, capturing a prefix root after each one. Panics from backend apply
-// paths are quarantined into errors, leaving the server marked dirty.
-func (r *reconstructor) bringServer(sk serverKept, pi int, want string) (err error) {
+// paths are quarantined into errors.
+func (r *reconstructor) bringServer(sk serverKept, pi int) (err error) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			if fe, ok := faultinject.FromPanic(pv); ok {
@@ -321,7 +276,6 @@ func (r *reconstructor) bringServer(sk serverKept, pi int, want string) (err err
 			}
 		}
 	}()
-	r.phys[pi] = dirtySig
 	p := r.procs[pi]
 	kept, keys := sk.kept, sk.keys
 	base := r.initials[pi]
@@ -340,10 +294,9 @@ func (r *reconstructor) bringServer(sk serverKept, pi int, want string) (err err
 		r.roots[pi] = map[string]pfs.ServerSnap{}
 		base, last = r.initials[pi], 0
 	}
-	if !r.s.fs.RestoreServerSnap(p, base) {
-		return fmt.Errorf("paracrash: incremental restore of %s failed", p)
+	if err := r.restore(p, base); err != nil {
+		return err
 	}
-	r.s.countRestores(1)
 	for k := last; k < len(kept); k++ {
 		r.s.countReplayed(1)
 		if aerr := r.s.fs.ApplyLowermost(r.s.g.Ops[kept[k]]); aerr != nil && faultinject.Is(aerr) {
@@ -358,6 +311,5 @@ func (r *reconstructor) bringServer(sk serverKept, pi int, want string) (err err
 			}
 		}
 	}
-	r.phys[pi] = want
 	return nil
 }

@@ -9,13 +9,12 @@ import (
 
 // ReferenceDiff is the reconstruction engine's reference, exported to the
 // external differential suite (the workloads it runs import this package).
-// It walks every generated crash state of (fs, w) in mode's visiting order —
-// generation order, or the greedy TSP tour under ModeOptimized — and requires
-// that the reconstructor's bring + recoveredOutcome yield exactly what the
-// slow obvious way yields: a fresh detached clone, everything restored to
-// the initial snapshot, every kept op replayed in universe order, then
-// recover, mount, serialize. No classes, no memo, no prefix roots on the
-// reference side. Each bring's measured work must also stay within a full
+// It walks every generated crash state of (fs, w) under mode and requires
+// that the reconstructor's recoveredOutcome yield exactly what the slow
+// obvious way yields: a fresh detached clone, everything restored to the
+// initial snapshot, every kept op replayed in universe order, then recover,
+// mount, serialize. No classes, no memo, no prefix roots on the reference
+// side. Each reconstruction's measured work must also stay within a full
 // rebuild: at most one restore per server, one op apply per kept op.
 func ReferenceDiff(fs pfs.FileSystem, w Workload, mode Mode) (checked int, err error) {
 	opts := DefaultOptions()
@@ -24,14 +23,7 @@ func ReferenceDiff(fs pfs.FileSystem, w Workload, mode Mode) (checked int, err e
 	if err != nil {
 		return 0, err
 	}
-	fs.Restore(s.initial)
-	var states []CrashState
-	s.emu.Generate(opts.emulatorConfig(), func(cs CrashState) bool {
-		states = append(states, cs)
-		return true
-	})
-	for _, idx := range s.visitOrder(states, ShardSpec{Count: 1}.indices(len(states))) {
-		cs := states[idx]
+	for idx, cs := range s.generate() {
 		kept := 0
 		ref := fs.(pfs.Cloner).CloneDetached()
 		ref.Restore(s.initial)
@@ -50,22 +42,19 @@ func ReferenceDiff(fs pfs.FileSystem, w Workload, mode Mode) (checked int, err e
 			want.treeStr = tree.Serialize()
 		}
 
-		// Drop the per-Keep memo so every state's outcome is computed on the
-		// cluster bring actually produced.
+		// Drop the per-Keep memo so every state is reconstructed, and its
+		// outcome computed on the cluster bring actually produced.
 		s.recon.outcomes = map[string]*recoveredOutcome{}
 		before := s.stats
-		if err := s.recon.bring(cs); err != nil {
-			return checked, fmt.Errorf("state %d: bring: %v", idx, err)
-		}
-		if d := s.stats.ServerRestores - before.ServerRestores; d > len(fs.Procs()) {
-			return checked, fmt.Errorf("state %d: bring did %d restores on %d servers", idx, d, len(fs.Procs()))
-		}
-		if d := s.stats.OpsReplayed - before.OpsReplayed; d > kept {
-			return checked, fmt.Errorf("state %d: bring applied %d ops for %d kept ops", idx, d, kept)
-		}
 		got, err := s.recon.recoveredOutcome(cs)
 		if err != nil {
 			return checked, fmt.Errorf("state %d: recover: %v", idx, err)
+		}
+		if d := s.stats.ServerRestores - before.ServerRestores; d > len(fs.Procs()) {
+			return checked, fmt.Errorf("state %d: reconstruction did %d restores on %d servers", idx, d, len(fs.Procs()))
+		}
+		if d := s.stats.OpsReplayed - before.OpsReplayed; d > kept {
+			return checked, fmt.Errorf("state %d: reconstruction applied %d ops for %d kept ops", idx, d, kept)
 		}
 		if got.recoverErr != want.recoverErr || got.mountErr != want.mountErr || got.treeStr != want.treeStr {
 			return checked, fmt.Errorf("state %d (keep %s) diverges from the full rebuild:\n--- engine ---\n%s%s%s\n--- reference ---\n%s%s%s",
@@ -74,4 +63,36 @@ func ReferenceDiff(fs pfs.FileSystem, w Workload, mode Mode) (checked int, err e
 		checked++
 	}
 	return checked, nil
+}
+
+// OrderEffort runs the serial exploration of (fs, lib, w) under opts, which
+// must be brute force (pruning's skips depend on the visiting order), over
+// the generated crash states in the order perm(n) gives — a permutation of
+// 0..n-1 — and returns the run's Stats. Inconsistent states are classified,
+// so classifier probes reconstruct as they do in a run.
+func OrderEffort(fs pfs.FileSystem, lib Library, w Workload, opts Options, perm func(n int) []int) (Stats, error) {
+	if opts.Mode != ModeBrute {
+		return Stats{}, fmt.Errorf("OrderEffort: mode %s, want brute force", opts.Mode)
+	}
+	s, err := prepare(context.Background(), fs, lib, w, opts)
+	if err != nil {
+		return Stats{}, err
+	}
+	states := s.generate()
+	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
+		r, _ := s.check(cs)
+		return r.consistent || r.skipped, r.state
+	})
+	for _, i := range perm(len(states)) {
+		r, _ := s.check(states[i])
+		if r.consistent || r.skipped {
+			continue
+		}
+		lo := s.pfsOps
+		if r.layer != "pfs" && s.libOps != nil {
+			lo = s.libOps
+		}
+		classifier.ClassifyState(states[i], lo, r.state)
+	}
+	return s.stats, nil
 }

@@ -77,10 +77,10 @@ func (s *session) classKey(cs CrashState) (string, error) {
 // crashDigest runs the shadow pipeline for a kept set: bring the cluster to
 // the kept ops, run recovery and mount, and digest the outcome (recovery and
 // mount failures fold their deterministic error text in — states that fail
-// differently must not share a class, their consequences differ). The
-// pipeline leaves the live cluster repairable (mutated servers are marked
-// dirty and the next bring restores them from prefix roots), and its
-// restores also count on restores/digest.
+// differently must not share a class, their consequences differ). Recovery
+// leaves the live cluster mutated, which is harmless: the next bring
+// restores every server. The pipeline's restores also count on
+// restores/digest.
 // Injected faults retry under the policy like any other faultable work; an
 // exhausted retry budget surfaces as an error and check quarantines the
 // state, as a verdict that faulted through its budget would be.
@@ -153,7 +153,7 @@ func (s *session) attributeClass(key string, r checkResult) {
 
 // LegalMemo shares legal-state sets across runs: the enumerated set for a
 // given (scope, layer, model, status vector) is identical for every run of
-// the same workload on the same file system, so a fuzz campaign's seven-odd
+// the same workload on the same file system, so a fuzz campaign's seven
 // explorer runs per cell enumerate each set once. Sets are stored only
 // after a successful (unfaulted) enumeration and are read-only afterwards,
 // so sharing them across concurrent sessions is safe.

@@ -133,7 +133,6 @@ func TestRepresentativeDifferentialNamed(t *testing.T) {
 		{"beegfs", "ARVR", paracrash.ModeBrute, 1},
 		{"beegfs", "ARVR", paracrash.ModeBrute, 4},
 		{"beegfs", "ARVR", paracrash.ModePruning, 1},
-		{"beegfs", "ARVR", paracrash.ModeOptimized, 1},
 		{"orangefs", "CR", paracrash.ModePruning, 1},
 		{"glusterfs", "WAL", paracrash.ModePruning, 1},
 		{"gpfs", "H5-create", paracrash.ModePruning, 1},
@@ -187,7 +186,7 @@ func TestRepresentativeDifferentialFuzz(t *testing.T) {
 // unfaulted brute-force reference. The class digests are recomputed under
 // fire, so this exercises the shadow pipeline's retry path directly.
 func TestRepresentativeFaultTransparency(t *testing.T) {
-	for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModeOptimized} {
+	for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning} {
 		clean := paracrash.DefaultOptions()
 		clean.Mode = mode
 		cleanFP, err := runWithOpts(t, nil, clean)

@@ -126,14 +126,13 @@ func TestClassKeyNeverCollidesAcrossRecoveredContent(t *testing.T) {
 
 // TestCrashDigestDeterministicAndStatePreserving pins two contracts the
 // call sites rely on: repeated digests of one state are identical (memo or
-// not), and the shadow pipeline — whose recovery mutates the live cluster in
-// place — leaves the reconstructor's physical tracking truthful: the next
-// bring of any state still lands on exactly that state's content.
+// not), and after the shadow pipeline — whose recovery mutates the live
+// cluster in place — the next bring of any state still lands on exactly that
+// state's content.
 func TestCrashDigestDeterministicAndStatePreserving(t *testing.T) {
 	s, states := digestSession(t)
 	cs, other := states[len(states)/2], states[0]
 	want := recoveredContent(t, s, other)
-	s.recon.markAllDirty() // recoveredContent rebuilt the cluster behind the reconstructor's back
 
 	d1, err := s.crashDigest(cs)
 	if err != nil {

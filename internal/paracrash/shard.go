@@ -170,18 +170,11 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 
 	// Generate the full state space — the dealing is positional, so a shard
 	// must see the same list every process sees — then keep our slice.
-	stopGen := opts.Obs.Phase(obs.PhaseGenerate)
-	var states []CrashState
-	generated := s.emu.Generate(opts.emulatorConfig(), func(cs CrashState) bool {
-		states = append(states, cs)
-		return ctx.Err() == nil
-	})
-	stopGen()
+	states := s.generate()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("paracrash: shard cancelled: %w", err)
 	}
 	ids := shard.indices(len(states))
-	opts.Obs.Counter("states/generated").Add(int64(generated))
 	opts.Obs.Gauge("shard/states").Set(int64(len(ids)))
 
 	// Judge the shard with the in-process worker loop: an empty BugSet (no
@@ -200,10 +193,9 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 		return nil, fmt.Errorf("paracrash: shard cancelled: %w", err)
 	}
 
-	s.stats.StatesGenerated = generated
 	s.stats.StateClasses = len(s.classes)
 	s.stats.Duration = time.Since(start)
-	rep := &ShardReport{Shard: shard, Config: config, StatesGenerated: generated, Stats: s.stats}
+	rep := &ShardReport{Shard: shard, Config: config, StatesGenerated: s.stats.StatesGenerated, Stats: s.stats}
 	for _, id := range ids {
 		res, _, ok := board.await(id) // published: the loop covered every id
 		if !ok {

@@ -58,7 +58,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 	progs := incrementalPrograms(t)
 	for _, backend := range exps.FSNames() {
 		for _, prog := range progs[:2] {
-			for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModeOptimized} {
+			for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning} {
 				t.Run(backend+"/"+prog.Name()+"/"+mode.String(), func(t *testing.T) {
 					opts := paracrash.DefaultOptions()
 					opts.Mode = mode
@@ -158,7 +158,7 @@ func TestShardMergeValidation(t *testing.T) {
 	}
 
 	other := opts
-	other.Mode = paracrash.ModeOptimized
+	other.Mode = paracrash.ModeBrute
 	if err := merge(other, reports); err == nil || !strings.Contains(err.Error(), "different configuration") {
 		t.Errorf("config mismatch: got %v", err)
 	}
@@ -199,9 +199,8 @@ func TestShardChaosResume(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	backend := "lustre"
 	opts := paracrash.DefaultOptions()
-	opts.Mode = paracrash.ModeOptimized
 	opts.Workers = 1
-	base := runEngine(t, backend, prog, paracrash.ModeOptimized, 1)
+	base := runEngine(t, backend, prog, paracrash.ModePruning, 1)
 	baseFP := exps.ReportFingerprint(base)
 
 	const count = 3

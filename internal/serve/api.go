@@ -64,7 +64,8 @@ type JobRequest struct {
 	FS string `json:"fs,omitempty"`
 	// Program is the test program name (see exps.Programs). Default ARVR.
 	Program string `json:"program,omitempty"`
-	// Mode is the exploration strategy: brute, pruning (default), optimized.
+	// Mode is the exploration strategy: brute or pruning (default), as
+	// paracrash.ParseMode names them.
 	Mode string `json:"mode,omitempty"`
 	// PFSModel / LibModel are consistency-model names (strict, commit,
 	// causal, baseline); defaults mirror paracrash.DefaultOptions.
@@ -159,12 +160,10 @@ func (r *JobRequest) Normalize() error {
 	if _, err := exps.ProgramByName(r.Program); err != nil {
 		return fmt.Errorf("unknown program %q", r.Program)
 	}
-	switch r.Mode {
-	case "":
-		r.Mode = "pruning"
-	case "brute", "pruning", "optimized":
-	default:
-		return fmt.Errorf("unknown mode %q (want brute, pruning or optimized)", r.Mode)
+	if r.Mode == "" {
+		r.Mode = core.ModePruning.String()
+	} else if _, err := core.ParseMode(r.Mode); err != nil {
+		return fmt.Errorf("mode: %v", err)
 	}
 	if r.PFSModel != "" {
 		if _, err := core.ParseModel(r.PFSModel); err != nil {
@@ -186,14 +185,10 @@ func (r *JobRequest) Normalize() error {
 // request. maxWorkers caps the per-job worker budget (0 = no cap).
 func (r *JobRequest) options(maxWorkers int) core.Options {
 	opts := core.DefaultOptions()
-	switch r.Mode {
-	case "brute":
-		opts.Mode = core.ModeBrute
-	case "optimized":
-		opts.Mode = core.ModeOptimized
-	default:
-		opts.Mode = core.ModePruning
-	}
+	// Read the mode as stored data: a job record or shard task written
+	// before a mode was retired still resolves (and never to the zero Mode;
+	// a name that does not parse keeps the default).
+	_ = opts.Mode.UnmarshalText([]byte(r.Mode))
 	if r.PFSModel != "" {
 		opts.PFSModel, _ = core.ParseModel(r.PFSModel)
 	}

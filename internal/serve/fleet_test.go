@@ -171,7 +171,7 @@ func TestFleetShardFailureFailsJob(t *testing.T) {
 // worker's checkpoint journal — and the merged report is still
 // byte-identical to the standalone run.
 func TestChaosFleetWorkerDeathLeaseReclaim(t *testing.T) {
-	req := JobRequest{Kind: JobKindExplore, FS: "lustre", Program: "CR", Mode: "optimized"}
+	req := JobRequest{Kind: JobKindExplore, FS: "lustre", Program: "CR"}
 	want := standaloneFingerprint(t, req)
 
 	dir := t.TempDir()

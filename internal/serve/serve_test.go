@@ -551,6 +551,57 @@ func TestRetiredIncrementalField(t *testing.T) {
 	}
 }
 
+// TestRetiredOptimizedMode: the "optimized" mode was retired. Stored data
+// still naming it — a finished job's report and request, an interrupted
+// job's request — passes fsck, loads and resumes as pruning, never as the
+// zero Mode (brute force); a client submitting it gets a 400 naming it.
+func TestRetiredOptimizedMode(t *testing.T) {
+	dir := t.TempDir()
+	for id, record := range map[string]string{
+		"j-done": fmt.Sprintf(`{"version":%d,"id":"j-done","state":"done","request":{"kind":"explore","fs":"ext4","program":"CR","mode":"optimized"},"report":{"Program":"CR","FS":"ext4","Mode":"optimized"},"created_at":"2026-08-01T00:00:00Z"}`, JobVersion),
+		"j-int":  fmt.Sprintf(`{"version":%d,"id":"j-int","state":"running","request":{"kind":"explore","fs":"ext4","program":"CR","mode":"optimized"},"created_at":"2026-08-01T00:00:00Z"}`, JobVersion),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, "job-"+id+".json"), []byte(record), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep, err := Fsck(dir, FsckOptions{}); err != nil || !rep.Clean {
+		t.Fatalf("fsck of records naming the retired mode: %v, %+v", err, rep)
+	}
+	st, warns := OpenStore(dir)
+	if len(warns) != 0 {
+		t.Fatalf("records naming the retired mode did not load cleanly: %v", warns)
+	}
+	if j, ok := st.Get("j-done"); !ok || j.Report == nil || j.Report.Mode != core.ModePruning {
+		t.Fatalf("stored report's mode did not load as pruning: %+v", j.Report)
+	}
+	if mode := (&JobRequest{Mode: "optimized"}).options(0).Mode; mode != core.ModePruning {
+		t.Fatalf("stored request mode resolves to %s, want pruning", mode)
+	}
+
+	s := NewScheduler(SchedulerConfig{}, st, nil)
+	s.Start()
+	defer s.Drain(context.Background())
+	if err := s.Resubmit("j-int"); err != nil {
+		t.Fatalf("Resubmit: %v", err)
+	}
+	if j := waitState(t, st, "j-int", JobDone); j.Report == nil || j.Report.Mode != core.ModePruning {
+		t.Fatalf("resumed job did not run as pruning: %+v", j.Report)
+	}
+
+	srv := httptest.NewServer(NewServer(s, st, nil))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"fs":"ext4","program":"CR","mode":"optimized"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "optimized") {
+		t.Fatalf("POST with the retired mode: status %d, body %s; want 400 naming the mode", resp.StatusCode, body)
+	}
+}
+
 // TestHTTPBackpressure verifies the 429 + Retry-After contract over HTTP.
 func TestHTTPBackpressure(t *testing.T) {
 	st, _ := OpenStore("")

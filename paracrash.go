@@ -86,9 +86,8 @@ const (
 
 // Exploration strategies (paper §5).
 const (
-	ModeBrute     = core.ModeBrute
-	ModePruning   = core.ModePruning
-	ModeOptimized = core.ModeOptimized
+	ModeBrute   = core.ModeBrute
+	ModePruning = core.ModePruning
 )
 
 // Run executes the ParaCrash pipeline: trace, emulate crashes, check each
