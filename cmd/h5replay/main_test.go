@@ -97,7 +97,7 @@ func TestNoLibraryOperations(t *testing.T) {
 // same operations over the same starting image.
 func TestReplayMatchesLibrary(t *testing.T) {
 	path, ops := recordTrace(t, "beegfs", "H5-create")
-	libOps := trace.ByLayer(ops, trace.LayerIOLib)
+	libOps := trace.Filter(ops, func(o *trace.Op) bool { return o.Layer == trace.LayerIOLib })
 	if len(libOps) == 0 {
 		t.Fatal("H5-create recorded no library operations")
 	}

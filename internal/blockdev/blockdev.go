@@ -76,6 +76,13 @@ func (d *Dev) Read(lba int64) ([]byte, bool) {
 	return append([]byte(nil), b...), true
 }
 
+// View is Read without the copy: the returned bytes are the stored block
+// and must not be modified. They never change underneath the caller, since
+// Write installs a fresh copy instead of writing in place.
+func (d *Dev) View(lba int64) ([]byte, bool) {
+	return d.blocks.Get(lba)
+}
+
 // Erase removes the block at lba (models discard; used by fsck policies).
 func (d *Dev) Erase(lba int64) {
 	d.blocks = d.blocks.Delete(lba)

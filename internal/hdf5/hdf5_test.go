@@ -157,3 +157,50 @@ func TestInspect(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupCarriesParentGroupFields pins how object headers decode today.
+// decodeObject merges into the value it is given (json.Unmarshal keeps the
+// fields a payload omits), and lookup decodes every header along the path
+// into one objectHeader. So a dataset's header comes back carrying its
+// parent group's Btree and Heap, and Resize writes that merged header back
+// to the file. File images, and with them verdicts, depend on this: a
+// decode memo, or any decoder that replaces instead of merging, changes it,
+// and must do so on purpose, in a change that regenerates the goldens.
+func TestLookupCarriesParentGroupFields(t *testing.T) {
+	f, _ := newTestFile(t)
+	if err := f.CreateGroup("/g1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CreateDataset("/g1/d1", 4, 4); err != nil {
+		t.Fatal(err)
+	}
+	_, group, err := f.lookup("/g1")
+	if err != nil || group.Btree == 0 || group.Heap == 0 {
+		t.Fatalf("group header %+v, %v", group, err)
+	}
+	addr, oh, err := f.lookup("/g1/d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var own objectHeader
+	if err := decodeObject(f.img, addr, SigOhdr, OhdrSize, &own); err != nil {
+		t.Fatal(err)
+	}
+	if own.Btree != 0 || own.Heap != 0 {
+		t.Fatalf("the dataset's own header has group fields: %+v", own)
+	}
+	if oh.Group || oh.Btree != group.Btree || oh.Heap != group.Heap || oh.Rows != 4 || oh.Cols != 4 {
+		t.Fatalf("lookup returned %+v, want the dataset's fields merged over the group's Btree %d and Heap %d",
+			oh, group.Btree, group.Heap)
+	}
+	if err := f.Resize("/g1/d1", 10, 10); err != nil {
+		t.Fatal(err)
+	}
+	var written objectHeader
+	if err := decodeObject(f.img, addr, SigOhdr, OhdrSize, &written); err != nil {
+		t.Fatal(err)
+	}
+	if written.Btree != group.Btree || written.Heap != group.Heap || written.Rows != 10 || written.Cols != 10 {
+		t.Fatalf("Resize wrote %+v, want the merged header with 10x10", written)
+	}
+}

@@ -65,6 +65,19 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelDecodeMemos runs the two backends that memoise metadata
+// decodes (gpfs blocks, orangefs DB pages) at Workers=2: every worker's
+// clone keeps its own memo, so the run must be race-free under -race and
+// report what the serial run reports.
+func TestParallelDecodeMemos(t *testing.T) {
+	for _, fsName := range []string{"gpfs", "orangefs"} {
+		serialFP, _ := runFingerprinted(t, fsName, "ARVR", paracrash.ModeBrute, 1)
+		if fp, _ := runFingerprinted(t, fsName, "ARVR", paracrash.ModeBrute, 2); fp != serialFP {
+			t.Errorf("%s: Workers=2 fingerprint differs from serial", fsName)
+		}
+	}
+}
+
 // TestParallelWorkerCounts varies the worker count on one cell: any N must
 // reproduce the serial report, including N far above the state count.
 func TestParallelWorkerCounts(t *testing.T) {

@@ -19,6 +19,7 @@
 package orangefs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -60,7 +61,13 @@ type FS struct {
 	// nextPage allocates log-structured DB pages per (proc, db). Page
 	// indices are an allocation detail, derivable by scanning the file.
 	nextPage map[string]int
+	// pages memoises dbScan's page decodes; see dbScan.
+	pages map[string][]record
 }
+
+// maxPages caps an FS's page memo; on overflow the memo is cleared (the
+// policy of the engine's recovered-outcome cache).
+const maxPages = 4096
 
 // New creates an OrangeFS deployment and initialises the root directory.
 func New(conf pfs.Config, rec *trace.Recorder) *FS {
@@ -78,6 +85,7 @@ func New(conf pfs.Config, rec *trace.Recorder) *FS {
 		nextFileID: 1,
 		nextSeq:    1,
 		nextPage:   map[string]int{},
+		pages:      map[string][]record{},
 	}
 	for i := 0; i < conf.MetaServers; i++ {
 		fs := f.meta(i).FS
@@ -181,15 +189,10 @@ func (f *FS) dbScan(mi int, db string) map[string]record {
 	out := map[string]record{}
 	for off := 0; off+PageSize <= len(data); off += PageSize {
 		page := data[off : off+PageSize]
-		end := strings.IndexByte(string(page), 0)
-		if end < 0 {
-			end = len(page)
+		if end := bytes.IndexByte(page, 0); end >= 0 {
+			page = page[:end]
 		}
-		var recs []record
-		if err := json.Unmarshal(page[:end], &recs); err != nil {
-			continue
-		}
-		for _, rec := range recs {
+		for _, rec := range f.decodePage(page) {
 			if rec.K == "" {
 				continue
 			}
@@ -199,6 +202,25 @@ func (f *FS) dbScan(mi int, db string) map[string]record {
 		}
 	}
 	return out
+}
+
+// decodePage returns a page's records, nil for a page that does not decode
+// (it contributes no records, like an empty one). Decoding is a pure
+// function of the bytes, so results are memoised per FS; a memoised slice
+// is shared by every later scan and must not be modified.
+func (f *FS) decodePage(page []byte) []record {
+	if recs, hit := f.pages[string(page)]; hit {
+		return recs
+	}
+	var recs []record
+	if err := json.Unmarshal(page, &recs); err != nil {
+		recs = nil
+	}
+	if len(f.pages) >= maxPages {
+		f.pages = map[string][]record{}
+	}
+	f.pages[string(page)] = recs
+	return recs
 }
 
 // dbGet returns the live value of key in db on server mi.

@@ -1,6 +1,7 @@
 package orangefs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -154,5 +155,78 @@ func TestMountWalksNestedDirs(t *testing.T) {
 	e, ok := tree.Entries["/d1/d2/f"]
 	if !ok || string(e.Data) != "deep" {
 		t.Fatalf("nested mount wrong:\n%s", tree.Serialize())
+	}
+}
+
+func TestUndecodablePageStaysSkippedOnMemoHit(t *testing.T) {
+	// A page whose second record fails to decode: the whole page is lost,
+	// including the first record, on the first scan and on memo hits.
+	f := newFS(t)
+	const bad = `[{"k":"d:root:ghost","v":"{}","seq":99},{"k":"x","seq":"bad"}]`
+	m := f.meta(0).FS
+	size, err := m.Size("/db/keyval.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, PageSize)
+	copy(page, bad)
+	if err := m.WriteAt("/db/keyval.db", size, page); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := f.dbScan(0, "keyval.db")["d:root:ghost"]; ok {
+			t.Fatalf("scan %d: a record of an undecodable page is visible", i)
+		}
+	}
+	if recs, hit := f.pages[bad]; !hit || recs != nil {
+		t.Fatalf("undecodable page memoised as %v (hit %v), want nil", recs, hit)
+	}
+}
+
+func TestPageMemoCap(t *testing.T) {
+	for _, n := range []int{maxPages - 1, maxPages, maxPages + 1} {
+		f := newFS(t)
+		for i := 0; i < n; i++ {
+			recs := f.decodePage([]byte(fmt.Sprintf(`[{"k":"k%d","seq":1}]`, i)))
+			if len(recs) != 1 || recs[0].K != fmt.Sprintf("k%d", i) {
+				t.Fatalf("n=%d: page %d decoded to %v", n, i, recs)
+			}
+		}
+		want := n
+		if n > maxPages {
+			want = n - maxPages // cleared on overflow, then the last page
+		}
+		if len(f.pages) != want {
+			t.Errorf("n=%d: memo holds %d pages, want %d", n, len(f.pages), want)
+		}
+	}
+}
+
+func TestCloneHasItsOwnPageMemo(t *testing.T) {
+	f := newFS(t)
+	if err := f.Client(0).Create("/foo"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Mount(); err != nil {
+		t.Fatal(err)
+	}
+	primary := len(f.pages)
+	if primary == 0 {
+		t.Fatal("mount decoded no pages")
+	}
+	c := f.CloneDetached().(*FS)
+	if len(c.pages) != 0 {
+		t.Fatalf("clone starts with %d memoised pages", len(c.pages))
+	}
+	c.Restore(f.Snapshot())
+	tree, err := c.Mount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tree.Entries["/foo"]; !ok {
+		t.Fatal("clone lost /foo")
+	}
+	if len(c.pages) == 0 || len(f.pages) != primary {
+		t.Fatalf("clone mount: clone memo %d, primary memo %d -> %d", len(c.pages), primary, len(f.pages))
 	}
 }

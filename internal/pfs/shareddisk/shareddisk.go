@@ -34,6 +34,8 @@ package shareddisk
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -117,6 +119,27 @@ type FS struct {
 
 	nextIno int
 	nextSeq int
+
+	// memo holds readBlock's decodes; see readBlock.
+	memo map[memoKey]decoded
+}
+
+// maxDecoded caps an FS's decode memo; on overflow the memo is cleared
+// (the policy of the engine's recovered-outcome cache).
+const maxDecoded = 4096
+
+// memoKey is a decode's input: the same bytes may be decoded as different
+// block types, so the type is part of the key.
+type memoKey struct {
+	typ  reflect.Type
+	data string
+}
+
+// decoded is one memoised readBlock result: the decoded value (a T) and
+// whether decoding succeeded.
+type decoded struct {
+	v  any
+	ok bool
 }
 
 // New creates a deployment with conf.StorageServers block servers (the
@@ -137,6 +160,7 @@ func New(conf pfs.Config, policy Policy, rec *trace.Recorder) *FS {
 		policy:  policy,
 		nextIno: 2, // root is ino 1
 		nextSeq: 1,
+		memo:    map[memoKey]decoded{},
 	}
 	// mkfs (untraced, direct device writes).
 	rootOwner := f.owner(1)
@@ -218,17 +242,27 @@ func (f *FS) serverProc(i int) string { return fmt.Sprintf("server/%d", i) }
 // owner returns the metadata owner server of an ino.
 func (f *FS) owner(ino int) int { return ino % f.servers() }
 
-// readBlock unmarshals the current content of a block.
+// readBlock unmarshals the current content of a block. Decoding is a pure
+// function of the bytes, so results (failures too) are memoised per FS by
+// (T, bytes). A memoised value is shared by every later read of the same
+// bytes: callers must treat its maps and slices as read-only and copy them
+// before changing them.
 func readBlock[T any](f *FS, srv int, lba int64) (T, bool) {
 	var out T
-	b, ok := f.server(srv).Dev.Read(lba)
+	b, ok := f.server(srv).Dev.View(lba)
 	if !ok {
 		return out, false
 	}
-	if err := json.Unmarshal(b, &out); err != nil {
-		return out, false
+	typ := reflect.TypeFor[T]()
+	if d, hit := f.memo[memoKey{typ, string(b)}]; hit {
+		return d.v.(T), d.ok
 	}
-	return out, true
+	err := json.Unmarshal(b, &out)
+	if len(f.memo) >= maxDecoded {
+		f.memo = map[memoKey]decoded{}
+	}
+	f.memo[memoKey{typ, string(b)}] = decoded{out, err == nil}
+	return out, err == nil
 }
 
 // txn is a metadata transaction under construction.
@@ -644,14 +678,12 @@ func (c *client) Unlink(path string) error {
 // Fsync issues barriers on the servers holding the file's data.
 func (c *client) Fsync(path string) error {
 	f := c.fs
-	ino, err := f.resolve(path)
-	if err != nil {
+	if _, err := f.resolve(path); err != nil {
 		return err
 	}
 	op := f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
 	op.Sync = true
 	defer f.PopClient(c.proc)
-	_ = ino
 	for i := 0; i < f.servers(); i++ {
 		srv := i
 		f.RPC(c.proc, f.serverProc(srv), func() {
@@ -682,23 +714,20 @@ func (f *FS) Recover() error {
 		return err
 	}
 	if f.policy.ReplayLog {
-		type seqRec struct {
-			rec logRecord
-		}
-		var logs []seqRec
+		var logs []logRecord
 		for i := 0; i < f.servers(); i++ {
 			for _, lba := range f.server(i).Dev.LBAs() {
 				if lba < lbaLog {
 					continue
 				}
 				if rec, ok := readBlock[logRecord](f, i, lba); ok {
-					logs = append(logs, seqRec{rec})
+					logs = append(logs, rec)
 				}
 			}
 		}
-		sort.Slice(logs, func(a, b int) bool { return logs[a].rec.Seq < logs[b].rec.Seq })
+		sort.Slice(logs, func(a, b int) bool { return logs[a].Seq < logs[b].Seq })
 		for _, l := range logs {
-			for _, w := range l.rec.Writes {
+			for _, w := range l.Writes {
 				if w.Srv >= 0 && w.Srv < f.servers() {
 					f.server(w.Srv).Dev.Write(w.LBA, w.Data)
 				}
@@ -727,12 +756,14 @@ func (f *FS) Recover() error {
 			f.server(f.owner(ino)).Dev.Write(entriesLBA(ino), mustJSON(entriesBlock{Entries: map[string]int{}}))
 			return nil
 		}
-		changed := false
+		kept, changed := ent.Entries, false
 		for name, child := range ent.Entries {
 			cin, ok := f.inode(child)
 			if !ok || !allocated[child] || cin.Ino != child {
-				delete(ent.Entries, name) // accept the fix: drop the entry
-				changed = true
+				if !changed { // ent is memoised: drop from a copy
+					kept, changed = maps.Clone(ent.Entries), true
+				}
+				delete(kept, name) // accept the fix: drop the entry
 				continue
 			}
 			if cin.Dir {
@@ -742,7 +773,7 @@ func (f *FS) Recover() error {
 			}
 		}
 		if changed {
-			f.server(f.owner(ino)).Dev.Write(entriesLBA(ino), mustJSON(entriesBlock{Entries: ent.Entries}))
+			f.server(f.owner(ino)).Dev.Write(entriesLBA(ino), mustJSON(entriesBlock{Entries: kept}))
 		}
 		return nil
 	}

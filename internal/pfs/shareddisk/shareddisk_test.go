@@ -2,6 +2,7 @@ package shareddisk
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -207,4 +208,90 @@ func mustTree(t *testing.T, f *FS) *pfs.Tree {
 		t.Fatal(err)
 	}
 	return tree
+}
+
+func TestRecoverLeavesMemoisedEntriesIntact(t *testing.T) {
+	// mmfsck drops /foo from the root's entries block, whose decode is
+	// memoised: the drop must not reach the memo, so the old bytes still
+	// decode to a block listing /foo.
+	f := newGPFS(t)
+	if err := f.Client(0).Create("/foo"); err != nil {
+		t.Fatal(err)
+	}
+	ino, err := f.resolve("/foo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := f.owner(1)
+	old, _ := f.server(root).Dev.Read(entriesLBA(1))
+	f.server(f.owner(ino)).Dev.Erase(inodeLBA(ino))
+	if err := f.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := mustTree(t, f).Entries["/foo"]; ok {
+		t.Fatal("mmfsck kept the dangling entry")
+	}
+	f.server(root).Dev.Write(entriesLBA(1), old)
+	if ent, ok := readBlock[entriesBlock](f, root, entriesLBA(1)); !ok || ent.Entries["foo"] != ino {
+		t.Fatalf("Recover changed the memoised decode of the old entries block: %v", ent.Entries)
+	}
+}
+
+func TestUndecodableBlockStaysUnreadableOnMemoHit(t *testing.T) {
+	f := newGPFS(t)
+	const bad = `{"ino":"x"}` // not an inode block, but a valid superblock
+	f.server(0).Dev.Write(inodeLBA(2), []byte(bad))
+	for i := 0; i < 2; i++ {
+		if _, ok := readBlock[inodeBlock](f, 0, inodeLBA(2)); ok {
+			t.Fatalf("read %d: an undecodable inode block read as ok", i)
+		}
+	}
+	if d, hit := f.memo[memoKey{reflect.TypeFor[inodeBlock](), bad}]; !hit || d.ok {
+		t.Fatalf("failed decode memoised as %+v (hit %v), want a recorded failure", d, hit)
+	}
+	// The same bytes decoded as another type are a separate memo entry.
+	if _, ok := readBlock[superBlock](f, 0, inodeLBA(2)); !ok {
+		t.Fatal("the inode-block failure leaked to a superblock read of the same bytes")
+	}
+}
+
+func TestDecodeMemoCap(t *testing.T) {
+	for _, n := range []int{maxDecoded - 1, maxDecoded, maxDecoded + 1} {
+		f := newGPFS(t)
+		for i := 0; i < n; i++ {
+			f.server(0).Dev.Write(inodeLBA(2), mustJSON(inodeBlock{Ino: 2, Size: int64(i)}))
+			if in, ok := readBlock[inodeBlock](f, 0, inodeLBA(2)); !ok || in.Size != int64(i) {
+				t.Fatalf("n=%d: decode %d read %+v, %v", n, i, in, ok)
+			}
+		}
+		want := n
+		if n > maxDecoded {
+			want = n - maxDecoded // cleared on overflow, then the last decode
+		}
+		if len(f.memo) != want {
+			t.Errorf("n=%d: memo holds %d decodes, want %d", n, len(f.memo), want)
+		}
+	}
+}
+
+func TestCloneHasItsOwnDecodeMemo(t *testing.T) {
+	f := newGPFS(t)
+	if err := f.Client(0).Create("/foo"); err != nil {
+		t.Fatal(err)
+	}
+	primary := len(f.memo)
+	if primary == 0 {
+		t.Fatal("create decoded no blocks")
+	}
+	c := f.CloneDetached().(*FS)
+	if len(c.memo) != 0 {
+		t.Fatalf("clone starts with %d memoised decodes", len(c.memo))
+	}
+	c.Restore(f.Snapshot())
+	if _, ok := mustTree(t, c).Entries["/foo"]; !ok {
+		t.Fatal("clone lost /foo")
+	}
+	if len(c.memo) == 0 || len(f.memo) != primary {
+		t.Fatalf("clone mount: clone memo %d, primary memo %d -> %d", len(c.memo), primary, len(f.memo))
+	}
 }

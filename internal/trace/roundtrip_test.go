@@ -64,7 +64,7 @@ func TestGoldenTraceRoundTrip(t *testing.T) {
 
 	// The replay universe must survive too: same lowermost ops with the
 	// same keys in the same order.
-	lo1, lo2 := trace.Lowermost(ops), trace.Lowermost(decoded)
+	lo1, lo2 := trace.Filter(ops, (*trace.Op).IsLowermost), trace.Filter(decoded, (*trace.Op).IsLowermost)
 	if len(lo1) != len(lo2) {
 		t.Fatalf("lowermost counts differ: %d vs %d", len(lo1), len(lo2))
 	}

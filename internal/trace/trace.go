@@ -302,16 +302,6 @@ func Filter(ops []*Op, keep func(*Op) bool) []*Op {
 	return out
 }
 
-// ByLayer returns the ops recorded at the given layer, in order.
-func ByLayer(ops []*Op, l Layer) []*Op {
-	return Filter(ops, func(o *Op) bool { return o.Layer == l })
-}
-
-// Lowermost returns the ops at the lowermost (replayable) layers, in order.
-func Lowermost(ops []*Op) []*Op {
-	return Filter(ops, func(o *Op) bool { return o.IsLowermost() })
-}
-
 // Procs returns the sorted set of process names appearing in ops.
 func Procs(ops []*Op) []string {
 	set := map[string]bool{}

@@ -103,7 +103,8 @@ func TestFiltersAndProcs(t *testing.T) {
 	r.Record(Op{Proc: "b", Name: "x", Layer: LayerPFS})
 	r.Record(Op{Proc: "a", Name: "y", Layer: LayerLocalFS})
 	ops := r.Ops()
-	if len(ByLayer(ops, LayerPFS)) != 1 || len(Lowermost(ops)) != 1 {
+	pfsOps := Filter(ops, func(o *Op) bool { return o.Layer == LayerPFS })
+	if len(pfsOps) != 1 || len(Filter(ops, (*Op).IsLowermost)) != 1 {
 		t.Fatal("layer filters wrong")
 	}
 	procs := Procs(ops)
