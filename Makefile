@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build crossbuild vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental emulate legal selfcheck sloc clean
+.PHONY: all build crossbuild vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental emulate classify legal selfcheck sloc clean
 
 all: build vet test
 
@@ -48,7 +48,7 @@ race:
 	$(GO) test -race ./...
 
 # Everything a change must pass before it lands.
-ci: build crossbuild vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental emulate legal selfcheck benchcheck
+ci: build crossbuild vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental emulate classify legal selfcheck benchcheck
 
 # The benchmark harness checking itself (benchmark/ is a module of its own,
 # so `go test ./...` does not reach it): every workload's verdicts against
@@ -83,6 +83,15 @@ incremental:
 # the allocation and memory bounds, and both caps tested at the cap.
 emulate:
 	$(GO) test ./internal/causality ./internal/paracrash -run 'TestEmulator|TestPersistOrder|TestGenerate' -count=1
+
+# Table 1 classifier gate: the word-operation classifier against the one it
+# replaced, kept in classify_reference_test.go — identical pairs and an
+# identical probe sequence for every inconsistent state of 187 cells — plus
+# the truth tables, the probe cache's hash confirmation, the allocation
+# bounds and the ancestor table it rests on.
+classify:
+	$(GO) test ./internal/causality -run 'TestQuickAncestors' -count=1
+	$(GO) test ./internal/paracrash/ -run 'TestClassif|TestBugSet' -count=1 -v
 
 # `make legal`: the library legal-state walk (LayerOps.walk over resumable
 # replays, skipping subtrees whose replay state was walked) against the

@@ -175,6 +175,28 @@ func TestQuickIdealsAreDownwardClosed(t *testing.T) {
 	}
 }
 
+// TestQuickAncestorsTransposeHB: Ancestors(j) holds exactly the i with
+// HB(i, j), and Descendants(i) exactly the j, on graphs wide enough to span
+// several bitset words.
+func TestQuickAncestorsTransposeHB(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(150)
+		g := Build(randomDAGOps(r, n))
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if g.Ancestors(j).Get(i) != g.HB(i, j) || g.Descendants(i).Get(j) != g.HB(i, j) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // persistFixture builds a two-server trace for Algorithm 2 truth tables:
 //
 //	s1: meta1, data1, fsync(data1.file), meta2

@@ -32,6 +32,7 @@ type Graph struct {
 	byID map[int]int // trace op ID -> node index
 	succ [][]int     // direct edges
 	hb   []Bitset    // hb[i].Get(j) ⇔ i strictly happens-before j
+	anc  []Bitset    // anc[j].Get(i) ⇔ i strictly happens-before j (hb transposed)
 }
 
 // Build constructs the causality graph over ops. The ops must carry
@@ -94,14 +95,17 @@ func Build(ops []*trace.Op) *Graph {
 	return g
 }
 
-// closure computes the transitive closure with a reverse-topological DP.
-// The graph is a DAG by construction (all edge sources were recorded before
-// their targets except possibly comm edges, so we verify with Kahn).
+// closure computes the transitive closure with a reverse-topological DP,
+// and its transpose. The graph is a DAG by construction (all edge sources
+// were recorded before their targets except possibly comm edges, so we
+// verify with Kahn).
 func (g *Graph) closure() {
 	n := len(g.Ops)
 	g.hb = make([]Bitset, n)
+	g.anc = make([]Bitset, n)
 	for i := range g.hb {
 		g.hb[i] = NewBitset(n)
+		g.anc[i] = NewBitset(n)
 	}
 	// Topological order via Kahn's algorithm.
 	indeg := make([]int, n)
@@ -131,12 +135,19 @@ func (g *Graph) closure() {
 	if len(order) != n {
 		panic(fmt.Sprintf("causality: trace graph has a cycle (%d of %d ordered)", len(order), n))
 	}
-	// Propagate reachability from sinks backwards.
+	// Propagate reachability from sinks backwards, and ancestry from sources
+	// forwards: a node's predecessors all come before it in order.
 	for k := len(order) - 1; k >= 0; k-- {
 		v := order[k]
 		for _, t := range g.succ[v] {
 			g.hb[v].Set(t)
 			g.hb[v].Union(g.hb[t])
+		}
+	}
+	for _, v := range order {
+		for _, t := range g.succ[v] {
+			g.anc[t].Set(v)
+			g.anc[t].Union(g.anc[v])
 		}
 	}
 }
@@ -147,33 +158,19 @@ func (g *Graph) Len() int { return len(g.Ops) }
 // HB reports whether node i strictly happens-before node j.
 func (g *Graph) HB(i, j int) bool { return g.hb[i].Get(j) }
 
+// Descendants returns the nodes i strictly happens-before, as a bitset over
+// nodes. The result is shared and must not be modified.
+func (g *Graph) Descendants(i int) Bitset { return g.hb[i] }
+
+// Ancestors returns the nodes that strictly happen-before j, as a bitset
+// over nodes: the transpose of Descendants, so "every member of s that is j
+// or precedes j" is one AND. The result is shared and must not be modified.
+func (g *Graph) Ancestors(j int) Bitset { return g.anc[j] }
+
 // IndexOf returns the node index of the op with the given trace ID.
 func (g *Graph) IndexOf(opID int) (int, bool) {
 	i, ok := g.byID[opID]
 	return i, ok
-}
-
-// Succ returns the direct successors of node i (unsorted).
-func (g *Graph) Succ(i int) []int { return g.succ[i] }
-
-// Predecessors returns every node that strictly happens-before i, restricted
-// to the given candidate subset (nil means all nodes).
-func (g *Graph) Predecessors(i int, subset []int) []int {
-	var out []int
-	if subset == nil {
-		for j := range g.Ops {
-			if g.HB(j, i) {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	for _, j := range subset {
-		if g.HB(j, i) {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // DownwardClosed reports whether the set s (bitset over nodes restricted to
@@ -191,23 +188,6 @@ func (g *Graph) DownwardClosed(s Bitset, universe []int) bool {
 		}
 	}
 	return true
-}
-
-// DownwardClosure returns the smallest downward-closed superset of s within
-// universe.
-func (g *Graph) DownwardClosure(s Bitset, universe []int) Bitset {
-	out := s.Clone()
-	for _, j := range universe {
-		if !out.Get(j) {
-			continue
-		}
-		for _, i := range universe {
-			if g.HB(i, j) {
-				out.Set(i)
-			}
-		}
-	}
-	return out
 }
 
 // Ideals enumerates every consistent cut (order ideal) of the sub-poset

@@ -3,6 +3,7 @@ package paracrash
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -153,6 +154,15 @@ func OpSignatureClass(o *trace.Op) string {
 // causally earliest surviving operation whose presence makes the state
 // illegal. The check function reconstructs a crash state and reports
 // whether it is consistent.
+//
+// The search runs in bitset words: candidates, cuts and probe states are
+// built in scratch sets from the graph's ancestor table and the persist
+// order's closures, and every probe is looked up in a cache keyed by word
+// hash and confirmed with Equal (the emulator's duplicate-index pattern). A
+// probe the cache has seen allocates nothing; only a new one is copied,
+// handed to Check and remembered. ClassifyState retains cs.Front in that
+// cache, so fronts must not be modified afterwards — the engine never
+// does. A Classifier is not safe for concurrent use.
 type Classifier struct {
 	G  *causality.Graph
 	PO *causality.PersistOrder
@@ -160,28 +170,101 @@ type Classifier struct {
 	// consistent and (when inconsistent) the canonical content of the
 	// recovered state at the failing layer.
 	Check func(cs CrashState) (bool, string)
-	cache map[string]classifyCheck
+
+	// culpritOps marks the ops that can be a culprit: lowermost ops that
+	// carry a payload and are not syncs.
+	culpritOps causality.Bitset
+	// none is the empty set, the closure of an op outside the persist order.
+	none causality.Bitset
+	// cands, cut and keep are scratch sets for one victim's search.
+	cands, cut, keep causality.Bitset
+	// probes holds every probe state judged so far, by probeHash.
+	probes map[uint64][]probeEntry
+	// sig and class memoise OpSignature and OpSignatureClass per node.
+	sig, class []string
 }
 
+// classifyCheck is the outcome of one probe state.
 type classifyCheck struct {
 	pass  bool
 	state string
 }
 
-// NewClassifier returns a classifier over the emulator's graph.
-func NewClassifier(e *Emulator, check func(cs CrashState) (bool, string)) *Classifier {
-	return &Classifier{G: e.G, PO: e.PO, Check: check, cache: map[string]classifyCheck{}}
+// probeEntry is a probe state the classifier has judged; front is the
+// caller's (read-only) front, keep the classifier's own copy.
+type probeEntry struct {
+	front, keep causality.Bitset
+	classifyCheck
 }
 
-func (c *Classifier) checkCached(cs CrashState) classifyCheck {
-	key := cs.Front.Key() + "|" + cs.Keep.Key()
-	if v, ok := c.cache[key]; ok {
-		return v
+// NewClassifier returns a classifier over the emulator's graph.
+func NewClassifier(e *Emulator, check func(cs CrashState) (bool, string)) *Classifier {
+	n := e.G.Len()
+	c := &Classifier{
+		G: e.G, PO: e.PO, Check: check,
+		culpritOps: causality.NewBitset(n),
+		none:       causality.NewBitset(n),
+		cands:      causality.NewBitset(n),
+		cut:        causality.NewBitset(n),
+		keep:       causality.NewBitset(n),
+		probes:     map[uint64][]probeEntry{},
+		sig:        make([]string, n),
+		class:      make([]string, n),
 	}
-	pass, state := c.Check(cs)
-	v := classifyCheck{pass: pass, state: state}
-	c.cache[key] = v
-	return v
+	for i, o := range e.G.Ops {
+		if o.IsLowermost() && o.Payload != nil && !o.Sync {
+			c.culpritOps.Set(i)
+		}
+	}
+	return c
+}
+
+// probe judges the state (front, keep) with the given victims. keep may be
+// scratch: a cache hit reads it only, and a miss hands Check a copy, which
+// the cache keeps.
+func (c *Classifier) probe(front, keep causality.Bitset, victims ...int) classifyCheck {
+	h := probeHash(front, keep)
+	for _, e := range c.probes[h] {
+		if e.keep.Equal(keep) && e.front.Equal(front) {
+			return e.classifyCheck
+		}
+	}
+	e := probeEntry{front: front, keep: keep.Clone()}
+	e.pass, e.state = c.Check(CrashState{Front: front, Keep: e.keep, Victims: append([]int(nil), victims...)})
+	c.probes[h] = append(c.probes[h], e)
+	return e.classifyCheck
+}
+
+// probeHash is the probe cache's key for (front, keep). Equal hashes do not
+// imply equal states: a hit is confirmed with Equal.
+func probeHash(front, keep causality.Bitset) uint64 {
+	return front.Hash()*1099511628211 ^ keep.Hash()
+}
+
+// closure returns the persists-before closure of op i (Algorithm 1's
+// depends_on over the whole trace); intersected with a front it is
+// DependsOn(i, front). The result is shared and must not be modified.
+func (c *Classifier) closure(i int) causality.Bitset {
+	if cl := c.PO.Closure(i); cl != nil {
+		return cl
+	}
+	return c.none
+}
+
+// downTo sets dst to the members of the front that are b or strictly
+// happen-before b: front ∩ (ancestors(b) ∪ {b}).
+func (c *Classifier) downTo(dst, front causality.Bitset, b int) {
+	copy(dst, c.G.Ancestors(b))
+	dst.Set(b)
+	dst.Intersect(front)
+}
+
+// opSig returns OpSignature and OpSignatureClass of node i, memoised.
+func (c *Classifier) opSig(i int) (sig, class string) {
+	if c.sig[i] == "" {
+		c.sig[i], c.class[i] = OpSignature(c.G.Ops[i]), OpSignatureClass(c.G.Ops[i])
+	}
+	return c.sig[i], c.class[i]
 }
 
 // PairResult describes one classified pair.
@@ -198,18 +281,6 @@ type PairResult struct {
 	// GroupKey, when non-empty, overrides the dedup key (used for in-flight
 	// atomicity, where every split of the same parent op is one bug).
 	GroupKey string
-}
-
-// downTo returns the replayable members of the front that are b or strictly
-// happen-before b.
-func (c *Classifier) downTo(front causality.Bitset, b int) causality.Bitset {
-	out := causality.NewBitset(c.G.Len())
-	for _, x := range front.Members() {
-		if x == b || c.G.HB(x, b) {
-			out.Set(x)
-		}
-	}
-	return out
 }
 
 // ClassifyState isolates the operation pairs responsible for an
@@ -239,67 +310,54 @@ func (c *Classifier) ClassifyState(cs CrashState, lo *LayerOps, state string) []
 // persistence closure) already fails the check. It then distinguishes
 // reordering from atomicity by testing the opposite mixed state.
 func (c *Classifier) classifyVictim(cs CrashState, v int) (PairResult, bool) {
-	vClosure := c.PO.DependsOn(v, cs.Front)
-	// Candidates: kept ops causally after v, in recording order (a
-	// topological order), so the first failing candidate whose strict
-	// predecessors all pass is the minimal culprit.
-	var cands []int
-	for _, b := range cs.Keep.Members() {
-		ob := c.G.Ops[b]
-		if !ob.IsLowermost() || ob.Payload == nil || ob.Sync {
-			continue
-		}
-		if c.G.HB(v, b) && !vClosure.Get(b) {
-			cands = append(cands, b)
-		}
-	}
-	sort.Ints(cands)
+	front := cs.Front
+	vClosure := c.closure(v)
+	// Candidates: kept ops causally after v and outside its closure that can
+	// be a culprit. Every member of the front within v's closure is dropped
+	// with v, so subtracting the whole closure equals subtracting
+	// DependsOn(v, front).
+	copy(c.cands, cs.Keep)
+	c.cands.Intersect(c.G.Descendants(v))
+	c.cands.Intersect(c.culpritOps)
+	c.cands.Subtract(vClosure)
 
-	failed := map[int]bool{}
+	// Candidates are tested in recording order, a topological order: when
+	// the first one fails, no failing candidate happens-before it, so it is
+	// the minimal culprit.
 	culprit := -1
 	culpritState := ""
-	for _, b := range cands {
-		base := c.downTo(cs.Front, b)
-		keep := base.Clone()
-		keep.Subtract(vClosure)
-		res := c.checkCached(CrashState{Front: cs.Front, Keep: keep, Victims: []int{v}})
-		if res.pass {
-			continue
-		}
-		// The failure must be caused by losing the victim: if the same cut
-		// fails with the victim kept, the cut itself is the problem (an
-		// in-flight atomicity handled elsewhere), not this victim.
-		if !c.checkCached(CrashState{Front: cs.Front, Keep: base}).pass {
-			continue
-		}
-		failed[b] = true
-		culpritState = res.state
-		// Minimal: no failing strict predecessor among candidates.
-		minimal := true
-		for _, b2 := range cands {
-			if b2 != b && failed[b2] && c.G.HB(b2, b) {
-				minimal = false
-				break
+search:
+	for wi, w := range c.cands {
+		for ; w != 0; w &= w - 1 {
+			b := wi*64 + bits.TrailingZeros64(w)
+			c.downTo(c.cut, front, b)
+			copy(c.keep, c.cut)
+			c.keep.Subtract(vClosure)
+			res := c.probe(front, c.keep, v)
+			if res.pass {
+				continue
 			}
-		}
-		if minimal {
-			culprit = b
-			break
+			// The failure must be caused by losing the victim: if the same
+			// cut fails with the victim kept, the cut itself is the problem
+			// (an in-flight atomicity handled elsewhere), not this victim.
+			if !c.probe(front, c.cut).pass {
+				continue
+			}
+			culprit, culpritState = b, res.state
+			break search
 		}
 	}
 	if culprit < 0 {
 		return PairResult{}, false
 	}
 
-	// Distinguish reordering from atomicity: keep v, drop the culprit.
-	bClosure := c.PO.DependsOn(culprit, cs.Front)
-	s10 := c.downTo(cs.Front, culprit)
-	s10.Subtract(bClosure)
-	s10Pass := c.checkCached(CrashState{Front: cs.Front, Keep: s10, Victims: []int{culprit}}).pass
-	s00 := c.downTo(cs.Front, culprit)
-	s00.Subtract(bClosure)
-	s00.Subtract(vClosure)
-	s00Pass := c.checkCached(CrashState{Front: cs.Front, Keep: s00, Victims: []int{v, culprit}}).pass
+	// Distinguish reordering from atomicity: keep v, drop the culprit (s10),
+	// then drop both (s00). c.cut still holds the culprit's cut.
+	copy(c.keep, c.cut)
+	c.keep.Subtract(c.closure(culprit))
+	s10Pass := c.probe(front, c.keep, culprit).pass
+	c.keep.Subtract(vClosure)
+	s00Pass := c.probe(front, c.keep, v, culprit).pass
 
 	// Paper §5.3: the state with OA lost and OB persisted fails while other
 	// combinations pass ⇒ reordering; both mixed states fail with both pure
@@ -311,10 +369,11 @@ func (c *Classifier) classifyVictim(cs CrashState, v int) (PairResult, bool) {
 	if !s10Pass && s00Pass {
 		kind = BugAtomicity
 	}
+	aSig, _ := c.opSig(v)
+	bSig, bClass := c.opSig(culprit)
 	return PairResult{
 		Kind: kind, A: v, B: culprit,
-		ASig: OpSignature(c.G.Ops[v]), BSig: OpSignature(c.G.Ops[culprit]),
-		BClass:   OpSignatureClass(c.G.Ops[culprit]),
+		ASig: aSig, BSig: bSig, BClass: bClass,
 		StateKey: culpritState,
 	}, true
 }
@@ -349,10 +408,11 @@ func (c *Classifier) classifyInFlight(cs CrashState, lo *LayerOps, state string)
 		if present < 0 || missing < 0 {
 			continue
 		}
+		aSig, _ := c.opSig(missing)
+		bSig, bClass := c.opSig(present)
 		results = append(results, PairResult{
 			Kind: BugAtomicity, A: missing, B: present,
-			ASig: OpSignature(c.G.Ops[missing]), BSig: OpSignature(c.G.Ops[present]),
-			BClass:   OpSignatureClass(c.G.Ops[present]),
+			ASig: aSig, BSig: bSig, BClass: bClass,
 			StateKey: state,
 			GroupKey: "inflight|" + lo.Ops[i].Key(),
 		})
@@ -373,19 +433,18 @@ type BugSet struct {
 	mu    sync.RWMutex
 	bugs  map[string]*Bug
 	bestA map[string]int
-	// knownBad records op-identity pairs already attributed; the pruning
-	// exploration mode keys on these (paper §5.3).
-	knownBadReorder map[[2]int]bool
-	knownBadAtomic  map[[2]int]bool
+	// knownBad records the (dropped, kept) op pairs already attributed: a
+	// reordering pair as (OA, OB), an atomicity pair both ways round. The
+	// pruning exploration mode keys on these (paper §5.3).
+	knownBad map[[2]int]bool
 }
 
 // NewBugSet returns an empty aggregate.
 func NewBugSet() *BugSet {
 	return &BugSet{
-		bugs:            map[string]*Bug{},
-		bestA:           map[string]int{},
-		knownBadReorder: map[[2]int]bool{},
-		knownBadAtomic:  map[[2]int]bool{},
+		bugs:     map[string]*Bug{},
+		bestA:    map[string]int{},
+		knownBad: map[[2]int]bool{},
 	}
 }
 
@@ -394,11 +453,12 @@ func NewBugSet() *BugSet {
 func (s *BugSet) Add(pr PairResult, layer, fsName, program, consequence string) *Bug {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if pr.Kind == BugReordering {
-		s.knownBadReorder[[2]int{pr.A, pr.B}] = true
-	} else if pr.Kind == BugAtomicity {
-		s.knownBadAtomic[[2]int{pr.A, pr.B}] = true
-		s.knownBadAtomic[[2]int{pr.B, pr.A}] = true
+	switch pr.Kind {
+	case BugReordering:
+		s.knownBad[[2]int{pr.A, pr.B}] = true
+	case BugAtomicity:
+		s.knownBad[[2]int{pr.A, pr.B}] = true
+		s.knownBad[[2]int{pr.B, pr.A}] = true
 	}
 	// Group by kind, layer and culprit: every victim whose loss manifests
 	// against the same surviving operation shares the root cause, and the
@@ -433,19 +493,12 @@ func (s *BugSet) Add(pr PairResult, layer, fsName, program, consequence string) 
 
 // KnownBad reports whether the crash state matches an already-identified
 // scenario: a known reordering pair with OA dropped and OB kept, or a known
-// atomic pair split across the persistence boundary.
+// atomic pair split across the persistence boundary. It does not allocate.
 func (s *BugSet) KnownBad(cs CrashState) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	dropped := cs.Front.Clone()
-	dropped.Subtract(cs.Keep)
-	for pair := range s.knownBadReorder {
-		if dropped.Get(pair[0]) && cs.Keep.Get(pair[1]) {
-			return true
-		}
-	}
-	for pair := range s.knownBadAtomic {
-		if dropped.Get(pair[0]) && cs.Keep.Get(pair[1]) {
+	for pair := range s.knownBad {
+		if cs.Front.Get(pair[0]) && !cs.Keep.Get(pair[0]) && cs.Keep.Get(pair[1]) {
 			return true
 		}
 	}

@@ -96,6 +96,110 @@ func TestClassifyNoPairWhenOnlyCutBroken(t *testing.T) {
 	}
 }
 
+// TestClassifyCulpritOutsideVictimClosure: an op the victim persists before
+// is lost with it in every probe, so it is never the culprit, even in a
+// state handed over with that op kept. Here B persists after A on one
+// data-journaled server, and losing A fails whatever happens to B.
+func TestClassifyCulpritOutsideVictimClosure(t *testing.T) {
+	rec := trace.NewRecorder()
+	a := rec.Record(trace.Op{Layer: trace.LayerLocalFS, Proc: "a", Name: "opA",
+		Payload: vfs.Op{Kind: vfs.OpCreate, Path: "/A"}})
+	b := rec.Record(trace.Op{Layer: trace.LayerLocalFS, Proc: "a", Name: "opB",
+		Payload: vfs.Op{Kind: vfs.OpCreate, Path: "/B"}})
+	g := causality.Build(rec.Ops())
+	e := NewEmulator(g, causality.PersistConfig{Journal: map[string]vfs.JournalMode{"a": vfs.JournalData}})
+	ai, _ := g.IndexOf(a.ID)
+	bi, _ := g.IndexOf(b.ID)
+	if !e.PO.PersistsBefore(ai, bi) {
+		t.Fatal("fixture: A does not persist before B")
+	}
+	front := causality.NewBitset(g.Len())
+	front.Set(ai)
+	front.Set(bi)
+	c := NewClassifier(e, checkerFor(ai, bi, map[[2]bool]bool{{false, false}: true, {false, true}: true}))
+	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
+	cs.Keep.Clear(ai)
+	if results := c.ClassifyState(cs, nil, "synthetic-failure"); len(results) != 0 {
+		t.Fatalf("blamed an op in the victim's closure: %+v", results)
+	}
+}
+
+// TestClassifierProbesAllocationFree: once a state's probes are cached,
+// classifying it again sends nothing to the check and allocates only the
+// result slice — candidates, cuts and probe lookups run in scratch words.
+func TestClassifierProbesAllocationFree(t *testing.T) {
+	e, front, ai, bi := synthFixture()
+	checks := 0
+	check := checkerFor(ai, bi, map[[2]bool]bool{{false, true}: true})
+	c := NewClassifier(e, func(cs CrashState) (bool, string) {
+		checks++
+		return check(cs)
+	})
+	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
+	cs.Keep.Clear(ai)
+	first := c.ClassifyState(cs, nil, "synthetic-failure")
+	probed := checks
+	if len(first) != 1 || probed == 0 {
+		t.Fatalf("results %+v after %d checks", first, probed)
+	}
+	var again []PairResult
+	allocs := testing.AllocsPerRun(10, func() {
+		again = c.ClassifyState(cs, nil, "synthetic-failure")
+	})
+	if !reflect.DeepEqual(again, first) {
+		t.Fatalf("re-classified %+v, first %+v", again, first)
+	}
+	if checks != probed {
+		t.Fatalf("re-classifying sent %d more probes to the check", checks-probed)
+	}
+	if allocs > 1 {
+		t.Fatalf("re-classifying a cached state allocated %.0f times, want <= 1 (the result slice)", allocs)
+	}
+}
+
+// TestClassifierProbeCacheConfirmsHits: the probe cache is keyed by a word
+// hash, and a hit counts only when Equal confirms both the front and the
+// keep set. Entries planted under every probe's hash, each differing from
+// the probe in one of the two and carrying the opposite verdict, must not
+// answer any probe.
+func TestClassifierProbeCacheConfirmsHits(t *testing.T) {
+	e, front, ai, bi := synthFixture()
+	check := checkerFor(ai, bi, map[[2]bool]bool{{false, true}: true})
+	var probes []CrashState
+	clean := NewClassifier(e, func(cs CrashState) (bool, string) {
+		probes = append(probes, cs)
+		return check(cs)
+	})
+	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
+	cs.Keep.Clear(ai)
+	want := clean.ClassifyState(cs, nil, "synthetic-failure")
+	if len(probes) < 2 {
+		t.Fatalf("only %d probes", len(probes))
+	}
+	// No probe holds every node: the fixture's fronts hold two of four.
+	all := causality.NewBitset(e.G.Len())
+	for i := 0; i < e.G.Len(); i++ {
+		all.Set(i)
+	}
+	for _, differ := range []string{"front", "keep"} {
+		planted := NewClassifier(e, check)
+		for _, p := range probes {
+			pass, _ := check(p)
+			wrong := probeEntry{front: p.Front, keep: p.Keep, classifyCheck: classifyCheck{pass: !pass, state: "planted"}}
+			if differ == "front" {
+				wrong.front = all
+			} else {
+				wrong.keep = all
+			}
+			h := probeHash(p.Front, p.Keep)
+			planted.probes[h] = append(planted.probes[h], wrong)
+		}
+		if got := planted.ClassifyState(cs, nil, "synthetic-failure"); !reflect.DeepEqual(got, want) {
+			t.Errorf("entries differing in the %s planted under each probe's hash: %+v, want %+v", differ, got, want)
+		}
+	}
+}
+
 func TestBugSetDedupAndKnownBad(t *testing.T) {
 	e, front, ai, bi := synthFixture()
 	_ = e
@@ -119,6 +223,10 @@ func TestBugSetDedupAndKnownBad(t *testing.T) {
 	good := CrashState{Front: front, Keep: front.Clone()}
 	if set.KnownBad(good) {
 		t.Fatal("fully persisted state must not be known-bad")
+	}
+	// Pruning asks this of every generated state.
+	if allocs := testing.AllocsPerRun(10, func() { set.KnownBad(good) }); allocs != 0 {
+		t.Fatalf("KnownBad allocated %.0f times", allocs)
 	}
 }
 

@@ -221,8 +221,7 @@ func EmulatorDiff(fs pfs.FileSystem, lib Library, w Workload, cfg EmulatorConfig
 	}
 	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
 		agree(cs)
-		res, _ := s.check(cs)
-		return res.consistent || res.skipped, res.state
+		return s.probe(cs)
 	})
 	for _, cs := range got {
 		agree(cs)

@@ -480,6 +480,8 @@ type session struct {
 	ctrRestores      *obs.Counter
 	ctrDigestRestore *obs.Counter // share of ctrRestores: class-digest shadow pipeline
 	ctrLegalRestore  *obs.Counter // share of ctrRestores: legal-state replay
+	ctrProbeRestore  *obs.Counter // share of ctrRestores: classifier probes
+	ctrProbes        *obs.Counter // probe states the classifier sent to check
 	ctrReplayed      *obs.Counter
 	ctrFaults        *obs.Counter
 	ctrRetries       *obs.Counter
@@ -505,6 +507,8 @@ func (s *session) bindObs(r *obs.Run, prefix string) {
 	s.ctrRestores = r.Counter(prefix + "restores/servers")
 	s.ctrDigestRestore = r.Counter(prefix + "restores/digest")
 	s.ctrLegalRestore = r.Counter(prefix + "restores/legal")
+	s.ctrProbeRestore = r.Counter(prefix + "restores/probe")
+	s.ctrProbes = r.Counter(prefix + "classify/probes")
 	s.ctrReplayed = r.Counter(prefix + "ops/replayed")
 	s.ctrFaults = r.Counter(prefix + "fault/injected")
 	s.ctrRetries = r.Counter(prefix + "fault/retries")
@@ -798,13 +802,7 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	// Phase 3: crash emulation + checking.
 	report := &Report{Program: w.Name(), FS: fs.Name(), Mode: opts.Mode}
 	bugs := NewBugSet()
-	classifier := NewClassifier(emu, func(cs CrashState) (bool, string) {
-		res, _ := s.check(cs)
-		// A quarantined probe state carries no verdict; report it as
-		// consistent so classification degrades gracefully instead of
-		// inventing causes from a state we could not reconstruct.
-		return res.consistent || res.skipped, res.state
-	})
+	classifier := NewClassifier(emu, s.probe)
 
 	seenStates := map[string]bool{} // dedup inconsistent states by recovered content
 
@@ -854,9 +852,13 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 		if res.layer != "pfs" && s.libOps != nil {
 			lo = s.libOps
 		}
+		// The classify span holds the probes' reconstructions and
+		// recoveries, which the pfs/* timers also count.
+		stopClassify := s.obs.StartTimer("classify")
 		for _, pr := range classifier.ClassifyState(cs, lo, res.state) {
 			bugs.Add(pr, res.layer, fs.Name(), w.Name(), res.consequence)
 		}
+		stopClassify()
 	}
 
 	states := s.generate()
@@ -986,6 +988,20 @@ func (s *session) check(cs CrashState) (checkResult, string) {
 	s.recordClass(ckey, r)
 	s.journal(key, r)
 	return r, ckey
+}
+
+// probe is the classifier's check: it judges a probe state through check and
+// counts it on classify/probes, and the restores its judgement took on
+// restores/probe (which overlaps restores/digest: a probe's class digest is
+// both). A quarantined probe state carries no verdict; it reads as
+// consistent, so classification degrades gracefully instead of inventing
+// causes from a state that could not be reconstructed.
+func (s *session) probe(cs CrashState) (bool, string) {
+	s.ctrProbes.Inc()
+	before := s.stats.ServerRestores
+	res, _ := s.check(cs)
+	s.ctrProbeRestore.Add(int64(s.stats.ServerRestores - before))
+	return res.consistent || res.skipped, res.state
 }
 
 // journal records a verdict in the checkpoint (primary session only; no-op

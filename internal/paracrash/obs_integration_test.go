@@ -89,10 +89,14 @@ func TestObsCountersReconcileWithStats(t *testing.T) {
 }
 
 // TestObsRestoreShares: the digest and legal-replay sub-counters are shares
-// of restores/servers, the capped-enumeration counters are registered at 0
-// on a run whose legal sets fit under MaxLegalStates, and so are the
-// library walk's counters on a run without a library layer.
+// of restores/servers, and so is the classifier's restores/probe; the
+// capped-enumeration counters are registered at 0 on a run whose legal sets
+// fit under MaxLegalStates, and so are the library walk's counters on a run
+// without a library layer. classify/probes counts the probe states the
+// classifier sent to the check: the merge replays the serial walk, so a
+// parallel run sends the same ones.
 func TestObsRestoreShares(t *testing.T) {
+	var probes []int64
 	for _, workers := range []int{1, 4} {
 		rep, r := runWithObs(t, paracrash.ModeBrute, workers)
 		c := r.Summary().Counters
@@ -103,11 +107,19 @@ func TestObsRestoreShares(t *testing.T) {
 		if shares := c["restores/legal"] + c["restores/digest"]; shares > int64(rep.Stats.ServerRestores) {
 			t.Errorf("workers=%d: shares add up to %d, more than the %d restores", workers, shares, rep.Stats.ServerRestores)
 		}
+		if c["classify/probes"] == 0 || c["restores/probe"] > int64(rep.Stats.ServerRestores) {
+			t.Errorf("workers=%d: classify/probes=%d restores/probe=%d of %d restores", workers,
+				c["classify/probes"], c["restores/probe"], rep.Stats.ServerRestores)
+		}
+		probes = append(probes, c["classify/probes"])
 		for _, name := range []string{"legal/pfs-capped", "legal/lib-capped", "legal/lib-sets", "legal/lib-replayed", "legal/lib-steps"} {
 			if v, ok := c[name]; !ok || v != 0 {
 				t.Errorf("workers=%d: %s = %d (registered %t), want registered at 0", workers, name, v, ok)
 			}
 		}
+	}
+	if probes[0] != probes[1] {
+		t.Errorf("classify/probes: serial %d, 4 workers %d", probes[0], probes[1])
 	}
 }
 

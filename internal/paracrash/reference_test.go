@@ -79,10 +79,7 @@ func OrderEffort(fs pfs.FileSystem, lib Library, w Workload, opts Options, perm 
 		return Stats{}, err
 	}
 	states := s.generate()
-	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
-		r, _ := s.check(cs)
-		return r.consistent || r.skipped, r.state
-	})
+	classifier := NewClassifier(s.emu, s.probe)
 	for _, i := range perm(len(states)) {
 		r, _ := s.check(states[i])
 		if r.consistent || r.skipped {
