@@ -61,10 +61,12 @@ benchcheck:
 gobench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Representative-state exploration gate: the brute-force-equivalence
-# differential harness (every backend, both workload families, fault
-# injection, mid-class kill/resume) plus the digest fuzz target's seed
-# corpus and the white-box collision proofs.
+# Class memo gate: the engine against the per-state reference kept in
+# reference_test.go, which judges every state on its own — equal report
+# kernels and equal verdicts state by state (every backend, named and
+# generated programs, fault injection, quarantine, mid-class kill/resume) —
+# plus the white-box collision proofs, the outcome-memo cap test and the
+# digest fuzz target's seed corpus.
 representative:
 	$(GO) test ./internal/paracrash/ -run 'TestRepresentative|TestClassKey|TestCrashDigest|FuzzStateDigest' -count=1 -v
 

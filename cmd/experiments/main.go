@@ -41,10 +41,6 @@ import (
 // settings is what the flags resolve to once validated: everything an
 // experiment needs besides its own name.
 type settings struct {
-	// opts carries the knobs into the option-taking experiments; the §6.4
-	// speedups contrast pins its own settings to measure the paper's
-	// strategies in isolation.
-	opts    core.Options
 	h5p     workloads.H5Params
 	servers []int
 	fuzz    fuzzcamp.Config
@@ -61,11 +57,11 @@ var experiments = []struct {
 	run   func(*settings)
 }{
 	{"fig5", true, func(*settings) { fmt.Println(exps.Fig5()) }},
-	{"fig8", true, func(s *settings) { fmt.Println(exps.Fig8(s.opts, s.h5p).Format()) }},
+	{"fig8", true, func(s *settings) { fmt.Println(exps.Fig8(core.DefaultOptions(), s.h5p).Format()) }},
 	{"fig9", true, func(s *settings) { fmt.Println(exps.Fig9(s.h5p)) }},
 	{"fig10", true, func(s *settings) { fmt.Println(exps.FormatFig10(exps.Fig10(s.h5p))) }},
 	{"fig11", true, func(s *settings) { fmt.Println(exps.FormatFig11(exps.Fig11(s.servers, s.h5p))) }},
-	{"table3", true, func(s *settings) { fmt.Println(exps.FormatTable3(exps.Table3(s.opts, s.h5p))) }},
+	{"table3", true, func(s *settings) { fmt.Println(exps.FormatTable3(exps.Table3(core.DefaultOptions(), s.h5p))) }},
 	{"sensitivity", true, func(*settings) { fmt.Println(exps.Sensitivity()) }},
 	{"speedups", true, runSpeedups},
 	{"fuzz", false, runFuzz},
@@ -94,7 +90,6 @@ func main() {
 	fuzzBackoff := flag.Duration("retry-backoff", 0, "fuzz: base backoff between check retries (0 = default 2ms)")
 	fuzzFaultSeed := flag.Int64("fault-seed", 0, "fuzz: fault-injection seed (with -fault-rate)")
 	fuzzFaultRate := flag.Float64("fault-rate", 0, "fuzz: inject faults into the engine's own I/O with this probability in [0,1] (0 = off)")
-	representative := flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class (false = check every crash state)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
@@ -124,7 +119,6 @@ func main() {
 	}
 
 	s := &settings{
-		opts:         core.DefaultOptions(),
 		h5p:          workloads.DefaultH5Params(),
 		servers:      counts,
 		fuzzProgress: *fuzzProgress,
@@ -137,11 +131,8 @@ func main() {
 			Retry:      core.RetryPolicy{MaxAttempts: *fuzzRetries, Backoff: *fuzzBackoff},
 			FaultSeed:  *fuzzFaultSeed,
 			FaultRate:  *fuzzFaultRate,
-
-			DisableRepresentative: !*representative,
 		},
 	}
-	s.opts.DisableRepresentative = s.fuzz.DisableRepresentative
 	for _, b := range strings.Split(*fuzzBackends, ",") {
 		if b = strings.TrimSpace(b); b != "" {
 			s.fuzz.Backends = append(s.fuzz.Backends, b)
@@ -170,10 +161,10 @@ func runSpeedups(s *settings) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	fmt.Println("§6.4 exploration speedups (ARVR on BeeGFS):")
-	fmt.Printf("  brute-force: %4d states checked, %d server restores, %.4fs (%d bugs)\n",
+	fmt.Println("§6.4 exploration speedups (ARVR on BeeGFS; restores and seconds include the class memo):")
+	fmt.Printf("  brute-force: %4d states judged, %d server restores, %.4fs (%d bugs)\n",
 		res.BruteStates, res.BruteRestores, res.BruteSeconds, res.BruteBugs)
-	fmt.Printf("  pruning:     %4d states checked, %d server restores, %.4fs (%d bugs)\n",
+	fmt.Printf("  pruning:     %4d states judged, %d server restores, %.4fs (%d bugs)\n",
 		res.PrunedStates, res.PrunedRestores, res.PrunedSeconds, res.PrunedBugs)
 	if res.PrunedStates > 0 {
 		fmt.Printf("  state reduction: %.1fx; restore reduction: %.1fx\n",

@@ -102,6 +102,7 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"fault rate above one", []string{"-exp", "fuzz", "-fault-rate", "2"}, "-fault-rate must be in [0,1]"},
 		{"negative fault rate", []string{"-exp", "fuzz", "-fault-rate", "-0.5"}, "-fault-rate must be in [0,1]"},
 		{"retired no-representative flag", []string{"-exp", "fig5", "-no-representative"}, "flag provided but not defined"},
+		{"retired representative flag", []string{"-exp", "fig5", "-representative=false"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -47,8 +47,6 @@ func main() {
 		dumpPath = flag.String("dump-trace", "", "write the traced execution as JSON to this file instead of testing")
 		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
 
-		representative = flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class (false = check every crash state)")
-
 		remote = flag.String("remote", "", "submit the run as a job to a paracrashd at this address (e.g. localhost:7077) instead of exploring locally")
 		apiKey = flag.String("api-key", "", "API key for a multi-tenant paracrashd (with -remote); also honours the PARACRASH_API_KEY environment variable")
 		shards = flag.Int("shards", 0, "with -remote: ask the daemon to split this job across its worker fleet into this many shards (0 = daemon default)")
@@ -139,14 +137,12 @@ func main() {
 			K: *k, Workers: *workers, Shards: *shards,
 			Clients: *clients, Rows: *rows, Cols: *cols,
 			ResizeRows: *rrows, ResizeCols: *rcols,
-			Representative: representative,
 		}, *jsonOut, *verbose))
 	}
 
 	opts := core.DefaultOptions()
 	opts.Emulator.K = *k
 	opts.Workers = *workers
-	opts.DisableRepresentative = !*representative
 	opts.Mode = exploreMode
 	opts.PFSModel, err = core.ParseModel(*pfsModel)
 	fatalIf(err)

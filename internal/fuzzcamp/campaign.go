@@ -61,11 +61,6 @@ type Config struct {
 	// FaultSeed seeds the per-invocation fault plans (meaningful only with
 	// FaultRate > 0).
 	FaultSeed int64
-	// DisableRepresentative turns representative-state exploration off in
-	// every explorer invocation (and skips the representative-equivalence
-	// oracle, which would be vacuous). The default (off) keeps the engine
-	// default: representative exploration on.
-	DisableRepresentative bool
 	// Inject is a test-only hook registered as a fourth oracle: a non-empty
 	// return marks the workload as violating with that detail string. The
 	// campaign treats the hook itself as the minimization predicate, so
@@ -146,7 +141,7 @@ func (r *Result) OK() bool {
 }
 
 // oracleOrder fixes the per-oracle summary line order.
-var oracleOrder = []string{OracleLattice, OracleDifferential, OraclePruning, OracleRepresentative, OracleInjected}
+var oracleOrder = []string{OracleLattice, OracleDifferential, OraclePruning, OracleInjected}
 
 // Format renders the campaign summary.
 func (r *Result) Format() string {
@@ -220,13 +215,6 @@ type campaign struct {
 // system, generated programs only (no I/O library), both models set to the
 // oracle's model so POSIX and library runs would judge alike.
 func (c *campaign) explore(backend string, w paracrash.Workload, mode paracrash.Mode, model paracrash.Model, workers int) (*paracrash.Report, error) {
-	return c.exploreRep(backend, w, mode, model, workers, !c.cfg.DisableRepresentative)
-}
-
-// exploreRep is explore with an explicit representative-exploration switch;
-// the representative-equivalence oracle uses it for its brute-force
-// reference run.
-func (c *campaign) exploreRep(backend string, w paracrash.Workload, mode paracrash.Mode, model paracrash.Model, workers int, representative bool) (*paracrash.Report, error) {
 	c.nruns.Add(1)
 	c.runs.Inc()
 	fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
@@ -240,7 +228,6 @@ func (c *campaign) exploreRep(backend string, w paracrash.Workload, mode paracra
 	opts.Workers = workers
 	opts.Obs = c.obs
 	opts.Retry = c.cfg.Retry
-	opts.DisableRepresentative = !representative
 	opts.LegalMemo = c.memo
 	if c.cfg.FaultRate > 0 {
 		// A fresh plan per invocation: injection decisions are seed+point

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"paracrash/internal/workloads"
 )
@@ -94,22 +93,4 @@ func LoadRepro(path string) (*Repro, error) {
 		return nil, fmt.Errorf("fuzzcamp: repro %s has version %d, want %d", path, r.Version, ReproVersion)
 	}
 	return &r, nil
-}
-
-// LoadCorpus reads every repro-*.json entry in dir, sorted by file name.
-func LoadCorpus(dir string) ([]*Repro, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "repro-*.json"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	out := make([]*Repro, 0, len(paths))
-	for _, p := range paths {
-		r, err := LoadRepro(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

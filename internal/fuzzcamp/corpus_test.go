@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"paracrash/internal/workloads"
@@ -73,4 +74,22 @@ func TestLoadReproRejectsWrongVersion(t *testing.T) {
 	if _, err := LoadRepro(path); err == nil {
 		t.Fatal("LoadRepro accepted an unknown schema version")
 	}
+}
+
+// LoadCorpus reads every repro-*.json entry in dir, sorted by file name.
+func LoadCorpus(dir string) ([]*Repro, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "repro-*.json"))
+	if err != nil {
+		return nil, err
+	}
+	sort.Strings(paths)
+	out := make([]*Repro, 0, len(paths))
+	for _, p := range paths {
+		r, err := LoadRepro(p)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
 }

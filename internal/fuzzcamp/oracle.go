@@ -30,14 +30,6 @@ const (
 	// (Bug.CauseKey: kind, layer and culprit class, or the in-flight parent
 	// op) is comparable across strategies.
 	OraclePruning = "pruning"
-	// OracleRepresentative checks representative-exploration equivalence:
-	// the default run (one reconstruction per equivalence class, verdicts
-	// attributed to members) must produce a report whose verdict content —
-	// states, skips, bugs, everything except the effort stats — is
-	// byte-identical to a run that reconstructs every crash state
-	// (exps.ReportKernel). Skipped when Config.DisableRepresentative is set,
-	// which would make the comparison vacuous.
-	OracleRepresentative = "representative"
 	// OracleInjected is the test-only injection hook (Config.Inject).
 	OracleInjected = "injected"
 )
@@ -135,8 +127,7 @@ func firstDiffLine(a, b string) string {
 
 // evalCell runs the full oracle battery for one workload × backend cell:
 // four serial brute runs (one per consistency model), one parallel brute
-// run, the pruning run and the brute-force-per-state reference run of the
-// representative oracle — seven explorer invocations.
+// run and the pruning run — six explorer invocations.
 func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending, error) {
 	models := []paracrash.Model{
 		paracrash.ModelStrict, paracrash.ModelCommit,
@@ -252,43 +243,7 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 		})
 	}
 
-	// Oracle 4: representative-exploration equivalence on the causal brute
-	// run. brute[causal] already ran with the campaign's representative
-	// setting (the default: on); the reference run forces every state to be
-	// reconstructed, and the two reports must agree on everything except
-	// effort stats.
-	if !c.cfg.DisableRepresentative {
-		full, err := c.exploreRep(backend, prog, paracrash.ModeBrute, paracrash.ModelCausal, 1, false)
-		if err != nil {
-			return nil, fmt.Errorf("brute-force reference/causal: %w", err)
-		}
-		repKernel, fullKernel := exps.ReportKernel(brute[paracrash.ModelCausal]), exps.ReportKernel(full)
-		if repKernel != fullKernel {
-			diff := firstDiffLine(fullKernel, repKernel)
-			out = append(out, &pending{
-				v: &Violation{
-					Oracle: OracleRepresentative, Backend: backend, Workload: prog.Name(),
-					Signature: fmt.Sprintf("%s|%s|%s", OracleRepresentative, backend, diff),
-					Detail: fmt.Sprintf("representative report diverges from brute-force-per-state report: %s; states missing from representative: %s",
-						diff, strings.Join(capList(missingFrom(stateKeys(full), stateKeys(brute[paracrash.ModelCausal])), 3), ", ")),
-				},
-				pred: func(body []workloads.Op) bool {
-					p := workloads.NewProgram(prog.Name(), prog.PreambleOps(), body)
-					r, err := c.exploreRep(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, 1, true)
-					if err != nil {
-						return false
-					}
-					f, err := c.exploreRep(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, 1, false)
-					if err != nil {
-						return false
-					}
-					return exps.ReportKernel(r) != exps.ReportKernel(f)
-				},
-			})
-		}
-	}
-
-	// Oracle 5: the injection hook (tests only).
+	// Oracle 4: the injection hook (tests only).
 	if c.cfg.Inject != nil {
 		if detail := c.cfg.Inject(backend, prog); detail != "" {
 			out = append(out, &pending{

@@ -5,10 +5,10 @@
 //
 // The journal's first line is a header carrying the format version and a
 // fingerprint of every option that influences verdicts (workload, file
-// system, mode, models, emulator bounds — but not Workers, Retry, Faults,
-// Obs or DisableRepresentative, which are verdict-transparent). On resume a
-// mismatched header discards the journal with a warning instead of
-// poisoning the run with verdicts computed under different rules. A
+// system, mode, models, emulator bounds — but not Workers, Retry, Faults
+// or Obs, which are verdict-transparent). On resume a mismatched header
+// discards the journal with a warning instead of poisoning the run with
+// verdicts computed under different rules. A
 // truncated tail record — the expected artifact of dying mid-write — is
 // likewise dropped with a warning; everything before it is kept.
 //

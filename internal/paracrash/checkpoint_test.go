@@ -230,9 +230,8 @@ func TestCheckpointConfigCoversVerdictKnobs(t *testing.T) {
 	transparent := DefaultOptions()
 	transparent.Workers = 7
 	transparent.Retry = RetryPolicy{MaxAttempts: 9}
-	transparent.DisableRepresentative = true
 	if checkpointConfig("ARVR", "beegfs", transparent) != fp {
-		t.Error("fingerprint moves on verdict-transparent options (Workers/Retry/DisableRepresentative)")
+		t.Error("fingerprint moves on verdict-transparent options (Workers/Retry)")
 	}
 }
 
@@ -244,13 +243,12 @@ func TestCheckpointConfigCoversVerdictKnobs(t *testing.T) {
 // added to either struct fails here until it is fingerprinted or listed.
 func TestCheckpointConfigCoversOptions(t *testing.T) {
 	exempt := map[string]string{
-		"Workers":               "scheduling: parallel verdicts equal serial ones",
-		"Retry":                 "a healed fault leaves the verdict unchanged; a quarantined state has none",
-		"Faults":                "injected faults heal or quarantine, they never alter a verdict",
-		"Obs":                   "collection is passive",
-		"LegalMemo":             "holds the legal sets this run would enumerate itself",
-		"Checkpoint":            "is the journal the fingerprint guards",
-		"DisableRepresentative": "changes which states are attributed from a class, never a verdict",
+		"Workers":    "scheduling: parallel verdicts equal serial ones",
+		"Retry":      "a healed fault leaves the verdict unchanged; a quarantined state has none",
+		"Faults":     "injected faults heal or quarantine, they never alter a verdict",
+		"Obs":        "collection is passive",
+		"LegalMemo":  "holds the legal sets this run would enumerate itself",
+		"Checkpoint": "is the journal the fingerprint guards",
 	}
 	// vary sets v to a value different from the one it holds.
 	vary := func(name string, v reflect.Value) {

@@ -172,19 +172,11 @@ type Options struct {
 	// regardless of this setting.
 	Workers int
 
-	// Ablation switches (the design choices measured by the Ablation
-	// benchmarks; both default to the paper's behaviour).
-	//
 	// DisableSemanticPruning turns off the object-map victim filter in the
-	// pruning mode (paper §5.3's "semantic information" rule).
+	// pruning mode (paper §5.3's "semantic information" rule), an ablation
+	// switch measured by the Ablation benchmarks; the default is the
+	// paper's behaviour.
 	DisableSemanticPruning bool
-	// DisableRepresentative turns off representative-state exploration
-	// (see representative.go) and falls back to checking every crash state
-	// brute-force. The default (off) groups states into equivalence classes
-	// by a pre-check digest, checks one representative per class and
-	// attributes its verdict to every member, so the report's verdicts stay
-	// identical while Stats.StatesChecked collapses to the class count.
-	DisableRepresentative bool
 
 	// LegalMemo, when non-nil, shares legal-state sets across runs of the
 	// same workload on the same file system (see LegalMemo); the fuzz
@@ -284,14 +276,15 @@ type Stats struct {
 	TraceOps        int
 	LowermostOps    int
 	StatesGenerated int
-	StatesChecked   int
-	// StatesDeduped counts crash states whose verdict was attributed from
-	// their equivalence-class representative instead of being reconstructed
-	// (representative exploration; 0 when DisableRepresentative is set).
-	// StatesChecked + StatesDeduped equals the brute-force StatesChecked.
+	// StatesChecked counts visited crash states that missed the class memo
+	// (representative.go): each was judged on its own, or took a verdict
+	// judged for it by a worker or a journal.
+	StatesChecked int
+	// StatesDeduped counts visited crash states that hit the class memo and
+	// took their class representative's verdict. StatesChecked +
+	// StatesDeduped is the number of states judged.
 	StatesDeduped int
-	// StateClasses is the number of distinct equivalence classes the
-	// visited states collapsed into (0 when DisableRepresentative is set).
+	// StateClasses is the number of class memo entries at the end of the run.
 	StateClasses int
 	StatesPruned int
 	// StatesResumed counts verdicts taken from a checkpoint journal.
@@ -403,6 +396,9 @@ type checkResult struct {
 	// no verdict. consequence then holds the quarantine reason. Skipped
 	// states are reported via Report.Skipped, never as inconsistencies.
 	skipped bool
+	// attributed marks a verdict a state took from its class representative
+	// (a class memo hit); countVisit counts such a state as deduplicated.
+	attributed bool
 }
 
 // session holds everything needed to reconstruct and check crash states.
@@ -438,17 +434,12 @@ type session struct {
 	// one), which check then uses instead of digesting the state again.
 	outcomeFor func(key string) (r checkResult, class string, ok bool)
 
-	// Representative exploration (representative.go): classes maps a class
-	// key to its representative's verdict, dedupKeys marks state keys whose
-	// verdict was attributed from a class representative, imageDigests
-	// memoises the shadow-pipeline recovered-content digest per kept set,
-	// and the two front-status maps memoise per-front status vectors for
-	// classKey. All are session-private (workers keep their own), no locking.
-	classes        map[string]checkResult
-	dedupKeys      map[string]bool
-	imageDigests   map[string]string
-	frontPFSStatus map[string]string
-	frontLibStatus map[string]string
+	// classes is the class memo (representative.go): class key to the
+	// verdict of the class's representative. fronts memoises each crash
+	// front's status vectors, which the class key and the verdict share.
+	// Both are session-private (workers keep their own), no locking.
+	classes map[string]checkResult
+	fronts  map[string]*frontStatus
 	// memoScope namespaces this run inside opts.LegalMemo ("" = memo off).
 	memoScope string
 
@@ -478,7 +469,7 @@ type session struct {
 	ctrPruned        *obs.Counter
 	ctrBad           *obs.Counter
 	ctrRestores      *obs.Counter
-	ctrDigestRestore *obs.Counter // share of ctrRestores: class-digest shadow pipeline
+	ctrDigestRestore *obs.Counter // share of ctrRestores: class lookups
 	ctrLegalRestore  *obs.Counter // share of ctrRestores: legal-state replay
 	ctrProbeRestore  *obs.Counter // share of ctrRestores: classifier probes
 	ctrProbes        *obs.Counter // probe states the classifier sent to check
@@ -553,10 +544,11 @@ func (s *session) foldEffort(st Stats) {
 	s.noteLegal(st.LegalPFSStates, st.LegalLibStates)
 }
 
-// countVisit records one visited state as checked, or as deduplicated when
-// its verdict was attributed from a class representative.
-func (s *session) countVisit(cs CrashState) {
-	if s.dedupKeys[stateKey(cs)] {
+// countVisit records one visited state, given the verdict check returned
+// for it, as checked, or as deduplicated when the verdict was attributed
+// from a class representative.
+func (s *session) countVisit(r checkResult) {
+	if r.attributed {
 		s.stats.StatesDeduped++
 		s.ctrDeduped.Inc()
 	} else {
@@ -643,15 +635,12 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 	s := &session{
 		fs: fs, lib: lib, opts: opts, ctx: ctx,
 		g: g, emu: emu, initial: initial,
-		pfsOps:         NewLayerOps(g, trace.LayerPFS, nil),
-		clients:        map[string]pfs.Client{},
-		legal:          newLegalCache(),
-		checkCache:     map[string]checkResult{},
-		classes:        map[string]checkResult{},
-		dedupKeys:      map[string]bool{},
-		imageDigests:   map[string]string{},
-		frontPFSStatus: map[string]string{},
-		frontLibStatus: map[string]string{},
+		pfsOps:     NewLayerOps(g, trace.LayerPFS, nil),
+		clients:    map[string]pfs.Client{},
+		legal:      newLegalCache(),
+		checkCache: map[string]checkResult{},
+		classes:    map[string]checkResult{},
+		fronts:     map[string]*frontStatus{},
 	}
 	if lib != nil {
 		s.libOps = NewLayerOps(g, trace.LayerIOLib, lib.IsLibOp)
@@ -782,13 +771,21 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	if err != nil {
 		return nil, err
 	}
+	return s.explore(start, w.Name(), lookup, effort)
+}
+
+// explore is phase 3 of runPipeline on a prepared session: it generates the
+// crash states, judges and classifies them, and builds the report. start is
+// when the run began; program names the workload.
+func (s *session) explore(start time.Time, program string, lookup func(string) (checkResult, string, bool), effort []Stats) (*Report, error) {
+	ctx, fs, opts := s.ctx, s.fs, s.opts
 	g, emu, initial := s.g, s.emu, s.initial
 
 	// Checkpoint/resume: load previously journaled verdicts (if any) and
 	// keep journaling from here on. The journal is flushed on every exit
 	// path — success, failure and cancellation alike.
 	if opts.Checkpoint != nil {
-		if err := s.resumeCheckpoint(checkpointConfig(w.Name(), fs.Name(), opts)); err != nil {
+		if err := s.resumeCheckpoint(checkpointConfig(program, fs.Name(), opts)); err != nil {
 			return nil, err
 		}
 		defer func() {
@@ -800,7 +797,7 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	s.outcomeFor = lookup
 
 	// Phase 3: crash emulation + checking.
-	report := &Report{Program: w.Name(), FS: fs.Name(), Mode: opts.Mode}
+	report := &Report{Program: program, FS: fs.Name(), Mode: opts.Mode}
 	bugs := NewBugSet()
 	classifier := NewClassifier(emu, s.probe)
 
@@ -817,7 +814,7 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 
 	handle := func(cs CrashState) {
 		res, _ := s.check(cs)
-		s.countVisit(cs)
+		s.countVisit(res)
 		if res.skipped {
 			var victims []string
 			for _, v := range cs.Victims {
@@ -856,7 +853,7 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 		// recoveries, which the pfs/* timers also count.
 		stopClassify := s.obs.StartTimer("classify")
 		for _, pr := range classifier.ClassifyState(cs, lo, res.state) {
-			bugs.Add(pr, res.layer, fs.Name(), w.Name(), res.consequence)
+			bugs.Add(pr, res.layer, fs.Name(), program, res.consequence)
 		}
 		stopClassify()
 	}
@@ -931,11 +928,10 @@ func (s *session) client(proc string) (pfs.Client, error) {
 //
 // The class is looked up before any precomputed verdict, so a member is
 // attributed the same way whether its class's representative was computed,
-// shipped by a worker or resumed from a journal — which is what lets a
-// journal written with representative exploration on resume into a run
-// with it off, and the reverse. The class key is returned too: "" when
-// representative exploration is off, when the digest faulted, and for a
-// state answered from the cache (a merge then digests it itself).
+// shipped by a worker or resumed from a journal — which is also what lets a
+// journal holding a record per state resume. The class key is returned too:
+// "" when the digest faulted, and for a state answered from the cache (a
+// merge then digests it itself).
 func (s *session) check(cs CrashState) (checkResult, string) {
 	if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
 		return checkResult{consistent: true}, ""
@@ -947,22 +943,23 @@ func (s *session) check(cs CrashState) (checkResult, string) {
 	var r checkResult
 	ckey, ok := "", false
 	if s.outcomeFor != nil {
-		// A shard worker may already have digested and judged it.
+		// A shard worker may already have digested and judged it. Whether the
+		// worker attributed it from its own classes does not carry over.
 		r, ckey, ok = s.outcomeFor(key)
+		r.attributed = false
 	}
 	var derr error
-	if s.representative() {
-		if ckey == "" {
-			ckey, derr = s.classKey(cs)
-		}
-		if cr, hit := s.classes[ckey]; hit {
-			// A state of the same equivalence class already carries the
-			// verdict: attribute it without reconstructing. Members are not
-			// journaled — on resume they re-attribute from the replayed
-			// representative, keeping the journal one record per class.
-			s.attributeClass(key, cr)
-			return cr, ckey
-		}
+	if ckey == "" {
+		ckey, derr = s.classKey(cs)
+	}
+	if cr, hit := s.classes[ckey]; hit {
+		// A state of the same class already carries the verdict: attribute
+		// it without a verdict of its own. Members are not journaled — on
+		// resume they re-attribute from the replayed representative, keeping
+		// the journal one record per class.
+		cr.attributed = true
+		s.checkCache[key] = cr
+		return cr, ckey
 	}
 	if !ok {
 		if r, ok = s.resumed[key]; ok {
@@ -1087,8 +1084,8 @@ func (s *session) withRetry(fn func() error) error {
 // failures remain verdicts — they are what the checker exists to find.
 func (s *session) verdict(cs CrashState) (checkResult, error) {
 	// Recovery is a pure function of the kept set, so states sharing a Keep
-	// (and the digest shadow pipeline that already classified this one)
-	// share one memoised fsck+mount outcome.
+	// (and the class lookup that already digested this one) share one
+	// memoised fsck+mount outcome.
 	o, err := s.recon.recoveredOutcome(cs)
 	if err != nil {
 		return checkResult{}, err
@@ -1100,11 +1097,10 @@ func (s *session) verdict(cs CrashState) (checkResult, error) {
 		return checkResult{layer: "pfs", consequence: "mount failed after fsck: " + o.mountErr, state: "UNMOUNTABLE"}, nil
 	}
 	tree, treeStr := o.tree, o.treeStr
-
-	pfsStatus := s.pfsOps.StatusAgainst(cs.Front)
+	fst := s.front(cs.Front)
 
 	if s.lib == nil {
-		legal, err := s.legalPFS(cs, pfsStatus)
+		legal, err := s.legalPFS(cs, fst.pfs)
 		if err != nil {
 			return checkResult{}, err
 		}
@@ -1115,8 +1111,7 @@ func (s *session) verdict(cs CrashState) (checkResult, error) {
 	}
 
 	// Top-down: library first.
-	libStatus := s.libOps.StatusAgainst(cs.Front)
-	legalLib := s.legalLib(cs, libStatus)
+	legalLib := s.legalLib(cs, fst.lib)
 
 	libState, lerr := s.lib.StateFromTree(tree)
 	if lerr == nil && legalLib[libState] {
@@ -1138,7 +1133,7 @@ func (s *session) verdict(cs CrashState) (checkResult, error) {
 	} else {
 		consequence = s.describeLib(libState)
 	}
-	legalPFS, err := s.legalPFS(cs, pfsStatus)
+	legalPFS, err := s.legalPFS(cs, fst.pfs)
 	if err != nil {
 		return checkResult{}, err
 	}

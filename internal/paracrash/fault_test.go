@@ -3,7 +3,6 @@ package paracrash_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -206,32 +205,33 @@ func TestCheckpointResumeMeasuresEffort(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeAcrossRepresentative: DisableRepresentative is not
-// part of the journal fingerprint, because check consults the class before
-// the journal. A journal written with representative exploration off
-// resumes into a run with it on, and the reverse, each reproducing a fresh
-// run of the reading configuration.
+// TestCheckpointResumeAcrossRepresentative: a journal holding a record
+// per state — what a run that judged every state on its own wrote, here the
+// per-state reference — resumes into the engine, because check consults
+// the class before the journal: the resumed run reproduces a fresh run.
 func TestCheckpointResumeAcrossRepresentative(t *testing.T) {
-	for _, writerOff := range []bool{true, false} {
-		path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-		writer := paracrash.DefaultOptions()
-		writer.DisableRepresentative = writerOff
-		writer.Checkpoint = paracrash.OpenCheckpoint(path)
-		runARVR(t, writer)
+	prog, err := exps.ProgramByName("ARVR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	writer := paracrash.DefaultOptions()
+	writer.Checkpoint = paracrash.OpenCheckpoint(path)
+	fs, w, lib := emulatorCell(t, "beegfs", prog)
+	if _, _, err := paracrash.ReferenceRun(fs, lib, w, writer); err != nil {
+		t.Fatal(err)
+	}
 
-		reader := paracrash.DefaultOptions()
-		reader.DisableRepresentative = !writerOff
-		want := exps.ReportFingerprint(runARVR(t, reader))
-		ckpt := paracrash.OpenCheckpoint(path)
-		reader.Checkpoint = ckpt
-		got := runARVR(t, reader)
-		label := fmt.Sprintf("journal written with DisableRepresentative=%t", writerOff)
-		if w := ckpt.Warnings(); len(w) != 0 || ckpt.Resumed() == 0 {
-			t.Errorf("%s: resumed %d verdicts, warnings %v", label, ckpt.Resumed(), w)
-		}
-		if fp := exps.ReportFingerprint(got); fp != want {
-			t.Errorf("%s: resumed report differs from a fresh run:\n--- fresh ---\n%s--- resumed ---\n%s", label, want, fp)
-		}
+	reader := paracrash.DefaultOptions()
+	fresh := runARVR(t, reader)
+	ckpt := paracrash.OpenCheckpoint(path)
+	reader.Checkpoint = ckpt
+	got := runARVR(t, reader)
+	if w := ckpt.Warnings(); len(w) != 0 || ckpt.Resumed() <= fresh.Stats.StatesChecked {
+		t.Errorf("resumed %d verdicts (a fresh run checks %d states), warnings %v", ckpt.Resumed(), fresh.Stats.StatesChecked, w)
+	}
+	if fp, want := exps.ReportFingerprint(got), exps.ReportFingerprint(fresh); fp != want {
+		t.Errorf("resumed report differs from a fresh run:\n--- fresh ---\n%s--- resumed ---\n%s", want, fp)
 	}
 }
 

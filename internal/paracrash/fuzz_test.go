@@ -41,11 +41,11 @@ func FuzzParseModel(f *testing.F) {
 	})
 }
 
-// FuzzStateDigest pins the properties representative-state bucketing
-// borrows from the digest: determinism, the layer-qualified shape
-// ("layer:16-hex"), and discrimination — two (layer, content) pairs
-// collide exactly when they are equal, so two crash states with different
-// recovered content can never share a class key.
+// FuzzStateDigest pins the properties the class memo borrows from the
+// digest: determinism, the layer-qualified shape ("layer:16-hex"), and
+// discrimination — two (layer, content) pairs collide exactly when they are
+// equal, so two crash states with different recovered content can never
+// share a class key.
 func FuzzStateDigest(f *testing.F) {
 	f.Add("pfs", "dir /\nfile /a 3 abc\n", "pfs", "dir /\n")
 	f.Add("crash", "dir /\nfile /a 3 abc\n", "crash", "dir /\nfile /a 3 abc\n")

@@ -101,9 +101,10 @@ func TestIncrementalEngineEquivalence(t *testing.T) {
 // crash states in generation order only: reconstruction work does not depend
 // on the order. Walking a cell's states in generation order and in a seeded
 // permutation must measure the same restores, op applies and legal-set
-// sizes, with representative exploration on and off. The cells stay far
-// below the reconstructor's 4,096-entry caches, whose resets would make the
-// counts depend on order for a reason unrelated to this premise.
+// sizes, for the engine's check (representative=true) and for the per-state
+// reference's, which consults no class (representative=false). The cells
+// stay far below the reconstructor's 4,096-entry caches, whose resets would
+// make the counts depend on order for a reason unrelated to this premise.
 func TestIncrementalEffortOrderIndependent(t *testing.T) {
 	gen := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	h5, err := exps.ProgramByName("H5-create")
@@ -124,7 +125,6 @@ func TestIncrementalEffortOrderIndependent(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/representative=%t", backend, prog, rep), func(t *testing.T) {
 					opts := paracrash.DefaultOptions()
 					opts.Mode = paracrash.ModeBrute
-					opts.DisableRepresentative = !rep
 					effort := func(perm func(int) []int) paracrash.Stats {
 						t.Helper()
 						fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
@@ -136,7 +136,7 @@ func TestIncrementalEffortOrderIndependent(t *testing.T) {
 						if prog == h5.Name {
 							w, lib = h5.Make(workloads.DefaultH5Params())
 						}
-						st, err := paracrash.OrderEffort(fs, lib, w, opts, perm)
+						st, err := paracrash.OrderEffort(fs, lib, w, opts, perm, !rep)
 						if err != nil {
 							t.Fatal(err)
 						}

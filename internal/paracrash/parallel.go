@@ -145,18 +145,15 @@ func (s *session) shardSession(fs pfs.FileSystem) *session {
 	ws := &session{
 		fs: fs, lib: s.lib, opts: s.opts, ctx: s.ctx,
 		g: s.g, emu: s.emu, pfsOps: s.pfsOps, libOps: s.libOps,
-		initial:        s.initial,
-		clients:        map[string]pfs.Client{},
-		legal:          s.legal,
-		checkCache:     map[string]checkResult{},
-		classes:        map[string]checkResult{},
-		dedupKeys:      map[string]bool{},
-		imageDigests:   map[string]string{},
-		frontPFSStatus: map[string]string{},
-		frontLibStatus: map[string]string{},
-		memoScope:      s.memoScope,
-		goldenPFS:      s.goldenPFS,
-		goldenLib:      s.goldenLib,
+		initial:    s.initial,
+		clients:    map[string]pfs.Client{},
+		legal:      s.legal,
+		checkCache: map[string]checkResult{},
+		classes:    map[string]checkResult{},
+		fronts:     map[string]*frontStatus{},
+		memoScope:  s.memoScope,
+		goldenPFS:  s.goldenPFS,
+		goldenLib:  s.goldenLib,
 		// The resumed map is shared read-only: workers skip journaled states
 		// just like the merge does. The checkpoint itself stays with the
 		// primary session (only the merge journals fresh verdicts).
@@ -271,7 +268,7 @@ func (ws *session) exploreShard(states []CrashState, ids []int, bugs *BugSet, bo
 		}
 		r, class := ws.check(cs)
 		board.publish(id, r, class)
-		ws.countVisit(cs)
+		ws.countVisit(r)
 		pending.Add(-1)
 	}
 }

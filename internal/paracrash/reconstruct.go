@@ -18,8 +18,7 @@
 //
 // Effort is counted where it happens: every server-store restore and every
 // lowermost op apply bring performs lands in Stats.ServerRestores and
-// Stats.OpsReplayed — including the shadow pipeline's reconstructions for
-// class digests. Faulted retries, resumed verdicts and parallel workers
+// Stats.OpsReplayed — including the reconstructions class lookups pay for. Faulted retries, resumed verdicts and parallel workers
 // therefore report the work they actually did, not a serial walk's.
 //
 // The engine's reference lives in test code: reference_test.go rebuilds every
@@ -71,8 +70,8 @@ type reconstructor struct {
 
 	// outcomes caches the recovery outcome per Keep.Key(): recovery and
 	// mount are pure functions of the kept set (the front only selects
-	// legal-state sets), so the digest shadow pipeline and real verdicts of
-	// states sharing a Keep run fsck+mount exactly once between them.
+	// legal-state sets), so the class lookups and verdicts of states sharing
+	// a Keep run fsck+mount exactly once between them.
 	outcomes map[string]*recoveredOutcome
 
 	// lastKeep/lastKeepKey memoise the most recent Keep.Key() by slice
@@ -99,7 +98,8 @@ func (r *reconstructor) keepKey(cs CrashState) string {
 }
 
 // maxOutcomes bounds the recovered-outcome cache; entries hold mounted
-// trees, so the bound keeps long runs from accumulating whole namespaces.
+// trees and the class digests, so the bound keeps long runs from
+// accumulating whole namespaces.
 const maxOutcomes = 4096
 
 // recoveredOutcome is the deterministic result of running recovery and
@@ -111,6 +111,10 @@ type recoveredOutcome struct {
 	mountErr   string // genuine post-fsck mount failure, the error text
 	tree       *pfs.Tree
 	treeStr    string // memoised tree.Serialize()
+	// digest is the StateDigest of the recovered content — the tree, or the
+	// failure text — and the first part of the state's class key. Outcomes
+	// that fail differently digest differently: their consequences differ.
+	digest string
 }
 
 // serverKept is one server's kept-op subsequence for a Keep, with the
@@ -198,6 +202,14 @@ func (r *reconstructor) recoveredOutcome(cs CrashState) (*recoveredOutcome, erro
 		o.tree = tree
 		o.treeStr = tree.Serialize()
 	}
+	content := o.treeStr
+	switch {
+	case o.recoverErr != "":
+		content = "UNRECOVERABLE: " + o.recoverErr
+	case o.mountErr != "":
+		content = "UNMOUNTABLE: " + o.mountErr
+	}
+	o.digest = StateDigest("crash", content)
 	if len(r.outcomes) >= maxOutcomes {
 		r.outcomes = map[string]*recoveredOutcome{}
 	}

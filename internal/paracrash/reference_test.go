@@ -3,6 +3,7 @@ package paracrash
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"paracrash/internal/pfs"
 )
@@ -69,8 +70,9 @@ func ReferenceDiff(fs pfs.FileSystem, w Workload, mode Mode) (checked int, err e
 // must be brute force (pruning's skips depend on the visiting order), over
 // the generated crash states in the order perm(n) gives — a permutation of
 // 0..n-1 — and returns the run's Stats. Inconsistent states are classified,
-// so classifier probes reconstruct as they do in a run.
-func OrderEffort(fs pfs.FileSystem, lib Library, w Workload, opts Options, perm func(n int) []int) (Stats, error) {
+// so classifier probes reconstruct as they do in a run. Each state is judged
+// by the engine's check, or with perState by the per-state reference's.
+func OrderEffort(fs pfs.FileSystem, lib Library, w Workload, opts Options, perm func(n int) []int, perState bool) (Stats, error) {
 	if opts.Mode != ModeBrute {
 		return Stats{}, fmt.Errorf("OrderEffort: mode %s, want brute force", opts.Mode)
 	}
@@ -78,10 +80,20 @@ func OrderEffort(fs pfs.FileSystem, lib Library, w Workload, opts Options, perm 
 	if err != nil {
 		return Stats{}, err
 	}
+	check := func(cs CrashState) checkResult {
+		r, _ := s.check(cs)
+		return r
+	}
+	if perState {
+		check = s.referenceJudge(map[string]checkResult{})
+	}
 	states := s.generate()
-	classifier := NewClassifier(s.emu, s.probe)
+	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
+		r := check(cs)
+		return r.consistent || r.skipped, r.state
+	})
 	for _, i := range perm(len(states)) {
-		r, _ := s.check(states[i])
+		r := check(states[i])
 		if r.consistent || r.skipped {
 			continue
 		}
@@ -92,4 +104,141 @@ func OrderEffort(fs pfs.FileSystem, lib Library, w Workload, opts Options, perm 
 		classifier.ClassifyState(states[i], lo, r.state)
 	}
 	return s.stats, nil
+}
+
+// Judged is one crash state's verdict as a run holds it at its end, for the
+// external representative suite: the wire-form verdict, whether the state
+// was visited (not only probed by the classifier; reference runs only) and
+// whether its verdict was attributed from its class (engine runs only).
+type Judged struct {
+	Verdict
+	Visited    bool
+	Attributed bool
+}
+
+// referenceJudge is the per-state reference's check: every crash state is
+// judged on its own by verdict under the retry policy, quarantined when
+// every attempt faults, and never looked up in the class memo. judged
+// memoises verdicts per state (classifier probes revisit states) and
+// receives every one; the checkpoint, when armed, journals every one.
+func (s *session) referenceJudge(judged map[string]checkResult) func(CrashState) checkResult {
+	return func(cs CrashState) checkResult {
+		if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
+			return checkResult{consistent: true}
+		}
+		key := stateKey(cs)
+		if r, ok := judged[key]; ok {
+			return r
+		}
+		r := s.checkWithRetry(cs)
+		judged[key] = r
+		s.journal(key, r)
+		return r
+	}
+}
+
+// ReferenceRun is the per-state reference behind the representative suite,
+// exported to it (the workloads it runs import this package). It explores
+// (fs, lib, w) under opts serially in generation order with the report
+// logic of the engine's walk, but judges every state with referenceJudge,
+// so no class is ever consulted, and classifies through that same check. It
+// returns the report and every state it judged, keyed by state key. With
+// opts.Checkpoint set it journals a record per judged state (what a run
+// that judged every state on its own wrote) and reads nothing back.
+func ReferenceRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Report, map[string]Judged, error) {
+	s, err := prepare(context.Background(), fs, lib, w, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.Checkpoint != nil {
+		if err := s.resumeCheckpoint(checkpointConfig(w.Name(), fs.Name(), opts)); err != nil {
+			return nil, nil, err
+		}
+	}
+	judgedRes := map[string]checkResult{}
+	judge := s.referenceJudge(judgedRes)
+	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
+		r := judge(cs)
+		return r.consistent || r.skipped, r.state
+	})
+	report := &Report{Program: w.Name(), FS: fs.Name(), Mode: opts.Mode}
+	bugs := NewBugSet()
+	seen := map[string]bool{}
+	visited := map[string]bool{}
+	victims := func(cs CrashState) []string {
+		var out []string
+		for _, v := range cs.Victims {
+			out = append(out, s.g.Ops[v].Key())
+		}
+		return out
+	}
+	for _, cs := range s.generate() {
+		if opts.Mode != ModeBrute && bugs.KnownBad(cs) {
+			s.stats.StatesPruned++
+			continue
+		}
+		s.stats.StatesChecked++
+		visited[stateKey(cs)] = true
+		r := judge(cs)
+		if r.skipped {
+			report.Skipped = append(report.Skipped, SkippedState{Victims: victims(cs), Reason: r.consequence})
+			continue
+		}
+		if r.consistent {
+			continue
+		}
+		if k := r.layer + "|" + r.state; !seen[k] {
+			seen[k] = true
+			report.Inconsistent++
+			if r.layer != "pfs" {
+				report.LibOnly++
+			}
+			report.States = append(report.States, InconsistentState{
+				Layer: r.layer, Victims: victims(cs), Consequence: r.consequence,
+				Key: StateDigest(r.layer, r.state),
+			})
+		}
+		lo := s.pfsOps
+		if r.layer != "pfs" && s.libOps != nil {
+			lo = s.libOps
+		}
+		for _, pr := range classifier.ClassifyState(cs, lo, r.state) {
+			bugs.Add(pr, r.layer, fs.Name(), w.Name(), r.consequence)
+		}
+	}
+	fs.Restore(s.initial)
+	if opts.Checkpoint != nil {
+		if err := opts.Checkpoint.Flush(); err != nil {
+			return nil, nil, err
+		}
+	}
+	report.Bugs = bugs.Bugs()
+	report.Stats = s.stats
+	judged := make(map[string]Judged, len(judgedRes))
+	for k, r := range judgedRes {
+		judged[k] = Judged{Verdict: newVerdict(k, r), Visited: visited[k]}
+	}
+	return report, judged, nil
+}
+
+// EngineRun runs the engine exactly as RunContext does and also returns the
+// verdict it holds at the end for every state it judged — visited or probed,
+// serial or merged from parallel workers — keyed by state key, with
+// Attributed set where the state took its class representative's verdict.
+// A sync-infeasible state is judged consistent without being held.
+func EngineRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Report, map[string]Judged, error) {
+	start := time.Now()
+	s, err := prepare(context.Background(), fs, lib, w, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := s.explore(start, w.Name(), nil, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	judged := make(map[string]Judged, len(s.checkCache))
+	for k, r := range s.checkCache {
+		judged[k] = Judged{Verdict: newVerdict(k, r), Attributed: r.attributed}
+	}
+	return rep, judged, nil
 }

@@ -1,8 +1,7 @@
-// Representative-state exploration (Pathfinder-style): most generated
+// The class memo (Pathfinder-style representative testing): most generated
 // crash states collapse into a small number of equivalence classes whose
 // members are indistinguishable to the checker, so one representative per
-// class is reconstructed and judged and its verdict is attributed to every
-// member.
+// class is judged and its verdict is attributed to every member.
 //
 // The class key is a model-independent pre-check digest of exactly the
 // inputs the verdict is a pure function of:
@@ -15,21 +14,24 @@
 //     keyed on it, and it is the only way the verdict consults Front), and
 //   - the library-layer status vector, when a library is checked.
 //
-// The recovered content is computed by a shadow pipeline — bring the live
-// cluster to the kept ops, run recovery, mount — memoised per kept set. Its
-// restores and op applies are real work and are counted like any other
-// (restores/digest is their share of restores/servers); a state that then
-// needs a verdict reuses the memoised recovery outcome instead of being
-// reconstructed again. On ARVR/BeeGFS the 105
-// generated states collapse into 15 classes over 6 distinct recovered
-// states.
+// The recovered content comes from the reconstructor's outcome memo, which
+// digests each outcome once when it builds it: looking a state up brings
+// the cluster to the kept ops, runs recovery and mounts, unless the kept
+// set's outcome is memoised. Those restores and op applies are counted like
+// any other (restores/digest is their share of restores/servers); a state
+// that then needs a verdict reuses the memoised outcome instead of being
+// reconstructed again. A digest lives exactly as long as its outcome, so
+// the class memo's keys cost no memory beyond the outcome memo's cap. On
+// ARVR/BeeGFS the 105 generated states collapse into 15 classes over 6
+// distinct recovered states.
 //
-// Attribution keeps the report's verdicts identical to brute force: a
+// Attribution keeps the report's verdicts those of judging every state: a
 // member inherits its representative's full checkResult — recovered-state
 // content (hence InconsistentState.Key and Bug.CauseKey grouping) and
 // consequence — and only the effort stats differ (members land in
 // Stats.StatesDeduped instead of StatesChecked and need no verdict of their
-// own). Quarantined verdicts are never recorded as class
+// own). The per-state reference in reference_test.go holds the engine to
+// that, state by state. Quarantined verdicts are never recorded as class
 // representatives: a state that faulted through every retry says nothing
 // about its class, so each member re-attempts on its own and a poisoned
 // representative cannot silence a whole class.
@@ -38,7 +40,6 @@ package paracrash
 import (
 	"crypto/sha256"
 	"fmt"
-	"strings"
 	"sync"
 
 	"paracrash/internal/causality"
@@ -46,89 +47,54 @@ import (
 	"paracrash/internal/trace"
 )
 
-// representative reports whether representative-state exploration is on
-// (the default; Options.DisableRepresentative falls back to brute force).
-func (s *session) representative() bool {
-	return !s.opts.DisableRepresentative
+// frontStatus is one crash front's status vectors on both layers, memoised
+// per front: many states share a front, and StatusAgainst walks every
+// descendant list. The class key and the verdict read the same entry.
+type frontStatus struct {
+	pfs, lib []Status // lib is nil without a library layer
+	// key is the class key's status part: "|pfs" or "|pfs|lib" in statusKey
+	// form.
+	key string
 }
 
-// classKey computes the crash state's equivalence-class digest: the
+// front returns the front's status entry.
+func (s *session) front(f causality.Bitset) *frontStatus {
+	fk := f.Key()
+	if e, ok := s.fronts[fk]; ok {
+		return e
+	}
+	e := &frontStatus{pfs: s.pfsOps.StatusAgainst(f)}
+	e.key = "|" + statusKey(e.pfs)
+	if s.libOps != nil {
+		e.lib = s.libOps.StatusAgainst(f)
+		e.key += "|" + statusKey(e.lib)
+	}
+	s.fronts[fk] = e
+	return e
+}
+
+// classKey computes the crash state's equivalence-class key: the
 // recovered-content digest of the kept ops plus the per-layer status
 // vectors of the front. States sharing the key recover to identical
-// content and are judged against identical legal-state sets, so they
-// share one verdict. A digest that faulted through every retry comes back
-// as the error, with an empty key: the state then belongs to no class.
+// content and are judged against identical legal-state sets, so they share
+// one verdict. Recovery leaves the live cluster mutated, which is harmless:
+// the next bring restores every server. Injected faults retry under the
+// policy like any other faultable work; a digest that faulted through every
+// retry comes back as the error, with an empty key: the state then belongs
+// to no class, and check quarantines it, as a verdict that faulted through
+// its budget would be.
 func (s *session) classKey(cs CrashState) (string, error) {
-	d, err := s.crashDigest(cs)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString(d)
-	b.WriteByte('|')
-	b.WriteString(s.frontStatus(cs.Front, s.pfsOps, s.frontPFSStatus))
-	if s.libOps != nil {
-		b.WriteByte('|')
-		b.WriteString(s.frontStatus(cs.Front, s.libOps, s.frontLibStatus))
-	}
-	return b.String(), nil
-}
-
-// crashDigest runs the shadow pipeline for a kept set: bring the cluster to
-// the kept ops, run recovery and mount, and digest the outcome (recovery and
-// mount failures fold their deterministic error text in — states that fail
-// differently must not share a class, their consequences differ). Recovery
-// leaves the live cluster mutated, which is harmless: the next bring
-// restores every server. The pipeline's restores also count on
-// restores/digest.
-// Injected faults retry under the policy like any other faultable work; an
-// exhausted retry budget surfaces as an error and check quarantines the
-// state, as a verdict that faulted through its budget would be.
-func (s *session) crashDigest(cs CrashState) (string, error) {
-	kk := s.recon.keepKey(cs)
-	if d, ok := s.imageDigests[kk]; ok {
-		return d, nil
-	}
-	// Reconstruct the kept set through the reconstructor and judge the live
-	// cluster. Both its prefix roots and the recovery outcome stay cached:
-	// when this state misses its class and needs a real verdict next, the
-	// verdict reuses the outcome without reconstructing again.
-	var content string
+	var o *recoveredOutcome
 	before := s.stats.ServerRestores
-	err := s.withRetry(func() error {
-		o, derr := s.recon.recoveredOutcome(cs)
-		if derr != nil {
-			return derr
-		}
-		switch {
-		case o.recoverErr != "":
-			content = "UNRECOVERABLE: " + o.recoverErr
-		case o.mountErr != "":
-			content = "UNMOUNTABLE: " + o.mountErr
-		default:
-			content = o.treeStr
-		}
-		return nil
+	err := s.withRetry(func() (err error) {
+		o, err = s.recon.recoveredOutcome(cs)
+		return err
 	})
 	s.ctrDigestRestore.Add(int64(s.stats.ServerRestores - before))
 	if err != nil {
 		return "", err
 	}
-	d := StateDigest("crash", content)
-	s.imageDigests[kk] = d
-	return d, nil
-}
-
-// frontStatus memoises a layer's status vector per crash front (many states
-// share a front, and StatusAgainst walks every descendant list).
-func (s *session) frontStatus(front causality.Bitset, lo *LayerOps, memo map[string]string) string {
-	fk := front.Key()
-	if v, ok := memo[fk]; ok {
-		return v
-	}
-	v := statusKey(lo.StatusAgainst(front))
-	memo[fk] = v
-	return v
+	return o.digest + s.front(cs.Front).key, nil
 }
 
 // recordClass stores a freshly computed (or resumed) verdict as its class
@@ -143,17 +109,9 @@ func (s *session) recordClass(ckey string, r checkResult) {
 	}
 }
 
-// attributeClass adopts a representative's verdict for a member state:
-// the verdict is cached under the member's own key and the member is marked
-// deduplicated (counted in StatesDeduped instead of StatesChecked).
-func (s *session) attributeClass(key string, r checkResult) {
-	s.checkCache[key] = r
-	s.dedupKeys[key] = true
-}
-
 // LegalMemo shares legal-state sets across runs: the enumerated set for a
 // given (scope, layer, model, status vector) is identical for every run of
-// the same workload on the same file system, so a fuzz campaign's seven
+// the same workload on the same file system, so a fuzz campaign's six
 // explorer runs per cell enumerate each set once. Sets are stored only
 // after a successful (unfaulted) enumeration and are read-only afterwards,
 // so sharing them across concurrent sessions is safe.

@@ -3,6 +3,7 @@ package paracrash_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -11,118 +12,148 @@ import (
 	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	"paracrash/internal/paracrash"
+	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
 	"paracrash/internal/workloads"
 )
 
-// reportPair holds one cell's brute-force reference run (representative
-// exploration disabled) and the collapsed run under test. onDigest, filled
-// by namedPair, is the collapsed run's class-digest share of its restores
-// (restores/digest on the primary and on its parallel workers).
-type reportPair struct {
-	off, on  *paracrash.Report
-	onDigest int
+// referencePair holds one cell's engine run and its per-state reference run
+// (paracrash.ReferenceRun: every state judged on its own, no class memo).
+// engineJudged is nil when the engine ran through the public API; onDigest
+// is the engine run's class-lookup share of its restores (restores/digest
+// on the primary and on its parallel workers).
+type referencePair struct {
+	engine, ref             *paracrash.Report
+	engineJudged, refJudged map[string]paracrash.Judged
+	onDigest                int
 }
 
-// assertEquivalent is the differential oracle shared by every test below:
-// the collapsed report must be byte-identical in shape to brute force
-// (same inconsistent states, skip list and bugs — the ReportKernel), and
-// the effort stats must reconcile exactly — every generated state lands in
-// either StatesChecked or StatesDeduped, pruning decisions are unchanged,
-// and the collapsed run never pays more restores than the reference.
-func assertEquivalent(t *testing.T, label string, p reportPair) {
+// assertMatchesReference is the oracle shared by every test below. The
+// engine's report must equal the reference's in verdict content (the
+// ReportKernel: inconsistent states, skip list and bugs), and the state
+// counts must reconcile: the same states generated and pruned, and every
+// state the reference visited lands in either StatesChecked or
+// StatesDeduped. Where the engine's per-state verdicts are at hand, every
+// state either run judged must carry the same verdict in both, so each
+// attributed verdict is the one the state earns on its own (class
+// homogeneity); no quarantined verdict is ever attributed; and
+// StatesDeduped counts exactly the visited states that took their class's
+// verdict. With boundRestores the engine must also restore no more servers
+// than the reference.
+func assertMatchesReference(t *testing.T, label string, p referencePair, boundRestores bool) {
 	t.Helper()
-	if k, b := exps.ReportKernel(p.on), exps.ReportKernel(p.off); k != b {
-		t.Errorf("%s: representative report differs from brute force:\n--- brute ---\n%s--- representative ---\n%s", label, b, k)
+	if k, r := exps.ReportKernel(p.engine), exps.ReportKernel(p.ref); k != r {
+		t.Errorf("%s: engine report differs from the per-state reference:\n--- reference ---\n%s--- engine ---\n%s", label, r, k)
 	}
-	son, soff := p.on.Stats, p.off.Stats
-	if son.StatesGenerated != soff.StatesGenerated {
-		t.Errorf("%s: generated %d states, brute %d", label, son.StatesGenerated, soff.StatesGenerated)
+	se, sr := p.engine.Stats, p.ref.Stats
+	if se.StatesGenerated != sr.StatesGenerated {
+		t.Errorf("%s: generated %d states, reference %d", label, se.StatesGenerated, sr.StatesGenerated)
 	}
-	if son.StatesChecked+son.StatesDeduped != soff.StatesChecked {
-		t.Errorf("%s: checked(%d)+deduped(%d) != brute checked(%d)",
-			label, son.StatesChecked, son.StatesDeduped, soff.StatesChecked)
+	if se.StatesChecked+se.StatesDeduped != sr.StatesChecked {
+		t.Errorf("%s: checked(%d)+deduped(%d) != reference checked(%d)",
+			label, se.StatesChecked, se.StatesDeduped, sr.StatesChecked)
 	}
-	if son.StatesPruned != soff.StatesPruned {
-		t.Errorf("%s: pruned %d states, brute %d", label, son.StatesPruned, soff.StatesPruned)
+	if se.StatesPruned != sr.StatesPruned {
+		t.Errorf("%s: pruned %d states, reference %d", label, se.StatesPruned, sr.StatesPruned)
 	}
-	if soff.StatesDeduped != 0 || soff.StateClasses != 0 {
-		t.Errorf("%s: brute reference recorded dedup stats: %d deduped, %d classes",
-			label, soff.StatesDeduped, soff.StateClasses)
+	if se.StatesDeduped > 0 && se.StateClasses == 0 {
+		t.Errorf("%s: %d states deduped but no classes reported", label, se.StatesDeduped)
 	}
-	if son.ServerRestores > soff.ServerRestores {
-		t.Errorf("%s: representative restored %d servers, brute only %d",
-			label, son.ServerRestores, soff.ServerRestores)
+	if boundRestores && se.ServerRestores > sr.ServerRestores {
+		t.Errorf("%s: engine restored %d servers, reference only %d", label, se.ServerRestores, sr.ServerRestores)
 	}
-	if son.StatesDeduped > 0 && son.StateClasses == 0 {
-		t.Errorf("%s: %d states deduped but no classes reported", label, son.StatesDeduped)
+	if p.engineJudged == nil {
+		return
+	}
+	attributed, bad := 0, 0
+	for key, ref := range p.refJudged {
+		got, ok := p.engineJudged[key]
+		switch {
+		case !ok:
+			t.Errorf("%s: reference judged state %x, the engine holds no verdict for it", label, key)
+			bad++
+		case got.Verdict != ref.Verdict:
+			t.Errorf("%s: state %x (attributed %t): engine verdict %+v, reference %+v", label, key, got.Attributed, got.Verdict, ref.Verdict)
+			bad++
+		}
+		if ok && ref.Visited && got.Attributed {
+			attributed++
+		}
+		if bad >= 5 {
+			t.Fatalf("%s: giving up after %d per-state differences", label, bad)
+		}
+	}
+	for key, got := range p.engineJudged {
+		if _, ok := p.refJudged[key]; !ok {
+			t.Errorf("%s: engine judged state %x, the reference never did", label, key)
+		}
+		if got.Attributed && got.Skipped {
+			t.Errorf("%s: state %x was attributed a quarantined verdict", label, key)
+		}
+	}
+	if attributed != se.StatesDeduped {
+		t.Errorf("%s: %d visited states took their class's verdict, StatesDeduped says %d", label, attributed, se.StatesDeduped)
 	}
 }
 
-// namedPair runs a named program cell twice through exps (which wires I/O
-// libraries for the H5 workloads) with representative exploration off and on.
-func namedPair(t *testing.T, fsName, progName string, mode paracrash.Mode, workers int) reportPair {
+// cellRun builds a fresh cell and runs it through run (paracrash.EngineRun
+// or paracrash.ReferenceRun).
+type cellRun func(pfs.FileSystem, paracrash.Library, paracrash.Workload, paracrash.Options) (*paracrash.Report, map[string]paracrash.Judged, error)
+
+// namedPair runs a named program cell (with its placement hints and, for
+// the H5 workloads, its I/O library) through the engine and the reference.
+func namedPair(t *testing.T, fsName, progName string, opts, refOpts paracrash.Options) referencePair {
 	t.Helper()
 	prog, err := exps.ProgramByName(progName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p reportPair
-	for _, disable := range []bool{true, false} {
-		opts := paracrash.DefaultOptions()
-		opts.Mode = mode
-		opts.Workers = workers
-		opts.DisableRepresentative = disable
-		opts.Obs = obs.NewRun()
-		rep, err := exps.RunOne(fsName, prog, opts, workloads.DefaultH5Params(), exps.ConfigFor(fsName))
+	run := func(f cellRun, opts paracrash.Options) (*paracrash.Report, map[string]paracrash.Judged) {
+		fs, w, lib := emulatorCell(t, fsName, prog)
+		rep, judged, err := f(fs, lib, w, opts)
 		if err != nil {
-			t.Fatalf("%s/%s disable=%v: %v", fsName, progName, disable, err)
+			t.Fatalf("%s/%s: %v", fsName, progName, err)
 		}
-		if disable {
-			p.off = rep
-		} else {
-			p.on = rep
-			p.onDigest = int(opts.Obs.Counter("restores/digest").Value() + opts.Obs.Counter("worker/restores/digest").Value())
-		}
+		return rep, judged
 	}
+	var p referencePair
+	opts.Obs = obs.NewRun()
+	p.engine, p.engineJudged = run(paracrash.EngineRun, opts)
+	p.onDigest = int(opts.Obs.Counter("restores/digest").Value() + opts.Obs.Counter("worker/restores/digest").Value())
+	p.ref, p.refJudged = run(paracrash.ReferenceRun, refOpts)
 	return p
 }
 
 // generatedPair is namedPair for fuzz-style workloads (generated or
-// enumerated programs), run through the engine directly with no library.
-func generatedPair(t *testing.T, fsName string, w *workloads.Program, mode paracrash.Mode) reportPair {
+// enumerated programs), run with no library.
+func generatedPair(t *testing.T, fsName string, w *workloads.Program, opts paracrash.Options) referencePair {
 	t.Helper()
-	var p reportPair
-	for _, disable := range []bool{true, false} {
+	run := func(f cellRun) (*paracrash.Report, map[string]paracrash.Judged) {
 		fs, err := exps.NewFS(fsName, exps.ConfigFor(fsName), trace.NewRecorder())
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := paracrash.DefaultOptions()
-		opts.Mode = mode
-		opts.DisableRepresentative = disable
-		rep, err := paracrash.Run(fs, nil, w, opts)
+		rep, judged, err := f(fs, nil, w, opts)
 		if err != nil {
-			t.Fatalf("%s/%s disable=%v: %v", fsName, w.Name(), disable, err)
+			t.Fatalf("%s/%s: %v", fsName, w.Name(), err)
 		}
-		if disable {
-			p.off = rep
-		} else {
-			p.on = rep
-		}
+		return rep, judged
 	}
+	var p referencePair
+	p.engine, p.engineJudged = run(paracrash.EngineRun)
+	p.ref, p.refJudged = run(paracrash.ReferenceRun)
 	return p
 }
 
 // TestRepresentativeDifferentialNamed is the headline harness: for every
 // backend (with its bench workload, covering both the POSIX and the HDF5
-// library families) the representative run must be report-equivalent to
-// brute force. The ARVR/BeeGFS cell additionally pins the collapse the
-// committed bench relies on: an order-of-magnitude drop in checked states,
-// and with it in the restores the representative run pays outside its class
-// digest. The digest itself reconstructs and recovers every distinct kept
-// set — the restores brute force pays too, so the total only matches brute
-// force (the bound in assertEquivalent) — and every verdict reuses its
+// library families) the engine must match the per-state reference state by
+// state. The ARVR/BeeGFS cell additionally pins the collapse the committed
+// bench relies on: an order-of-magnitude drop in checked states, and with
+// it in the restores the engine pays outside its class lookups. The lookup
+// itself reconstructs and recovers every distinct kept set — the restores
+// the reference pays too, so the total only stays within the reference's
+// (the bound in assertMatchesReference) — and every verdict reuses its
 // recovered outcome, leaving legal-state replay as the verdicts' restores.
 func TestRepresentativeDifferentialNamed(t *testing.T) {
 	cells := []struct {
@@ -140,17 +171,23 @@ func TestRepresentativeDifferentialNamed(t *testing.T) {
 		{"ext4", "CR", paracrash.ModePruning, 1},
 	}
 	for _, c := range cells {
-		label := c.fs + "/" + c.prog + "/" + c.mode.String()
-		p := namedPair(t, c.fs, c.prog, c.mode, c.workers)
-		assertEquivalent(t, label, p)
+		label := fmt.Sprintf("%s/%s/%s/workers=%d", c.fs, c.prog, c.mode, c.workers)
+		opts := paracrash.DefaultOptions()
+		opts.Mode = c.mode
+		refOpts := opts
+		opts.Workers = c.workers
+		p := namedPair(t, c.fs, c.prog, opts, refOpts)
+		// Parallel workers reconstruct on their own clones, so only a serial
+		// engine is held to the serial reference's restores.
+		assertMatchesReference(t, label, p, c.workers == 1)
 		if c.fs == "beegfs" && c.mode == paracrash.ModeBrute {
-			s := p.on.Stats
+			s := p.engine.Stats
 			if s.StatesChecked*5 > s.StatesGenerated {
 				t.Errorf("%s: only collapsed %d -> %d states, want >= 5x", label, s.StatesGenerated, s.StatesChecked)
 			}
-			if v := s.ServerRestores - p.onDigest; v*5 > p.off.Stats.ServerRestores {
-				t.Errorf("%s: restores outside the class digest %d (of %d) vs brute %d, want >= 5x drop",
-					label, v, s.ServerRestores, p.off.Stats.ServerRestores)
+			if v := s.ServerRestores - p.onDigest; v*5 > p.ref.Stats.ServerRestores {
+				t.Errorf("%s: restores outside the class lookups %d (of %d) vs reference %d, want >= 5x drop",
+					label, v, s.ServerRestores, p.ref.Stats.ServerRestores)
 			}
 		}
 	}
@@ -158,8 +195,8 @@ func TestRepresentativeDifferentialNamed(t *testing.T) {
 
 // TestRepresentativeDifferentialFuzz replays the fuzz campaign's workload
 // families — generated programs (seed order) and the length-1 bounded
-// enumeration — through the differential oracle on the two cheapest
-// backends, mirroring the campaign smoke cell grid.
+// enumeration — through the reference oracle on the two cheapest backends,
+// mirroring the campaign smoke cell grid.
 func TestRepresentativeDifferentialFuzz(t *testing.T) {
 	var progs []*workloads.Program
 	for seed := int64(0); seed < 3; seed++ {
@@ -171,35 +208,26 @@ func TestRepresentativeDifferentialFuzz(t *testing.T) {
 		progs = append(progs, p)
 		return true
 	})
+	opts := paracrash.DefaultOptions()
+	opts.Mode = paracrash.ModeBrute
 	for _, fsName := range []string{"ext4", "glusterfs"} {
 		for _, w := range progs {
-			label := fsName + "/" + w.Name()
-			assertEquivalent(t, label, generatedPair(t, fsName, w, paracrash.ModeBrute))
+			assertMatchesReference(t, fsName+"/"+w.Name(), generatedPair(t, fsName, w, opts), true)
 		}
 	}
 }
 
 // TestRepresentativeFaultTransparency checks that fault injection does not
-// perturb the collapsed run: with healing quotas (the default MaxPerPoint)
-// and retries, the faulted representative report is byte-identical to the
-// unfaulted representative report, and still kernel-equivalent to the
-// unfaulted brute-force reference. The class digests are recomputed under
-// fire, so this exercises the shadow pipeline's retry path directly.
+// perturb the engine: with healing quotas (the default MaxPerPoint) and
+// retries, the faulted report is byte-identical to the unfaulted one, and
+// every verdict, attributed or not, is the one the unfaulted reference
+// gives the state. The class digests are recomputed under fire, so this
+// exercises the class lookup's retry path directly.
 func TestRepresentativeFaultTransparency(t *testing.T) {
 	for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning} {
 		clean := paracrash.DefaultOptions()
 		clean.Mode = mode
 		cleanFP, err := runWithOpts(t, nil, clean)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bref := clean
-		bref.DisableRepresentative = true
-		prog, err := exps.ProgramByName("ARVR")
-		if err != nil {
-			t.Fatal(err)
-		}
-		brute, err := exps.RunOne("beegfs", prog, bref, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,98 +239,87 @@ func TestRepresentativeFaultTransparency(t *testing.T) {
 			t.Fatal(err)
 		}
 		if faultedFP != cleanFP {
-			t.Errorf("mode %s: faulted representative run diverged from the unfaulted one", mode)
+			t.Errorf("mode %s: faulted run diverged from the unfaulted one", mode)
 		}
-		rep, err := exps.RunOne("beegfs", prog, faulted, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exps.ReportKernel(rep) != exps.ReportKernel(brute) {
-			t.Errorf("mode %s: faulted representative run not kernel-equivalent to brute force", mode)
-		}
+		faulted.Faults = faultinject.New(faultinject.Config{Seed: 11, Rate: 0.25})
+		assertMatchesReference(t, "faulted/"+mode.String(), namedPair(t, "beegfs", "ARVR", faulted, clean), false)
 	}
 }
 
 // TestRepresentativeQuarantineDoesNotPoisonClass drives every apply into a
 // hard fault (no healing, retries exhausted). Quarantine cannot poison a
 // class for two reasons this test pins end to end: a skipped verdict is
-// never recorded as a representative, and the shadow digest replays the
-// same kept ops as reconstruct, so a state whose reconstruction hard-faults
-// never obtains a class key and cannot silently inherit a healthy verdict.
-// The observable: the skip list and the whole report kernel match brute
-// force exactly (the only attributed states are the zero-apply ones that
-// genuinely succeed in both runs).
+// never recorded as a representative, and the class lookup replays the same
+// kept ops as a verdict, so a state whose reconstruction hard-faults never
+// obtains a class key and cannot silently inherit a healthy verdict. The
+// observable: under the same faults, the skip list, the whole report kernel
+// and every state's verdict match the per-state reference (the only
+// attributed states are the zero-apply ones that genuinely succeed in both).
 func TestRepresentativeQuarantineDoesNotPoisonClass(t *testing.T) {
-	hard := func(disable bool) *paracrash.Report {
-		prog, err := exps.ProgramByName("ARVR")
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := paracrash.DefaultOptions()
-		opts.DisableRepresentative = disable
-		opts.Retry = paracrash.RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond}
-		opts.Faults = faultinject.New(faultinject.Config{
+	opts := paracrash.DefaultOptions()
+	opts.Retry = paracrash.RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond}
+	hard := func() *faultinject.Plan {
+		return faultinject.New(faultinject.Config{
 			Seed: 3, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindErr},
 			Sites: []string{"pfs/apply"}, MaxPerPoint: 1 << 30,
 		})
-		rep, err := exps.RunOne("beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
 	}
-	on, off := hard(false), hard(true)
-	if len(on.Skipped) == 0 {
+	engine, ref := opts, opts
+	engine.Faults, ref.Faults = hard(), hard()
+	p := namedPair(t, "beegfs", "ARVR", engine, ref)
+	if len(p.engine.Skipped) == 0 {
 		t.Fatal("hard faults quarantined nothing — the test lost its teeth")
 	}
-	assertEquivalent(t, "hard-faults", reportPair{off: off, on: on})
+	assertMatchesReference(t, "hard-faults", p, true)
 }
 
-// TestRepresentativeChaosResume kills a representative run mid-class —
-// with Checkpoint.Every=1 every kill lands between a representative's
-// journal record and its members' attribution — and resumes until it
-// completes. The journal holds one record per class (members are never
-// journaled), so the resumed run must re-record each class from the
-// replayed representative and attribute members exactly like an
-// uninterrupted run: the final report must be byte-identical to a clean
-// representative run, and kernel-identical to brute force.
+// TestRepresentativeChaosResume kills a run mid-class — with
+// Checkpoint.Every=1 every kill lands between a representative's journal
+// record and its members' attribution — and resumes until it completes.
+// The journal holds one record per class (members are never journaled), so
+// the resumed run must re-record each class from the replayed
+// representative and attribute members exactly like an uninterrupted run:
+// the final report must be byte-identical to a clean run, and
+// kernel-identical to the per-state reference.
 func TestRepresentativeChaosResume(t *testing.T) {
+	prog, err := exps.ProgramByName("ARVR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, w, lib := emulatorCell(t, "beegfs", prog)
+	ref, _, err := paracrash.ReferenceRun(fs, lib, w, paracrash.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
 		base := paracrash.DefaultOptions()
 		base.Workers = workers
-		baseFP, err := runWithOpts(t, nil, base)
+		clean, err := exps.RunOne("beegfs", prog, base, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		bref := base
-		bref.DisableRepresentative = true
-		bruteFP, err := runWithOpts(t, nil, bref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if baseFP == bruteFP {
-			t.Fatal("representative run indistinguishable from brute force; the chaos test would prove nothing")
+		if clean.Stats.StatesDeduped == 0 {
+			t.Fatal("no state was attributed from a class; the chaos test would prove nothing")
 		}
 
 		path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 		deadline := 2 * time.Millisecond
 		kills := 0
-		var finalFP string
+		var final *paracrash.Report
 		for attempt := 0; ; attempt++ {
 			if attempt > 60 {
 				t.Fatal("chaos run did not converge in 60 kill/resume rounds")
 			}
-			opts := paracrash.DefaultOptions()
-			opts.Workers = workers
+			opts := base
 			opts.Checkpoint = paracrash.OpenCheckpoint(path)
 			opts.Checkpoint.Every = 1
 			opts.Faults = faultinject.New(faultinject.Config{Seed: 13, Rate: 0.25})
 
 			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			fp, err := runWithOpts(t, ctx, opts)
+			rep, err := exps.RunOneContext(ctx, "beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
 			cancel()
 			if err == nil {
-				finalFP = fp
+				final = rep
 				break
 			}
 			if !errors.Is(err, context.DeadlineExceeded) {
@@ -311,9 +328,10 @@ func TestRepresentativeChaosResume(t *testing.T) {
 			kills++
 			deadline += deadline / 2
 		}
-		if finalFP != baseFP {
-			t.Errorf("workers=%d: resumed representative report differs from the uninterrupted one after %d kills:\n--- clean ---\n%s--- chaos ---\n%s",
-				workers, kills, baseFP, finalFP)
+		if got, want := exps.ReportFingerprint(final), exps.ReportFingerprint(clean); got != want {
+			t.Errorf("workers=%d: resumed report differs from the uninterrupted one after %d kills:\n--- clean ---\n%s--- chaos ---\n%s",
+				workers, kills, want, got)
 		}
+		assertMatchesReference(t, "chaos", referencePair{engine: final, ref: ref}, false)
 	}
 }

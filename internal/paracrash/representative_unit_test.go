@@ -1,17 +1,20 @@
 package paracrash
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"paracrash/internal/causality"
+	"paracrash/internal/faultinject"
 	"paracrash/internal/pfs"
 	"paracrash/internal/pfs/beegfs"
 	"paracrash/internal/trace"
 )
 
-// digestSession builds the minimal white-box session crashDigest and
-// classKey need: a recorded run of the in-package rename workload on
+// digestSession builds the minimal white-box session classKey needs: a recorded run of the in-package rename workload on
 // BeeGFS with its causality graph and emulator.
 func digestSession(t *testing.T) (*session, []CrashState) {
 	t.Helper()
@@ -33,14 +36,11 @@ func digestSession(t *testing.T) (*session, []CrashState) {
 	emu := NewEmulator(g, fs.PersistConfig())
 	s := &session{
 		fs: fs, g: g, emu: emu, initial: initial,
-		opts:           DefaultOptions(),
-		pfsOps:         NewLayerOps(g, trace.LayerPFS, nil),
-		checkCache:     map[string]checkResult{},
-		classes:        map[string]checkResult{},
-		dedupKeys:      map[string]bool{},
-		imageDigests:   map[string]string{},
-		frontPFSStatus: map[string]string{},
-		frontLibStatus: map[string]string{},
+		opts:       DefaultOptions(),
+		pfsOps:     NewLayerOps(g, trace.LayerPFS, nil),
+		checkCache: map[string]checkResult{},
+		classes:    map[string]checkResult{},
+		fronts:     map[string]*frontStatus{},
 	}
 	var err error
 	if s.recon, err = newReconstructor(s); err != nil {
@@ -58,7 +58,7 @@ func digestSession(t *testing.T) (*session, []CrashState) {
 }
 
 // recoveredContent reconstructs a crash state the slow honest way and
-// returns what the shadow pipeline is supposed to digest: the serialized
+// returns what the outcome's class digest is supposed to digest: the serialized
 // mount tree, or the recovery/mount failure text.
 func recoveredContent(t *testing.T, s *session, cs CrashState) string {
 	t.Helper()
@@ -117,34 +117,30 @@ func TestClassKeyNeverCollidesAcrossRecoveredContent(t *testing.T) {
 	if len(contentByClass) < len(distinct) {
 		t.Fatalf("%d classes cover %d distinct recovered states", len(contentByClass), len(distinct))
 	}
-	// Digest memoisation must not leak across kept sets: every memo entry
-	// keys a single kept set's digest.
-	if len(s.imageDigests) == 0 {
-		t.Fatal("shadow pipeline memoised nothing")
-	}
 }
 
 // TestCrashDigestDeterministicAndStatePreserving pins two contracts the
 // call sites rely on: repeated digests of one state are identical (memo or
-// not), and after the shadow pipeline — whose recovery mutates the live
-// cluster in place — the next bring of any state still lands on exactly that
+// not), and after a class lookup — whose recovery mutates the live cluster
+// in place — the next bring of any state still lands on exactly that
 // state's content.
 func TestCrashDigestDeterministicAndStatePreserving(t *testing.T) {
 	s, states := digestSession(t)
 	cs, other := states[len(states)/2], states[0]
 	want := recoveredContent(t, s, other)
 
-	d1, err := s.crashDigest(cs)
-	if err != nil {
-		t.Fatal(err)
+	digest := func() string {
+		t.Helper()
+		o, err := s.recon.recoveredOutcome(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o.digest
 	}
-	s.imageDigests = map[string]string{} // force a recompute past the memo
-	d2, err := s.crashDigest(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatalf("crashDigest not deterministic: %q vs %q", d1, d2)
+	d1 := digest()
+	s.recon.outcomes = map[string]*recoveredOutcome{} // force a recompute past the memo
+	if d2 := digest(); d1 != d2 {
+		t.Fatalf("crash digest not deterministic: %q vs %q", d1, d2)
 	}
 	if err := s.recon.bring(other); err != nil {
 		t.Fatal(err)
@@ -154,6 +150,150 @@ func TestCrashDigestDeterministicAndStatePreserving(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.treeStr != want {
-		t.Fatalf("bring after the shadow pipeline reconstructed the wrong content:\n%q\nwant\n%q", o.treeStr, want)
+		t.Fatalf("bring after a class lookup reconstructed the wrong content:\n%q\nwant\n%q", o.treeStr, want)
+	}
+}
+
+// TestCrashDigestAtOutcomeCap: class digests live in the outcome memo and
+// share its maxOutcomes cap. A brute-force walk over the rename workload's
+// k = 2 states starts with the memo pre-filled so that the kept sets it
+// reconstructs bring it to one below the cap, exactly to it, one past it,
+// and far past it (a clear mid-walk). Every fill must judge every state as
+// the unfilled walk does, with the same class memo and the same checked and
+// deduplicated counts; the memo never holds more than maxOutcomes entries;
+// and every class lookup of a kept set the memo does not hold reconstructs
+// it — no digest outlives its outcome.
+func TestCrashDigestAtOutcomeCap(t *testing.T) {
+	type walk struct {
+		verdicts map[string]checkResult
+		classes  int
+		stats    Stats
+		distinct int // kept sets in the memo at the end
+	}
+	run := func(fill int) walk {
+		t.Helper()
+		opts := DefaultOptions()
+		opts.Mode = ModeBrute
+		opts.Emulator.K = 2
+		s, err := prepare(context.Background(), beegfs.New(pfs.DefaultConfig(), trace.NewRecorder()), nil, renameWorkload{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states := s.generate()
+		for i := 0; i < fill; i++ {
+			s.recon.outcomes[fmt.Sprintf("filler-%d", i)] = &recoveredOutcome{}
+		}
+		w := walk{verdicts: map[string]checkResult{}}
+		for i, cs := range states {
+			_, held := s.recon.outcomes[cs.Keep.Key()]
+			before := s.stats.ServerRestores
+			r, _ := s.check(cs)
+			s.countVisit(r)
+			w.verdicts[stateKey(cs)] = r
+			if !held && s.stats.ServerRestores == before {
+				t.Fatalf("fill %d, state %d: class lookup of a kept set the outcome memo does not hold reconstructed nothing", fill, i)
+			}
+			if n := len(s.recon.outcomes); n > maxOutcomes {
+				t.Fatalf("fill %d, state %d: outcome memo holds %d entries, cap %d", fill, i, n, maxOutcomes)
+			}
+		}
+		w.classes, w.stats = len(s.classes), s.stats
+		w.distinct = len(s.recon.outcomes) - fill
+		return w
+	}
+	want := run(0)
+	d := want.distinct
+	if d < 8 || want.stats.StatesDeduped == 0 {
+		t.Fatalf("%d kept sets, %d states deduped: the walk is too small to cross a clear", d, want.stats.StatesDeduped)
+	}
+	for _, fill := range []int{maxOutcomes - d - 1, maxOutcomes - d, maxOutcomes - d + 1, maxOutcomes - d/2} {
+		got := run(fill)
+		if got.classes != want.classes || got.stats.StatesChecked != want.stats.StatesChecked || got.stats.StatesDeduped != want.stats.StatesDeduped {
+			t.Errorf("fill %d: %d classes, %d checked, %d deduped; unfilled walk %d, %d, %d", fill,
+				got.classes, got.stats.StatesChecked, got.stats.StatesDeduped,
+				want.classes, want.stats.StatesChecked, want.stats.StatesDeduped)
+		}
+		for k, r := range want.verdicts {
+			if got.verdicts[k] != r {
+				t.Fatalf("fill %d: state verdict %+v, unfilled walk %+v", fill, got.verdicts[k], r)
+			}
+		}
+		if fill == maxOutcomes-d/2 && got.stats.ServerRestores <= want.stats.ServerRestores {
+			t.Errorf("fill %d: the memo was cleared, yet the walk restored %d servers, no more than the unfilled walk's %d",
+				fill, got.stats.ServerRestores, want.stats.ServerRestores)
+		}
+	}
+}
+
+// TestClassKeyHoldsEveryLayerStatus: the class key carries the status
+// vector of every layer the verdict consults, so fronts whose vectors differ
+// on any layer never share a class. Dropping the library vector changes no
+// verdict of any paper program at k <= 2 on any backend — there the library
+// vector follows from the PFS one, as every lowermost op under a library op
+// passes through a PFS op — so this pins the key's composition directly,
+// with the PFS layer's ops standing in for a second layer.
+func TestClassKeyHoldsEveryLayerStatus(t *testing.T) {
+	s, states := digestSession(t)
+	s.libOps = NewLayerOps(s.g, trace.LayerPFS, nil)
+	for _, cs := range states {
+		ckey, err := s.classKey(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := s.recon.recoveredOutcome(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := o.digest + "|" + statusKey(s.pfsOps.StatusAgainst(cs.Front)) + "|" + statusKey(s.libOps.StatusAgainst(cs.Front))
+		if ckey != want {
+			t.Fatalf("class key %q, want digest|pfs status|library status %q", ckey, want)
+		}
+	}
+}
+
+// TestRepresentativeQuarantinedVerdictIsNoClass: a state whose class lookup
+// succeeds but whose verdict faults through every attempt is quarantined,
+// and its verdict is never recorded for its class, so every other member
+// re-attempts on its own instead of inheriting the quarantine. The walk's
+// recovered outcomes are memoised before every mount is made to fault, so
+// each lookup succeeds and each verdict's legal-state replay fails.
+func TestRepresentativeQuarantinedVerdictIsNoClass(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Mode = ModeBrute
+	opts.Retry = RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond}
+	fs := beegfs.New(pfs.DefaultConfig(), trace.NewRecorder())
+	s, err := prepare(context.Background(), fs, nil, renameWorkload{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := s.generate()
+	for _, cs := range states {
+		if _, err := s.recon.recoveredOutcome(cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.SetFaults(faultinject.New(faultinject.Config{
+		Seed: 1, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindErr},
+		Sites: []string{"pfs/mount"}, MaxPerPoint: 1 << 30,
+	}))
+	classOf := map[string]int{}
+	for _, cs := range states {
+		r, ckey := s.check(cs)
+		if ckey == "" {
+			t.Fatalf("class lookup failed for state %x", cs.Keep.Key())
+		}
+		if !r.skipped {
+			t.Fatalf("state %x judged %+v with every mount faulting", cs.Keep.Key(), r)
+		}
+		if r.attributed {
+			t.Fatalf("state %x was attributed a quarantined verdict", cs.Keep.Key())
+		}
+		classOf[ckey]++
+	}
+	if len(classOf) == len(states) {
+		t.Fatal("no two states share a class — the test lost its teeth")
+	}
+	if len(s.classes) != 0 {
+		t.Fatalf("%d quarantined verdicts recorded as class representatives", len(s.classes))
 	}
 }

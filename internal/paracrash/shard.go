@@ -125,9 +125,9 @@ type ShardReport struct {
 	// the shard was dealt from; every shard of a partition must agree.
 	StatesGenerated int `json:"states_generated"`
 	// Stats is the shard's own measured run: StatesChecked counts the states
-	// it judged (representative-mode members attribute without a verdict of
-	// their own), and the effort fields are what MergeShards folds into the
-	// merged report. The merge recounts the state counts itself.
+	// it judged (class members attribute without a verdict of their own),
+	// and the effort fields are what MergeShards folds into the merged
+	// report. The merge recounts the state counts itself.
 	Stats Stats `json:"stats"`
 	// Verdicts holds one entry per owned state, in generation order.
 	Verdicts []Verdict `json:"verdicts"`

@@ -75,9 +75,9 @@ func TestShardMergeEquivalence(t *testing.T) {
 }
 
 // TestShardMergeEquivalenceKnobs re-runs the byte-identity oracle on one
-// backend with the remaining knobs flipped: representative exploration off,
-// a single-shard partition (the degenerate fleet) and more shards than
-// workers must all merge to their standalone fingerprints.
+// backend with the partition width varied: a single-shard partition (the
+// degenerate fleet) and more shards than workers must both merge to the
+// standalone fingerprint.
 func TestShardMergeEquivalenceKnobs(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	backend := "beegfs"
@@ -86,7 +86,6 @@ func TestShardMergeEquivalenceKnobs(t *testing.T) {
 		mut    func(*paracrash.Options)
 		shards int
 	}{
-		{"no-representative", func(o *paracrash.Options) { o.DisableRepresentative = true }, 3},
 		{"single-shard", func(o *paracrash.Options) {}, 1},
 		{"many-shards", func(o *paracrash.Options) {}, 7},
 	}
@@ -118,11 +117,7 @@ func TestShardMergeEquivalenceKnobs(t *testing.T) {
 				checked += sr.Stats.StatesChecked
 				verdicts += len(sr.Verdicts)
 			}
-			if opts.DisableRepresentative {
-				if checked != verdicts {
-					t.Errorf("without class attribution every verdict is a check: %d checked, %d verdicts", checked, verdicts)
-				}
-			} else if checked >= verdicts {
+			if checked >= verdicts {
 				t.Errorf("class members counted as checked: %d checked, %d verdicts", checked, verdicts)
 			}
 		})

@@ -76,10 +76,6 @@ type JobRequest struct {
 	// Workers is the per-job exploration worker budget; the scheduler
 	// clamps it to its per-job maximum. 0 (or omitted) means one per CPU.
 	Workers int `json:"workers,omitempty"`
-	// Representative toggles representative-state exploration (nil keeps
-	// the engine default: on). Set false for a brute-force-equivalent run
-	// that reconstructs every crash state.
-	Representative *bool `json:"representative,omitempty"`
 	// Shards requests a fleet partition width for this explore job: the
 	// coordinator splits the crash-state space into this many shards for
 	// worker processes to claim. 0 keeps the daemon's default; values are
@@ -201,9 +197,6 @@ func (r *JobRequest) options(maxWorkers int) core.Options {
 	opts.Workers = r.Workers // 0 or omitted = one per CPU, whatever DefaultOptions says
 	if maxWorkers > 0 && (opts.Workers == 0 || opts.Workers > maxWorkers) {
 		opts.Workers = maxWorkers
-	}
-	if r.Representative != nil {
-		opts.DisableRepresentative = !*r.Representative
 	}
 	return opts
 }

@@ -484,9 +484,6 @@ func (s *Scheduler) execute(ctx context.Context, job *Job, run *obs.Run) (*core.
 			cfg.SeedStart = req.Fuzz.SeedStart
 			cfg.EnumOps = req.Fuzz.EnumOps
 		}
-		if req.Representative != nil {
-			cfg.DisableRepresentative = !*req.Representative
-		}
 		if req.Workers > 0 {
 			cfg.Workers = req.Workers
 		}

@@ -518,36 +518,41 @@ func TestStreamEndMeansTerminal(t *testing.T) {
 }
 
 // TestRetiredIncrementalField: JobRequest lost its "incremental" toggle when
-// the engine lost its second reconstruction path. Job records persisted by
-// an earlier daemon may still carry it and must keep loading; a client still
-// sending it is told so by name rather than silently ignored.
+// the engine lost its second reconstruction path, and its "representative"
+// toggle when class attribution lost its off switch. Job records persisted
+// by an earlier daemon may still carry either and must keep loading; a
+// client still sending one is told so by name rather than silently ignored.
 func TestRetiredIncrementalField(t *testing.T) {
-	dir := t.TempDir()
-	record := fmt.Sprintf(`{"version":%d,"id":"j-old","state":"done","request":{"kind":"explore","fs":"beegfs","program":"ARVR","incremental":true},"created_at":"2026-08-01T00:00:00Z"}`, JobVersion)
-	if err := os.WriteFile(filepath.Join(dir, "job-j-old.json"), []byte(record), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, warns := OpenStore(dir)
-	if len(warns) != 0 {
-		t.Fatalf("old job record did not load cleanly: %v", warns)
-	}
-	if j, ok := st.Get("j-old"); !ok || j.Request.Program != "ARVR" {
-		t.Fatalf("old job record missing after load: %+v", j)
-	}
+	for _, field := range []string{"incremental", "representative"} {
+		t.Run(field, func(t *testing.T) {
+			dir := t.TempDir()
+			record := fmt.Sprintf(`{"version":%d,"id":"j-old","state":"done","request":{"kind":"explore","fs":"beegfs","program":"ARVR",%q:true},"created_at":"2026-08-01T00:00:00Z"}`, JobVersion, field)
+			if err := os.WriteFile(filepath.Join(dir, "job-j-old.json"), []byte(record), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, warns := OpenStore(dir)
+			if len(warns) != 0 {
+				t.Fatalf("old job record did not load cleanly: %v", warns)
+			}
+			if j, ok := st.Get("j-old"); !ok || j.Request.Program != "ARVR" {
+				t.Fatalf("old job record missing after load: %+v", j)
+			}
 
-	s := NewScheduler(SchedulerConfig{}, st, nil)
-	s.Start()
-	defer s.Drain(context.Background())
-	srv := httptest.NewServer(NewServer(s, st, nil))
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"fs":"beegfs","incremental":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "incremental") {
-		t.Fatalf("POST with the retired field: status %d, body %s; want 400 naming the field", resp.StatusCode, body)
+			s := NewScheduler(SchedulerConfig{}, st, nil)
+			s.Start()
+			defer s.Drain(context.Background())
+			srv := httptest.NewServer(NewServer(s, st, nil))
+			defer srv.Close()
+			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(fmt.Sprintf(`{"fs":"beegfs",%q:true}`, field)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), field) {
+				t.Fatalf("POST with the retired field: status %d, body %s; want 400 naming the field", resp.StatusCode, body)
+			}
+		})
 	}
 }
 

@@ -28,9 +28,10 @@
 // Crash points are armed through the environment (EnvCrashPoint names a
 // "<site>@<stage>" point, EnvCrashHit selects which traversal fires) so a
 // re-exec harness can drive them without code hooks. Soft faults reuse the
-// internal/faultinject site machinery: Arm installs a Plan consulted as
-// "statefs/<site>" before every write, with KindTorn surfacing as a torn
-// temp file plus an error — the recoverable sibling of the torn-tmp crash.
+// internal/faultinject site machinery: a Plan the package's tests arm is
+// consulted as "statefs/<site>" before every write, with KindTorn surfacing
+// as a torn temp file plus an error — the recoverable sibling of the
+// torn-tmp crash.
 package statefs
 
 import (
@@ -226,16 +227,6 @@ func CrashPoints() []string {
 	return out
 }
 
-// Coverage returns completed-write counts per site name, the raw material
-// of the crash-point coverage metrics.
-func Coverage() map[string]int64 {
-	out := map[string]int64{}
-	for _, s := range Sites() {
-		out[s.name] = s.Writes()
-	}
-	return out
-}
-
 // ---- fault and crash arming ----
 
 var (
@@ -247,12 +238,6 @@ var (
 	crashTarget int64
 	crashHits   atomic.Int64
 )
-
-// Arm installs a faultinject plan consulted (as site "statefs/<site>") by
-// every subsequent operation; nil disarms. Soft faults surface as errors
-// the caller retries or reports — the recoverable complement of the
-// hard crash points.
-func Arm(p *faultinject.Plan) { armedPlan.Store(p) }
 
 // SetObs directs per-site write counters ("statefs/<site>") and the
 // aggregate "statefs/writes" counter at the run; nil (or never calling)

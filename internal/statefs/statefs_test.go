@@ -335,3 +335,19 @@ func readOrEmpty(t *testing.T, path string) []byte {
 	}
 	return data
 }
+
+// Coverage returns completed-write counts per site name, the raw material
+// of the crash-point coverage metrics.
+func Coverage() map[string]int64 {
+	out := map[string]int64{}
+	for _, s := range Sites() {
+		out[s.name] = s.Writes()
+	}
+	return out
+}
+
+// Arm installs a faultinject plan consulted (as site "statefs/<site>") by
+// every subsequent operation; nil disarms. Soft faults surface as errors
+// the caller retries or reports — the recoverable complement of the
+// hard crash points.
+func Arm(p *faultinject.Plan) { armedPlan.Store(p) }

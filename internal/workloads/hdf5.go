@@ -282,9 +282,4 @@ func H5ParallelResize(p H5Params) *H5Workload {
 	}
 }
 
-// ParallelPrograms returns the parallel library programs.
-func ParallelPrograms(p H5Params) []*H5Workload {
-	return []*H5Workload{H5ParallelCreate(p), H5ParallelResize(p)}
-}
-
 var _ paracrash.Workload = (*H5Workload)(nil)

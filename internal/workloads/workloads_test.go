@@ -185,3 +185,8 @@ func TestFig5ProgramRuns(t *testing.T) {
 		}
 	}
 }
+
+// ParallelPrograms returns the parallel library programs.
+func ParallelPrograms(p H5Params) []*H5Workload {
+	return []*H5Workload{H5ParallelCreate(p), H5ParallelResize(p)}
+}
