@@ -26,10 +26,10 @@ fmtcheck:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# Fail when any package misses a package comment or any exported
-# identifier is undocumented (the godoc coverage gate).
-# Documentation gates: godoc coverage, plus docs/API.md kept in lockstep
-# with the routes actually registered on the serve mux (both directions).
+# Documentation gates: godoc coverage (a package comment on every package,
+# a doc comment on every exported identifier), every `make` target the docs
+# cite defined here, and docs/API.md kept in lockstep with the routes
+# actually registered on the serve mux (both directions).
 doclint:
 	$(GO) run ./internal/tools/doclint .
 	$(GO) run ./internal/tools/routedoc .

@@ -87,6 +87,14 @@ func main() {
 	if *clients < 1 {
 		fatalIf(fmt.Errorf("-clients must be >= 1, got %d", *clients))
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"rows", *rows}, {"cols", *cols}, {"resize-rows", *rrows}, {"resize-cols", *rcols}} {
+		if f.v < 0 {
+			fatalIf(fmt.Errorf("-%s must be >= 0, got %d", f.name, f.v))
+		}
+	}
 	if *retries < 0 {
 		fatalIf(fmt.Errorf("-retries must be >= 0 (0 = default), got %d", *retries))
 	}

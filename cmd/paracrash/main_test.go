@@ -55,6 +55,10 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"negative servers", []string{"-servers", "-4"}, "-servers must be >= 0"},
 		{"negative stripe", []string{"-stripe", "-8"}, "-stripe must be >= 0"},
 		{"zero clients", []string{"-clients", "0"}, "-clients must be >= 1"},
+		{"negative rows", []string{"-program", "H5-resize", "-rows", "-1"}, "-rows must be >= 0"},
+		{"negative cols", []string{"-program", "H5-resize", "-cols", "-1"}, "-cols must be >= 0"},
+		{"negative resize rows", []string{"-program", "H5-resize", "-resize-rows", "-3"}, "-resize-rows must be >= 0"},
+		{"negative resize cols", []string{"-program", "H5-resize", "-resize-cols", "-2"}, "-resize-cols must be >= 0"},
 		{"unknown program", []string{"-program", "NOPE"}, "unknown program"},
 		{"unknown mode", []string{"-fs", "ext4", "-program", "CR", "-mode", "bogus"}, "unknown mode"},
 		{"retired optimized mode", []string{"-fs", "ext4", "-program", "CR", "-mode", "optimized"}, `mode "optimized" is retired`},

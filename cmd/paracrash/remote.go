@@ -73,13 +73,6 @@ func runRemote(addr, apiKey string, req serve.JobRequest, jsonOut, verbose bool)
 		return 2
 	}
 
-	if job.Fuzz != nil {
-		fmt.Print(job.Fuzz.Summary)
-		if !job.Fuzz.OK {
-			return 1
-		}
-		return 0
-	}
 	rep := job.Report
 	if rep == nil {
 		fmt.Fprintf(os.Stderr, "paracrash: job %s finished without a report\n", job.ID)

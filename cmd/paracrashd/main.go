@@ -1,8 +1,7 @@
 // Command paracrashd runs the ParaCrash checker as a service: an HTTP API
-// accepting exploration and fuzz-campaign jobs, a bounded scheduler
-// executing them with per-job timeouts and cancellation, and a results
-// directory where completed jobs persist as versioned JSON across
-// restarts.
+// accepting exploration jobs, a bounded scheduler executing them with
+// per-job timeouts and cancellation, and a results directory where
+// completed jobs persist as versioned JSON across restarts.
 //
 // Usage:
 //
@@ -210,13 +209,14 @@ func main() {
 
 	sched.Start()
 
-	// Re-enqueue jobs a previous daemon left queued or running: explore jobs
-	// resume from their checkpoint journal, others restart from scratch.
+	// Re-enqueue jobs a previous daemon left queued or running: each resumes
+	// from its checkpoint journal. A job of the retired fuzz kind is marked
+	// failed instead, and the warning says why.
 	for _, j := range store.Interrupted() {
 		if err := sched.Resubmit(j.ID); err != nil {
 			fmt.Fprintf(os.Stderr, "paracrashd: warning: resubmit interrupted job %s: %v\n", j.ID, err)
 		} else {
-			fmt.Fprintf(os.Stderr, "paracrashd: resubmitted interrupted job %s (%s)\n", j.ID, j.Request.Kind)
+			fmt.Fprintf(os.Stderr, "paracrashd: resubmitted interrupted job %s\n", j.ID)
 		}
 	}
 

@@ -1,7 +1,6 @@
 package fuzzcamp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -37,14 +36,6 @@ type Config struct {
 	// CorpusDir, when non-empty, receives a replayable repro file per
 	// deduplicated violation.
 	CorpusDir string
-	// Workers is the number of concurrent cells (0 = GOMAXPROCS).
-	Workers int
-	// DiffWorkers is the worker count of the parallel run in the
-	// serial-vs-parallel differential oracle (0 = 4).
-	DiffWorkers int
-	// MinimizeTests bounds predicate evaluations per minimization
-	// (0 = 200).
-	MinimizeTests int
 	// Obs, when non-nil, receives campaign counters and the explorer's own
 	// per-run metrics.
 	Obs *obs.Run
@@ -79,17 +70,16 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Seeds == 0 && cfg.EnumOps <= 0 {
 		cfg.Seeds = 16
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.DiffWorkers <= 0 {
-		cfg.DiffWorkers = 4
-	}
-	if cfg.MinimizeTests <= 0 {
-		cfg.MinimizeTests = 200
-	}
 	return cfg
 }
+
+const (
+	// diffWorkers is the worker count of the parallel run in the
+	// serial-vs-parallel differential oracle.
+	diffWorkers = 4
+	// minimizeTests bounds predicate evaluations per minimization.
+	minimizeTests = 200
+)
 
 // workloadList builds the campaign's deterministic workload sequence:
 // generated programs first (seed order), then the bounded enumeration.
@@ -129,15 +119,12 @@ type Result struct {
 	// OK() ignores it.
 	CellsFaulted int
 	TimedOut     bool
-	// Canceled reports that the campaign's context was cancelled before
-	// every cell ran (daemon shutdown, job timeout).
-	Canceled bool
-	Elapsed  time.Duration
+	Elapsed      time.Duration
 }
 
 // OK reports a fully green campaign: every cell ran and no oracle fired.
 func (r *Result) OK() bool {
-	return len(r.Violations) == 0 && len(r.Errors) == 0 && !r.TimedOut && !r.Canceled
+	return len(r.Violations) == 0 && len(r.Errors) == 0 && !r.TimedOut
 }
 
 // oracleOrder fixes the per-oracle summary line order.
@@ -166,17 +153,10 @@ func (r *Result) Format() string {
 		fmt.Fprintf(&b, "duplicates suppressed: %d\n", r.Duplicates)
 	}
 	if r.CellsSkipped > 0 {
-		reason := "time budget"
-		if r.Canceled {
-			reason = "time budget or cancellation"
-		}
-		fmt.Fprintf(&b, "cells skipped (%s): %d\n", reason, r.CellsSkipped)
+		fmt.Fprintf(&b, "cells skipped (time budget): %d\n", r.CellsSkipped)
 	}
 	if r.CellsFaulted > 0 {
 		fmt.Fprintf(&b, "cells abandoned to injected faults: %d\n", r.CellsFaulted)
-	}
-	if r.Canceled {
-		b.WriteString("campaign cancelled before completion\n")
 	}
 	for i, v := range r.Violations {
 		fmt.Fprintf(&b, "[%d] %s oracle on %s (workload %s)\n    %s\n", i+1, v.Oracle, v.Backend, v.Workload, v.Detail)
@@ -197,9 +177,6 @@ func (r *Result) Format() string {
 // campaign is the per-run state shared by cell evaluation.
 type campaign struct {
 	cfg *Config
-	// ctx is the campaign's cancellation signal, threaded into every
-	// explorer invocation.
-	ctx context.Context
 	// nruns counts explorer invocations independently of obs, which may be
 	// nil (its Counter handles are then no-ops).
 	nruns atomic.Int64
@@ -236,7 +213,7 @@ func (c *campaign) explore(backend string, w paracrash.Workload, mode paracrash.
 		// parallel runs degrade identically.
 		opts.Faults = faultinject.New(faultinject.Config{Seed: c.cfg.FaultSeed, Rate: c.cfg.FaultRate})
 	}
-	return paracrash.RunContext(c.ctx, fs, nil, w, opts)
+	return paracrash.Run(fs, nil, w, opts)
 }
 
 // errCellPanic marks a cell whose oracle battery panicked; the recover in
@@ -276,17 +253,6 @@ func (c *campaign) runsClean(backend string, p *workloads.Program) bool {
 // concurrently, then dedupe, minimize and persist violations in a
 // deterministic serial pass.
 func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled, cells not
-// yet started are skipped, in-flight explorer runs stop at their next
-// crash-state boundary, minimization is bypassed, and the result is
-// marked Canceled.
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	run := cfg.Obs
@@ -294,7 +260,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	defer stopCampaign()
 
 	progs := cfg.workloadList()
-	c := &campaign{cfg: &cfg, ctx: ctx, runs: run.Counter("campaign/explorer-runs"), obs: run,
+	c := &campaign{cfg: &cfg, runs: run.Counter("campaign/explorer-runs"), obs: run,
 		memo: paracrash.NewLegalMemo()}
 	ctrCells := run.Counter("campaign/cells")
 	ctrViol := run.Counter("campaign/violations")
@@ -318,22 +284,17 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	var (
-		mu          sync.Mutex
-		wg          sync.WaitGroup
-		skipped     int
-		cancelSkips int
-		faulted     int
-		found       = map[int][]*pending{}
-		errs        = map[int]string{}
+		mu      sync.Mutex
+		wg      sync.WaitGroup
+		skipped int
+		faulted int
+		found   = map[int][]*pending{}
+		errs    = map[int]string{}
 	)
 	ctrFaulted := run.Counter("campaign/cells-faulted")
 	ctrCellRetries := run.Counter("campaign/cell-retries")
-	sem := make(chan struct{}, cfg.Workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, cl := range cells {
-		if ctx.Err() != nil {
-			cancelSkips++
-			continue
-		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			skipped++
 			continue
@@ -344,7 +305,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		go func() {
 			defer func() { <-sem; wg.Done() }()
 			vs, err := c.evalCellSafe(cl.backend, cl.prog)
-			if err != nil && cellFaulted(err) && ctx.Err() == nil {
+			if err != nil && cellFaulted(err) {
 				// One retry for fault weather; deterministic injection means
 				// this mostly matters for escaped panics and genuinely
 				// transient failures.
@@ -354,9 +315,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			ctrCells.Inc()
 			mu.Lock()
 			defer mu.Unlock()
-			// A cell aborted by campaign cancellation is not an engine
-			// failure; it is accounted under Canceled instead.
-			if err != nil && ctx.Err() == nil {
+			if err != nil {
 				if cellFaulted(err) {
 					faulted++
 					ctrFaulted.Inc()
@@ -375,10 +334,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		Workloads:    len(progs),
 		Backends:     cfg.Backends,
 		Cells:        len(cells),
-		CellsSkipped: skipped + cancelSkips,
+		CellsSkipped: skipped,
 		CellsFaulted: faulted,
 		TimedOut:     skipped > 0,
-		Canceled:     ctx.Err() != nil,
 	}
 	var errIdx []int
 	for i := range errs {
@@ -402,11 +360,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			v.Preamble = append([]workloads.Op(nil), cells[i].prog.PreambleOps()...)
 			body := cells[i].prog.Body()
 			v.MinimizedFrom = len(body)
-			// Minimization re-runs the explorer many times; on a cancelled
-			// campaign the un-minimized body is reported as-is.
-			if p.pred != nil && ctx.Err() == nil {
+			if p.pred != nil {
 				stopMin := run.Phase(obs.PhaseMinimize)
-				body = Minimize(body, p.pred, cfg.MinimizeTests)
+				body = Minimize(body, p.pred, minimizeTests)
 				stopMin()
 			}
 			v.Body = append([]workloads.Op(nil), body...)

@@ -175,7 +175,7 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 
 	// Oracle 2: serial-vs-parallel differential on the causal brute run.
 	serialFP := exps.ReportFingerprint(brute[paracrash.ModelCausal])
-	par, err := c.explore(backend, prog, paracrash.ModeBrute, paracrash.ModelCausal, c.cfg.DiffWorkers)
+	par, err := c.explore(backend, prog, paracrash.ModeBrute, paracrash.ModelCausal, diffWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("parallel brute/causal: %w", err)
 	}
@@ -186,7 +186,7 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 				Oracle: OracleDifferential, Backend: backend, Workload: prog.Name(),
 				Signature: fmt.Sprintf("%s|%s|%s", OracleDifferential, backend, diff),
 				Detail: fmt.Sprintf("Workers=1 and Workers=%d brute reports diverge: %s",
-					c.cfg.DiffWorkers, diff),
+					diffWorkers, diff),
 			},
 			pred: func(body []workloads.Op) bool {
 				p := workloads.NewProgram(prog.Name(), prog.PreambleOps(), body)
@@ -194,7 +194,7 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 				if err != nil {
 					return false
 				}
-				n, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, c.cfg.DiffWorkers)
+				n, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, diffWorkers)
 				if err != nil {
 					return false
 				}

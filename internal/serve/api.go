@@ -1,8 +1,8 @@
 // Package serve turns the ParaCrash checker into a long-running service:
-// an HTTP API accepting exploration and fuzz-campaign jobs, a bounded FIFO
-// scheduler running them with per-job timeouts, cancellation and panic
-// isolation, a results store persisting completed jobs as versioned JSON,
-// and per-job progress streaming over the internal/obs event sinks.
+// an HTTP API accepting exploration jobs, a bounded FIFO scheduler running
+// them with per-job timeouts, cancellation and panic isolation, a results
+// store persisting completed jobs as versioned JSON, and per-job progress
+// streaming over the internal/obs event sinks.
 //
 // The package deliberately amortises nothing *inside* the engine — every
 // job still gets a fresh simulated cluster, exactly like the CLI — but a
@@ -13,6 +13,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -26,13 +27,16 @@ import (
 // incompatible changes to Job or JobRequest.
 const JobVersion = 1
 
-// Job kinds.
-const (
-	// JobKindExplore is one explorer run: program × file system × options.
-	JobKindExplore = "explore"
-	// JobKindFuzz is a metamorphic fuzz campaign (internal/fuzzcamp).
-	JobKindFuzz = "fuzz"
-)
+// JobKindExplore is the one job kind: an explorer run of program × file
+// system × options.
+const JobKindExplore = "explore"
+
+// retiredFuzzKind is the job kind that ran a fuzz campaign in the daemon.
+// Records that carry it still load; a new request naming it is refused,
+// and an interrupted one is finished as failed (errFuzzRetired).
+const retiredFuzzKind = "fuzz"
+
+var errFuzzRetired = errors.New(`job kind "fuzz" is retired: run fuzz campaigns with cmd/experiments -exp fuzz`)
 
 // JobState is the lifecycle state of a job.
 type JobState string
@@ -54,10 +58,8 @@ func (s JobState) Terminal() bool {
 
 // JobRequest is the POST /v1/jobs payload.
 type JobRequest struct {
-	// Kind selects the job type: "explore" (default) or "fuzz".
+	// Kind is the job type; "explore" (the default) is the only one.
 	Kind string `json:"kind,omitempty"`
-
-	// Explore fields (ignored for fuzz jobs).
 
 	// FS is the backend under test (beegfs, orangefs, glusterfs, gpfs,
 	// lustre, ext4). Default beegfs.
@@ -80,33 +82,19 @@ type JobRequest struct {
 	// coordinator splits the crash-state space into this many shards for
 	// worker processes to claim. 0 keeps the daemon's default; values are
 	// capped by the daemon's maximum, and a daemon running standalone (no
-	// fleet) executes the job in-process regardless. Explore jobs only.
+	// fleet) executes the job in-process regardless.
 	Shards int `json:"shards,omitempty"`
 	// Clients/Rows/Cols/ResizeRows/ResizeCols are the H5 program knobs;
-	// zero values keep workloads.DefaultH5Params.
+	// zero values keep workloads.DefaultH5Params, negative ones are refused.
 	Clients    int `json:"clients,omitempty"`
 	Rows       int `json:"rows,omitempty"`
 	Cols       int `json:"cols,omitempty"`
 	ResizeRows int `json:"resize_rows,omitempty"`
 	ResizeCols int `json:"resize_cols,omitempty"`
 
-	// Fuzz configures a fuzz-campaign job (required when Kind is "fuzz").
-	Fuzz *FuzzRequest `json:"fuzz,omitempty"`
-
 	// TimeoutSeconds bounds the job's run time; 0 uses the scheduler's
 	// default, and the scheduler's maximum always applies.
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
-}
-
-// FuzzRequest mirrors the fuzzcamp.Config knobs exposed over the API.
-type FuzzRequest struct {
-	// Backends under test; empty means all six.
-	Backends []string `json:"backends,omitempty"`
-	// Seeds/SeedStart select the generated workloads.
-	Seeds     int   `json:"seeds,omitempty"`
-	SeedStart int64 `json:"seed_start,omitempty"`
-	// EnumOps additionally enumerates all op sequences up to this length.
-	EnumOps int `json:"enum_ops,omitempty"`
 }
 
 // Normalize fills defaults and validates the request, returning a
@@ -115,35 +103,27 @@ func (r *JobRequest) Normalize() error {
 	switch r.Kind {
 	case "":
 		r.Kind = JobKindExplore
-	case JobKindExplore, JobKindFuzz:
+	case JobKindExplore:
+	case retiredFuzzKind:
+		return errFuzzRetired
 	default:
-		return fmt.Errorf("unknown job kind %q (want %q or %q)", r.Kind, JobKindExplore, JobKindFuzz)
+		return fmt.Errorf("unknown job kind %q (want %q)", r.Kind, JobKindExplore)
 	}
 	if r.TimeoutSeconds < 0 {
 		return fmt.Errorf("timeout_seconds must be >= 0, got %g", r.TimeoutSeconds)
 	}
-	if r.Workers < 0 {
-		return fmt.Errorf("workers must be >= 0, got %d", r.Workers)
-	}
-	if r.Shards < 0 {
-		return fmt.Errorf("shards must be >= 0, got %d", r.Shards)
-	}
-
-	if r.Kind == JobKindFuzz {
-		if r.Fuzz == nil {
-			r.Fuzz = &FuzzRequest{}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"workers", r.Workers}, {"shards", r.Shards}, {"k", r.K},
+		{"clients", r.Clients}, {"rows", r.Rows}, {"cols", r.Cols},
+		{"resize_rows", r.ResizeRows}, {"resize_cols", r.ResizeCols},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
 		}
-		if r.Fuzz.Seeds < 0 || r.Fuzz.EnumOps < 0 {
-			return fmt.Errorf("fuzz seeds and enum_ops must be >= 0")
-		}
-		for _, b := range r.Fuzz.Backends {
-			if !validFS(b) {
-				return fmt.Errorf("unknown fuzz backend %q (have %s)", b, strings.Join(exps.FSNames(), ", "))
-			}
-		}
-		return nil
 	}
-
 	if r.FS == "" {
 		r.FS = "beegfs"
 	}
@@ -170,9 +150,6 @@ func (r *JobRequest) Normalize() error {
 		if _, err := core.ParseModel(r.LibModel); err != nil {
 			return fmt.Errorf("lib_model: %v", err)
 		}
-	}
-	if r.K < 0 {
-		return fmt.Errorf("k must be >= 0, got %d", r.K)
 	}
 	return nil
 }
@@ -245,31 +222,13 @@ type Job struct {
 	StartedAt  *time.Time `json:"started_at,omitempty"`
 	FinishedAt *time.Time `json:"finished_at,omitempty"`
 	// Resumes counts how many times the daemon re-enqueued this job after
-	// finding it interrupted by an unclean shutdown; explore jobs resume
-	// from their checkpoint journal.
+	// finding it interrupted by an unclean shutdown; the job resumes from
+	// its checkpoint journal.
 	Resumes int `json:"resumes,omitempty"`
 	// Error describes a failed or canceled job.
 	Error string `json:"error,omitempty"`
-	// Report is the explore-job result.
+	// Report is the job's result.
 	Report *core.Report `json:"report,omitempty"`
-	// Fuzz is the fuzz-job result.
-	Fuzz *FuzzResult `json:"fuzz,omitempty"`
-}
-
-// FuzzResult is the persisted summary of a fuzz-campaign job: the
-// campaign's formatted report plus the headline numbers (the full
-// fuzzcamp.Result carries non-JSON-stable internals, so jobs persist this
-// stable projection instead).
-type FuzzResult struct {
-	OK           bool   `json:"ok"`
-	Workloads    int    `json:"workloads"`
-	Cells        int    `json:"cells"`
-	CellsSkipped int    `json:"cells_skipped,omitempty"`
-	ExplorerRuns int64  `json:"explorer_runs"`
-	Violations   int    `json:"violations"`
-	TimedOut     bool   `json:"timed_out,omitempty"`
-	Canceled     bool   `json:"canceled,omitempty"`
-	Summary      string `json:"summary"`
 }
 
 // JobSummary is the list-view projection of a job (GET /v1/jobs).

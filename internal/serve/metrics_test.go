@@ -61,13 +61,13 @@ func TestMetricsEndpointLifecycle(t *testing.T) {
 	run := obs.NewRun()
 	s := NewScheduler(SchedulerConfig{MaxConcurrent: 1}, st, run)
 	gate := make(chan struct{})
-	s.executor = func(ctx context.Context, job *Job, jrun *obs.Run) (*core.Report, *FuzzResult, error) {
+	s.executor = func(ctx context.Context, job *Job, jrun *obs.Run) (*core.Report, error) {
 		jrun.Counter("states/checked").Add(7)
 		select {
 		case <-gate:
-			return &core.Report{}, nil, nil
+			return &core.Report{}, nil
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	s.Start()
@@ -121,9 +121,9 @@ func TestMetricsEndpointLifecycle(t *testing.T) {
 func TestSchedulerRouterRingSink(t *testing.T) {
 	st, _ := OpenStore("")
 	s := NewScheduler(SchedulerConfig{MaxConcurrent: 1}, st, obs.NewRun())
-	s.executor = func(ctx context.Context, job *Job, jrun *obs.Run) (*core.Report, *FuzzResult, error) {
+	s.executor = func(ctx context.Context, job *Job, jrun *obs.Run) (*core.Report, error) {
 		jrun.Counter("states/checked").Add(3)
-		return &core.Report{}, nil, nil
+		return &core.Report{}, nil
 	}
 	s.Start()
 	defer s.Drain(context.Background())

@@ -14,7 +14,6 @@ import (
 
 	"paracrash/internal/exps"
 	"paracrash/internal/faultinject"
-	"paracrash/internal/fuzzcamp"
 	"paracrash/internal/obs"
 	core "paracrash/internal/paracrash"
 )
@@ -119,7 +118,7 @@ type Scheduler struct {
 	// duration and failure modes without spinning real explorations. It
 	// receives the whole job (not just the request) so the real executor can
 	// derive the job's checkpoint-journal path from its ID.
-	executor func(ctx context.Context, job *Job, run *obs.Run) (*core.Report, *FuzzResult, error)
+	executor func(ctx context.Context, job *Job, run *obs.Run) (*core.Report, error)
 
 	ctrSubmitted *obs.Counter
 	ctrRejected  *obs.Counter
@@ -411,13 +410,12 @@ func (s *Scheduler) runJob(job *Job) {
 
 	jr.run.StartProgress(s.cfg.ProgressInterval)
 
-	report, fuzz, err := s.safeExecute(ctx, job, jr.run)
+	report, err := s.safeExecute(ctx, job, jr.run)
 
 	end := time.Now().UTC()
 	perr := s.store.Update(job.ID, func(j *Job) {
 		j.FinishedAt = &end
 		j.Report = report
-		j.Fuzz = fuzz
 		switch {
 		case err == nil:
 			j.State = JobDone
@@ -453,10 +451,10 @@ func (s *Scheduler) runJob(job *Job) {
 
 // safeExecute isolates panics: a panic anywhere in the engine becomes a
 // job failure instead of taking the daemon down.
-func (s *Scheduler) safeExecute(ctx context.Context, job *Job, run *obs.Run) (report *core.Report, fuzz *FuzzResult, err error) {
+func (s *Scheduler) safeExecute(ctx context.Context, job *Job, run *obs.Run) (report *core.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			report, fuzz = nil, nil
+			report = nil
 			err = fmt.Errorf("serve: job panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
@@ -472,72 +470,47 @@ func (s *Scheduler) checkpointPath(id string) string {
 	return filepath.Join(s.store.Dir(), "ckpt-"+sanitizeID(id)+".jsonl")
 }
 
-// execute dispatches on the job kind.
-func (s *Scheduler) execute(ctx context.Context, job *Job, run *obs.Run) (*core.Report, *FuzzResult, error) {
+// execute runs an explore job: sharded across the fleet when this
+// scheduler coordinates one and the job's partition is at least two wide,
+// in-process otherwise.
+func (s *Scheduler) execute(ctx context.Context, job *Job, run *obs.Run) (*core.Report, error) {
 	req := job.Request
-	switch req.Kind {
-	case JobKindFuzz:
-		cfg := fuzzcamp.Config{Obs: run}
-		if req.Fuzz != nil {
-			cfg.Backends = req.Fuzz.Backends
-			cfg.Seeds = req.Fuzz.Seeds
-			cfg.SeedStart = req.Fuzz.SeedStart
-			cfg.EnumOps = req.Fuzz.EnumOps
+	if s.fleetEnabled() {
+		if n := s.fleet.effectiveShards(req); n >= 2 {
+			return s.executeFleet(ctx, job, run, n)
 		}
-		if req.Workers > 0 {
-			cfg.Workers = req.Workers
-		}
-		if s.cfg.MaxJobWorkers > 0 && (cfg.Workers == 0 || cfg.Workers > s.cfg.MaxJobWorkers) {
-			cfg.Workers = s.cfg.MaxJobWorkers
-		}
-		res, ferr := fuzzcamp.RunContext(ctx, cfg)
-		if ferr != nil {
-			return nil, nil, ferr
-		}
-		if res.Canceled {
-			// Surface the cancellation as the job's terminal state; the
-			// partial summary still rides along.
-			return nil, summarizeFuzz(res), ctx.Err()
-		}
-		return nil, summarizeFuzz(res), nil
-	default:
-		if s.fleetEnabled() {
-			if n := s.fleet.effectiveShards(req); n >= 2 {
-				rep, ferr := s.executeFleet(ctx, job, run, n)
-				return rep, nil, ferr
-			}
-		}
-		prog, perr := exps.ProgramByName(req.Program)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		opts := req.options(s.cfg.MaxJobWorkers)
-		opts.Obs = run
-		opts.Retry = s.cfg.Retry
-		opts.Faults = s.cfg.Faults
-		if p := s.checkpointPath(job.ID); p != "" {
-			// The journal lives next to the job record; a resubmitted job
-			// (same ID) resumes from it, and a clean finish removes it.
-			opts.Checkpoint = core.OpenCheckpoint(p)
-		}
-		rep, rerr := exps.RunOneContext(ctx, req.FS, prog, opts, req.h5Params(), exps.ConfigFor(req.FS))
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		if opts.Checkpoint != nil {
-			if n := opts.Checkpoint.Resumed(); n > 0 {
-				run.Counter("job/resumed-verdicts").Add(int64(n))
-			}
-			os.Remove(opts.Checkpoint.Path())
-		}
-		return rep, nil, nil
 	}
+	prog, err := exps.ProgramByName(req.Program)
+	if err != nil {
+		return nil, err
+	}
+	opts := req.options(s.cfg.MaxJobWorkers)
+	opts.Obs = run
+	opts.Retry = s.cfg.Retry
+	opts.Faults = s.cfg.Faults
+	if p := s.checkpointPath(job.ID); p != "" {
+		// The journal lives next to the job record; a resubmitted job
+		// (same ID) resumes from it, and a clean finish removes it.
+		opts.Checkpoint = core.OpenCheckpoint(p)
+	}
+	rep, err := exps.RunOneContext(ctx, req.FS, prog, opts, req.h5Params(), exps.ConfigFor(req.FS))
+	if err != nil {
+		return nil, err
+	}
+	if opts.Checkpoint != nil {
+		if n := opts.Checkpoint.Resumed(); n > 0 {
+			run.Counter("job/resumed-verdicts").Add(int64(n))
+		}
+		os.Remove(opts.Checkpoint.Path())
+	}
+	return rep, nil
 }
 
 // Resubmit re-enqueues a non-terminal job — one a previous daemon process
 // was killed while running — under its original ID, so its explore
 // checkpoint journal (if any) is picked up and the work continues from the
-// frontier. Admission control applies like Submit's.
+// frontier. Admission control applies like Submit's. A job of the retired
+// fuzz kind is not run: it is finished as failed, and the error says so.
 func (s *Scheduler) Resubmit(id string) error {
 	j, ok := s.store.Get(id)
 	if !ok {
@@ -545,6 +518,18 @@ func (s *Scheduler) Resubmit(id string) error {
 	}
 	if j.State.Terminal() {
 		return fmt.Errorf("serve: job %s already finished", id)
+	}
+	if j.Request.Kind == retiredFuzzKind {
+		// Should the record fail to persist, the next start finds it
+		// interrupted again and finishes it the same way.
+		end := time.Now().UTC()
+		_ = s.store.Update(id, func(job *Job) {
+			job.State = JobFailed
+			job.Error = errFuzzRetired.Error()
+			job.FinishedAt = &end
+		})
+		s.ctrFailed.Inc()
+		return fmt.Errorf("serve: job %s marked failed: %w", id, errFuzzRetired)
 	}
 
 	s.mu.Lock()
@@ -582,21 +567,6 @@ func (s *Scheduler) Resubmit(id string) error {
 	s.router.Attach(id, jr.run)
 	s.obs.Counter("jobs/resumed").Inc()
 	return nil
-}
-
-// summarizeFuzz projects a campaign result onto the persisted form.
-func summarizeFuzz(res *fuzzcamp.Result) *FuzzResult {
-	return &FuzzResult{
-		OK:           res.OK(),
-		Workloads:    res.Workloads,
-		Cells:        res.Cells,
-		CellsSkipped: res.CellsSkipped,
-		ExplorerRuns: res.ExplorerRuns,
-		Violations:   len(res.Violations),
-		TimedOut:     res.TimedOut,
-		Canceled:     res.Canceled,
-		Summary:      res.Format(),
-	}
 }
 
 // newJobID mints a random 12-hex-digit job ID.

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,12 +49,12 @@ func waitState(t *testing.T, st *Store, id string, want JobState) Job {
 func gatedScheduler(cfg SchedulerConfig, st *Store) (*Scheduler, chan struct{}) {
 	s := NewScheduler(cfg, st, nil)
 	gate := make(chan struct{})
-	s.executor = func(ctx context.Context, job *Job, run *obs.Run) (*core.Report, *FuzzResult, error) {
+	s.executor = func(ctx context.Context, job *Job, run *obs.Run) (*core.Report, error) {
 		select {
 		case <-gate:
-			return &core.Report{Program: job.Request.Program, FS: job.Request.FS}, nil, nil
+			return &core.Report{Program: job.Request.Program, FS: job.Request.FS}, nil
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	s.Start()
@@ -75,7 +76,12 @@ func TestSubmitValidation(t *testing.T) {
 		{K: -1},
 		{Workers: -2},
 		{TimeoutSeconds: -1},
-		{Kind: JobKindFuzz, Fuzz: &FuzzRequest{Backends: []string{"zfs"}}},
+		{Kind: "fuzz"},
+		{Clients: -1},
+		{Rows: -1},
+		{Cols: -1},
+		{ResizeRows: -3},
+		{ResizeCols: -1},
 	} {
 		if _, err := s.Submit(req); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid request", req)
@@ -229,12 +235,12 @@ func TestPanicIsolation(t *testing.T) {
 	st, _ := OpenStore("")
 	s := NewScheduler(SchedulerConfig{MaxConcurrent: 1}, st, nil)
 	boom := true
-	s.executor = func(ctx context.Context, job *Job, run *obs.Run) (*core.Report, *FuzzResult, error) {
+	s.executor = func(ctx context.Context, job *Job, run *obs.Run) (*core.Report, error) {
 		if boom {
 			boom = false
 			panic("engine blew up")
 		}
-		return &core.Report{}, nil, nil
+		return &core.Report{}, nil
 	}
 	s.Start()
 	defer s.Drain(context.Background())
@@ -604,6 +610,88 @@ func TestRetiredOptimizedMode(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "optimized") {
 		t.Fatalf("POST with the retired mode: status %d, body %s; want 400 naming the mode", resp.StatusCode, body)
+	}
+}
+
+// TestRetiredFuzzJobKind: the daemon's fuzz-campaign job kind was retired;
+// campaigns run offline through cmd/experiments -exp fuzz. A client asking
+// for one is told so by name. Stored fuzz records keep loading, and an
+// interrupted one is finished as failed without ever running as an explore
+// job (its request has no fs or program to default).
+func TestRetiredFuzzJobKind(t *testing.T) {
+	dir := t.TempDir()
+	for id, record := range map[string]string{
+		"j-fdone": fmt.Sprintf(`{"version":%d,"id":"j-fdone","state":"done","request":{"kind":"fuzz","fuzz":{"seeds":4,"backends":["beegfs"]}},"fuzz":{"ok":true,"workloads":4,"cells":4,"explorer_runs":24,"violations":0,"summary":"=== fuzz campaign ===\n"},"created_at":"2026-08-01T00:00:00Z"}`, JobVersion),
+		"j-fint":  fmt.Sprintf(`{"version":%d,"id":"j-fint","state":"running","request":{"kind":"fuzz","fuzz":{"seeds":4}},"created_at":"2026-08-01T00:00:00Z"}`, JobVersion),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, "job-"+id+".json"), []byte(record), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep, err := Fsck(dir, FsckOptions{}); err != nil || !rep.Clean {
+		t.Fatalf("fsck of stored fuzz records: %v, %+v", err, rep)
+	}
+	st, warns := OpenStore(dir)
+	if len(warns) != 0 {
+		t.Fatalf("stored fuzz records did not load cleanly: %v", warns)
+	}
+
+	s := NewScheduler(SchedulerConfig{}, st, nil)
+	var ran atomic.Bool
+	s.executor = func(ctx context.Context, job *Job, run *obs.Run) (*core.Report, error) {
+		ran.Store(true)
+		return &core.Report{}, nil
+	}
+	s.Start()
+	defer s.Drain(context.Background())
+	if err := s.Resubmit("j-fint"); !errors.Is(err, errFuzzRetired) {
+		t.Fatalf("Resubmit of an interrupted fuzz job: err = %v, want the retirement error", err)
+	}
+	j, _ := st.Get("j-fint")
+	if j.State != JobFailed || j.Error != errFuzzRetired.Error() || j.FinishedAt == nil {
+		t.Fatalf("interrupted fuzz job after Resubmit: state %s, error %q; want failed with the retirement error", j.State, j.Error)
+	}
+
+	srv := httptest.NewServer(NewServer(s, st, nil))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []JobSummary
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := map[string]JobState{}
+	for _, js := range list {
+		if js.Kind != "fuzz" {
+			t.Errorf("listed job %s has kind %q, want fuzz", js.ID, js.Kind)
+		}
+		states[js.ID] = js.State
+	}
+	if states["j-fdone"] != JobDone || states["j-fint"] != JobFailed || len(states) != 2 {
+		t.Fatalf("GET /v1/jobs lists %v, want j-fdone done and j-fint failed", states)
+	}
+
+	for _, tc := range []struct{ body, name string }{
+		{`{"kind":"fuzz"}`, `"fuzz" is retired`},
+		{`{"fuzz":{"seeds":4}}`, `unknown field "fuzz"`},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.name) {
+			t.Errorf("POST %s: status %d, error %q; want 400 naming %s", tc.body, resp.StatusCode, e.Error, tc.name)
+		}
+	}
+	if ran.Load() {
+		t.Fatal("the executor ran a retired fuzz job")
 	}
 }
 

@@ -626,8 +626,8 @@ func (s *Scheduler) awaitResults(job string) (<-chan struct{}, func()) {
 }
 
 // executeFleet is the coordinator's explore path: write one task per shard,
-// wait for worker results, merge. Fuzz jobs and width<2 partitions never
-// reach here (execute falls back to the in-process engine).
+// wait for worker results, merge. Width<2 partitions never reach here
+// (execute falls back to the in-process engine).
 func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, count int) (*core.Report, error) {
 	req := job.Request
 	prog, perr := exps.ProgramByName(req.Program)

@@ -110,7 +110,7 @@ func (s *Store) Add(j *Job) {
 }
 
 // Get returns a snapshot copy of the job record. The copy shares the
-// immutable result pointers (Report, Fuzz are written once, before the job
+// immutable result pointer (Report is written once, before the job
 // turns terminal) but detaches the mutable scalar fields, so handlers can
 // marshal it without holding the store lock.
 func (s *Store) Get(id string) (Job, bool) {

@@ -267,15 +267,15 @@ func TestSchedulerPriorityDispatch(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	gate := make(chan struct{})
-	s.executor = func(ctx context.Context, job *Job, run *obs.Run) (*core.Report, *FuzzResult, error) {
+	s.executor = func(ctx context.Context, job *Job, run *obs.Run) (*core.Report, error) {
 		mu.Lock()
 		order = append(order, job.Tenant)
 		mu.Unlock()
 		select {
 		case <-gate:
-			return &core.Report{}, nil, nil
+			return &core.Report{}, nil
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	s.Start()

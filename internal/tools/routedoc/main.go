@@ -23,6 +23,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -32,45 +33,56 @@ import (
 )
 
 func main() {
-	src := flag.String("src", "internal/serve/server.go", "Go source registering the mux routes")
-	doc := flag.String("doc", "docs/API.md", "API reference document")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it returns the exit status instead of
+// exiting, so tests can drive it over temp files.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("routedoc", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	src := fl.String("src", "internal/serve/server.go", "Go source registering the mux routes")
+	doc := fl.String("doc", "docs/API.md", "API reference document")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 	root := "."
-	if flag.NArg() == 1 {
-		root = flag.Arg(0)
-	} else if flag.NArg() > 1 {
-		fmt.Fprintln(os.Stderr, "usage: routedoc [-src FILE] [-doc FILE] [root]")
-		os.Exit(2)
+	if fl.NArg() == 1 {
+		root = fl.Arg(0)
+	} else if fl.NArg() > 1 {
+		fmt.Fprintln(stderr, "usage: routedoc [-src FILE] [-doc FILE] [root]")
+		return 2
 	}
 
 	code, err := routesFromSource(filepath.Join(root, *src))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "routedoc:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "routedoc:", err)
+		return 2
 	}
 	documented, err := routesFromDoc(filepath.Join(root, *doc))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "routedoc:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "routedoc:", err)
+		return 2
 	}
 	if len(code) == 0 {
-		fmt.Fprintf(os.Stderr, "routedoc: no routes found in %s — wrong -src?\n", *src)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "routedoc: no routes found in %s — wrong -src?\n", *src)
+		return 2
 	}
 
 	problems := 0
 	for _, r := range sortedDiff(code, documented) {
-		fmt.Printf("%s: route %q registered in %s but not documented\n", *doc, r, *src)
+		fmt.Fprintf(stdout, "%s: route %q registered in %s but not documented\n", *doc, r, *src)
 		problems++
 	}
 	for _, r := range sortedDiff(documented, code) {
-		fmt.Printf("%s: route %q documented but not registered in %s\n", *doc, r, *src)
+		fmt.Fprintf(stdout, "%s: route %q documented but not registered in %s\n", *doc, r, *src)
 		problems++
 	}
 	if problems > 0 {
-		fmt.Fprintf(os.Stderr, "routedoc: %d route(s) out of sync between %s and %s\n", problems, *src, *doc)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "routedoc: %d route(s) out of sync between %s and %s\n", problems, *src, *doc)
+		return 1
 	}
+	return 0
 }
 
 // routesFromSource parses the file and collects the "METHOD /path" pattern
