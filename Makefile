@@ -48,7 +48,7 @@ race:
 	$(GO) test -race ./...
 
 # Everything a change must pass before it lands.
-ci: build crossbuild vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental emulate classify legal selfcheck benchcheck
+ci: build crossbuild vet fmtcheck doclint persistlint test race examples fuzz-smoke chaos representative incremental emulate classify legal selfcheck benchcheck
 
 # The benchmark harness checking itself (benchmark/ is a module of its own,
 # so `go test ./...` does not reach it): every workload's verdicts against
@@ -111,6 +111,7 @@ legal:
 experiments:
 	$(GO) run ./cmd/experiments -exp all
 
+# Run the five example programs end to end (about a second once built).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/customworkload
@@ -141,7 +142,9 @@ fuzz-smoke:
 # Chaos gate: run explorations under injected faults, kill them mid-run and
 # resume from the checkpoint journal; the resumed reports must be
 # byte-identical to clean uninterrupted runs, and a hard-faulted fuzz
-# campaign must quarantine cells instead of dying.
+# campaign must quarantine cells instead of dying. The obs and serve halves
+# hold telemetry to the same rule: wedged, failing or panicking sinks and a
+# stalled events reader never delay a job or its verdict.
 chaos:
 	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestFaultTransparency|TestHardFaults|TestRepresentativeChaosResume|TestRepresentativeQuarantine' -count=1 -v
 	$(GO) test ./internal/fuzzcamp/ -run 'TestCampaignHealsInjectedFaults|TestCampaignQuarantinesHardFaultedCells' -count=1

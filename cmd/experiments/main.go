@@ -176,15 +176,13 @@ func runSpeedups(s *settings) {
 // runFuzz runs the metamorphic campaign and exits 1 when an oracle failed.
 func runFuzz(s *settings) {
 	cfg := s.fuzz
+	stopProgress := func() {}
 	if s.fuzzProgress {
 		cfg.Obs = obs.NewRun()
-		cfg.Obs.AddSink(&obs.HumanSink{W: os.Stderr})
-		cfg.Obs.StartProgress(time.Second)
+		stopProgress = obs.Follow(time.Second, cfg.Obs.Event, func(ev obs.Event) { fmt.Fprintln(os.Stderr, ev) })
 	}
 	res, err := fuzzcamp.Run(cfg)
-	if cfg.Obs != nil {
-		cfg.Obs.Close()
-	}
+	stopProgress()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

@@ -194,17 +194,26 @@ func main() {
 			}
 		}
 	}
-	if *progress {
-		run.AddSink(&obs.HumanSink{W: os.Stderr})
-	}
-	if *progJSONL != "" {
-		f, err := os.Create(*progJSONL)
-		fatalIf(err)
-		defer f.Close()
-		run.AddSink(obs.NewJSONLSink(f))
-	}
+	// Progress: follow the run every second; stopping writes the final
+	// event and waits for it, so it precedes the report.
+	stopProgress := func() {}
 	if *progress || *progJSONL != "" {
-		run.StartProgress(time.Second)
+		var jsonl *json.Encoder
+		if *progJSONL != "" {
+			f, err := os.Create(*progJSONL)
+			fatalIf(err)
+			defer f.Close()
+			jsonl = json.NewEncoder(f)
+		}
+		write := func(ev obs.Event) {
+			if *progress {
+				fmt.Fprintln(os.Stderr, ev)
+			}
+			if jsonl != nil {
+				_ = jsonl.Encode(ev)
+			}
+		}
+		stopProgress = obs.Follow(time.Second, run.Event, write)
 	}
 	if *pprofAddr != "" {
 		addr, shutdown, err := obs.Serve(*pprofAddr, run)
@@ -240,7 +249,7 @@ func main() {
 	}
 
 	rep, err := exps.RunOne(*fsName, prog, opts, h5p, conf)
-	run.Close() // flush the final progress event before reporting
+	stopProgress()
 	closeTelemetry()
 	fatalIf(err)
 	for _, line := range capWarnings(run, opts.Emulator) {

@@ -50,7 +50,6 @@ func TestChaosExplorerUnaffectedByWedgedSink(t *testing.T) {
 	start := time.Now()
 	chaotic, err := exps.RunOne("beegfs", prog, opts, h5p, exps.ConfigFor("beegfs"))
 	elapsed := time.Since(start)
-	run.Close()
 	// Overflow the wedged sink's bounded queue deterministically: the run
 	// itself may finish in a handful of sampling ticks.
 	for i := 0; i < 16; i++ {

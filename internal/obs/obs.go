@@ -1,13 +1,14 @@
 // Package obs is the telemetry pipeline of ParaCrash, structured as
 // collectors → router → sinks: collectors (phase timers, atomic counters
 // and gauges on a Run; anything implementing Collector) feed a metric
-// Router that relabels, aggregates per-job series into fleet rollups, and
-// fans sampled batches out to pluggable MetricSinks (stdout text, JSONL
-// file, HTTP push, a Prometheus-text /metrics handler, and an in-memory
-// RingSink tests assert against). The original progress-event stream
-// (Event, Sink, StreamSink) and the one-shot JSON Summary ride unchanged
-// beside the pipeline, so the -metrics and -progress-jsonl outputs stay
-// byte-stable; an opt-in pprof/expvar HTTP endpoint completes the layer.
+// Router that aggregates per-job series into fleet rollups and fans
+// sampled batches out to pluggable MetricSinks (stdout text, JSONL file,
+// HTTP push, a Prometheus-text /metrics handler). The Router is the only
+// path that pushes. Everything else is read from a Run when wanted: the
+// one-shot JSON Summary behind -metrics, and the progress Event that
+// Follow samples on an interval for the CLIs' -progress output and the
+// daemon's events stream. An opt-in pprof/expvar HTTP endpoint completes
+// the layer.
 //
 // The package is built around one invariant: observability is passive. A
 // Run only ever records what the exploration engine did; it never feeds
@@ -162,10 +163,6 @@ type Run struct {
 	timerOrder   []string
 
 	curPhase atomic.Value // string
-
-	progress *progressLoop
-	sinkMu   sync.Mutex
-	sinks    []Sink
 }
 
 // NewRun returns an active metrics collector anchored at the current time.
@@ -320,28 +317,4 @@ func (r *Run) Summary() *Summary {
 // files.
 func (r *Run) SummaryJSON() ([]byte, error) {
 	return json.MarshalIndent(r.Summary(), "", "  ")
-}
-
-// snapshotCounters returns name->value for all registered counters in
-// registration order (names slice aliases internal state; copy under lock).
-func (r *Run) snapshotCounters() ([]string, map[string]int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := append([]string(nil), r.counterOrder...)
-	vals := make(map[string]int64, len(names))
-	for _, n := range names {
-		vals[n] = r.counters[n].v.Load()
-	}
-	return names, vals
-}
-
-func (r *Run) snapshotGauges() ([]string, map[string]int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := append([]string(nil), r.gaugeOrder...)
-	vals := make(map[string]int64, len(names))
-	for _, n := range names {
-		vals[n] = r.gauges[n].v.Load()
-	}
-	return names, vals
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -90,9 +91,9 @@ func TestNilRunIsNoop(t *testing.T) {
 	if r.CurrentPhase() != "" || r.Elapsed() != 0 {
 		t.Fatal("nil run must report empty state")
 	}
-	r.AddSink(&HumanSink{W: io.Discard})
-	r.StartProgress(time.Millisecond)
-	r.Close()
+	if ev := r.Event(); ev.ElapsedSeconds != 0 || len(ev.Counters) != 0 || ev.Final {
+		t.Fatalf("nil run event not empty: %+v", ev)
+	}
 	s := r.Summary()
 	if len(s.Counters) != 0 || len(s.Timers) != 0 {
 		t.Fatalf("nil summary not empty: %+v", s)
@@ -159,31 +160,41 @@ func TestConcurrentTimersAccumulate(t *testing.T) {
 	t.Fatal("pfs/recover timer missing")
 }
 
+// TestProgressEventsAndSinks follows a live run the way the CLIs do —
+// every interval, then a final event once stopped — and renders each event
+// both ways: the human ticker line and one JSON object per line.
 func TestProgressEventsAndSinks(t *testing.T) {
 	r := NewRun()
-	ring := NewRingSink(256)
+	var evs []Event
 	var human, jsonl bytes.Buffer
-	r.AddSink(ring)
-	r.AddSink(&HumanSink{W: &human})
-	r.AddSink(NewJSONLSink(&jsonl))
+	enc := json.NewEncoder(&jsonl)
+	write := func(ev Event) {
+		evs = append(evs, ev)
+		fmt.Fprintln(&human, ev)
+		_ = enc.Encode(ev)
+	}
 
 	c := r.Counter("states/checked")
 	r.Gauge("worker/00/pending").Set(12)
 	r.Phase(PhaseExplore)
-	r.StartProgress(5 * time.Millisecond)
+	stop := Follow(5*time.Millisecond, r.Event, write)
 	for i := 0; i < 50; i++ {
 		c.Add(10)
 		time.Sleep(time.Millisecond)
 	}
-	r.Close()
+	stop()
 
-	evs := ring.Events()
 	if len(evs) < 2 {
 		t.Fatalf("got %d events, want >= 2", len(evs))
 	}
-	last, ok := ring.LastEvent()
-	if !ok || !last.Final {
+	last := evs[len(evs)-1]
+	if !last.Final {
 		t.Fatal("last event must be final")
+	}
+	for _, ev := range evs[:len(evs)-1] {
+		if ev.Final {
+			t.Fatalf("non-last event marked final: %+v", ev)
+		}
 	}
 	if last.Counters["states/checked"] != 500 {
 		t.Fatalf("final counter = %d, want 500", last.Counters["states/checked"])
@@ -194,12 +205,13 @@ func TestProgressEventsAndSinks(t *testing.T) {
 	if last.Gauges["worker/00/pending"] != 12 {
 		t.Fatalf("gauge missing from event: %+v", last.Gauges)
 	}
-	// Second and later events carry rates.
-	if evs[1].Rates == nil {
-		t.Fatal("second event must carry rates")
+	// The first event has no previous line to take rates against; every
+	// later one does.
+	if evs[0].Rates != nil || evs[1].Rates == nil {
+		t.Fatalf("rates on events 0 and 1 = %v, %v; want none, then some", evs[0].Rates, evs[1].Rates)
 	}
-	if !strings.Contains(human.String(), "states/checked=") {
-		t.Fatalf("human ticker line missing counter: %q", human.String())
+	if !strings.Contains(human.String(), "states/checked=") || !strings.HasSuffix(human.String(), " (final)\n") {
+		t.Fatalf("human ticker lines missing counter or final marker: %q", human.String())
 	}
 	// Every JSONL line must parse back to an Event.
 	dec := json.NewDecoder(&jsonl)
@@ -212,7 +224,40 @@ func TestProgressEventsAndSinks(t *testing.T) {
 		n++
 	}
 	if n != len(evs) {
-		t.Fatalf("JSONL lines = %d, ring sink events = %d", n, len(evs))
+		t.Fatalf("JSONL lines = %d, events written = %d", n, len(evs))
+	}
+}
+
+// TestFollowRatesAgainstPreviousLine: a follower's rate is the counter's
+// delta over the elapsed time between its own consecutive lines.
+func TestFollowRatesAgainstPreviousLine(t *testing.T) {
+	snaps := []Event{
+		{ElapsedSeconds: 1, Counters: map[string]int64{"x": 10}},
+		{ElapsedSeconds: 3, Counters: map[string]int64{"x": 50, "y": 4}},
+	}
+	var got []Event
+	twoTicks := make(chan struct{})
+	stop := Follow(time.Millisecond, func() Event {
+		ev := snaps[0]
+		if len(snaps) > 1 {
+			snaps = snaps[1:]
+		} else if len(got) == 1 {
+			close(twoTicks)
+		}
+		return ev
+	}, func(ev Event) { got = append(got, ev) })
+	<-twoTicks
+	stop()
+
+	if len(got) < 3 {
+		t.Fatalf("wrote %d events, want 2 ticks and a final", len(got))
+	}
+	if got[1].Rates["x"] != 20 || got[1].Rates["y"] != 2 {
+		t.Fatalf("rates = %v, want x=20/s and y=2/s", got[1].Rates)
+	}
+	last := got[len(got)-1]
+	if !last.Final || last.Rates != nil { // same elapsed: no interval to divide by
+		t.Fatalf("final event = %+v, want final without rates", last)
 	}
 }
 

@@ -1,17 +1,14 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
-// Event is one progress snapshot, emitted to every attached sink on each
-// ticker interval and once more (Final) when the loop stops.
+// Event is one progress snapshot: read from a Run with Run.Event, and
+// written once per interval (then once more, Final) by Follow.
 type Event struct {
 	ElapsedSeconds float64          `json:"elapsed_seconds"`
 	Phase          string           `json:"phase,omitempty"`
@@ -23,163 +20,87 @@ type Event struct {
 	Final bool               `json:"final,omitempty"`
 }
 
-// Sink consumes progress events. Emit is called from the progress
-// goroutine; implementations serialise their own output.
-type Sink interface {
-	Emit(Event)
+// Event reads the run's current progress snapshot: elapsed time, phase,
+// counters and gauges, without rates. A nil run yields an empty event.
+func (r *Run) Event() Event {
+	s := r.Summary()
+	return Event{ElapsedSeconds: s.WallSeconds, Phase: r.CurrentPhase(), Counters: s.Counters, Gauges: s.Gauges}
 }
 
-// AddSink attaches a sink to the run's progress stream. No-op on nil runs.
-func (r *Run) AddSink(s Sink) {
-	if r == nil || s == nil {
-		return
-	}
-	r.sinkMu.Lock()
-	r.sinks = append(r.sinks, s)
-	r.sinkMu.Unlock()
-}
-
-type progressLoop struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartProgress begins emitting events to the attached sinks every
-// interval. Idempotent; no-op on nil runs or non-positive intervals.
-func (r *Run) StartProgress(interval time.Duration) {
-	if r == nil || interval <= 0 {
-		return
-	}
-	r.mu.Lock()
-	if r.progress != nil {
-		r.mu.Unlock()
-		return
-	}
-	p := &progressLoop{stop: make(chan struct{}), done: make(chan struct{})}
-	r.progress = p
-	r.mu.Unlock()
-
-	go func() {
-		defer close(p.done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		var prev map[string]int64
-		var prevAt time.Time
-		for {
-			select {
-			case <-tick.C:
-				prev, prevAt = r.emitEvent(prev, prevAt, false)
-			case <-p.stop:
-				r.emitEvent(prev, prevAt, true)
-				return
-			}
-		}
-	}()
-}
-
-// Close stops the progress loop (emitting one final event) and waits for
-// it to drain. Safe on nil runs and runs without progress.
-func (r *Run) Close() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	p := r.progress
-	r.progress = nil
-	r.mu.Unlock()
-	if p == nil {
-		return
-	}
-	close(p.stop)
-	<-p.done
-}
-
-// emitEvent builds one Event from the current snapshot and fans it out.
-func (r *Run) emitEvent(prev map[string]int64, prevAt time.Time, final bool) (map[string]int64, time.Time) {
-	now := time.Now()
-	_, counters := r.snapshotCounters()
-	_, gauges := r.snapshotGauges()
-	ev := Event{
-		ElapsedSeconds: time.Since(r.start).Seconds(),
-		Phase:          r.CurrentPhase(),
-		Counters:       counters,
-		Gauges:         gauges,
-		Final:          final,
-	}
-	if prev != nil {
-		dt := now.Sub(prevAt).Seconds()
-		if dt > 0 {
-			ev.Rates = make(map[string]float64, len(counters))
-			for name, v := range counters {
-				ev.Rates[name] = float64(v-prev[name]) / dt
-			}
-		}
-	}
-	r.sinkMu.Lock()
-	sinks := append([]Sink(nil), r.sinks...)
-	r.sinkMu.Unlock()
-	for _, s := range sinks {
-		s.Emit(ev)
-	}
-	return counters, now
-}
-
-// HumanSink renders each event as one compact ticker line, the CLI's
-// -progress output.
-type HumanSink struct {
-	W  io.Writer
-	mu sync.Mutex
-}
-
-// Emit implements Sink.
-func (h *HumanSink) Emit(ev Event) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// String renders the event as one compact ticker line, the CLI's -progress
+// output.
+func (ev Event) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "[%7.1fs]", ev.ElapsedSeconds)
 	if ev.Phase != "" {
 		fmt.Fprintf(&b, " %-11s", ev.Phase)
 	}
-	names := make([]string, 0, len(ev.Counters))
-	for n := range ev.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(ev.Counters) {
 		fmt.Fprintf(&b, " %s=%d", n, ev.Counters[n])
 		if r, ok := ev.Rates[n]; ok && r != 0 {
 			fmt.Fprintf(&b, "(+%.0f/s)", r)
 		}
 	}
-	gnames := make([]string, 0, len(ev.Gauges))
-	for n := range ev.Gauges {
-		gnames = append(gnames, n)
-	}
-	sort.Strings(gnames)
-	for _, n := range gnames {
+	for _, n := range sortedKeys(ev.Gauges) {
 		fmt.Fprintf(&b, " %s=%d", n, ev.Gauges[n])
 	}
 	if ev.Final {
 		b.WriteString(" (final)")
 	}
-	fmt.Fprintln(h.W, b.String())
+	return b.String()
 }
 
-// JSONLSink writes each event as one JSON line, the machine-readable
-// progress stream.
-type JSONLSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
+func sortedKeys(m map[string]int64) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
-// NewJSONLSink returns a sink encoding events onto w, one object per line.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
+// Follow writes snapshot() once per interval on its own goroutine until
+// the returned stop is called; stop then writes one last snapshot marked
+// Final and returns once it is written. Each event after the first
+// carries per-second counter rates against the event written before it.
+// Call stop exactly once.
+func Follow(interval time.Duration, snapshot func() Event, write func(Event)) (stop func()) {
+	var prev Event
+	wrote := false
+	emit := func(final bool) {
+		ev := snapshot()
+		ev.Final = final
+		if dt := ev.ElapsedSeconds - prev.ElapsedSeconds; wrote && dt > 0 {
+			ev.Rates = make(map[string]float64, len(ev.Counters))
+			for n, v := range ev.Counters {
+				ev.Rates[n] = float64(v-prev.Counters[n]) / dt
+			}
+		}
+		write(ev)
+		prev, wrote = ev, true
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		every(quit, interval, func() { emit(false) })
+		emit(true)
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
-// Emit implements Sink.
-func (s *JSONLSink) Emit(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.enc.Encode(ev)
+// every calls f once per interval until stop closes.
+func every(stop <-chan struct{}, interval time.Duration, f func()) {
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			f()
+		case <-stop:
+			return
+		}
+	}
 }

@@ -1,23 +1,84 @@
 package obs
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
-func TestRingSinkBoundsEvents(t *testing.T) {
-	s := NewRingSink(3)
-	for i := 1; i <= 10; i++ {
-		s.Emit(Event{ElapsedSeconds: float64(i)})
+// RingSink is the bounded in-memory MetricSink the tests attach to routers
+// and assert against: it keeps the most recent Capacity batches and
+// exposes snapshot accessors — deterministic assertions with no temp
+// files and no scraping.
+type RingSink struct {
+	mu      sync.Mutex
+	cap     int
+	batches [][]Metric
+}
+
+// NewRingSink returns a ring retaining up to capacity metric batches (a
+// non-positive capacity keeps one).
+func NewRingSink(capacity int) *RingSink {
+	if capacity < 1 {
+		capacity = 1
 	}
-	evs := s.Events()
-	if len(evs) != 3 {
-		t.Fatalf("events = %d, want 3", len(evs))
+	return &RingSink{cap: capacity}
+}
+
+// WriteMetrics implements MetricSink. The batch is copied, so the ring
+// stays valid however the router reuses its buffers.
+func (s *RingSink) WriteMetrics(batch []Metric) error {
+	cp := append([]Metric(nil), batch...)
+	s.mu.Lock()
+	s.batches = append(s.batches, cp)
+	if len(s.batches) > s.cap {
+		s.batches = s.batches[len(s.batches)-s.cap:]
 	}
-	if evs[0].ElapsedSeconds != 8 || evs[2].ElapsedSeconds != 10 {
-		t.Fatalf("ring kept %+v, want the last three", evs)
+	s.mu.Unlock()
+	return nil
+}
+
+// Batches returns a copy of the retained metric batches, oldest first.
+func (s *RingSink) Batches() [][]Metric {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([][]Metric, len(s.batches))
+	copy(out, s.batches)
+	return out
+}
+
+// LastBatch returns the most recent metric batch (nil when none arrived).
+func (s *RingSink) LastBatch() []Metric {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.batches) == 0 {
+		return nil
 	}
-	last, ok := s.LastEvent()
-	if !ok || last.ElapsedSeconds != 10 {
-		t.Fatalf("LastEvent = (%+v, %v), want elapsed 10", last, ok)
+	return s.batches[len(s.batches)-1]
+}
+
+// Find returns the sample with the given name and job label from the most
+// recent batch (false when absent).
+func (s *RingSink) Find(name, job string) (Metric, bool) {
+	for _, m := range s.LastBatch() {
+		if m.Name == name && m.Job == job {
+			return m, true
+		}
 	}
+	return Metric{}, false
+}
+
+// Len returns how many metric batches the ring currently holds.
+func (s *RingSink) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.batches)
+}
+
+// Reset discards all retained batches.
+func (s *RingSink) Reset() {
+	s.mu.Lock()
+	s.batches = nil
+	s.mu.Unlock()
 }
 
 func TestRingSinkBoundsBatches(t *testing.T) {
@@ -58,22 +119,18 @@ func TestRingSinkCopiesBatches(t *testing.T) {
 
 func TestRingSinkReset(t *testing.T) {
 	s := NewRingSink(4)
-	s.Emit(Event{ElapsedSeconds: 1})
 	_ = s.WriteMetrics([]Metric{{Name: "x"}})
 	s.Reset()
-	if len(s.Events()) != 0 || s.Len() != 0 || s.LastBatch() != nil {
+	if s.Len() != 0 || s.LastBatch() != nil {
 		t.Fatal("Reset left data behind")
-	}
-	if _, ok := s.LastEvent(); ok {
-		t.Fatal("Reset left an event behind")
 	}
 }
 
 func TestRingSinkMinimumCapacity(t *testing.T) {
 	s := NewRingSink(0)
-	s.Emit(Event{ElapsedSeconds: 1})
-	s.Emit(Event{ElapsedSeconds: 2})
-	if evs := s.Events(); len(evs) != 1 || evs[0].ElapsedSeconds != 2 {
-		t.Fatalf("zero-capacity ring = %+v, want just the newest event", evs)
+	_ = s.WriteMetrics([]Metric{{Name: "x", Value: 1}})
+	_ = s.WriteMetrics([]Metric{{Name: "x", Value: 2}})
+	if b := s.Batches(); len(b) != 1 || b[0][0].Value != 2 {
+		t.Fatalf("zero-capacity ring = %+v, want just the newest batch", b)
 	}
 }

@@ -2,41 +2,13 @@ package obs
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"paracrash/internal/faultinject"
 )
-
-// Rule is one relabeling step of a router. Rules are applied to every
-// collected sample in order; the first rule whose Match prefix matches the
-// sample's name decides its fate (drop, or prefix replacement), and later
-// rules are skipped. A sample no rule matches passes through unchanged.
-type Rule struct {
-	// Match is the name prefix the rule applies to ("" matches every
-	// sample).
-	Match string
-	// Drop discards matched samples.
-	Drop bool
-	// Replace substitutes the matched prefix when Drop is false; renaming
-	// two series onto one name merges them (fleet values sum).
-	Replace string
-}
-
-// apply returns the relabeled name and whether the sample survives.
-func applyRules(rules []Rule, name string) (string, bool) {
-	for _, r := range rules {
-		if len(name) < len(r.Match) || name[:len(r.Match)] != r.Match {
-			continue
-		}
-		if r.Drop {
-			return "", false
-		}
-		return r.Replace + name[len(r.Match):], true
-	}
-	return name, true
-}
 
 // routerSinkQueue is the per-sink batch buffer depth. A sink that falls
 // further behind than this loses whole batches (counted by Dropped), never
@@ -54,10 +26,9 @@ type sinkWorker struct {
 
 // Router is the middle of the telemetry pipeline: it pulls samples from
 // attached collectors (one per job, plus an unlabeled process collector),
-// applies relabeling rules, aggregates per-job series into fleet-level
-// rollups, and fans the combined batch out to sinks — each behind a
-// bounded, drop-on-overflow queue so telemetry can never stall the
-// exploration hot path.
+// aggregates per-job series into fleet-level rollups, and fans the
+// combined batch out to sinks — each behind a bounded, drop-on-overflow
+// queue so telemetry can never stall the exploration hot path.
 //
 // Fleet aggregation is merge-order independent: counters sum across live
 // collectors plus the folded totals of detached ones (Detach folds a
@@ -69,9 +40,8 @@ type Router struct {
 	mu         sync.Mutex
 	collectors map[string]Collector
 	order      []string
-	retired    map[string]float64 // relabel-raw counter name -> folded total
+	retired    map[string]float64 // counter name -> folded total
 	retOrder   []string
-	rules      []Rule
 	workers    []*sinkWorker
 	faults     *faultinject.Plan
 
@@ -94,18 +64,6 @@ func NewRouter() *Router {
 		collectors: map[string]Collector{},
 		retired:    map[string]float64{},
 	}
-}
-
-// SetRules installs the relabeling rules (replacing any previous set).
-// Rules apply to live and retired series alike at sampling time, so a rule
-// change re-shapes the whole output, history included.
-func (rt *Router) SetRules(rules []Rule) {
-	if rt == nil {
-		return
-	}
-	rt.mu.Lock()
-	rt.rules = append([]Rule(nil), rules...)
-	rt.mu.Unlock()
 }
 
 // SetFaults arms the deterministic fault plane on the sink path (site
@@ -138,7 +96,7 @@ func (rt *Router) Attach(job string, c Collector) {
 }
 
 // Detach removes the collector attached under job, folding its final
-// counter values (post-collection, pre-relabel) into the fleet's retired
+// counter values into the fleet's retired
 // totals so fleet counters stay monotonic across job completions. Gauges
 // and unknown labels fold nothing.
 func (rt *Router) Detach(job string) {
@@ -193,7 +151,7 @@ func (rt *Router) AddSink(s MetricSink) {
 // runSink drains one sink's queue until the channel closes.
 func (rt *Router) runSink(w *sinkWorker, idx int) {
 	defer close(w.done)
-	key := "sink-" + itoa(idx)
+	key := "sink-" + strconv.Itoa(idx)
 	for batch := range w.ch {
 		rt.writeOne(w, key, batch)
 	}
@@ -220,23 +178,8 @@ func (rt *Router) writeOne(w *sinkWorker, key string, batch []Metric) {
 	}
 }
 
-// itoa is a tiny allocation-light integer formatter for sink keys.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
 // Sample performs one synchronous collection pass: pull every attached
-// collector, relabel, aggregate, and return the combined batch — fleet
+// collector, aggregate, and return the combined batch — fleet
 // series (empty Job) and per-job series, sorted by name then job for
 // deterministic output. Sample never touches the sinks; Publish does.
 func (rt *Router) Sample() []Metric {
@@ -249,7 +192,6 @@ func (rt *Router) Sample() []Metric {
 	for i, l := range labels {
 		colls[i] = rt.collectors[l]
 	}
-	rules := append([]Rule(nil), rt.rules...)
 	retNames := append([]string(nil), rt.retOrder...)
 	retired := make(map[string]float64, len(retNames))
 	for _, n := range retNames {
@@ -278,22 +220,14 @@ func (rt *Router) Sample() []Metric {
 	for i, c := range colls {
 		scratch = c.CollectMetrics(scratch[:0])
 		for _, m := range scratch {
-			name, keep := applyRules(rules, m.Name)
-			if !keep {
-				continue
-			}
-			addFleet(name, m.Kind, m.Value)
+			addFleet(m.Name, m.Kind, m.Value)
 			if labels[i] != "" {
-				perJob = append(perJob, Metric{Name: name, Kind: m.Kind, Job: labels[i], Value: m.Value})
+				perJob = append(perJob, Metric{Name: m.Name, Kind: m.Kind, Job: labels[i], Value: m.Value})
 			}
 		}
 	}
 	for _, n := range retNames {
-		name, keep := applyRules(rules, n)
-		if !keep {
-			continue
-		}
-		addFleet(name, KindCounter, retired[n])
+		addFleet(n, KindCounter, retired[n])
 	}
 	if d := rt.dropped.Load(); d > 0 {
 		addFleet("obs/router/dropped-batches", KindCounter, float64(d))
@@ -356,16 +290,7 @@ func (rt *Router) Start(interval time.Duration) {
 	rt.mu.Unlock()
 	go func() {
 		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				rt.Publish()
-			case <-stop:
-				return
-			}
-		}
+		every(stop, interval, rt.Publish)
 	}()
 }
 

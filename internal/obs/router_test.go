@@ -15,29 +15,6 @@ func (c staticCollector) CollectMetrics(dst []Metric) []Metric {
 	return append(dst, c...)
 }
 
-func TestApplyRulesFirstMatchWins(t *testing.T) {
-	rules := []Rule{
-		{Match: "noise/", Drop: true},
-		{Match: "states/", Replace: "exploration/"},
-		{Match: "states/checked", Replace: "never-reached/"}, // shadowed by the prefix rule above
-	}
-	cases := []struct {
-		in   string
-		want string
-		keep bool
-	}{
-		{"noise/gc-pause", "", false},
-		{"states/checked", "exploration/checked", true},
-		{"restores/servers", "restores/servers", true},
-	}
-	for _, tc := range cases {
-		got, keep := applyRules(rules, tc.in)
-		if keep != tc.keep || got != tc.want {
-			t.Errorf("applyRules(%q) = (%q, %v), want (%q, %v)", tc.in, got, keep, tc.want, tc.keep)
-		}
-	}
-}
-
 func TestRouterFleetAndPerJobSeries(t *testing.T) {
 	rt := NewRouter()
 	proc := NewRun()
@@ -86,36 +63,6 @@ func TestRouterFleetAndPerJobSeries(t *testing.T) {
 		return batch[i].Job < batch[j].Job
 	}) {
 		t.Fatalf("batch not sorted: %+v", batch)
-	}
-}
-
-func TestRouterRelabelingShapesOutput(t *testing.T) {
-	rt := NewRouter()
-	rt.Attach("j", staticCollector{
-		{Name: "states/checked", Kind: KindCounter, Value: 7},
-		{Name: "debug/scratch", Kind: KindGauge, Value: 1},
-	})
-	rt.SetRules([]Rule{
-		{Match: "debug/", Drop: true},
-		{Match: "states/", Replace: "exploration/"},
-	})
-	batch := rt.Sample()
-	for _, m := range batch {
-		if m.Name == "debug/scratch" {
-			t.Fatalf("dropped series survived: %+v", batch)
-		}
-		if m.Name == "states/checked" {
-			t.Fatalf("relabel did not apply: %+v", batch)
-		}
-	}
-	found := 0
-	for _, m := range batch {
-		if m.Name == "exploration/checked" {
-			found++
-		}
-	}
-	if found != 2 { // fleet + per-job
-		t.Fatalf("exploration/checked series = %d, want 2 (fleet + job)\n%+v", found, batch)
 	}
 }
 
@@ -249,7 +196,6 @@ func TestRouterNilIsNoop(t *testing.T) {
 	var rt *Router
 	rt.Attach("j", NewRun())
 	rt.Detach("j")
-	rt.SetRules([]Rule{{Match: "x", Drop: true}})
 	rt.SetFaults(nil)
 	rt.AddSink(NewRingSink(1))
 	rt.Publish()

@@ -67,8 +67,7 @@ func toJSON(batch []Metric) []metricJSON {
 }
 
 // MetricJSONLSink writes each batch as one JSON array per line — the
-// machine-readable file sink (distinct from JSONLSink, which encodes
-// progress Events).
+// machine-readable file sink.
 type MetricJSONLSink struct {
 	mu  sync.Mutex
 	enc *json.Encoder

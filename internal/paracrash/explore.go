@@ -183,8 +183,9 @@ type Options struct {
 	// campaign threads one memo through every explorer run of a cell.
 	LegalMemo *LegalMemo
 
-	// Obs, when non-nil, receives phase timings, counters, gauges and
-	// progress events for the run (see internal/obs). Observability is
+	// Obs, when non-nil, receives the run's phase timings, counters and
+	// gauges, which progress events and summaries are read from (see
+	// internal/obs). Observability is
 	// strictly passive: it never alters visiting order, pruning or caching,
 	// so the report stays byte-identical with metrics on or off.
 	Obs *obs.Run

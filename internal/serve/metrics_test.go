@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -128,7 +129,7 @@ func TestSchedulerRouterRingSink(t *testing.T) {
 	s.Start()
 	defer s.Drain(context.Background())
 
-	ring := obs.NewRingSink(8)
+	ring := &lastBatchSink{}
 	s.Router().AddSink(ring)
 
 	j, err := s.Submit(JobRequest{})
@@ -182,6 +183,32 @@ func TestChaosSchedulerWedgedSinkDoesNotStallJobs(t *testing.T) {
 	if done.Report == nil {
 		t.Fatal("job finished without a report under a wedged sink")
 	}
+}
+
+// lastBatchSink keeps the most recent metric batch it was written.
+type lastBatchSink struct {
+	mu   sync.Mutex
+	last []obs.Metric
+}
+
+func (s *lastBatchSink) WriteMetrics(batch []obs.Metric) error {
+	s.mu.Lock()
+	s.last = append([]obs.Metric(nil), batch...)
+	s.mu.Unlock()
+	return nil
+}
+
+// Find returns the sample with the given name and job label from the most
+// recent batch (false when absent).
+func (s *lastBatchSink) Find(name, job string) (obs.Metric, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.last {
+		if m.Name == name && m.Job == job {
+			return m, true
+		}
+	}
+	return obs.Metric{}, false
 }
 
 // wedgedMetricSink blocks every metric write until released.

@@ -43,11 +43,9 @@ type SchedulerConfig struct {
 	// MaxJobWorkers caps Options.Workers per job so one job cannot claim
 	// every CPU (0 = no cap).
 	MaxJobWorkers int
-	// ProgressInterval is the per-job obs progress cadence feeding the
-	// events stream (default 250ms).
+	// ProgressInterval is how often the events endpoint writes a running
+	// job's progress snapshot to each of its readers (default 250ms).
 	ProgressInterval time.Duration
-	// EventHistory is the per-job event ring size (default 256).
-	EventHistory int
 	// Retry bounds per-crash-state fault recovery inside every explore job
 	// (the zero value is the engine's default policy).
 	Retry core.RetryPolicy
@@ -76,19 +74,22 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	if c.ProgressInterval <= 0 {
 		c.ProgressInterval = 250 * time.Millisecond
 	}
-	if c.EventHistory < 1 {
-		c.EventHistory = 256
-	}
 	return c
 }
 
-// jobRun is the live half of a job: its obs run, event stream and cancel
-// handle. Entries are retained after completion so the events endpoint can
-// replay a finished job's stream (restart-loaded jobs have none).
+// jobRun is the live half of a job. While the job is queued or running,
+// run collects its metrics and the events endpoint reads it. When the job
+// becomes terminal the scheduler writes the record, freezes final from
+// run, closes done and drops run, so a finished job keeps one Event and no
+// collector. Restart-loaded jobs have no entry.
 type jobRun struct {
-	run    *obs.Run
-	sink   *obs.StreamSink
-	cancel context.CancelFunc
+	run   *obs.Run
+	done  chan struct{}
+	final obs.Event
+}
+
+func newJobRun() *jobRun {
+	return &jobRun{run: obs.NewRun(), done: make(chan struct{})}
 }
 
 // Scheduler owns the job queue and the worker pool.
@@ -105,6 +106,11 @@ type Scheduler struct {
 	mu       sync.Mutex
 	draining bool
 	runs     map[string]*jobRun
+
+	// Every job's context derives from jobs; a drain whose deadline passes
+	// cancels it, and with it every running and still-queued job.
+	jobs       context.Context
+	cancelJobs context.CancelFunc
 
 	// The coordinator's directory watch (shard.go): started by Start, closed
 	// by Drain, nil when not a coordinator or when it could not start.
@@ -162,6 +168,7 @@ func NewScheduler(cfg SchedulerConfig, store *Store, run *obs.Run) *Scheduler {
 	if cfg.Fleet != nil {
 		s.fleet = cfg.Fleet.withDefaults()
 	}
+	s.jobs, s.cancelJobs = context.WithCancel(context.Background())
 	s.router.Attach("", run)
 	s.executor = s.execute
 	return s
@@ -285,20 +292,21 @@ func (s *Scheduler) SubmitTenant(req JobRequest, tn *Tenant) (Job, error) {
 		s.ctrRejected.Inc()
 		return Job{}, ErrQueueFull
 	}
-	// Register the live half and the store record before the job becomes
-	// visible to workers: a worker that dequeues it immediately must find
-	// both, and the events endpoint can subscribe the instant Submit
-	// returns. Snapshot the record now — once enqueued, workers own it.
-	jr := &jobRun{run: obs.NewRun(), sink: obs.NewStreamSink(s.cfg.EventHistory)}
-	jr.run.AddSink(jr.sink)
+	// Register the live half, its router attachment and the store record
+	// before the job becomes visible to workers: a worker that dequeues it
+	// immediately must find all three (and may finish, dropping the run and
+	// detaching it, before Submit returns), and the events endpoint can
+	// subscribe the instant Submit returns. Snapshot the record now — once
+	// enqueued, workers own it.
+	jr := newJobRun()
 	s.runs[job.ID] = jr
+	s.router.Attach(job.ID, jr.run)
 	s.store.Add(job)
 	snap := *job
 	s.gaugeQueued.Add(1)
 	s.fq.push(&queuedJob{job: job, tenant: name, maxRun: maxRun}, prio)
 	s.mu.Unlock()
 
-	s.router.Attach(job.ID, jr.run)
 	s.ctrSubmitted.Inc()
 	if tn != nil {
 		s.obs.Counter("tenant/" + tn.Name + "/submitted").Inc()
@@ -306,15 +314,18 @@ func (s *Scheduler) SubmitTenant(req JobRequest, tn *Tenant) (Job, error) {
 	return snap, nil
 }
 
-// Events returns the job's event stream sink (nil for unknown or
-// restart-loaded jobs, which have no live stream).
-func (s *Scheduler) Events(id string) *obs.StreamSink {
+// progress returns what the events endpoint reads of a job: its live run
+// (nil once the job is terminal) and its jobRun, whose done channel closes
+// once final holds the job's last Event. ok is false for unknown and
+// restart-loaded jobs, which have no progress to read.
+func (s *Scheduler) progress(id string) (run *obs.Run, jr *jobRun, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if jr, ok := s.runs[id]; ok {
-		return jr.sink
+	jr, ok = s.runs[id]
+	if !ok {
+		return nil, nil, false
 	}
-	return nil
+	return jr.run, jr, true
 }
 
 // Draining reports whether the scheduler has stopped accepting jobs.
@@ -345,23 +356,12 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		s.cancelAll()
+		s.cancelJobs()
 		<-done
 		err = ctx.Err()
 	}
 	s.watch.Close() // no job is left to wake
 	return err
-}
-
-// cancelAll cancels every live job's context (drain-deadline path).
-func (s *Scheduler) cancelAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, jr := range s.runs {
-		if jr.cancel != nil {
-			jr.cancel()
-		}
-	}
 }
 
 // timeoutFor resolves a job's effective timeout.
@@ -377,28 +377,23 @@ func (s *Scheduler) timeoutFor(req JobRequest) time.Duration {
 }
 
 // runJob executes one job with timeout, cancellation and panic isolation,
-// then records the terminal state and, only then, closes the event stream:
-// a client that reads the stream to its end finds the job terminal.
+// then records the terminal state and, only then, ends the job's event
+// streams: a client that reads the stream to its end finds the job
+// terminal.
 func (s *Scheduler) runJob(job *Job) {
 	s.mu.Lock()
 	jr := s.runs[job.ID]
 	s.mu.Unlock()
 	if jr == nil { // unreachable: Submit registers before enqueueing
-		jr = &jobRun{run: obs.NewRun(), sink: obs.NewStreamSink(s.cfg.EventHistory)}
-		jr.run.AddSink(jr.sink)
+		jr = newJobRun()
 	}
 
-	ctx := context.Background()
-	var cancel context.CancelFunc
+	ctx := s.jobs
 	if d := s.timeoutFor(job.Request); d > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
 	}
-	defer cancel()
-	s.mu.Lock()
-	jr.cancel = cancel
-	s.mu.Unlock()
 
 	now := time.Now().UTC()
 	_ = s.store.Update(job.ID, func(j *Job) {
@@ -407,8 +402,6 @@ func (s *Scheduler) runJob(job *Job) {
 	})
 	s.gaugeRunning.Add(1)
 	defer s.gaugeRunning.Add(-1)
-
-	jr.run.StartProgress(s.cfg.ProgressInterval)
 
 	report, err := s.safeExecute(ctx, job, jr.run)
 
@@ -441,11 +434,18 @@ func (s *Scheduler) runJob(job *Job) {
 		s.ctrFailed.Inc()
 	}
 
-	// Close flushes the final progress event, which also closes every
-	// events-stream subscriber. Detaching from the router then folds the
-	// job's final counters into the fleet totals and ends its per-job
-	// /metrics series (bounded label cardinality).
-	jr.run.Close()
+	// With the record written, freeze the final event and end every
+	// events stream. Dropping the run releases the job's collector, and
+	// detaching it from the router folds its final counters into the fleet
+	// totals and ends its per-job /metrics series (bounded label
+	// cardinality).
+	final := jr.run.Event()
+	final.Final = true
+	s.mu.Lock()
+	jr.final = final
+	close(jr.done)
+	jr.run = nil
+	s.mu.Unlock()
 	s.router.Detach(job.ID)
 }
 
@@ -543,9 +543,9 @@ func (s *Scheduler) Resubmit(id string) error {
 		s.ctrRejected.Inc()
 		return ErrQueueFull
 	}
-	jr := &jobRun{run: obs.NewRun(), sink: obs.NewStreamSink(s.cfg.EventHistory)}
-	jr.run.AddSink(jr.sink)
+	jr := newJobRun()
 	s.runs[id] = jr
+	s.router.Attach(id, jr.run)
 	_ = s.store.Update(id, func(job *Job) {
 		job.State = JobQueued
 		job.Resumes++
@@ -564,7 +564,6 @@ func (s *Scheduler) Resubmit(id string) error {
 	s.fq.push(&queuedJob{job: &Job{ID: id, Request: j.Request, Tenant: j.Tenant}, tenant: j.Tenant, maxRun: maxRun}, prio)
 	s.mu.Unlock()
 
-	s.router.Attach(id, jr.run)
 	s.obs.Counter("jobs/resumed").Inc()
 	return nil
 }

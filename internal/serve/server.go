@@ -283,9 +283,10 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleEvents streams a job's progress events as NDJSON: the retained
-// history first, then live events until the job finishes or the client
-// goes away. Completed jobs replay their history and close immediately.
+// handleEvents streams a job's progress as NDJSON obs.Events: a running
+// or queued job's current snapshot, then one per ProgressInterval, then
+// its final event once the terminal record is written. A finished job
+// answers with its final event alone.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	tn, ok := s.authenticate(w, r)
 	if !ok {
@@ -296,44 +297,44 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	sink := s.sched.Events(id)
-	if sink == nil {
-		// Restart-loaded job: the record survived, the stream did not.
+	run, jr, ok := s.sched.progress(id)
+	if !ok {
+		// Restart-loaded job: the record survived, its progress did not.
 		writeError(w, http.StatusGone, "job %q predates this daemon instance; no event stream retained", id)
 		return
 	}
-
-	history, live, unsubscribe := sink.Subscribe()
-	defer unsubscribe()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	for _, ev := range history {
-		if err := enc.Encode(ev); err != nil {
-			return
+	write := func(ev obs.Event) {
+		if enc.Encode(ev) == nil && flusher != nil {
+			flusher.Flush()
 		}
 	}
-	if flusher != nil {
-		flusher.Flush()
+	if run == nil {
+		write(jr.final)
+		return
 	}
-	for {
+
+	// Follow the run until the job is terminal or the client goes away; a
+	// snapshot read after done closes is the frozen final event.
+	snapshot := func() obs.Event {
 		select {
-		case ev, ok := <-live:
-			if !ok {
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case <-r.Context().Done():
-			return
+		case <-jr.done:
+			return jr.final
+		default:
+			return run.Event()
 		}
 	}
+	write(run.Event())
+	stop := obs.Follow(s.sched.cfg.ProgressInterval, snapshot, write)
+	select {
+	case <-jr.done:
+	case <-r.Context().Done():
+	}
+	stop()
 }
 
 // handleObs serves the daemon-level obs summary.
