@@ -95,16 +95,22 @@ classify:
 	$(GO) test ./internal/causality -run 'TestQuickAncestors' -count=1
 	$(GO) test ./internal/paracrash/ -run 'TestClassif|TestBugSet' -count=1 -v
 
-# `make legal`: the library legal-state walk (LayerOps.walk over resumable
-# replays, skipping subtrees whose replay state was walked) against the
-# from-scratch enumeration kept in legal_reference_test.go: every paper
-# program's library status vectors on all six backends, four models, k <= 2,
-# caps n-1, n and n+1, with legal/lib-sets reconciled to PreservedSets; the
-# replay-step unit tests in hdf5 and stack; and a Workers=4 run under -race
-# for the parse memo the workers share.
+# `make legal`: PreservedSets against the four models as defined in
+# models_reference_test.go (every subset of the layer filtered by required,
+# allowed and closure), set by set, capped at N-1, N and N+1, with the
+# set-level lattice strict <= causal <= commit and strict <= baseline, on
+# seeded random layers and on every paper program's PFS and library status
+# vectors on all six backends at k = 1; the library legal-state walk
+# (LayerOps.walk over resumable replays, skipping subtrees whose replay
+# state was walked) against the from-scratch enumeration kept in
+# legal_reference_test.go: every paper program's library status vectors on
+# all six backends, four models, k <= 2, caps n-1, n and n+1, with
+# legal/lib-sets reconciled to PreservedSets; the replay-step unit tests in
+# hdf5 and stack; and a Workers=4 run under -race for the parse memo the
+# workers share.
 legal:
 	$(GO) test ./internal/hdf5 ./internal/stack -run 'TestClone|TestAppendState|TestReplay|TestDigest' -count=1
-	$(GO) test ./internal/paracrash/ -run 'TestLegalLib' -count=1 -v
+	$(GO) test ./internal/paracrash/ -run 'TestModelDefinition|TestLegalLib' -count=1 -v
 	$(GO) test -race ./internal/paracrash/ -run 'TestLegalLibParallel' -count=1
 
 # Regenerate every table and figure of the paper's evaluation.

@@ -84,16 +84,12 @@ func main() {
 	if *stripe < 0 {
 		fatalIf(fmt.Errorf("-stripe must be >= 0 (0 = default), got %d", *stripe))
 	}
-	if *clients < 1 {
-		fatalIf(fmt.Errorf("-clients must be >= 1, got %d", *clients))
-	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"rows", *rows}, {"cols", *cols}, {"resize-rows", *rrows}, {"resize-cols", *rcols}} {
-		if f.v < 0 {
-			fatalIf(fmt.Errorf("-%s must be >= 0, got %d", f.name, f.v))
-		}
+	h5p := workloads.DefaultH5Params()
+	h5p.Clients = *clients
+	h5p.Rows, h5p.Cols = *rows, *cols
+	h5p.ResizeRows, h5p.ResizeCols = *rrows, *rcols
+	if err := h5p.Validate(); err != nil {
+		fatalIf(fmt.Errorf("-%v", err))
 	}
 	if *retries < 0 {
 		fatalIf(fmt.Errorf("-retries must be >= 0 (0 = default), got %d", *retries))
@@ -234,11 +230,6 @@ func main() {
 	if *stripe > 0 {
 		conf.StripeSize = *stripe
 	}
-
-	h5p := workloads.DefaultH5Params()
-	h5p.Clients = *clients
-	h5p.Rows, h5p.Cols = *rows, *cols
-	h5p.ResizeRows, h5p.ResizeCols = *rrows, *rcols
 
 	if *dumpPath != "" {
 		dump, err := exps.TraceJSON(*fsName, prog, h5p, conf)

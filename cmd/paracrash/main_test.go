@@ -55,6 +55,7 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"negative servers", []string{"-servers", "-4"}, "-servers must be >= 0"},
 		{"negative stripe", []string{"-stripe", "-8"}, "-stripe must be >= 0"},
 		{"zero clients", []string{"-clients", "0"}, "-clients must be >= 1"},
+		{"too many clients", []string{"-program", "H5-parallel-create", "-clients", "17"}, "-clients must be <= 16"},
 		{"negative rows", []string{"-program", "H5-resize", "-rows", "-1"}, "-rows must be >= 0"},
 		{"negative cols", []string{"-program", "H5-resize", "-cols", "-1"}, "-cols must be >= 0"},
 		{"negative resize rows", []string{"-program", "H5-resize", "-resize-rows", "-3"}, "-resize-rows must be >= 0"},

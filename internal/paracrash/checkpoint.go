@@ -289,12 +289,13 @@ func (c *Checkpoint) flushLocked() error {
 // verdicts, so a journal written under one configuration resumes only into
 // the same one. TestCheckpointConfigCoversOptions holds every Options and
 // EmulatorConfig field to this, and lists with its reason each field left
-// out because it cannot change a verdict.
+// out because it cannot change a verdict. mlo is the constant maxLayerOps,
+// kept so that journals written while it was an option still resume.
 func checkpointConfig(workload, fsName string, opts Options) string {
 	return fmt.Sprintf("v%d|%s|%s|%s|pfs=%d|lib=%d|k=%d|fm=%d|mf=%d|ms=%d|mlo=%d|mls=%d|nosem=%t",
 		checkpointVersion, workload, fsName, opts.Mode,
 		opts.PFSModel, opts.LibModel,
 		opts.Emulator.K, opts.Emulator.FrontMode, opts.Emulator.MaxFronts, opts.Emulator.MaxStates,
-		opts.MaxLayerOps, opts.MaxLegalStates,
+		maxLayerOps, opts.MaxLegalStates,
 		opts.DisableSemanticPruning)
 }

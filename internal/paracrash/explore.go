@@ -150,9 +150,6 @@ type Options struct {
 	// Emulator bounds (victims, fronts, caps). Its VictimFilter is ignored:
 	// the run derives the filter from Mode and DisableSemanticPruning.
 	Emulator EmulatorConfig
-	// MaxLayerOps guards the preserved-set enumeration (commit/baseline
-	// enumerate subsets of the unconstrained ops).
-	MaxLayerOps int
 	// MaxLegalStates caps legal-state enumeration per crash front. An
 	// enumeration it cuts short counts once on the legal/pfs-capped or
 	// legal/lib-capped counter.
@@ -257,7 +254,6 @@ func DefaultOptions() Options {
 			MaxFronts: 20000,
 			MaxStates: 200000,
 		},
-		MaxLayerOps:    20,
 		MaxLegalStates: 50000,
 		Workers:        1,
 	}
@@ -659,11 +655,11 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 	opts.Obs.Counter("trace/ops").Add(int64(len(ops)))
 	opts.Obs.Counter("trace/lowermost").Add(int64(len(emu.Universe)))
 
-	if n := s.pfsOps.Len(); n > opts.MaxLayerOps {
-		return nil, fmt.Errorf("paracrash: %d PFS-layer ops exceed MaxLayerOps=%d (preserved-set enumeration is exponential)", n, opts.MaxLayerOps)
+	if n := s.pfsOps.Len(); n > maxLayerOps {
+		return nil, fmt.Errorf("paracrash: %d PFS-layer ops exceed the limit of %d (preserved-set enumeration is exponential)", n, maxLayerOps)
 	}
-	if s.libOps != nil && s.libOps.Len() > opts.MaxLayerOps {
-		return nil, fmt.Errorf("paracrash: %d library-layer ops exceed MaxLayerOps=%d", s.libOps.Len(), opts.MaxLayerOps)
+	if s.libOps != nil && s.libOps.Len() > maxLayerOps {
+		return nil, fmt.Errorf("paracrash: %d library-layer ops exceed the limit of %d", s.libOps.Len(), maxLayerOps)
 	}
 
 	// Resolve every PFS-layer client proc up front: a malformed proc name
@@ -1101,7 +1097,7 @@ func (s *session) verdict(cs CrashState) (checkResult, error) {
 	fst := s.front(cs.Front)
 
 	if s.lib == nil {
-		legal, err := s.legalPFS(cs, fst.pfs)
+		legal, err := s.legalPFS(fst.pfs)
 		if err != nil {
 			return checkResult{}, err
 		}
@@ -1112,7 +1108,7 @@ func (s *session) verdict(cs CrashState) (checkResult, error) {
 	}
 
 	// Top-down: library first.
-	legalLib := s.legalLib(cs, fst.lib)
+	legalLib := s.legalLib(fst.lib)
 
 	libState, lerr := s.lib.StateFromTree(tree)
 	if lerr == nil && legalLib[libState] {
@@ -1134,7 +1130,7 @@ func (s *session) verdict(cs CrashState) (checkResult, error) {
 	} else {
 		consequence = s.describeLib(libState)
 	}
-	legalPFS, err := s.legalPFS(cs, fst.pfs)
+	legalPFS, err := s.legalPFS(fst.pfs)
 	if err != nil {
 		return checkResult{}, err
 	}
@@ -1186,91 +1182,84 @@ func firstLineDiff(a, b string) string {
 type legalCache struct {
 	mu         sync.Mutex
 	pfsReplays map[string]string
-	pfsSets    map[string]map[string]bool
-	libSets    map[string]map[string]bool
+	sets       map[legalKey]map[string]bool
 }
+
+// legalKey names one legal-state set of a run: its layer and status vector.
+type legalKey struct{ layer, status string }
 
 func newLegalCache() *legalCache {
-	return &legalCache{
-		pfsReplays: map[string]string{},
-		pfsSets:    map[string]map[string]bool{},
-		libSets:    map[string]map[string]bool{},
-	}
+	return &legalCache{pfsReplays: map[string]string{}, sets: map[legalKey]map[string]bool{}}
 }
 
-// legalPFS returns the set of legal PFS tree serialisations for the front.
-// An injected fault mid-enumeration aborts without caching: a partial legal
-// set would make a healed retry judge against too few states.
-func (s *session) legalPFS(cs CrashState, status []Status) (map[string]bool, error) {
-	key := statusKey(status)
+// legalSet returns the legal-state set of one layer ("pfs", or "lib/" and
+// the library's name) under model m for a status vector: from the run's
+// cache, or else from the cross-run memo or filled in by enumerate, in
+// which case note receives its size. A failed enumeration (an injected
+// fault) is not cached: a partial legal set would make a healed retry judge
+// against too few states.
+func (s *session) legalSet(layer string, m Model, status []Status, note func(n int), enumerate func(set map[string]bool) error) (map[string]bool, error) {
+	key := legalKey{layer, statusKey(status)}
 	s.legal.mu.Lock()
 	defer s.legal.mu.Unlock()
-	if set, ok := s.legal.pfsSets[key]; ok {
+	if set, ok := s.legal.sets[key]; ok {
 		return set, nil
 	}
-	if set, ok := s.memoLookup("pfs", s.opts.PFSModel, key); ok {
-		s.legal.pfsSets[key] = set
-		s.noteLegal(len(set), 0)
-		return set, nil
-	}
-	set := map[string]bool{}
-	var rerr error
-	capped := s.pfsOps.PreservedSets(s.opts.PFSModel, status, s.opts.MaxLegalStates, func(sel []int) bool {
-		st, err := s.replayPFS(sel)
-		if err != nil {
-			rerr = err
-			return false
+	set, ok := s.memoLookup(layer, m, key.status)
+	if !ok {
+		set = map[string]bool{}
+		if err := enumerate(set); err != nil {
+			return nil, err
 		}
-		set[st] = true
-		return true
-	})
-	if rerr != nil {
-		return nil, rerr
+		s.memoStore(layer, m, key.status, set)
 	}
-	if capped {
-		s.ctrLegalPFSCap.Inc()
-	}
-	s.legal.pfsSets[key] = set
-	s.memoStore("pfs", s.opts.PFSModel, key, set)
-	s.noteLegal(len(set), 0)
+	s.legal.sets[key] = set
+	note(len(set))
 	return set, nil
+}
+
+// legalPFS returns the set of legal PFS tree serialisations for the front,
+// replaying every preserved set from the initial snapshot.
+func (s *session) legalPFS(status []Status) (map[string]bool, error) {
+	note := func(n int) { s.noteLegal(n, 0) }
+	return s.legalSet("pfs", s.opts.PFSModel, status, note, func(set map[string]bool) (err error) {
+		if s.pfsOps.PreservedSets(s.opts.PFSModel, status, s.opts.MaxLegalStates, func(sel []int) bool {
+			var st string
+			if st, err = s.replayPFS(sel); err == nil {
+				set[st] = true
+			}
+			return err == nil
+		}) {
+			s.ctrLegalPFSCap.Inc()
+		}
+		return err
+	})
 }
 
 // legalLib returns the set of legal library logical states for the front,
 // enumerated in one walk that applies one op per include edge to a
 // resumable replay and skips every subtree whose replay state it has walked
 // (see LayerOps.walk).
-func (s *session) legalLib(cs CrashState, status []Status) map[string]bool {
-	key := statusKey(status)
-	s.legal.mu.Lock()
-	defer s.legal.mu.Unlock()
-	if set, ok := s.legal.libSets[key]; ok {
-		return set
-	}
-	if set, ok := s.memoLookup("lib/"+s.lib.Name(), s.opts.LibModel, key); ok {
-		s.legal.libSets[key] = set
-		s.noteLegal(0, len(set))
-		return set
-	}
-	set := map[string]bool{}
-	step := func(st any, pos int) any {
-		s.ctrLibSteps.Inc()
-		return s.lib.Apply(st, s.libOps.Ops[pos])
-	}
-	n, capped := s.libOps.walk(s.opts.LibModel, status, s.opts.MaxLegalStates, s.lib.Start(), step, s.lib.Digest, func(_ []int, st any) bool {
-		s.ctrLibReplayed.Inc()
-		if ls, err := s.lib.LegalState(st); err == nil {
-			set[ls] = true
+func (s *session) legalLib(status []Status) map[string]bool {
+	note := func(n int) { s.noteLegal(0, n) }
+	set, _ := s.legalSet("lib/"+s.lib.Name(), s.opts.LibModel, status, note, func(set map[string]bool) error {
+		step := func(st any, pos int) any {
+			s.ctrLibSteps.Inc()
+			return s.lib.Apply(st, s.libOps.Ops[pos])
 		}
-		return true
+		n, capped := s.libOps.walk(s.opts.LibModel, status, s.opts.MaxLegalStates, s.lib.Start(), step, s.lib.Digest, func(_ []int, st any) bool {
+			s.ctrLibReplayed.Inc()
+			if ls, err := s.lib.LegalState(st); err == nil {
+				set[ls] = true
+			}
+			return true
+		})
+		s.ctrLibSets.Add(int64(n))
+		if capped {
+			s.ctrLegalLibCap.Inc()
+		}
+		return nil
 	})
-	s.ctrLibSets.Add(int64(n))
-	if capped {
-		s.ctrLegalLibCap.Inc()
-	}
-	s.legal.libSets[key] = set
-	s.memoStore("lib/"+s.lib.Name(), s.opts.LibModel, key, set)
-	s.noteLegal(0, len(set))
 	return set
 }
 

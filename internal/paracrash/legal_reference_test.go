@@ -92,7 +92,7 @@ func LegalLibOracle(newCell func() (pfs.FileSystem, Library, Workload)) (compare
 				s.bindObs(r, "")
 				s.legal = newLegalCache()
 				s.opts.LibModel, s.opts.MaxLegalStates = m, limit
-				got := s.legalLib(CrashState{}, status)
+				got := s.legalLib(status)
 				c := r.Summary().Counters
 				compared++
 				label := fmt.Sprintf("status %s, %s, cap %d (n=%d)", statusKey(status), m, limit, n)
@@ -135,7 +135,7 @@ func BenchLegalLib(b *testing.B, newCell func() (pfs.FileSystem, Library, Worklo
 		s.bindObs(r, "")
 		b.StartTimer()
 		for _, status := range statuses {
-			s.legalLib(CrashState{}, status)
+			s.legalLib(status)
 		}
 	}
 	c := r.Summary().Counters

@@ -51,6 +51,28 @@ func TestLegalLibOracle(t *testing.T) {
 	}
 }
 
+// TestModelDefinitionPaper (`make legal`) holds PreservedSets to the
+// models' definitions kept in test code, capped or not, and checks the
+// set-level lattice, on every paper program's PFS and library layer on all
+// six backends: every status vector the crash states reach at k = 1.
+func TestModelDefinitionPaper(t *testing.T) {
+	for _, prog := range exps.Programs() {
+		for _, backend := range exps.FSNames() {
+			checked, diffs, err := paracrash.ModelDefinitionOracle(libCell(t, backend, prog))
+			label := backend + "/" + prog.Name
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if checked == 0 {
+				t.Errorf("%s: no status vector checked", label)
+			}
+			if len(diffs) > 0 {
+				t.Errorf("%s: %d differences from the definitions:\n%s", label, len(diffs), strings.Join(diffs, "\n"))
+			}
+		}
+	}
+}
+
 // TestLegalLibParallel: Workers=4 shares one library adapter, and with it
 // the parse memo, across the workers and the merge. `make legal` runs this
 // under -race; the report must match the serial run's.

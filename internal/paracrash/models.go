@@ -19,54 +19,42 @@ package paracrash
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
+	"math/bits"
 	"strings"
 
 	"paracrash/internal/causality"
 	"paracrash/internal/trace"
 )
 
-// isCloseName reports whether an op name is a close at any layer ("close",
-// "H5Fclose", "MPI_File_close", "nc_close").
-func isCloseName(name string) bool {
-	return strings.HasSuffix(strings.ToLower(name), "close")
-}
-
 // Model is a crash-consistency model (paper §4.4.2): a rule defining which
 // subsets of the operations executed before a crash are legal preserved
-// sets.
+// sets. Every model allows the executed (completed or in-flight) ops; they
+// differ in the ops they require and in whether a legal set must be
+// downward closed under happens-before among the executed ops.
 type Model int
 
 const (
-	// ModelStrict requires all operations preceding the crash (and only
-	// those) to be preserved; operations in flight at the crash may be
-	// fully present or fully absent.
+	// ModelStrict requires every completed op, downward closed.
 	ModelStrict Model = iota
-	// ModelCommit requires operations covered by a commit (fsync) that
-	// happened before the crash to be preserved; everything else is free.
+	// ModelCommit requires every completed op that happens-before a
+	// completed commit (sync) op on the same file.
 	ModelCommit
-	// ModelCausal is commit consistency plus downward closure: if an op is
-	// preserved, everything that happened-before it is preserved too.
+	// ModelCausal requires what ModelCommit does, downward closed.
 	ModelCausal
-	// ModelBaseline only requires updates to files/datasets that were
-	// closed (not open for write) at the crash to be preserved.
+	// ModelBaseline requires every completed op on a file whose last
+	// completed op is a close (not open for write at the crash).
 	ModelBaseline
 )
 
+// modelNames is the one table of model names, indexed by Model.
+var modelNames = [...]string{"strict", "commit", "causal", "baseline"}
+
 // String returns the model name used in configuration and reports.
 func (m Model) String() string {
-	switch m {
-	case ModelStrict:
-		return "strict"
-	case ModelCommit:
-		return "commit"
-	case ModelCausal:
-		return "causal"
-	case ModelBaseline:
-		return "baseline"
-	default:
-		return fmt.Sprintf("model(%d)", int(m))
+	if m >= 0 && int(m) < len(modelNames) {
+		return modelNames[m]
 	}
+	return fmt.Sprintf("model(%d)", int(m))
 }
 
 // MarshalJSON renders the model by name (machine-readable reports and the
@@ -83,32 +71,33 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	parsed, err := ParseModel(s)
-	if err != nil {
-		return err
+	if err == nil {
+		*m = parsed
 	}
-	*m = parsed
-	return nil
+	return err
 }
 
 // ParseModel parses a model name.
 func ParseModel(s string) (Model, error) {
-	switch s {
-	case "strict":
-		return ModelStrict, nil
-	case "commit":
-		return ModelCommit, nil
-	case "causal":
-		return ModelCausal, nil
-	case "baseline":
-		return ModelBaseline, nil
-	default:
-		return 0, fmt.Errorf("paracrash: unknown consistency model %q", s)
+	for m, name := range modelNames {
+		if s == name {
+			return Model(m), nil
+		}
 	}
+	return 0, fmt.Errorf("paracrash: unknown consistency model %q", s)
 }
+
+// maxLayerOps bounds the ops of a checked layer, so that a set of them is
+// one opSet word. A run whose PFS or library layer has more is refused when
+// it is prepared: preserved-set enumeration is exponential in the free ops.
+const maxLayerOps = 20
+
+// opSet is a set of layer-op positions: bit i stands for LayerOps.Ops[i].
+type opSet uint64
 
 // LayerOps describes the operations of one checked layer, derived from the
 // full trace: the ops themselves, their happens-before order, and the
-// mapping from lowermost ops to their layer-level ancestors.
+// lowermost ops each of them issued.
 type LayerOps struct {
 	G *causality.Graph
 	// Ops holds the layer's operations in recording order. Communication
@@ -116,24 +105,21 @@ type LayerOps struct {
 	Ops []*trace.Op
 	// nodeIdx[i] is Ops[i]'s node index in G.
 	nodeIdx []int
-	// ancestorOf maps a lowermost node index to the position (in Ops) of
-	// its layer-level ancestor, or -1.
-	ancestorOf map[int]int
 	// descendants[i] = lowermost node indices descending from Ops[i].
 	descendants [][]int
+	// preds[i] holds the layer ops that happen-before Ops[i]; it is built
+	// only for a layer of at most maxLayerOps ops.
+	preds []opSet
 }
 
 // NewLayerOps extracts the ops of the given layer from the graph. Only ops
 // matching keep (nil = all non-communication ops of the layer) become layer
 // operations.
 func NewLayerOps(g *causality.Graph, layer trace.Layer, keep func(*trace.Op) bool) *LayerOps {
-	lo := &LayerOps{G: g, ancestorOf: make(map[int]int)}
+	lo := &LayerOps{G: g}
 	posByNode := map[int]int{}
 	for i, o := range g.Ops {
-		if o.Layer != layer || o.IsComm() {
-			continue
-		}
-		if keep != nil && !keep(o) {
+		if o.Layer != layer || o.IsComm() || keep != nil && !keep(o) {
 			continue
 		}
 		posByNode[i] = len(lo.Ops)
@@ -147,22 +133,26 @@ func NewLayerOps(g *causality.Graph, layer trace.Layer, keep func(*trace.Op) boo
 		if !o.IsLowermost() || o.Payload == nil {
 			continue
 		}
-		anc := -1
-		cur := o
-		for cur != nil && cur.Parent >= 0 {
+		for cur := o; cur.Parent >= 0; {
 			pi, ok := g.IndexOf(cur.Parent)
 			if !ok {
 				break
 			}
 			if pos, ok := posByNode[pi]; ok {
-				anc = pos
+				lo.descendants[pos] = append(lo.descendants[pos], i)
 				break
 			}
 			cur = g.Ops[pi]
 		}
-		lo.ancestorOf[i] = anc
-		if anc >= 0 {
-			lo.descendants[anc] = append(lo.descendants[anc], i)
+	}
+	if len(lo.Ops) <= maxLayerOps {
+		lo.preds = make([]opSet, len(lo.Ops))
+		for j := range lo.Ops {
+			for i := range lo.Ops {
+				if i != j && lo.HB(i, j) {
+					lo.preds[j] |= 1 << i
+				}
+			}
 		}
 	}
 	return lo
@@ -176,20 +166,18 @@ func (lo *LayerOps) HB(i, j int) bool {
 	return lo.G.HB(lo.nodeIdx[i], lo.nodeIdx[j])
 }
 
-// AncestorOf returns the layer-op position owning the lowermost node, or -1.
-func (lo *LayerOps) AncestorOf(node int) int {
-	a, ok := lo.ancestorOf[node]
-	if !ok {
-		return -1
-	}
-	return a
-}
-
 // Status classifies each layer op against a lowermost crash front:
 // completed (all replayable descendants inside the front), inflight (some
-// inside), or unexecuted (none inside; vacuously completed if no
-// descendants but recorded before the front's last op — we approximate by
-// treating descendant-less ops as completed).
+// inside), or unexecuted (none inside).
+//
+// An op with no replayable descendants (a close, say) has no storage
+// footprint and is always marked completed. That approximates the exact
+// rule, under which it is completed only if its same-layer happens-before
+// predecessors are. Measured over every paper program with a library layer
+// on all six backends (brute force, k = 1), the approximation changes the
+// status vector of 1–28 states in every library cell but changes the
+// baseline model's required set in none, so the default library model is
+// unaffected; what it does to strict and causal is not known.
 type Status int
 
 const (
@@ -205,27 +193,18 @@ const (
 // (a bitset over graph nodes).
 func (lo *LayerOps) StatusAgainst(front causality.Bitset) []Status {
 	out := make([]Status, len(lo.Ops))
-	for i := range lo.Ops {
-		desc := lo.descendants[i]
-		if len(desc) == 0 {
-			// No storage footprint (e.g. close): completed unless a
-			// preceding op of the same layer is not completed — we keep it
-			// simple and mark completed; such ops have no replayed effect.
-			out[i] = StatusCompleted
-			continue
-		}
-		in, total := 0, 0
+	for i, desc := range lo.descendants {
+		in := 0
 		for _, d := range desc {
-			total++
 			if front.Get(d) {
 				in++
 			}
 		}
 		switch {
+		case len(desc) == 0 || in == len(desc):
+			out[i] = StatusCompleted
 		case in == 0:
 			out[i] = StatusUnexecuted
-		case in == total:
-			out[i] = StatusCompleted
 		default:
 			out[i] = StatusInflight
 		}
@@ -233,51 +212,48 @@ func (lo *LayerOps) StatusAgainst(front causality.Bitset) []Status {
 	return out
 }
 
-// CommittedSet returns the positions of layer ops that must be preserved
-// under commit/causal consistency given the front statuses: ops covered by
-// a completed sync op on the same file that happened after them.
-func (lo *LayerOps) CommittedSet(status []Status) map[int]bool {
-	out := map[int]bool{}
-	for s, so := range lo.Ops {
-		if !so.Sync || status[s] != StatusCompleted {
-			continue
-		}
-		for i, o := range lo.Ops {
-			if i == s || status[i] != StatusCompleted {
-				continue
-			}
-			if o.FileID != "" && o.FileID == so.FileID && lo.HB(i, s) {
-				out[i] = true
-			}
-		}
-	}
-	return out
+// rule is a model's predicate for one status vector: a set S of layer ops
+// is a legal preserved set iff required ⊆ S ⊆ allowed and, when closed, S
+// holds every allowed op that happens-before one of its ops.
+type rule struct {
+	required, allowed opSet
+	closed            bool
 }
 
-// ClosedSet returns the positions of layer ops that must be preserved under
-// baseline consistency: every op touching a file whose last completed op is
-// a close (the file was not open for write at the crash).
-func (lo *LayerOps) ClosedSet(status []Status) map[int]bool {
-	// Determine, per file, whether it ends closed within the front.
-	lastTouch := map[string]int{} // fileID -> last completed op position
-	for i, o := range lo.Ops {
-		if status[i] != StatusCompleted || o.FileID == "" {
-			continue
+// rule returns model m's predicate for the status vector, as the Model
+// constants state it.
+func (lo *LayerOps) rule(m Model, status []Status) rule {
+	r := rule{closed: m == ModelStrict || m == ModelCausal}
+	var done opSet
+	files := map[string]opSet{} // file -> the completed ops on it
+	for i, st := range status {
+		if st != StatusUnexecuted {
+			r.allowed |= 1 << i
 		}
-		lastTouch[o.FileID] = i
+		if st == StatusCompleted {
+			done |= 1 << i
+			files[lo.Ops[i].FileID] |= 1 << i
+		}
 	}
-	out := map[int]bool{}
-	for file, last := range lastTouch {
-		if !isCloseName(lo.Ops[last].Name) {
-			continue // still open (or never closed): nothing required
+	delete(files, "") // ops without a file identity
+	switch m {
+	case ModelStrict:
+		r.required = done
+	case ModelCommit, ModelCausal:
+		for s, o := range lo.Ops {
+			if o.Sync && done&(1<<s) != 0 {
+				r.required |= lo.preds[s] & files[o.FileID]
+			}
 		}
-		for i, o := range lo.Ops {
-			if status[i] == StatusCompleted && o.FileID == file {
-				out[i] = true
+	case ModelBaseline:
+		for _, ops := range files {
+			// A close at any layer: close, H5Fclose, MPI_File_close, nc_close.
+			if last := lo.Ops[bits.Len64(uint64(ops))-1]; strings.HasSuffix(strings.ToLower(last.Name), "close") {
+				r.required |= ops
 			}
 		}
 	}
-	return out
+	return r
 }
 
 // PreservedSets enumerates the legal preserved sets of the layer under the
@@ -287,107 +263,78 @@ func (lo *LayerOps) ClosedSet(status []Status) map[int]bool {
 // cut the enumeration short: the check is made on the set after the last
 // allowed one, so an enumeration holding exactly limit sets is not capped.
 //
-// Required ops depend on the model; optional ops may each be present or
-// absent. Strict and causal additionally require downward closure under
-// the layer's happens-before order, which the enumeration enforces
-// directly (ideals of the candidate poset, with branches that can no
-// longer include a required op pruned), so the cost is proportional to the
-// number of legal sets rather than 2^n.
+// The enumeration builds the sets the model's rule admits directly (ideals
+// of the candidate poset under strict and causal, with branches that can no
+// longer include a required op pruned), so its cost is proportional to the
+// number of legal sets rather than 2^n. A layer of more than maxLayerOps
+// ops, which no prepared run has, panics.
 func (lo *LayerOps) PreservedSets(m Model, status []Status, limit int, visit func(sel []int) bool) (capped bool) {
-	_, capped = lo.walk(m, status, limit, nil, nil, nil, func(sel []int, _ any) bool { return visit(sel) })
+	keep := func(st any, _ int) any { return st }
+	_, capped = lo.walk(m, status, limit, nil, keep, nil, func(sel []int, _ any) bool { return visit(sel) })
 	return capped
 }
 
+// subtree is the memo key of one subtree of the walk: its depth, the in/out
+// bits of the earlier candidates that a candidate at or below it needs (the
+// only earlier choices it can see; none under commit and baseline) and the
+// digest of the state entering it.
+type subtree struct {
+	depth  int
+	in     opSet
+	digest string
+}
+
 // walk is PreservedSets' include/exclude recursion carrying a replay state:
-// each include edge steps the state by that op (step nil: the state stays
-// root), and each leaf receives its set with the state its ops reached. It
-// returns how many sets the model admits up to limit.
-//
-// With digest non-nil, a subtree is walked once per key: its depth, the
-// in/out bits of the earlier candidates that a candidate at or below it
-// names as a predecessor (the only earlier choices it can see; none under
-// commit and baseline) and the digest of the state entering it. A second
-// subtree with the same key offers the same choices from the same state, so
-// its leaves reach states already visited: it is skipped, and only the
-// number of sets it holds — memoised when it was walked — is counted, so
-// limit cuts the enumeration exactly where the full walk would.
+// each include edge steps the state by that op, and each leaf receives its set with the state its ops reached. It
+// returns how many sets the model admits up to limit. With digest non-nil,
+// a subtree is walked once per key: a second one offers the same choices
+// from the same state, so it is skipped and only the number of sets it
+// holds (memoised when it was walked) is counted, and limit cuts the
+// enumeration exactly where the full walk would.
 func (lo *LayerOps) walk(m Model, status []Status, limit int, root any, step func(st any, pos int) any, digest func(st any) string, leaf func(sel []int, st any) bool) (sets int, capped bool) {
+	if len(lo.preds) != len(lo.Ops) {
+		panic(fmt.Sprintf("paracrash: %d layer ops exceed the %d a preserved-set walk handles", len(lo.Ops), maxLayerOps))
+	}
+	r := lo.rule(m, status)
+	// The candidates are the allowed ops in recording order, a topological
+	// order. need[k] holds the earlier candidates that candidates[k] needs
+	// in (closed models only); mustKeep those that may not be left out: the
+	// required ones and what they need.
 	var candidates []int
-	required := map[int]bool{}
-	switch m {
-	case ModelStrict:
-		for i := range lo.Ops {
-			if status[i] == StatusCompleted {
-				required[i] = true
-				candidates = append(candidates, i)
-			} else if status[i] == StatusInflight {
-				candidates = append(candidates, i)
-			}
+	var need []opSet
+	mustKeep := r.required
+	for c := range lo.Ops {
+		if r.allowed&(1<<c) == 0 {
+			continue
 		}
-	case ModelCommit, ModelCausal:
-		required = lo.CommittedSet(status)
-		for i := range lo.Ops {
-			if status[i] != StatusUnexecuted {
-				candidates = append(candidates, i)
-			}
+		var n opSet
+		if r.closed {
+			n = lo.preds[c] & r.allowed & (1<<c - 1)
 		}
-	case ModelBaseline:
-		required = lo.ClosedSet(status)
-		for i := range lo.Ops {
-			if status[i] != StatusUnexecuted {
-				candidates = append(candidates, i)
-			}
+		if r.required&(1<<c) != 0 {
+			mustKeep |= n
 		}
+		candidates = append(candidates, c)
+		need = append(need, n)
 	}
-	closed := m == ModelStrict || m == ModelCausal
+	// live[k] holds the candidates named in need at depth k or below. At
+	// depth k, in holds no candidate from k on, so in&live[k] is the key.
+	live := make([]opSet, len(candidates)+1)
+	for k := len(candidates) - 1; k >= 0; k-- {
+		live[k] = live[k+1] | need[k]
+	}
+	walked := map[subtree]int{} // subtree key -> sets below it
 
-	// preds[k] = positions (indices into candidates) of candidate
-	// predecessors of candidates[k]; candidates are in recording order,
-	// which is a topological order.
-	preds := make([][]int, len(candidates))
-	if closed {
-		for k, j := range candidates {
-			for k2, i := range candidates {
-				if k2 >= k {
-					break
-				}
-				if lo.HB(i, j) {
-					preds[k] = append(preds[k], k2)
-				}
-			}
-		}
-	}
-
-	// lastUse[p] is the last candidate naming candidate p as a predecessor
-	// (-1: none), so p's bit is part of the subtree keys down to that depth.
-	lastUse := make([]int, len(candidates))
-	for p := range lastUse {
-		lastUse[p] = -1
-	}
-	for k, ps := range preds {
-		for _, p := range ps {
-			lastUse[p] = k
-		}
-	}
-	walked := map[string]int{} // subtree key -> sets below it
-
-	in := make([]bool, len(candidates))
-	count := 0
-	stopped := false
+	var in opSet
+	count, stopped := 0, false
 	var rec func(k int, st any)
 	rec = func(k int, st any) {
 		if stopped {
 			return
 		}
 		if digest != nil {
-			key := append(strconv.AppendInt(nil, int64(k), 10), ':')
-			for p := 0; p < k; p++ {
-				if lastUse[p] >= k {
-					key = strconv.AppendBool(key, in[p])
-				}
-			}
-			key = append(key, digest(st)...)
-			if n, ok := walked[string(key)]; ok {
+			key := subtree{k, in & live[k], digest(st)}
+			if n, ok := walked[key]; ok {
 				if limit > 0 && count+n > limit {
 					count, capped, stopped = limit, true, true
 				} else {
@@ -397,7 +344,7 @@ func (lo *LayerOps) walk(m Model, status []Status, limit int, root any, step fun
 			}
 			defer func(from int) {
 				if !stopped {
-					walked[string(key)] = count - from
+					walked[key] = count - from
 				}
 			}(count)
 		}
@@ -406,58 +353,26 @@ func (lo *LayerOps) walk(m Model, status []Status, limit int, root any, step fun
 				capped, stopped = true, true
 				return
 			}
-			out := make([]int, 0, len(candidates))
-			for i, c := range candidates {
-				if in[i] {
-					out = append(out, c)
-				}
+			out := make([]int, 0, bits.OnesCount64(uint64(in)))
+			for w := in; w != 0; w &= w - 1 {
+				out = append(out, bits.TrailingZeros64(uint64(w)))
 			}
 			count++
 			stopped = !leaf(out, st)
 			return
 		}
 		c := candidates[k]
-		// Include branch: allowed if (for closed models) every candidate
-		// predecessor is in.
-		canInclude := true
-		if closed {
-			for _, p := range preds[k] {
-				if !in[p] {
-					canInclude = false
-					break
-				}
-			}
-		}
-		if canInclude {
-			next := st
-			if step != nil {
-				next = step(st, c)
-			}
-			in[k] = true
-			rec(k+1, next)
-			in[k] = false
+		if need[k]&^in == 0 {
+			in |= 1 << c
+			rec(k+1, step(st, c))
+			in &^= 1 << c
 			if stopped {
 				return
 			}
 		}
-		// Exclude branch: disallowed if c is required, or if excluding c
-		// would make a later required op unreachable in a closed model.
-		if required[c] {
-			return
+		if mustKeep&(1<<c) == 0 {
+			rec(k+1, st)
 		}
-		if closed {
-			for k2 := k + 1; k2 < len(candidates); k2++ {
-				if !required[candidates[k2]] {
-					continue
-				}
-				for _, p := range preds[k2] {
-					if p == k {
-						return // required op depends on c
-					}
-				}
-			}
-		}
-		rec(k+1, st)
 	}
 	rec(0, root)
 	return count, capped

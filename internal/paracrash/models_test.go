@@ -76,13 +76,13 @@ func TestLayerOpsDescendants(t *testing.T) {
 func TestCommittedSet(t *testing.T) {
 	g, lo := buildLayerFixture()
 	status := lo.StatusAgainst(fullFront(g))
-	committed := lo.CommittedSet(status)
+	committed := lo.rule(ModelCommit, status).required
 	// creat f and pwrite f precede fsync f on the same file; pwrite g does
 	// not.
-	if !committed[0] || !committed[1] {
-		t.Errorf("ops on /f before fsync must be committed: %v", committed)
+	if committed&(1<<0) == 0 || committed&(1<<1) == 0 {
+		t.Errorf("ops on /f before fsync must be committed: %b", committed)
 	}
-	if committed[3] {
+	if committed&(1<<3) != 0 {
 		t.Error("pwrite g must not be committed")
 	}
 }
@@ -90,14 +90,14 @@ func TestCommittedSet(t *testing.T) {
 func TestClosedSet(t *testing.T) {
 	g, lo := buildLayerFixture()
 	status := lo.StatusAgainst(fullFront(g))
-	closed := lo.ClosedSet(status)
+	closed := lo.rule(ModelBaseline, status).required
 	// /f ends with a close: all its ops are required. /g stays open.
 	for _, i := range []int{0, 1, 4} {
-		if !closed[i] {
-			t.Errorf("op %d on closed /f must be required: %v", i, closed)
+		if closed&(1<<i) == 0 {
+			t.Errorf("op %d on closed /f must be required: %b", i, closed)
 		}
 	}
-	if closed[3] {
+	if closed&(1<<3) != 0 {
 		t.Error("op on open /g must not be required")
 	}
 }
@@ -202,9 +202,9 @@ func LegalCapCounts(newCell func() (pfs.FileSystem, Library, Workload), layer st
 		lo, _ := layerOps(s)
 		status := lo.StatusAgainst(widest.Front)
 		if layer == "lib" {
-			sizes[i] = len(s.legalLib(widest, status))
+			sizes[i] = len(s.legalLib(status))
 		} else {
-			set, err := s.legalPFS(widest, status)
+			set, err := s.legalPFS(status)
 			if err != nil {
 				return n, capped, sizes, err
 			}

@@ -24,7 +24,7 @@ func runOn(t *testing.T, fs pfs.FileSystem, w paracrash.Workload, opts paracrash
 // TestARVRExt4Clean is Figure 8's control: ext4 with data journaling leaves
 // no POSIX program in an inconsistent state.
 func TestARVRExt4Clean(t *testing.T) {
-	for _, w := range workloads.POSIXPrograms() {
+	for _, w := range []paracrash.Workload{workloads.ARVR(), workloads.CR(), workloads.RC(), workloads.WAL()} {
 		fs := extfs.New(pfs.DefaultConfig(), trace.NewRecorder())
 		rep := runOn(t, fs, w, paracrash.DefaultOptions())
 		if rep.Inconsistent != 0 {

@@ -85,7 +85,8 @@ type JobRequest struct {
 	// fleet) executes the job in-process regardless.
 	Shards int `json:"shards,omitempty"`
 	// Clients/Rows/Cols/ResizeRows/ResizeCols are the H5 program knobs;
-	// zero values keep workloads.DefaultH5Params, negative ones are refused.
+	// zero values keep workloads.DefaultH5Params, and the rest must pass
+	// workloads.H5Params.Validate.
 	Clients    int `json:"clients,omitempty"`
 	Rows       int `json:"rows,omitempty"`
 	Cols       int `json:"cols,omitempty"`
@@ -117,12 +118,13 @@ func (r *JobRequest) Normalize() error {
 		v    int
 	}{
 		{"workers", r.Workers}, {"shards", r.Shards}, {"k", r.K},
-		{"clients", r.Clients}, {"rows", r.Rows}, {"cols", r.Cols},
-		{"resize_rows", r.ResizeRows}, {"resize_cols", r.ResizeCols},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
 		}
+	}
+	if err := r.h5Params().Validate(); err != nil {
+		return err
 	}
 	if r.FS == "" {
 		r.FS = "beegfs"
@@ -178,23 +180,20 @@ func (r *JobRequest) options(maxWorkers int) core.Options {
 	return opts
 }
 
-// h5Params materialises the H5 program knobs for a normalized request.
+// h5Params materialises the H5 program knobs: a zero knob keeps its
+// default, any other value is taken as given.
 func (r *JobRequest) h5Params() workloads.H5Params {
 	p := workloads.DefaultH5Params()
-	if r.Clients > 0 {
-		p.Clients = r.Clients
-	}
-	if r.Rows > 0 {
-		p.Rows = r.Rows
-	}
-	if r.Cols > 0 {
-		p.Cols = r.Cols
-	}
-	if r.ResizeRows > 0 {
-		p.ResizeRows = r.ResizeRows
-	}
-	if r.ResizeCols > 0 {
-		p.ResizeCols = r.ResizeCols
+	for _, f := range []struct {
+		dst *int
+		v   int
+	}{
+		{&p.Clients, r.Clients}, {&p.Rows, r.Rows}, {&p.Cols, r.Cols},
+		{&p.ResizeRows, r.ResizeRows}, {&p.ResizeCols, r.ResizeCols},
+	} {
+		if f.v != 0 {
+			*f.dst = f.v
+		}
 	}
 	return p
 }

@@ -92,6 +92,44 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestClientsBound: the H5 clients knob is refused above its bound with a
+// 400, before any job runs. The parallel programs open one session per
+// rank before anything can fail, so an unbounded value could tie up a
+// worker and exhaust memory; 16 is workloads.H5Params.Validate's bound.
+func TestClientsBound(t *testing.T) {
+	for clients, ok := range map[int]bool{16: true, 17: false} {
+		req := JobRequest{Program: "H5-parallel-create", Clients: clients}
+		if err := req.Normalize(); (err == nil) != ok {
+			t.Errorf("Normalize with clients=%d: err = %v, want accepted %t", clients, err, ok)
+		}
+	}
+
+	st, _ := OpenStore("")
+	s := NewScheduler(SchedulerConfig{}, st, nil)
+	var ran atomic.Bool
+	s.executor = func(ctx context.Context, job *Job, run *obs.Run) (*core.Report, error) {
+		ran.Store(true)
+		return &core.Report{}, nil
+	}
+	s.Start()
+	defer s.Drain(context.Background())
+	srv := httptest.NewServer(NewServer(s, st, nil))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"program":"H5-parallel-create","clients":10000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct{ Error string }
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "clients must be <= 16") {
+		t.Errorf("POST with clients=10000000: status %d, error %q; want 400 naming the bound", resp.StatusCode, e.Error)
+	}
+	if ran.Load() || len(st.List()) != 0 {
+		t.Fatal("a request over the clients bound reached the executor or the store")
+	}
+}
+
 // TestConcurrentJobsAndBackpressure runs four jobs at once and verifies the
 // queue-depth limit surfaces as ErrQueueFull while they hold the slots.
 func TestConcurrentJobsAndBackpressure(t *testing.T) {

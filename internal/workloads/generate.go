@@ -7,9 +7,9 @@ import (
 	"paracrash/internal/pfs"
 )
 
-// Generator bounds. MaxGenOps tracks the checker's layer-op budget
-// (paracrash.Options.MaxLayerOps defaults to 20; a body op can fan out into
-// a handful of lowermost ops, so 12 keeps preserved-set enumeration sane).
+// Generator bounds. MaxGenOps tracks the checker's layer-op budget (a run
+// refuses a layer of more than 20 ops; a body op can fan out into a
+// handful of lowermost ops, so 12 keeps preserved-set enumeration sane).
 const (
 	MaxGenOps   = 12
 	MaxGenFiles = 8

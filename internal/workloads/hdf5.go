@@ -36,6 +36,36 @@ func DefaultH5Params() H5Params {
 	return H5Params{Rows: 4, Cols: 4, ResizeRows: 8, ResizeCols: 8, PerGroup: 1, Clients: 2}
 }
 
+// maxClients bounds Clients. The parallel programs open every rank's
+// session before anything can fail, and their collective creates grow with
+// the square of the rank count, so an unbounded value can exhaust memory.
+// The bound still covers the paper's sweep of 1–10 ranks, although no run
+// above 3 ranks can be checked: on beegfs, H5-parallel-create with 3 ranks
+// and H5-parallel-resize with 4 already record 24 PFS-layer ops, more than
+// the 20 a run enumerates preserved sets over.
+const maxClients = 16
+
+// Validate reports the first settable knob out of range: a negative
+// dimension, or Clients outside [1, 16]. Errors name the knob as the
+// paracrash command's flags do.
+func (p H5Params) Validate() error {
+	if p.Clients < 1 {
+		return fmt.Errorf("clients must be >= 1, got %d", p.Clients)
+	}
+	if p.Clients > maxClients {
+		return fmt.Errorf("clients must be <= %d, got %d", maxClients, p.Clients)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"rows", p.Rows}, {"cols", p.Cols}, {"resize-rows", p.ResizeRows}, {"resize-cols", p.ResizeCols}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // FilePath is where the library file lives on every PFS under test.
 const FilePath = "/test.h5"
 

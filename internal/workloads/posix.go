@@ -150,8 +150,3 @@ func WAL() paracrash.Workload {
 		},
 	}
 }
-
-// POSIXPrograms returns the four POSIX test programs in paper order.
-func POSIXPrograms() []paracrash.Workload {
-	return []paracrash.Workload{ARVR(), CR(), RC(), WAL()}
-}

@@ -190,3 +190,30 @@ func TestFig5ProgramRuns(t *testing.T) {
 func ParallelPrograms(p H5Params) []*H5Workload {
 	return []*H5Workload{H5ParallelCreate(p), H5ParallelResize(p)}
 }
+
+// TestH5ParamsValidate holds Validate to its bounds: Clients in [1, 16] and
+// no negative dimension, each tested at the edge.
+func TestH5ParamsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		edit func(*H5Params)
+		err  string // "" = valid
+	}{
+		{func(p *H5Params) {}, ""},
+		{func(p *H5Params) { p.Clients = 1 }, ""},
+		{func(p *H5Params) { p.Clients = maxClients }, ""},
+		{func(p *H5Params) { p.Clients = maxClients + 1 }, "clients must be <= 16, got 17"},
+		{func(p *H5Params) { p.Clients = 0 }, "clients must be >= 1, got 0"},
+		{func(p *H5Params) { p.Rows, p.Cols, p.ResizeRows, p.ResizeCols = 0, 0, 0, 0 }, ""},
+		{func(p *H5Params) { p.Rows = -1 }, "rows must be >= 0, got -1"},
+		{func(p *H5Params) { p.Cols = -1 }, "cols must be >= 0, got -1"},
+		{func(p *H5Params) { p.ResizeRows = -3 }, "resize-rows must be >= 0, got -3"},
+		{func(p *H5Params) { p.ResizeCols = -2 }, "resize-cols must be >= 0, got -2"},
+	} {
+		p := DefaultH5Params()
+		tc.edit(&p)
+		err := p.Validate()
+		if tc.err == "" && err != nil || tc.err != "" && (err == nil || err.Error() != tc.err) {
+			t.Errorf("Validate(%+v) = %v, want %q", p, err, tc.err)
+		}
+	}
+}
