@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build crossbuild vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments examples fuzz fuzz-smoke chaos representative incremental emulate classify legal selfcheck sloc clean
+.PHONY: all build crossbuild vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments fuzz fuzz-smoke chaos representative incremental emulate classify legal selfcheck sloc clean
 
 all: build vet test
 
@@ -48,7 +48,7 @@ race:
 	$(GO) test -race ./...
 
 # Everything a change must pass before it lands.
-ci: build crossbuild vet fmtcheck doclint persistlint test race examples fuzz-smoke chaos representative incremental emulate classify legal selfcheck benchcheck
+ci: build crossbuild vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental emulate classify legal selfcheck benchcheck
 
 # The benchmark harness checking itself (benchmark/ is a module of its own,
 # so `go test ./...` does not reach it): every workload's verdicts against
@@ -117,14 +117,6 @@ legal:
 experiments:
 	$(GO) run ./cmd/experiments -exp all
 
-# Run the five example programs end to end (about a second once built).
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/customworkload
-	$(GO) run ./examples/custompfs
-	$(GO) run ./examples/models
-	$(GO) run ./examples/hdf5workflow
-
 # Coverage-guided fuzzing over every fuzz target, FUZZTIME each, then a
 # metamorphic campaign over the exploration engine itself.
 FUZZTIME ?= 30s
@@ -134,6 +126,7 @@ fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/paracrash/ -fuzz FuzzParseModel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/paracrash/ -fuzz FuzzStateDigest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/paracrash/ -run FuzzJournal -fuzz FuzzJournal -fuzztime $(FUZZTIME)
 	$(GO) run ./cmd/experiments -exp fuzz -seeds $(FUZZSEEDS) -fuzz-out corpus
 
 # Fast fuzzing gate for CI: a few seconds per coverage-guided target plus a
@@ -143,16 +136,21 @@ fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz FuzzTraceRoundTrip -fuzztime 5s
 	$(GO) test ./internal/paracrash/ -fuzz FuzzParseModel -fuzztime 5s
 	$(GO) test ./internal/paracrash/ -fuzz FuzzStateDigest -fuzztime 5s
+	$(GO) test ./internal/paracrash/ -run FuzzJournal -fuzz FuzzJournal -fuzztime 5s
 	$(GO) run ./cmd/experiments -exp fuzz -seeds 8 -enum-ops 1
 
 # Chaos gate: run explorations under injected faults, kill them mid-run and
 # resume from the checkpoint journal; the resumed reports must be
 # byte-identical to clean uninterrupted runs, and a hard-faulted fuzz
-# campaign must quarantine cells instead of dying. The obs and serve halves
-# hold telemetry to the same rule: wedged, failing or panicking sinks and a
-# stalled events reader never delay a job or its verdict.
+# campaign must quarantine cells instead of dying. The resume half also
+# holds the journal itself: a complete journal of every paper program on
+# six backends resumes in full with no warning and reads clean; a torn
+# newline is rewritten without losing a record; and a journal or shard
+# report written under other H5 parameters is refused. The obs and serve
+# halves hold telemetry to the same rule: wedged, failing or panicking
+# sinks and a stalled events reader never delay a job or its verdict.
 chaos:
-	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestFaultTransparency|TestHardFaults|TestRepresentativeChaosResume|TestRepresentativeQuarantine' -count=1 -v
+	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestFaultTransparency|TestHardFaults|TestRepresentativeChaosResume|TestRepresentativeQuarantine|TestJournalResumeComplete|TestCheckpointTornNewline|TestResumeStaleAcrossH5Params|TestShardMergeRefusesOtherH5Params' -count=1 -v
 	$(GO) test ./internal/fuzzcamp/ -run 'TestCampaignHealsInjectedFaults|TestCampaignQuarantinesHardFaultedCells' -count=1
 	$(GO) test ./internal/obs/ ./internal/serve/ -run 'TestChaos' -count=1 -v
 

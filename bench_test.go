@@ -90,7 +90,7 @@ func BenchmarkFig9_TraceARVR(b *testing.B) {
 	prog, _ := exps.ProgramByName("ARVR")
 	for i := 0; i < b.N; i++ {
 		for _, fsName := range []string{"beegfs", "orangefs", "glusterfs", "gpfs"} {
-			if _, err := exps.TraceDump(fsName, prog, h5p); err != nil {
+			if _, err := exps.TraceJSON(fsName, prog, h5p, exps.ConfigFor(fsName)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -153,7 +153,7 @@ func BenchmarkTable2_Deployments(b *testing.B) {
 	h5p := workloads.DefaultH5Params()
 	for i := 0; i < b.N; i++ {
 		for _, fsName := range exps.FSNames() {
-			if _, err := exps.TraceDump(fsName, prog, h5p); err != nil {
+			if _, err := exps.TraceJSON(fsName, prog, h5p, exps.ConfigFor(fsName)); err != nil {
 				b.Fatal(fmt.Errorf("%s: %w", fsName, err))
 			}
 		}

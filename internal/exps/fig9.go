@@ -10,35 +10,15 @@ import (
 	"paracrash/internal/workloads"
 )
 
-// TraceDump runs a program's preamble and traced body on a file system and
+// traceDump runs a program's preamble and traced body on a file system and
 // returns the per-process operation listing — the raw material of the
 // paper's Figures 2 and 9.
-func TraceDump(fsName string, prog Program, h5p workloads.H5Params) (string, error) {
-	conf := ConfigFor(fsName)
-	placement := prog.Placement
-	if fsName == "glusterfs" {
-		placement = prog.GlusterPlacement
-	}
-	if placement != nil {
-		conf.FilePlacement = placement
-	}
-	rec := trace.NewRecorder()
-	fs, err := NewFS(fsName, conf, rec)
+func traceDump(fsName string, prog Program, h5p workloads.H5Params) (string, error) {
+	ops, err := tracedOps(fsName, prog, h5p, ConfigFor(fsName))
 	if err != nil {
 		return "", err
 	}
-	w, _ := prog.Make(h5p)
-	rec.SetEnabled(false)
-	if err := w.Preamble(fs); err != nil {
-		return "", fmt.Errorf("preamble: %w", err)
-	}
-	rec.Reset()
-	rec.SetEnabled(true)
-	if err := w.Run(fs); err != nil {
-		return "", fmt.Errorf("run: %w", err)
-	}
-	rec.SetEnabled(false)
-	return trace.Format(rec.Ops()), nil
+	return trace.Format(ops), nil
 }
 
 // Fig9 renders the ARVR traces on BeeGFS, OrangeFS, GlusterFS and GPFS —
@@ -49,7 +29,7 @@ func Fig9(h5p workloads.H5Params) string {
 	prog, _ := ProgramByName("ARVR")
 	b.WriteString("Figure 2/9: ARVR traces across parallel file systems\n")
 	for _, fsName := range []string{"beegfs", "orangefs", "glusterfs", "gpfs"} {
-		dump, err := TraceDump(fsName, prog, h5p)
+		dump, err := traceDump(fsName, prog, h5p)
 		fmt.Fprintf(&b, "\n===== %s =====\n", fsName)
 		if err != nil {
 			fmt.Fprintf(&b, "error: %v\n", err)
@@ -87,23 +67,21 @@ func Fig5() string {
 // TraceJSON runs a program and returns its full trace serialised as JSON
 // (the per-process trace files of the paper's tracing stage, §5.1).
 func TraceJSON(fsName string, prog Program, h5p workloads.H5Params, conf pfs.Config) ([]byte, error) {
-	placement := prog.Placement
-	if fsName == "glusterfs" {
-		placement = prog.GlusterPlacement
-	}
-	if placement != nil {
-		if conf.FilePlacement == nil {
-			conf.FilePlacement = map[string]int{}
-		}
-		for k, v := range placement {
-			conf.FilePlacement[k] = v
-		}
-	}
-	rec := trace.NewRecorder()
-	fs, err := NewFS(fsName, conf, rec)
+	ops, err := tracedOps(fsName, prog, h5p, conf)
 	if err != nil {
 		return nil, err
 	}
+	return trace.Encode(ops)
+}
+
+// tracedOps builds the cell's stack as RunOne does, runs the program's
+// preamble untraced and its body traced, and returns the traced ops.
+func tracedOps(fsName string, prog Program, h5p workloads.H5Params, conf pfs.Config) ([]*trace.Op, error) {
+	fs, err := cellFS(fsName, prog, conf)
+	if err != nil {
+		return nil, err
+	}
+	rec := fs.Recorder()
 	w, _ := prog.Make(h5p)
 	rec.SetEnabled(false)
 	if err := w.Preamble(fs); err != nil {
@@ -115,5 +93,5 @@ func TraceJSON(fsName string, prog Program, h5p workloads.H5Params, conf pfs.Con
 		return nil, fmt.Errorf("run: %w", err)
 	}
 	rec.SetEnabled(false)
-	return trace.Encode(rec.Ops())
+	return rec.Ops(), nil
 }

@@ -191,7 +191,7 @@ func TestPassThroughWrapperChangesNothing(t *testing.T) {
 // TestTraceDumpAndJSON exercises the Figure 2/9 trace tooling.
 func TestTraceDumpAndJSON(t *testing.T) {
 	prog, _ := ProgramByName("ARVR")
-	dump, err := TraceDump("beegfs", prog, workloads.DefaultH5Params())
+	dump, err := traceDump("beegfs", prog, workloads.DefaultH5Params())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,13 @@
 // power loss — the very failures this tool studies) can be resumed without
 // redoing finished work.
 //
-// The journal's first line is a header carrying the format version and a
-// fingerprint of every option that influences verdicts (workload, file
-// system, mode, models, emulator bounds — but not Workers, Retry, Faults
-// or Obs, which are verdict-transparent). On resume a mismatched header
-// discards the journal with a warning instead of poisoning the run with
-// verdicts computed under different rules. A
-// truncated tail record — the expected artifact of dying mid-write — is
-// likewise dropped with a warning; everything before it is kept.
+// The journal's first line is a header carrying the format version and the
+// run's fingerprint (checkpointConfig: its trace and every verdict-relevant
+// option); every later line is one Verdict, with its class key. On resume a
+// mismatched header discards the journal with a warning instead of
+// poisoning the run with verdicts computed under other rules or over
+// another trace. ReadJournal is the one reader, shared with the daemon's
+// fsck.
 //
 // Durability goes through internal/statefs, the audited persistence layer
 // crash-tested by `make selfcheck`: the first flush (or any flush after a
@@ -19,15 +18,15 @@
 // later flush appends only the new records with an fsync before they are
 // acknowledged — O(new) instead of O(all), and a record is never treated
 // as checkpointed before it is durable. A crash mid-append leaves a torn
-// tail record, which resume drops (with everything before it kept) and the
-// next flush rewrites away. Quarantined (skipped) verdicts are never
+// tail, which resume drops (keeping everything before it) and the next
+// flush rewrites away. Quarantined (skipped) verdicts are never
 // journaled: a resumed run re-attempts them, since the fault that poisoned
 // them may be gone.
 package paracrash
 
 import (
-	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -44,37 +43,84 @@ var (
 )
 
 // checkpointVersion is the journal format version; bump on any change to
-// ckptHeader, ckptRecord or the checkpointConfig field list.
-const checkpointVersion = 3
+// the Journal header, Verdict or the checkpointConfig field list.
+const checkpointVersion = 4
 
 // defaultCheckpointEvery is the record-batch size between automatic
 // flushes; the journal is also flushed on every run exit path.
 const defaultCheckpointEvery = 32
 
-// ckptHeader is the journal's first line.
-type ckptHeader struct {
+// Journal is a checkpoint journal as ReadJournal reads it. Its JSON form is
+// the header line: the format version and the writing run's fingerprint.
+type Journal struct {
 	Version int    `json:"version"`
 	Config  string `json:"config"`
+	// Verdicts are the records kept, in file order.
+	Verdicts []Verdict `json:"-"`
+	// Torn says why the file does not end at a clean record boundary ("" when
+	// it does); Duplicates counts records dropped for repeating a key.
+	Torn       string `json:"-"`
+	Duplicates int    `json:"-"`
 }
 
-// ckptRecord is one journaled crash-state verdict.
-type ckptRecord struct {
-	// Key is the crash state's front|keep identity (stateKey).
-	Key         string `json:"key"`
-	Consistent  bool   `json:"consistent,omitempty"`
-	Layer       string `json:"layer,omitempty"`
-	Consequence string `json:"consequence,omitempty"`
-	State       string `json:"state,omitempty"`
-}
-
-// toResult converts a journaled record back into the engine's verdict form.
-func (r ckptRecord) toResult() checkResult {
-	return checkResult{
-		consistent:  r.Consistent,
-		layer:       r.Layer,
-		consequence: r.Consequence,
-		state:       r.State,
+// ReadJournal is the one reader of checkpoint journals, for resume and the
+// daemon's fsck alike. The header line must parse, or the journal is
+// unreadable (the error). Every record must parse and carry a key that
+// decodes: the first line that does not is a torn tail, dropped with every
+// line after it. The first record of a key wins. A last line without its
+// newline is a torn tail too; a record on it that parses is kept, since
+// only its terminator is missing.
+func ReadJournal(data []byte) (*Journal, error) {
+	j := &Journal{}
+	lines := bytes.Split(data, []byte("\n"))
+	if last := lines[len(lines)-1]; len(last) == 0 {
+		lines = lines[:len(lines)-1]
+	} else {
+		j.Torn = "last record lacks its newline (crash during append)"
 	}
+	if len(lines) == 0 {
+		return nil, fmt.Errorf("journal is empty")
+	}
+	if err := json.Unmarshal(lines[0], j); err != nil {
+		return nil, fmt.Errorf("journal header: %w", err)
+	}
+	seen := map[string]bool{}
+	for i, line := range lines[1:] {
+		var v Verdict
+		key, err := "", json.Unmarshal(line, &v)
+		if err == nil {
+			key, err = v.stateKey()
+		}
+		if err != nil {
+			j.Torn = fmt.Sprintf("record at line %d is damaged; dropping it and the %d line(s) after it", i+2, len(lines)-i-2)
+			break
+		}
+		if seen[key] {
+			j.Duplicates++
+			continue
+		}
+		seen[key] = true
+		j.Verdicts = append(j.Verdicts, v)
+	}
+	return j, nil
+}
+
+// Bytes renders the journal clean, as a full rewrite writes it: the header
+// line, then one line per kept record.
+func (j *Journal) Bytes() []byte { return journalLines(j, j.Verdicts) }
+
+// journalLines renders the header (when non-nil) and one line per verdict.
+// Both hold only strings, ints and bools, which always encode.
+func journalLines(hdr *Journal, vs []Verdict) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if hdr != nil {
+		enc.Encode(hdr)
+	}
+	for _, v := range vs {
+		enc.Encode(v)
+	}
+	return buf.Bytes()
 }
 
 // Checkpoint is a crash-state verdict journal bound to one file. Create it
@@ -90,23 +136,24 @@ type Checkpoint struct {
 	// Every only bounds how much work an unclean death can lose.
 	Every int
 
-	mu       sync.Mutex
-	header   ckptHeader
-	records  map[string]ckptRecord
-	order    []string // insertion order, for stable journal files
+	mu sync.Mutex
+	// j is the journal as this run writes it, resumed and fresh records in
+	// journal order; keys holds their binary state keys.
+	j        Journal
+	keys     map[string]bool
 	resumed  int
 	warnings []string
 	dirty    int
 	// persisted counts the records already durable in the file; a flush
-	// appends order[persisted:] only. 0 means the next flush must rewrite
-	// the whole journal (fresh file, or resume discarded its content).
+	// appends j.Verdicts[persisted:] only. 0 means the next flush must
+	// rewrite the whole journal (fresh file, or resume found it unclean).
 	persisted int
 }
 
 // OpenCheckpoint binds a checkpoint journal to path. The file is not read
 // until a run resumes from it, and not created until the first flush.
 func OpenCheckpoint(path string) *Checkpoint {
-	return &Checkpoint{path: path, records: map[string]ckptRecord{}}
+	return &Checkpoint{path: path, keys: map[string]bool{}}
 }
 
 // Path returns the journal file path.
@@ -120,120 +167,86 @@ func (c *Checkpoint) Resumed() int {
 	return c.resumed
 }
 
-// Warnings returns the non-fatal anomalies of the last resume (truncated
-// tail record, configuration mismatch, duplicate keys).
+// Warnings returns the non-fatal anomalies of the last resume (torn tail,
+// configuration mismatch, duplicate keys).
 func (c *Checkpoint) Warnings() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]string(nil), c.warnings...)
 }
 
-// resume loads the journal for a run whose verdict-relevant configuration
-// fingerprints to config. A missing file is a fresh start; an incompatible
-// or damaged one is discarded with warnings. Only I/O errors other than
+// resume loads the journal for a run that fingerprints to config and
+// returns its records by binary state key. A missing file is a fresh start;
+// an incompatible or unreadable one is discarded with a warning, a damaged
+// one keeps what ReadJournal keeps. Only I/O errors other than
 // non-existence are fatal.
-func (c *Checkpoint) resume(config string) (map[string]checkResult, error) {
+func (c *Checkpoint) resume(config string) (map[string]Verdict, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.header = ckptHeader{Version: checkpointVersion, Config: config}
-	c.records = map[string]ckptRecord{}
-	c.order = nil
-	c.resumed = 0
-	c.warnings = nil
-	c.dirty = 0
-	c.persisted = 0
+	c.j = Journal{Version: checkpointVersion, Config: config}
+	c.keys = map[string]bool{}
+	c.resumed, c.warnings, c.dirty, c.persisted = 0, nil, 0, 0
 
-	f, err := os.Open(c.path)
+	data, err := os.ReadFile(c.path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
 		}
 		return nil, err
 	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("reading checkpoint %s: %w", c.path, err)
-		}
-		c.warnings = append(c.warnings, "checkpoint file is empty; starting fresh")
+	j, err := ReadJournal(data)
+	stale := ""
+	switch {
+	case err != nil:
+		stale = fmt.Sprintf("unreadable checkpoint (%v)", err)
+	case j.Version != checkpointVersion:
+		stale = fmt.Sprintf("checkpoint version %d != %d", j.Version, checkpointVersion)
+	case j.Config != config:
+		stale = "checkpoint was written by a run with a different configuration"
+	}
+	if stale != "" {
+		c.warnings = append(c.warnings, stale+"; starting fresh")
 		return nil, nil
 	}
-	var hdr ckptHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		c.warnings = append(c.warnings, fmt.Sprintf("unreadable checkpoint header (%v); starting fresh", err))
-		return nil, nil
+	if j.Torn != "" {
+		c.warnings = append(c.warnings, "checkpoint "+j.Torn)
 	}
-	if hdr.Version != checkpointVersion {
-		c.warnings = append(c.warnings, fmt.Sprintf("checkpoint version %d != %d; starting fresh", hdr.Version, checkpointVersion))
-		return nil, nil
+	if j.Duplicates > 0 {
+		c.warnings = append(c.warnings, fmt.Sprintf("%d duplicate checkpoint record(s) ignored", j.Duplicates))
 	}
-	if hdr.Config != config {
-		c.warnings = append(c.warnings, "checkpoint was written by a run with a different configuration; starting fresh")
-		return nil, nil
+	out := make(map[string]Verdict, len(j.Verdicts))
+	for _, v := range j.Verdicts {
+		key, _ := v.stateKey() // ReadJournal kept only keys that decode
+		c.keys[key] = true
+		out[key] = v
 	}
-
-	out := map[string]checkResult{}
-	line := 1
-	for sc.Scan() {
-		line++
-		var rec ckptRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Key == "" {
-			// A torn tail write is the normal way an interrupted run dies;
-			// anything after it is untrustworthy.
-			c.warnings = append(c.warnings, fmt.Sprintf("checkpoint record at line %d is damaged; dropping it and the rest of the journal", line))
-			break
-		}
-		if _, dup := c.records[rec.Key]; dup {
-			c.warnings = append(c.warnings, fmt.Sprintf("duplicate checkpoint record at line %d ignored", line))
-			continue
-		}
-		c.records[rec.Key] = rec
-		c.order = append(c.order, rec.Key)
-		out[rec.Key] = rec.toResult()
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("reading checkpoint %s: %w", c.path, err)
-	}
+	c.j.Verdicts = j.Verdicts
 	c.resumed = len(out)
 	// A clean load means the file is exactly header + records and appends
-	// may continue it; any warning (torn tail, duplicates, incompatible
-	// header) leaves persisted at 0 so the next flush rewrites it clean.
+	// may continue it; any warning leaves persisted at 0 so the next flush
+	// rewrites it clean.
 	if len(c.warnings) == 0 {
-		c.persisted = len(c.order)
+		c.persisted = len(c.j.Verdicts)
 	}
 	return out, nil
 }
 
-// record journals one freshly computed verdict, flushing every Every new
-// records. Skipped (quarantined) verdicts are not journaled so a resumed
-// run re-attempts them.
-func (c *Checkpoint) record(key string, r checkResult) error {
+// record journals one freshly computed verdict with its class key,
+// flushing every Every new records. Skipped (quarantined) verdicts are not
+// journaled so a resumed run re-attempts them.
+func (c *Checkpoint) record(key, class string, r checkResult) error {
 	if r.skipped {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.records[key]; ok {
+	if c.keys[key] {
 		return nil
 	}
-	rec := ckptRecord{
-		Key:         key,
-		Consistent:  r.consistent,
-		Layer:       r.layer,
-		Consequence: r.consequence,
-		State:       r.state,
-	}
-	c.records[key] = rec
-	c.order = append(c.order, key)
+	c.keys[key] = true
+	c.j.Verdicts = append(c.j.Verdicts, newVerdict(key, class, r))
 	c.dirty++
-	every := c.Every
-	if every <= 0 {
-		every = defaultCheckpointEvery
-	}
-	if c.dirty >= every {
+	if c.dirty >= cmp.Or(c.Every, defaultCheckpointEvery) {
 		return c.flushLocked()
 	}
 	return nil
@@ -256,46 +269,31 @@ func (c *Checkpoint) Flush() error {
 // run, an fsynced append of just the new records otherwise. Either way no
 // record counts as flushed until it is on disk.
 func (c *Checkpoint) flushLocked() error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	var err error
 	if c.persisted == 0 {
-		if err := enc.Encode(c.header); err != nil {
-			return err
-		}
-		for _, key := range c.order {
-			if err := enc.Encode(c.records[key]); err != nil {
-				return err
-			}
-		}
-		if err := statefs.WriteBytes(siteCkptRewrite, c.path, buf.Bytes()); err != nil {
-			return err
-		}
-	} else if len(c.order) > c.persisted {
-		for _, key := range c.order[c.persisted:] {
-			if err := enc.Encode(c.records[key]); err != nil {
-				return err
-			}
-		}
-		if err := statefs.Append(siteCkptAppend, c.path, buf.Bytes()); err != nil {
-			return err
-		}
+		err = statefs.WriteBytes(siteCkptRewrite, c.path, c.j.Bytes())
+	} else if len(c.j.Verdicts) > c.persisted {
+		err = statefs.Append(siteCkptAppend, c.path, journalLines(nil, c.j.Verdicts[c.persisted:]))
 	}
-	c.persisted = len(c.order)
+	if err != nil {
+		return err
+	}
+	c.persisted = len(c.j.Verdicts)
 	c.dirty = 0
 	return nil
 }
 
-// checkpointConfig fingerprints every option that influences crash-state
-// verdicts, so a journal written under one configuration resumes only into
-// the same one. TestCheckpointConfigCoversOptions holds every Options and
+// checkpointConfig fingerprints a run: its identity (session.identity:
+// backend, server count, workload and traced ops) and every option that
+// influences crash-state verdicts, so a journal or a shard report written
+// by one run is trusted only by a run of the same trace under the same
+// rules. TestCheckpointConfigCoversOptions holds every Options and
 // EmulatorConfig field to this, and lists with its reason each field left
-// out because it cannot change a verdict. mlo is the constant maxLayerOps,
-// kept so that journals written while it was an option still resume.
-func checkpointConfig(workload, fsName string, opts Options) string {
-	return fmt.Sprintf("v%d|%s|%s|%s|pfs=%d|lib=%d|k=%d|fm=%d|mf=%d|ms=%d|mlo=%d|mls=%d|nosem=%t",
-		checkpointVersion, workload, fsName, opts.Mode,
+// out because it cannot change a verdict.
+func checkpointConfig(identity string, opts Options) string {
+	return fmt.Sprintf("v%d|%s|%s|pfs=%d|lib=%d|k=%d|fm=%d|mf=%d|ms=%d|mls=%d|nosem=%t",
+		checkpointVersion, identity, opts.Mode,
 		opts.PFSModel, opts.LibModel,
 		opts.Emulator.K, opts.Emulator.FrontMode, opts.Emulator.MaxFronts, opts.Emulator.MaxStates,
-		maxLayerOps, opts.MaxLegalStates,
-		opts.DisableSemanticPruning)
+		opts.MaxLegalStates, opts.DisableSemanticPruning)
 }

@@ -1,6 +1,7 @@
 package paracrash
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		"f2|k1": {consistent: true},
 	}
 	for k, r := range want {
-		if err := c.record(k, r); err != nil {
+		if err := c.record(k, "class:"+k, r); err != nil {
 			t.Fatalf("record(%s): %v", k, err)
 		}
 	}
@@ -44,8 +45,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("resumed %d records, want %d", len(got), len(want))
 	}
 	for k, w := range want {
-		if got[k] != w {
-			t.Errorf("resumed %s = %+v, want %+v", k, got[k], w)
+		if got[k].result() != w || got[k].Class != "class:"+k {
+			t.Errorf("resumed %s = %+v, want %+v in class:%s", k, got[k], w, k)
 		}
 	}
 	if c2.Resumed() != 3 || len(c2.Warnings()) != 0 {
@@ -60,10 +61,10 @@ func TestCheckpointSkippedNotJournaled(t *testing.T) {
 	if _, err := c.resume("cfg"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.record("f|skip", checkResult{skipped: true, consequence: "quarantined"}); err != nil {
+	if err := c.record("f|skip", "", checkResult{skipped: true, consequence: "quarantined"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.record("f|ok", checkResult{consistent: true}); err != nil {
+	if err := c.record("f|ok", "", checkResult{consistent: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -90,7 +91,7 @@ func TestCheckpointTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"a|1", "a|2", "a|3"} {
-		if err := c.record(k, checkResult{consistent: true}); err != nil {
+		if err := c.record(k, "", checkResult{consistent: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +127,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	if _, err := c.resume("cfg-A"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.record("a|1", checkResult{consistent: true}); err != nil {
+	if err := c.record("a|1", "", checkResult{consistent: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -146,10 +147,11 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 }
 
 // TestCheckpointVersionAndHeaderDamage: wrong version or an unparsable
-// header both mean a fresh start with a warning, never an error. The v1 and
-// v2 cases are journals as earlier formats wrote them: v1's fingerprint
+// header both mean a fresh start with a warning, never an error. The v1, v2
+// and v3 cases are journals as earlier formats wrote them: v1's fingerprint
 // still carries the notsp/noinc fields version 2 dropped, v2's the norep
-// field and per-record legal-set sizes version 3 dropped.
+// field and per-record legal-set sizes version 3 dropped, v3's the mlo field
+// and raw binary keys version 4 dropped.
 func TestCheckpointVersionAndHeaderDamage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	cases := map[string]string{
@@ -160,7 +162,9 @@ func TestCheckpointVersionAndHeaderDamage(t *testing.T) {
 			`{"key":"a|1","consistent":true}` + "\n",
 		"v2": `{"version":2,"config":"v2|ARVR|beegfs|pruning|pfs=2|lib=3|k=1|fm=0|mf=20000|ms=200000|mlo=20|mls=50000|nosem=false|norep=false"}` + "\n" +
 			`{"key":"a|1","consistent":true,"pfs_legal_n":3}` + "\n",
-		"dupkeys": fmt.Sprintf(`{"version":%d,"config":"cfg"}`, checkpointVersion) + "\n" + `{"key":"a"}` + "\n" + `{"key":"a"}` + "\n",
+		"v3": `{"version":3,"config":"v3|ARVR|beegfs|pruning|pfs=2|lib=3|k=1|fm=0|mf=20000|ms=200000|mlo=20|mls=50000|nosem=false"}` + "\n" +
+			`{"key":"\u0001\u0000|\u0003\u0000","consistent":true}` + "\n",
+		"dupkeys": fmt.Sprintf(`{"version":%d,"config":"cfg"}`, checkpointVersion) + "\n" + `{"key":"0a"}` + "\n" + `{"key":"0a"}` + "\n",
 	}
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -195,13 +199,13 @@ func TestCheckpointAutoFlush(t *testing.T) {
 	if _, err := c.resume("cfg"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.record("a|1", checkResult{consistent: true}); err != nil {
+	if err := c.record("a|1", "", checkResult{consistent: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(c.Path()); !os.IsNotExist(err) {
 		t.Fatalf("journal flushed before Every records (stat err = %v)", err)
 	}
-	if err := c.record("a|2", checkResult{consistent: true}); err != nil {
+	if err := c.record("a|2", "", checkResult{consistent: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(c.Path()); err != nil {
@@ -209,28 +213,28 @@ func TestCheckpointAutoFlush(t *testing.T) {
 	}
 }
 
+// testIdentity stands in for a session's identity in fingerprint tests.
+const testIdentity = "beegfs|4|ARVR|0011223344556677"
+
 // TestCheckpointConfigCoversVerdictKnobs: the fingerprint must move when a
 // verdict-relevant option moves, and stay put for verdict-transparent ones.
 func TestCheckpointConfigCoversVerdictKnobs(t *testing.T) {
 	base := DefaultOptions()
-	fp := checkpointConfig("ARVR", "beegfs", base)
+	fp := checkpointConfig(testIdentity, base)
 
 	changed := DefaultOptions()
 	changed.Mode = ModeBrute
-	if checkpointConfig("ARVR", "beegfs", changed) == fp {
+	if checkpointConfig(testIdentity, changed) == fp {
 		t.Error("fingerprint ignores Mode")
 	}
-	if checkpointConfig("WAL", "beegfs", base) == fp {
-		t.Error("fingerprint ignores workload")
-	}
-	if checkpointConfig("ARVR", "lustre", base) == fp {
-		t.Error("fingerprint ignores file system")
+	if checkpointConfig("beegfs|4|WAL|0011223344556677", base) == fp {
+		t.Error("fingerprint ignores the run identity")
 	}
 
 	transparent := DefaultOptions()
 	transparent.Workers = 7
 	transparent.Retry = RetryPolicy{MaxAttempts: 9}
-	if checkpointConfig("ARVR", "beegfs", transparent) != fp {
+	if checkpointConfig(testIdentity, transparent) != fp {
 		t.Error("fingerprint moves on verdict-transparent options (Workers/Retry)")
 	}
 }
@@ -282,7 +286,7 @@ func TestCheckpointConfigCoversOptions(t *testing.T) {
 	brute.Mode = ModeBrute
 	nosem.DisableSemanticPruning = true
 	for _, base := range []Options{brute, DefaultOptions(), nosem} {
-		fp := checkpointConfig("ARVR", "beegfs", base)
+		fp := checkpointConfig(testIdentity, base)
 		var walk func(prefix string, field func(*Options) reflect.Value, typ reflect.Type)
 		walk = func(prefix string, field func(*Options) reflect.Value, typ reflect.Type) {
 			for i := 0; i < typ.NumField(); i++ {
@@ -298,7 +302,7 @@ func TestCheckpointConfigCoversOptions(t *testing.T) {
 				}
 				o := base
 				vary(name, get(&o))
-				if checkpointConfig("ARVR", "beegfs", o) != fp {
+				if checkpointConfig(testIdentity, o) != fp {
 					continue
 				}
 				if strings.HasPrefix(name, "Emulator.") {
@@ -315,4 +319,94 @@ func TestCheckpointConfigCoversOptions(t *testing.T) {
 		}
 		walk("", func(o *Options) reflect.Value { return reflect.ValueOf(o).Elem() }, reflect.TypeOf(base))
 	}
+}
+
+// TestCheckpointTornNewline: a journal whose last record lost its newline
+// is torn to resume as it is to fsck — the record itself is complete and
+// kept — and the next flush rewrites the file instead of gluing an append
+// onto the unterminated line, so no acknowledged record is lost.
+func TestCheckpointTornNewline(t *testing.T) {
+	c := ckptAt(t)
+	if _, err := c.resume("cfg"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a|1", "a|2", "a|3"} {
+		if err := c.record(k, "", checkResult{consistent: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(c.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.Path(), bytes.TrimSuffix(data, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := OpenCheckpoint(c.Path())
+	got, err := c2.resume("cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("resumed %d records, want all 3", len(got))
+	}
+	if w := strings.Join(c2.Warnings(), "\n"); !strings.Contains(w, "newline") {
+		t.Fatalf("no torn-tail warning, got %q", w)
+	}
+	if err := c2.record("a|4", "", checkResult{consistent: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	c3 := OpenCheckpoint(c.Path())
+	if got, err := c3.resume("cfg"); err != nil || len(got) != 4 || len(c3.Warnings()) != 0 {
+		t.Fatalf("after the rewrite: %d records, warnings %v, err %v; want 4 clean", len(got), c3.Warnings(), err)
+	}
+}
+
+// FuzzJournal feeds arbitrary bytes to ReadJournal, the one journal
+// reader: it never panics; what it keeps, written back, reads clean and
+// unchanged; and a record appended to a clean journal is read back after
+// every record the journal already held.
+func FuzzJournal(f *testing.F) {
+	hdr := fmt.Sprintf(`{"version":%d,"config":"cfg"}`, checkpointVersion) + "\n"
+	f.Add([]byte(hdr + `{"key":"0a","class":"c|01","consistent":true}` + "\n" + `{"key":"0b","layer":"pfs","state":"s"}` + "\n"))
+	f.Add([]byte(hdr + `{"key":"0a"}` + "\n" + `{"key":"0A"}` + "\n" + `{"key":"0b","cons`))
+	f.Add([]byte(hdr + `{"key":"0a"}`))
+	f.Add([]byte(hdr + "not json\n" + `{"key":"0c"}` + "\n"))
+	f.Add([]byte(hdr + `{"key":""}` + "\n"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := ReadJournal(data)
+		if err != nil {
+			return
+		}
+		back, err := ReadJournal(j.Bytes())
+		if err != nil || back.Torn != "" || back.Duplicates != 0 || !reflect.DeepEqual(back.Verdicts, j.Verdicts) {
+			t.Fatalf("written back, the journal reads %+v (err %v), want clean %+v", back, err, j.Verdicts)
+		}
+		if j.Torn != "" {
+			return
+		}
+		held := map[string]bool{}
+		for _, v := range j.Verdicts {
+			k, _ := v.stateKey()
+			held[k] = true
+		}
+		key := "appended"
+		for held[key] {
+			key += "+"
+		}
+		v := newVerdict(key, "", checkResult{consistent: true})
+		more, err := ReadJournal(append(append([]byte(nil), data...), journalLines(nil, []Verdict{v})...))
+		if err != nil || more.Torn != "" || !reflect.DeepEqual(more.Verdicts, append(j.Verdicts, v)) {
+			t.Fatalf("after an append the journal reads %+v (err %v), want %+v then %+v", more, err, j.Verdicts, v)
+		}
+	})
 }

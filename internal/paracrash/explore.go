@@ -284,7 +284,8 @@ type Stats struct {
 	// StateClasses is the number of class memo entries at the end of the run.
 	StateClasses int
 	StatesPruned int
-	// StatesResumed counts verdicts taken from a checkpoint journal.
+	// StatesResumed counts verdicts taken from a checkpoint journal (for
+	// states no class representative already settled).
 	StatesResumed int
 	// ServerRestores and OpsReplayed count the server-store restores and
 	// lowermost op applies this run performed (reconstruction, class
@@ -407,6 +408,10 @@ type session struct {
 	// between crash states, never inside a state's reconstruction, so a
 	// cancelled run stops at a clean state boundary.
 	ctx context.Context
+	// start is when the run began; id caches identity().
+	start   time.Time
+	program string
+	id      string
 
 	g       *causality.Graph
 	emu     *Emulator
@@ -445,9 +450,9 @@ type session struct {
 	// reconstructor — shard workers build one over their clone.
 	recon *reconstructor
 
-	// resumed holds verdicts replayed from a checkpoint journal, keyed like
+	// resumed holds the records of a checkpoint journal, keyed like
 	// checkCache. Read-only during exploration (shared with shard workers).
-	resumed map[string]checkResult
+	resumed map[string]Verdict
 	// ckpt, on the primary session only, receives every freshly computed
 	// verdict for journaling.
 	ckpt *Checkpoint
@@ -567,7 +572,11 @@ func Run(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Report, err
 // surviving run visits, so an uncancelled RunContext is byte-identical to
 // Run.
 func RunContext(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Report, error) {
-	return runPipeline(ctx, fs, lib, w, opts, nil, nil)
+	s, err := prepare(ctx, fs, lib, w, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.explore(nil, nil)
 }
 
 // prepare runs phases 0–2 of the pipeline — preamble, traced execution,
@@ -577,6 +586,10 @@ func RunContext(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload,
 // trace, graph, emulator universe and golden states, which is what makes
 // shard keys derived from the generation order stable across processes.
 func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, opts Options) (*session, error) {
+	start := time.Now()
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	rec := fs.Recorder()
 	if oa, ok := fs.(pfs.ObsAware); ok {
 		// Store-level timings (restore/recover/mount) report to the same
@@ -630,7 +643,7 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 	emu.Faults = opts.Faults
 
 	s := &session{
-		fs: fs, lib: lib, opts: opts, ctx: ctx,
+		fs: fs, lib: lib, opts: opts, ctx: ctx, start: start, program: w.Name(),
 		g: g, emu: emu, initial: initial,
 		pfsOps:     NewLayerOps(g, trace.LayerPFS, nil),
 		clients:    map[string]pfs.Client{},
@@ -643,7 +656,7 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 		s.libOps = NewLayerOps(g, trace.LayerIOLib, lib.IsLibOp)
 	}
 	if opts.LegalMemo != nil {
-		s.memoScope = legalMemoScope(fs, w.Name(), ops, opts)
+		s.memoScope = fmt.Sprintf("%s|mls=%d", s.identity(), opts.MaxLegalStates)
 	}
 	var err error
 	if s.recon, err = newReconstructor(s); err != nil {
@@ -713,6 +726,14 @@ func (s *session) resumeCheckpoint(config string) error {
 	return nil
 }
 
+// flushCheckpoint is the exit-path flush of a resumed run's journal. A
+// failed flush is counted, never fatal.
+func (s *session) flushCheckpoint() {
+	if err := s.opts.Checkpoint.Flush(); err != nil {
+		s.opts.Obs.Counter("checkpoint/flush-errors").Inc()
+	}
+}
+
 // emulatorConfig materialises the crash-emulation bounds for phase 3. The
 // victim filter is derived here, whatever the caller set: the semantic
 // filter in pruning mode, nil in brute force or with semantic pruning off,
@@ -750,46 +771,26 @@ func (s *session) generate() []CrashState {
 	return states
 }
 
-// runPipeline is the full exploration pipeline behind RunContext and
-// MergeShards. lookup, when non-nil, resolves crash-state keys to verdicts
-// precomputed elsewhere (shard workers of a fleet run); the pipeline then
-// replays the exact serial walk — same visiting order, pruning and class
-// attribution — satisfying checks from the lookup and computing only what
-// it misses, so the report's verdicts and state counts match a standalone
-// run. effort is the shards' measured work, folded into the report's Stats.
-// A non-nil lookup forces the serial engine: the in-process parallel
-// workers would race the external verdicts for the same states.
-func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, opts Options, lookup func(string) (checkResult, string, bool), effort []Stats) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	s, err := prepare(ctx, fs, lib, w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.explore(start, w.Name(), lookup, effort)
-}
-
-// explore is phase 3 of runPipeline on a prepared session: it generates the
-// crash states, judges and classifies them, and builds the report. start is
-// when the run began; program names the workload.
-func (s *session) explore(start time.Time, program string, lookup func(string) (checkResult, string, bool), effort []Stats) (*Report, error) {
-	ctx, fs, opts := s.ctx, s.fs, s.opts
+// explore is phase 3 of RunContext and MergeShards on a prepared session:
+// it generates the crash states, judges and classifies them, and builds the
+// report. lookup, when non-nil, resolves crash-state keys to verdicts and
+// class keys judged by fleet shard workers; the walk is then the exact
+// serial walk, satisfying checks from the lookup and computing only what it
+// misses, and effort (the shards' measured work) is folded into Stats. A
+// non-nil lookup forces the serial engine: in-process parallel workers
+// would race the shipped verdicts for the same states.
+func (s *session) explore(lookup func(string) (checkResult, string, bool), effort []Stats) (*Report, error) {
+	ctx, fs, opts, program := s.ctx, s.fs, s.opts, s.program
 	g, emu, initial := s.g, s.emu, s.initial
 
 	// Checkpoint/resume: load previously journaled verdicts (if any) and
 	// keep journaling from here on. The journal is flushed on every exit
 	// path — success, failure and cancellation alike.
 	if opts.Checkpoint != nil {
-		if err := s.resumeCheckpoint(checkpointConfig(program, fs.Name(), opts)); err != nil {
+		if err := s.resumeCheckpoint(checkpointConfig(s.identity(), opts)); err != nil {
 			return nil, err
 		}
-		defer func() {
-			if err := opts.Checkpoint.Flush(); err != nil {
-				opts.Obs.Counter("checkpoint/flush-errors").Inc()
-			}
-		}()
+		defer s.flushCheckpoint()
 	}
 	s.outcomeFor = lookup
 
@@ -879,7 +880,7 @@ func (s *session) explore(start time.Time, program string, lookup func(string) (
 	report.Bugs = bugs.Bugs()
 	s.stats.StateClasses = len(s.classes)
 	opts.Obs.Gauge("states/classes").Set(int64(s.stats.StateClasses))
-	s.stats.Duration = time.Since(start)
+	s.stats.Duration = time.Since(s.start)
 	report.Stats = s.stats
 	return report, nil
 }
@@ -923,12 +924,12 @@ func (s *session) client(proc string) (pfs.Client, error) {
 // classifier probes such combinations). Faulted attempts are retried per
 // Options.Retry; an exhausted state comes back skipped.
 //
-// The class is looked up before any precomputed verdict, so a member is
-// attributed the same way whether its class's representative was computed,
-// shipped by a worker or resumed from a journal — which is also what lets a
-// journal holding a record per state resume. The class key is returned too:
-// "" when the digest faulted, and for a state answered from the cache (a
-// merge then digests it itself).
+// A verdict shipped by a worker or read from a journal brings its class
+// key, so the state is not digested again; the class is looked up before
+// that verdict is used, so a member is attributed the same way whether its
+// representative was computed, shipped or resumed. The class key is
+// returned too: "" when the digest faulted, and for a state answered from
+// the cache (a merge then digests it itself).
 func (s *session) check(cs CrashState) (checkResult, string) {
 	if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
 		return checkResult{consistent: true}, ""
@@ -938,12 +939,16 @@ func (s *session) check(cs CrashState) (checkResult, string) {
 		return r, ""
 	}
 	var r checkResult
-	ckey, ok := "", false
+	ckey, ok, resumed := "", false, false
 	if s.outcomeFor != nil {
 		// A shard worker may already have digested and judged it. Whether the
 		// worker attributed it from its own classes does not carry over.
 		r, ckey, ok = s.outcomeFor(key)
 		r.attributed = false
+	}
+	if v, hit := s.resumed[key]; hit && !ok {
+		// So may the run that wrote the journal.
+		r, ckey, ok, resumed = v.result(), v.Class, true, true
 	}
 	var derr error
 	if ckey == "" {
@@ -958,10 +963,8 @@ func (s *session) check(cs CrashState) (checkResult, string) {
 		s.checkCache[key] = cr
 		return cr, ckey
 	}
-	if !ok {
-		if r, ok = s.resumed[key]; ok {
-			s.stats.StatesResumed++
-		}
+	if resumed {
+		s.stats.StatesResumed++
 	}
 	switch {
 	case ok && r.skipped:
@@ -980,7 +983,7 @@ func (s *session) check(cs CrashState) (checkResult, string) {
 	}
 	s.checkCache[key] = r
 	s.recordClass(ckey, r)
-	s.journal(key, r)
+	s.journal(key, ckey, r)
 	return r, ckey
 }
 
@@ -998,15 +1001,15 @@ func (s *session) probe(cs CrashState) (bool, string) {
 	return res.consistent || res.skipped, res.state
 }
 
-// journal records a verdict in the checkpoint (primary session only; no-op
-// otherwise, and for verdicts the journal already holds). Journal write
-// errors are counted, never fatal — losing checkpoint durability must not
-// take the run down.
-func (s *session) journal(key string, r checkResult) {
+// journal records a verdict and its class key in the checkpoint (primary
+// session only; no-op otherwise, and for verdicts the journal already
+// holds). Journal write errors are counted, never fatal — losing checkpoint
+// durability must not take the run down.
+func (s *session) journal(key, class string, r checkResult) {
 	if s.ckpt == nil {
 		return
 	}
-	if err := s.ckpt.record(key, r); err != nil {
+	if err := s.ckpt.record(key, class, r); err != nil {
 		s.obs.Counter("checkpoint/flush-errors").Inc()
 	}
 }

@@ -3,7 +3,6 @@ package paracrash
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"paracrash/internal/pfs"
 )
@@ -132,7 +131,7 @@ func (s *session) referenceJudge(judged map[string]checkResult) func(CrashState)
 		}
 		r := s.checkWithRetry(cs)
 		judged[key] = r
-		s.journal(key, r)
+		s.journal(key, "", r)
 		return r
 	}
 }
@@ -151,7 +150,7 @@ func ReferenceRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Re
 		return nil, nil, err
 	}
 	if opts.Checkpoint != nil {
-		if err := s.resumeCheckpoint(checkpointConfig(w.Name(), fs.Name(), opts)); err != nil {
+		if err := s.resumeCheckpoint(checkpointConfig(s.identity(), opts)); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -216,7 +215,7 @@ func ReferenceRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Re
 	report.Stats = s.stats
 	judged := make(map[string]Judged, len(judgedRes))
 	for k, r := range judgedRes {
-		judged[k] = Judged{Verdict: newVerdict(k, r), Visited: visited[k]}
+		judged[k] = Judged{Verdict: newVerdict(k, "", r), Visited: visited[k]}
 	}
 	return report, judged, nil
 }
@@ -227,18 +226,17 @@ func ReferenceRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Re
 // Attributed set where the state took its class representative's verdict.
 // A sync-infeasible state is judged consistent without being held.
 func EngineRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Report, map[string]Judged, error) {
-	start := time.Now()
 	s, err := prepare(context.Background(), fs, lib, w, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := s.explore(start, w.Name(), nil, nil)
+	rep, err := s.explore(nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	judged := make(map[string]Judged, len(s.checkCache))
 	for k, r := range s.checkCache {
-		judged[k] = Judged{Verdict: newVerdict(k, r), Attributed: r.attributed}
+		judged[k] = Judged{Verdict: newVerdict(k, "", r), Attributed: r.attributed}
 	}
 	return rep, judged, nil
 }

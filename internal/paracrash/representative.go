@@ -43,8 +43,6 @@ import (
 	"sync"
 
 	"paracrash/internal/causality"
-	"paracrash/internal/pfs"
-	"paracrash/internal/trace"
 )
 
 // frontStatus is one crash front's status vectors on both layers, memoised
@@ -130,16 +128,20 @@ func NewLegalMemo() *LegalMemo {
 	return &LegalMemo{m: map[string]map[string]bool{}}
 }
 
-// legalMemoScope derives the session's memo namespace from everything a
-// legal-state set depends on besides (layer, model, status): the backend,
-// its server count, the workload identity, the traced ops and the
-// enumeration cap.
-func legalMemoScope(fs pfs.FileSystem, workload string, ops []*trace.Op, opts Options) string {
-	h := sha256.New()
-	for _, op := range ops {
-		fmt.Fprintf(h, "%s|%+v\n", op.Key(), op.Payload)
+// identity is the run's identity across runs and processes: the backend,
+// its server count, the workload name and a digest of the traced ops. The
+// checkpoint fingerprint (which journals and shard reports carry) and the
+// legal-state memo scope both key on it, so verdicts, class keys and legal
+// sets are reused only by a run that traced the same ops.
+func (s *session) identity() string {
+	if s.id == "" {
+		h := sha256.New()
+		for _, op := range s.g.Ops {
+			fmt.Fprintf(h, "%s|%+v\n", op.Key(), op.Payload)
+		}
+		s.id = fmt.Sprintf("%s|%d|%s|%x", s.fs.Name(), len(s.fs.Procs()), s.program, h.Sum(nil)[:8])
 	}
-	return fmt.Sprintf("%s|%d|%s|%x|mls=%d", fs.Name(), len(fs.Procs()), workload, h.Sum(nil)[:8], opts.MaxLegalStates)
+	return s.id
 }
 
 // memoLookup consults the cross-run memo (nil-safe).

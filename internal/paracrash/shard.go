@@ -9,16 +9,18 @@
 // causality graph, emulator universe, golden states — prepare is pure per
 // configuration, so every process derives the identical generation order),
 // judges only the states whose generation index falls in its shard, and
-// returns their verdicts in a serializable ShardReport. Workers never prune
+// returns their verdicts, each with the class key it was digested into, in
+// a serializable ShardReport. Workers never prune
 // speculatively — a worker process has no view of the merge's BugSet, so it
 // judges every state it owns; the merge prunes, exactly as the in-process
 // parallel engine's merge pass does for speculatively skipped states.
 //
 // MergeShards is the coordinator side: it validates that the shard reports
 // cover the partition and were produced under the same verdict-relevant
-// configuration, then replays the full serial pipeline resolving checks
-// through the collected verdicts (the outcomeFor seam the in-process merge
-// already uses), computing locally only what no shard judged (classifier
+// configuration and trace, then replays the full serial pipeline resolving
+// checks and class lookups through the collected verdicts (the outcomeFor
+// seam the in-process merge already uses), so no shipped state is digested
+// twice, and computing locally only what no shard judged (classifier
 // probes outside the generated set). The resulting report has RunContext's
 // verdicts, state keys, state counts and bug set — which is what lets a
 // fleet run stand in for a standalone one — and Stats whose effort is the
@@ -27,6 +29,8 @@ package paracrash
 
 import (
 	"context"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"time"
 
@@ -72,12 +76,16 @@ func (sp ShardSpec) indices(n int) []int {
 	return ids
 }
 
-// Verdict is one crash-state verdict in wire form: checkResult plus the
-// state's front|keep key, serializable so worker processes can ship their
-// judgements to the coordinator through the store.
+// Verdict is a judged crash state in wire form: a checkpoint journal line
+// and an entry of ShardReport.Verdicts alike.
 type Verdict struct {
-	// Key is the crash state's front|keep identity (the check-cache key).
-	Key         string `json:"key"`
+	// Key is the crash state's front|keep identity (the check-cache key) in
+	// hex, since JSON would mangle the binary key's invalid UTF-8. Only
+	// newVerdict encodes it and only stateKey decodes it.
+	Key string `json:"key"`
+	// Class is the class key the state was digested into ("" when it was
+	// not), so a reader takes it instead of digesting the state again.
+	Class       string `json:"class,omitempty"`
 	Consistent  bool   `json:"consistent,omitempty"`
 	Layer       string `json:"layer,omitempty"`
 	Consequence string `json:"consequence,omitempty"`
@@ -90,15 +98,26 @@ type Verdict struct {
 }
 
 // newVerdict converts an engine verdict to wire form.
-func newVerdict(key string, r checkResult) Verdict {
+func newVerdict(key, class string, r checkResult) Verdict {
 	return Verdict{
-		Key:         key,
+		Key:         hex.EncodeToString([]byte(key)),
+		Class:       class,
 		Consistent:  r.consistent,
 		Layer:       r.layer,
 		Consequence: r.consequence,
 		State:       r.state,
 		Skipped:     r.skipped,
 	}
+}
+
+// stateKey decodes the binary state key; an empty or non-hex key is an
+// error.
+func (v Verdict) stateKey() (string, error) {
+	key, err := hex.DecodeString(v.Key)
+	if err == nil && len(key) == 0 {
+		err = errors.New("empty verdict key")
+	}
+	return string(key), err
 }
 
 // result converts a wire verdict back to the engine's form.
@@ -119,7 +138,7 @@ type ShardReport struct {
 	Shard ShardSpec `json:"shard"`
 	// Config is the verdict-relevant configuration fingerprint of the run
 	// that produced the verdicts (the checkpoint fingerprint). MergeShards
-	// refuses reports whose fingerprint differs from its own options.
+	// refuses reports whose fingerprint differs from its own trace's.
 	Config string `json:"config"`
 	// StatesGenerated is the size of the full generated crash-state space
 	// the shard was dealt from; every shard of a partition must agree.
@@ -148,32 +167,21 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 	if err := shard.Validate(); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
 	s, err := prepare(ctx, fs, lib, w, opts)
 	if err != nil {
 		return nil, err
 	}
-	config := checkpointConfig(w.Name(), fs.Name(), opts)
+	config := checkpointConfig(s.identity(), opts)
 	if opts.Checkpoint != nil {
 		if err := s.resumeCheckpoint(config + shard.suffix()); err != nil {
 			return nil, err
 		}
-		defer func() {
-			if err := opts.Checkpoint.Flush(); err != nil {
-				opts.Obs.Counter("checkpoint/flush-errors").Inc()
-			}
-		}()
+		defer s.flushCheckpoint()
 	}
 
 	// Generate the full state space — the dealing is positional, so a shard
 	// must see the same list every process sees — then keep our slice.
 	states := s.generate()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("paracrash: shard cancelled: %w", err)
-	}
 	ids := shard.indices(len(states))
 	opts.Obs.Gauge("shard/states").Set(int64(len(ids)))
 
@@ -181,27 +189,25 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 	// speculative pruning cross-process) and a board to collect verdicts.
 	// The loop publishes a verdict for every owned id unless cancelled.
 	board := newResultBoard(len(states))
-	bugs := NewBugSet()
-	pending := opts.Obs.Gauge("shard/pending")
 	stopExplore := opts.Obs.Phase(obs.PhaseExplore)
-	s.exploreShard(states, ids, bugs, board, pending)
+	s.exploreShard(states, ids, NewBugSet(), board, opts.Obs.Gauge("shard/pending"))
 	stopExplore()
 
 	// Leave the cluster at the untouched post-run state, like RunContext.
 	fs.Restore(s.initial)
-	if err := ctx.Err(); err != nil {
+	if err := s.ctx.Err(); err != nil {
 		return nil, fmt.Errorf("paracrash: shard cancelled: %w", err)
 	}
 
 	s.stats.StateClasses = len(s.classes)
-	s.stats.Duration = time.Since(start)
+	s.stats.Duration = time.Since(s.start)
 	rep := &ShardReport{Shard: shard, Config: config, StatesGenerated: s.stats.StatesGenerated, Stats: s.stats}
 	for _, id := range ids {
-		res, _, ok := board.await(id) // published: the loop covered every id
+		res, class, ok := board.await(id) // published: the loop covered every id
 		if !ok {
 			return nil, fmt.Errorf("paracrash: shard %s: no verdict for state %d", shard, id)
 		}
-		rep.Verdicts = append(rep.Verdicts, newVerdict(stateKey(states[id]), res))
+		rep.Verdicts = append(rep.Verdicts, newVerdict(stateKey(states[id]), class, res))
 	}
 	return rep, nil
 }
@@ -216,17 +222,22 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 //
 // The reports must form a complete partition — one report per shard index
 // of a single Count, all fingerprinting to this run's configuration and
-// agreeing on the generated-space size — otherwise MergeShards refuses
-// rather than deliver a silently partial report.
+// trace (so the merge prepares before it validates), agreeing on the
+// generated-space size — otherwise MergeShards refuses rather than deliver
+// a silently partial report.
 func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, opts Options, shards []*ShardReport) (*Report, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("paracrash: merge: no shard reports")
 	}
-	config := checkpointConfig(w.Name(), fs.Name(), opts)
+	s, err := prepare(ctx, fs, lib, w, opts)
+	if err != nil {
+		return nil, err
+	}
+	config := checkpointConfig(s.identity(), opts)
 	count := shards[0].Shard.Count
 	generated := shards[0].StatesGenerated
 	seen := make(map[int]bool, len(shards))
-	verdicts := make(map[string]checkResult)
+	verdicts := make(map[string]Verdict)
 	effort := make([]Stats, 0, len(shards))
 	for _, sr := range shards {
 		if err := sr.Shard.Validate(); err != nil {
@@ -250,7 +261,11 @@ func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 			// Verdicts are deterministic per configuration, so a key judged
 			// by two shards (it cannot happen in a clean partition, but a
 			// reclaimed shard re-run is harmless) resolves identically.
-			verdicts[v.Key] = v.result()
+			key, err := v.stateKey()
+			if err != nil {
+				return nil, fmt.Errorf("paracrash: merge: shard %s: %w", sr.Shard, err)
+			}
+			verdicts[key] = v
 		}
 	}
 	for i := 0; i < count; i++ {
@@ -258,11 +273,8 @@ func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 			return nil, fmt.Errorf("paracrash: merge: missing report for shard %d/%d", i, count)
 		}
 	}
-	// Shard reports carry no class keys, so the merge computes the class
-	// digest of every state itself.
-	lookup := func(key string) (checkResult, string, bool) {
-		r, ok := verdicts[key]
-		return r, "", ok
-	}
-	return runPipeline(ctx, fs, lib, w, opts, lookup, effort)
+	return s.explore(func(key string) (checkResult, string, bool) {
+		v, ok := verdicts[key]
+		return v.result(), v.Class, ok
+	}, effort)
 }

@@ -2,6 +2,7 @@ package paracrash_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"paracrash/internal/exps"
 	"paracrash/internal/faultinject"
+	"paracrash/internal/obs"
 	"paracrash/internal/paracrash"
 	"paracrash/internal/trace"
 	"paracrash/internal/workloads"
@@ -30,9 +32,24 @@ func runShards(t *testing.T, backend string, prog *workloads.Program, opts parac
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", i, count, err)
 		}
-		reports[i] = sr
+		reports[i] = wireRoundTrip(t, sr)
 	}
 	return reports
+}
+
+// wireRoundTrip passes a shard report through encoding/json, as the
+// fleet's result files do.
+func wireRoundTrip(t *testing.T, sr *paracrash.ShardReport) *paracrash.ShardReport {
+	t.Helper()
+	data, err := json.Marshal(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := new(paracrash.ShardReport)
+	if err := json.Unmarshal(data, back); err != nil {
+		t.Fatal(err)
+	}
+	return back
 }
 
 // mergeShards merges shard reports on a fresh cluster.
@@ -42,11 +59,33 @@ func mergeShards(t *testing.T, backend string, prog *workloads.Program, opts par
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := obs.NewRun()
+	opts.Obs = run
 	rep, err := paracrash.MergeShards(context.Background(), fs, nil, prog, opts, reports)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
+	checkMergeDigests(t, run, reports)
 	return rep
+}
+
+// checkMergeDigests holds a merge to digesting only what no shard shipped:
+// every shipped verdict carries its class key, so the merge's class-digest
+// restores are classifier probes outside the generated space
+// (restores/digest <= restores/probe). A state whose digest faulted
+// through its retries ships without a class key, and the merge digests it.
+func checkMergeDigests(t *testing.T, run *obs.Run, reports []*paracrash.ShardReport) {
+	t.Helper()
+	for _, sr := range reports {
+		for _, v := range sr.Verdicts {
+			if v.Class == "" && v.Skipped {
+				return
+			}
+		}
+	}
+	if d, p := run.Counter("restores/digest").Value(), run.Counter("restores/probe").Value(); d > p {
+		t.Errorf("merge digested shipped states: restores/digest %d > restores/probe %d", d, p)
+	}
 }
 
 // TestShardMergeEquivalence is the fleet's byte-identity oracle: on every

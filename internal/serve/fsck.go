@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	core "paracrash/internal/paracrash"
 	"paracrash/internal/statefs"
 )
 
@@ -66,9 +67,10 @@ const (
 	// has a skewed version. Repair: remove — the worker recomputes the
 	// shard from its checkpoint journal.
 	ProblemDamagedShardResult = "damaged-shard-result"
-	// ProblemTornJournalTail is a checkpoint journal whose last record is
-	// torn (a crash mid-append). Repair: rewrite without the torn tail;
-	// every complete record before it is kept.
+	// ProblemTornJournalTail is a checkpoint journal with a torn tail (a
+	// crash mid-append): a damaged record, or a last record without its
+	// newline. Repair: rewrite to what core.ReadJournal keeps — every
+	// record before the damage, and a complete unterminated last record.
 	ProblemTornJournalTail = "torn-journal-tail"
 	// ProblemDuplicateJournalRecord is a checkpoint journal carrying the
 	// same verdict key twice. Repair: rewrite deduplicated (first
@@ -267,8 +269,10 @@ func (f *fsck) checkFile(name string) {
 	}
 }
 
-// checkJournal validates a checkpoint journal's line structure: a JSON
-// header, then JSON records with unique non-empty keys, newline-terminated.
+// checkJournal reads a checkpoint journal with the engine's own reader
+// (core.ReadJournal), so fsck and resume agree on what is damage: an
+// unparsable header quarantines the file; a torn tail or duplicate records
+// rewrite it to what the reader keeps.
 func (f *fsck) checkJournal(name string) {
 	path := filepath.Join(f.dir, name)
 	data, err := os.ReadFile(path)
@@ -279,51 +283,20 @@ func (f *fsck) checkJournal(name string) {
 	if len(data) == 0 {
 		return // an empty journal is a fresh start, not damage
 	}
-	lines := strings.Split(string(data), "\n")
-	// A well-formed journal ends with "\n", so the final split element is
-	// empty; anything else is a torn tail.
-	torn := lines[len(lines)-1] != ""
-	if !torn {
-		lines = lines[:len(lines)-1]
-	}
-	var hdr map[string]any
-	if len(lines) == 0 || json.Unmarshal([]byte(lines[0]), &hdr) != nil {
-		f.quarantine(name, ProblemUnreadableJournal, "journal header line does not parse")
+	j, err := core.ReadJournal(data)
+	if err != nil {
+		f.quarantine(name, ProblemUnreadableJournal, err.Error())
 		return
 	}
-	seen := map[string]bool{}
-	keep := []string{lines[0]}
-	dups := 0
-	for i, line := range lines[1:] {
-		var rec struct {
-			Key string `json:"key"`
-		}
-		if json.Unmarshal([]byte(line), &rec) != nil || rec.Key == "" {
-			// Interior damage: everything from here on is untrustworthy,
-			// exactly like resume's drop-the-rest rule.
-			torn = true
-			f.problem(name, ProblemTornJournalTail,
-				fmt.Sprintf("record at line %d is damaged; truncating it and the %d line(s) after it", i+2, len(lines[1:])-i-1),
-				ActionRewritten)
-			break
-		}
-		if seen[rec.Key] {
-			dups++
-			continue
-		}
-		seen[rec.Key] = true
-		keep = append(keep, line)
+	if j.Torn != "" {
+		f.problem(name, ProblemTornJournalTail, j.Torn, ActionRewritten)
 	}
-	if torn && f.rep.Problems[len(f.rep.Problems)-1].Category != ProblemTornJournalTail {
-		f.problem(name, ProblemTornJournalTail, "journal ends mid-record (crash during append)", ActionRewritten)
-	}
-	if dups > 0 {
+	if j.Duplicates > 0 {
 		f.problem(name, ProblemDuplicateJournalRecord,
-			fmt.Sprintf("%d duplicated verdict record(s); keeping first occurrences", dups), ActionRewritten)
+			fmt.Sprintf("%d duplicated verdict record(s); keeping first occurrences", j.Duplicates), ActionRewritten)
 	}
-	if (torn || dups > 0) && f.opts.Repair {
-		clean := strings.Join(keep, "\n") + "\n"
-		if err := statefs.WriteBytes(siteFsckRewrite, path, []byte(clean)); err != nil {
+	if (j.Torn != "" || j.Duplicates > 0) && f.opts.Repair {
+		if err := statefs.WriteBytes(siteFsckRewrite, path, j.Bytes()); err != nil {
 			f.problem(name, ProblemUnreadableJournal, fmt.Sprintf("rewrite failed: %v", err), ActionDetected)
 		}
 	}
@@ -360,30 +333,22 @@ func (f *fsck) checkOwnership(name string) {
 // journal file name; job is "" for names that have no owner (job records,
 // temp files, foreign files).
 func ownerOf(name string) (job, kind string) {
-	trim := func(s, prefix, suffix string) (string, bool) {
-		if strings.HasPrefix(s, prefix) && strings.HasSuffix(s, suffix) {
-			return strings.TrimSuffix(strings.TrimPrefix(s, prefix), suffix), true
+	for _, r := range []struct{ prefix, suffix, kind string }{
+		{"task-", ".json", "shard task"},
+		{"result-", ".json", "shard result"},
+		{"ckpt-", ".jsonl", "checkpoint journal"},
+		{"lease-", ".json", "lease"},
+	} {
+		if !strings.HasPrefix(name, r.prefix) || !strings.HasSuffix(name, r.suffix) {
+			continue
 		}
-		return "", false
-	}
-	stripShard := func(s string) string {
-		if i := strings.LastIndex(s, "-shard-"); i >= 0 {
-			return s[:i]
+		// Fleet records are <job>-shard-<i>; a standalone journal is <job>.
+		base := strings.TrimSuffix(strings.TrimPrefix(name, r.prefix), r.suffix)
+		if job, ok := jobOfLeaseTask(base); ok {
+			return job, r.kind
 		}
-		return s
-	}
-	if base, ok := trim(name, "task-", ".json"); ok {
-		return stripShard(base), "shard task"
-	}
-	if base, ok := trim(name, "result-", ".json"); ok {
-		return stripShard(base), "shard result"
-	}
-	if base, ok := trim(name, "ckpt-", ".jsonl"); ok {
-		return stripShard(base), "checkpoint journal"
-	}
-	if base, ok := trim(name, "lease-", ".json"); ok {
-		if j, ok := jobOfLeaseTask(base); ok {
-			return j, "lease"
+		if r.kind != "lease" {
+			return base, r.kind
 		}
 	}
 	return "", ""

@@ -8,11 +8,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"paracrash/internal/exps"
 	"paracrash/internal/obs"
 	core "paracrash/internal/paracrash"
+	"paracrash/internal/workloads"
 )
 
 // shardSpec abbreviates the fixture shard identity.
@@ -52,11 +55,12 @@ func leaseFixture(t *testing.T, task, owner string, epoch int, exp time.Time) st
 }
 
 // journalFixture renders a checkpoint journal: a header line plus one
-// record per key, optionally ending with a torn (unterminated) tail.
+// record per key (hex-encoded, as the engine writes keys), optionally
+// ending with a torn (unterminated) tail.
 func journalFixture(keys []string, tornTail string) string {
 	out := `{"version":1,"config":"test"}` + "\n"
 	for _, k := range keys {
-		out += fmt.Sprintf(`{"key":%q,"consistent":true}`+"\n", k)
+		out += fmt.Sprintf(`{"key":"%x","consistent":true}`+"\n", k)
 	}
 	return out + tornTail
 }
@@ -331,6 +335,53 @@ func TestFsckJournalRewriteContent(t *testing.T) {
 	want := journalFixture([]string{"a", "b"}, "")
 	if string(got) != want {
 		t.Fatalf("rewritten journal = %q, want %q", got, want)
+	}
+}
+
+// TestFsckTornNewline: a journal whose last record lost its newline is
+// torn to fsck as it is to resume; the repair keeps the complete record
+// and terminates it, so a later append cannot glue onto it.
+func TestFsckTornNewline(t *testing.T) {
+	dir := t.TempDir()
+	writeFixture(t, dir, "job-j-1.json", jobFixture(t, "j-1", JobRunning))
+	full := journalFixture([]string{"a", "b"}, "")
+	writeFixture(t, dir, "ckpt-j-1.jsonl", strings.TrimSuffix(full, "\n"))
+	rep, err := Fsck(dir, FsckOptions{Repair: true, Now: fsckNow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) != 1 || rep.Problems[0].Category != ProblemTornJournalTail {
+		t.Fatalf("problems = %+v, want one %s", rep.Problems, ProblemTornJournalTail)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "ckpt-j-1.jsonl")); err != nil || string(got) != full {
+		t.Fatalf("rewritten journal = %q (%v), want %q", got, err, full)
+	}
+}
+
+// TestFsckCleanOnEngineJournals: the journals the engine writes read clean
+// to fsck — among them gpfs/H5-resize, whose binary keys once collided
+// into duplicates when JSON mangled them.
+func TestFsckCleanOnEngineJournals(t *testing.T) {
+	dir := t.TempDir()
+	for i, cell := range [][2]string{{"beegfs", "ARVR"}, {"gpfs", "H5-resize"}, {"orangefs", "H5-parallel-create"}} {
+		id := fmt.Sprintf("j-%d", i)
+		writeFixture(t, dir, "job-"+id+".json", jobFixture(t, id, JobRunning))
+		prog, err := exps.ProgramByName(cell[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Checkpoint = core.OpenCheckpoint(filepath.Join(dir, "ckpt-"+id+".jsonl"))
+		if _, err := exps.RunOne(cell[0], prog, opts, workloads.DefaultH5Params(), exps.ConfigFor(cell[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := Fsck(dir, FsckOptions{Now: fsckNow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean {
+		t.Fatalf("engine journals are not clean: %+v", rep.Problems)
 	}
 }
 

@@ -43,8 +43,8 @@ import (
 	"paracrash/internal/statefs"
 )
 
-// FleetVersion is the schema version of shard task/result records.
-const FleetVersion = 1
+// FleetVersion is the schema version of shard tasks and results, reports included.
+const FleetVersion = 2
 
 // ShardTask is one unit of fleet work: a job shard awaiting a worker.
 type ShardTask struct {
