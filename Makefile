@@ -147,8 +147,10 @@ fuzz-smoke:
 # six backends resumes in full with no warning and reads clean; a torn
 # newline is rewritten without losing a record; and a journal or shard
 # report written under other H5 parameters is refused. The obs and serve
-# halves hold telemetry to the same rule: wedged, failing or panicking
-# sinks and a stalled events reader never delay a job or its verdict.
+# halves hold telemetry to the same rule: an exploration scraped in a tight
+# loop keeps its report, jobs finish with their verdicts while /metrics is
+# scraped in a loop, and a stalled events reader never delays a job; the
+# fleet's worker-death and coordinator-death tests ride along.
 chaos:
 	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestFaultTransparency|TestHardFaults|TestRepresentativeChaosResume|TestRepresentativeQuarantine|TestJournalResumeComplete|TestCheckpointTornNewline|TestResumeStaleAcrossH5Params|TestShardMergeRefusesOtherH5Params' -count=1 -v
 	$(GO) test ./internal/fuzzcamp/ -run 'TestCampaignHealsInjectedFaults|TestCampaignQuarantinesHardFaultedCells' -count=1

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,14 +58,11 @@ func main() {
 		faultSeed    = flag.Int64("fault-seed", 0, "fault-injection seed (with -fault-rate)")
 		faultRate    = flag.Float64("fault-rate", 0, "inject faults into the engine's own I/O with this probability in [0,1] (0 = off)")
 
-		metricsPath  = flag.String("metrics", "", "write the run's observability summary (phase timings, counters, gauges) as JSON to this file")
-		progress     = flag.Bool("progress", false, "print a one-line progress ticker to stderr every second")
-		progJSONL    = flag.String("progress-jsonl", "", "write machine-readable progress events (one JSON object per line) to this file")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof, expvar, /debug/obs and /metrics on this address (e.g. localhost:6060)")
-		sinkInterval = flag.Duration("sink-interval", time.Second, "telemetry sampling interval for -sink fan-out")
+		metricsPath = flag.String("metrics", "", "write the run's observability summary (phase timings, counters, gauges) as JSON to this file")
+		progress    = flag.Bool("progress", false, "print a one-line progress ticker to stderr every second")
+		progJSONL   = flag.String("progress-jsonl", "", "write machine-readable progress events (one JSON object per line) to this file")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof, /debug/obs and /metrics on this address (e.g. localhost:6060)")
 	)
-	var sinkSpecs obs.SinkSpecList
-	flag.Var(&sinkSpecs, "sink", "attach a telemetry sink (repeatable): stdout, stderr, jsonl:PATH, push:URL")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -100,9 +98,6 @@ func main() {
 	if *faultRate < 0 || *faultRate > 1 {
 		fatalIf(fmt.Errorf("-fault-rate must be in [0,1], got %g", *faultRate))
 	}
-	if len(sinkSpecs) > 0 && *sinkInterval <= 0 {
-		fatalIf(fmt.Errorf("-sink-interval must be > 0 when sinks are attached, got %v", *sinkInterval))
-	}
 	exploreMode, err := core.ParseMode(*mode)
 	fatalIf(err)
 
@@ -127,8 +122,14 @@ func main() {
 		fatalIf(fmt.Errorf("-shards and -api-key only apply with -remote"))
 	}
 	if *remote != "" {
-		if *dumpPath != "" || *servers > 0 || *stripe > 0 || *resumePath != "" || *faultRate > 0 {
-			fatalIf(fmt.Errorf("-dump-trace, -servers, -stripe, -resume and -fault-rate are local-only and cannot combine with -remote"))
+		var local []string
+		flag.Visit(func(f *flag.Flag) {
+			if !slices.Contains(remoteFlags, f.Name) {
+				local = append(local, "-"+f.Name)
+			}
+		})
+		if len(local) > 0 {
+			fatalIf(fmt.Errorf("local-only flags cannot combine with -remote: %s", strings.Join(local, ", ")))
 		}
 		key := *apiKey
 		if key == "" {
@@ -164,32 +165,10 @@ func main() {
 
 	// Observability: one run per invocation. It is always attached — a
 	// capped enumeration is reported through its counters and nowhere else —
-	// while sinks, progress and the metrics file come only when asked for.
+	// while progress, the endpoint and the metrics file read it only when
+	// asked for.
 	run := obs.NewRun()
 	opts.Obs = run
-	// Telemetry pipeline: route the run's samples to the requested sinks
-	// on the sampling interval (fleet series only — a CLI run is one job).
-	// Closed explicitly before reporting, because the bugs-found exit path
-	// skips deferred calls.
-	closeTelemetry := func() {}
-	if len(sinkSpecs) > 0 {
-		router := obs.NewRouter()
-		router.Attach("", run)
-		var closers []func() error
-		for _, spec := range sinkSpecs {
-			sink, closer, err := obs.ParseSinkSpec(spec)
-			fatalIf(err)
-			router.AddSink(sink)
-			closers = append(closers, closer)
-		}
-		router.Start(*sinkInterval)
-		closeTelemetry = func() {
-			router.Close() // final sample + bounded sink drain
-			for _, c := range closers {
-				_ = c()
-			}
-		}
-	}
 	// Progress: follow the run every second; stopping writes the final
 	// event and waits for it, so it precedes the report.
 	stopProgress := func() {}
@@ -215,7 +194,7 @@ func main() {
 		addr, shutdown, err := obs.Serve(*pprofAddr, run)
 		fatalIf(err)
 		defer shutdown()
-		fmt.Fprintf(os.Stderr, "paracrash: diagnostics at http://%s/debug/pprof/ (also /debug/vars, /debug/obs)\n", addr)
+		fmt.Fprintf(os.Stderr, "paracrash: diagnostics at http://%s/debug/pprof/ (also /debug/obs, /metrics)\n", addr)
 	}
 
 	conf := exps.ConfigFor(*fsName)
@@ -241,7 +220,6 @@ func main() {
 
 	rep, err := exps.RunOne(*fsName, prog, opts, h5p, conf)
 	stopProgress()
-	closeTelemetry()
 	fatalIf(err)
 	for _, line := range capWarnings(run, opts.Emulator) {
 		fmt.Fprintln(os.Stderr, "paracrash:", line)

@@ -77,10 +77,14 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"remote with fault rate", []string{"-remote", "localhost:1", "-fault-rate", "0.5"}, "local-only"},
 		{"retired no-representative flag", []string{"-no-representative"}, "flag provided but not defined"},
 		{"retired representative flag", []string{"-representative=false"}, "flag provided but not defined"},
-		{"bad sink spec", []string{"-sink", "bogus"}, "unknown sink spec"},
-		{"bad sink jsonl path", []string{"-sink", "jsonl:"}, "unknown sink spec"},
-		{"bad sink push scheme", []string{"-sink", "push:ftp://x"}, "unknown sink spec"},
-		{"zero sink interval", []string{"-fs", "ext4", "-program", "CR", "-sink", "stdout", "-sink-interval", "0s"}, "-sink-interval must be > 0"},
+		{"remote with metrics", []string{"-remote", "localhost:1", "-metrics", "out.json"}, "local-only"},
+		{"remote with progress", []string{"-remote", "localhost:1", "-progress"}, "local-only"},
+		{"remote with progress-jsonl", []string{"-remote", "localhost:1", "-progress-jsonl", "p.jsonl"}, "local-only"},
+		{"remote with pprof", []string{"-remote", "localhost:1", "-pprof", "localhost:0"}, "local-only"},
+		{"remote with retries", []string{"-remote", "localhost:1", "-retries", "2"}, "local-only"},
+		{"remote with retry-backoff", []string{"-remote", "localhost:1", "-retry-backoff", "5ms"}, "local-only"},
+		{"remote with fault-seed", []string{"-remote", "localhost:1", "-fault-seed", "7"}, "local-only"},
+		{"retired sink flag", []string{"-sink", "stdout"}, "flag provided but not defined: -sink"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,43 +108,6 @@ func TestCLICleanRun(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "\nrepresentative: ") {
 		t.Fatalf("no class line printed:\n%s", stdout)
-	}
-}
-
-// TestCLISinkJSONL runs a clean cell with a jsonl metric sink attached and
-// verifies the file holds JSON-array batches carrying the run's counters —
-// the router's final flush guarantees at least one batch however fast the
-// run is.
-func TestCLISinkJSONL(t *testing.T) {
-	path := t.TempDir() + "/metrics.jsonl"
-	code, _, stderr := runCLI(t, "-fs", "ext4", "-program", "CR", "-sink", "jsonl:"+path)
-	if code != 0 {
-		t.Fatalf("exit code %d; stderr: %s", code, stderr)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("sink file missing: %v", err)
-	}
-	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatalf("sink file empty")
-	}
-	var batch []struct {
-		Name  string  `json:"name"`
-		Kind  string  `json:"kind"`
-		Value float64 `json:"value"`
-	}
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &batch); err != nil {
-		t.Fatalf("final batch not a JSON array: %v\n%s", err, lines[len(lines)-1])
-	}
-	found := false
-	for _, m := range batch {
-		if m.Name == "states/checked" && m.Kind == "counter" && m.Value > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("final batch missing states/checked counter: %s", lines[len(lines)-1])
 	}
 }
 

@@ -8,10 +8,16 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"paracrash/internal/serve"
 )
+
+// remoteFlags are the flags a -remote run reads: the job request's fields
+// and how the report is printed. Any other flag set beside -remote is
+// refused, as the daemon would never see it.
+var remoteFlags = strings.Fields("remote api-key shards json v fs program mode pfs-model lib-model k workers clients rows cols resize-rows resize-cols")
 
 // doRequest issues one HTTP request against the daemon, attaching the
 // tenant API key (if any) as an X-API-Key header.

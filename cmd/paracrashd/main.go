@@ -28,13 +28,15 @@
 // (any shared file system works — no RPC fabric needed):
 //
 //	paracrashd -role coordinator -results /pfs/results -shards 4
-//	paracrashd -role worker -results /pfs/results -worker-id w1
-//	paracrashd -role worker -results /pfs/results -worker-id w2
+//	paracrashd -role worker -results /pfs/results -worker-id w1 -addr localhost:7078
+//	paracrashd -role worker -results /pfs/results -worker-id w2 -addr localhost:7079
 //
 // The coordinator partitions explore jobs into shards; workers claim
 // shards via leases, judge them (journaling verdicts so a dead worker's
 // shard resumes where it stopped), and the coordinator merges the results
-// into a report with the standalone run's verdicts. -tenants arms multi-tenant
+// into a report with the standalone run's verdicts. Every role serves its
+// own run on -addr: a worker's /metrics, /debug/obs and pprof pages are
+// scraped like a daemon's. -tenants arms multi-tenant
 // authentication, quotas, rate limits and priority scheduling; see
 // docs/OPERATIONS.md.
 package main
@@ -57,7 +59,7 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "localhost:7077", "HTTP listen address")
+		addr         = flag.String("addr", "localhost:7077", "HTTP listen address (a worker serves only /metrics, /debug/obs and pprof there)")
 		resultsDir   = flag.String("results", "", "directory for persisted job results (empty = in-memory only)")
 		maxJobs      = flag.Int("max-jobs", 2, "jobs running concurrently")
 		queueDepth   = flag.Int("queue-depth", 16, "queued jobs before submissions get 429")
@@ -65,7 +67,6 @@ func main() {
 		maxTimeout   = flag.Duration("max-job-timeout", time.Hour, "cap on any job's timeout (0 = no cap)")
 		maxWorkers   = flag.Int("max-job-workers", 0, "cap on one job's exploration workers (0 = no cap)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight jobs before cancelling them")
-		sinkInterval = flag.Duration("sink-interval", 10*time.Second, "telemetry sampling interval for -sink fan-out")
 
 		role      = flag.String("role", "standalone", "process role: standalone, coordinator (shard explore jobs across workers) or worker (claim and judge shards)")
 		shards    = flag.Int("shards", 0, "coordinator: default shard count per explore job (a job may request its own; < 2 runs in-process)")
@@ -80,8 +81,6 @@ func main() {
 		fsckOnly = flag.Bool("fsck", false, "check the -results state directory for crash damage, print the JSON report and exit (0 clean, 1 problems); no daemon is started")
 		repair   = flag.Bool("repair", false, "with -fsck: apply repairs and quarantines instead of a read-only scan")
 	)
-	var sinkSpecs obs.SinkSpecList
-	flag.Var(&sinkSpecs, "sink", "attach a telemetry sink (repeatable): stdout, stderr, jsonl:PATH, push:URL")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "paracrashd: unexpected arguments: %v\n", flag.Args())
@@ -93,9 +92,6 @@ func main() {
 	}
 	if *jobTimeout < 0 || *maxTimeout < 0 || *drainTimeout < 0 {
 		fatalf("timeouts must be >= 0")
-	}
-	if len(sinkSpecs) > 0 && *sinkInterval <= 0 {
-		fatalf("-sink-interval must be > 0 when sinks are attached, got %v", *sinkInterval)
 	}
 	if *shards < 0 || *maxShards < 1 {
 		fatalf("-shards must be >= 0 and -max-shards >= 1 (got %d, %d)", *shards, *maxShards)
@@ -130,7 +126,7 @@ func main() {
 	}
 
 	if *role == "worker" {
-		runWorker(*resultsDir, *workerID, *leaseTTL, *heartbeat, *fleetPoll, sinkSpecs, *sinkInterval)
+		runWorker(*addr, *resultsDir, *workerID, *leaseTTL, *heartbeat, *fleetPoll)
 		return
 	}
 	if *role != "standalone" && *role != "coordinator" {
@@ -188,25 +184,6 @@ func main() {
 	}
 
 	sched := serve.NewScheduler(cfg, store, run)
-
-	// Telemetry fan-out: the scheduler's router already aggregates the
-	// daemon run and every live job; -sink attaches push-style outputs and
-	// starts the sampling loop (the pull-style /metrics endpoint needs
-	// neither).
-	router := sched.Router()
-	for _, spec := range sinkSpecs {
-		sink, closer, err := obs.ParseSinkSpec(spec)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		router.AddSink(sink)
-		defer func() { _ = closer() }()
-	}
-	if len(sinkSpecs) > 0 {
-		router.Start(*sinkInterval)
-	}
-	defer router.Close()
-
 	sched.Start()
 
 	// Re-enqueue jobs a previous daemon left queued or running: each resumes
@@ -253,13 +230,19 @@ func main() {
 }
 
 // runWorker is the -role worker main loop: claim shard leases in the
-// shared directory, judge shards, write results, until SIGINT/SIGTERM.
-func runWorker(dir, id string, leaseTTL, heartbeat, poll time.Duration, sinkSpecs obs.SinkSpecList, sinkInterval time.Duration) {
+// shared directory, judge shards, write results, until SIGINT/SIGTERM,
+// serving the worker's run on addr.
+func runWorker(addr, dir, id string, leaseTTL, heartbeat, poll time.Duration) {
 	if dir == "" {
 		fatalf("-role worker requires -results (the shared fleet directory)")
 	}
 	run := obs.NewRun()
 	statefs.SetObs(run)
+	bound, shutdown, err := obs.Serve(addr, run)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	defer shutdown()
 	w, err := serve.NewFleetWorker(serve.FleetWorkerConfig{
 		Dir: dir, ID: id,
 		LeaseTTL: leaseTTL, Heartbeat: heartbeat, Poll: poll,
@@ -268,24 +251,10 @@ func runWorker(dir, id string, leaseTTL, heartbeat, poll time.Duration, sinkSpec
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if len(sinkSpecs) > 0 {
-		router := obs.NewRouter()
-		router.Attach("", run)
-		for _, spec := range sinkSpecs {
-			sink, closer, err := obs.ParseSinkSpec(spec)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			router.AddSink(sink)
-			defer func() { _ = closer() }()
-		}
-		router.Start(sinkInterval)
-		defer router.Close()
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Fprintf(os.Stderr, "paracrashd: worker %s scanning %s (lease-ttl %v)\n", w.ID(), dir, leaseTTL)
+	fmt.Fprintf(os.Stderr, "paracrashd: worker %s scanning %s (lease-ttl %v, /metrics on %s)\n", w.ID(), dir, leaseTTL, bound)
 	_ = w.Run(ctx)
 	// A signal cancels the loop mid-shard at worst: the lease is released (or
 	// expires) and another worker resumes the shard from its journal.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -64,6 +65,7 @@ func TestFlagErrors(t *testing.T) {
 		{"unknown role", []string{"-role", "bogus"}, `unknown -role "bogus"`},
 		{"coordinator without results", []string{"-role", "coordinator", "-addr", "localhost:0"}, "-role coordinator requires -results"},
 		{"stray argument", []string{"stray"}, "unexpected arguments"},
+		{"retired sink flag", []string{"-sink", "stdout"}, "flag provided but not defined: -sink"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -241,5 +243,52 @@ func TestStandaloneDaemon(t *testing.T) {
 		if !strings.Contains(stderr(), want) {
 			t.Errorf("daemon stderr lacks %q:\n%s", want, stderr())
 		}
+	}
+}
+
+// TestWorkerEndpoint: a worker serves its own run on -addr, so /metrics
+// carries the fleet counters it keeps; a worker whose address is taken
+// exits 2 at start-up with the listen error.
+func TestWorkerEndpoint(t *testing.T) {
+	dir := t.TempDir()
+	addr := freeAddr(t)
+	cmd := daemonCmd("-role", "worker", "-results", dir, "-addr", addr)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer func() {
+		_ = cmd.Process.Signal(syscall.SIGTERM)
+		select {
+		case <-exited:
+		case <-time.After(10 * time.Second):
+			_ = cmd.Process.Kill()
+			<-exited
+		}
+	}()
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	var body string
+	for deadline := time.Now().Add(30 * time.Second); !strings.Contains(body, "paracrash_fleet_dir_scans_total"); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker /metrics never showed paracrash_fleet_dir_scans_total; last body:\n%s", body)
+		}
+		resp, err := client.Get("http://" + addr + "/metrics")
+		if err != nil {
+			continue
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		body = string(data)
+	}
+
+	// The first worker holds addr now.
+	code, _, errOut := runCLI(t, "-role", "worker", "-results", dir, "-addr", addr)
+	if code != 2 {
+		t.Fatalf("second worker on a taken address: exit %d, want 2; stderr: %s", code, errOut)
+	}
+	if !strings.Contains(errOut, "listen") || !strings.Contains(errOut, addr) {
+		t.Fatalf("second worker's stderr does not name the listen error on %s: %s", addr, errOut)
 	}
 }

@@ -1,22 +1,15 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// expvarOnce guards the process-wide expvar registration (expvar.Publish
-// panics on duplicate names, and tests may start several endpoints).
-var expvarOnce sync.Once
 
 // Serve starts the opt-in diagnostics endpoint on addr:
 //
 //	/debug/pprof/*  net/http/pprof profiles (CPU, heap, goroutine, ...)
-//	/debug/vars     expvar, including the run's live summary under "paracrash"
 //	/debug/obs      the run's Summary as JSON
 //	/metrics        the run's live samples in Prometheus text exposition
 //
@@ -25,14 +18,11 @@ var expvarOnce sync.Once
 func Serve(addr string, r *Run) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", nil, fmt.Errorf("obs: pprof listen %s: %w", addr, err)
+		return "", nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	expvarOnce.Do(func() {
-		expvar.Publish("paracrash", expvar.Func(func() any { return r.Summary() }))
-	})
-	// A single-collector router gives the CLI's endpoint the same
-	// exposition shape as the daemon's fleet endpoint (fleet series only —
-	// one process, no job labels).
+	// A single-collector router gives this endpoint the same exposition
+	// shape as the daemon's fleet endpoint (fleet series only — one
+	// process, no job labels).
 	rt := NewRouter()
 	rt.Attach("", r)
 	mux := http.NewServeMux()
@@ -42,7 +32,6 @@ func Serve(addr string, r *Run) (string, func(), error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/obs", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		out, err := r.SummaryJSON()

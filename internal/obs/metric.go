@@ -1,10 +1,8 @@
 package obs
 
-import "time"
-
-// MetricKind classifies a metric sample for sinks that care about
-// semantics (the Prometheus exposition's # TYPE lines, rate computation in
-// downstream collectors).
+// MetricKind classifies a metric sample: the Prometheus exposition's
+// # TYPE line, and whether a detached collector's value folds into the
+// fleet totals.
 type MetricKind uint8
 
 // Metric kinds. Counters are monotonically increasing across a collector's
@@ -27,14 +25,14 @@ func (k MetricKind) String() string {
 	return "counter"
 }
 
-// Metric is one sample flowing through the telemetry pipeline: a named
+// Metric is one sample read through a Router: a named
 // value with a kind and an optional job label. The fleet-level series of a
 // router carries an empty Job; per-job series carry the job identifier the
 // collector was attached under.
 type Metric struct {
 	// Name is the registry name, slash-separated ("states/checked",
-	// "phase/explore/seconds"). Sinks that need a restricted alphabet
-	// sanitize it themselves (see SanitizeMetricName).
+	// "phase/explore/seconds"). The exposition maps it onto the
+	// Prometheus alphabet (see SanitizeMetricName).
 	Name string
 	// Kind is the sample semantics: counter or gauge.
 	Kind MetricKind
@@ -47,11 +45,13 @@ type Metric struct {
 
 // Collector is a source of metric samples. The obs Run is the canonical
 // collector (counters, gauges and timers in registration order); routers
-// pull from every attached collector on each sampling pass.
+// pull from every attached collector on each Sample.
 type Collector interface {
 	// CollectMetrics appends the collector's current samples to dst and
 	// returns the extended slice. Implementations leave Job empty — the
-	// router labels samples with the attachment label.
+	// router labels samples with the attachment label — and must not call
+	// the router they are attached to: Detach holds its lock across the
+	// collector's final read.
 	CollectMetrics(dst []Metric) []Metric
 }
 
@@ -59,22 +59,17 @@ type Collector interface {
 // then timers (each timer as two counter samples, <name>/seconds and
 // <name>/count), all in registration order. A nil run collects nothing.
 func (r *Run) CollectMetrics(dst []Metric) []Metric {
-	if r == nil {
-		return dst
+	reg := r.read()
+	for _, c := range reg.counters {
+		dst = append(dst, Metric{Name: c.name, Kind: KindCounter, Value: float64(c.v)})
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, n := range r.counterOrder {
-		dst = append(dst, Metric{Name: n, Kind: KindCounter, Value: float64(r.counters[n].v.Load())})
+	for _, g := range reg.gauges {
+		dst = append(dst, Metric{Name: g.name, Kind: KindGauge, Value: float64(g.v)})
 	}
-	for _, n := range r.gaugeOrder {
-		dst = append(dst, Metric{Name: n, Kind: KindGauge, Value: float64(r.gauges[n].v.Load())})
-	}
-	for _, n := range r.timerOrder {
-		t := r.timers[n]
+	for _, t := range reg.timers {
 		dst = append(dst,
-			Metric{Name: n + "/seconds", Kind: KindCounter, Value: time.Duration(t.ns.Load()).Seconds()},
-			Metric{Name: n + "/count", Kind: KindCounter, Value: float64(t.n.Load())},
+			Metric{Name: t.Name + "/seconds", Kind: KindCounter, Value: t.Seconds},
+			Metric{Name: t.Name + "/count", Kind: KindCounter, Value: float64(t.Count)},
 		)
 	}
 	return dst

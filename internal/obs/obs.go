@@ -1,14 +1,15 @@
-// Package obs is the telemetry pipeline of ParaCrash, structured as
-// collectors → router → sinks: collectors (phase timers, atomic counters
-// and gauges on a Run; anything implementing Collector) feed a metric
-// Router that aggregates per-job series into fleet rollups and fans
-// sampled batches out to pluggable MetricSinks (stdout text, JSONL file,
-// HTTP push, a Prometheus-text /metrics handler). The Router is the only
-// path that pushes. Everything else is read from a Run when wanted: the
-// one-shot JSON Summary behind -metrics, and the progress Event that
-// Follow samples on an interval for the CLIs' -progress output and the
-// daemon's events stream. An opt-in pprof/expvar HTTP endpoint completes
-// the layer.
+// Package obs is the telemetry layer of ParaCrash. A Run collects phase
+// timers, atomic counters and gauges; every output is a read of it, never
+// a push:
+//
+//   - once: the JSON Summary behind -metrics and /debug/obs;
+//   - per interval: the progress Event that Follow samples for the CLIs'
+//     -progress and -progress-jsonl and the daemon's events stream;
+//   - per scrape: a Router's Sample over attached collectors (one per job,
+//     plus the process), rendered by /metrics in the Prometheus text
+//     format, with a finished job's counters folded into fleet totals.
+//
+// Serve is the opt-in pprof, /debug/obs and /metrics endpoint.
 //
 // The package is built around one invariant: observability is passive. A
 // Run only ever records what the exploration engine did; it never feeds
@@ -288,29 +289,56 @@ type Summary struct {
 // Summary snapshots the run. Safe to call concurrently with updates and
 // more than once; a nil run yields an empty summary.
 func (r *Run) Summary() *Summary {
-	s := &Summary{Counters: map[string]int64{}, Gauges: map[string]int64{}}
-	if r == nil {
-		return s
+	s := &Summary{}
+	if r != nil {
+		s.StartedAt, s.WallSeconds = r.start, r.Elapsed().Seconds()
 	}
-	s.StartedAt = r.start
-	s.WallSeconds = time.Since(r.start).Seconds()
+	reg := r.read()
+	s.Timers, s.Counters, s.Gauges = reg.timers, values(reg.counters), values(reg.gauges)
+	return s
+}
+
+// registry is one read of a run's counters, gauges and timers, each in
+// registration order. Summary, Event and CollectMetrics render it.
+type registry struct {
+	counters, gauges []namedValue
+	timers           []TimerStat
+}
+
+// namedValue is one counter or gauge value in a registry read.
+type namedValue struct {
+	name string
+	v    int64
+}
+
+// read takes the run's registry under r.mu; a nil run reads empty.
+func (r *Run) read() registry {
+	var reg registry
+	if r == nil {
+		return reg
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, name := range r.timerOrder {
-		t := r.timers[name]
-		s.Timers = append(s.Timers, TimerStat{
-			Name:    name,
-			Seconds: time.Duration(t.ns.Load()).Seconds(),
-			Count:   t.n.Load(),
-		})
+	for _, n := range r.counterOrder {
+		reg.counters = append(reg.counters, namedValue{n, r.counters[n].v.Load()})
 	}
-	for _, name := range r.counterOrder {
-		s.Counters[name] = r.counters[name].v.Load()
+	for _, n := range r.gaugeOrder {
+		reg.gauges = append(reg.gauges, namedValue{n, r.gauges[n].v.Load()})
 	}
-	for _, name := range r.gaugeOrder {
-		s.Gauges[name] = r.gauges[name].v.Load()
+	for _, n := range r.timerOrder {
+		t := r.timers[n]
+		reg.timers = append(reg.timers, TimerStat{Name: n, Seconds: time.Duration(t.ns.Load()).Seconds(), Count: t.n.Load()})
 	}
-	return s
+	return reg
+}
+
+// values maps each value's name to the value.
+func values(vs []namedValue) map[string]int64 {
+	m := make(map[string]int64, len(vs))
+	for _, v := range vs {
+		m[v.name] = v.v
+	}
+	return m
 }
 
 // SummaryJSON renders the summary as indented JSON, ready for -metrics

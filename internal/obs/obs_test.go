@@ -292,8 +292,8 @@ func TestServeEndpoint(t *testing.T) {
 	if !strings.Contains(get("/debug/pprof/"), "pprof") {
 		t.Fatal("/debug/pprof/ index missing")
 	}
-	if !strings.Contains(get("/debug/vars"), "paracrash") {
-		t.Fatal("/debug/vars missing paracrash expvar")
+	if !strings.Contains(get("/metrics"), "paracrash_states_checked_total 42") {
+		t.Fatal("/metrics missing the run's counter")
 	}
 }
 

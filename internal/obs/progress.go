@@ -23,8 +23,9 @@ type Event struct {
 // Event reads the run's current progress snapshot: elapsed time, phase,
 // counters and gauges, without rates. A nil run yields an empty event.
 func (r *Run) Event() Event {
-	s := r.Summary()
-	return Event{ElapsedSeconds: s.WallSeconds, Phase: r.CurrentPhase(), Counters: s.Counters, Gauges: s.Gauges}
+	elapsed := r.Elapsed().Seconds()
+	reg := r.read()
+	return Event{ElapsedSeconds: elapsed, Phase: r.CurrentPhase(), Counters: values(reg.counters), Gauges: values(reg.gauges)}
 }
 
 // String renders the event as one compact ticker line, the CLI's -progress
@@ -82,25 +83,20 @@ func Follow(interval time.Duration, snapshot func() Event, write func(Event)) (s
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		every(quit, interval, func() { emit(false) })
-		emit(true)
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				emit(false)
+			case <-quit:
+				emit(true)
+				return
+			}
+		}
 	}()
 	return func() {
 		close(quit)
 		<-done
-	}
-}
-
-// every calls f once per interval until stop closes.
-func every(stop <-chan struct{}, interval time.Duration, f func()) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			f()
-		case <-stop:
-			return
-		}
 	}
 }

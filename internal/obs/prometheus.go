@@ -89,12 +89,21 @@ func WritePrometheus(w io.Writer, batch []Metric) error {
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // PromHandler returns an http.Handler serving the router's current sample
-// in the Prometheus text exposition format — the pull half of the
-// pipeline. Each scrape is one synchronous Sample (atomic reads only; the
-// sink path is not involved), so scraping can never stall or skew a run.
+// in the Prometheus text exposition format. Each scrape is one synchronous
+// Sample (atomic reads under short locks), so scraping can never stall or
+// skew a run.
 func (rt *Router) PromHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", promContentType)
 		_ = WritePrometheus(w, rt.Sample())
 	})
+}
+
+// formatValue renders a metric value without float noise: integral values
+// (the common case — counters and gauges) print as integers.
+func formatValue(v float64) string {
+	if v == float64(int64(v)) {
+		return fmt.Sprintf("%d", int64(v))
+	}
+	return fmt.Sprintf("%g", v)
 }

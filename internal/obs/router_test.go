@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 )
 
 // staticCollector yields a fixed sample set — deterministic router input.
@@ -29,30 +30,22 @@ func TestRouterFleetAndPerJobSeries(t *testing.T) {
 	})
 
 	batch := rt.Sample()
-	find := func(name, job string) (Metric, bool) {
-		for _, m := range batch {
-			if m.Name == name && m.Job == job {
-				return m, true
-			}
-		}
-		return Metric{}, false
-	}
-	if m, ok := find("states/checked", ""); !ok || m.Value != 15 {
+	if m, ok := find(batch, "states/checked", ""); !ok || m.Value != 15 {
 		t.Fatalf("fleet states/checked = %+v (ok=%v), want 15", m, ok)
 	}
-	if m, ok := find("states/checked", "job-a"); !ok || m.Value != 10 {
+	if m, ok := find(batch, "states/checked", "job-a"); !ok || m.Value != 10 {
 		t.Fatalf("per-job states/checked = %+v (ok=%v), want 10", m, ok)
 	}
-	if m, ok := find("states/checked", "job-b"); !ok || m.Value != 5 {
+	if m, ok := find(batch, "states/checked", "job-b"); !ok || m.Value != 5 {
 		t.Fatalf("per-job states/checked = %+v (ok=%v), want 5", m, ok)
 	}
 	// The process-level collector contributes to the fleet only: no series
 	// labeled with the empty job beyond the fleet rollup, and no per-job
 	// jobs/submitted.
-	if m, ok := find("jobs/submitted", ""); !ok || m.Value != 2 {
+	if m, ok := find(batch, "jobs/submitted", ""); !ok || m.Value != 2 {
 		t.Fatalf("fleet jobs/submitted = %+v (ok=%v), want 2", m, ok)
 	}
-	if _, ok := find("jobs/submitted", "job-a"); ok {
+	if _, ok := find(batch, "jobs/submitted", "job-a"); ok {
 		t.Fatal("process-level series leaked into a job label")
 	}
 	// Sorted by (name, job), fleet ("") first within a name.
@@ -176,32 +169,116 @@ func TestRouterMergeOrderIndependence(t *testing.T) {
 	}
 }
 
-func TestRouterPublishReachesSinks(t *testing.T) {
+// TestRouterSampleReadsLiveValues: every Sample reads the collectors
+// anew, so a counter bumped between two samples shows its new value, per
+// job and in the fleet rollup.
+func TestRouterSampleReadsLiveValues(t *testing.T) {
 	rt := NewRouter()
-	rt.Attach("j", staticCollector{{Name: "states/checked", Kind: KindCounter, Value: 3}})
-	ring := NewRingSink(8)
-	rt.AddSink(ring)
-	rt.Publish()
-	rt.Close() // flushes the worker
+	run := NewRun()
+	rt.Attach("j", run)
+	c := run.Counter("states/checked")
+	for _, want := range []float64{3, 5} {
+		c.Add(int64(want) - c.Value())
+		batch := rt.Sample()
+		if m, ok := find(batch, "states/checked", "j"); !ok || m.Value != want {
+			t.Fatalf("per-job sample = %+v (ok=%v), want %g", m, ok, want)
+		}
+		if m, ok := find(batch, "states/checked", ""); !ok || m.Value != want {
+			t.Fatalf("fleet sample = %+v (ok=%v), want %g", m, ok, want)
+		}
+	}
+}
 
-	if m, ok := ring.Find("states/checked", "j"); !ok || m.Value != 3 {
-		t.Fatalf("sink batch missing per-job sample: %+v", ring.LastBatch())
+// blockingCollector reports a fixed counter; once armed, its next
+// CollectMetrics call signals entered and waits for release.
+type blockingCollector struct {
+	value   float64
+	armed   bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (c *blockingCollector) CollectMetrics(dst []Metric) []Metric {
+	if c.armed {
+		close(c.entered)
+		<-c.release
 	}
-	if m, ok := ring.Find("states/checked", ""); !ok || m.Value != 3 {
-		t.Fatalf("sink batch missing fleet sample: %+v", ring.LastBatch())
+	return append(dst, Metric{Name: "states/checked", Kind: KindCounter, Value: c.value})
+}
+
+// TestRouterDetachNeverLowersFleetCounters holds Detach to monotonic fleet
+// counters: a collector blocks inside Detach's final read while another
+// goroutine samples, and no sample may read the fleet counter below its
+// value before the Detach.
+func TestRouterDetachNeverLowersFleetCounters(t *testing.T) {
+	rt := NewRouter()
+	c := &blockingCollector{value: 7, entered: make(chan struct{}), release: make(chan struct{})}
+	rt.Attach("job-a", c)
+	before, _ := find(rt.Sample(), "states/checked", "")
+	if before.Value != 7 {
+		t.Fatalf("fleet counter before Detach = %g, want 7", before.Value)
 	}
+
+	c.armed = true
+	detached := make(chan struct{})
+	go func() {
+		rt.Detach("job-a")
+		close(detached)
+	}()
+	<-c.entered // Detach is inside the collector's final read
+
+	var reads []float64
+	firstRead, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for i := 0; ; i++ {
+			m, _ := find(rt.Sample(), "states/checked", "")
+			reads = append(reads, m.Value)
+			if i == 0 {
+				close(firstRead)
+			}
+			select {
+			case <-detached:
+				return
+			default:
+			}
+		}
+	}()
+	// A Detach that reads and folds in one critical section holds every
+	// Sample off until it returns; one that does not lets the first read
+	// land while the collector is gone and its counters are not yet folded.
+	select {
+	case <-firstRead:
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(c.release)
+	<-sampled
+
+	for i, v := range reads {
+		if v < before.Value {
+			t.Fatalf("sample %d of %d read the fleet counter at %g, below %g before Detach", i+1, len(reads), v, before.Value)
+		}
+	}
+	if after, _ := find(rt.Sample(), "states/checked", ""); after.Value != 7 {
+		t.Fatalf("fleet counter after Detach = %g, want 7", after.Value)
+	}
+}
+
+// find returns the sample with the given name and job label.
+func find(batch []Metric, name, job string) (Metric, bool) {
+	for _, m := range batch {
+		if m.Name == name && m.Job == job {
+			return m, true
+		}
+	}
+	return Metric{}, false
 }
 
 func TestRouterNilIsNoop(t *testing.T) {
 	var rt *Router
 	rt.Attach("j", NewRun())
 	rt.Detach("j")
-	rt.SetFaults(nil)
-	rt.AddSink(NewRingSink(1))
-	rt.Publish()
-	rt.Start(0)
-	rt.Close()
-	if rt.Sample() != nil || rt.Dropped() != 0 || rt.Errors() != 0 {
+	if rt.Sample() != nil {
 		t.Fatal("nil router must be inert")
 	}
 }

@@ -2,7 +2,7 @@
 // an HTTP API accepting exploration jobs, a bounded FIFO scheduler running
 // them with per-job timeouts, cancellation and panic isolation, a results
 // store persisting completed jobs as versioned JSON, and per-job progress
-// streaming over the internal/obs event sinks.
+// streams read from each job's internal/obs run.
 //
 // The package deliberately amortises nothing *inside* the engine — every
 // job still gets a fresh simulated cluster, exactly like the CLI — but a

@@ -7,10 +7,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"paracrash/internal/exps"
 	"paracrash/internal/obs"
 	core "paracrash/internal/paracrash"
 )
@@ -116,10 +116,10 @@ func TestMetricsEndpointLifecycle(t *testing.T) {
 	}
 }
 
-// TestSchedulerRouterRingSink asserts in-process what the HTTP test asserts
-// over the wire: a sink attached to the scheduler's router receives each
-// published batch with per-job and fleet series — no scraping involved.
-func TestSchedulerRouterRingSink(t *testing.T) {
+// TestSchedulerRouterSample asserts in-process what the HTTP test asserts
+// over the wire: a Sample of the scheduler's router carries a finished
+// job's counters folded into the fleet series beside the daemon's own.
+func TestSchedulerRouterSample(t *testing.T) {
 	st, _ := OpenStore("")
 	s := NewScheduler(SchedulerConfig{MaxConcurrent: 1}, st, obs.NewRun())
 	s.executor = func(ctx context.Context, job *Job, jrun *obs.Run) (*core.Report, error) {
@@ -129,92 +129,83 @@ func TestSchedulerRouterRingSink(t *testing.T) {
 	s.Start()
 	defer s.Drain(context.Background())
 
-	ring := &lastBatchSink{}
-	s.Router().AddSink(ring)
-
 	j, err := s.Submit(JobRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, st, j.ID, JobDone)
 
-	s.Router().Publish()
+	// The store records the job done just before the router detaches it.
+	var checked, done obs.Metric
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := ring.Find("states/checked", ""); ok {
-			break
+		checked, done = obs.Metric{}, obs.Metric{}
+		for _, m := range s.Router().Sample() {
+			switch {
+			case m.Job != "":
+			case m.Name == "states/checked":
+				checked = m
+			case m.Name == "jobs/done":
+				done = m
+			}
+		}
+		if checked.Value == 3 && done.Value == 1 {
+			return
 		}
 		time.Sleep(time.Millisecond)
-		s.Router().Publish()
 	}
-	m, ok := ring.Find("states/checked", "")
-	if !ok || m.Value != 3 {
-		t.Fatalf("ring fleet sample = (%+v, %v), want folded value 3", m, ok)
-	}
-	if m, ok := ring.Find("jobs/done", ""); !ok || m.Value != 1 {
-		t.Fatalf("ring daemon sample = (%+v, %v), want jobs/done 1", m, ok)
-	}
+	t.Fatalf("fleet samples states/checked = %+v, jobs/done = %+v; want folded 3 and 1", checked, done)
 }
 
-// TestChaosSchedulerWedgedSinkDoesNotStallJobs is the serve-layer chaos
-// gate: a wedged telemetry sink on the scheduler's router — with an
-// aggressive sampling loop — must not delay a real exploration job or its
-// verdict.
-func TestChaosSchedulerWedgedSinkDoesNotStallJobs(t *testing.T) {
+// TestChaosSchedulerScrapedJobsComplete is the serve-layer passivity
+// claim: while /metrics is scraped in a tight loop, real exploration jobs
+// still finish, each with the report an unobserved standalone run gives.
+func TestChaosSchedulerScrapedJobsComplete(t *testing.T) {
 	st, _ := OpenStore("")
 	run := obs.NewRun()
 	s := NewScheduler(SchedulerConfig{MaxConcurrent: 2}, st, run)
 	s.Start()
 	defer s.Drain(context.Background())
+	srv := httptest.NewServer(NewServer(s, st, run))
+	defer srv.Close()
 
-	router := s.Router()
-	router.DrainTimeout = 50 * time.Millisecond
-	wedged := &wedgedMetricSink{release: make(chan struct{})}
-	defer close(wedged.release)
-	router.AddSink(wedged)
-	router.Start(time.Millisecond)
-	defer router.Close()
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if resp, err := http.Get(srv.URL + "/metrics"); err == nil {
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
 
-	j, err := s.Submit(JobRequest{FS: "beegfs", Program: "ARVR", Mode: "pruning"})
-	if err != nil {
-		t.Fatal(err)
+	reqs := []JobRequest{
+		{FS: "beegfs", Program: "ARVR", Mode: "pruning"},
+		{FS: "ext4", Program: "CR", Mode: "brute"},
+		{FS: "lustre", Program: "WAL", Mode: "pruning"},
 	}
-	done := waitState(t, st, j.ID, JobDone) // waitState's deadline IS the stall check
-	if done.Report == nil {
-		t.Fatal("job finished without a report under a wedged sink")
+	ids := make([]string, len(reqs))
+	for i, req := range reqs {
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = j.ID
 	}
-}
-
-// lastBatchSink keeps the most recent metric batch it was written.
-type lastBatchSink struct {
-	mu   sync.Mutex
-	last []obs.Metric
-}
-
-func (s *lastBatchSink) WriteMetrics(batch []obs.Metric) error {
-	s.mu.Lock()
-	s.last = append([]obs.Metric(nil), batch...)
-	s.mu.Unlock()
-	return nil
-}
-
-// Find returns the sample with the given name and job label from the most
-// recent batch (false when absent).
-func (s *lastBatchSink) Find(name, job string) (obs.Metric, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, m := range s.last {
-		if m.Name == name && m.Job == job {
-			return m, true
+	for i, req := range reqs {
+		done := waitState(t, st, ids[i], JobDone) // waitState's deadline is the stall check
+		if done.Report == nil {
+			t.Fatalf("job %s finished without a report while scraped", ids[i])
+		}
+		if got, want := exps.ReportFingerprint(done.Report), standaloneFingerprint(t, req); got != want {
+			t.Fatalf("%s/%s: scraped job's report differs from a standalone run's:\n got %q\nwant %q", req.FS, req.Program, got, want)
 		}
 	}
-	return obs.Metric{}, false
-}
-
-// wedgedMetricSink blocks every metric write until released.
-type wedgedMetricSink struct{ release chan struct{} }
-
-func (s *wedgedMetricSink) WriteMetrics([]obs.Metric) error {
-	<-s.release
-	return nil
 }

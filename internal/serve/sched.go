@@ -205,8 +205,7 @@ func (s *Scheduler) tenantOf(name string) (*Tenant, bool) {
 }
 
 // Router returns the scheduler's telemetry router. The server mounts its
-// Prometheus handler at /metrics; the daemon attaches push/file sinks and
-// starts the sampling loop when asked to.
+// Prometheus handler at /metrics, so each scrape is one Sample.
 func (s *Scheduler) Router() *obs.Router {
 	return s.router
 }

@@ -242,7 +242,7 @@ var (
 // SetObs directs per-site write counters ("statefs/<site>") and the
 // aggregate "statefs/writes" counter at the run; nil (or never calling)
 // keeps counting process-locally only. The daemon points this at its
-// process-level run so coverage reaches /metrics and -sink pipelines.
+// process-level run so coverage reaches its /metrics.
 func SetObs(r *obs.Run) { armedObs.Store(r) }
 
 // crashArming parses the environment once.
