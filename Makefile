@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build crossbuild vet fmtcheck doclint persistlint test race ci benchcheck gobench experiments fuzz fuzz-smoke chaos representative incremental emulate classify legal selfcheck sloc clean
+.PHONY: all build crossbuild vet fmtcheck doclint persistlint test race ci benchcheck experiments fuzz fuzz-smoke chaos representative incremental emulate classify legal selfcheck sloc clean
 
 all: build vet test
 
@@ -56,10 +56,6 @@ ci: build crossbuild vet fmtcheck doclint persistlint test race fuzz-smoke chaos
 # metric tables against BENCHMARK.json. About 6 s.
 benchcheck:
 	$(GO) test -C benchmark . -count=1
-
-# Go micro/macro benchmarks (paper tables and figures as testing.B).
-gobench:
-	$(GO) test -bench=. -benchmem ./...
 
 # Class memo gate: the engine against the per-state reference kept in
 # reference_test.go, which judges every state on its own — equal report

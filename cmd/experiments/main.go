@@ -86,10 +86,8 @@ func main() {
 	fuzzTime := flag.Duration("fuzz-time", 0, "fuzz: wall-clock budget, e.g. 30s (0 = no limit)")
 	fuzzBackends := flag.String("fuzz-backends", "", "fuzz: comma-separated backends (default: all six)")
 	fuzzProgress := flag.Bool("progress", false, "fuzz: stream live progress to stderr")
-	fuzzRetries := flag.Int("retries", 0, "fuzz: max attempts per crash-state check before quarantining it (0 = default 3)")
-	fuzzBackoff := flag.Duration("retry-backoff", 0, "fuzz: base backoff between check retries (0 = default 2ms)")
-	fuzzFaultSeed := flag.Int64("fault-seed", 0, "fuzz: fault-injection seed (with -fault-rate)")
-	fuzzFaultRate := flag.Float64("fault-rate", 0, "fuzz: inject faults into the engine's own I/O with this probability in [0,1] (0 = off)")
+	var faults exps.FaultFlags
+	faults.Register(flag.CommandLine, "fuzz: ")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
@@ -102,14 +100,8 @@ func main() {
 	if *fuzzEnumOps < 0 {
 		fatal(fmt.Errorf("-enum-ops must be >= 0, got %d", *fuzzEnumOps))
 	}
-	if *fuzzRetries < 0 {
-		fatal(fmt.Errorf("-retries must be >= 0 (0 = default), got %d", *fuzzRetries))
-	}
-	if *fuzzBackoff < 0 {
-		fatal(fmt.Errorf("-retry-backoff must be >= 0 (0 = default), got %v", *fuzzBackoff))
-	}
-	if *fuzzFaultRate < 0 || *fuzzFaultRate > 1 {
-		fatal(fmt.Errorf("-fault-rate must be in [0,1], got %g", *fuzzFaultRate))
+	if err := faults.Validate(); err != nil {
+		fatal(err)
 	}
 	// Like the fuzz flags above, -servers is checked whatever -exp says: a
 	// bad count must not surface after "all" has run for seconds.
@@ -128,9 +120,7 @@ func main() {
 			EnumOps:    *fuzzEnumOps,
 			TimeBudget: *fuzzTime,
 			CorpusDir:  *fuzzOut,
-			Retry:      core.RetryPolicy{MaxAttempts: *fuzzRetries, Backoff: *fuzzBackoff},
-			FaultSeed:  *fuzzFaultSeed,
-			FaultRate:  *fuzzFaultRate,
+			Faults:     faults,
 		},
 	}
 	for _, b := range strings.Split(*fuzzBackends, ",") {

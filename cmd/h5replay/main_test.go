@@ -52,7 +52,7 @@ func recordTrace(t *testing.T, fsName, progName string) (string, []*trace.Op) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := exps.TraceJSON(fsName, prog, workloads.DefaultH5Params(), exps.ConfigFor(fsName))
+	raw, err := exps.Spec{FS: fsName, Program: prog, H5: workloads.DefaultH5Params(), Config: exps.ConfigFor(fsName)}.TraceJSON()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,180 +8,206 @@
 //	paracrash -fs lustre -program H5-resize -mode brute -k 2
 //	paracrash -fs gpfs -program CDF-create -pfs-model causal -lib-model baseline
 //	paracrash -list
+//
+// The flags that describe the run fill a paracrashd job request, which a
+// local run executes as the daemon would: they mean the same either way.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
 	"paracrash/internal/exps"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	core "paracrash/internal/paracrash"
 	"paracrash/internal/serve"
-	"paracrash/internal/workloads"
 )
 
-func main() {
-	var (
-		fsName   = flag.String("fs", "beegfs", "file system under test (beegfs, orangefs, glusterfs, gpfs, lustre, ext4)")
-		progName = flag.String("program", "ARVR", "test program (see -list)")
-		mode     = flag.String("mode", "pruning", "exploration strategy: brute, pruning")
-		pfsModel = flag.String("pfs-model", "causal", "PFS consistency model: strict, commit, causal, baseline")
-		libModel = flag.String("lib-model", "baseline", "I/O library consistency model")
-		k        = flag.Int("k", 1, "max victims per crash front (Algorithm 1's k)")
-		workers  = flag.Int("workers", 1, "parallel exploration workers (1 = serial, the default; 0 = one per CPU)")
-		servers  = flag.Int("servers", 0, "override total server count (0 = paper default)")
-		stripe   = flag.Int64("stripe", 0, "override stripe size in bytes (0 = default)")
-		clients  = flag.Int("clients", 2, "MPI ranks for the parallel programs")
-		rows     = flag.Int("rows", 4, "preamble dataset rows")
-		cols     = flag.Int("cols", 4, "preamble dataset cols")
-		rrows    = flag.Int("resize-rows", 8, "H5-resize target rows")
-		rcols    = flag.Int("resize-cols", 8, "H5-resize target cols")
-		verbose  = flag.Bool("v", false, "also print each inconsistent crash state")
-		list     = flag.Bool("list", false, "list programs and file systems, then exit")
-		dumpPath = flag.String("dump-trace", "", "write the traced execution as JSON to this file instead of testing")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
+// invocation is what the command line resolves to: the job request a
+// local and a -remote run both read, how the report is printed, and the
+// settings only a local run reads.
+type invocation struct {
+	req              serve.JobRequest
+	remote, apiKey   string
+	jsonOut, verbose bool
+	// remoteFlags are the request's and the client's flags; any other flag
+	// set beside -remote is refused, as the daemon would never see it.
+	remoteFlags map[string]bool
 
-		remote = flag.String("remote", "", "submit the run as a job to a paracrashd at this address (e.g. localhost:7077) instead of exploring locally")
-		apiKey = flag.String("api-key", "", "API key for a multi-tenant paracrashd (with -remote); also honours the PARACRASH_API_KEY environment variable")
-		shards = flag.Int("shards", 0, "with -remote: ask the daemon to split this job across its worker fleet into this many shards (0 = daemon default)")
+	servers                                                int
+	stripe                                                 int64
+	list, progress                                         bool
+	dumpPath, resumePath, metricsPath, progJSON, pprofAddr string
+	faults                                                 exps.FaultFlags
+	spec                                                   exps.Spec // a local run's, set by resolve
+}
 
-		retries      = flag.Int("retries", 0, "max attempts per crash-state check before quarantining it (0 = default 3)")
-		retryBackoff = flag.Duration("retry-backoff", 0, "base backoff between check retries (0 = default 2ms)")
-		resumePath   = flag.String("resume", "", "checkpoint journal path: journal verdicts there and resume from it on restart")
-		faultSeed    = flag.Int64("fault-seed", 0, "fault-injection seed (with -fault-rate)")
-		faultRate    = flag.Float64("fault-rate", 0, "inject faults into the engine's own I/O with this probability in [0,1] (0 = off)")
+// requestFlags is the one table of the flags a job request carries, each
+// bound to its JobRequest field. A flag is named as its JSON field, with
+// dashes for underscores.
+func requestFlags(fl *flag.FlagSet, r *serve.JobRequest) {
+	fl.StringVar(&r.FS, "fs", "beegfs", "file system under test (beegfs, orangefs, glusterfs, gpfs, lustre, ext4)")
+	fl.StringVar(&r.Program, "program", "ARVR", "test program (see -list)")
+	fl.StringVar(&r.Mode, "mode", "pruning", "exploration strategy: brute, pruning")
+	fl.StringVar(&r.PFSModel, "pfs-model", "causal", "PFS consistency model: strict, commit, causal, baseline")
+	fl.StringVar(&r.LibModel, "lib-model", "baseline", "I/O library consistency model")
+	fl.IntVar(&r.K, "k", 1, "max victims per crash front (Algorithm 1's k)")
+	fl.IntVar(&r.Workers, "workers", 1, "parallel exploration workers (1 = serial, the default; 0 = one per CPU)")
+	fl.IntVar(&r.Shards, "shards", 0, "with -remote: ask the daemon to split this job across its worker fleet into this many shards (0 = daemon default)")
+	fl.IntVar(&r.Clients, "clients", 2, "MPI ranks for the parallel programs")
+	fl.IntVar(&r.Rows, "rows", 4, "preamble dataset rows (0 = the default)")
+	fl.IntVar(&r.Cols, "cols", 4, "preamble dataset cols (0 = the default)")
+	fl.IntVar(&r.ResizeRows, "resize-rows", 8, "H5-resize target rows (0 = the default)")
+	fl.IntVar(&r.ResizeCols, "resize-cols", 8, "H5-resize target cols (0 = the default)")
+}
 
-		metricsPath = flag.String("metrics", "", "write the run's observability summary (phase timings, counters, gauges) as JSON to this file")
-		progress    = flag.Bool("progress", false, "print a one-line progress ticker to stderr every second")
-		progJSONL   = flag.String("progress-jsonl", "", "write machine-readable progress events (one JSON object per line) to this file")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof, /debug/obs and /metrics on this address (e.g. localhost:6060)")
-	)
-	flag.Parse()
+// newInvocation registers every flag on fl: the request's and the client's
+// first, which makes them the remote flags, then the local-only ones.
+func newInvocation(fl *flag.FlagSet) *invocation {
+	inv := &invocation{remoteFlags: map[string]bool{}}
+	requestFlags(fl, &inv.req)
+	fl.StringVar(&inv.remote, "remote", "", "submit the run as a job to a paracrashd at this address (e.g. localhost:7077) instead of exploring locally")
+	fl.StringVar(&inv.apiKey, "api-key", "", "API key for a multi-tenant paracrashd (with -remote); also honours the PARACRASH_API_KEY environment variable")
+	fl.BoolVar(&inv.jsonOut, "json", false, "emit the report as JSON")
+	fl.BoolVar(&inv.verbose, "v", false, "also print each inconsistent crash state")
+	fl.VisitAll(func(f *flag.Flag) { inv.remoteFlags[f.Name] = true })
 
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "paracrash: unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *workers < 0 {
-		fatalIf(fmt.Errorf("-workers must be >= 0 (0 = one per CPU, 1 = serial), got %d", *workers))
-	}
-	if *k < 1 {
-		fatalIf(fmt.Errorf("-k must be >= 1 (victims per crash front), got %d", *k))
-	}
-	if *servers < 0 {
-		fatalIf(fmt.Errorf("-servers must be >= 0 (0 = paper default), got %d", *servers))
-	}
-	if *stripe < 0 {
-		fatalIf(fmt.Errorf("-stripe must be >= 0 (0 = default), got %d", *stripe))
-	}
-	h5p := workloads.DefaultH5Params()
-	h5p.Clients = *clients
-	h5p.Rows, h5p.Cols = *rows, *cols
-	h5p.ResizeRows, h5p.ResizeCols = *rrows, *rcols
-	if err := h5p.Validate(); err != nil {
-		fatalIf(fmt.Errorf("-%v", err))
-	}
-	if *retries < 0 {
-		fatalIf(fmt.Errorf("-retries must be >= 0 (0 = default), got %d", *retries))
-	}
-	if *retryBackoff < 0 {
-		fatalIf(fmt.Errorf("-retry-backoff must be >= 0 (0 = default), got %v", *retryBackoff))
-	}
-	if *faultRate < 0 || *faultRate > 1 {
-		fatalIf(fmt.Errorf("-fault-rate must be in [0,1], got %g", *faultRate))
-	}
-	exploreMode, err := core.ParseMode(*mode)
-	fatalIf(err)
+	fl.IntVar(&inv.servers, "servers", 0, "override total server count (0 = paper default)")
+	fl.Int64Var(&inv.stripe, "stripe", 0, "override stripe size in bytes (0 = default)")
+	fl.BoolVar(&inv.list, "list", false, "list programs and file systems, then exit")
+	fl.StringVar(&inv.dumpPath, "dump-trace", "", "write the traced execution as JSON to this file instead of testing")
+	fl.StringVar(&inv.resumePath, "resume", "", "checkpoint journal path: journal verdicts there and resume from it on restart")
+	inv.faults.Register(fl, "")
+	fl.StringVar(&inv.metricsPath, "metrics", "", "write the run's observability summary (phase timings, counters, gauges) as JSON to this file")
+	fl.BoolVar(&inv.progress, "progress", false, "print a one-line progress ticker to stderr every second")
+	fl.StringVar(&inv.progJSON, "progress-jsonl", "", "write machine-readable progress events (one JSON object per line) to this file")
+	fl.StringVar(&inv.pprofAddr, "pprof", "", "serve net/http/pprof, /debug/obs and /metrics on this address (e.g. localhost:6060)")
+	return inv
+}
 
-	if *list {
-		fmt.Println("file systems:", strings.Join(exps.FSNames(), ", "))
-		fmt.Print("programs:     ")
-		var names []string
-		for _, p := range exps.Programs() {
-			names = append(names, p.Name)
+// resolve validates the parsed flags: the request through Normalize, as the
+// daemon does, then a local run's own settings. Errors name the flag.
+func (inv *invocation) resolve(fl *flag.FlagSet) error {
+	if fl.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments: %s", strings.Join(fl.Args(), " "))
+	}
+	if inv.remote == "" && (inv.req.Shards != 0 || inv.apiKey != "") {
+		return errors.New("-shards and -api-key only apply with -remote")
+	}
+	var local []string
+	fl.Visit(func(f *flag.Flag) {
+		if inv.remote != "" && !inv.remoteFlags[f.Name] {
+			local = append(local, "-"+f.Name)
 		}
-		fmt.Println(strings.Join(names, ", "))
+	})
+	if len(local) > 0 {
+		return fmt.Errorf("local-only flags cannot combine with -remote: %s", strings.Join(local, ", "))
+	}
+	// A request reads a zero k or clients as the default; a command line
+	// that says 0 is refused instead.
+	if inv.req.K < 1 {
+		return fmt.Errorf("-k must be >= 1 (victims per crash front), got %d", inv.req.K)
+	}
+	if inv.req.Clients < 1 {
+		return fmt.Errorf("-clients must be >= 1, got %d", inv.req.Clients)
+	}
+	if err := inv.req.Normalize(); err != nil {
+		return inv.flagError(err)
+	}
+	if inv.remote != "" {
+		return nil
+	}
+	if err := inv.faults.Validate(); err != nil {
+		return err
+	}
+	inv.spec, _ = inv.req.Spec(0) // Normalize has accepted the program
+	var err error
+	if inv.spec.Config, err = exps.WithServers(inv.spec.Config, inv.servers); err != nil {
+		return fmt.Errorf("-%v (-fs %s)", err, inv.req.FS)
+	}
+	switch {
+	case inv.stripe < 0:
+		return fmt.Errorf("-stripe must be >= 0 (0 = default), got %d", inv.stripe)
+	case inv.stripe > 0:
+		inv.spec.Config.StripeSize = inv.stripe
+	}
+	return nil
+}
+
+// flagError names the request field a Normalize error starts with by the
+// flag that sets it (the field pfs_model is the flag -pfs-model).
+func (inv *invocation) flagError(err error) error {
+	msg := err.Error()
+	field := msg[:strings.IndexAny(msg+" ", " :")]
+	if name := strings.ReplaceAll(field, "_", "-"); inv.remoteFlags[name] {
+		return errors.New("-" + name + msg[len(field):])
+	}
+	return err
+}
+
+func main() {
+	inv := newInvocation(flag.CommandLine)
+	flag.Parse()
+	fatalIf(inv.resolve(flag.CommandLine))
+	if inv.list {
+		fmt.Println("file systems:", strings.Join(exps.FSNames(), ", "))
+		fmt.Println("programs:    ", strings.Join(exps.ProgramNames(), ", "))
 		return
 	}
-
-	prog, err := exps.ProgramByName(*progName)
+	if inv.dumpPath != "" {
+		dump, err := inv.spec.TraceJSON()
+		fatalIf(err)
+		fatalIf(os.WriteFile(inv.dumpPath, dump, 0o644))
+		fmt.Printf("trace written to %s\n", inv.dumpPath)
+		return
+	}
+	run := inv.runLocal
+	if inv.remote != "" {
+		run = inv.runRemote
+	}
+	rep, err := run()
 	fatalIf(err)
+	printReport(rep, inv.jsonOut, inv.verbose)
+	if len(rep.Bugs) > 0 {
+		os.Exit(1)
+	}
+}
 
-	if *shards < 0 {
-		fatalIf(fmt.Errorf("-shards must be >= 0, got %d", *shards))
-	}
-	if *remote == "" && (*shards > 0 || *apiKey != "") {
-		fatalIf(fmt.Errorf("-shards and -api-key only apply with -remote"))
-	}
-	if *remote != "" {
-		var local []string
-		flag.Visit(func(f *flag.Flag) {
-			if !slices.Contains(remoteFlags, f.Name) {
-				local = append(local, "-"+f.Name)
-			}
-		})
-		if len(local) > 0 {
-			fatalIf(fmt.Errorf("local-only flags cannot combine with -remote: %s", strings.Join(local, ", ")))
-		}
-		key := *apiKey
-		if key == "" {
-			key = os.Getenv("PARACRASH_API_KEY")
-		}
-		os.Exit(runRemote(*remote, key, serve.JobRequest{
-			Kind: serve.JobKindExplore,
-			FS:   *fsName, Program: *progName, Mode: *mode,
-			PFSModel: *pfsModel, LibModel: *libModel,
-			K: *k, Workers: *workers, Shards: *shards,
-			Clients: *clients, Rows: *rows, Cols: *cols,
-			ResizeRows: *rrows, ResizeCols: *rcols,
-		}, *jsonOut, *verbose))
+// runLocal explores the request in this process, reporting what the run
+// counted, resumed and capped on stderr and in the -metrics file.
+func (inv *invocation) runLocal() (*core.Report, error) {
+	opts := &inv.spec.Options
+	opts.Retry = inv.faults.Retry
+	opts.Faults = inv.faults.Plan()
+	if inv.resumePath != "" {
+		opts.Checkpoint = core.OpenCheckpoint(inv.resumePath)
 	}
 
-	opts := core.DefaultOptions()
-	opts.Emulator.K = *k
-	opts.Workers = *workers
-	opts.Mode = exploreMode
-	opts.PFSModel, err = core.ParseModel(*pfsModel)
-	fatalIf(err)
-	opts.LibModel, err = core.ParseModel(*libModel)
-	fatalIf(err)
-	opts.Retry = core.RetryPolicy{MaxAttempts: *retries, Backoff: *retryBackoff}
-	if *faultRate > 0 {
-		opts.Faults = faultinject.New(faultinject.Config{Seed: *faultSeed, Rate: *faultRate})
-	}
-	var ckpt *core.Checkpoint
-	if *resumePath != "" {
-		ckpt = core.OpenCheckpoint(*resumePath)
-		opts.Checkpoint = ckpt
-	}
-
-	// Observability: one run per invocation. It is always attached — a
-	// capped enumeration is reported through its counters and nowhere else —
-	// while progress, the endpoint and the metrics file read it only when
-	// asked for.
+	// One observability run, always attached (a capped enumeration shows
+	// only in its counters); the outputs below read it when asked for.
 	run := obs.NewRun()
 	opts.Obs = run
 	// Progress: follow the run every second; stopping writes the final
 	// event and waits for it, so it precedes the report.
 	stopProgress := func() {}
-	if *progress || *progJSONL != "" {
+	if inv.progress || inv.progJSON != "" {
 		var jsonl *json.Encoder
-		if *progJSONL != "" {
-			f, err := os.Create(*progJSONL)
-			fatalIf(err)
+		if inv.progJSON != "" {
+			f, err := os.Create(inv.progJSON)
+			if err != nil {
+				return nil, err
+			}
 			defer f.Close()
 			jsonl = json.NewEncoder(f)
 		}
 		write := func(ev obs.Event) {
-			if *progress {
+			if inv.progress {
 				fmt.Fprintln(os.Stderr, ev)
 			}
 			if jsonl != nil {
@@ -190,77 +216,57 @@ func main() {
 		}
 		stopProgress = obs.Follow(time.Second, run.Event, write)
 	}
-	if *pprofAddr != "" {
-		addr, shutdown, err := obs.Serve(*pprofAddr, run)
-		fatalIf(err)
+	if inv.pprofAddr != "" {
+		addr, shutdown, err := obs.Serve(inv.pprofAddr, run)
+		if err != nil {
+			return nil, err
+		}
 		defer shutdown()
 		fmt.Fprintf(os.Stderr, "paracrash: diagnostics at http://%s/debug/pprof/ (also /debug/obs, /metrics)\n", addr)
 	}
 
-	conf := exps.ConfigFor(*fsName)
-	if *servers > 0 {
-		if conf.MetaServers > 0 {
-			conf.MetaServers = *servers / 2
-			conf.StorageServers = *servers - *servers/2
-		} else {
-			conf.StorageServers = *servers
-		}
-	}
-	if *stripe > 0 {
-		conf.StripeSize = *stripe
-	}
-
-	if *dumpPath != "" {
-		dump, err := exps.TraceJSON(*fsName, prog, h5p, conf)
-		fatalIf(err)
-		fatalIf(os.WriteFile(*dumpPath, dump, 0o644))
-		fmt.Printf("trace written to %s\n", *dumpPath)
-		return
-	}
-
-	rep, err := exps.RunOne(*fsName, prog, opts, h5p, conf)
+	rep, err := inv.spec.Run(context.Background())
 	stopProgress()
-	fatalIf(err)
+	if err != nil {
+		return nil, err
+	}
 	for _, line := range capWarnings(run, opts.Emulator) {
 		fmt.Fprintln(os.Stderr, "paracrash:", line)
 	}
-	if ckpt != nil {
-		fmt.Fprintf(os.Stderr, "paracrash: checkpoint %s: resumed %d verdicts", ckpt.Path(), ckpt.Resumed())
-		if w := ckpt.Warnings(); len(w) > 0 {
-			fmt.Fprintf(os.Stderr, " (%d warnings)", len(w))
-			for _, warn := range w {
-				fmt.Fprintf(os.Stderr, "\nparacrash: checkpoint warning: %v", warn)
-			}
+	if ckpt := opts.Checkpoint; ckpt != nil {
+		fmt.Fprintf(os.Stderr, "paracrash: checkpoint %s: resumed %d verdicts\n", ckpt.Path(), ckpt.Resumed())
+		for _, warn := range ckpt.Warnings() {
+			fmt.Fprintln(os.Stderr, "paracrash: checkpoint warning:", warn)
 		}
-		fmt.Fprintln(os.Stderr)
 	}
-	if *metricsPath != "" {
+	if inv.metricsPath != "" {
 		out, err := run.SummaryJSON()
-		fatalIf(err)
-		fatalIf(os.WriteFile(*metricsPath, out, 0o644))
+		if err == nil {
+			err = os.WriteFile(inv.metricsPath, out, 0o644)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
+	return rep, nil
+}
 
-	if *jsonOut {
+// printReport prints a finished run's report, local or remote alike.
+func printReport(rep *core.Report, jsonOut, verbose bool) {
+	if jsonOut {
 		out, err := json.MarshalIndent(rep, "", "  ")
 		fatalIf(err)
 		fmt.Println(string(out))
-		if len(rep.Bugs) > 0 {
-			os.Exit(1)
-		}
 		return
 	}
-
 	fmt.Print(rep.Format())
-	if *verbose {
+	if verbose {
 		for i, st := range rep.States {
 			fmt.Printf("state %d [%s]: victims=%v\n  %s\n", i+1, st.Layer, st.Victims, st.Consequence)
 		}
 		for i, sk := range rep.Skipped {
 			fmt.Printf("skipped %d: victims=%v\n  %s\n", i+1, sk.Victims, sk.Reason)
 		}
-	}
-	if len(rep.Bugs) > 0 {
-		os.Exit(1)
 	}
 }
 

@@ -1,15 +1,21 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"os/exec"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"paracrash/internal/exps"
 	"paracrash/internal/obs"
 	core "paracrash/internal/paracrash"
+	"paracrash/internal/serve"
 )
 
 // TestMain doubles the test binary as the CLI when the re-exec marker is
@@ -85,6 +91,8 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"remote with retry-backoff", []string{"-remote", "localhost:1", "-retry-backoff", "5ms"}, "local-only"},
 		{"remote with fault-seed", []string{"-remote", "localhost:1", "-fault-seed", "7"}, "local-only"},
 		{"retired sink flag", []string{"-sink", "stdout"}, "flag provided but not defined: -sink"},
+		{"one server on beegfs", []string{"-fs", "beegfs", "-program", "ARVR", "-servers", "1"}, "-servers must be >= 2"},
+		{"one server on orangefs", []string{"-fs", "orangefs", "-program", "ARVR", "-servers", "1"}, "-servers must be >= 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -186,5 +194,108 @@ func TestCapWarnings(t *testing.T) {
 	run.Counter("emulate/fronts-capped").Inc()
 	if w := capWarnings(run, cfg); len(w) != 2 || !strings.Contains(w[1], "MaxFronts=20000") {
 		t.Fatalf("both caps: %q", w)
+	}
+}
+
+// parseArgs resolves a command line in-process, as main does.
+func parseArgs(args ...string) (*invocation, error) {
+	fl := flag.NewFlagSet("paracrash", flag.ContinueOnError)
+	fl.SetOutput(io.Discard)
+	inv := newInvocation(fl)
+	if err := fl.Parse(args); err != nil {
+		return nil, err
+	}
+	return inv, inv.resolve(fl)
+}
+
+// TestRequestSameLocalAndRemote: one command line builds one job request,
+// with or without -remote, and the local run executes the spec the daemon
+// would assemble from it, or both refuse the command line. A zero H5 knob
+// means the default on both paths: -rows 0 traces the default workload.
+func TestRequestSameLocalAndRemote(t *testing.T) {
+	for _, args := range [][]string{
+		{},
+		{"-fs", "beegfs", "-program", "H5-resize", "-rows", "0"},
+		{"-fs", "lustre", "-program", "H5-resize", "-resize-rows", "10", "-resize-cols", "10", "-mode", "brute", "-k", "2"},
+		{"-fs", "gpfs", "-program", "CDF-create", "-pfs-model", "commit", "-lib-model", "causal", "-workers", "0"},
+		{"-program", "H5-parallel-create", "-clients", "4", "-cols", "0"},
+		{"-k", "0"},
+		{"-clients", "0"},
+		{"-rows", "-1"},
+		{"-program", "NOPE"},
+	} {
+		local, lerr := parseArgs(args...)
+		remote, rerr := parseArgs(append(args, "-remote", "localhost:1")...)
+		if (lerr == nil) != (rerr == nil) {
+			t.Errorf("%v: local error %v, remote error %v", args, lerr, rerr)
+			continue
+		}
+		if lerr != nil {
+			if lerr.Error() != rerr.Error() {
+				t.Errorf("%v: refused as %q locally, %q remotely", args, lerr, rerr)
+			}
+			continue
+		}
+		if local.req != remote.req {
+			t.Errorf("%v: local request %+v, remote request %+v", args, local.req, remote.req)
+			continue
+		}
+		daemon, err := remote.req.Spec(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := local.spec
+		if got.Program.Name != daemon.Program.Name {
+			t.Errorf("%v: local program %s, daemon program %s", args, got.Program.Name, daemon.Program.Name)
+		}
+		got.Program, daemon.Program = exps.Program{}, exps.Program{}
+		if !reflect.DeepEqual(got, daemon) {
+			t.Errorf("%v: local spec %+v, daemon spec %+v", args, got, daemon)
+		}
+	}
+	for _, refused := range [][]string{{"-k", "0"}, {"-clients", "0"}} {
+		if _, err := parseArgs(refused...); err == nil {
+			t.Errorf("%v accepted", refused)
+		}
+	}
+
+	trace := func(args ...string) []byte {
+		t.Helper()
+		inv, err := parseArgs(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dump, err := inv.spec.TraceJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dump
+	}
+	if !bytes.Equal(trace("-fs", "beegfs", "-program", "H5-resize", "-rows", "0"), trace("-fs", "beegfs", "-program", "H5-resize")) {
+		t.Error("-rows 0 traces another workload than the default rows")
+	}
+}
+
+// TestRemoteFlagsFromTable: the flags a -remote run accepts are the job
+// request's flags and the client's, no more, and every request flag is
+// named as a JobRequest JSON field (flagError relies on it).
+func TestRemoteFlagsFromTable(t *testing.T) {
+	var req serve.JobRequest
+	fields := map[string]bool{}
+	for i := 0; i < reflect.TypeOf(req).NumField(); i++ {
+		name, _, _ := strings.Cut(reflect.TypeOf(req).Field(i).Tag.Get("json"), ",")
+		fields[name] = true
+	}
+	fl := flag.NewFlagSet("", flag.ContinueOnError)
+	requestFlags(fl, &req)
+	want := map[string]bool{"remote": true, "api-key": true, "json": true, "v": true}
+	fl.VisitAll(func(f *flag.Flag) {
+		want[f.Name] = true
+		if !fields[strings.ReplaceAll(f.Name, "-", "_")] {
+			t.Errorf("-%s names no JobRequest field", f.Name)
+		}
+	})
+	if got := newInvocation(flag.NewFlagSet("", flag.ContinueOnError)).remoteFlags; !reflect.DeepEqual(got, want) {
+		t.Fatalf("remote flags %v, want %v", got, want)
 	}
 }

@@ -3,114 +3,76 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
+	core "paracrash/internal/paracrash"
 	"paracrash/internal/serve"
 )
 
-// remoteFlags are the flags a -remote run reads: the job request's fields
-// and how the report is printed. Any other flag set beside -remote is
-// refused, as the daemon would never see it.
-var remoteFlags = strings.Fields("remote api-key shards json v fs program mode pfs-model lib-model k workers clients rows cols resize-rows resize-cols")
-
-// doRequest issues one HTTP request against the daemon, attaching the
-// tenant API key (if any) as an X-API-Key header.
-func doRequest(method, url, apiKey string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(method, url, body)
+// do issues one HTTP request against the -remote daemon, with the tenant
+// API key (-api-key, else $PARACRASH_API_KEY) as an X-API-Key header.
+func (inv *invocation) do(method, path string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequest(method, "http://"+inv.remote+path, body)
 	if err != nil {
 		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if apiKey != "" {
-		req.Header.Set("X-API-Key", apiKey)
+	if key := cmp.Or(inv.apiKey, os.Getenv("PARACRASH_API_KEY")); key != "" {
+		req.Header.Set("X-API-Key", key)
 	}
 	return http.DefaultClient.Do(req)
 }
 
-// runRemote submits the request to a paracrashd instance, streams the
-// job's progress events to stderr, and prints the finished job's report —
-// the same output a local run would give. Returns the process exit code.
-func runRemote(addr, apiKey string, req serve.JobRequest, jsonOut, verbose bool) int {
-	base := "http://" + addr
-	body, err := json.Marshal(req)
+// runRemote submits the request to the -remote paracrashd, streams the
+// job's progress events to stderr, and returns the finished job's report,
+// which prints as a local run's would.
+func (inv *invocation) runRemote() (*core.Report, error) {
+	body, _ := json.Marshal(inv.req) // a request is strings and numbers
+	resp, err := inv.do(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "paracrash:", err)
-		return 2
-	}
-	resp, err := doRequest(http.MethodPost, base+"/v1/jobs", apiKey, bytes.NewReader(body))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paracrash: submit:", err)
-		return 2
+		return nil, fmt.Errorf("submit: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		fmt.Fprintf(os.Stderr, "paracrash: submit: %s: %s", resp.Status, msg)
-		return 2
+		return nil, fmt.Errorf("submit: %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	var job serve.Job
 	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		fmt.Fprintln(os.Stderr, "paracrash: submit response:", err)
-		return 2
+		return nil, fmt.Errorf("submit response: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "paracrash: submitted job %s to %s\n", job.ID, addr)
+	fmt.Fprintf(os.Stderr, "paracrash: submitted job %s to %s\n", job.ID, inv.remote)
 
-	streamEvents(base, apiKey, job.ID)
+	inv.streamEvents(job.ID)
 
-	job, ok := waitTerminal(base, apiKey, job.ID)
-	if !ok {
-		return 2
+	job, err = inv.waitTerminal(job.ID)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("poll: %w", err)
+	case job.State == serve.JobCanceled:
+		return nil, fmt.Errorf("job %s canceled: %s", job.ID, job.Error)
+	case job.State != serve.JobDone:
+		return nil, fmt.Errorf("job %s failed: %s", job.ID, job.Error)
+	case job.Report == nil:
+		return nil, fmt.Errorf("job %s finished without a report", job.ID)
 	}
-	switch job.State {
-	case serve.JobDone:
-	case serve.JobCanceled:
-		fmt.Fprintf(os.Stderr, "paracrash: job %s canceled: %s\n", job.ID, job.Error)
-		return 2
-	default:
-		fmt.Fprintf(os.Stderr, "paracrash: job %s failed: %s\n", job.ID, job.Error)
-		return 2
-	}
-
-	rep := job.Report
-	if rep == nil {
-		fmt.Fprintf(os.Stderr, "paracrash: job %s finished without a report\n", job.ID)
-		return 2
-	}
-	if jsonOut {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paracrash:", err)
-			return 2
-		}
-		fmt.Println(string(out))
-	} else {
-		fmt.Print(rep.Format())
-		if verbose {
-			for i, st := range rep.States {
-				fmt.Printf("state %d [%s]: victims=%v\n  %s\n", i+1, st.Layer, st.Victims, st.Consequence)
-			}
-		}
-	}
-	if len(rep.Bugs) > 0 {
-		return 1
-	}
-	return 0
+	return job.Report, nil
 }
 
 // streamEvents relays the job's NDJSON progress stream to stderr until the
 // daemon closes it, which it does once the job's terminal record is
 // written. Stream errors are non-fatal: the job record is the source of
 // truth, and waitTerminal reads it either way.
-func streamEvents(base, apiKey, id string) {
-	resp, err := doRequest(http.MethodGet, base+"/v1/jobs/"+id+"/events", apiKey, nil)
+func (inv *invocation) streamEvents(id string) {
+	resp, err := inv.do(http.MethodGet, "/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paracrash: event stream:", err)
 		return
@@ -130,22 +92,17 @@ func streamEvents(base, apiKey, id string) {
 // its end the first fetch is the terminal one; the 250ms poll is left for a
 // job with no stream to follow (one loaded by a restarted daemon answers
 // 410 on /events) or whose stream broke.
-func waitTerminal(base, apiKey, id string) (serve.Job, bool) {
+func (inv *invocation) waitTerminal(id string) (serve.Job, error) {
 	for {
-		resp, err := doRequest(http.MethodGet, base+"/v1/jobs/"+id, apiKey, nil)
+		resp, err := inv.do(http.MethodGet, "/v1/jobs/"+id, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paracrash: poll:", err)
-			return serve.Job{}, false
+			return serve.Job{}, err
 		}
 		var job serve.Job
 		err = json.NewDecoder(resp.Body).Decode(&job)
 		resp.Body.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paracrash: poll:", err)
-			return serve.Job{}, false
-		}
-		if job.State.Terminal() {
-			return job, true
+		if err != nil || job.State.Terminal() {
+			return job, err
 		}
 		time.Sleep(250 * time.Millisecond)
 	}

@@ -7,6 +7,7 @@ package exps
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"strings"
@@ -65,6 +66,25 @@ func ConfigFor(fsName string) pfs.Config {
 	return conf
 }
 
+// WithServers resizes a deployment to n servers in total; 0 keeps it. A
+// backend with metadata servers splits them, n/2 metadata and the rest
+// storage, and so needs at least two; any other backend runs n storage
+// servers.
+func WithServers(conf pfs.Config, n int) (pfs.Config, error) {
+	switch {
+	case n < 0:
+		return conf, fmt.Errorf("servers must be >= 0 (0 = paper default), got %d", n)
+	case n == 0:
+	case conf.MetaServers == 0:
+		conf.StorageServers = n
+	case n < 2:
+		return conf, fmt.Errorf("servers must be >= 2 on a backend with metadata servers, got %d", n)
+	default:
+		conf.MetaServers, conf.StorageServers = n/2, n-n/2
+	}
+	return conf, nil
+}
+
 // Program is one evaluation test program.
 type Program struct {
 	Name string
@@ -112,6 +132,15 @@ func Programs() []Program {
 	}
 }
 
+// ProgramNames lists the test programs' names, in the paper's order.
+func ProgramNames() []string {
+	var names []string
+	for _, p := range Programs() {
+		names = append(names, p.Name)
+	}
+	return names
+}
+
 // ProgramByName finds a program.
 func ProgramByName(name string) (Program, error) {
 	for _, p := range Programs() {
@@ -123,66 +152,77 @@ func ProgramByName(name string) (Program, error) {
 }
 
 // RunOne executes a single (program, file system) cell of the matrix.
-// Placement hints do not apply to GlusterFS: its striped volume always
-// places the first stripe on the first brick.
 func RunOne(fsName string, prog Program, opts paracrash.Options, h5p workloads.H5Params, conf pfs.Config) (*paracrash.Report, error) {
 	return RunOneContext(context.Background(), fsName, prog, opts, h5p, conf)
 }
 
 // RunOneContext is RunOne with cancellation, for callers that bound a
-// cell's wall time (the job daemon's per-job timeouts).
+// cell's wall time.
 func RunOneContext(ctx context.Context, fsName string, prog Program, opts paracrash.Options, h5p workloads.H5Params, conf pfs.Config) (*paracrash.Report, error) {
-	fs, err := cellFS(fsName, prog, conf)
+	return Spec{FS: fsName, Program: prog, Options: opts, H5: h5p, Config: conf}.Run(ctx)
+}
+
+// Spec is one explore run: a cell of the matrix, the engine options, the H5
+// knobs and the deployment. serve.JobRequest assembles one for a daemon job
+// and for the paracrash command alike. Every entry point builds the stack
+// the same way, which keeps the generation order, and with it a fleet's
+// shard partition, identical across processes.
+type Spec struct {
+	FS      string
+	Program Program
+	Options paracrash.Options
+	H5      workloads.H5Params
+	Config  pfs.Config
+}
+
+// Run explores the spec.
+func (s Spec) Run(ctx context.Context) (*paracrash.Report, error) {
+	fs, w, lib, err := s.stack()
 	if err != nil {
 		return nil, err
 	}
-	w, lib := prog.Make(h5p)
-	return paracrash.RunContext(ctx, fs, lib, w, opts)
+	return paracrash.RunContext(ctx, fs, lib, w, s.Options)
 }
 
-// RunOneShardContext judges one shard of a cell's crash-state space — the
-// fleet worker's entry point. The cell stack (placement hints, backend
-// config, workload construction) is built exactly as RunOneContext builds
-// it, which is what keeps the generation order, and with it the shard
-// partition, identical across worker processes.
-func RunOneShardContext(ctx context.Context, fsName string, prog Program, opts paracrash.Options, h5p workloads.H5Params, conf pfs.Config, shard paracrash.ShardSpec) (*paracrash.ShardReport, error) {
-	fs, err := cellFS(fsName, prog, conf)
+// RunShard judges one shard of the spec's crash-state space: a fleet
+// worker's entry point.
+func (s Spec) RunShard(ctx context.Context, shard paracrash.ShardSpec) (*paracrash.ShardReport, error) {
+	fs, w, lib, err := s.stack()
 	if err != nil {
 		return nil, err
 	}
-	w, lib := prog.Make(h5p)
-	return paracrash.RunShard(ctx, fs, lib, w, opts, shard)
+	return paracrash.RunShard(ctx, fs, lib, w, s.Options, shard)
 }
 
-// MergeOneShardsContext merges a cell's shard reports into the full report —
-// the fleet coordinator's entry point, byte-identical (ReportFingerprint)
-// to RunOneContext with the same arguments.
-func MergeOneShardsContext(ctx context.Context, fsName string, prog Program, opts paracrash.Options, h5p workloads.H5Params, conf pfs.Config, shards []*paracrash.ShardReport) (*paracrash.Report, error) {
-	fs, err := cellFS(fsName, prog, conf)
+// Merge merges the spec's shard reports into the full report: the fleet
+// coordinator's entry point, byte-identical (ReportFingerprint) to Run.
+func (s Spec) Merge(ctx context.Context, shards []*paracrash.ShardReport) (*paracrash.Report, error) {
+	fs, w, lib, err := s.stack()
 	if err != nil {
 		return nil, err
 	}
-	w, lib := prog.Make(h5p)
-	return paracrash.MergeShards(ctx, fs, lib, w, opts, shards)
+	return paracrash.MergeShards(ctx, fs, lib, w, s.Options, shards)
 }
 
-// cellFS builds one cell's file-system stack: the program's placement hints
-// overlaid on the backend config. Placement hints do not apply to GlusterFS
-// (its striped volume always places the first stripe on the first brick).
-func cellFS(fsName string, prog Program, conf pfs.Config) (pfs.FileSystem, error) {
-	placement := prog.Placement
-	if fsName == "glusterfs" {
-		placement = prog.GlusterPlacement
+// stack builds the spec's file system, with the program's placement hints
+// overlaid on the config, and its workload. Placement hints do not apply to
+// GlusterFS: its striped volume always places the first stripe on the
+// first brick.
+func (s Spec) stack() (pfs.FileSystem, paracrash.Workload, paracrash.Library, error) {
+	placement, conf := s.Program.Placement, s.Config
+	if s.FS == "glusterfs" {
+		placement = s.Program.GlusterPlacement
 	}
 	if placement != nil {
+		conf.FilePlacement = maps.Clone(conf.FilePlacement)
 		if conf.FilePlacement == nil {
 			conf.FilePlacement = map[string]int{}
 		}
-		for k, v := range placement {
-			conf.FilePlacement[k] = v
-		}
+		maps.Copy(conf.FilePlacement, placement)
 	}
-	return NewFS(fsName, conf, trace.NewRecorder())
+	fs, err := NewFS(s.FS, conf, trace.NewRecorder())
+	w, lib := s.Program.Make(s.H5)
+	return fs, w, lib, err
 }
 
 // Cell is one Figure 8 matrix entry.
@@ -199,56 +239,60 @@ type Fig8Result struct {
 	Programs []string
 	FS       []string
 	Cells    map[string]map[string]Cell // program -> fs -> cell
-	Reports  []*paracrash.Report
 }
 
-// Fig8 runs the full evaluation matrix. Every cell is an independent stack
-// (its own recorder, servers and snapshots), so the cells run concurrently
-// across the available cores.
-func Fig8(opts paracrash.Options, h5p workloads.H5Params) *Fig8Result {
-	res := &Fig8Result{Cells: map[string]map[string]Cell{}}
-	for _, fsName := range FSNames() {
-		res.FS = append(res.FS, fsName)
-	}
-	type cellKey struct{ prog, fs string }
+// cellKey names one cell of the evaluation matrix.
+type cellKey struct{ prog, fs string }
+
+// cellRun is one cell's outcome.
+type cellRun struct {
+	rep *paracrash.Report
+	err error
+}
+
+// runMatrix runs every cell of the evaluation matrix. Every cell is an
+// independent stack (its own recorder, servers and snapshots), so the cells
+// run concurrently across the available cores.
+func runMatrix(opts paracrash.Options, h5p workloads.H5Params) map[cellKey]cellRun {
 	var (
 		mu sync.Mutex
 		wg sync.WaitGroup
 	)
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	cells := map[cellKey]Cell{}
-	var reports []*paracrash.Report
-
+	cells := map[cellKey]cellRun{}
 	for _, prog := range Programs() {
-		res.Programs = append(res.Programs, prog.Name)
-		res.Cells[prog.Name] = map[string]Cell{}
 		for _, fsName := range FSNames() {
-			prog, fsName := prog, fsName
 			wg.Add(1)
 			sem <- struct{}{}
 			go func() {
 				defer func() { <-sem; wg.Done() }()
 				rep, err := RunOne(fsName, prog, opts, h5p, ConfigFor(fsName))
 				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					cells[cellKey{prog.Name, fsName}] = Cell{Err: err.Error()}
-					return
-				}
-				cells[cellKey{prog.Name, fsName}] = Cell{
-					Inconsistent: rep.Inconsistent,
-					LibOnly:      rep.LibOnly,
-					Bugs:         len(rep.Bugs),
-				}
-				reports = append(reports, rep)
+				cells[cellKey{prog.Name, fsName}] = cellRun{rep, err}
+				mu.Unlock()
 			}()
 		}
 	}
 	wg.Wait()
-	for k, c := range cells {
-		res.Cells[k.prog][k.fs] = c
+	return cells
+}
+
+// Fig8 runs the full evaluation matrix.
+func Fig8(opts paracrash.Options, h5p workloads.H5Params) *Fig8Result {
+	res := &Fig8Result{FS: FSNames(), Cells: map[string]map[string]Cell{}}
+	cells := runMatrix(opts, h5p)
+	for _, prog := range Programs() {
+		res.Programs = append(res.Programs, prog.Name)
+		res.Cells[prog.Name] = map[string]Cell{}
+		for _, fsName := range res.FS {
+			run := cells[cellKey{prog.Name, fsName}]
+			if run.err != nil {
+				res.Cells[prog.Name][fsName] = Cell{Err: run.err.Error()}
+				continue
+			}
+			res.Cells[prog.Name][fsName] = Cell{Inconsistent: run.rep.Inconsistent, LibOnly: run.rep.LibOnly, Bugs: len(run.rep.Bugs)}
+		}
 	}
-	res.Reports = reports
 	return res
 }
 
@@ -288,44 +332,19 @@ type Table3Row struct {
 	Consequence string
 }
 
-// Table3 runs the matrix (cells concurrently) and aggregates bugs across
-// file systems in deterministic order.
+// Table3 runs the matrix and aggregates bugs across file systems in
+// deterministic order.
 func Table3(opts paracrash.Options, h5p workloads.H5Params) []Table3Row {
-	type cellKey struct{ prog, fs string }
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	reports := map[cellKey]*paracrash.Report{}
-	for _, prog := range Programs() {
-		for _, fsName := range FSNames() {
-			prog, fsName := prog, fsName
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer func() { <-sem; wg.Done() }()
-				rep, err := RunOne(fsName, prog, opts, h5p, ConfigFor(fsName))
-				if err != nil {
-					return
-				}
-				mu.Lock()
-				reports[cellKey{prog.Name, fsName}] = rep
-				mu.Unlock()
-			}()
-		}
-	}
-	wg.Wait()
-
+	cells := runMatrix(opts, h5p)
 	byKey := map[string]*Table3Row{}
 	var order []string
 	for _, prog := range Programs() {
 		for _, fsName := range FSNames() {
-			rep, ok := reports[cellKey{prog.Name, fsName}]
-			if !ok {
+			run := cells[cellKey{prog.Name, fsName}]
+			if run.err != nil {
 				continue
 			}
-			for _, bug := range rep.Bugs {
+			for _, bug := range run.rep.Bugs {
 				key := fmt.Sprintf("%s|%s|%s|%s|%s", prog.Name, bug.Layer, bug.Kind, stripServerIndex(bug.OpA), stripServerIndex(bug.OpB))
 				row, ok := byKey[key]
 				if !ok {
@@ -446,12 +465,9 @@ func Fig11(serverCounts []int, h5p workloads.H5Params) []Fig11Row {
 		for _, progName := range progs {
 			prog, _ := ProgramByName(progName)
 			for _, n := range serverCounts {
-				conf := ConfigFor(fsName)
-				if fsName == "glusterfs" {
-					conf.StorageServers = n
-				} else {
-					conf.MetaServers = n / 2
-					conf.StorageServers = n - n/2
+				conf, err := WithServers(ConfigFor(fsName), n)
+				if err != nil {
+					continue
 				}
 				// Shrink the stripe as servers grow (paper: 128KB at 4
 				// servers down to 16KB at 32).

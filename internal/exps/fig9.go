@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"paracrash/internal/paracrash"
-	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
 	"paracrash/internal/workloads"
 )
@@ -14,7 +13,7 @@ import (
 // returns the per-process operation listing — the raw material of the
 // paper's Figures 2 and 9.
 func traceDump(fsName string, prog Program, h5p workloads.H5Params) (string, error) {
-	ops, err := tracedOps(fsName, prog, h5p, ConfigFor(fsName))
+	ops, err := Spec{FS: fsName, Program: prog, H5: h5p, Config: ConfigFor(fsName)}.tracedOps()
 	if err != nil {
 		return "", err
 	}
@@ -64,25 +63,24 @@ func Fig5() string {
 	return b.String()
 }
 
-// TraceJSON runs a program and returns its full trace serialised as JSON
-// (the per-process trace files of the paper's tracing stage, §5.1).
-func TraceJSON(fsName string, prog Program, h5p workloads.H5Params, conf pfs.Config) ([]byte, error) {
-	ops, err := tracedOps(fsName, prog, h5p, conf)
+// TraceJSON runs the spec's program and returns its full trace serialised
+// as JSON (the per-process trace files of the paper's tracing stage, §5.1).
+func (s Spec) TraceJSON() ([]byte, error) {
+	ops, err := s.tracedOps()
 	if err != nil {
 		return nil, err
 	}
 	return trace.Encode(ops)
 }
 
-// tracedOps builds the cell's stack as RunOne does, runs the program's
+// tracedOps builds the spec's stack as Run does, runs the program's
 // preamble untraced and its body traced, and returns the traced ops.
-func tracedOps(fsName string, prog Program, h5p workloads.H5Params, conf pfs.Config) ([]*trace.Op, error) {
-	fs, err := cellFS(fsName, prog, conf)
+func (s Spec) tracedOps() ([]*trace.Op, error) {
+	fs, w, _, err := s.stack()
 	if err != nil {
 		return nil, err
 	}
 	rec := fs.Recorder()
-	w, _ := prog.Make(h5p)
 	rec.SetEnabled(false)
 	if err := w.Preamble(fs); err != nil {
 		return nil, fmt.Errorf("preamble: %w", err)

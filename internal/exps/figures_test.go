@@ -200,7 +200,7 @@ func TestTraceDumpAndJSON(t *testing.T) {
 			t.Errorf("trace dump missing %q", want)
 		}
 	}
-	raw, err := TraceJSON("beegfs", prog, workloads.DefaultH5Params(), ConfigFor("beegfs"))
+	raw, err := Spec{FS: "beegfs", Program: prog, H5: workloads.DefaultH5Params(), Config: ConfigFor("beegfs")}.TraceJSON()
 	if err != nil {
 		t.Fatal(err)
 	}

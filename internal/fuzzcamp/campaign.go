@@ -39,19 +39,15 @@ type Config struct {
 	// Obs, when non-nil, receives campaign counters and the explorer's own
 	// per-run metrics.
 	Obs *obs.Run
-	// Retry bounds per-crash-state fault recovery inside every explorer
-	// invocation (the zero value is the explorer's default policy).
-	Retry paracrash.RetryPolicy
-	// FaultRate > 0 arms the deterministic fault plane: every explorer
-	// invocation gets a fresh faultinject.Plan with this rate and FaultSeed,
-	// so each cell sees identical fault weather across its serial, parallel
-	// and pruned runs and the differential oracle stays sound. A cell whose
-	// faults never heal is retried once, then skipped and counted in
-	// Result.CellsFaulted — never fatal to the campaign.
-	FaultRate float64
-	// FaultSeed seeds the per-invocation fault plans (meaningful only with
-	// FaultRate > 0).
-	FaultSeed int64
+	// Faults is the fault plane: Retry bounds per-crash-state fault
+	// recovery inside every explorer invocation (the zero value is the
+	// explorer's default policy), and Rate > 0 gives every invocation a
+	// fresh plan with this rate and Seed, so each cell sees identical fault
+	// weather across its serial, parallel and pruned runs and the
+	// differential oracle stays sound. A cell whose faults never heal is
+	// retried once, then skipped and counted in Result.CellsFaulted — never
+	// fatal to the campaign.
+	Faults exps.FaultFlags
 	// Inject is a test-only hook registered as a fourth oracle: a non-empty
 	// return marks the workload as violating with that detail string. The
 	// campaign treats the hook itself as the minimization predicate, so
@@ -204,15 +200,13 @@ func (c *campaign) explore(backend string, w paracrash.Workload, mode paracrash.
 	opts.LibModel = model
 	opts.Workers = workers
 	opts.Obs = c.obs
-	opts.Retry = c.cfg.Retry
+	opts.Retry = c.cfg.Faults.Retry
 	opts.LegalMemo = c.memo
-	if c.cfg.FaultRate > 0 {
-		// A fresh plan per invocation: injection decisions are seed+point
-		// hashes, so every run of a cell faces identical fault weather with
-		// its own healing quota — the differential oracle's serial and
-		// parallel runs degrade identically.
-		opts.Faults = faultinject.New(faultinject.Config{Seed: c.cfg.FaultSeed, Rate: c.cfg.FaultRate})
-	}
+	// A fresh plan per invocation: injection decisions are seed+point
+	// hashes, so every run of a cell faces identical fault weather with its
+	// own healing quota — the differential oracle's serial and parallel runs
+	// degrade identically.
+	opts.Faults = c.cfg.Faults.Plan()
 	return paracrash.Run(fs, nil, w, opts)
 }
 

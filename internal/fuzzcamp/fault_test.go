@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"paracrash/internal/exps"
 	core "paracrash/internal/paracrash"
 )
 
@@ -12,11 +13,10 @@ import (
 // stays green with no cells abandoned — fault transparency end to end.
 func TestCampaignHealsInjectedFaults(t *testing.T) {
 	res, err := Run(Config{
-		Backends:  []string{"ext4", "glusterfs"},
-		Seeds:     2,
-		EnumOps:   1,
-		FaultSeed: 33,
-		FaultRate: 0.3,
+		Backends: []string{"ext4", "glusterfs"},
+		Seeds:    2,
+		EnumOps:  1,
+		Faults:   exps.FaultFlags{Seed: 33, Rate: 0.3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,12 +35,10 @@ func TestCampaignHealsInjectedFaults(t *testing.T) {
 // finish green instead of erroring out.
 func TestCampaignQuarantinesHardFaultedCells(t *testing.T) {
 	res, err := Run(Config{
-		Backends:  []string{"ext4"},
-		Seeds:     2,
-		EnumOps:   0,
-		FaultSeed: 1,
-		FaultRate: 1,
-		Retry:     core.RetryPolicy{MaxAttempts: 1, Backoff: time.Microsecond},
+		Backends: []string{"ext4"},
+		Seeds:    2,
+		EnumOps:  0,
+		Faults:   exps.FaultFlags{Seed: 1, Rate: 1, Retry: core.RetryPolicy{MaxAttempts: 1, Backoff: time.Microsecond}},
 	})
 	if err != nil {
 		t.Fatalf("hard-faulted campaign aborted: %v", err)

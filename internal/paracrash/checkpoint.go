@@ -43,8 +43,8 @@ var (
 )
 
 // checkpointVersion is the journal format version; bump on any change to
-// the Journal header, Verdict or the checkpointConfig field list.
-const checkpointVersion = 4
+// the Journal header, Verdict or the checkpointConfig format.
+const checkpointVersion = 5
 
 // defaultCheckpointEvery is the record-batch size between automatic
 // flushes; the journal is also flushed on every run exit path.
@@ -284,16 +284,13 @@ func (c *Checkpoint) flushLocked() error {
 }
 
 // checkpointConfig fingerprints a run: its identity (session.identity:
-// backend, server count, workload and traced ops) and every option that
-// influences crash-state verdicts, so a journal or a shard report written
-// by one run is trusted only by a run of the same trace under the same
-// rules. TestCheckpointConfigCoversOptions holds every Options and
-// EmulatorConfig field to this, and lists with its reason each field left
-// out because it cannot change a verdict.
+// backend, server count, workload and traced ops) and the JSON encoding of
+// its Options, so a journal or a shard report written by one run is trusted
+// only by a run of the same trace under the same rules. A field that cannot
+// change a verdict is tagged json:"-" and left out;
+// TestCheckpointConfigCoversOptions holds every field to its tag.
 func checkpointConfig(identity string, opts Options) string {
-	return fmt.Sprintf("v%d|%s|%s|pfs=%d|lib=%d|k=%d|fm=%d|mf=%d|ms=%d|mls=%d|nosem=%t",
-		checkpointVersion, identity, opts.Mode,
-		opts.PFSModel, opts.LibModel,
-		opts.Emulator.K, opts.Emulator.FrontMode, opts.Emulator.MaxFronts, opts.Emulator.MaxStates,
-		opts.MaxLegalStates, opts.DisableSemanticPruning)
+	// Every encoded field is a number or a name, so encoding cannot fail.
+	rules, _ := json.Marshal(opts)
+	return fmt.Sprintf("v%d|%s|%s", checkpointVersion, identity, rules)
 }

@@ -151,7 +151,8 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 // and v3 cases are journals as earlier formats wrote them: v1's fingerprint
 // still carries the notsp/noinc fields version 2 dropped, v2's the norep
 // field and per-record legal-set sizes version 3 dropped, v3's the mlo field
-// and raw binary keys version 4 dropped.
+// and raw binary keys version 4 dropped, v4's the hand-formatted option list
+// version 5 replaced by the options' JSON encoding.
 func TestCheckpointVersionAndHeaderDamage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	cases := map[string]string{
@@ -164,6 +165,8 @@ func TestCheckpointVersionAndHeaderDamage(t *testing.T) {
 			`{"key":"a|1","consistent":true,"pfs_legal_n":3}` + "\n",
 		"v3": `{"version":3,"config":"v3|ARVR|beegfs|pruning|pfs=2|lib=3|k=1|fm=0|mf=20000|ms=200000|mlo=20|mls=50000|nosem=false"}` + "\n" +
 			`{"key":"\u0001\u0000|\u0003\u0000","consistent":true}` + "\n",
+		"v4": `{"version":4,"config":"v4|beegfs|4|ARVR|0011223344556677|pruning|pfs=2|lib=3|k=1|fm=1|mf=20000|ms=200000|mls=50000|nosem=false"}` + "\n" +
+			`{"key":"0a|0b","class":"0c","consistent":true}` + "\n",
 		"dupkeys": fmt.Sprintf(`{"version":%d,"config":"cfg"}`, checkpointVersion) + "\n" + `{"key":"0a"}` + "\n" + `{"key":"0a"}` + "\n",
 	}
 	for name, content := range cases {
@@ -178,6 +181,9 @@ func TestCheckpointVersionAndHeaderDamage(t *testing.T) {
 			}
 			if len(c.Warnings()) == 0 {
 				t.Fatalf("no warning for %s journal", name)
+			}
+			if len(name) == 2 && !strings.Contains(c.Warnings()[0], "checkpoint version") {
+				t.Fatalf("%s journal: warning %q does not name the version", name, c.Warnings()[0])
 			}
 			if name == "dupkeys" {
 				if len(got) != 1 {
@@ -240,25 +246,17 @@ func TestCheckpointConfigCoversVerdictKnobs(t *testing.T) {
 }
 
 // TestCheckpointConfigCoversOptions walks Options and EmulatorConfig by
-// reflection, from a brute-force, a pruning and a pruning-without-semantics
-// base: setting any field to a different value must move the checkpoint
-// fingerprint, unless emulatorConfig discards the caller's value, or the
-// field is listed below with the reason it cannot change a verdict. A field
-// added to either struct fails here until it is fingerprinted or listed.
+// reflection, from a brute-force and a pruning base, and holds every field
+// to its tag: setting an untagged field to a different value must move the
+// checkpoint fingerprint, and setting a field tagged json:"-" must not. A
+// tagged field of EmulatorConfig must also be one emulatorConfig discards,
+// so the engine never sees the caller's value. A field added to either
+// struct is fingerprinted unless it is tagged.
 func TestCheckpointConfigCoversOptions(t *testing.T) {
-	exempt := map[string]string{
-		"Workers":    "scheduling: parallel verdicts equal serial ones",
-		"Retry":      "a healed fault leaves the verdict unchanged; a quarantined state has none",
-		"Faults":     "injected faults heal or quarantine, they never alter a verdict",
-		"Obs":        "collection is passive",
-		"LegalMemo":  "holds the legal sets this run would enumerate itself",
-		"Checkpoint": "is the journal the fingerprint guards",
-	}
 	// vary sets v to a value different from the one it holds.
-	vary := func(name string, v reflect.Value) {
+	var vary func(name string, v reflect.Value)
+	vary = func(name string, v reflect.Value) {
 		switch v.Kind() {
-		case reflect.Bool:
-			v.SetBool(!v.Bool())
 		case reflect.Int, reflect.Int64:
 			v.SetInt(v.Int() + 1)
 		case reflect.Func:
@@ -271,6 +269,8 @@ func TestCheckpointConfigCoversOptions(t *testing.T) {
 			}))
 		case reflect.Pointer:
 			v.Set(reflect.New(v.Type().Elem()))
+		case reflect.Struct:
+			vary(name+"."+v.Type().Field(0).Name, v.Field(0))
 		default:
 			t.Fatalf("Options.%s: no way to vary a %s; extend this test", name, v.Kind())
 		}
@@ -282,10 +282,9 @@ func TestCheckpointConfigCoversOptions(t *testing.T) {
 		return reflect.DeepEqual(a.Interface(), b.Interface())
 	}
 
-	brute, nosem := DefaultOptions(), DefaultOptions()
+	brute := DefaultOptions()
 	brute.Mode = ModeBrute
-	nosem.DisableSemanticPruning = true
-	for _, base := range []Options{brute, DefaultOptions(), nosem} {
+	for _, base := range []Options{brute, DefaultOptions()} {
 		fp := checkpointConfig(testIdentity, base)
 		var walk func(prefix string, field func(*Options) reflect.Value, typ reflect.Type)
 		walk = func(prefix string, field func(*Options) reflect.Value, typ reflect.Type) {
@@ -293,28 +292,25 @@ func TestCheckpointConfigCoversOptions(t *testing.T) {
 				f := typ.Field(i)
 				name := prefix + f.Name
 				get := func(o *Options) reflect.Value { return field(o).Field(i) }
-				if _, ok := exempt[name]; ok {
-					continue
-				}
-				if f.Type.Kind() == reflect.Struct {
+				tagged := f.Tag.Get("json") == "-"
+				if f.Type.Kind() == reflect.Struct && !tagged {
 					walk(name+".", get, f.Type)
 					continue
 				}
 				o := base
 				vary(name, get(&o))
-				if checkpointConfig(testIdentity, o) != fp {
-					continue
-				}
-				if strings.HasPrefix(name, "Emulator.") {
-					seen := func(o Options) reflect.Value {
-						return reflect.ValueOf(o.emulatorConfig()).FieldByName(f.Name)
+				moved := checkpointConfig(testIdentity, o) != fp
+				switch {
+				case tagged && moved:
+					t.Errorf("%s base: Options.%s is tagged json:\"-\" but moves the fingerprint", base.Mode, name)
+				case !tagged && !moved:
+					t.Errorf("%s base: Options.%s reaches the run but not the checkpoint fingerprint; untag it or tag it json:\"-\" if it cannot change a verdict", base.Mode, name)
+				case tagged && strings.HasPrefix(name, "Emulator."):
+					seen := func(o Options) reflect.Value { return reflect.ValueOf(o.emulatorConfig()).FieldByName(f.Name) }
+					if !same(seen(o), seen(base)) {
+						t.Errorf("%s base: Options.%s is tagged json:\"-\" but reaches the emulator", base.Mode, name)
 					}
-					if same(seen(o), seen(base)) {
-						continue // the engine never sees the caller's value
-					}
 				}
-				t.Errorf("%s/nosem=%t base: Options.%s reaches the run but not the checkpoint fingerprint; fingerprint it in checkpointConfig or exempt it here with its reason",
-					base.Mode, base.DisableSemanticPruning, name)
 			}
 		}
 		walk("", func(o *Options) reflect.Value { return reflect.ValueOf(o).Elem() }, reflect.TypeOf(base))

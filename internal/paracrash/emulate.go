@@ -47,9 +47,9 @@ type EmulatorConfig struct {
 	MaxStates int
 	// VictimFilter, when non-nil, rejects victim candidates (used by the
 	// semantic pruning: data-chunk writes are not reordered). A run derives
-	// it from Options.Mode and Options.DisableSemanticPruning and ignores
-	// the value in Options.Emulator; it is for callers of Generate.
-	VictimFilter func(*trace.Op) bool
+	// it from Options.Mode and ignores the value in Options.Emulator; it is
+	// for callers of Generate.
+	VictimFilter func(*trace.Op) bool `json:"-"`
 }
 
 // Emulator generates crash states from a traced execution (Algorithm 1).

@@ -148,7 +148,7 @@ type Options struct {
 	// uses baseline and causal).
 	LibModel Model
 	// Emulator bounds (victims, fronts, caps). Its VictimFilter is ignored:
-	// the run derives the filter from Mode and DisableSemanticPruning.
+	// the run derives the filter from Mode.
 	Emulator EmulatorConfig
 	// MaxLegalStates caps legal-state enumeration per crash front. An
 	// enumeration it cuts short counts once on the legal/pfs-capped or
@@ -167,31 +167,25 @@ type Options struct {
 	// parallel.speedup_w2); 0 (the zero value) means runtime.NumCPU(). File
 	// systems that do not implement pfs.Cloner always run serially
 	// regardless of this setting.
-	Workers int
-
-	// DisableSemanticPruning turns off the object-map victim filter in the
-	// pruning mode (paper §5.3's "semantic information" rule), an ablation
-	// switch measured by the Ablation benchmarks; the default is the
-	// paper's behaviour.
-	DisableSemanticPruning bool
+	Workers int `json:"-"`
 
 	// LegalMemo, when non-nil, shares legal-state sets across runs of the
 	// same workload on the same file system (see LegalMemo); the fuzz
 	// campaign threads one memo through every explorer run of a cell.
-	LegalMemo *LegalMemo
+	LegalMemo *LegalMemo `json:"-"`
 
 	// Obs, when non-nil, receives the run's phase timings, counters and
 	// gauges, which progress events and summaries are read from (see
 	// internal/obs). Observability is
 	// strictly passive: it never alters visiting order, pruning or caching,
 	// so the report stays byte-identical with metrics on or off.
-	Obs *obs.Run
+	Obs *obs.Run `json:"-"`
 
 	// Retry bounds the engine's fault recovery: how often a crash state
 	// whose reconstruction or verdict failed (injected fault, backend
 	// panic) is re-attempted before it is quarantined as a Skipped report
 	// entry. The zero value means 3 attempts with a 2ms initial backoff.
-	Retry RetryPolicy
+	Retry RetryPolicy `json:"-"`
 
 	// Faults, when non-nil, arms the deterministic fault plane: the plan is
 	// installed on the primary cluster, every worker clone and the emulator
@@ -200,14 +194,14 @@ type Options struct {
 	// injection is schedule-independent and bounded (see internal/
 	// faultinject), a run whose faults all heal within Retry.MaxAttempts
 	// produces the verdicts and state counts of an unfaulted run.
-	Faults *faultinject.Plan
+	Faults *faultinject.Plan `json:"-"`
 
 	// Checkpoint, when non-nil, journals every completed crash-state
 	// verdict to a versioned on-disk journal and, when the journal already
 	// holds verdicts from an interrupted run with the same configuration,
 	// resumes from them: journaled verdicts are reused, not recomputed, and
 	// counted in Stats.StatesResumed.
-	Checkpoint *Checkpoint
+	Checkpoint *Checkpoint `json:"-"`
 }
 
 // RetryPolicy bounds per-crash-state fault recovery.
@@ -736,15 +730,15 @@ func (s *session) flushCheckpoint() {
 
 // emulatorConfig materialises the crash-emulation bounds for phase 3. The
 // victim filter is derived here, whatever the caller set: the semantic
-// filter in pruning mode, nil in brute force or with semantic pruning off,
-// so the Mode and nosem= fields of checkpointConfig fingerprint it. Shard
+// filter in pruning mode, nil in brute force, so the Mode in
+// checkpointConfig's fingerprint covers it. Shard
 // workers and the merge must build the identical configuration: it decides
 // which crash states are generated, and with them the generation order the
 // shard keys index.
 func (o Options) emulatorConfig() EmulatorConfig {
 	emuCfg := o.Emulator
 	emuCfg.VictimFilter = nil
-	if o.Mode != ModeBrute && !o.DisableSemanticPruning {
+	if o.Mode != ModeBrute {
 		emuCfg.VictimFilter = semanticVictim
 	}
 	return emuCfg

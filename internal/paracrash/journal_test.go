@@ -65,7 +65,7 @@ func TestJournalResumeComplete(t *testing.T) {
 				reports := make([]*paracrash.ShardReport, 2)
 				sopts := paracrash.DefaultOptions()
 				for i := range reports {
-					sr, err := exps.RunOneShardContext(context.Background(), backend, prog, sopts, h5p, conf, paracrash.ShardSpec{Index: i, Count: 2})
+					sr, err := exps.Spec{FS: backend, Program: prog, Options: sopts, H5: h5p, Config: conf}.RunShard(context.Background(), paracrash.ShardSpec{Index: i, Count: 2})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -76,7 +76,7 @@ func TestJournalResumeComplete(t *testing.T) {
 				// catches.
 				run := obs.NewRun()
 				sopts.Obs = run
-				merged, err := exps.MergeOneShardsContext(context.Background(), backend, prog, sopts, h5p, conf, reports)
+				merged, err := exps.Spec{FS: backend, Program: prog, Options: sopts, H5: h5p, Config: conf}.Merge(context.Background(), reports)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,13 +143,13 @@ func TestShardMergeRefusesOtherH5Params(t *testing.T) {
 	large.Rows, large.Cols = 6, 6
 	var reports []*paracrash.ShardReport
 	for i := 0; i < 2; i++ {
-		sr, err := exps.RunOneShardContext(context.Background(), "gpfs", prog, opts, small, conf, paracrash.ShardSpec{Index: i, Count: 2})
+		sr, err := exps.Spec{FS: "gpfs", Program: prog, Options: opts, H5: small, Config: conf}.RunShard(context.Background(), paracrash.ShardSpec{Index: i, Count: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		reports = append(reports, sr)
 	}
-	_, err = exps.MergeOneShardsContext(context.Background(), "gpfs", prog, opts, large, conf, reports)
+	_, err = exps.Spec{FS: "gpfs", Program: prog, Options: opts, H5: large, Config: conf}.Merge(context.Background(), reports)
 	if err == nil || !strings.Contains(err.Error(), "different configuration") {
 		t.Errorf("merge across H5 params: got %v, want a configuration mismatch", err)
 	}

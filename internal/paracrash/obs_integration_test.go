@@ -163,14 +163,14 @@ func TestObsSkipCounterMatchesReport(t *testing.T) {
 	ctx := context.Background()
 	var shards []*paracrash.ShardReport
 	for i := 0; i < 3; i++ {
-		sr, err := exps.RunOneShardContext(ctx, "beegfs", prog, hard(1, nil), workloads.DefaultH5Params(), exps.ConfigFor("beegfs"), paracrash.ShardSpec{Index: i, Count: 3})
+		sr, err := exps.Spec{FS: "beegfs", Program: prog, Options: hard(1, nil), H5: workloads.DefaultH5Params(), Config: exps.ConfigFor("beegfs")}.RunShard(ctx, paracrash.ShardSpec{Index: i, Count: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		shards = append(shards, sr)
 	}
 	r := obs.NewRun()
-	merged, err := exps.MergeOneShardsContext(ctx, "beegfs", prog, hard(1, r), workloads.DefaultH5Params(), exps.ConfigFor("beegfs"), shards)
+	merged, err := exps.Spec{FS: "beegfs", Program: prog, Options: hard(1, r), H5: workloads.DefaultH5Params(), Config: exps.ConfigFor("beegfs")}.Merge(ctx, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

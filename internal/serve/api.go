@@ -13,8 +13,10 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -129,31 +131,40 @@ func (r *JobRequest) Normalize() error {
 	if r.FS == "" {
 		r.FS = "beegfs"
 	}
-	if !validFS(r.FS) {
+	if !slices.Contains(exps.FSNames(), r.FS) {
 		return fmt.Errorf("unknown file system %q (have %s)", r.FS, strings.Join(exps.FSNames(), ", "))
 	}
 	if r.Program == "" {
 		r.Program = "ARVR"
 	}
 	if _, err := exps.ProgramByName(r.Program); err != nil {
-		return fmt.Errorf("unknown program %q", r.Program)
+		return fmt.Errorf("unknown program %q (have %s)", r.Program, strings.Join(exps.ProgramNames(), ", "))
 	}
 	if r.Mode == "" {
 		r.Mode = core.ModePruning.String()
 	} else if _, err := core.ParseMode(r.Mode); err != nil {
 		return fmt.Errorf("mode: %v", err)
 	}
-	if r.PFSModel != "" {
-		if _, err := core.ParseModel(r.PFSModel); err != nil {
-			return fmt.Errorf("pfs_model: %v", err)
-		}
-	}
-	if r.LibModel != "" {
-		if _, err := core.ParseModel(r.LibModel); err != nil {
-			return fmt.Errorf("lib_model: %v", err)
+	for _, m := range [][2]string{{"pfs_model", r.PFSModel}, {"lib_model", r.LibModel}} {
+		if _, err := core.ParseModel(m[1]); m[1] != "" && err != nil {
+			return fmt.Errorf("%s: %v", m[0], err)
 		}
 	}
 	return nil
+}
+
+// Spec assembles a normalized request into its run; maxWorkers caps the
+// per-job worker budget (0 = no cap). It is the one path from a request to
+// the engine: the scheduler, a fleet worker's shard, the coordinator's
+// merge and the paracrash command's local run all take it, so a request
+// means the same run wherever it runs. The caller adds what a run does not
+// fingerprint (Obs, Retry, Faults, Checkpoint).
+func (r *JobRequest) Spec(maxWorkers int) (exps.Spec, error) {
+	prog, err := exps.ProgramByName(r.Program)
+	if err != nil {
+		return exps.Spec{}, err
+	}
+	return exps.Spec{FS: r.FS, Program: prog, Options: r.options(maxWorkers), H5: r.h5Params(), Config: exps.ConfigFor(r.FS)}, nil
 }
 
 // options materialises the exploration Options for a normalized explore
@@ -170,9 +181,7 @@ func (r *JobRequest) options(maxWorkers int) core.Options {
 	if r.LibModel != "" {
 		opts.LibModel, _ = core.ParseModel(r.LibModel)
 	}
-	if r.K > 0 {
-		opts.Emulator.K = r.K
-	}
+	opts.Emulator.K = cmp.Or(r.K, opts.Emulator.K)
 	opts.Workers = r.Workers // 0 or omitted = one per CPU, whatever DefaultOptions says
 	if maxWorkers > 0 && (opts.Workers == 0 || opts.Workers > maxWorkers) {
 		opts.Workers = maxWorkers
@@ -184,27 +193,9 @@ func (r *JobRequest) options(maxWorkers int) core.Options {
 // default, any other value is taken as given.
 func (r *JobRequest) h5Params() workloads.H5Params {
 	p := workloads.DefaultH5Params()
-	for _, f := range []struct {
-		dst *int
-		v   int
-	}{
-		{&p.Clients, r.Clients}, {&p.Rows, r.Rows}, {&p.Cols, r.Cols},
-		{&p.ResizeRows, r.ResizeRows}, {&p.ResizeCols, r.ResizeCols},
-	} {
-		if f.v != 0 {
-			*f.dst = f.v
-		}
-	}
+	p.Clients, p.Rows, p.Cols = cmp.Or(r.Clients, p.Clients), cmp.Or(r.Rows, p.Rows), cmp.Or(r.Cols, p.Cols)
+	p.ResizeRows, p.ResizeCols = cmp.Or(r.ResizeRows, p.ResizeRows), cmp.Or(r.ResizeCols, p.ResizeCols)
 	return p
-}
-
-func validFS(name string) bool {
-	for _, n := range exps.FSNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Job is one submitted job's full record. Terminal jobs are persisted as

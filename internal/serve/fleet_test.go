@@ -82,13 +82,11 @@ func standaloneFingerprint(t *testing.T, req JobRequest) string {
 	if err := req.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := exps.ProgramByName(req.Program)
+	sp, err := req.Spec(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := req.options(0)
-	opts.Workers = 1
-	rep, err := exps.RunOneContext(context.Background(), req.FS, prog, opts, req.h5Params(), exps.ConfigFor(req.FS))
+	rep, err := exps.RunOneContext(context.Background(), sp.FS, sp.Program, sp.Options, sp.H5, sp.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,9 +253,7 @@ func (f *fsck) checkFile(name string) {
 			f.remove(name, ProblemStaleLease, fmt.Sprintf("lease by %s expired %s", l.Owner, l.Expires.Format(time.RFC3339)))
 		}
 	case strings.HasPrefix(name, "task-") && strings.HasSuffix(name, ".json"):
-		var t ShardTask
-		data, err := os.ReadFile(path)
-		if err != nil || json.Unmarshal(data, &t) != nil || t.Job == "" || t.Version != FleetVersion {
+		if _, ok := readShardTask(path); !ok {
 			f.remove(name, ProblemDamagedShardTask, "shard task does not parse or has a skewed version")
 		}
 	case strings.HasPrefix(name, "result-") && strings.HasSuffix(name, ".json"):

@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -27,8 +29,8 @@ var (
 )
 
 // SchedulerConfig bounds the scheduler. The zero value is usable: 2
-// concurrent jobs, a 16-deep queue, no default timeout, uncapped per-job
-// workers.
+// concurrent jobs, a 16-deep queue, no default timeout, per-job workers
+// capped at one per CPU.
 type SchedulerConfig struct {
 	// MaxConcurrent is the number of jobs running at once (default 2).
 	MaxConcurrent int
@@ -41,7 +43,8 @@ type SchedulerConfig struct {
 	// (0 = no cap).
 	MaxTimeout time.Duration
 	// MaxJobWorkers caps Options.Workers per job so one job cannot claim
-	// every CPU (0 = no cap).
+	// more than a share of the CPUs, or build a cluster clone per worker
+	// beyond them (0 = runtime.NumCPU()).
 	MaxJobWorkers int
 	// ProgressInterval is how often the events endpoint writes a running
 	// job's progress snapshot to each of its readers (default 250ms).
@@ -70,6 +73,9 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 16
+	}
+	if c.MaxJobWorkers < 1 {
+		c.MaxJobWorkers = runtime.NumCPU()
 	}
 	if c.ProgressInterval <= 0 {
 		c.ProgressInterval = 250 * time.Millisecond
@@ -363,11 +369,15 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	return err
 }
 
+// maxTimeoutSeconds is the longest timeout a time.Duration holds, in
+// seconds: a longer request would overflow to a negative duration.
+const maxTimeoutSeconds = float64(math.MaxInt64 / int64(time.Second))
+
 // timeoutFor resolves a job's effective timeout.
 func (s *Scheduler) timeoutFor(req JobRequest) time.Duration {
 	d := s.cfg.DefaultTimeout
 	if req.TimeoutSeconds > 0 {
-		d = time.Duration(req.TimeoutSeconds * float64(time.Second))
+		d = time.Duration(min(req.TimeoutSeconds, maxTimeoutSeconds) * float64(time.Second))
 	}
 	if s.cfg.MaxTimeout > 0 && (d == 0 || d > s.cfg.MaxTimeout) {
 		d = s.cfg.MaxTimeout
@@ -469,38 +479,46 @@ func (s *Scheduler) checkpointPath(id string) string {
 	return filepath.Join(s.store.Dir(), "ckpt-"+sanitizeID(id)+".jsonl")
 }
 
+// spec assembles a job's run in this daemon: the request's spec under the
+// per-job worker cap, with the daemon's fault plane and the job's run and
+// checkpoint journal. The journal lives next to the job record; a
+// resubmitted job (same ID) resumes from it, and a clean finish removes it.
+func (s *Scheduler) spec(job *Job, run *obs.Run) (exps.Spec, error) {
+	sp, err := job.Request.Spec(s.cfg.MaxJobWorkers)
+	if err != nil {
+		return exps.Spec{}, err
+	}
+	sp.Options.Obs = run
+	sp.Options.Retry = s.cfg.Retry
+	sp.Options.Faults = s.cfg.Faults
+	if p := s.checkpointPath(job.ID); p != "" {
+		sp.Options.Checkpoint = core.OpenCheckpoint(p)
+	}
+	return sp, nil
+}
+
 // execute runs an explore job: sharded across the fleet when this
 // scheduler coordinates one and the job's partition is at least two wide,
 // in-process otherwise.
 func (s *Scheduler) execute(ctx context.Context, job *Job, run *obs.Run) (*core.Report, error) {
-	req := job.Request
 	if s.fleetEnabled() {
-		if n := s.fleet.effectiveShards(req); n >= 2 {
+		if n := s.fleet.effectiveShards(job.Request); n >= 2 {
 			return s.executeFleet(ctx, job, run, n)
 		}
 	}
-	prog, err := exps.ProgramByName(req.Program)
+	sp, err := s.spec(job, run)
 	if err != nil {
 		return nil, err
 	}
-	opts := req.options(s.cfg.MaxJobWorkers)
-	opts.Obs = run
-	opts.Retry = s.cfg.Retry
-	opts.Faults = s.cfg.Faults
-	if p := s.checkpointPath(job.ID); p != "" {
-		// The journal lives next to the job record; a resubmitted job
-		// (same ID) resumes from it, and a clean finish removes it.
-		opts.Checkpoint = core.OpenCheckpoint(p)
-	}
-	rep, err := exps.RunOneContext(ctx, req.FS, prog, opts, req.h5Params(), exps.ConfigFor(req.FS))
+	rep, err := sp.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Checkpoint != nil {
-		if n := opts.Checkpoint.Resumed(); n > 0 {
+	if sp.Options.Checkpoint != nil {
+		if n := sp.Options.Checkpoint.Resumed(); n > 0 {
 			run.Counter("job/resumed-verdicts").Add(int64(n))
 		}
-		os.Remove(opts.Checkpoint.Path())
+		os.Remove(sp.Options.Checkpoint.Path())
 	}
 	return rep, nil
 }

@@ -36,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"paracrash/internal/exps"
 	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	core "paracrash/internal/paracrash"
@@ -44,7 +43,7 @@ import (
 )
 
 // FleetVersion is the schema version of shard tasks and results, reports included.
-const FleetVersion = 2
+const FleetVersion = 3
 
 // ShardTask is one unit of fleet work: a job shard awaiting a worker.
 type ShardTask struct {
@@ -519,23 +518,22 @@ func (w *FleetWorker) executeShard(ctx context.Context, t ShardTask) (report *co
 			err = fmt.Errorf("serve: shard panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	req := t.Request
-	prog, perr := exps.ProgramByName(req.Program)
-	if perr != nil {
-		return nil, perr
+	sp, err := t.Request.Spec(0)
+	if err != nil {
+		return nil, err
 	}
-	opts := req.options(0)
-	opts.Workers = 1 // shards explore serially; fleet parallelism is across processes
-	opts.Obs = w.cfg.Obs
-	opts.Retry = w.cfg.Retry
-	opts.Faults = w.cfg.Faults
-	opts.Checkpoint = core.OpenCheckpoint(shardCheckpointPath(w.cfg.Dir, t.Job, t.Shard.Index))
-	opts.Checkpoint.Every = 1 // a reclaim must find the frontier, not a stale batch
-	rep, rerr := exps.RunOneShardContext(ctx, req.FS, prog, opts, req.h5Params(), exps.ConfigFor(req.FS), t.Shard)
-	if rerr != nil {
-		return nil, rerr
+	sp.Options.Workers = 1 // shards explore serially; fleet parallelism is across processes
+	sp.Options.Obs = w.cfg.Obs
+	sp.Options.Retry = w.cfg.Retry
+	sp.Options.Faults = w.cfg.Faults
+	ckpt := core.OpenCheckpoint(shardCheckpointPath(w.cfg.Dir, t.Job, t.Shard.Index))
+	ckpt.Every = 1 // a reclaim must find the frontier, not a stale batch
+	sp.Options.Checkpoint = ckpt
+	rep, err := sp.RunShard(ctx, t.Shard)
+	if err != nil {
+		return nil, err
 	}
-	if n := opts.Checkpoint.Resumed(); n > 0 {
+	if n := ckpt.Resumed(); n > 0 {
 		w.cfg.Obs.Counter("fleet/resumed-verdicts").Add(int64(n))
 	}
 	return rep, nil
@@ -629,10 +627,9 @@ func (s *Scheduler) awaitResults(job string) (<-chan struct{}, func()) {
 // wait for worker results, merge. Width<2 partitions never reach here
 // (execute falls back to the in-process engine).
 func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, count int) (*core.Report, error) {
-	req := job.Request
-	prog, perr := exps.ProgramByName(req.Program)
-	if perr != nil {
-		return nil, perr
+	sp, err := s.spec(job, run)
+	if err != nil {
+		return nil, err
 	}
 	dir := s.store.Dir()
 	run.Gauge("fleet/shards").Set(int64(count))
@@ -647,7 +644,7 @@ func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, co
 		// Tasks are idempotent per job ID: a coordinator resuming an
 		// interrupted job rewrites identical tasks, and shards that already
 		// have results are simply not re-claimed by workers.
-		if err := WriteShardTask(dir, ShardTask{Job: job.ID, Shard: core.ShardSpec{Index: i, Count: count}, Request: req}); err != nil {
+		if err := WriteShardTask(dir, ShardTask{Job: job.ID, Shard: core.ShardSpec{Index: i, Count: count}, Request: job.Request}); err != nil {
 			return nil, fmt.Errorf("serve: writing shard task %d/%d: %w", i, count, err)
 		}
 	}
@@ -698,19 +695,12 @@ func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, co
 		}
 	}
 
-	opts := req.options(s.cfg.MaxJobWorkers)
-	opts.Obs = run
-	opts.Retry = s.cfg.Retry
-	opts.Faults = s.cfg.Faults
-	if p := s.checkpointPath(job.ID); p != "" {
-		opts.Checkpoint = core.OpenCheckpoint(p)
-	}
-	rep, err := exps.MergeOneShardsContext(ctx, req.FS, prog, opts, req.h5Params(), exps.ConfigFor(req.FS), reports)
+	rep, err := sp.Merge(ctx, reports)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Checkpoint != nil {
-		os.Remove(opts.Checkpoint.Path())
+	if sp.Options.Checkpoint != nil {
+		os.Remove(sp.Options.Checkpoint.Path())
 	}
 	return rep, nil
 }
