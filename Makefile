@@ -68,8 +68,9 @@ representative:
 
 # O(delta) reconstruction gate: the one exploration engine against its
 # references (every backend, both workload families) — the committed report
-# fingerprints (testdata/fingerprints.golden), the per-state full-rebuild
-# reference (reference_test.go), state-level Serialize/Hash identity of delta
+# fingerprints and effort counts of serial and Workers=4 runs alike
+# (testdata/fingerprints.golden), the per-state full-rebuild reference
+# (reference_test.go), state-level Serialize/Hash identity of delta
 # reconstruction, effort independent of the visiting order, fault
 # transparency and kill/resume chaos.
 incremental:
@@ -141,14 +142,16 @@ fuzz-smoke:
 # campaign must quarantine cells instead of dying. The resume half also
 # holds the journal itself: a complete journal of every paper program on
 # six backends resumes in full with no warning and reads clean; a torn
-# newline is rewritten without losing a record; and a journal or shard
-# report written under other H5 parameters is refused. The obs and serve
+# newline is rewritten without losing a record; a Workers=2 run journals
+# every state its shards judged, and the journal resumes at 1 and 4
+# workers to the serial report; and a journal or shard report written
+# under other H5 parameters is refused. The obs and serve
 # halves hold telemetry to the same rule: an exploration scraped in a tight
 # loop keeps its report, jobs finish with their verdicts while /metrics is
 # scraped in a loop, and a stalled events reader never delays a job; the
 # fleet's worker-death and coordinator-death tests ride along.
 chaos:
-	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestFaultTransparency|TestHardFaults|TestRepresentativeChaosResume|TestRepresentativeQuarantine|TestJournalResumeComplete|TestCheckpointTornNewline|TestResumeStaleAcrossH5Params|TestShardMergeRefusesOtherH5Params' -count=1 -v
+	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestFaultTransparency|TestHardFaults|TestRepresentativeChaosResume|TestRepresentativeQuarantine|TestJournalResumeComplete|TestCheckpointTornNewline|TestParallelJournalsShardVerdicts|TestResumeStaleAcrossH5Params|TestShardMergeRefusesOtherH5Params' -count=1 -v
 	$(GO) test ./internal/fuzzcamp/ -run 'TestCampaignHealsInjectedFaults|TestCampaignQuarantinesHardFaultedCells' -count=1
 	$(GO) test ./internal/obs/ ./internal/serve/ -run 'TestChaos' -count=1 -v
 

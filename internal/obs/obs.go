@@ -47,8 +47,9 @@ const (
 	PhaseGenerate = "generate"
 	// PhaseExplore covers crash-state reconstruction and checking.
 	PhaseExplore = "explore"
-	// PhaseMerge covers the deterministic serial-order merge of worker
-	// verdicts (parallel runs only; nested inside PhaseExplore).
+	// PhaseMerge covers the deterministic serial-order merge of in-process
+	// shard verdicts, including its waits for shards still judging
+	// (parallel runs only; nested inside PhaseExplore).
 	PhaseMerge = "merge"
 	// PhaseCampaign covers a fuzz campaign's oracle evaluation: every
 	// explorer run the campaign performs is nested inside it.

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 
 	"paracrash/internal/causality"
 	"paracrash/internal/trace"
@@ -425,12 +424,7 @@ func (c *Classifier) classifyInFlight(cs CrashState, lo *LayerOps, state string)
 // and failing-state content (paper §5.2); the representative victim is the
 // causally latest one, which is the common element of every implied
 // persistence closure.
-//
-// BugSet is safe for concurrent use: during a parallel exploration the
-// merge goroutine Adds pairs while shard workers consult KnownBad for
-// speculative pruning.
 type BugSet struct {
-	mu    sync.RWMutex
 	bugs  map[string]*Bug
 	bestA map[string]int
 	// knownBad records the (dropped, kept) op pairs already attributed: a
@@ -451,8 +445,6 @@ func NewBugSet() *BugSet {
 // Add records a classified pair for the given program/fs/layer and returns
 // the (possibly pre-existing) bug.
 func (s *BugSet) Add(pr PairResult, layer, fsName, program, consequence string) *Bug {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch pr.Kind {
 	case BugReordering:
 		s.knownBad[[2]int{pr.A, pr.B}] = true
@@ -495,8 +487,6 @@ func (s *BugSet) Add(pr PairResult, layer, fsName, program, consequence string) 
 // scenario: a known reordering pair with OA dropped and OB kept, or a known
 // atomic pair split across the persistence boundary. It does not allocate.
 func (s *BugSet) KnownBad(cs CrashState) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for pair := range s.knownBad {
 		if cs.Front.Get(pair[0]) && !cs.Keep.Get(pair[0]) && cs.Keep.Get(pair[1]) {
 			return true
@@ -513,8 +503,6 @@ func (s *BugSet) KnownBad(cs CrashState) bool {
 // to map iteration and the report is not reproducible (both gaps found by the
 // fuzz campaign's serial-vs-parallel differential oracle).
 func (s *BugSet) Bugs() []*Bug {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]*Bug, 0, len(s.bugs))
 	for _, b := range s.bugs {
 		out = append(out, b)

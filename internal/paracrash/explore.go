@@ -155,18 +155,19 @@ type Options struct {
 	// legal/lib-capped counter.
 	MaxLegalStates int
 
-	// Workers is the number of parallel exploration workers. The generated
-	// crash-state list is sharded round-robin across the workers, each
-	// owning a detached clone of the cluster (see pfs.Cloner) with private
-	// clients and caches; their verdicts are merged on the calling
-	// goroutine in the exact serial visiting order, so the report's
-	// verdicts and state counts are those of a Workers=1 run (its effort
-	// counts are the workers' and the merge's own).
-	// 1 — what DefaultOptions sets — is the serial engine, which is the
-	// faster one on every cell measured so far (benchmark/README.md,
-	// parallel.speedup_w2); 0 (the zero value) means runtime.NumCPU(). File
-	// systems that do not implement pfs.Cloner always run serially
-	// regardless of this setting.
+	// Workers is the number of goroutines one exploration uses: a fleet in
+	// one process. The generated crash-state list is cut into Workers
+	// contiguous runs (ShardSpec). The calling goroutine walks them in the
+	// serial visiting order and judges the first itself; each later run is
+	// judged ahead of the walk by a shard on a detached clone of the
+	// cluster (see pfs.Cloner) with private clients and caches, and the
+	// walk takes its verdicts once that shard has finished. The report's
+	// verdicts and state counts are those of a Workers=1 run; its effort
+	// counts are the shards' and the walk's own, fixed by the
+	// configuration. 1 — what DefaultOptions sets — is the serial engine,
+	// which does the least work (EXPERIMENTS.md has what 2 buys); 0 (the
+	// zero value) means runtime.NumCPU(). File systems that do not
+	// implement pfs.Cloner always run serially regardless of this setting.
 	Workers int `json:"-"`
 
 	// LegalMemo, when non-nil, shares legal-state sets across runs of the
@@ -423,12 +424,12 @@ type session struct {
 	goldenPFS string // strict golden tree (all ops), for consequences
 	goldenLib string
 
-	// outcomeFor, when non-nil (the merge pass of a parallel or fleet run),
-	// resolves a front|keep key to a verdict precomputed by a shard worker,
-	// which check then uses instead of reconstructing the state, and to the
-	// class key the worker digested the state into ("" when it did not ship
-	// one), which check then uses instead of digesting the state again.
-	outcomeFor func(key string) (r checkResult, class string, ok bool)
+	// shipped, in the merge of a sharded run, resolves a front|keep key to
+	// the verdict a shard judged, which check then uses instead of
+	// reconstructing the state, and to the class key the shard digested the
+	// state into ("" when it did not), which check then uses instead of
+	// digesting the state again.
+	shipped verdictTable
 
 	// classes is the class memo (representative.go): class key to the
 	// verdict of the class's representative. fronts memoises each crash
@@ -445,10 +446,10 @@ type session struct {
 	recon *reconstructor
 
 	// resumed holds the records of a checkpoint journal, keyed like
-	// checkCache. Read-only during exploration (shared with shard workers).
+	// checkCache. Read-only during exploration (shared with shards).
 	resumed map[string]Verdict
-	// ckpt, on the primary session only, receives every freshly computed
-	// verdict for journaling.
+	// ckpt, when the run checkpoints, receives every freshly computed
+	// verdict for journaling (shared with shards).
 	ckpt *Checkpoint
 
 	stats Stats
@@ -529,7 +530,7 @@ func (s *session) noteLegal(pfsN, libN int) {
 	s.gaugeLegalLib.Max(int64(libN))
 }
 
-// foldEffort merges a parallel worker's or fleet shard's measured effort
+// foldEffort merges an in-process or fleet shard's measured effort
 // into s: restores, op applies and resumed verdicts add up, legal-set sizes
 // take the maximum. State counts are not folded — the merging walk counts
 // every state itself.
@@ -767,13 +768,13 @@ func (s *session) generate() []CrashState {
 
 // explore is phase 3 of RunContext and MergeShards on a prepared session:
 // it generates the crash states, judges and classifies them, and builds the
-// report. lookup, when non-nil, resolves crash-state keys to verdicts and
-// class keys judged by fleet shard workers; the walk is then the exact
-// serial walk, satisfying checks from the lookup and computing only what it
-// misses, and effort (the shards' measured work) is folded into Stats. A
-// non-nil lookup forces the serial engine: in-process parallel workers
-// would race the shipped verdicts for the same states.
-func (s *session) explore(lookup func(string) (checkResult, string, bool), effort []Stats) (*Report, error) {
+// report. shipped, when non-nil, holds the verdicts and class keys fleet
+// shards judged; without it, Options.Workers > 1 starts in-process shards
+// on every run of the state list but the first (startShards). Either way
+// the one walk (walkRuns) is the exact serial walk, satisfying checks from
+// the shards' verdicts and computing only what they miss, and effort (the
+// shards' measured work) is folded into Stats.
+func (s *session) explore(shipped verdictTable, effort []Stats) (*Report, error) {
 	ctx, fs, opts, program := s.ctx, s.fs, s.opts, s.program
 	g, emu, initial := s.g, s.emu, s.initial
 
@@ -786,7 +787,6 @@ func (s *session) explore(lookup func(string) (checkResult, string, bool), effor
 		}
 		defer s.flushCheckpoint()
 	}
-	s.outcomeFor = lookup
 
 	// Phase 3: crash emulation + checking.
 	report := &Report{Program: program, FS: fs.Name(), Mode: opts.Mode}
@@ -851,14 +851,9 @@ func (s *session) explore(lookup func(string) (checkResult, string, bool), effor
 	}
 
 	states := s.generate()
-	workers := opts.effectiveWorkers()
-	cloner, _ := fs.(pfs.Cloner)
 	stopExplore := opts.Obs.Phase(obs.PhaseExplore)
-	if workers > 1 && cloner != nil && lookup == nil && len(states) > 1 {
-		s.runParallel(states, cloner, workers, skip, handle, bugs)
-	} else {
-		s.visitOrdered(states, skip, handle)
-	}
+	s.shipped = shipped
+	effort = append(effort, s.walkRuns(states, s.startShards(states, opts.effectiveWorkers()), skip, handle)...)
 	stopExplore()
 
 	// Restore the live cluster to the untouched post-run state (also on
@@ -934,10 +929,10 @@ func (s *session) check(cs CrashState) (checkResult, string) {
 	}
 	var r checkResult
 	ckey, ok, resumed := "", false, false
-	if s.outcomeFor != nil {
-		// A shard worker may already have digested and judged it. Whether the
-		// worker attributed it from its own classes does not carry over.
-		r, ckey, ok = s.outcomeFor(key)
+	if v, hit := s.shipped[key]; hit {
+		// A shard may already have digested and judged it. Whether the shard
+		// attributed it from its own classes does not carry over.
+		r, ckey, ok = v.r, v.class, true
 		r.attributed = false
 	}
 	if v, hit := s.resumed[key]; hit && !ok {
@@ -995,8 +990,8 @@ func (s *session) probe(cs CrashState) (bool, string) {
 	return res.consistent || res.skipped, res.state
 }
 
-// journal records a verdict and its class key in the checkpoint (primary
-// session only; no-op otherwise, and for verdicts the journal already
+// journal records a verdict and its class key in the checkpoint (no-op
+// when the run does not checkpoint, and for verdicts the journal already
 // holds). Journal write errors are counted, never fatal — losing checkpoint
 // durability must not take the run down.
 func (s *session) journal(key, class string, r checkResult) {

@@ -3,6 +3,7 @@ package paracrash_test
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"paracrash/internal/exps"
 	"paracrash/internal/faultinject"
+	"paracrash/internal/obs"
 	"paracrash/internal/paracrash"
 	"paracrash/internal/workloads"
 )
@@ -202,6 +204,50 @@ func TestCheckpointResumeMeasuresEffort(t *testing.T) {
 	}
 	if exps.ReportFingerprint(resumed) != exps.ReportFingerprint(fresh) {
 		t.Error("resumed report differs from the fresh one")
+	}
+}
+
+// TestParallelJournalsShardVerdicts: the shard of a Workers=2 run journals
+// what it judges, as fleet shards do — a record for every state it judged
+// on its own, not only the walk's one per class — and that journal resumes
+// at any worker count to the serial report.
+func TestParallelJournalsShardVerdicts(t *testing.T) {
+	serial := exps.ReportFingerprint(runARVR(t, paracrash.DefaultOptions()))
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	opts := paracrash.DefaultOptions()
+	opts.Workers = 2
+	opts.Checkpoint = paracrash.OpenCheckpoint(path)
+	opts.Checkpoint.Every = 1
+	opts.Obs = obs.NewRun()
+	runARVR(t, opts)
+	judged := opts.Obs.Summary().Counters["worker/states/checked"]
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := paracrash.ReadJournal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if judged == 0 || int64(len(j.Verdicts)) < judged {
+		t.Fatalf("journal holds %d records; the shards judged %d states on their own", len(j.Verdicts), judged)
+	}
+
+	for _, workers := range []int{1, 4} {
+		resume := filepath.Join(t.TempDir(), "ckpt.jsonl")
+		if err := os.WriteFile(resume, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opts := paracrash.DefaultOptions()
+		opts.Workers = workers
+		opts.Checkpoint = paracrash.OpenCheckpoint(resume)
+		rep := runARVR(t, opts)
+		if fp := exps.ReportFingerprint(rep); fp != serial {
+			t.Errorf("workers=%d: resumed report differs from the serial one:\n--- serial ---\n%s--- resumed ---\n%s", workers, serial, fp)
+		}
+		if rep.Stats.StatesResumed == 0 {
+			t.Errorf("workers=%d: resumed no verdicts from the Workers=2 journal", workers)
+		}
 	}
 }
 

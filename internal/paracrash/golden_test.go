@@ -23,9 +23,9 @@ var goldenModes = []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning}
 // differential matrix (6 backends × incrementalPrograms × 2 modes × Workers
 // {1,4}), plus H5-create on every backend so the top-down library branch of
 // the verdict is covered: the ReportFingerprint hash (verdicts and state
-// counts) on every line, and the measured restores and op replays on the
-// serial lines. A hash diff means report bytes moved; an effort diff means
-// the engine does different work, which a change must name beforehand.
+// counts) and the measured restores and op replays on every line. A hash
+// diff means report bytes moved; an effort diff means the engine does
+// different work, which a change must name beforehand.
 func TestIncrementalGoldenFingerprints(t *testing.T) {
 	h5, err := exps.ProgramByName("H5-create")
 	if err != nil {
@@ -76,14 +76,10 @@ func TestIncrementalGoldenFingerprints(t *testing.T) {
 	}
 }
 
-// goldenLine writes one cell: the ReportFingerprint hash, plus the effort
-// counts on serial cells. A parallel run's effort depends on speculative-skip
-// timing, so workers=4 lines carry the hash only.
+// goldenLine writes one cell: the ReportFingerprint hash and the effort
+// counts. Shards judge fixed runs, so a parallel run's effort is as fixed
+// by its configuration as a serial run's.
 func goldenLine(buf *bytes.Buffer, backend, prog string, mode paracrash.Mode, workers int, rep *paracrash.Report) {
-	fmt.Fprintf(buf, "%s/%s/%s/workers=%d %x", backend, prog, mode, workers,
-		sha256.Sum256([]byte(exps.ReportFingerprint(rep))))
-	if workers == 1 {
-		fmt.Fprintf(buf, " restores=%d replayed=%d", rep.Stats.ServerRestores, rep.Stats.OpsReplayed)
-	}
-	buf.WriteByte('\n')
+	fmt.Fprintf(buf, "%s/%s/%s/workers=%d %x restores=%d replayed=%d\n", backend, prog, mode, workers,
+		sha256.Sum256([]byte(exps.ReportFingerprint(rep))), rep.Stats.ServerRestores, rep.Stats.OpsReplayed)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"paracrash/internal/pfs"
@@ -12,40 +13,28 @@ import (
 )
 
 // TestShardStatesPartition checks the sharding invariants the merge relies
-// on: every crash-state index appears in exactly one shard, and shard sizes
-// differ by at most one.
+// on: ShardSpec.bounds cuts [0, n) into Count runs that tile it in shard
+// order, run sizes differ by at most one, and no run is empty while Count
+// is at most the state count (startShards clamps it there).
 func TestShardStatesPartition(t *testing.T) {
 	for n := 0; n <= 17; n++ {
 		for w := 1; w <= 6; w++ {
-			shards := shardStates(n, w)
-			seen := make(map[int]bool)
-			minSz, maxSz := n+1, 0
-			for _, ids := range shards {
-				if len(ids) == 0 && n > 0 {
+			next, minSz, maxSz := 0, n+1, 0
+			for i := range w {
+				lo, hi := ShardSpec{Index: i, Count: w}.bounds(n)
+				if lo != next || hi < lo {
+					t.Fatalf("n=%d w=%d: shard %d has run [%d,%d), want it to start at %d", n, w, i, lo, hi, next)
+				}
+				if hi == lo && w <= n {
 					t.Errorf("n=%d w=%d: empty shard", n, w)
 				}
-				if len(ids) < minSz {
-					minSz = len(ids)
-				}
-				if len(ids) > maxSz {
-					maxSz = len(ids)
-				}
-				for _, id := range ids {
-					if seen[id] {
-						t.Fatalf("n=%d w=%d: index %d in two shards", n, w, id)
-					}
-					seen[id] = true
-				}
+				minSz, maxSz = min(minSz, hi-lo), max(maxSz, hi-lo)
+				next = hi
 			}
-			if len(seen) != n {
-				t.Errorf("n=%d w=%d: union has %d indices, want %d", n, w, len(seen), n)
+			if next != n {
+				t.Errorf("n=%d w=%d: runs end at %d, want %d", n, w, next, n)
 			}
-			for id := 0; id < n; id++ {
-				if !seen[id] {
-					t.Errorf("n=%d w=%d: index %d missing", n, w, id)
-				}
-			}
-			if n > 0 && maxSz-minSz > 1 {
+			if maxSz-minSz > 1 {
 				t.Errorf("n=%d w=%d: shard sizes unbalanced (%d..%d)", n, w, minSz, maxSz)
 			}
 		}
@@ -54,8 +43,9 @@ func TestShardStatesPartition(t *testing.T) {
 
 // renameWorkload is a minimal in-package workload (the workloads package
 // imports paracrash, so it cannot be used here): the classic
-// write-then-rename pattern that trips BeeGFS reordering.
-type renameWorkload struct{}
+// write-then-rename pattern that trips BeeGFS reordering, on files files
+// (one when zero).
+type renameWorkload struct{ files int }
 
 func (renameWorkload) Name() string { return "unit-rename" }
 
@@ -63,18 +53,27 @@ func (renameWorkload) Preamble(fs pfs.FileSystem) error {
 	return fs.Client(0).Mkdir("/d")
 }
 
-func (renameWorkload) Run(fs pfs.FileSystem) error {
+func (w renameWorkload) Run(fs pfs.FileSystem) error {
 	c := fs.Client(0)
-	if err := c.Create("/d/tmp"); err != nil {
-		return err
+	for i := range max(w.files, 1) {
+		tmp, final := "/d/tmp", "/d/final"
+		if i > 0 {
+			tmp, final = tmp+strconv.Itoa(i), final+strconv.Itoa(i)
+		}
+		if err := c.Create(tmp); err != nil {
+			return err
+		}
+		if err := c.Append(tmp, []byte("payload-0123456789")); err != nil {
+			return err
+		}
+		if err := c.Close(tmp); err != nil {
+			return err
+		}
+		if err := c.Rename(tmp, final); err != nil {
+			return err
+		}
 	}
-	if err := c.Append("/d/tmp", []byte("payload-0123456789")); err != nil {
-		return err
-	}
-	if err := c.Close("/d/tmp"); err != nil {
-		return err
-	}
-	return c.Rename("/d/tmp", "/d/final")
+	return nil
 }
 
 // TestCloneDetachedIsIndependent checks the Cloner contract the workers
@@ -150,7 +149,9 @@ func TestMissingServerStoreFailsLoudly(t *testing.T) {
 // on a local workload and asserts the parallel engine visits the same state
 // space: identical generated/checked counts, bugs, and per-state records. The
 // measured effort (restores, op replays, legal-set sizes, resumed verdicts)
-// is left out, as ReportFingerprint leaves it out.
+// is left out, as ReportFingerprint leaves it out — but parallel runs must
+// measure the same effort as each other: shards judge fixed slices, whatever
+// the schedule. Three renames give pruning enough bugs to prune by.
 func TestRunParallelMatchesSerialWhiteBox(t *testing.T) {
 	for _, mode := range []Mode{ModeBrute, ModePruning} {
 		run := func(workers int) *Report {
@@ -158,7 +159,7 @@ func TestRunParallelMatchesSerialWhiteBox(t *testing.T) {
 			opts.Mode = mode
 			opts.Workers = workers
 			fs := beegfs.New(pfs.DefaultConfig(), trace.NewRecorder())
-			rep, err := Run(fs, nil, renameWorkload{}, opts)
+			rep, err := Run(fs, nil, renameWorkload{files: 3}, opts)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", mode, workers, err)
 			}
@@ -168,6 +169,13 @@ func TestRunParallelMatchesSerialWhiteBox(t *testing.T) {
 		stats1, statsN := stateCounts(serial.Stats), stateCounts(par.Stats)
 		if stats1 != statsN {
 			t.Errorf("%v: stats differ\nserial:   %+v\nworkers4: %+v", mode, stats1, statsN)
+		}
+		for range 3 {
+			again := run(4)
+			par.Stats.Duration, again.Stats.Duration = 0, 0
+			if par.Stats != again.Stats {
+				t.Errorf("%v: two workers=4 runs measured different effort\n%+v\n%+v", mode, par.Stats, again.Stats)
+			}
 		}
 		if len(serial.Bugs) != len(par.Bugs) {
 			t.Fatalf("%v: %d bugs serial vs %d parallel", mode, len(serial.Bugs), len(par.Bugs))
@@ -189,9 +197,10 @@ func TestRunParallelMatchesSerialWhiteBox(t *testing.T) {
 	}
 }
 
-// TestWorkersDefaultIsSerial: DefaultOptions runs the serial engine (the
-// faster one on every measured cell); the zero value still asks for one
-// worker per CPU.
+// TestWorkersDefaultIsSerial: DefaultOptions runs the serial engine, which
+// does the least work (shards cannot prune, and each judges the
+// representatives of the classes it meets, even when another shard judges
+// them too); the zero value still asks for one worker per CPU.
 func TestWorkersDefaultIsSerial(t *testing.T) {
 	if w := DefaultOptions().Workers; w != 1 {
 		t.Fatalf("DefaultOptions().Workers = %d, want 1", w)

@@ -30,6 +30,7 @@ package paracrash
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -135,6 +136,18 @@ type missingStoreError struct {
 
 func (e *missingStoreError) Error() string {
 	return fmt.Sprintf("paracrash: initial snapshot holds no store for server %q", e.proc)
+}
+
+// serverProcs returns ServerOps plus the sorted proc names — the
+// deterministic per-server iteration order of the reconstructor.
+func (e *Emulator) serverProcs() ([]string, map[string][]int) {
+	serverOps := e.ServerOps()
+	procs := make([]string, 0, len(serverOps))
+	for p := range serverOps {
+		procs = append(procs, p)
+	}
+	sort.Strings(procs)
+	return procs, serverOps
 }
 
 // newReconstructor builds the reconstruction state for s. It fails with a

@@ -1,30 +1,40 @@
-// Shard-scoped exploration: the cross-process half of the fleet design.
-// A coordinator partitions one run's crash-state space into Count shards by
-// dealing the deterministic generation order round-robin (ShardSpec.indices,
-// which also deals the in-process shards), hands each shard to a worker
-// process, and merges the shard reports back into a report whose verdicts
-// are byte-identical to the serial run's.
+// Sharded exploration: the generated crash-state list is cut into
+// contiguous runs of generation order, one per shard (ShardSpec.bounds),
+// shards judge their runs, and one serial merge resolves every check
+// through the shards' verdicts. The same two steps run in one process
+// (Options.Workers > 1) and across processes (the fleet).
 //
-// RunShard is the worker side: it rebuilds the full analysis state (trace,
-// causality graph, emulator universe, golden states — prepare is pure per
-// configuration, so every process derives the identical generation order),
-// judges only the states whose generation index falls in its shard, and
-// returns their verdicts, each with the class key it was digested into, in
-// a serializable ShardReport. Workers never prune
-// speculatively — a worker process has no view of the merge's BugSet, so it
-// judges every state it owns; the merge prunes, exactly as the in-process
-// parallel engine's merge pass does for speculatively skipped states.
+// In process, the merge is explore's own walk and judges the first run
+// itself, while startShards judges every later run ahead of it, each shard
+// on a detached clone of the cluster (pfs.Cloner) with its own clients,
+// reconstruction scratch state and check caches; the legal-state cache is
+// shared, so each legal set is enumerated once per run. Everything else
+// the shards share — the causality graph, the persist order, the emulator
+// universe, the layer-op tables, the initial snapshot, the golden states
+// and the Library — is immutable during exploration (see the concurrency
+// notes in internal/causality and internal/pfs). With Workers = 1 there is
+// one run and no shard: the walk is the serial engine.
 //
-// MergeShards is the coordinator side: it validates that the shard reports
-// cover the partition and were produced under the same verdict-relevant
-// configuration and trace, then replays the full serial pipeline resolving
-// checks and class lookups through the collected verdicts (the outcomeFor
-// seam the in-process merge already uses), so no shipped state is digested
-// twice, and computing locally only what no shard judged (classifier
-// probes outside the generated set). The resulting report has RunContext's
-// verdicts, state keys, state counts and bug set — which is what lets a
-// fleet run stand in for a standalone one — and Stats whose effort is the
-// merge's own plus every shard's.
+// Across processes, RunShard is the worker side: it rebuilds the full
+// analysis state (trace, causality graph, emulator universe, golden states —
+// prepare is pure per configuration, so every process derives the identical
+// generation order), judges only the states whose generation index falls in
+// its shard, and returns their verdicts, each with the class key it was
+// digested into, in a serializable ShardReport. MergeShards is the
+// coordinator side: it validates that the shard reports cover the partition
+// and were produced under the same verdict-relevant configuration and
+// trace, then runs the merge.
+//
+// Either way a shard judges every state it owns — it has no view of the
+// merge's BugSet, so the merge prunes — and journals each fresh verdict into
+// the run's Checkpoint. The merge is explore's serial walk verbatim
+// (visiting order, pruning, representative attribution), resolving checks
+// and class lookups through a verdictTable, so no shipped state is judged
+// or digested twice, and computing locally only what no shard judged
+// (classifier probes outside the shards' runs, and the states of a shard
+// that panicked). Its report has the serial run's verdicts, state keys,
+// state counts and bug set, and Stats whose effort is the merge's own plus
+// every shard's.
 package paracrash
 
 import (
@@ -32,6 +42,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"paracrash/internal/obs"
@@ -39,7 +50,7 @@ import (
 )
 
 // ShardSpec selects one shard of a partitioned crash-state space: the
-// states whose generation index i satisfies i % Count == Index.
+// Index-th of Count contiguous runs of generation order.
 type ShardSpec struct {
 	// Index is this shard's position, 0 <= Index < Count.
 	Index int `json:"index"`
@@ -65,15 +76,14 @@ func (sp ShardSpec) Validate() error {
 // resumes only into the same shard of the same partition.
 func (sp ShardSpec) suffix() string { return fmt.Sprintf("|shard=%d/%d", sp.Index, sp.Count) }
 
-// indices returns the generation indices this shard owns out of n states:
-// the round-robin dealing, the one partition function of in-process and
-// fleet sharding alike.
-func (sp ShardSpec) indices(n int) []int {
-	var ids []int
-	for i := sp.Index; i < n; i += sp.Count {
-		ids = append(ids, i)
-	}
-	return ids
+// bounds returns the run [lo, hi) of generation indices this shard owns
+// out of n states, the one partition function of in-process and fleet
+// sharding alike. The Count runs tile [0, n) in order and differ in size by
+// at most one. A run keeps neighbouring states — which share a crash front,
+// its prefix roots and often a class — on one shard, so shards judge fewer
+// class representatives twice than a round-robin dealing would.
+func (sp ShardSpec) bounds(n int) (lo, hi int) {
+	return sp.Index * n / sp.Count, (sp.Index + 1) * n / sp.Count
 }
 
 // Verdict is a judged crash state in wire form: a checkpoint journal line
@@ -180,17 +190,15 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 	}
 
 	// Generate the full state space — the dealing is positional, so a shard
-	// must see the same list every process sees — then keep our slice.
-	states := s.generate()
-	ids := shard.indices(len(states))
-	opts.Obs.Gauge("shard/states").Set(int64(len(ids)))
+	// must see the same list every process sees — then keep our run.
+	all := s.generate()
+	lo, hi := shard.bounds(len(all))
+	states := all[lo:hi]
+	opts.Obs.Gauge("shard/states").Set(int64(len(states)))
 
-	// Judge the shard with the in-process worker loop: an empty BugSet (no
-	// speculative pruning cross-process) and a board to collect verdicts.
-	// The loop publishes a verdict for every owned id unless cancelled.
-	board := newResultBoard(len(states))
+	table := make(verdictTable, len(states))
 	stopExplore := opts.Obs.Phase(obs.PhaseExplore)
-	s.exploreShard(states, ids, NewBugSet(), board, opts.Obs.Gauge("shard/pending"))
+	s.exploreShard(states, table, opts.Obs.Gauge("shard/pending"))
 	stopExplore()
 
 	// Leave the cluster at the untouched post-run state, like RunContext.
@@ -202,12 +210,13 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 	s.stats.StateClasses = len(s.classes)
 	s.stats.Duration = time.Since(s.start)
 	rep := &ShardReport{Shard: shard, Config: config, StatesGenerated: s.stats.StatesGenerated, Stats: s.stats}
-	for _, id := range ids {
-		res, class, ok := board.await(id) // published: the loop covered every id
+	for i, cs := range states {
+		key := stateKey(cs)
+		v, ok := table[key] // judged: the loop covers every state unless cancelled
 		if !ok {
-			return nil, fmt.Errorf("paracrash: shard %s: no verdict for state %d", shard, id)
+			return nil, fmt.Errorf("paracrash: shard %s: no verdict for state %d", shard, lo+i)
 		}
-		rep.Verdicts = append(rep.Verdicts, newVerdict(stateKey(states[id]), class, res))
+		rep.Verdicts = append(rep.Verdicts, newVerdict(key, v.class, v.r))
 	}
 	return rep, nil
 }
@@ -237,7 +246,7 @@ func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	count := shards[0].Shard.Count
 	generated := shards[0].StatesGenerated
 	seen := make(map[int]bool, len(shards))
-	verdicts := make(map[string]Verdict)
+	verdicts := verdictTable{}
 	effort := make([]Stats, 0, len(shards))
 	for _, sr := range shards {
 		if err := sr.Shard.Validate(); err != nil {
@@ -265,7 +274,7 @@ func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 			if err != nil {
 				return nil, fmt.Errorf("paracrash: merge: shard %s: %w", sr.Shard, err)
 			}
-			verdicts[key] = v
+			verdicts[key] = judged{v.result(), v.Class}
 		}
 	}
 	for i := 0; i < count; i++ {
@@ -273,8 +282,166 @@ func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 			return nil, fmt.Errorf("paracrash: merge: missing report for shard %d/%d", i, count)
 		}
 	}
-	return s.explore(func(key string) (checkResult, string, bool) {
-		v, ok := verdicts[key]
-		return v.result(), v.Class, ok
-	}, effort)
+	return s.explore(verdicts, effort)
+}
+
+// verdictTable is what a merge resolves checks through: a raw crash-state
+// key to the verdict a shard judged and the class key the shard digested
+// the state into ("" when it did not). In-process shards fill it directly;
+// MergeShards fills it from the reports' wire verdicts.
+type verdictTable map[string]judged
+
+// judged is one verdictTable entry.
+type judged struct {
+	r     checkResult
+	class string
+}
+
+// shardRun is one contiguous run states[lo:hi] of an in-process walk: the
+// shard judging it ahead of the walk (nil for the run the walk judges
+// itself), the verdicts the shard has judged, and a channel closed once the
+// shard has stopped (finished, cancelled or panicked).
+type shardRun struct {
+	ws     *session
+	lo, hi int
+	table  verdictTable
+	done   chan struct{}
+}
+
+// startShards is the in-process fleet's shard step. It cuts the states
+// into min(workers, len(states)) runs (one when the file system cannot be
+// cloned, or when a fleet merge brings the shards' verdicts) and starts a
+// shard on every run but the first, each judging on a detached clone in
+// its own goroutine; the first run is the walk's own. With one run no
+// shard starts, and the walk is the serial engine.
+func (s *session) startShards(states []CrashState, workers int) []*shardRun {
+	cloner, ok := s.fs.(pfs.Cloner)
+	n := min(workers, len(states))
+	if !ok || s.shipped != nil || n < 2 {
+		n = 1
+	} else {
+		s.obs.Gauge("workers").Set(int64(n))
+	}
+	runs := make([]*shardRun, n)
+	for i := range n {
+		lo, hi := ShardSpec{Index: i, Count: n}.bounds(len(states))
+		r := &shardRun{lo: lo, hi: hi, done: make(chan struct{})}
+		runs[i] = r
+		if i == 0 {
+			close(r.done)
+			continue
+		}
+		// Clones are built sequentially here (backend constructors are not
+		// concurrency-safe against each other's recorder plumbing).
+		clone := cloner.CloneDetached()
+		if oa, ok := clone.(pfs.ObsAware); ok {
+			oa.SetObs(s.obs)
+		}
+		if fa, ok := clone.(pfs.FaultAware); ok {
+			// Clones share the primary's fault plan: injection decisions are
+			// schedule-independent (hash-based), so the shard count does not
+			// change which points fault.
+			fa.SetFaults(s.opts.Faults)
+		}
+		r.ws, r.table = s.shardSession(clone), make(verdictTable, hi-lo)
+		r.ws.fs.Recorder().SetEnabled(false)
+		// Per-shard depth, decremented as the shard judges; the progress
+		// stream shows stragglers directly.
+		pending := s.obs.Gauge(fmt.Sprintf("worker/%02d/pending", i))
+		pending.Set(int64(hi - lo))
+		go func() {
+			defer close(r.done)
+			// Last-resort quarantine: per-attempt recovery inside check
+			// should contain every backend panic; if one escapes, the shard's
+			// remaining states are left for the walk to judge.
+			defer func() {
+				if p := recover(); p != nil {
+					s.obs.Counter("worker/panics").Inc()
+				}
+			}()
+			r.ws.exploreShard(states[lo:hi], r.table, pending)
+		}()
+	}
+	return runs
+}
+
+// walkRuns is explore's one ordered walk, the merge step: it visits the
+// runs in order, each once its shard has stopped, resolving checks through
+// the verdicts of the shards it has reached only. What it judges itself —
+// the first run, classifier probes into later runs or outside the
+// generated list, and the states a panicking shard left — therefore does
+// not depend on scheduling. It returns the shards' measured effort.
+func (s *session) walkRuns(states []CrashState, runs []*shardRun, skip func(CrashState) bool, handle func(CrashState)) []Stats {
+	// No shard outlives the walk, even when the walk panics.
+	defer func() {
+		for _, r := range runs {
+			<-r.done
+		}
+	}()
+	if len(runs) > 1 {
+		defer s.obs.Phase(obs.PhaseMerge)()
+		s.shipped = make(verdictTable, len(states))
+	}
+	var effort []Stats
+	for _, r := range runs {
+		<-r.done
+		maps.Copy(s.shipped, r.table)
+		s.visitOrdered(states[r.lo:r.hi], skip, handle)
+		if r.ws != nil {
+			effort = append(effort, r.ws.stats)
+		}
+	}
+	return effort
+}
+
+// shardSession builds an in-process shard's private session around a
+// detached clone: shared read-only analysis state, legal-state cache,
+// resumed verdicts and checkpoint; private clients and check caches. The
+// shard's effort lands on worker/-prefixed counters; the merge folds its
+// Stats into the primary's, which keeps the primary's counters reconciling
+// 1:1 with the primary's Stats.
+func (s *session) shardSession(fs pfs.FileSystem) *session {
+	ws := &session{
+		fs: fs, lib: s.lib, opts: s.opts, ctx: s.ctx,
+		g: s.g, emu: s.emu, pfsOps: s.pfsOps, libOps: s.libOps,
+		initial:    s.initial,
+		clients:    map[string]pfs.Client{},
+		legal:      s.legal,
+		checkCache: map[string]checkResult{},
+		classes:    map[string]checkResult{},
+		fronts:     map[string]*frontStatus{},
+		memoScope:  s.memoScope,
+		goldenPFS:  s.goldenPFS,
+		goldenLib:  s.goldenLib,
+		resumed:    s.resumed,
+		ckpt:       s.ckpt,
+	}
+	ws.bindObs(s.obs, "worker/")
+	// The clone gets its own reconstructor (private prefix-root caches over
+	// the clone's stores) seeded from the same shared initial snapshot —
+	// which prepare already proved holds a store for every server.
+	ws.recon, _ = newReconstructor(ws)
+	return ws
+}
+
+// exploreShard is the one shard loop, in-process and fleet alike: it
+// judges a shard's run of states in generation order into out, and stops
+// early when the run is cancelled. All per-state logic lives in ws.check —
+// the shard's private reconstructor caches prefix roots, counts the work in
+// the shard's own Stats and journals every fresh verdict.
+func (ws *session) exploreShard(states []CrashState, out verdictTable, pending *obs.Gauge) {
+	for _, cs := range states {
+		if ws.ctx.Err() != nil {
+			return
+		}
+		r, class := ws.check(cs)
+		out[stateKey(cs)] = judged{r, class}
+		ws.countVisit(r)
+		pending.Add(-1)
+	}
+}
+
+// stateKey is the cache/dedup key of a crash state.
+func stateKey(cs CrashState) string {
+	return cs.Front.Key() + "|" + cs.Keep.Key()
 }

@@ -522,7 +522,6 @@ func (w *FleetWorker) executeShard(ctx context.Context, t ShardTask) (report *co
 	if err != nil {
 		return nil, err
 	}
-	sp.Options.Workers = 1 // shards explore serially; fleet parallelism is across processes
 	sp.Options.Obs = w.cfg.Obs
 	sp.Options.Retry = w.cfg.Retry
 	sp.Options.Faults = w.cfg.Faults
