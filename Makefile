@@ -61,7 +61,8 @@ benchcheck:
 # reference_test.go, which judges every state on its own — equal report
 # kernels and equal verdicts state by state (every backend, named and
 # generated programs, fault injection, quarantine, mid-class kill/resume) —
-# plus the white-box collision proofs, the outcome-memo cap test and the
+# plus the white-box collision proofs, the outcome-memo cap test, a backend
+# whose apply panics (quarantined at once, no class poisoned) and the
 # digest fuzz target's seed corpus.
 representative:
 	$(GO) test ./internal/paracrash/ -run 'TestRepresentative|TestClassKey|TestCrashDigest|FuzzStateDigest' -count=1 -v
@@ -70,11 +71,14 @@ representative:
 # references (every backend, both workload families) — the committed report
 # fingerprints and effort counts of serial and Workers=4 runs alike
 # (testdata/fingerprints.golden), the per-state full-rebuild reference
-# (reference_test.go), state-level Serialize/Hash identity of delta
-# reconstruction, effort independent of the visiting order, fault
+# (reference_test.go), which also requires states sharing an image key to
+# rebuild identically (on a block and a vfs states-k2 cell at k = 2), the
+# image key's unit cases (shadowed writes, writes equal to the initial
+# block, syncs, wide vfs servers), state-level Serialize/Hash identity of
+# delta reconstruction, effort independent of the visiting order, fault
 # transparency and kill/resume chaos.
 incremental:
-	$(GO) test ./internal/paracrash/ -run 'TestIncremental' -count=1 -v
+	$(GO) test ./internal/paracrash/ -run 'TestIncremental|TestImageKey' -count=1 -v
 
 # Crash-emulator gate (Algorithm 1): Generate against the reference kept in
 # test code (same states, same order, same victims on every backend and

@@ -19,7 +19,7 @@ type FaultFlags struct {
 // Register declares -retries, -retry-backoff, -fault-seed and -fault-rate
 // on fl, each usage string behind prefix.
 func (f *FaultFlags) Register(fl *flag.FlagSet, prefix string) {
-	fl.IntVar(&f.Retry.MaxAttempts, "retries", 0, prefix+"max attempts per crash-state check before quarantining it (0 = default 3)")
+	fl.IntVar(&f.Retry.MaxAttempts, "retries", 0, prefix+"max attempts per crash-state check that hits injected faults before quarantining it; other errors quarantine at once (0 = default 3)")
 	fl.DurationVar(&f.Retry.Backoff, "retry-backoff", 0, prefix+"base backoff between check retries (0 = default 2ms)")
 	fl.Int64Var(&f.Seed, "fault-seed", 0, prefix+"fault-injection seed (with -fault-rate)")
 	fl.Float64Var(&f.Rate, "fault-rate", 0, prefix+"inject faults into the engine's own I/O with this probability in [0,1] (0 = off)")

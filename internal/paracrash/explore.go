@@ -183,9 +183,10 @@ type Options struct {
 	Obs *obs.Run `json:"-"`
 
 	// Retry bounds the engine's fault recovery: how often a crash state
-	// whose reconstruction or verdict failed (injected fault, backend
-	// panic) is re-attempted before it is quarantined as a Skipped report
-	// entry. The zero value means 3 attempts with a 2ms initial backoff.
+	// whose reconstruction or verdict failed with an injected fault is
+	// attempted before it is quarantined as a Skipped report entry. Any
+	// other error or panic is quarantined at its first attempt. The zero
+	// value means 3 attempts with a 2ms initial backoff.
 	Retry RetryPolicy `json:"-"`
 
 	// Faults, when non-nil, arms the deterministic fault plane: the plan is
@@ -338,8 +339,9 @@ type Report struct {
 	Inconsistent int
 	LibOnly      int
 	States       []InconsistentState
-	// Skipped lists quarantined crash states (no verdict after every retry
-	// attempt); empty on healthy runs.
+	// Skipped lists quarantined crash states (no verdict: a genuine error
+	// or panic, or an injected fault that outlasted the retries); empty on
+	// healthy runs.
 	Skipped []SkippedState `json:",omitempty"`
 	Stats   Stats
 }
@@ -385,7 +387,7 @@ type checkResult struct {
 	// state is the canonical content of the recovered state at the failing
 	// layer (empty when consistent); the bug dedup keys on it.
 	state string
-	// skipped marks a quarantined state: every attempt faulted, so there is
+	// skipped marks a quarantined state: its judgement failed, so there is
 	// no verdict. consequence then holds the quarantine reason. Skipped
 	// states are reported via Report.Skipped, never as inconsistencies.
 	skipped bool
@@ -470,6 +472,7 @@ type session struct {
 	ctrLegalRestore  *obs.Counter // share of ctrRestores: legal-state replay
 	ctrProbeRestore  *obs.Counter // share of ctrRestores: classifier probes
 	ctrProbes        *obs.Counter // probe states the classifier sent to check
+	ctrRecover       *obs.Counter // crash-state recoveries: outcome-memo misses
 	ctrReplayed      *obs.Counter
 	ctrFaults        *obs.Counter
 	ctrRetries       *obs.Counter
@@ -497,6 +500,7 @@ func (s *session) bindObs(r *obs.Run, prefix string) {
 	s.ctrLegalRestore = r.Counter(prefix + "restores/legal")
 	s.ctrProbeRestore = r.Counter(prefix + "restores/probe")
 	s.ctrProbes = r.Counter(prefix + "classify/probes")
+	s.ctrRecover = r.Counter(prefix + "recover/calls")
 	s.ctrReplayed = r.Counter(prefix + "ops/replayed")
 	s.ctrFaults = r.Counter(prefix + "fault/injected")
 	s.ctrRetries = r.Counter(prefix + "fault/retries")
@@ -964,8 +968,8 @@ func (s *session) check(cs CrashState) (checkResult, string) {
 		// A worker's or the journal's verdict is used as it is.
 	case derr != nil:
 		// The digest is this state's reconstruction and recovery, and it
-		// faulted through the whole retry budget; a verdict would spend a
-		// second budget on the same work, so the state is quarantined here.
+		// failed for good; a verdict would spend a second attempt budget on
+		// the same work, so the state is quarantined here.
 		r = s.quarantine(derr)
 	default:
 		r = s.checkWithRetry(cs)
@@ -1022,26 +1026,21 @@ func (s *session) checkWithRetry(cs CrashState) checkResult {
 	return s.quarantine(err)
 }
 
-// quarantine is the verdict of a state whose every attempt faulted; err is
-// the last attempt's error.
+// quarantine is the verdict of a state whose judgement failed: err is the
+// last attempt's error, as withRetry returns it.
 func (s *session) quarantine(err error) checkResult {
 	s.ctrSkipped.Inc()
-	return checkResult{
-		skipped:     true,
-		consequence: fmt.Sprintf("quarantined after %d attempts: %v", s.opts.Retry.attempts(), err),
-	}
+	return checkResult{skipped: true, consequence: "quarantined " + err.Error()}
 }
 
-// withRetry runs fn under the retry policy, quarantining panics into errors;
-// it returns the last attempt's error when every attempt failed.
+// withRetry runs fn, converting panics into errors, and retries it under
+// the retry policy while it fails with an injected fault. Any other error
+// or panic is genuine — the code or the backend is wrong, and would be
+// wrong again — so it is returned at once, after one attempt. A failure
+// comes back naming the attempts made.
 func (s *session) withRetry(fn func() error) error {
 	att := s.opts.Retry.attempts()
-	var lastErr error
-	for a := 0; a < att; a++ {
-		if a > 0 {
-			s.ctrRetries.Inc()
-			time.Sleep(s.opts.Retry.backoffAt(a))
-		}
+	for a := 1; ; a++ {
 		err := func() (err error) {
 			defer func() {
 				if p := recover(); p != nil {
@@ -1057,12 +1056,16 @@ func (s *session) withRetry(fn func() error) error {
 		if err == nil {
 			return nil
 		}
-		if faultinject.Is(err) {
+		injected := faultinject.Is(err)
+		if injected {
 			s.ctrFaults.Inc()
 		}
-		lastErr = err
+		if !injected || a == att {
+			return fmt.Errorf("after %d of %d attempts: %w", a, att, err)
+		}
+		s.ctrRetries.Inc()
+		time.Sleep(s.opts.Retry.backoffAt(a))
 	}
-	return lastErr
 }
 
 // verdict judges cs against the legal states for its crash front. It
@@ -1072,8 +1075,8 @@ func (s *session) withRetry(fn func() error) error {
 // test) surface as errors for the retry loop; genuine recovery/mount
 // failures remain verdicts — they are what the checker exists to find.
 func (s *session) verdict(cs CrashState) (checkResult, error) {
-	// Recovery is a pure function of the kept set, so states sharing a Keep
-	// (and the class lookup that already digested this one) share one
+	// Recovery is a pure function of the store images, so states sharing an
+	// image (and the class lookup that already digested this one) share one
 	// memoised fsck+mount outcome.
 	o, err := s.recon.recoveredOutcome(cs)
 	if err != nil {

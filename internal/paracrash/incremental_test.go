@@ -97,6 +97,35 @@ func TestIncrementalEngineEquivalence(t *testing.T) {
 	}
 }
 
+// TestIncrementalImageKeyReference holds the image key to the full rebuild
+// on a block cell and a vfs cell of states-k2 (brute force, k = 2), where
+// many kept sets share an image: every state must reconstruct as the full
+// rebuild does, and every state sharing an image key with another must
+// rebuild to a byte-identical outcome (paracrash.ReferenceDiffAt).
+func TestIncrementalImageKeyReference(t *testing.T) {
+	for _, c := range []struct{ backend, prog string }{{"gpfs", "H5-create"}, {"beegfs", "H5-parallel-create"}} {
+		t.Run(c.backend+"/"+c.prog, func(t *testing.T) {
+			prog, err := exps.ProgramByName(c.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := exps.NewFS(c.backend, exps.ConfigFor(c.backend), trace.NewRecorder())
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, _ := prog.Make(workloads.DefaultH5Params())
+			checked, images, err := paracrash.ReferenceDiffAt(fs, w, paracrash.ModeBrute, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if images*2 > checked {
+				t.Fatalf("%d crash states over %d image keys: too few shared images to test the key", checked, images)
+			}
+			t.Logf("%d crash states, %d image keys", checked, images)
+		})
+	}
+}
+
 // TestIncrementalEffortOrderIndependent pins the premise behind visiting
 // crash states in generation order only: reconstruction work does not depend
 // on the order. Walking a cell's states in generation order and in a seeded

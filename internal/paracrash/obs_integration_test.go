@@ -227,3 +227,37 @@ func TestObsPreservesDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestObsRecoverCallsPerImage: recover/calls counts the crash-state
+// recoveries the engine runs, one per outcome-memo miss. The memo is keyed
+// by image, so on a states-k2 cell (gpfs/H5-create, brute force, k = 2) the
+// counter equals the number of distinct image keys the judged states
+// produced — fewer than their distinct kept sets.
+func TestObsRecoverCallsPerImage(t *testing.T) {
+	prog, err := exps.ProgramByName("H5-create")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := exps.NewFS("gpfs", exps.ConfigFor("gpfs"), trace.NewRecorder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, lib := prog.Make(workloads.DefaultH5Params())
+	opts := paracrash.DefaultOptions()
+	opts.Mode = paracrash.ModeBrute
+	opts.Emulator.K = 2
+	r := obs.NewRun()
+	opts.Obs = r
+	keeps, images, err := paracrash.EngineImages(fs, lib, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := r.Counter("recover/calls").Value()
+	if calls != int64(images) {
+		t.Errorf("recover/calls = %d, the judged states produced %d distinct image keys", calls, images)
+	}
+	if images >= keeps {
+		t.Errorf("%d image keys over %d kept sets: the cell merges no kept sets, so the test lost its teeth", images, keeps)
+	}
+	t.Logf("%d kept sets, %d image keys, %d recoveries", keeps, images, calls)
+}

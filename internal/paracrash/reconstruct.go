@@ -1,101 +1,145 @@
-// Crash-state reconstruction by prefix roots — the explorer's only
+// Crash-state reconstruction by store image — the explorer's only
 // reconstruction engine.
 //
-// The vfs/blockdev substrates are persistent (O(1) snapshot and restore), so
-// a server's kept-op subsequence need not be replayed from the initial
-// snapshot every time:
+// Recovery sees only the store images a crash state leaves behind, and each
+// server's image is a function of the trace and the kept set alone:
 //
-//   - While building a server's kept sequence, the reconstructor captures an
-//     O(1) store snapshot after every applied op — a chain of prefix roots.
-//     Reconstructing a crash state restores each server from the longest
-//     prefix root its kept sequence shares with one built before, and only
-//     the ops past that prefix are replayed.
+//   - A block server's image is, per LBA slot, the payload of the last kept
+//     write to it, or the initial block when there is none. Each write's
+//     payload is classed once, at construction, by its bytes per slot;
+//     class 0 is the initial block's bytes, so a write that rewrites the
+//     initial block changes nothing.
+//   - A vfs server's image is the set of its kept ops other than fsync,
+//     which changes no state.
+//
+// The image key — every server's part, at fixed widths, concatenated in
+// proc order — keys the recovered-outcome memo, so recovery, mount and
+// serialize run once per image, not once per kept set. On a memo miss the
+// cluster is brought to the image's canonical kept sequence, a function of
+// the key alone: per block slot the first write of its payload class, per
+// vfs server its kept non-sync ops, each in trace order. Syncs, shadowed
+// writes and writes equal to the initial block are never applied. What a
+// reconstruction replays therefore depends on the image and not on which
+// kept set reached it first.
+//
+// The vfs/blockdev substrates are persistent (O(1) snapshot and restore), so
+// a canonical sequence need not be replayed from the initial snapshot every
+// time:
+//
+//   - While building a server's sequence, the reconstructor captures an O(1)
+//     store snapshot after every applied op — a trie of prefix roots keyed
+//     by (parent root, op). Reconstructing restores each server from the
+//     deepest root its sequence shares with one built before, and only the
+//     ops past that prefix are replayed.
 //   - Every reconstruction restores every server. Recovery and legal-state
 //     replay mutate the whole cluster in place, and one of them runs between
 //     any two reconstructions, so there is no state left to reuse; a restore
-//     is O(1) anyway. What the prefix roots save is op applies, and that
-//     saving does not depend on the order states are visited in.
+//     is O(1) anyway.
+//
+// Each image is reconstructed once and each trie node is built once, so the
+// work depends on the set of images visited, not on the order they are
+// visited in.
 //
 // Effort is counted where it happens: every server-store restore and every
 // lowermost op apply bring performs lands in Stats.ServerRestores and
-// Stats.OpsReplayed — including the reconstructions class lookups pay for. Faulted retries, resumed verdicts and parallel workers
-// therefore report the work they actually did, not a serial walk's.
+// Stats.OpsReplayed — including the reconstructions class lookups pay for.
+// Faulted retries, resumed verdicts and parallel workers therefore report
+// the work they actually did, not a serial walk's.
 //
 // The engine's reference lives in test code: reference_test.go rebuilds every
 // generated state on a fresh cluster (restore everything, replay every kept
-// op in universe order) and requires the identical recovery outcome, and
-// testdata/fingerprints.golden pins the reports' verdicts and state counts,
-// and the effort of the serial cells.
+// op in universe order), requires the identical recovery outcome, and
+// requires every state sharing an image key to rebuild to the same outcome;
+// testdata/fingerprints.golden pins the reports' verdicts, state counts and
+// effort.
 package paracrash
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
+	"paracrash/internal/blockdev"
+	"paracrash/internal/causality"
 	"paracrash/internal/faultinject"
 	"paracrash/internal/pfs"
+	"paracrash/internal/trace"
+	"paracrash/internal/vfs"
 )
 
-// maxPrefixRoots bounds the per-server prefix-root cache. Each entry is an
+// maxPrefixRoots bounds each server's prefix-root trie. Each node is an
 // O(1) structurally-shared snapshot, so the bound exists only to keep
 // divergence-path garbage from accumulating on very long runs. When a
-// server's cache would overflow mid-build, it is cleared and the build
-// restarts from the initial snapshot, preserving the invariant that cached
-// prefixes are contiguous from the empty prefix.
+// server's trie would overflow mid-build, it is cleared and the build
+// restarts from the initial snapshot, preserving the invariant that every
+// node is reachable from the root.
 const maxPrefixRoots = 4096
 
 // reconstructor brings the live cluster to crash states. One reconstructor
 // serves one session (the primary's or a shard worker's clone); it owns the
-// prefix-root caches.
+// prefix-root tries and the outcome memo.
 type reconstructor struct {
 	s *session
 
-	procs     []string         // sorted servers with universe ops
-	serverOps map[string][]int // proc -> universe node indices, in order
+	procs   []string      // sorted servers with universe ops
+	servers []imageServer // per proc; read-only, shared with clones
+	keyLen  int           // bytes in an image key
 
-	initials []pfs.ServerSnap            // per-proc initial store snapshot
-	roots    []map[string]pfs.ServerSnap // per-proc prefix key -> captured root
+	roots []prefixRoots // per proc
 
 	// others are the cluster's servers without universe ops: no crash state
 	// changes them, so every bring restores them to the initial snapshot.
 	others     []string
 	otherSnaps []pfs.ServerSnap
 
-	// keptMemo caches per-Keep kept sequences and their cumulative prefix
-	// keys (many states share a Keep via distinct fronts, and the classifier
-	// re-probes states repeatedly; building the key strings is the hottest
-	// allocation in the whole walk).
-	keptMemo map[string][]serverKept
-
-	// outcomes caches the recovery outcome per Keep.Key(): recovery and
-	// mount are pure functions of the kept set (the front only selects
-	// legal-state sets), so the class lookups and verdicts of states sharing
-	// a Keep run fsck+mount exactly once between them.
+	// outcomes caches the recovery outcome per image key: recovery and
+	// mount are pure functions of the store images (the front only selects
+	// legal-state sets), so the class lookups and verdicts of every state
+	// reaching an image run fsck+mount exactly once between them.
 	outcomes map[string]*recoveredOutcome
 
-	// lastKeep/lastKeepKey memoise the most recent Keep.Key() by slice
-	// identity: one state's digest, reconstruction and verdict all
-	// key off the same (read-only, never mutated in place) Keep bitset, so
-	// the key is encoded once per state instead of once per lookup. Holding
+	// key holds the image key of the Keep bitset lastKeep points into: one
+	// state's class lookup and verdict ask for the same (read-only, never
+	// mutated in place) bitset, so its key is built once per state. Holding
 	// the element pointer keeps the bitset alive, so the address cannot be
 	// reused for different content while cached.
-	lastKeep    *uint64
-	lastKeepKey string
+	key      []byte
+	lastKeep *uint64
+
+	seq []int // scratch: one server's canonical kept sequence
 }
 
-// keepKey returns cs.Keep.Key(), memoising the most recent bitset.
-func (r *reconstructor) keepKey(cs CrashState) string {
-	if len(cs.Keep) == 0 {
-		return cs.Keep.Key()
-	}
-	if &cs.Keep[0] == r.lastKeep {
-		return r.lastKeepKey
-	}
-	r.lastKeep = &cs.Keep[0]
-	r.lastKeepKey = cs.Keep.Key()
-	return r.lastKeepKey
+// imageServer is one server's part of the image key, built from the trace
+// at construction. Its ops that change the store each set one slot of the
+// part: a block write sets its LBA's slot to the write's payload class, a
+// vfs op other than fsync sets a slot of its own to 1. A later kept write to
+// a slot overwrites an earlier one's class, as it overwrites its bytes.
+type imageServer struct {
+	off, n  int       // the part's byte range in the image key
+	width   int       // bits per slot
+	effects []imageOp // ops that change the store, in trace order
+	// reps[slot][class] is the first op writing class to slot, the one a
+	// canonical kept sequence applies; class 0 (the initial state) has none.
+	reps [][]int
+}
+
+// imageOp is one op's effect on its server's image.
+type imageOp struct{ op, slot, class int }
+
+// prefixRoots is one server's trie of captured stores: node 0 is the
+// initial snapshot, and the child of node p along op holds the store after
+// applying op to node p's.
+type prefixRoots struct {
+	snaps []pfs.ServerSnap
+	child map[rootEdge]int
+}
+
+type rootEdge struct{ root, op int }
+
+func newPrefixRoots(initial pfs.ServerSnap) prefixRoots {
+	return prefixRoots{snaps: []pfs.ServerSnap{initial}, child: map[rootEdge]int{}}
 }
 
 // maxOutcomes bounds the recovered-outcome cache; entries hold mounted
@@ -104,7 +148,7 @@ func (r *reconstructor) keepKey(cs CrashState) string {
 const maxOutcomes = 4096
 
 // recoveredOutcome is the deterministic result of running recovery and
-// mount on one kept set. Exactly one of recoverErr/mountErr/tree is set;
+// mount on one image. Exactly one of recoverErr/mountErr/tree is set;
 // the tree is read-only once cached (Mount builds fresh buffers and the
 // library recovery tools copy before modifying).
 type recoveredOutcome struct {
@@ -116,14 +160,6 @@ type recoveredOutcome struct {
 	// failure text — and the first part of the state's class key. Outcomes
 	// that fail differently digest differently: their consequences differ.
 	digest string
-}
-
-// serverKept is one server's kept-op subsequence for a Keep, with the
-// cumulative prefix keys ("n0," then "n0,n1," ...). keys[k] identifies the
-// store state after applying kept[0..k].
-type serverKept struct {
-	kept []int
-	keys []string
 }
 
 // missingStoreError reports that the initial snapshot holds no store for a
@@ -154,26 +190,18 @@ func (e *Emulator) serverProcs() ([]string, map[string][]int) {
 // *missingStoreError when the initial snapshot lacks a store for some server.
 func newReconstructor(s *session) (*reconstructor, error) {
 	procs, serverOps := s.emu.serverProcs()
-	r := &reconstructor{
-		s: s, procs: procs, serverOps: serverOps,
-		initials: make([]pfs.ServerSnap, len(procs)),
-		roots:    make([]map[string]pfs.ServerSnap, len(procs)),
-		keptMemo: map[string][]serverKept{},
-	}
+	r := &reconstructor{s: s, procs: procs, servers: make([]imageServer, len(procs))}
 	for pi, p := range procs {
-		snap, ok := s.initial.ServerSnap(p)
-		if !ok {
+		if _, ok := s.initial.ServerSnap(p); !ok {
 			return nil, &missingStoreError{proc: p}
 		}
-		r.initials[pi] = snap
-		r.roots[pi] = map[string]pfs.ServerSnap{}
-	}
-	inProcs := map[string]bool{}
-	for _, p := range procs {
-		inProcs[p] = true
+		sv := newImageServer(s.g.Ops, serverOps[p], s.initial.Dev[p])
+		sv.off = r.keyLen
+		r.keyLen += sv.n
+		r.servers[pi] = sv
 	}
 	for _, p := range s.fs.Procs() {
-		if inProcs[p] {
+		if _, ok := serverOps[p]; ok {
 			continue
 		}
 		snap, ok := s.initial.ServerSnap(p)
@@ -183,23 +211,142 @@ func newReconstructor(s *session) (*reconstructor, error) {
 		r.others = append(r.others, p)
 		r.otherSnaps = append(r.otherSnaps, snap)
 	}
-	r.outcomes = map[string]*recoveredOutcome{}
-	return r, nil
+	return r.clone(s), nil
 }
 
-// recoveredOutcome brings the live cluster to cs and runs recovery and mount
-// on it, memoising the result per kept set: a kept set whose outcome is
-// cached needs no reconstruction at all. Injected faults surface as errors
-// (nothing is cached); genuine recovery or mount failures are themselves
-// deterministic outcomes and are cached like successful mounts.
+// clone returns a reconstructor for ws (a shard worker's session over a
+// detached clone) that shares r's read-only image tables and owns fresh
+// caches seeded from the same initial snapshot.
+func (r *reconstructor) clone(ws *session) *reconstructor {
+	c := &reconstructor{
+		s: ws, procs: r.procs, servers: r.servers, keyLen: r.keyLen,
+		others: r.others, otherSnaps: r.otherSnaps,
+		roots:    make([]prefixRoots, len(r.procs)),
+		outcomes: map[string]*recoveredOutcome{},
+		key:      make([]byte, r.keyLen),
+	}
+	for pi, p := range r.procs {
+		snap, _ := ws.initial.ServerSnap(p)
+		c.roots[pi] = newPrefixRoots(snap)
+	}
+	return c
+}
+
+// newImageServer classes the ops of one server — idx indexes ops, in trace
+// order — into its image-key part. initial is the server's initial block
+// device, nil on a vfs server.
+func newImageServer(ops []*trace.Op, idx []int, initial *blockdev.Dev) imageServer {
+	if initial == nil {
+		initial = blockdev.New()
+	}
+	var sv imageServer
+	slots := map[int64]int{}            // LBA -> slot
+	classes := map[int]map[string]int{} // slot -> payload -> class
+	maxClass := 1
+	for _, n := range idx {
+		switch p := ops[n].Payload.(type) {
+		case vfs.Op:
+			if p.Kind == vfs.OpSync {
+				continue
+			}
+			sv.effects = append(sv.effects, imageOp{op: n, slot: len(sv.reps), class: 1})
+			sv.reps = append(sv.reps, []int{-1, n})
+		case blockdev.Op:
+			if p.Kind != blockdev.OpWrite {
+				continue
+			}
+			slot, ok := slots[p.LBA]
+			if !ok {
+				slot = len(sv.reps)
+				slots[p.LBA] = slot
+				classes[slot] = map[string]int{}
+				sv.reps = append(sv.reps, []int{-1})
+			}
+			class := 0
+			if init, ok := initial.View(p.LBA); !ok || !bytes.Equal(init, p.Data) {
+				if class, ok = classes[slot][string(p.Data)]; !ok {
+					class = len(sv.reps[slot])
+					classes[slot][string(p.Data)] = class
+					sv.reps[slot] = append(sv.reps[slot], n)
+					maxClass = max(maxClass, class)
+				}
+			}
+			sv.effects = append(sv.effects, imageOp{op: n, slot: slot, class: class})
+		}
+	}
+	sv.width = bits.Len(uint(maxClass))
+	sv.n = (len(sv.reps)*sv.width + 7) / 8
+	return sv
+}
+
+// put writes the server's part of keep's image key into key.
+func (sv *imageServer) put(key []byte, keep causality.Bitset) {
+	part := key[sv.off : sv.off+sv.n]
+	for _, e := range sv.effects {
+		if !keep.Get(e.op) {
+			continue
+		}
+		for b, i := 0, e.slot*sv.width; b < sv.width; b, i = b+1, i+1 {
+			if e.class>>b&1 != 0 {
+				part[i/8] |= 1 << (i % 8)
+			} else {
+				part[i/8] &^= 1 << (i % 8)
+			}
+		}
+	}
+}
+
+// sequence returns, in seq's storage, the canonical kept sequence of the
+// server's part of key: the representative op of every slot's class, in
+// trace order.
+func (sv *imageServer) sequence(key []byte, seq []int) []int {
+	part, seq := key[sv.off:sv.off+sv.n], seq[:0]
+	for slot, reps := range sv.reps {
+		class := 0
+		for b, i := 0, slot*sv.width; b < sv.width; b, i = b+1, i+1 {
+			class |= int(part[i/8]>>(i%8)&1) << b
+		}
+		if class != 0 {
+			seq = append(seq, reps[class])
+		}
+	}
+	slices.Sort(seq)
+	return seq
+}
+
+// imageKey returns the image key of keep, rebuilt only when keep is not the
+// bitset it was last asked for. The bytes are the reconstructor's and stay
+// valid until it is asked for another bitset.
+func (r *reconstructor) imageKey(keep causality.Bitset) []byte {
+	if len(keep) > 0 && &keep[0] == r.lastKeep {
+		return r.key
+	}
+	clear(r.key)
+	for pi := range r.servers {
+		r.servers[pi].put(r.key, keep)
+	}
+	r.lastKeep = nil
+	if len(keep) > 0 {
+		r.lastKeep = &keep[0]
+	}
+	return r.key
+}
+
+// recoveredOutcome returns the recovery outcome of cs's image, memoised per
+// image key: an image whose outcome is cached needs no reconstruction at
+// all. On a miss it brings the live cluster to the image and runs recovery
+// and mount, counting the recovery on recover/calls. Injected faults surface
+// as errors (nothing is cached); genuine recovery or mount failures are
+// themselves deterministic outcomes and are cached like successful mounts.
 func (r *reconstructor) recoveredOutcome(cs CrashState) (*recoveredOutcome, error) {
-	kk := r.keepKey(cs)
-	if o, ok := r.outcomes[kk]; ok {
+	key := r.imageKey(cs.Keep)
+	if o, ok := r.outcomes[string(key)]; ok {
 		return o, nil
 	}
 	if err := r.bring(cs); err != nil {
 		return nil, err
 	}
+	r.s.ctrRecover.Inc()
 	o := &recoveredOutcome{}
 	if rerr := r.s.fs.Recover(); rerr != nil {
 		if faultinject.Is(rerr) {
@@ -226,47 +373,21 @@ func (r *reconstructor) recoveredOutcome(cs CrashState) (*recoveredOutcome, erro
 	if len(r.outcomes) >= maxOutcomes {
 		r.outcomes = map[string]*recoveredOutcome{}
 	}
-	r.outcomes[kk] = o
+	r.outcomes[string(key)] = o
 	return o, nil
 }
 
-// keptOf returns the per-server kept sequences of cs with their cumulative
-// prefix keys, memoised per kept set. The cached slices are read-only.
-func (r *reconstructor) keptOf(cs CrashState) []serverKept {
-	kk := r.keepKey(cs)
-	if ks, ok := r.keptMemo[kk]; ok {
-		return ks
-	}
-	ks := make([]serverKept, len(r.procs))
-	for pi, p := range r.procs {
-		var b strings.Builder
-		sk := &ks[pi]
-		for _, n := range r.serverOps[p] {
-			if !cs.Keep.Get(n) {
-				continue
-			}
-			sk.kept = append(sk.kept, n)
-			b.WriteString(strconv.Itoa(n))
-			b.WriteByte(',')
-			sk.keys = append(sk.keys, b.String())
-		}
-	}
-	if len(r.keptMemo) >= 1<<15 {
-		r.keptMemo = map[string][]serverKept{}
-	}
-	r.keptMemo[kk] = ks
-	return ks
-}
-
-// bring reconstructs cs on the live cluster and counts every restore and op
-// apply it performs. It restores every server — an op server from the
-// longest cached prefix root of its kept sequence, any other from the
-// initial snapshot — and replays only the uncached suffixes. An injected
-// fault aborts it; the retry's bring starts over from restores again.
+// bring reconstructs cs's image on the live cluster and counts every
+// restore and op apply it performs. It restores every server — an op server
+// from the deepest prefix root of its canonical kept sequence, any other
+// from the initial snapshot — and replays only the uncached suffixes. An
+// injected fault aborts it; the retry's bring starts over from restores
+// again.
 func (r *reconstructor) bring(cs CrashState) error {
-	ks := r.keptOf(cs)
+	key := r.imageKey(cs.Keep)
 	for pi := range r.procs {
-		if err := r.bringServer(ks[pi], pi); err != nil {
+		r.seq = r.servers[pi].sequence(key, r.seq)
+		if err := r.bringServer(pi, r.seq); err != nil {
 			return err
 		}
 	}
@@ -287,11 +408,11 @@ func (r *reconstructor) restore(p string, snap pfs.ServerSnap) error {
 	return nil
 }
 
-// bringServer rebuilds one server: restore the longest cached prefix root
-// (the initial snapshot when none is cached) and apply the remaining kept
+// bringServer rebuilds one server: restore the deepest prefix root along
+// seq (the initial snapshot when none is cached) and apply the remaining
 // ops, capturing a prefix root after each one. Panics from backend apply
 // paths are quarantined into errors.
-func (r *reconstructor) bringServer(sk serverKept, pi int) (err error) {
+func (r *reconstructor) bringServer(pi int, seq []int) (err error) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			if fe, ok := faultinject.FromPanic(pv); ok {
@@ -301,40 +422,39 @@ func (r *reconstructor) bringServer(sk serverKept, pi int) (err error) {
 			}
 		}
 	}()
-	p := r.procs[pi]
-	kept, keys := sk.kept, sk.keys
-	base := r.initials[pi]
-	last := 0
-	for k := 1; k <= len(kept); k++ {
-		snap, ok := r.roots[pi][keys[k-1]]
+	p, t := r.procs[pi], &r.roots[pi]
+	node, k := 0, 0
+	for ; k < len(seq); k++ {
+		c, ok := t.child[rootEdge{node, seq[k]}]
 		if !ok {
 			break
 		}
-		last, base = k, snap
+		node = c
 	}
-	if len(r.roots[pi])+(len(kept)-last) > maxPrefixRoots {
-		// Clearing mid-chain would leave cached suffixes unreachable (the
-		// prefix walk above stops at the first gap), so restart from the
-		// initial snapshot and rebuild a contiguous chain.
-		r.roots[pi] = map[string]pfs.ServerSnap{}
-		base, last = r.initials[pi], 0
+	if len(t.snaps)-1+len(seq)-k > maxPrefixRoots {
+		// Clearing mid-sequence would leave cached suffixes unreachable, so
+		// restart from the initial snapshot and rebuild from the root.
+		*t = newPrefixRoots(t.snaps[0])
+		node, k = 0, 0
 	}
-	if err := r.restore(p, base); err != nil {
+	if err := r.restore(p, t.snaps[node]); err != nil {
 		return err
 	}
-	for k := last; k < len(kept); k++ {
+	for ; k < len(seq); k++ {
 		r.s.countReplayed(1)
-		if aerr := r.s.fs.ApplyLowermost(r.s.g.Ops[kept[k]]); aerr != nil && faultinject.Is(aerr) {
+		if aerr := r.s.fs.ApplyLowermost(r.s.g.Ops[seq[k]]); aerr != nil && faultinject.Is(aerr) {
 			return aerr
 		}
 		// Genuine apply errors mean the op's effect is lost (crash
 		// semantics); the prefix root still captures the deterministic
-		// "state after attempting ops 0..k".
-		if _, ok := r.roots[pi][keys[k]]; !ok {
-			if snap, ok := r.s.fs.CaptureServer(p); ok {
-				r.roots[pi][keys[k]] = snap
-			}
+		// "state after attempting the ops so far".
+		snap, ok := r.s.fs.CaptureServer(p)
+		if !ok {
+			return fmt.Errorf("paracrash: capture of %s failed", p)
 		}
+		t.child[rootEdge{node, seq[k]}] = len(t.snaps)
+		node = len(t.snaps)
+		t.snaps = append(t.snaps, snap)
 	}
 	return nil
 }

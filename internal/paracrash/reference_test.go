@@ -2,8 +2,10 @@ package paracrash
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
+	"paracrash/internal/causality"
 	"paracrash/internal/pfs"
 )
 
@@ -15,14 +17,26 @@ import (
 // initial snapshot, every kept op replayed in universe order, then recover,
 // mount, serialize. No classes, no memo, no prefix roots on the reference
 // side. Each reconstruction's measured work must also stay within a full
-// rebuild: at most one restore per server, one op apply per kept op.
+// rebuild: at most one restore per server, one op apply per kept op. And
+// every state sharing an image key must rebuild to a byte-identical
+// reference outcome: the key may merge kept sets only when their images
+// are the same.
 func ReferenceDiff(fs pfs.FileSystem, w Workload, mode Mode) (checked int, err error) {
+	checked, _, err = ReferenceDiffAt(fs, w, mode, DefaultOptions().Emulator.K)
+	return checked, err
+}
+
+// ReferenceDiffAt is ReferenceDiff with k victims per crash state; it also
+// returns the number of distinct image keys the checked states produced.
+func ReferenceDiffAt(fs pfs.FileSystem, w Workload, mode Mode, k int) (checked, images int, err error) {
 	opts := DefaultOptions()
 	opts.Mode = mode
+	opts.Emulator.K = k
 	s, err := prepare(context.Background(), fs, nil, w, opts)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
+	byImage := map[string]recoveredOutcome{}
 	for idx, cs := range s.generate() {
 		kept := 0
 		ref := fs.(pfs.Cloner).CloneDetached()
@@ -42,27 +56,33 @@ func ReferenceDiff(fs pfs.FileSystem, w Workload, mode Mode) (checked int, err e
 			want.treeStr = tree.Serialize()
 		}
 
-		// Drop the per-Keep memo so every state is reconstructed, and its
+		// Drop the outcome memo so every state is reconstructed, and its
 		// outcome computed on the cluster bring actually produced.
 		s.recon.outcomes = map[string]*recoveredOutcome{}
 		before := s.stats
 		got, err := s.recon.recoveredOutcome(cs)
 		if err != nil {
-			return checked, fmt.Errorf("state %d: recover: %v", idx, err)
+			return checked, 0, fmt.Errorf("state %d: recover: %v", idx, err)
 		}
 		if d := s.stats.ServerRestores - before.ServerRestores; d > len(fs.Procs()) {
-			return checked, fmt.Errorf("state %d: reconstruction did %d restores on %d servers", idx, d, len(fs.Procs()))
+			return checked, 0, fmt.Errorf("state %d: reconstruction did %d restores on %d servers", idx, d, len(fs.Procs()))
 		}
 		if d := s.stats.OpsReplayed - before.OpsReplayed; d > kept {
-			return checked, fmt.Errorf("state %d: reconstruction applied %d ops for %d kept ops", idx, d, kept)
+			return checked, 0, fmt.Errorf("state %d: reconstruction applied %d ops for %d kept ops", idx, d, kept)
 		}
 		if got.recoverErr != want.recoverErr || got.mountErr != want.mountErr || got.treeStr != want.treeStr {
-			return checked, fmt.Errorf("state %d (keep %s) diverges from the full rebuild:\n--- engine ---\n%s%s%s\n--- reference ---\n%s%s%s",
+			return checked, 0, fmt.Errorf("state %d (keep %s) diverges from the full rebuild:\n--- engine ---\n%s%s%s\n--- reference ---\n%s%s%s",
 				idx, cs.Keep.Key(), got.recoverErr, got.mountErr, got.treeStr, want.recoverErr, want.mountErr, want.treeStr)
 		}
+		image := string(s.recon.imageKey(cs.Keep))
+		if prev, ok := byImage[image]; ok && prev != want {
+			return checked, 0, fmt.Errorf("state %d (keep %s) shares its image key with a state whose full rebuild differs:\n--- this state ---\n%s%s%s\n--- earlier state ---\n%s%s%s",
+				idx, cs.Keep.Key(), want.recoverErr, want.mountErr, want.treeStr, prev.recoverErr, prev.mountErr, prev.treeStr)
+		}
+		byImage[image] = want
 		checked++
 	}
-	return checked, nil
+	return checked, len(byImage), nil
 }
 
 // OrderEffort runs the serial exploration of (fs, lib, w) under opts, which
@@ -239,4 +259,30 @@ func EngineRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Repor
 		judged[k] = Judged{Verdict: newVerdict(k, "", r), Attributed: r.attributed}
 	}
 	return rep, judged, nil
+}
+
+// EngineImages runs the engine as EngineRun does and counts, over every
+// state it judged (visited or probed), the distinct kept sets and the
+// distinct image keys they left.
+func EngineImages(fs pfs.FileSystem, lib Library, w Workload, opts Options) (keeps, images int, err error) {
+	s, err := prepare(context.Background(), fs, lib, w, opts)
+	if err != nil {
+		return 0, 0, err
+	}
+	if _, err := s.explore(nil, nil); err != nil {
+		return 0, 0, err
+	}
+	keepSet, imageSet := map[string]bool{}, map[string]bool{}
+	for key := range s.checkCache {
+		// A state key is the front's words, "|", then the kept set's words;
+		// both bitsets span the trace.
+		words := (len(key) - 1) / 16
+		keep := make(causality.Bitset, words)
+		for i := range keep {
+			keep[i] = binary.LittleEndian.Uint64([]byte(key[8*words+1+8*i:]))
+		}
+		keepSet[keep.Key()] = true
+		imageSet[string(s.recon.imageKey(keep))] = true
+	}
+	return len(keepSet), len(imageSet), nil
 }

@@ -16,11 +16,11 @@
 //
 // The recovered content comes from the reconstructor's outcome memo, which
 // digests each outcome once when it builds it: looking a state up brings
-// the cluster to the kept ops, runs recovery and mounts, unless the kept
-// set's outcome is memoised. Those restores and op applies are counted like
-// any other (restores/digest is their share of restores/servers); a state
-// that then needs a verdict reuses the memoised outcome instead of being
-// reconstructed again. A digest lives exactly as long as its outcome, so
+// the cluster to the store images its kept ops leave, runs recovery and
+// mounts, unless the image's outcome is memoised. Those restores and op
+// applies are counted like any other (restores/digest is their share of
+// restores/servers); a state that then needs a verdict reuses the memoised
+// outcome instead of being reconstructed again. A digest lives exactly as long as its outcome, so
 // the class memo's keys cost no memory beyond the outcome memo's cap. On
 // ARVR/BeeGFS the 105 generated states collapse into 15 classes over 6
 // distinct recovered states.
@@ -32,8 +32,8 @@
 // Stats.StatesDeduped instead of StatesChecked and need no verdict of their
 // own). The per-state reference in reference_test.go holds the engine to
 // that, state by state. Quarantined verdicts are never recorded as class
-// representatives: a state that faulted through every retry says nothing
-// about its class, so each member re-attempts on its own and a poisoned
+// representatives: a state whose judgement failed says nothing about its
+// class, so each member re-attempts on its own and a poisoned
 // representative cannot silence a whole class.
 package paracrash
 
@@ -77,10 +77,10 @@ func (s *session) front(f causality.Bitset) *frontStatus {
 // content and are judged against identical legal-state sets, so they share
 // one verdict. Recovery leaves the live cluster mutated, which is harmless:
 // the next bring restores every server. Injected faults retry under the
-// policy like any other faultable work; a digest that faulted through every
-// retry comes back as the error, with an empty key: the state then belongs
-// to no class, and check quarantines it, as a verdict that faulted through
-// its budget would be.
+// policy like any other faultable work; a digest that failed for good — a
+// genuine error at once, a fault after every retry — comes back as the
+// error, with an empty key: the state then belongs to no class, and check
+// quarantines it, as a failed verdict would be.
 func (s *session) classKey(cs CrashState) (string, error) {
 	var o *recoveredOutcome
 	before := s.stats.ServerRestores

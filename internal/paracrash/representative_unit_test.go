@@ -9,9 +9,11 @@ import (
 
 	"paracrash/internal/causality"
 	"paracrash/internal/faultinject"
+	"paracrash/internal/obs"
 	"paracrash/internal/pfs"
 	"paracrash/internal/pfs/beegfs"
 	"paracrash/internal/trace"
+	"paracrash/internal/vfs"
 )
 
 // digestSession builds the minimal white-box session classKey needs: a recorded run of the in-package rename workload on
@@ -156,19 +158,19 @@ func TestCrashDigestDeterministicAndStatePreserving(t *testing.T) {
 
 // TestCrashDigestAtOutcomeCap: class digests live in the outcome memo and
 // share its maxOutcomes cap. A brute-force walk over the rename workload's
-// k = 2 states starts with the memo pre-filled so that the kept sets it
+// k = 2 states starts with the memo pre-filled so that the images it
 // reconstructs bring it to one below the cap, exactly to it, one past it,
 // and far past it (a clear mid-walk). Every fill must judge every state as
 // the unfilled walk does, with the same class memo and the same checked and
 // deduplicated counts; the memo never holds more than maxOutcomes entries;
-// and every class lookup of a kept set the memo does not hold reconstructs
+// and every class lookup of an image the memo does not hold reconstructs
 // it — no digest outlives its outcome.
 func TestCrashDigestAtOutcomeCap(t *testing.T) {
 	type walk struct {
 		verdicts map[string]checkResult
 		classes  int
 		stats    Stats
-		distinct int // kept sets in the memo at the end
+		distinct int // images in the memo at the end
 	}
 	run := func(fill int) walk {
 		t.Helper()
@@ -185,13 +187,13 @@ func TestCrashDigestAtOutcomeCap(t *testing.T) {
 		}
 		w := walk{verdicts: map[string]checkResult{}}
 		for i, cs := range states {
-			_, held := s.recon.outcomes[cs.Keep.Key()]
+			_, held := s.recon.outcomes[string(s.recon.imageKey(cs.Keep))]
 			before := s.stats.ServerRestores
 			r, _ := s.check(cs)
 			s.countVisit(r)
 			w.verdicts[stateKey(cs)] = r
 			if !held && s.stats.ServerRestores == before {
-				t.Fatalf("fill %d, state %d: class lookup of a kept set the outcome memo does not hold reconstructed nothing", fill, i)
+				t.Fatalf("fill %d, state %d: class lookup of an image the outcome memo does not hold reconstructed nothing", fill, i)
 			}
 			if n := len(s.recon.outcomes); n > maxOutcomes {
 				t.Fatalf("fill %d, state %d: outcome memo holds %d entries, cap %d", fill, i, n, maxOutcomes)
@@ -204,7 +206,7 @@ func TestCrashDigestAtOutcomeCap(t *testing.T) {
 	want := run(0)
 	d := want.distinct
 	if d < 8 || want.stats.StatesDeduped == 0 {
-		t.Fatalf("%d kept sets, %d states deduped: the walk is too small to cross a clear", d, want.stats.StatesDeduped)
+		t.Fatalf("%d images, %d states deduped: the walk is too small to cross a clear", d, want.stats.StatesDeduped)
 	}
 	for _, fill := range []int{maxOutcomes - d - 1, maxOutcomes - d, maxOutcomes - d + 1, maxOutcomes - d/2} {
 		got := run(fill)
@@ -295,5 +297,133 @@ func TestRepresentativeQuarantinedVerdictIsNoClass(t *testing.T) {
 	}
 	if len(s.classes) != 0 {
 		t.Fatalf("%d quarantined verdicts recorded as class representatives", len(s.classes))
+	}
+}
+
+// panicOnApply is a backend with a bug: applying one chosen lowermost op
+// panics.
+type panicOnApply struct {
+	pfs.FileSystem
+	op int // trace ID of the op whose apply panics
+}
+
+func (p *panicOnApply) ApplyLowermost(op *trace.Op) error {
+	if op.ID == p.op {
+		panic("backend bug applying " + op.Key())
+	}
+	return p.FileSystem.ApplyLowermost(op)
+}
+
+// storeContent serializes every server store of fs.
+func storeContent(fs pfs.FileSystem) string {
+	st := fs.Snapshot()
+	var b strings.Builder
+	for _, p := range fs.Procs() {
+		b.WriteString("== " + p + " ==\n")
+		if f, ok := st.FS[p]; ok {
+			b.WriteString(f.Serialize())
+		}
+		if d, ok := st.Dev[p]; ok {
+			b.WriteString(d.Serialize())
+		}
+	}
+	return b.String()
+}
+
+// TestRepresentativeBackendPanicQuarantined: a genuine failure — a backend
+// whose apply of one op panics — is not retried. Every visited state whose
+// image needs that op lands in Report.Skipped at its first attempt with the
+// panic text, no retry is counted, no class is recorded from a skipped
+// state, and every other state is judged as on the unbroken backend,
+// because the next bring starts from a clean cluster.
+func TestRepresentativeBackendPanicQuarantined(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Mode = ModeBrute
+	opts.Emulator.K = 2
+	clean, err := prepare(context.Background(), beegfs.New(pfs.DefaultConfig(), trace.NewRecorder()), nil, renameWorkload{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := clean.generate()
+	if _, err := clean.explore(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	var changing []int // the ops that change a store
+	for _, i := range clean.emu.Universe {
+		if p, ok := clean.g.Ops[i].Payload.(vfs.Op); ok && p.Kind != vfs.OpSync {
+			changing = append(changing, i)
+		}
+	}
+	if len(changing) == 0 {
+		t.Fatal("the workload has no store-changing op")
+	}
+	x := changing[len(changing)/2]
+
+	r := obs.NewRun()
+	opts.Obs = r
+	fs := &panicOnApply{FileSystem: beegfs.New(pfs.DefaultConfig(), trace.NewRecorder()), op: clean.g.Ops[x].ID}
+	s, err := prepare(context.Background(), fs, nil, renameWorkload{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.explore(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := 0
+	var with, without *CrashState
+	for i, cs := range states {
+		if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
+			continue
+		}
+		if cs.Keep.Get(x) {
+			want++
+			with = &states[i]
+			continue
+		}
+		without = &states[i]
+		strip := func(r checkResult) checkResult { r.attributed = false; return r }
+		if got, ref := strip(s.checkCache[stateKey(cs)]), strip(clean.checkCache[stateKey(cs)]); got != ref {
+			t.Errorf("state %d does not apply the op, yet is judged %+v, on the unbroken backend %+v", i, got, ref)
+		}
+	}
+	if want == 0 || without == nil {
+		t.Fatalf("%d of %d states keep op %d: the test needs states on both sides", want, len(states), x)
+	}
+	if len(rep.Skipped) != want {
+		t.Errorf("%d states skipped, %d keep the op whose apply panics", len(rep.Skipped), want)
+	}
+	t.Logf("%d of %d states keep op %d and are skipped", want, len(states), x)
+	for _, sk := range rep.Skipped {
+		if !strings.Contains(sk.Reason, "backend bug applying") || !strings.Contains(sk.Reason, "after 1 of 3 attempts:") {
+			t.Fatalf("skip reason %q lacks the panic text or the single attempt", sk.Reason)
+		}
+	}
+	if n := r.Counter("fault/retries").Value(); n != 0 {
+		t.Errorf("fault/retries = %d for a genuine panic", n)
+	}
+	for ckey, cr := range s.classes {
+		if cr.skipped {
+			t.Errorf("class %x recorded a skipped verdict", ckey)
+		}
+	}
+
+	// An aborted bring leaves the cluster half-built; the next one must not
+	// start from it.
+	if err := s.recon.bring(*with); err == nil || !strings.Contains(err.Error(), "backend bug applying") {
+		t.Fatalf("bring of a state keeping the op: %v", err)
+	}
+	if err := s.recon.bring(*without); err != nil {
+		t.Fatal(err)
+	}
+	clean.fs.Restore(clean.initial)
+	for _, i := range clean.emu.Universe {
+		if without.Keep.Get(i) {
+			_ = clean.fs.ApplyLowermost(clean.g.Ops[i])
+		}
+	}
+	if got, ref := storeContent(s.fs), storeContent(clean.fs); got != ref {
+		t.Errorf("bring after an aborted bring:\n%s\nfull rebuild:\n%s", got, ref)
 	}
 }

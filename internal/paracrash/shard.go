@@ -100,7 +100,7 @@ type Verdict struct {
 	Layer       string `json:"layer,omitempty"`
 	Consequence string `json:"consequence,omitempty"`
 	State       string `json:"state,omitempty"`
-	// Skipped marks a quarantined state (every attempt faulted); Consequence
+	// Skipped marks a quarantined state (its judgement failed); Consequence
 	// then holds the quarantine reason. Skipped verdicts ride along so the
 	// merge reports the state under Report.Skipped instead of re-attempting
 	// a reconstruction the worker already proved poisoned.
@@ -417,10 +417,9 @@ func (s *session) shardSession(fs pfs.FileSystem) *session {
 		ckpt:       s.ckpt,
 	}
 	ws.bindObs(s.obs, "worker/")
-	// The clone gets its own reconstructor (private prefix-root caches over
-	// the clone's stores) seeded from the same shared initial snapshot —
-	// which prepare already proved holds a store for every server.
-	ws.recon, _ = newReconstructor(ws)
+	// The clone gets its own reconstructor (private prefix roots and
+	// outcomes over the clone's stores) sharing the primary's image tables.
+	ws.recon = s.recon.clone(ws)
 	return ws
 }
 
