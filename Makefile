@@ -106,13 +106,19 @@ classify:
 # state was walked) against the from-scratch enumeration kept in
 # legal_reference_test.go: every paper program's library status vectors on
 # all six backends, four models, k <= 2, caps n-1, n and n+1, with
-# legal/lib-sets reconciled to PreservedSets; the replay-step unit tests in
-# hdf5 and stack; and a Workers=4 run under -race for the parse memo the
-# workers share.
+# legal/lib-sets reconciled to PreservedSets; the PFS replay trie (each
+# preserved set replayed from the snapshot of its longest replayed prefix)
+# against the from-scratch replay kept there too: the POSIX paper programs
+# and generated programs 1-4 on all six backends, four models, k <= 2, caps
+# n-1, n and n+1, with equal sets, capped flags and restores/legal, and
+# legal/pfs-steps equal to the selections' distinct prefixes; the trie at
+# its snapshot cap and a clone that must not restore another cluster's
+# snapshots; the replay-step unit tests in hdf5 and stack; and Workers=4
+# runs under -race for the parse memo and the replay trie the workers share.
 legal:
 	$(GO) test ./internal/hdf5 ./internal/stack -run 'TestClone|TestAppendState|TestReplay|TestDigest' -count=1
-	$(GO) test ./internal/paracrash/ -run 'TestModelDefinition|TestLegalLib' -count=1 -v
-	$(GO) test -race ./internal/paracrash/ -run 'TestLegalLibParallel' -count=1
+	$(GO) test ./internal/paracrash/ -run 'TestModelDefinition|TestLegalLib|TestLegalPFS' -count=1 -v
+	$(GO) test -race ./internal/paracrash/ -run 'TestLegalLibParallel|TestLegalPFSParallel' -count=1
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -482,6 +482,7 @@ type session struct {
 	ctrLibSets       *obs.Counter // sets the library model admits, skipped subtrees included
 	ctrLibReplayed   *obs.Counter // leaves turned into a legal state
 	ctrLibSteps      *obs.Counter // library op applies
+	ctrPFSSteps      *obs.Counter // PFS client ops legal-state replay applies
 	gaugeLegalPFS    *obs.Gauge
 	gaugeLegalLib    *obs.Gauge
 }
@@ -510,6 +511,7 @@ func (s *session) bindObs(r *obs.Run, prefix string) {
 	s.ctrLibSets = r.Counter(prefix + "legal/lib-sets")
 	s.ctrLibReplayed = r.Counter(prefix + "legal/lib-replayed")
 	s.ctrLibSteps = r.Counter(prefix + "legal/lib-steps")
+	s.ctrPFSSteps = r.Counter(prefix + "legal/pfs-steps")
 	s.gaugeLegalPFS = r.Gauge(prefix + "legal/pfs")
 	s.gaugeLegalLib = r.Gauge(prefix + "legal/lib")
 }
@@ -1167,24 +1169,56 @@ func firstLineDiff(a, b string) string {
 	return "no textual diff"
 }
 
-// legalCache holds the legal-state sets and the PFS replays that enumerate
-// them. Both are pure functions of the selection, so the sessions of one
-// parallel run share a cache: each set is enumerated, and each PFS
-// selection replayed, once per run instead of once per worker. mu is held
-// for a whole enumeration, which also makes that work independent of which
-// session reaches a set first. Sessions that own a cache alone (prepare's
-// golden replay) may skip the lock.
+// legalCache holds a run's legal-state sets and the trie of PFS replays
+// that enumerates the PFS ones. Both are pure functions of the selection,
+// so the sessions of one parallel run share a cache: each set is
+// enumerated, and each PFS selection mounted, once per run instead of once
+// per worker. mu is held for a whole enumeration, which also makes that
+// work independent of which session reaches a set first. Sessions that own
+// a cache alone (prepare's golden replay) may skip the lock.
 type legalCache struct {
-	mu         sync.Mutex
-	pfsReplays map[string]string
-	sets       map[legalKey]map[string]bool
+	mu   sync.Mutex
+	sets map[legalKey]map[string]bool
+	pfs  pfsTrie
 }
 
 // legalKey names one legal-state set of a run: its layer and status vector.
 type legalKey struct{ layer, status string }
 
 func newLegalCache() *legalCache {
-	return &legalCache{pfsReplays: map[string]string{}, sets: map[legalKey]map[string]bool{}}
+	return &legalCache{sets: map[legalKey]map[string]bool{}}
+}
+
+// maxLegalSnaps bounds the PFS replay trie's snapshot-holding nodes. At the
+// cap every snapshot but the root's is dropped and the replay restarts from
+// the root; the nodes and their mounted serialisations stay, so which
+// selections miss, and with them the restores counted, never depend on it.
+const maxLegalSnaps = 4096
+
+// pfsTrie memoises PFS legal-state replays by selection prefix. Node 0 is
+// the empty selection, the initial snapshot; the child of node p along op
+// position pos is p's selection plus pos (selections are sorted). A node
+// holds the server stores after replaying its path and, once mounted, the
+// tree serialisation, so a selection replays only the ops past the longest
+// prefix replayed before it.
+//
+// Client ops allocate object IDs from counters of the cluster that runs
+// them, counters every store restore leaves alone. A cluster's counters only
+// grow, so its own snapshots never hold an ID it will allocate again, but
+// another clone's may: a session restores only the root and the nodes its
+// own cluster captured, and captures over the rest.
+type pfsTrie struct {
+	procs []string // fs.Procs(), the same in every clone
+	nodes []pfsNode
+	child map[rootEdge]int
+	held  int // non-root nodes holding snaps, at most maxLegalSnaps
+}
+
+type pfsNode struct {
+	snaps   []pfs.ServerSnap // per procs; nil once dropped at the cap
+	owner   pfs.FileSystem   // the cluster that captured snaps; nil at the root
+	mounted bool
+	tree    string // the serialisation, or "UNMOUNTABLE", once mounted
 }
 
 // legalSet returns the legal-state set of one layer ("pfs", or "lib/" and
@@ -1213,8 +1247,9 @@ func (s *session) legalSet(layer string, m Model, status []Status, note func(n i
 	return set, nil
 }
 
-// legalPFS returns the set of legal PFS tree serialisations for the front,
-// replaying every preserved set from the initial snapshot.
+// legalPFS returns the set of legal PFS tree serialisations for the front:
+// one replayPFS per preserved set, each replaying only the ops past the
+// longest prefix an earlier replay left in the trie.
 func (s *session) legalPFS(status []Status) (map[string]bool, error) {
 	note := func(n int) { s.noteLegal(n, 0) }
 	return s.legalSet("pfs", s.opts.PFSModel, status, note, func(set map[string]bool) (err error) {
@@ -1266,22 +1301,55 @@ func statusKey(status []Status) string {
 	return string(b)
 }
 
-// replayPFS re-executes the selected PFS-layer client ops on the initial
-// snapshot and returns the resulting tree serialisation. Only injected
-// mount faults surface as errors (and are never cached); a genuinely
-// unmountable replay is a legitimate legal state. The caller holds
-// s.legal.mu unless its session owns the cache alone.
+// replayPFS returns the tree serialisation of the PFS state the selected
+// client ops reach from the initial snapshot, from the trie when the
+// selection was mounted before. Otherwise it restores every server from the
+// deepest node along sel this session may restore, replays the ops past it
+// (capturing a node after each) and mounts. Only injected mount faults
+// surface as errors, and they are never memoised; a genuinely unmountable
+// replay is a legitimate legal state. The caller holds s.legal.mu unless
+// its session owns the cache alone.
 func (s *session) replayPFS(sel []int) (string, error) {
-	key := intsKey(sel)
-	if st, ok := s.legal.pfsReplays[key]; ok {
-		return st, nil
+	t := &s.legal.pfs
+	if t.nodes == nil {
+		t.procs = s.fs.Procs()
+		root := make([]pfs.ServerSnap, len(t.procs))
+		for i, p := range t.procs {
+			root[i], _ = s.initial.ServerSnap(p)
+		}
+		t.nodes, t.child = []pfsNode{{snaps: root}}, map[rootEdge]int{}
 	}
-	rec := s.fs.Recorder()
-	rec.SetEnabled(false)
-	s.fs.Restore(s.initial)
-	s.countRestores(len(s.fs.Procs()))
-	s.ctrLegalRestore.Add(int64(len(s.fs.Procs())))
-	for _, pos := range sel {
+	procs := t.procs
+	// node descends as far as sel's path exists; from is the deepest node
+	// on it this session may restore, base its depth.
+	node, from, base, k := 0, 0, 0, 0
+	for ; k < len(sel); k++ {
+		c, ok := t.child[rootEdge{node, sel[k]}]
+		if !ok {
+			break
+		}
+		if node = c; t.nodes[c].snaps != nil && t.nodes[c].owner == s.fs {
+			from, base = c, k+1
+		}
+	}
+	if k == len(sel) && t.nodes[node].mounted {
+		return t.nodes[node].tree, nil
+	}
+	if t.held+len(sel)-base > maxLegalSnaps {
+		for i := range t.nodes[1:] {
+			t.nodes[i+1].snaps = nil
+		}
+		t.held, from, base = 0, 0, 0
+	}
+
+	s.fs.Recorder().SetEnabled(false)
+	for i, p := range procs {
+		s.fs.RestoreServerSnap(p, t.nodes[from].snaps[i])
+	}
+	s.countRestores(len(procs))
+	s.ctrLegalRestore.Add(int64(len(procs)))
+	node = from
+	for _, pos := range sel[base:] {
 		op := s.pfsOps.Ops[pos]
 		c, err := s.client(op.Proc)
 		if err != nil {
@@ -1292,6 +1360,25 @@ func (s *session) replayPFS(sel []int) (string, error) {
 		// Failed replays (missing prerequisites under weak models) lose
 		// the op, matching crash semantics.
 		_ = pfs.ReplayClientOp(c, op)
+		s.ctrPFSSteps.Inc()
+		next, ok := t.child[rootEdge{node, pos}]
+		if !ok {
+			next = len(t.nodes)
+			t.child[rootEdge{node, pos}] = next
+			t.nodes = append(t.nodes, pfsNode{})
+		}
+		node = next
+		// Nodes past base hold no snaps or another cluster's: capture over
+		// the latter, and fill the former while under the cap.
+		if n := &t.nodes[node]; n.snaps != nil || t.held < maxLegalSnaps {
+			if n.snaps == nil {
+				t.held++
+			}
+			n.snaps, n.owner = make([]pfs.ServerSnap, len(procs)), s.fs
+			for i, p := range procs {
+				n.snaps[i], _ = s.fs.CaptureServer(p)
+			}
+		}
 	}
 	st := "UNMOUNTABLE"
 	if tree, err := s.fs.Mount(); err == nil {
@@ -1299,16 +1386,8 @@ func (s *session) replayPFS(sel []int) (string, error) {
 	} else if faultinject.Is(err) {
 		return "", err
 	}
-	s.legal.pfsReplays[key] = st
+	t.nodes[node].mounted, t.nodes[node].tree = true, st
 	return st, nil
-}
-
-func intsKey(sel []int) string {
-	var b strings.Builder
-	for _, v := range sel {
-		fmt.Fprintf(&b, "%d,", v)
-	}
-	return b.String()
 }
 
 // visitOrdered is the one ordered walk, shared by the serial run and the

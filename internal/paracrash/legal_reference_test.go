@@ -5,18 +5,23 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"paracrash/internal/causality"
 	"paracrash/internal/obs"
 	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
 )
 
-// This file keeps the from-scratch library legal-state enumeration that
-// legalLib's walk replaced — PreservedSets, then Library.Replay of every
-// preserved set on the seeded image — as the walk's oracle (`make legal`).
-// The helpers are exported to the external tests, which can build library
-// cells.
+// This file keeps the from-scratch legal-state enumerations that the
+// engine's delta replays replaced, as their oracles (`make legal`): for the
+// library, PreservedSets then Library.Replay of every preserved set on the
+// seeded image, against legalLib's walk; for the PFS, PreservedSets then a
+// replay of every preserved set's client ops on the restored initial
+// snapshot, against legalPFS's prefix trie. The helpers are exported to the
+// external tests, which can build cells.
 
 var allModels = []Model{ModelStrict, ModelCommit, ModelCausal, ModelBaseline}
 
@@ -142,4 +147,209 @@ func BenchLegalLib(b *testing.B, newCell func() (pfs.FileSystem, Library, Worklo
 	for _, name := range []string{"legal/lib-sets", "legal/lib-replayed", "legal/lib-steps"} {
 		b.ReportMetric(float64(c[name])/float64(b.N), name[len("legal/"):]+"/op")
 	}
+}
+
+// intsKey names a selection of layer ops.
+func intsKey(sel []int) string {
+	var b strings.Builder
+	for _, v := range sel {
+		fmt.Fprintf(&b, "%d,", v)
+	}
+	return b.String()
+}
+
+// pfsStatuses prepares the cell newCell builds and returns its session with
+// every distinct PFS status vector of the crash states Algorithm 1
+// generates at k = 1 and k = 2, in key order.
+func pfsStatuses(newCell func() (pfs.FileSystem, Library, Workload)) (*session, [][]Status, error) {
+	fs, lib, w := newCell()
+	s, err := prepare(context.Background(), fs, lib, w, DefaultOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	var fronts []causality.Bitset
+	for _, k := range []int{1, 2} {
+		cfg := s.opts.emulatorConfig()
+		cfg.K = k
+		s.emu.Generate(cfg, func(cs CrashState) bool {
+			fronts = append(fronts, cs.Front)
+			return true
+		})
+	}
+	return s, layerStatuses(s.pfsOps, fronts), nil
+}
+
+// replayPFSReference is the from-scratch replay legalPFS's trie replaced:
+// restore every server from the initial snapshot, replay every op of sel
+// through the client path (a failed op is lost), then mount and serialise.
+func replayPFSReference(s *session, sel []int) string {
+	s.fs.Recorder().SetEnabled(false)
+	s.fs.Restore(s.initial)
+	for _, pos := range sel {
+		op := s.pfsOps.Ops[pos]
+		c, err := s.client(op.Proc)
+		if err != nil {
+			panic(err)
+		}
+		_ = pfs.ReplayClientOp(c, op)
+	}
+	tree, err := s.fs.Mount()
+	if err != nil {
+		return "UNMOUNTABLE"
+	}
+	return tree.Serialize()
+}
+
+// PFSOracleWork is what LegalPFSOracle compared: enumerations, and the
+// client ops the from-scratch reference replayed in them against the
+// legal/pfs-steps the trie replayed.
+type PFSOracleWork struct{ Compared, ReferenceOps, Steps int }
+
+// LegalPFSOracle holds legalPFS to the from-scratch enumeration on the cell
+// newCell builds: for every PFS status vector its crash states reach
+// (pfsStatuses), under each of the four models, at MaxLegalStates n−1, n
+// and n+1 (n: the vector's preserved-set count under the model), each on a
+// fresh legal cache, the legal set, the legal/pfs-capped counter and the
+// restores/legal counter must equal the reference's set, capped flag and
+// restores (every server once per selection). Under the trie's snapshot
+// cap, legal/pfs-steps must equal the number of distinct non-empty
+// prefixes of the selections, each replayed once, so it is strictly below
+// the reference's op replays whenever two selections share a prefix. It
+// returns the work compared and one line per difference.
+func LegalPFSOracle(newCell func() (pfs.FileSystem, Library, Workload)) (work PFSOracleWork, diffs []string, err error) {
+	s, statuses, err := pfsStatuses(newCell)
+	if err != nil {
+		return work, nil, err
+	}
+	procs := len(s.fs.Procs())
+	replays := map[string]string{} // the reference replay is a pure function of the set
+	type enumeration struct {
+		set              map[string]bool
+		n, ops, prefixes int
+		capped           bool
+	}
+	reference := func(m Model, status []Status, limit int) (e enumeration) {
+		e.set = map[string]bool{}
+		prefixes := map[string]bool{}
+		e.capped = s.pfsOps.PreservedSets(m, status, limit, func(sel []int) bool {
+			e.n++
+			e.ops += len(sel)
+			for i := 1; i <= len(sel); i++ {
+				prefixes[intsKey(sel[:i])] = true
+			}
+			key := intsKey(sel)
+			st, ok := replays[key]
+			if !ok {
+				st = replayPFSReference(s, sel)
+				replays[key] = st
+			}
+			e.set[st] = true
+			return true
+		})
+		e.prefixes = len(prefixes)
+		return e
+	}
+	for _, status := range statuses {
+		for _, m := range allModels {
+			n := reference(m, status, 0).n
+			for _, limit := range []int{n - 1, n, n + 1} {
+				want := reference(m, status, limit)
+				r := obs.NewRun()
+				s.bindObs(r, "")
+				s.legal = newLegalCache()
+				s.opts.PFSModel, s.opts.MaxLegalStates = m, limit
+				got, err := s.legalPFS(status)
+				if err != nil {
+					return work, diffs, err
+				}
+				c := r.Summary().Counters
+				work.Compared++
+				work.ReferenceOps += want.ops
+				work.Steps += int(c["legal/pfs-steps"])
+				label := fmt.Sprintf("status %s, %s, cap %d (n=%d)", statusKey(status), m, limit, n)
+				if !maps.Equal(got, want.set) {
+					diffs = append(diffs, fmt.Sprintf("%s: trie found %d legal states, reference %d", label, len(got), len(want.set)))
+				}
+				if gotCapped := c["legal/pfs-capped"] == 1; gotCapped != want.capped {
+					diffs = append(diffs, fmt.Sprintf("%s: capped %t, reference %t", label, gotCapped, want.capped))
+				}
+				if c["restores/legal"] != int64(want.n*procs) {
+					diffs = append(diffs, fmt.Sprintf("%s: restores/legal %d, reference %d", label, c["restores/legal"], want.n*procs))
+				}
+				// Under its cap the trie replays each distinct prefix once;
+				// past it, a dropped snapshot costs its prefix again, but
+				// never more than from scratch, and a shared prefix still
+				// saves.
+				steps := int(c["legal/pfs-steps"])
+				if want.prefixes <= maxLegalSnaps && steps != want.prefixes || steps > want.ops || want.prefixes < want.ops && steps >= want.ops {
+					diffs = append(diffs, fmt.Sprintf("%s: legal/pfs-steps %d for %d distinct prefixes, reference replayed %d ops", label, steps, want.prefixes, want.ops))
+				}
+			}
+		}
+	}
+	return work, diffs, nil
+}
+
+// LegalPFSSharedOracle holds legalPFS to the from-scratch enumeration when
+// workers sessions share one legal cache, and so one replay trie: the
+// primary and workers−1 shard sessions on detached clones enumerate every
+// PFS status vector of the cell newCell builds (pfsStatuses) at once, each
+// in its own rotation of the vectors, once per model on the same trie. It
+// returns how many sets it compared and one line per difference.
+func LegalPFSSharedOracle(newCell func() (pfs.FileSystem, Library, Workload), workers int) (compared int, diffs []string, err error) {
+	s, statuses, err := pfsStatuses(newCell)
+	if err != nil {
+		return 0, nil, err
+	}
+	cloner, ok := s.fs.(pfs.Cloner)
+	if !ok {
+		return 0, nil, fmt.Errorf("%s cannot be cloned", s.fs.Name())
+	}
+	sessions := []*session{s}
+	for len(sessions) < workers {
+		sessions = append(sessions, s.shardSession(cloner.CloneDetached()))
+	}
+	for _, m := range allModels {
+		// The run's set cache is keyed by status vector alone (a run has
+		// one model), so each model starts without sets but on the trie
+		// the models before it grew.
+		s.legal.sets = map[legalKey]map[string]bool{}
+		got := make([][]map[string]bool, len(sessions))
+		errs := make([]error, len(sessions))
+		var wg sync.WaitGroup
+		for w, ws := range sessions {
+			ws.opts.PFSModel = m
+			got[w] = make([]map[string]bool, len(statuses))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range statuses {
+					j := (i + w*len(statuses)/len(sessions)) % len(statuses)
+					if got[w][j], errs[w] = ws.legalPFS(statuses[j]); errs[w] != nil {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return compared, diffs, err
+			}
+		}
+		for j, status := range statuses {
+			want := map[string]bool{}
+			s.pfsOps.PreservedSets(m, status, s.opts.MaxLegalStates, func(sel []int) bool {
+				want[replayPFSReference(s, sel)] = true
+				return true
+			})
+			for w := range sessions {
+				compared++
+				if !maps.Equal(got[w][j], want) {
+					diffs = append(diffs, fmt.Sprintf("session %d, status %s, %s: %d legal states, reference %d", w, statusKey(status), m, len(got[w][j]), len(want)))
+				}
+			}
+		}
+	}
+	return compared, diffs, nil
 }

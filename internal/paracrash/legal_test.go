@@ -1,6 +1,7 @@
 package paracrash_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -46,6 +47,93 @@ func TestLegalLibOracle(t *testing.T) {
 			t.Logf("%s: %d enumerations compared", label, compared)
 			if len(diffs) > 0 {
 				t.Errorf("%s: %d of %d enumerations differ from the reference:\n%s", label, len(diffs), compared, strings.Join(diffs, "\n"))
+			}
+		}
+	}
+}
+
+// genCell returns a constructor of the backend cell running the generated
+// POSIX program of the given seed, as the gen-posix workload builds it.
+func genCell(tb testing.TB, backend string, seed int64) func() (pfs.FileSystem, paracrash.Library, paracrash.Workload) {
+	return func() (pfs.FileSystem, paracrash.Library, paracrash.Workload) {
+		fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return fs, nil, workloads.Generate(workloads.DefaultGenConfig(seed))
+	}
+}
+
+// TestLegalPFSOracle (`make legal`) holds the PFS legal-state replay trie
+// to the from-scratch replay kept in test code, on every POSIX paper
+// program and generated programs 1–4 (gen-posix's first seeds) on all six
+// backends: every PFS status vector the crash states reach at k ≤ 2, under
+// all four models, at caps n−1, n and n+1 — legal sets, the capped flag,
+// restores/legal and legal/pfs-steps must all match, and the trie must
+// replay fewer ops than the reference wherever selections share a prefix.
+func TestLegalPFSOracle(t *testing.T) {
+	var total paracrash.PFSOracleWork
+	check := func(label string, newCell func() (pfs.FileSystem, paracrash.Library, paracrash.Workload)) {
+		work, diffs, err := paracrash.LegalPFSOracle(newCell)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if work.Compared == 0 {
+			t.Errorf("%s: no PFS status vector compared", label)
+		}
+		if len(diffs) > 0 {
+			t.Errorf("%s: %d of %d enumerations differ from the reference:\n%s", label, len(diffs), work.Compared, strings.Join(diffs, "\n"))
+		}
+		total.Compared += work.Compared
+		total.ReferenceOps += work.ReferenceOps
+		total.Steps += work.Steps
+	}
+	for _, backend := range exps.FSNames() {
+		for _, prog := range exps.Programs() {
+			if prog.POSIX {
+				check(backend+"/"+prog.Name, libCell(t, backend, prog))
+			}
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			check(fmt.Sprintf("%s/gen-%d", backend, seed), genCell(t, backend, seed))
+		}
+	}
+	t.Logf("%d enumerations: the trie replayed %d client ops, the reference %d", total.Compared, total.Steps, total.ReferenceOps)
+}
+
+// TestLegalPFSParallel: the sessions of a parallel run share one replay
+// trie, whose snapshots only the cluster that captured them restores.
+// `make legal` runs this under -race. Four sessions enumerating at once
+// must each get the reference's sets, and a Workers=4 run's report must
+// match the serial one's.
+func TestLegalPFSParallel(t *testing.T) {
+	for _, backend := range []string{"beegfs", "orangefs", "gpfs"} {
+		for seed := int64(1); seed <= 2; seed++ {
+			label := fmt.Sprintf("%s/gen-%d", backend, seed)
+			compared, diffs, err := paracrash.LegalPFSSharedOracle(genCell(t, backend, seed), 4)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if compared == 0 {
+				t.Errorf("%s: no legal set compared", label)
+			}
+			if len(diffs) > 0 {
+				t.Errorf("%s: %d of %d shared-trie sets differ from the reference:\n%s", label, len(diffs), compared, strings.Join(diffs, "\n"))
+			}
+			var fps [2]string
+			for i, workers := range []int{1, 4} {
+				fs, lib, w := genCell(t, backend, seed)()
+				opts := paracrash.DefaultOptions()
+				opts.Mode = paracrash.ModeBrute
+				opts.Workers = workers
+				rep, err := paracrash.Run(fs, lib, w, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fps[i] = exps.ReportFingerprint(rep)
+			}
+			if fps[0] != fps[1] {
+				t.Errorf("%s: Workers=4 report differs from the serial one", label)
 			}
 		}
 	}

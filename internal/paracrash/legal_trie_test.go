@@ -1,0 +1,135 @@
+package paracrash
+
+import (
+	"context"
+	"maps"
+	"testing"
+
+	"paracrash/internal/obs"
+	"paracrash/internal/pfs"
+	"paracrash/internal/pfs/beegfs"
+	"paracrash/internal/trace"
+)
+
+// threeFiles creates three files with payloads of different lengths, so a
+// replay that gave two of them one object ID would show in the tree.
+type threeFiles struct{}
+
+func (threeFiles) Name() string { return "unit-three-files" }
+
+func (threeFiles) Preamble(fs pfs.FileSystem) error { return fs.Client(0).Mkdir("/d") }
+
+func (threeFiles) Run(fs pfs.FileSystem) error {
+	c := fs.Client(0)
+	for _, f := range []struct{ path, data string }{{"/d/a", "aaaa"}, {"/d/b", "bbbbbbbb"}, {"/d/c", "cc"}} {
+		if err := c.Create(f.path); err != nil {
+			return err
+		}
+		if err := c.Append(f.path, []byte(f.data)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestLegalPFSForeignSnapshot: client ops allocate object IDs from the
+// counters of the cluster replaying them, and a detached clone starts with
+// the primary's. A node the primary captured after creating /d/b holds the
+// ID the clone's counter allocates next, so a clone that replayed /d/c from
+// it would give /d/c /d/b's chunk. The clone must reach the reference's
+// tree, and the trie must keep the memo for the primary's prefix.
+func TestLegalPFSForeignSnapshot(t *testing.T) {
+	fs := beegfs.New(pfs.DefaultConfig(), trace.NewRecorder())
+	s, err := prepare(context.Background(), fs, nil, threeFiles{}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.pfsOps.Len(); n != 6 {
+		t.Fatalf("%d PFS-layer ops, want creat/pwrite of three files", n)
+	}
+	clone := s.shardSession(fs.CloneDetached())
+	if _, err := s.replayPFS([]int{2}); err != nil { // creat /d/b
+		t.Fatal(err)
+	}
+	sel := []int{2, 3, 4, 5} // and its pwrite, then creat and pwrite /d/c
+	got, err := clone.replayPFS(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := replayPFSReference(s, sel); got != want {
+		t.Fatalf("clone replayed from the primary's snapshot:\n%s\nwant\n%s", got, want)
+	}
+	node := s.legal.pfs.child[rootEdge{0, 2}]
+	if n := s.legal.pfs.nodes[node]; n.owner != clone.fs {
+		t.Errorf("node {2} is still the primary's after the clone replayed through it")
+	}
+}
+
+// TestLegalPFSTrieAtCap: the replay trie holds snapshots on at most
+// maxLegalSnaps nodes. A brute-force walk over the rename workload's k = 2
+// states starts with filler snapshots that bring the trie to one below the
+// cap, exactly to it, one past it and far past it by the walk's end. Every
+// fill must build the same legal sets and judge every state as the
+// unfilled walk does, with equal Stats (restores included: a miss restores
+// every server wherever it starts), and the trie never holds more than the
+// cap; past the cap the dropped snapshots cost replay steps.
+func TestLegalPFSTrieAtCap(t *testing.T) {
+	type walk struct {
+		sets     map[legalKey]map[string]bool
+		verdicts map[string]checkResult
+		stats    Stats
+		steps    int64
+		held     int
+	}
+	run := func(fill int) walk {
+		t.Helper()
+		r := obs.NewRun()
+		opts := DefaultOptions()
+		opts.Mode = ModeBrute
+		opts.Emulator.K = 2
+		opts.Obs = r
+		s, err := prepare(context.Background(), beegfs.New(pfs.DefaultConfig(), trace.NewRecorder()), nil, renameWorkload{files: 2}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &s.legal.pfs
+		for i := 0; i < fill; i++ {
+			tr.child[rootEdge{0, -1 - i}] = len(tr.nodes)
+			tr.nodes = append(tr.nodes, pfsNode{snaps: tr.nodes[0].snaps, owner: s.fs})
+			tr.held++
+		}
+		w := walk{verdicts: map[string]checkResult{}}
+		for i, cs := range s.generate() {
+			res, _ := s.check(cs)
+			s.countVisit(res)
+			w.verdicts[stateKey(cs)] = res
+			if tr.held > maxLegalSnaps {
+				t.Fatalf("fill %d, state %d: %d nodes hold snapshots, cap %d", fill, i, tr.held, maxLegalSnaps)
+			}
+		}
+		w.sets, w.stats, w.held = s.legal.sets, s.stats, tr.held-fill
+		w.steps = r.Summary().Counters["legal/pfs-steps"]
+		return w
+	}
+	want := run(0)
+	d := want.held
+	if d < 8 || len(want.sets) < 2 {
+		t.Fatalf("%d snapshot nodes, %d legal sets: the walk is too small to cross the cap", d, len(want.sets))
+	}
+	t.Logf("unfilled walk: %d snapshot nodes, %d replay steps", d, want.steps)
+	for _, fill := range []int{maxLegalSnaps - d - 1, maxLegalSnaps - d, maxLegalSnaps - d + 1, maxLegalSnaps - d/2} {
+		got := run(fill)
+		if !maps.EqualFunc(got.sets, want.sets, maps.Equal) {
+			t.Errorf("fill %d: legal sets differ from the unfilled walk's", fill)
+		}
+		if !maps.Equal(got.verdicts, want.verdicts) {
+			t.Errorf("fill %d: verdicts differ from the unfilled walk's", fill)
+		}
+		if got.stats != want.stats {
+			t.Errorf("fill %d: stats %+v, unfilled walk %+v", fill, got.stats, want.stats)
+		}
+		if past := fill > maxLegalSnaps-d; past != (got.steps > want.steps) {
+			t.Errorf("fill %d: %d replay steps, unfilled walk %d", fill, got.steps, want.steps)
+		}
+	}
+}

@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -48,7 +50,10 @@ const (
 // persistence site (tasks, leases, results, shard journals) is traversed.
 var selfCheckRequest = JobRequest{Kind: JobKindExplore, FS: "ext4", Program: "CR", Mode: "pruning"}
 
-// TestMain doubles the test binary as the self-check scenario daemon.
+// TestMain doubles the test binary as the self-check scenario daemon. Run
+// as a test binary it is the package's goroutine-leak gate: once every test
+// has run, the goroutine count must fall back to its value before them
+// within 5 s, or the binary writes every live goroutine to stderr and fails.
 func TestMain(m *testing.M) {
 	switch os.Getenv(envSelfCheckScenario) {
 	case scenarioSelfCheck:
@@ -56,7 +61,17 @@ func TestMain(m *testing.M) {
 	case scenarioFleetWorker:
 		runFleetWorkerScenario()
 	default:
-		os.Exit(m.Run())
+		before := runtime.NumGoroutine()
+		code := m.Run()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(20 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			fmt.Fprintf(os.Stderr, "goroutine leak: %d goroutines after the tests, %d before\n", after, before)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+			code = 1
+		}
+		os.Exit(code)
 	}
 }
 

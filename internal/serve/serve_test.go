@@ -135,6 +135,7 @@ func TestClientsBound(t *testing.T) {
 func TestConcurrentJobsAndBackpressure(t *testing.T) {
 	st, _ := OpenStore("")
 	s, gate := gatedScheduler(SchedulerConfig{MaxConcurrent: 4, QueueDepth: 2}, st)
+	t.Cleanup(func() { s.Drain(context.Background()) })
 
 	// Submit one at a time, waiting for a worker to claim each: admission
 	// counts queue slots only, so racing 4 submissions against dispatch

@@ -279,6 +279,7 @@ func TestSchedulerPriorityDispatch(t *testing.T) {
 		}
 	}
 	s.Start()
+	t.Cleanup(func() { s.Drain(context.Background()) })
 
 	batch, _ := reg.ByName("batch")
 	urgent, _ := reg.ByName("urgent")
