@@ -60,12 +60,13 @@ benchcheck:
 # Class memo gate: the engine against the per-state reference kept in
 # reference_test.go, which judges every state on its own — equal report
 # kernels and equal verdicts state by state (every backend, named and
-# generated programs, fault injection, quarantine, mid-class kill/resume) —
-# plus the white-box collision proofs, the outcome-memo cap test, a backend
-# whose apply panics (quarantined at once, no class poisoned) and the
-# digest fuzz target's seed corpus.
+# generated programs, backends whose apply panics on one op or on one
+# server, mid-class kill/resume) — plus the white-box collision proofs, the
+# outcome-memo cap test, backends whose apply or mount panics (quarantined
+# at the first attempt, no class poisoned), the hard-fault quarantine at 1
+# and 4 workers and the digest fuzz target's seed corpus.
 representative:
-	$(GO) test ./internal/paracrash/ -run 'TestRepresentative|TestClassKey|TestCrashDigest|FuzzStateDigest' -count=1 -v
+	$(GO) test ./internal/paracrash/ -run 'TestRepresentative|TestClassKey|TestCrashDigest|FuzzStateDigest|TestHardFaultsQuarantine' -count=1 -v
 
 # O(delta) reconstruction gate: the one exploration engine against its
 # references (every backend, both workload families) — the committed report
@@ -75,8 +76,9 @@ representative:
 # rebuild identically (on a block and a vfs states-k2 cell at k = 2), the
 # image key's unit cases (shadowed writes, writes equal to the initial
 # block, syncs, wide vfs servers), state-level Serialize/Hash identity of
-# delta reconstruction, effort independent of the visiting order, fault
-# transparency and kill/resume chaos.
+# delta reconstruction, effort independent of the visiting order, a backend
+# whose apply of one op panics (only the states that need the op are
+# quarantined; every other state keeps its verdict) and kill/resume chaos.
 incremental:
 	$(GO) test ./internal/paracrash/ -run 'TestIncremental|TestImageKey' -count=1 -v
 
@@ -146,10 +148,9 @@ fuzz-smoke:
 	$(GO) test ./internal/paracrash/ -run FuzzJournal -fuzz FuzzJournal -fuzztime 5s
 	$(GO) run ./cmd/experiments -exp fuzz -seeds 8 -enum-ops 1
 
-# Chaos gate: run explorations under injected faults, kill them mid-run and
-# resume from the checkpoint journal; the resumed reports must be
-# byte-identical to clean uninterrupted runs, and a hard-faulted fuzz
-# campaign must quarantine cells instead of dying. The resume half also
+# Chaos gate: kill explorations mid-run — serial, Workers=4, a fleet shard —
+# and resume from the checkpoint journal; the resumed reports must be
+# byte-identical to clean uninterrupted runs. The resume half also
 # holds the journal itself: a complete journal of every paper program on
 # six backends resumes in full with no warning and reads clean; a torn
 # newline is rewritten without losing a record; a Workers=2 run journals
@@ -161,8 +162,7 @@ fuzz-smoke:
 # scraped in a loop, and a stalled events reader never delays a job; the
 # fleet's worker-death and coordinator-death tests ride along.
 chaos:
-	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestFaultTransparency|TestHardFaults|TestRepresentativeChaosResume|TestRepresentativeQuarantine|TestJournalResumeComplete|TestCheckpointTornNewline|TestParallelJournalsShardVerdicts|TestResumeStaleAcrossH5Params|TestShardMergeRefusesOtherH5Params' -count=1 -v
-	$(GO) test ./internal/fuzzcamp/ -run 'TestCampaignHealsInjectedFaults|TestCampaignQuarantinesHardFaultedCells' -count=1
+	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestRepresentativeChaosResume|TestShardChaosResume|TestJournalResumeComplete|TestCheckpointTornNewline|TestParallelJournalsShardVerdicts|TestResumeStaleAcrossH5Params|TestShardMergeRefusesOtherH5Params' -count=1 -v
 	$(GO) test ./internal/obs/ ./internal/serve/ -run 'TestChaos' -count=1 -v
 
 # Self-check gate: the checker turned on itself. For every registered

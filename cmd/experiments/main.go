@@ -86,8 +86,6 @@ func main() {
 	fuzzTime := flag.Duration("fuzz-time", 0, "fuzz: wall-clock budget, e.g. 30s (0 = no limit)")
 	fuzzBackends := flag.String("fuzz-backends", "", "fuzz: comma-separated backends (default: all six)")
 	fuzzProgress := flag.Bool("progress", false, "fuzz: stream live progress to stderr")
-	var faults exps.FaultFlags
-	faults.Register(flag.CommandLine, "fuzz: ")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
@@ -99,9 +97,6 @@ func main() {
 	}
 	if *fuzzEnumOps < 0 {
 		fatal(fmt.Errorf("-enum-ops must be >= 0, got %d", *fuzzEnumOps))
-	}
-	if err := faults.Validate(); err != nil {
-		fatal(err)
 	}
 	// Like the fuzz flags above, -servers is checked whatever -exp says: a
 	// bad count must not surface after "all" has run for seconds.
@@ -120,7 +115,6 @@ func main() {
 			EnumOps:    *fuzzEnumOps,
 			TimeBudget: *fuzzTime,
 			CorpusDir:  *fuzzOut,
-			Faults:     faults,
 		},
 	}
 	for _, b := range strings.Split(*fuzzBackends, ",") {

@@ -96,11 +96,14 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"positional args", []string{"-exp", "fig5", "stray"}, "unexpected arguments"},
 		{"negative seeds", []string{"-exp", "fuzz", "-seeds", "-1"}, "-seeds must be >= 0"},
 		{"negative enum-ops", []string{"-exp", "fuzz", "-enum-ops", "-2"}, "-enum-ops must be >= 0"},
-		{"negative retries", []string{"-exp", "fuzz", "-retries", "-1"}, "-retries must be >= 0"},
-		{"negative retry backoff", []string{"-exp", "fuzz", "-retry-backoff", "-1ms"}, "-retry-backoff must be >= 0"},
-		{"malformed retry backoff", []string{"-exp", "fuzz", "-retry-backoff", "soon"}, "invalid value"},
-		{"fault rate above one", []string{"-exp", "fuzz", "-fault-rate", "2"}, "-fault-rate must be in [0,1]"},
-		{"negative fault rate", []string{"-exp", "fuzz", "-fault-rate", "-0.5"}, "-fault-rate must be in [0,1]"},
+		// The four fault-plane flags are removed: any use of them is refused
+		// as an undefined flag.
+		{"negative retries", []string{"-exp", "fuzz", "-retries", "-1"}, "flag provided but not defined: -retries"},
+		{"negative retry backoff", []string{"-exp", "fuzz", "-retry-backoff", "-1ms"}, "flag provided but not defined: -retry-backoff"},
+		{"malformed retry backoff", []string{"-exp", "fuzz", "-retry-backoff", "soon"}, "flag provided but not defined: -retry-backoff"},
+		{"fault rate above one", []string{"-exp", "fuzz", "-fault-rate", "2"}, "flag provided but not defined: -fault-rate"},
+		{"negative fault rate", []string{"-exp", "fuzz", "-fault-rate", "-0.5"}, "flag provided but not defined: -fault-rate"},
+		{"fault seed", []string{"-exp", "fuzz", "-fault-seed", "7"}, "flag provided but not defined: -fault-seed"},
 		{"retired no-representative flag", []string{"-exp", "fig5", "-no-representative"}, "flag provided but not defined"},
 		{"retired representative flag", []string{"-exp", "fig5", "-representative=false"}, "flag provided but not defined"},
 	}

@@ -44,7 +44,6 @@ type invocation struct {
 	stripe                                                 int64
 	list, progress                                         bool
 	dumpPath, resumePath, metricsPath, progJSON, pprofAddr string
-	faults                                                 exps.FaultFlags
 	spec                                                   exps.Spec // a local run's, set by resolve
 }
 
@@ -83,7 +82,6 @@ func newInvocation(fl *flag.FlagSet) *invocation {
 	fl.BoolVar(&inv.list, "list", false, "list programs and file systems, then exit")
 	fl.StringVar(&inv.dumpPath, "dump-trace", "", "write the traced execution as JSON to this file instead of testing")
 	fl.StringVar(&inv.resumePath, "resume", "", "checkpoint journal path: journal verdicts there and resume from it on restart")
-	inv.faults.Register(fl, "")
 	fl.StringVar(&inv.metricsPath, "metrics", "", "write the run's observability summary (phase timings, counters, gauges) as JSON to this file")
 	fl.BoolVar(&inv.progress, "progress", false, "print a one-line progress ticker to stderr every second")
 	fl.StringVar(&inv.progJSON, "progress-jsonl", "", "write machine-readable progress events (one JSON object per line) to this file")
@@ -122,9 +120,6 @@ func (inv *invocation) resolve(fl *flag.FlagSet) error {
 	}
 	if inv.remote != "" {
 		return nil
-	}
-	if err := inv.faults.Validate(); err != nil {
-		return err
 	}
 	inv.spec, _ = inv.req.Spec(0) // Normalize has accepted the program
 	var err error
@@ -183,8 +178,6 @@ func main() {
 // counted, resumed and capped on stderr and in the -metrics file.
 func (inv *invocation) runLocal() (*core.Report, error) {
 	opts := &inv.spec.Options
-	opts.Retry = inv.faults.Retry
-	opts.Faults = inv.faults.Plan()
 	if inv.resumePath != "" {
 		opts.Checkpoint = core.OpenCheckpoint(inv.resumePath)
 	}

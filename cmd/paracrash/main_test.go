@@ -73,23 +73,25 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"unknown flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"positional args", []string{"stray", "args"}, "unexpected arguments"},
 		{"remote with local-only flag", []string{"-remote", "localhost:1", "-servers", "8"}, "local-only"},
-		{"negative retries", []string{"-retries", "-1"}, "-retries must be >= 0"},
-		{"negative retry backoff", []string{"-retry-backoff", "-5ms"}, "-retry-backoff must be >= 0"},
-		{"malformed retry backoff", []string{"-retry-backoff", "soon"}, "invalid value"},
-		{"fault rate above one", []string{"-fault-rate", "1.5"}, "-fault-rate must be in [0,1]"},
-		{"negative fault rate", []string{"-fault-rate", "-0.1"}, "-fault-rate must be in [0,1]"},
-		{"malformed fault rate", []string{"-fault-rate", "often"}, "invalid value"},
+		// The four fault-plane flags are removed: any use of them, local or
+		// beside -remote, is refused as an undefined flag.
+		{"negative retries", []string{"-retries", "-1"}, "flag provided but not defined: -retries"},
+		{"negative retry backoff", []string{"-retry-backoff", "-5ms"}, "flag provided but not defined: -retry-backoff"},
+		{"malformed retry backoff", []string{"-retry-backoff", "soon"}, "flag provided but not defined: -retry-backoff"},
+		{"fault rate above one", []string{"-fault-rate", "1.5"}, "flag provided but not defined: -fault-rate"},
+		{"negative fault rate", []string{"-fault-rate", "-0.1"}, "flag provided but not defined: -fault-rate"},
+		{"malformed fault rate", []string{"-fault-rate", "often"}, "flag provided but not defined: -fault-rate"},
+		{"remote with fault rate", []string{"-remote", "localhost:1", "-fault-rate", "0.5"}, "flag provided but not defined: -fault-rate"},
+		{"remote with retries", []string{"-remote", "localhost:1", "-retries", "2"}, "flag provided but not defined: -retries"},
+		{"remote with retry-backoff", []string{"-remote", "localhost:1", "-retry-backoff", "5ms"}, "flag provided but not defined: -retry-backoff"},
+		{"remote with fault-seed", []string{"-remote", "localhost:1", "-fault-seed", "7"}, "flag provided but not defined: -fault-seed"},
 		{"remote with resume", []string{"-remote", "localhost:1", "-resume", "ckpt.jsonl"}, "local-only"},
-		{"remote with fault rate", []string{"-remote", "localhost:1", "-fault-rate", "0.5"}, "local-only"},
 		{"retired no-representative flag", []string{"-no-representative"}, "flag provided but not defined"},
 		{"retired representative flag", []string{"-representative=false"}, "flag provided but not defined"},
 		{"remote with metrics", []string{"-remote", "localhost:1", "-metrics", "out.json"}, "local-only"},
 		{"remote with progress", []string{"-remote", "localhost:1", "-progress"}, "local-only"},
 		{"remote with progress-jsonl", []string{"-remote", "localhost:1", "-progress-jsonl", "p.jsonl"}, "local-only"},
 		{"remote with pprof", []string{"-remote", "localhost:1", "-pprof", "localhost:0"}, "local-only"},
-		{"remote with retries", []string{"-remote", "localhost:1", "-retries", "2"}, "local-only"},
-		{"remote with retry-backoff", []string{"-remote", "localhost:1", "-retry-backoff", "5ms"}, "local-only"},
-		{"remote with fault-seed", []string{"-remote", "localhost:1", "-fault-seed", "7"}, "local-only"},
 		{"retired sink flag", []string{"-sink", "stdout"}, "flag provided but not defined: -sink"},
 		{"one server on beegfs", []string{"-fs", "beegfs", "-program", "ARVR", "-servers", "1"}, "-servers must be >= 2"},
 		{"one server on orangefs", []string{"-fs", "orangefs", "-program", "ARVR", "-servers", "1"}, "-servers must be >= 2"},
@@ -119,13 +121,11 @@ func TestCLICleanRun(t *testing.T) {
 	}
 }
 
-// TestCLIResumeAndFaults runs the same cell twice against one checkpoint
-// journal with faults armed: both runs exit 0 and the second reports the
-// verdicts it resumed.
-func TestCLIResumeAndFaults(t *testing.T) {
+// TestCLIResume runs the same cell twice against one checkpoint journal:
+// both runs exit 0 and the second reports the verdicts it resumed.
+func TestCLIResume(t *testing.T) {
 	ckpt := t.TempDir() + "/ckpt.jsonl"
-	args := []string{"-fs", "ext4", "-program", "CR",
-		"-resume", ckpt, "-fault-rate", "0.3", "-fault-seed", "7", "-retries", "4"}
+	args := []string{"-fs", "ext4", "-program", "CR", "-resume", ckpt}
 	code, _, stderr := runCLI(t, args...)
 	if code != 0 {
 		t.Fatalf("first run exit code %d; stderr: %s", code, stderr)

@@ -523,7 +523,7 @@ type fingerprintStats struct {
 }
 
 // ReportFingerprint canonicalises a report for equality comparison across
-// serial, parallel, sharded, resumed and faulted runs: verdicts and state
+// serial, parallel, sharded and resumed runs: verdicts and state
 // counts (generated, checked, deduped, pruned, classes), but not the
 // quantities those paths legitimately change — wall-clock Duration and the
 // measured effort (restores, op replays, the legal-set sizes actually

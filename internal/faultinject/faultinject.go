@@ -1,18 +1,12 @@
 // Package faultinject is the deterministic, seedable fault plane of the
-// testing stack: a Plan decides — purely from (seed, site, key) — whether a
-// given fault point misbehaves, and how (injected I/O error, ENOSPC, panic,
-// latency spike, torn metadata write). The decision function is a hash, not
-// a sequential RNG, so it is independent of goroutine scheduling: a
-// parallel exploration and a serial one see exactly the same faults at the
-// same points, which is what lets the engine's retry machinery make faults
-// fully transparent (byte-identical reports, see the chaos tests in
-// internal/paracrash).
+// daemon's persistence layer (internal/statefs): a Plan decides — purely
+// from (seed, site, key) — whether a given fault point misbehaves, and how
+// (an injected I/O error, or a torn write). The decision function is a
+// hash, not a sequential RNG, so it is independent of goroutine scheduling.
 //
 // Every injection at a (site, key) pair is bounded by MaxPerPoint; once a
-// point has injected its quota it heals permanently, so a bounded retry
-// loop around any faultable operation deterministically succeeds. Plans
-// with an unbounded quota model hard faults: the engine then quarantines
-// the poisoned work as Skipped instead of aborting.
+// point has injected its quota it heals permanently, so a retried write
+// deterministically succeeds.
 //
 // A nil *Plan is a valid, allocation-free no-op (the same convention as
 // internal/obs), so fault points cost nothing when injection is off.
@@ -22,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Kind enumerates the fault flavours a Plan can inject.
@@ -31,16 +24,9 @@ type Kind int
 const (
 	// KindErr is a generic injected I/O error.
 	KindErr Kind = iota
-	// KindENOSPC is an out-of-space error.
-	KindENOSPC
-	// KindLatency is a pure latency spike: the point sleeps, no error.
-	KindLatency
-	// KindTorn is a torn write: the caller applies a partial payload
-	// before surfacing the error (see pfs.Cluster.ApplyLowermost).
+	// KindTorn is a torn write: the caller persists a partial payload
+	// before surfacing the error (see statefs).
 	KindTorn
-	// KindPanic makes the fault point panic; FromPanic recognises the
-	// panic value so recovery wrappers can quarantine it.
-	KindPanic
 )
 
 // String names the fault kind.
@@ -48,21 +34,15 @@ func (k Kind) String() string {
 	switch k {
 	case KindErr:
 		return "io-error"
-	case KindENOSPC:
-		return "enospc"
-	case KindLatency:
-		return "latency"
 	case KindTorn:
 		return "torn-write"
-	case KindPanic:
-		return "panic"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 }
 
-// AllKinds is the default fault mix of a Plan with no explicit Kinds.
-var AllKinds = []Kind{KindErr, KindENOSPC, KindLatency, KindTorn, KindPanic}
+// allKinds is the default fault mix of a Plan with no explicit Kinds.
+var allKinds = []Kind{KindErr, KindTorn}
 
 // Config parameterises a Plan.
 type Config struct {
@@ -71,32 +51,27 @@ type Config struct {
 	// Rate is the per-point injection probability in [0, 1]; values
 	// outside the range are clamped. 0 disables injection.
 	Rate float64
-	// Kinds is the fault mix to draw from (nil/empty = AllKinds).
+	// Kinds is the fault mix to draw from (nil/empty = both kinds).
 	Kinds []Kind
 	// Sites, when non-empty, restricts injection to the named fault
-	// sites (e.g. "pfs/apply"); other sites never fault.
+	// sites (e.g. "statefs/serve/job-record"); other sites never
+	// fault.
 	Sites []string
 	// MaxPerPoint bounds injections per (site, key) pair; after the quota
-	// the point heals permanently (0 = default 1). A very large value
-	// models a hard fault that never heals.
+	// the point heals permanently (0 = default 1).
 	MaxPerPoint int
-	// Latency is the sleep for KindLatency injections (0 = default 200µs).
-	Latency time.Duration
 }
 
 // Error is the error value surfaced by injected faults. Use Is to
-// distinguish injected errors from genuine engine errors.
+// distinguish injected errors from genuine ones.
 type Error struct {
 	Kind Kind
 	Site string
 	Key  string
 }
 
-// Error renders the injected fault; ENOSPC mimics the errno text.
+// Error renders the injected fault.
 func (e *Error) Error() string {
-	if e.Kind == KindENOSPC {
-		return fmt.Sprintf("faultinject: no space left on device (site %s, key %s)", e.Site, e.Key)
-	}
 	return fmt.Sprintf("faultinject: injected %s (site %s, key %s)", e.Kind, e.Site, e.Key)
 }
 
@@ -104,19 +79,6 @@ func (e *Error) Error() string {
 func Is(err error) bool {
 	var fe *Error
 	return errors.As(err, &fe)
-}
-
-// panicValue wraps the injected error carried by a KindPanic fault so
-// FromPanic can tell injected panics from genuine ones.
-type panicValue struct{ err *Error }
-
-// FromPanic recognises a recovered panic value produced by an injected
-// KindPanic fault and returns its error.
-func FromPanic(v any) (*Error, bool) {
-	if pv, ok := v.(panicValue); ok {
-		return pv.err, true
-	}
-	return nil, false
 }
 
 // Plan is an armed fault configuration. Methods are safe for concurrent
@@ -127,27 +89,17 @@ type Plan struct {
 
 	mu   sync.Mutex
 	hits map[string]int // per-(site, key) injections so far
-
-	injected int64 // total injections (all kinds)
 }
 
 // New arms a Plan over cfg. A rate of 0 yields a Plan that never injects
 // (equivalent to a nil Plan).
 func New(cfg Config) *Plan {
-	if cfg.Rate < 0 {
-		cfg.Rate = 0
-	}
-	if cfg.Rate > 1 {
-		cfg.Rate = 1
-	}
+	cfg.Rate = min(max(cfg.Rate, 0), 1)
 	if len(cfg.Kinds) == 0 {
-		cfg.Kinds = AllKinds
+		cfg.Kinds = allKinds
 	}
 	if cfg.MaxPerPoint <= 0 {
 		cfg.MaxPerPoint = 1
-	}
-	if cfg.Latency <= 0 {
-		cfg.Latency = 200 * time.Microsecond
 	}
 	p := &Plan{cfg: cfg, hits: map[string]int{}}
 	if len(cfg.Sites) > 0 {
@@ -202,13 +154,12 @@ func (p *Plan) take(site, key string) bool {
 		return false
 	}
 	p.hits[k]++
-	p.injected++
 	return true
 }
 
-// Point is a fault point: it may sleep (KindLatency), return an injected
-// error (KindErr, KindENOSPC, KindTorn) or panic (KindPanic). Callers that
-// cannot tolerate a torn payload treat KindTorn as a plain error. Nil-safe.
+// Point is a fault point: it returns the injected error drawn for (site,
+// key), if any. Callers that cannot tolerate a torn payload treat KindTorn
+// as a plain error. Nil-safe.
 func (p *Plan) Point(site, key string) error {
 	if p == nil || p.cfg.Rate == 0 {
 		return nil
@@ -217,35 +168,5 @@ func (p *Plan) Point(site, key string) error {
 	if !ok || !p.take(site, key) {
 		return nil
 	}
-	switch kind {
-	case KindLatency:
-		time.Sleep(p.cfg.Latency)
-		return nil
-	case KindPanic:
-		panic(panicValue{&Error{Kind: KindPanic, Site: site, Key: key}})
-	default:
-		return &Error{Kind: kind, Site: site, Key: key}
-	}
-}
-
-// Sleep is the timing-only fault point for code that cannot surface errors
-// (the crash-state emulator): any fault drawn for (site, key) degrades to
-// a latency spike. Nil-safe.
-func (p *Plan) Sleep(site, key string) {
-	if p == nil || p.cfg.Rate == 0 {
-		return
-	}
-	if _, ok := p.decide(site, key); ok && p.take(site, key) {
-		time.Sleep(p.cfg.Latency)
-	}
-}
-
-// Injected returns the total number of injections performed so far.
-func (p *Plan) Injected() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.injected
+	return &Error{Kind: kind, Site: site, Key: key}
 }

@@ -1,7 +1,6 @@
 package fuzzcamp
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"paracrash/internal/exps"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	"paracrash/internal/paracrash"
 	"paracrash/internal/trace"
@@ -39,15 +37,6 @@ type Config struct {
 	// Obs, when non-nil, receives campaign counters and the explorer's own
 	// per-run metrics.
 	Obs *obs.Run
-	// Faults is the fault plane: Retry bounds per-crash-state fault
-	// recovery inside every explorer invocation (the zero value is the
-	// explorer's default policy), and Rate > 0 gives every invocation a
-	// fresh plan with this rate and Seed, so each cell sees identical fault
-	// weather across its serial, parallel and pruned runs and the
-	// differential oracle stays sound. A cell whose faults never heal is
-	// retried once, then skipped and counted in Result.CellsFaulted — never
-	// fatal to the campaign.
-	Faults exps.FaultFlags
 	// Inject is a test-only hook registered as a fourth oracle: a non-empty
 	// return marks the workload as violating with that detail string. The
 	// campaign treats the hook itself as the minimization predicate, so
@@ -108,14 +97,11 @@ type Result struct {
 	// Duplicates counts suppressed violations that shared a signature with
 	// an earlier one.
 	Duplicates int
-	// Errors records cells whose explorer runs failed outright.
-	Errors []string
-	// CellsFaulted counts cells abandoned to injected-fault weather (or a
-	// quarantined panic) after one retry: coverage loss, not failure, so
-	// OK() ignores it.
-	CellsFaulted int
-	TimedOut     bool
-	Elapsed      time.Duration
+	// Errors records cells whose explorer runs failed outright or whose
+	// evaluation panicked, naming the program, the backend and the error.
+	Errors   []string
+	TimedOut bool
+	Elapsed  time.Duration
 }
 
 // OK reports a fully green campaign: every cell ran and no oracle fired.
@@ -150,9 +136,6 @@ func (r *Result) Format() string {
 	}
 	if r.CellsSkipped > 0 {
 		fmt.Fprintf(&b, "cells skipped (time budget): %d\n", r.CellsSkipped)
-	}
-	if r.CellsFaulted > 0 {
-		fmt.Fprintf(&b, "cells abandoned to injected faults: %d\n", r.CellsFaulted)
 	}
 	for i, v := range r.Violations {
 		fmt.Fprintf(&b, "[%d] %s oracle on %s (workload %s)\n    %s\n", i+1, v.Oracle, v.Backend, v.Workload, v.Detail)
@@ -200,36 +183,21 @@ func (c *campaign) explore(backend string, w paracrash.Workload, mode paracrash.
 	opts.LibModel = model
 	opts.Workers = workers
 	opts.Obs = c.obs
-	opts.Retry = c.cfg.Faults.Retry
 	opts.LegalMemo = c.memo
-	// A fresh plan per invocation: injection decisions are seed+point
-	// hashes, so every run of a cell faces identical fault weather with its
-	// own healing quota — the differential oracle's serial and parallel runs
-	// degrade identically.
-	opts.Faults = c.cfg.Faults.Plan()
 	return paracrash.Run(fs, nil, w, opts)
 }
 
-// errCellPanic marks a cell whose oracle battery panicked; the recover in
-// evalCellSafe wraps the panic value so cellFaulted can classify it.
-var errCellPanic = errors.New("panic during cell evaluation")
-
-// evalCellSafe is evalCell with panic quarantine: a panic escaping the
-// engine's own recovery becomes an error instead of killing the campaign.
+// evalCellSafe is evalCell with panic isolation: a panic escaping the
+// engine becomes the cell's error, which fails the campaign, instead of
+// killing the campaign's other cells.
 func (c *campaign) evalCellSafe(backend string, prog *workloads.Program) (vs []*pending, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			vs = nil
-			err = fmt.Errorf("%w: %v", errCellPanic, p)
+			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
 	return c.evalCell(backend, prog)
-}
-
-// cellFaulted classifies a cell error as fault weather (injected fault that
-// never healed, quarantined panic) rather than a genuine engine failure.
-func cellFaulted(err error) bool {
-	return faultinject.Is(err) || errors.Is(err, errCellPanic)
 }
 
 // runsClean executes the program (preamble + body, untraced) on a fresh
@@ -281,12 +249,9 @@ func Run(cfg Config) (*Result, error) {
 		mu      sync.Mutex
 		wg      sync.WaitGroup
 		skipped int
-		faulted int
 		found   = map[int][]*pending{}
 		errs    = map[int]string{}
 	)
-	ctrFaulted := run.Counter("campaign/cells-faulted")
-	ctrCellRetries := run.Counter("campaign/cell-retries")
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, cl := range cells {
 		if !deadline.IsZero() && time.Now().After(deadline) {
@@ -299,23 +264,11 @@ func Run(cfg Config) (*Result, error) {
 		go func() {
 			defer func() { <-sem; wg.Done() }()
 			vs, err := c.evalCellSafe(cl.backend, cl.prog)
-			if err != nil && cellFaulted(err) {
-				// One retry for fault weather; deterministic injection means
-				// this mostly matters for escaped panics and genuinely
-				// transient failures.
-				ctrCellRetries.Inc()
-				vs, err = c.evalCellSafe(cl.backend, cl.prog)
-			}
 			ctrCells.Inc()
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
-				if cellFaulted(err) {
-					faulted++
-					ctrFaulted.Inc()
-				} else {
-					errs[i] = fmt.Sprintf("%s on %s: %v", cl.prog.Name(), cl.backend, err)
-				}
+				errs[i] = fmt.Sprintf("%s on %s: %v", cl.prog.Name(), cl.backend, err)
 			}
 			if len(vs) > 0 {
 				found[i] = vs
@@ -329,7 +282,6 @@ func Run(cfg Config) (*Result, error) {
 		Backends:     cfg.Backends,
 		Cells:        len(cells),
 		CellsSkipped: skipped,
-		CellsFaulted: faulted,
 		TimedOut:     skipped > 0,
 	}
 	var errIdx []int

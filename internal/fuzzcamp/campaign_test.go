@@ -3,6 +3,7 @@ package fuzzcamp
 import (
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,5 +212,42 @@ func TestCampaignTimeBudget(t *testing.T) {
 	}
 	if res.OK() {
 		t.Fatal("timed-out campaign must not report OK")
+	}
+}
+
+// TestCampaignPanickingCellFails: a panic while a cell is evaluated — here
+// the injection hook's, on one backend — is the campaign's error: it lands
+// in Result.Errors with the cell's program, its backend and the panic text,
+// OK() is false, and every other cell is still evaluated.
+func TestCampaignPanickingCellFails(t *testing.T) {
+	var evaluated atomic.Int64
+	res, err := Run(Config{
+		Backends: []string{"ext4", "glusterfs"},
+		Seeds:    2,
+		Inject: func(backend string, p *workloads.Program) string {
+			if backend == "glusterfs" {
+				panic("engine bug on " + p.Name())
+			}
+			evaluated.Add(1)
+			return ""
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK() {
+		t.Fatalf("a campaign whose cells panicked reports OK:\n%s", res.Format())
+	}
+	if len(res.Errors) != 2 {
+		t.Fatalf("%d errors, want one per glusterfs cell:\n%s", len(res.Errors), res.Format())
+	}
+	for i, e := range res.Errors {
+		name := workloads.Generate(workloads.DefaultGenConfig(int64(i))).Name()
+		if want := name + " on glusterfs: panic: engine bug on " + name; e != want {
+			t.Errorf("error %q, want %q", e, want)
+		}
+	}
+	if n := evaluated.Load(); n != 2 {
+		t.Errorf("%d ext4 cells evaluated, want 2", n)
 	}
 }

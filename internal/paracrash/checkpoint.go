@@ -20,8 +20,8 @@
 // as checkpointed before it is durable. A crash mid-append leaves a torn
 // tail, which resume drops (keeping everything before it) and the next
 // flush rewrites away. Quarantined (skipped) verdicts are never
-// journaled: a resumed run re-attempts them, since the fault that poisoned
-// them may be gone.
+// journaled: a resumed run re-attempts them, since the backend that
+// poisoned them may have been fixed.
 package paracrash
 
 import (

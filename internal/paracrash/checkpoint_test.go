@@ -239,9 +239,9 @@ func TestCheckpointConfigCoversVerdictKnobs(t *testing.T) {
 
 	transparent := DefaultOptions()
 	transparent.Workers = 7
-	transparent.Retry = RetryPolicy{MaxAttempts: 9}
+	transparent.LegalMemo = NewLegalMemo()
 	if checkpointConfig(testIdentity, transparent) != fp {
-		t.Error("fingerprint moves on verdict-transparent options (Workers/Retry)")
+		t.Error("fingerprint moves on verdict-transparent options (Workers/LegalMemo)")
 	}
 }
 

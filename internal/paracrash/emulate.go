@@ -2,7 +2,6 @@ package paracrash
 
 import (
 	"paracrash/internal/causality"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	"paracrash/internal/trace"
 )
@@ -61,11 +60,6 @@ type Emulator struct {
 	// emulate/states and the effort breakdown behind them, see Generate).
 	// Nil disables collection at zero cost.
 	Obs *obs.Run
-	// Faults, when set, perturbs enumeration timing at the per-front fault
-	// point. Generation must stay deterministic, so any fault drawn here
-	// degrades to a latency spike (Plan.Sleep) — the hook exists to shake
-	// out scheduling assumptions, not to corrupt the state list.
-	Faults *faultinject.Plan
 }
 
 // NewEmulator prepares crash emulation over the trace graph. The universe
@@ -178,9 +172,6 @@ func (e *Emulator) Generate(cfg EmulatorConfig, visit func(CrashState) bool) int
 
 	perFront := func(f causality.Bitset) bool {
 		ctrFronts.Inc()
-		if e.Faults != nil {
-			e.Faults.Sleep("emulate/front", f.Key())
-		}
 		front = f
 		clear(seen)
 		// Victim candidates: lowermost ops inside the front.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"paracrash/internal/causality"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
@@ -182,59 +181,12 @@ type Options struct {
 	// so the report stays byte-identical with metrics on or off.
 	Obs *obs.Run `json:"-"`
 
-	// Retry bounds the engine's fault recovery: how often a crash state
-	// whose reconstruction or verdict failed with an injected fault is
-	// attempted before it is quarantined as a Skipped report entry. Any
-	// other error or panic is quarantined at its first attempt. The zero
-	// value means 3 attempts with a 2ms initial backoff.
-	Retry RetryPolicy `json:"-"`
-
-	// Faults, when non-nil, arms the deterministic fault plane: the plan is
-	// installed on the primary cluster, every worker clone and the emulator
-	// once tracing has finished (the traced execution itself never faults —
-	// the plane targets the checker's reconstruction machinery). Because
-	// injection is schedule-independent and bounded (see internal/
-	// faultinject), a run whose faults all heal within Retry.MaxAttempts
-	// produces the verdicts and state counts of an unfaulted run.
-	Faults *faultinject.Plan `json:"-"`
-
 	// Checkpoint, when non-nil, journals every completed crash-state
 	// verdict to a versioned on-disk journal and, when the journal already
 	// holds verdicts from an interrupted run with the same configuration,
 	// resumes from them: journaled verdicts are reused, not recomputed, and
 	// counted in Stats.StatesResumed.
 	Checkpoint *Checkpoint `json:"-"`
-}
-
-// RetryPolicy bounds per-crash-state fault recovery.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per crash state
-	// (0 = default 3, i.e. two retries).
-	MaxAttempts int
-	// Backoff is the sleep before the first retry, doubling per further
-	// retry (0 = default 2ms).
-	Backoff time.Duration
-}
-
-// attempts resolves the attempt budget.
-func (r RetryPolicy) attempts() int {
-	if r.MaxAttempts <= 0 {
-		return 3
-	}
-	return r.MaxAttempts
-}
-
-// backoffAt returns the sleep before attempt a (a >= 1; attempt 0 never
-// sleeps): exponential with attempt number.
-func (r RetryPolicy) backoffAt(a int) time.Duration {
-	d := r.Backoff
-	if d <= 0 {
-		d = 2 * time.Millisecond
-	}
-	for ; a > 1; a-- {
-		d *= 2
-	}
-	return d
 }
 
 // DefaultOptions mirrors the paper's evaluation settings: k=1 victims, all
@@ -286,8 +238,8 @@ type Stats struct {
 	// ServerRestores and OpsReplayed count the server-store restores and
 	// lowermost op applies this run performed (reconstruction, class
 	// digests, legal-state replay; parallel workers and fleet shards
-	// included), so they differ between serial, parallel, resumed and
-	// faulted runs. The legal-state maxima cover the sets this run
+	// included), so they differ between serial, parallel and resumed
+	// runs. The legal-state maxima cover the sets this run
 	// enumerated or took from a LegalMemo.
 	ServerRestores int
 	OpsReplayed    int
@@ -317,9 +269,9 @@ func StateDigest(layer, content string) string {
 	return layer + ":" + hex.EncodeToString(sum[:8])
 }
 
-// SkippedState records one crash state the engine quarantined: every
-// reconstruction attempt failed (injected fault that never healed, backend
-// panic), so the state carries no verdict. Quarantine is the robustness
+// SkippedState records one crash state the engine quarantined: its
+// reconstruction or judgement failed (a restore error, a backend panic),
+// so the state carries no verdict. Quarantine is the robustness
 // contract's last resort — a poisoned state becomes a structured report
 // entry instead of aborting the run.
 type SkippedState struct {
@@ -339,9 +291,8 @@ type Report struct {
 	Inconsistent int
 	LibOnly      int
 	States       []InconsistentState
-	// Skipped lists quarantined crash states (no verdict: a genuine error
-	// or panic, or an injected fault that outlasted the retries); empty on
-	// healthy runs.
+	// Skipped lists quarantined crash states (no verdict: reconstructing
+	// or judging them failed or panicked); empty on healthy runs.
 	Skipped []SkippedState `json:",omitempty"`
 	Stats   Stats
 }
@@ -360,7 +311,7 @@ func (r *Report) Format() string {
 		r.Stats.LegalPFSStates, r.Stats.LegalLibStates, r.Stats.ServerRestores, r.Stats.OpsReplayed, r.Stats.Duration.Seconds())
 	fmt.Fprintf(&b, "inconsistent crash states: %d (library-only: %d)\n", r.Inconsistent, r.LibOnly)
 	if n := len(r.Skipped); n > 0 {
-		fmt.Fprintf(&b, "quarantined crash states (skipped after retries): %d\n", n)
+		fmt.Fprintf(&b, "quarantined crash states (no verdict): %d\n", n)
 	}
 	if len(r.Bugs) == 0 {
 		b.WriteString("no crash-consistency bugs found\n")
@@ -474,8 +425,6 @@ type session struct {
 	ctrProbes        *obs.Counter // probe states the classifier sent to check
 	ctrRecover       *obs.Counter // crash-state recoveries: outcome-memo misses
 	ctrReplayed      *obs.Counter
-	ctrFaults        *obs.Counter
-	ctrRetries       *obs.Counter
 	ctrSkipped       *obs.Counter
 	ctrLegalPFSCap   *obs.Counter
 	ctrLegalLibCap   *obs.Counter
@@ -503,8 +452,6 @@ func (s *session) bindObs(r *obs.Run, prefix string) {
 	s.ctrProbes = r.Counter(prefix + "classify/probes")
 	s.ctrRecover = r.Counter(prefix + "recover/calls")
 	s.ctrReplayed = r.Counter(prefix + "ops/replayed")
-	s.ctrFaults = r.Counter(prefix + "fault/injected")
-	s.ctrRetries = r.Counter(prefix + "fault/retries")
 	s.ctrSkipped = r.Counter(prefix + "states/skipped")
 	s.ctrLegalPFSCap = r.Counter(prefix + "legal/pfs-capped")
 	s.ctrLegalLibCap = r.Counter(prefix + "legal/lib-capped")
@@ -629,19 +576,11 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 		return nil, fmt.Errorf("paracrash: run cancelled: %w", err)
 	}
 
-	// Arm the fault plane only now: the traced execution must stay
-	// fault-free (the plane targets the checker's reconstruction machinery,
-	// not the workload under test). A nil opts.Faults clears a stale plan.
-	if fa, ok := fs.(pfs.FaultAware); ok {
-		fa.SetFaults(opts.Faults)
-	}
-
 	// Phase 2: causality analysis.
 	stopGraph := opts.Obs.Phase(obs.PhaseGraph)
 	g := causality.Build(ops)
 	emu := NewEmulator(g, fs.PersistConfig())
 	emu.Obs = opts.Obs
-	emu.Faults = opts.Faults
 
 	s := &session{
 		fs: fs, lib: lib, opts: opts, ctx: ctx, start: start, program: w.Name(),
@@ -686,20 +625,16 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 		}
 	}
 
-	// Golden (strict) states for consequence reporting. The replay passes
-	// through faultable mount paths, so it gets the same bounded retry as a
-	// crash-state check; a fault that never heals fails the run here — the
-	// engine cannot judge anything without the golden state.
+	// Golden (strict) states for consequence reporting. A backend that
+	// panics here fails the run: the engine cannot judge anything without
+	// the golden state.
 	allPFS := make([]int, s.pfsOps.Len())
 	for i := range allPFS {
 		allPFS[i] = i
 	}
-	if err := s.withRetry(func() error {
-		st, err := s.replayPFS(allPFS)
-		if err == nil {
-			s.goldenPFS = st
-		}
-		return err
+	if err := guard(func() error {
+		s.goldenPFS = s.replayPFS(allPFS)
+		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("paracrash: golden replay: %w", err)
 	}
@@ -916,14 +851,14 @@ func (s *session) client(proc string) (pfs.Client, error) {
 // check reconstructs the crash state, runs recovery and performs the
 // top-down layer checks. Results are cached per (front, keep). States that
 // violate commit durability cannot occur and count as consistent (the
-// classifier probes such combinations). Faulted attempts are retried per
-// Options.Retry; an exhausted state comes back skipped.
+// classifier probes such combinations). A state whose judgement fails comes
+// back skipped.
 //
 // A verdict shipped by a worker or read from a journal brings its class
 // key, so the state is not digested again; the class is looked up before
 // that verdict is used, so a member is attributed the same way whether its
 // representative was computed, shipped or resumed. The class key is
-// returned too: "" when the digest faulted, and for a state answered from
+// returned too: "" when the digest failed, and for a state answered from
 // the cache (a merge then digests it itself).
 func (s *session) check(cs CrashState) (checkResult, string) {
 	if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
@@ -970,11 +905,11 @@ func (s *session) check(cs CrashState) (checkResult, string) {
 		// A worker's or the journal's verdict is used as it is.
 	case derr != nil:
 		// The digest is this state's reconstruction and recovery, and it
-		// failed for good; a verdict would spend a second attempt budget on
-		// the same work, so the state is quarantined here.
+		// failed; a verdict would fail the same way, so the state is
+		// quarantined here.
 		r = s.quarantine(derr)
 	default:
-		r = s.checkWithRetry(cs)
+		r = s.judge(cs)
 	}
 	s.checkCache[key] = r
 	s.recordClass(ckey, r)
@@ -1009,73 +944,46 @@ func (s *session) journal(key, class string, r checkResult) {
 	}
 }
 
-// checkWithRetry runs reconstruct+verdict attempts under the retry policy.
-// A state that eventually succeeds carries the verdict an unfaulted run
-// would have — the basis of the fault-transparency guarantee — while every
-// attempt's restores and op applies are counted as the work they were.
-// Nothing needs rolling back between attempts: every bring restores every
-// server before it replays anything, so no attempt trusts what a faulted
-// one, a recovery or a legal-state replay left on the cluster.
-func (s *session) checkWithRetry(cs CrashState) checkResult {
+// judge reconstructs and judges cs on its own, once: a state whose verdict
+// fails or panics is quarantined.
+func (s *session) judge(cs CrashState) checkResult {
 	var r checkResult
-	err := s.withRetry(func() (err error) {
+	if err := guard(func() (err error) {
 		r, err = s.verdict(cs)
 		return err
-	})
-	if err == nil {
-		return r
+	}); err != nil {
+		return s.quarantine(err)
 	}
-	return s.quarantine(err)
+	return r
 }
 
-// quarantine is the verdict of a state whose judgement failed: err is the
-// last attempt's error, as withRetry returns it.
+// quarantine is the verdict of a state whose judgement failed with err.
 func (s *session) quarantine(err error) checkResult {
 	s.ctrSkipped.Inc()
-	return checkResult{skipped: true, consequence: "quarantined " + err.Error()}
+	return checkResult{skipped: true, consequence: "quarantined: " + err.Error()}
 }
 
-// withRetry runs fn, converting panics into errors, and retries it under
-// the retry policy while it fails with an injected fault. Any other error
-// or panic is genuine — the code or the backend is wrong, and would be
-// wrong again — so it is returned at once, after one attempt. A failure
-// comes back naming the attempts made.
-func (s *session) withRetry(fn func() error) error {
-	att := s.opts.Retry.attempts()
-	for a := 1; ; a++ {
-		err := func() (err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					if fe, ok := faultinject.FromPanic(p); ok {
-						err = fe
-					} else {
-						err = fmt.Errorf("panic: %v", p)
-					}
-				}
-			}()
-			return fn()
-		}()
-		if err == nil {
-			return nil
+// guard runs fn once, turning a panic into an error carrying the panic
+// text, so a backend that panics while one state is judged quarantines that
+// state instead of ending the run. Nothing is retried: every store is an
+// in-memory simulator, so a second attempt would fail the same way. Nothing
+// needs rolling back either: every bring restores every server before it
+// replays anything.
+func guard(fn func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
 		}
-		injected := faultinject.Is(err)
-		if injected {
-			s.ctrFaults.Inc()
-		}
-		if !injected || a == att {
-			return fmt.Errorf("after %d of %d attempts: %w", a, att, err)
-		}
-		s.ctrRetries.Inc()
-		time.Sleep(s.opts.Retry.backoffAt(a))
-	}
+	}()
+	return fn()
 }
 
 // verdict judges cs against the legal states for its crash front. It
 // obtains the recovered outcome first, like the real workflow (fsck before
 // the consistency test), reconstructing the cluster only when the outcome
-// is not memoised. Injected faults (which say nothing about the state under
-// test) surface as errors for the retry loop; genuine recovery/mount
-// failures remain verdicts — they are what the checker exists to find.
+// is not memoised. A failed reconstruction surfaces as an error, which
+// quarantines the state; recovery/mount failures remain verdicts — they are
+// what the checker exists to find.
 func (s *session) verdict(cs CrashState) (checkResult, error) {
 	// Recovery is a pure function of the store images, so states sharing an
 	// image (and the class lookup that already digested this one) share one
@@ -1094,11 +1002,7 @@ func (s *session) verdict(cs CrashState) (checkResult, error) {
 	fst := s.front(cs.Front)
 
 	if s.lib == nil {
-		legal, err := s.legalPFS(fst.pfs)
-		if err != nil {
-			return checkResult{}, err
-		}
-		if legal[treeStr] {
+		if s.legalPFS(fst.pfs)[treeStr] {
 			return checkResult{consistent: true}, nil
 		}
 		return checkResult{layer: "pfs", consequence: s.describePFS(treeStr), state: treeStr}, nil
@@ -1127,11 +1031,7 @@ func (s *session) verdict(cs CrashState) (checkResult, error) {
 	} else {
 		consequence = s.describeLib(libState)
 	}
-	legalPFS, err := s.legalPFS(fst.pfs)
-	if err != nil {
-		return checkResult{}, err
-	}
-	if legalPFS[treeStr] {
+	if s.legalPFS(fst.pfs)[treeStr] {
 		return checkResult{layer: s.lib.Name(), consequence: consequence, state: libKey}, nil
 	}
 	return checkResult{layer: "pfs", consequence: consequence + " (PFS state also illegal)", state: treeStr}, nil
@@ -1224,45 +1124,39 @@ type pfsNode struct {
 // legalSet returns the legal-state set of one layer ("pfs", or "lib/" and
 // the library's name) under model m for a status vector: from the run's
 // cache, or else from the cross-run memo or filled in by enumerate, in
-// which case note receives its size. A failed enumeration (an injected
-// fault) is not cached: a partial legal set would make a healed retry judge
+// which case note receives its size. An enumeration a panic cuts short
+// caches nothing: a partial legal set would make later states judge
 // against too few states.
-func (s *session) legalSet(layer string, m Model, status []Status, note func(n int), enumerate func(set map[string]bool) error) (map[string]bool, error) {
+func (s *session) legalSet(layer string, m Model, status []Status, note func(n int), enumerate func(set map[string]bool)) map[string]bool {
 	key := legalKey{layer, statusKey(status)}
 	s.legal.mu.Lock()
 	defer s.legal.mu.Unlock()
 	if set, ok := s.legal.sets[key]; ok {
-		return set, nil
+		return set
 	}
 	set, ok := s.memoLookup(layer, m, key.status)
 	if !ok {
 		set = map[string]bool{}
-		if err := enumerate(set); err != nil {
-			return nil, err
-		}
+		enumerate(set)
 		s.memoStore(layer, m, key.status, set)
 	}
 	s.legal.sets[key] = set
 	note(len(set))
-	return set, nil
+	return set
 }
 
 // legalPFS returns the set of legal PFS tree serialisations for the front:
 // one replayPFS per preserved set, each replaying only the ops past the
 // longest prefix an earlier replay left in the trie.
-func (s *session) legalPFS(status []Status) (map[string]bool, error) {
+func (s *session) legalPFS(status []Status) map[string]bool {
 	note := func(n int) { s.noteLegal(n, 0) }
-	return s.legalSet("pfs", s.opts.PFSModel, status, note, func(set map[string]bool) (err error) {
+	return s.legalSet("pfs", s.opts.PFSModel, status, note, func(set map[string]bool) {
 		if s.pfsOps.PreservedSets(s.opts.PFSModel, status, s.opts.MaxLegalStates, func(sel []int) bool {
-			var st string
-			if st, err = s.replayPFS(sel); err == nil {
-				set[st] = true
-			}
-			return err == nil
+			set[s.replayPFS(sel)] = true
+			return true
 		}) {
 			s.ctrLegalPFSCap.Inc()
 		}
-		return err
 	})
 }
 
@@ -1272,7 +1166,7 @@ func (s *session) legalPFS(status []Status) (map[string]bool, error) {
 // (see LayerOps.walk).
 func (s *session) legalLib(status []Status) map[string]bool {
 	note := func(n int) { s.noteLegal(0, n) }
-	set, _ := s.legalSet("lib/"+s.lib.Name(), s.opts.LibModel, status, note, func(set map[string]bool) error {
+	return s.legalSet("lib/"+s.lib.Name(), s.opts.LibModel, status, note, func(set map[string]bool) {
 		step := func(st any, pos int) any {
 			s.ctrLibSteps.Inc()
 			return s.lib.Apply(st, s.libOps.Ops[pos])
@@ -1288,9 +1182,7 @@ func (s *session) legalLib(status []Status) map[string]bool {
 		if capped {
 			s.ctrLegalLibCap.Inc()
 		}
-		return nil
 	})
-	return set
 }
 
 func statusKey(status []Status) string {
@@ -1305,11 +1197,10 @@ func statusKey(status []Status) string {
 // client ops reach from the initial snapshot, from the trie when the
 // selection was mounted before. Otherwise it restores every server from the
 // deepest node along sel this session may restore, replays the ops past it
-// (capturing a node after each) and mounts. Only injected mount faults
-// surface as errors, and they are never memoised; a genuinely unmountable
-// replay is a legitimate legal state. The caller holds s.legal.mu unless
-// its session owns the cache alone.
-func (s *session) replayPFS(sel []int) (string, error) {
+// (capturing a node after each) and mounts. An unmountable replay is a
+// legitimate legal state. The caller holds s.legal.mu unless its session
+// owns the cache alone.
+func (s *session) replayPFS(sel []int) string {
 	t := &s.legal.pfs
 	if t.nodes == nil {
 		t.procs = s.fs.Procs()
@@ -1333,7 +1224,7 @@ func (s *session) replayPFS(sel []int) (string, error) {
 		}
 	}
 	if k == len(sel) && t.nodes[node].mounted {
-		return t.nodes[node].tree, nil
+		return t.nodes[node].tree
 	}
 	if t.held+len(sel)-base > maxLegalSnaps {
 		for i := range t.nodes[1:] {
@@ -1383,11 +1274,9 @@ func (s *session) replayPFS(sel []int) (string, error) {
 	st := "UNMOUNTABLE"
 	if tree, err := s.fs.Mount(); err == nil {
 		st = tree.Serialize()
-	} else if faultinject.Is(err) {
-		return "", err
 	}
 	t.nodes[node].mounted, t.nodes[node].tree = true, st
-	return st, nil
+	return st
 }
 
 // visitOrdered is the one ordered walk, shared by the serial run and the

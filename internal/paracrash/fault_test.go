@@ -6,18 +6,21 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"paracrash/internal/exps"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	"paracrash/internal/paracrash"
+	"paracrash/internal/pfs"
+	"paracrash/internal/trace"
 	"paracrash/internal/workloads"
 )
 
 // runWithOpts runs one beegfs/ARVR cell through exps and fingerprints the
-// report, so faulted and checkpointed runs compare against the plain ones.
+// report, so checkpointed and interrupted runs compare against the plain
+// ones.
 func runWithOpts(t *testing.T, ctx context.Context, opts paracrash.Options) (string, error) {
 	t.Helper()
 	prog, err := exps.ProgramByName("ARVR")
@@ -31,108 +34,51 @@ func runWithOpts(t *testing.T, ctx context.Context, opts paracrash.Options) (str
 	return exps.ReportFingerprint(rep), nil
 }
 
-// TestFaultTransparency is the harness's headline property: with bounded
-// per-point fault quotas (the default MaxPerPoint=1) and the default retry
-// policy, injected faults are fully transparent — every mode and worker
-// count reproduces the unfaulted report byte-for-byte, serial or parallel,
-// because fault decisions are schedule-independent and retries heal them.
-func TestFaultTransparency(t *testing.T) {
-	type cell struct {
-		mode    paracrash.Mode
-		workers int
-	}
-	cells := []cell{
-		{paracrash.ModeBrute, 1},
-		{paracrash.ModePruning, 1},
-		{paracrash.ModePruning, 4},
-	}
-	var totalInjected int64
-	for _, c := range cells {
-		t.Run(c.mode.String()+"/workers="+itoa(c.workers), func(t *testing.T) {
-			base := paracrash.DefaultOptions()
-			base.Mode = c.mode
-			base.Workers = c.workers
-			baseFP, err := runWithOpts(t, nil, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			faulted := base
-			// A fresh plan per run: quotas are per-plan state, and reusing a
-			// plan across runs would change the second run's fault weather.
-			plan := faultinject.New(faultinject.Config{Seed: 99, Rate: 0.3})
-			faulted.Faults = plan
-			faultedFP, err := runWithOpts(t, nil, faulted)
-			if err != nil {
-				t.Fatalf("faulted run errored instead of healing: %v", err)
-			}
-			totalInjected += plan.Injected()
-			if faultedFP != baseFP {
-				t.Errorf("faulted report differs from unfaulted baseline:\n--- base ---\n%s--- faulted ---\n%s", baseFP, faultedFP)
-			}
-		})
-	}
-	if totalInjected == 0 {
-		t.Fatal("no faults were injected across any cell; the transparency test is vacuous")
-	}
-	t.Logf("healed %d injected faults across %d cells", totalInjected, len(cells))
+// panicOnStorage1 wraps fs so that every apply on BeeGFS's second storage
+// server panics: a hard fault that never heals.
+func panicOnStorage1(fs pfs.FileSystem) pfs.FileSystem {
+	return paracrash.PanicOnApply(fs, func(op *trace.Op) bool { return op.Proc == "storage/1" })
 }
 
-// TestHardFaultsQuarantine models a fault that never heals: an unbounded
-// quota on the reconstruction site. The run must complete without error,
-// quarantining the poisoned states as Skipped instead of aborting.
+// runARVROn runs the beegfs/ARVR cell on its backend as wrap wraps it.
+func runARVROn(t *testing.T, ctx context.Context, wrap func(pfs.FileSystem) pfs.FileSystem, opts paracrash.Options) (*paracrash.Report, error) {
+	t.Helper()
+	prog, err := exps.ProgramByName("ARVR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, w, lib := emulatorCell(t, "beegfs", prog)
+	return paracrash.RunContext(ctx, wrap(fs), lib, w, opts)
+}
+
+// TestHardFaultsQuarantine runs on a backend whose every apply on one
+// server panics. The run must complete without error, serially and in
+// parallel, quarantining each state that needs that server's ops as
+// Skipped at its first attempt, with the server and the panic text in its
+// reason, and judging the rest.
 func TestHardFaultsQuarantine(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run("workers="+itoa(workers), func(t *testing.T) {
-			prog, err := exps.ProgramByName("ARVR")
-			if err != nil {
-				t.Fatal(err)
-			}
 			opts := paracrash.DefaultOptions()
 			opts.Workers = workers
-			opts.Retry = paracrash.RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond}
-			opts.Faults = faultinject.New(faultinject.Config{
-				Seed: 1, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindErr},
-				Sites: []string{"pfs/apply"}, MaxPerPoint: 1 << 30,
-			})
-			rep, err := exps.RunOne("beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
+			rep, err := runARVROn(t, context.Background(), panicOnStorage1, opts)
 			if err != nil {
-				t.Fatalf("hard faults aborted the run: %v", err)
+				t.Fatalf("a panicking backend aborted the run: %v", err)
 			}
 			if len(rep.Skipped) == 0 {
-				t.Fatal("hard faults on pfs/apply produced no quarantined states")
+				t.Fatal("panics applying storage/1 ops quarantined no state")
 			}
+			if judged := rep.Stats.StatesChecked + rep.Stats.StatesDeduped; judged <= len(rep.Skipped) {
+				t.Fatalf("%d states judged, all %d quarantined: the test needs states on both sides", judged, len(rep.Skipped))
+			}
+			const prefix = "quarantined: panic applying ops on storage/1: backend bug applying "
 			for _, sk := range rep.Skipped {
-				if sk.Reason == "" {
-					t.Fatalf("quarantined state %v has no reason", sk.Victims)
+				if !strings.HasPrefix(sk.Reason, prefix) {
+					t.Fatalf("quarantined state %v has reason %q, want prefix %q", sk.Victims, sk.Reason, prefix)
 				}
 			}
 			t.Logf("run completed with %d quarantined states", len(rep.Skipped))
 		})
-	}
-}
-
-// TestHardFaultsDeterministic: even a fully poisoned run is deterministic —
-// serial and parallel explorations quarantine the same states and produce
-// identical reports.
-func TestHardFaultsDeterministic(t *testing.T) {
-	run := func(workers int) string {
-		opts := paracrash.DefaultOptions()
-		opts.Workers = workers
-		opts.Retry = paracrash.RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond}
-		opts.Faults = faultinject.New(faultinject.Config{
-			Seed: 5, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindErr},
-			Sites: []string{"pfs/apply"}, MaxPerPoint: 1 << 30,
-		})
-		fp, err := runWithOpts(t, nil, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return fp
-	}
-	serial, parallel := run(1), run(4)
-	if serial != parallel {
-		t.Errorf("poisoned runs diverge:\n--- serial ---\n%s--- workers=4 ---\n%s", serial, parallel)
 	}
 }
 
@@ -281,11 +227,10 @@ func TestCheckpointResumeAcrossRepresentative(t *testing.T) {
 	}
 }
 
-// TestChaosResumeDeterminism is the `make chaos` gate: a run under random
-// injected faults is repeatedly killed mid-flight (context deadline) and
-// resumed from its checkpoint journal; the eventual report must be
-// byte-identical to an uninterrupted, unfaulted run. Covers serial and
-// parallel exploration.
+// TestChaosResumeDeterminism is the `make chaos` gate: a run is repeatedly
+// killed mid-flight (context deadline) and resumed from its checkpoint
+// journal; the eventual report must be byte-identical to an uninterrupted
+// run. Covers serial and parallel exploration.
 func TestChaosResumeDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run("workers="+itoa(workers), func(t *testing.T) {
@@ -309,9 +254,6 @@ func TestChaosResumeDeterminism(t *testing.T) {
 				opts.Workers = workers
 				opts.Checkpoint = paracrash.OpenCheckpoint(path)
 				opts.Checkpoint.Every = 1 // journal every verdict so each round makes progress
-				// Same seed every round: each fresh plan replays the same
-				// fault weather, which retries then heal.
-				opts.Faults = faultinject.New(faultinject.Config{Seed: 7, Rate: 0.25})
 
 				ctx, cancel := context.WithTimeout(context.Background(), deadline)
 				fp, err := runWithOpts(t, ctx, opts)
@@ -336,22 +278,20 @@ func TestChaosResumeDeterminism(t *testing.T) {
 	}
 }
 
-// TestCancelMidMergeNoLeak cancels a latency-faulted parallel run
-// — the faults stretch the merge window — and asserts all goroutines drain.
+// TestCancelMidMergeNoLeak cancels a parallel run on a backend whose every
+// apply is slow — which stretches the merge window — and asserts all
+// goroutines drain.
 func TestCancelMidMergeNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	opts := paracrash.DefaultOptions()
 	opts.Workers = 4
-	opts.Faults = faultinject.New(faultinject.Config{
-		Seed: 3, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindLatency},
-		MaxPerPoint: 1 << 30, Latency: time.Millisecond,
-	})
+	slow := func(fs pfs.FileSystem) pfs.FileSystem { return paracrash.SlowApply(fs, time.Millisecond) }
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := runWithOpts(t, ctx, opts)
+		_, err := runARVROn(t, ctx, slow, opts)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let workers start publishing to the merge

@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"paracrash/internal/causality"
 	"paracrash/internal/exps"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/paracrash"
+	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
 	"paracrash/internal/workloads"
 )
@@ -278,46 +279,75 @@ func TestIncrementalReconstructionContent(t *testing.T) {
 	}
 }
 
-// TestIncrementalFaultTransparency: injected faults during incremental
-// reconstruction must stay invisible — the faulted run heals through retries
-// (a fault mid-delta marks the server dirty, so the retry re-restores from a
-// cached prefix) and reproduces the unfaulted report byte-for-byte,
-// including the arithmetic effort charges. lustre exercises the kernel-level
-// shared-disk path whose cross-server WAL recovery is the hardest case.
+// TestIncrementalFaultTransparency: a backend fault during incremental
+// reconstruction stays with the states it touches. On a backend whose apply
+// of one op panics, each state whose image needs that op is quarantined with
+// the panic text, and every other state the run judges carries the verdict
+// a run on the unbroken backend gives it: an aborted bring leaves no
+// half-built prefix root for a later state to start from. lustre exercises
+// the kernel-level shared-disk path whose cross-server WAL recovery is the
+// hardest case.
 func TestIncrementalFaultTransparency(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	for _, backend := range []string{"beegfs", "lustre"} {
 		for _, workers := range []int{1, 4} {
 			t.Run(backend+"/workers="+itoa(workers), func(t *testing.T) {
-				base := runEngine(t, backend, prog, paracrash.ModePruning, workers)
+				run := func(wrap func(pfs.FileSystem) pfs.FileSystem) (pfs.FileSystem, map[string]paracrash.Judged) {
+					fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := paracrash.DefaultOptions()
+					opts.Workers = workers
+					_, judged, err := paracrash.EngineRun(wrap(fs), nil, prog, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return fs, judged
+				}
+				fs, clean := run(func(fs pfs.FileSystem) pfs.FileSystem { return fs })
+				var writes []*trace.Op // tagged lowermost ops change a store
+				for _, op := range fs.Recorder().Ops() {
+					if (op.Layer == trace.LayerLocalFS || op.Layer == trace.LayerBlock) && op.Tag != "" {
+						writes = append(writes, op)
+					}
+				}
+				bad := writes[len(writes)/2]
+				_, faulted := run(func(fs pfs.FileSystem) pfs.FileSystem {
+					return paracrash.PanicOnApply(fs, func(op *trace.Op) bool { return op.ID == bad.ID })
+				})
 
-				fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
-				if err != nil {
-					t.Fatal(err)
+				skipped, same := 0, 0
+				for key, got := range faulted {
+					want, ok := clean[key]
+					switch {
+					case got.Skipped:
+						skipped++
+						if !strings.Contains(got.Consequence, "backend bug applying "+bad.Key()) {
+							t.Errorf("state %x quarantined for %q", key, got.Consequence)
+						}
+					case !ok:
+						// Visited only here: a quarantined probe reads as
+						// consistent, so pruning may skip less.
+					case got.Verdict != want.Verdict:
+						t.Errorf("state %x: verdict %+v, on the unbroken backend %+v", key, got.Verdict, want.Verdict)
+					default:
+						same++
+					}
 				}
-				opts := paracrash.DefaultOptions()
-				opts.Workers = workers
-				plan := faultinject.New(faultinject.Config{Seed: 42, Rate: 0.3})
-				opts.Faults = plan
-				faulted, err := paracrash.Run(fs, nil, prog, opts)
-				if err != nil {
-					t.Fatalf("faulted incremental run errored instead of healing: %v", err)
+				if skipped == 0 || same == 0 {
+					t.Fatalf("%d states quarantined, %d judged as on the unbroken backend: the test needs both", skipped, same)
 				}
-				if plan.Injected() == 0 {
-					t.Skip("no faults hit this cell; transparency is vacuous here")
-				}
-				if bf, ff := exps.ReportFingerprint(base), exps.ReportFingerprint(faulted); bf != ff {
-					t.Errorf("faulted incremental report differs from clean baseline:\n--- clean ---\n%s--- faulted ---\n%s", bf, ff)
-				}
+				t.Logf("op %s: %d states quarantined, %d judged as on the unbroken backend", bad.Key(), skipped, same)
 			})
 		}
 	}
 }
 
 // TestIncrementalChaosResume: the incremental engine under kill/resume chaos
-// — random injected faults plus repeated mid-run deadline kills, resuming
-// from the checkpoint journal each round — must converge to the byte-exact
-// report of a clean uninterrupted incremental run. The arithmetic charge
+// — repeated mid-run deadline kills, resuming from the checkpoint journal
+// each round — must converge to the byte-exact report of a clean
+// uninterrupted incremental run. The arithmetic charge
 // simulation makes resumed verdicts charge what a fresh serial walk would,
 // so even ServerRestores/OpsReplayed survive the chaos unchanged.
 func TestIncrementalChaosResume(t *testing.T) {
@@ -340,7 +370,6 @@ func TestIncrementalChaosResume(t *testing.T) {
 		opts := paracrash.DefaultOptions()
 		opts.Checkpoint = paracrash.OpenCheckpoint(path)
 		opts.Checkpoint.Every = 1
-		opts.Faults = faultinject.New(faultinject.Config{Seed: 7, Rate: 0.25})
 
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		rep, err := paracrash.RunContext(ctx, fs, nil, prog, opts)

@@ -48,14 +48,9 @@ func TestLegalPFSForeignSnapshot(t *testing.T) {
 		t.Fatalf("%d PFS-layer ops, want creat/pwrite of three files", n)
 	}
 	clone := s.shardSession(fs.CloneDetached())
-	if _, err := s.replayPFS([]int{2}); err != nil { // creat /d/b
-		t.Fatal(err)
-	}
+	s.replayPFS([]int{2})    // creat /d/b
 	sel := []int{2, 3, 4, 5} // and its pwrite, then creat and pwrite /d/c
-	got, err := clone.replayPFS(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := clone.replayPFS(sel)
 	if want := replayPFSReference(s, sel); got != want {
 		t.Fatalf("clone replayed from the primary's snapshot:\n%s\nwant\n%s", got, want)
 	}

@@ -204,11 +204,7 @@ func LegalCapCounts(newCell func() (pfs.FileSystem, Library, Workload), layer st
 		if layer == "lib" {
 			sizes[i] = len(s.legalLib(status))
 		} else {
-			set, err := s.legalPFS(status)
-			if err != nil {
-				return n, capped, sizes, err
-			}
-			sizes[i] = len(set)
+			sizes[i] = len(s.legalPFS(status))
 		}
 		capped[i] = int(r.Summary().Counters["legal/"+layer+"-capped"])
 	}

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"paracrash/internal/exps"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	"paracrash/internal/paracrash"
 	"paracrash/internal/pfs"
@@ -123,54 +121,52 @@ func TestObsRestoreShares(t *testing.T) {
 	}
 }
 
-// TestObsSkipCounterMatchesReport: under hard faults, states/skipped counts
-// each quarantined state the report lists once, whether the state was
-// quarantined by the run itself, by a parallel worker or by a fleet shard.
+// TestObsSkipCounterMatchesReport: on a backend whose every apply on one
+// server panics, states/skipped counts each quarantined state the report
+// lists once, whether the state was quarantined by the run itself, by a
+// parallel worker or by a fleet shard.
 func TestObsSkipCounterMatchesReport(t *testing.T) {
 	prog, err := exps.ProgramByName("ARVR")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard := func(workers int, r *obs.Run) paracrash.Options {
+	opts := func(workers int, r *obs.Run) paracrash.Options {
 		opts := paracrash.DefaultOptions()
 		opts.Workers = workers
 		opts.Obs = r
-		opts.Retry = paracrash.RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond}
-		opts.Faults = faultinject.New(faultinject.Config{
-			Seed: 1, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindErr},
-			Sites: []string{"pfs/apply"}, MaxPerPoint: 1 << 30,
-		})
 		return opts
 	}
 	check := func(label string, rep *paracrash.Report, r *obs.Run) {
 		t.Helper()
 		if len(rep.Skipped) == 0 {
-			t.Fatalf("%s: hard faults quarantined nothing", label)
+			t.Fatalf("%s: a panicking backend quarantined nothing", label)
 		}
 		if got := r.Counter("states/skipped").Value(); got != int64(len(rep.Skipped)) {
 			t.Errorf("%s: states/skipped = %d, report lists %d skipped states", label, got, len(rep.Skipped))
 		}
 	}
+	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
 		r := obs.NewRun()
-		rep, err := exps.RunOne("beegfs", prog, hard(workers, r), workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
+		rep, err := runARVROn(t, ctx, panicOnStorage1, opts(workers, r))
 		if err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("workers=%d", workers), rep, r)
 	}
 
-	ctx := context.Background()
 	var shards []*paracrash.ShardReport
 	for i := 0; i < 3; i++ {
-		sr, err := exps.Spec{FS: "beegfs", Program: prog, Options: hard(1, nil), H5: workloads.DefaultH5Params(), Config: exps.ConfigFor("beegfs")}.RunShard(ctx, paracrash.ShardSpec{Index: i, Count: 3})
+		fs, w, lib := emulatorCell(t, "beegfs", prog)
+		sr, err := paracrash.RunShard(ctx, panicOnStorage1(fs), lib, w, opts(1, nil), paracrash.ShardSpec{Index: i, Count: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		shards = append(shards, sr)
 	}
 	r := obs.NewRun()
-	merged, err := exps.Spec{FS: "beegfs", Program: prog, Options: hard(1, r), H5: workloads.DefaultH5Params(), Config: exps.ConfigFor("beegfs")}.Merge(ctx, shards)
+	fs, w, lib := emulatorCell(t, "beegfs", prog)
+	merged, err := paracrash.MergeShards(ctx, panicOnStorage1(fs), lib, w, opts(1, r), shards)
 	if err != nil {
 		t.Fatal(err)
 	}

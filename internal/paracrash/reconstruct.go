@@ -43,8 +43,8 @@
 // Effort is counted where it happens: every server-store restore and every
 // lowermost op apply bring performs lands in Stats.ServerRestores and
 // Stats.OpsReplayed — including the reconstructions class lookups pay for.
-// Faulted retries, resumed verdicts and parallel workers therefore report
-// the work they actually did, not a serial walk's.
+// Resumed verdicts and parallel workers therefore report the work they
+// actually did, not a serial walk's.
 //
 // The engine's reference lives in test code: reference_test.go rebuilds every
 // generated state on a fresh cluster (restore everything, replay every kept
@@ -63,7 +63,6 @@ import (
 
 	"paracrash/internal/blockdev"
 	"paracrash/internal/causality"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
 	"paracrash/internal/vfs"
@@ -335,9 +334,9 @@ func (r *reconstructor) imageKey(keep causality.Bitset) []byte {
 // recoveredOutcome returns the recovery outcome of cs's image, memoised per
 // image key: an image whose outcome is cached needs no reconstruction at
 // all. On a miss it brings the live cluster to the image and runs recovery
-// and mount, counting the recovery on recover/calls. Injected faults surface
-// as errors (nothing is cached); genuine recovery or mount failures are
-// themselves deterministic outcomes and are cached like successful mounts.
+// and mount, counting the recovery on recover/calls. Recovery and mount
+// failures are themselves deterministic outcomes and are cached like
+// successful mounts; a failed bring caches nothing.
 func (r *reconstructor) recoveredOutcome(cs CrashState) (*recoveredOutcome, error) {
 	key := r.imageKey(cs.Keep)
 	if o, ok := r.outcomes[string(key)]; ok {
@@ -349,14 +348,8 @@ func (r *reconstructor) recoveredOutcome(cs CrashState) (*recoveredOutcome, erro
 	r.s.ctrRecover.Inc()
 	o := &recoveredOutcome{}
 	if rerr := r.s.fs.Recover(); rerr != nil {
-		if faultinject.Is(rerr) {
-			return nil, rerr
-		}
 		o.recoverErr = rerr.Error()
 	} else if tree, merr := r.s.fs.Mount(); merr != nil {
-		if faultinject.Is(merr) {
-			return nil, merr
-		}
 		o.mountErr = merr.Error()
 	} else {
 		o.tree = tree
@@ -380,9 +373,9 @@ func (r *reconstructor) recoveredOutcome(cs CrashState) (*recoveredOutcome, erro
 // bring reconstructs cs's image on the live cluster and counts every
 // restore and op apply it performs. It restores every server — an op server
 // from the deepest prefix root of its canonical kept sequence, any other
-// from the initial snapshot — and replays only the uncached suffixes. An
-// injected fault aborts it; the retry's bring starts over from restores
-// again.
+// from the initial snapshot — and replays only the uncached suffixes. A
+// failed restore or a panicking apply aborts it; the next bring starts
+// over from restores again.
 func (r *reconstructor) bring(cs CrashState) error {
 	key := r.imageKey(cs.Keep)
 	for pi := range r.procs {
@@ -410,16 +403,13 @@ func (r *reconstructor) restore(p string, snap pfs.ServerSnap) error {
 
 // bringServer rebuilds one server: restore the deepest prefix root along
 // seq (the initial snapshot when none is cached) and apply the remaining
-// ops, capturing a prefix root after each one. Panics from backend apply
-// paths are quarantined into errors.
+// ops, capturing a prefix root after each one. A panic from a backend
+// apply path comes back as an error naming the server, which quarantines
+// the state.
 func (r *reconstructor) bringServer(pi int, seq []int) (err error) {
 	defer func() {
 		if pv := recover(); pv != nil {
-			if fe, ok := faultinject.FromPanic(pv); ok {
-				err = fe
-			} else {
-				err = fmt.Errorf("panic applying ops on %s: %v", r.procs[pi], pv)
-			}
+			err = fmt.Errorf("panic applying ops on %s: %v", r.procs[pi], pv)
 		}
 	}()
 	p, t := r.procs[pi], &r.roots[pi]
@@ -442,12 +432,10 @@ func (r *reconstructor) bringServer(pi int, seq []int) (err error) {
 	}
 	for ; k < len(seq); k++ {
 		r.s.countReplayed(1)
-		if aerr := r.s.fs.ApplyLowermost(r.s.g.Ops[seq[k]]); aerr != nil && faultinject.Is(aerr) {
-			return aerr
-		}
-		// Genuine apply errors mean the op's effect is lost (crash
-		// semantics); the prefix root still captures the deterministic
-		// "state after attempting the ops so far".
+		// An apply error means the op's effect is lost (crash semantics);
+		// the prefix root still captures the deterministic "state after
+		// attempting the ops so far".
+		_ = r.s.fs.ApplyLowermost(r.s.g.Ops[seq[k]])
 		snap, ok := r.s.fs.CaptureServer(p)
 		if !ok {
 			return fmt.Errorf("paracrash: capture of %s failed", p)

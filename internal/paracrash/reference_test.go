@@ -136,8 +136,8 @@ type Judged struct {
 }
 
 // referenceJudge is the per-state reference's check: every crash state is
-// judged on its own by verdict under the retry policy, quarantined when
-// every attempt faults, and never looked up in the class memo. judged
+// judged on its own by judge, quarantined when its judgement fails, and
+// never looked up in the class memo. judged
 // memoises verdicts per state (classifier probes revisit states) and
 // receives every one; the checkpoint, when armed, journals every one.
 func (s *session) referenceJudge(judged map[string]checkResult) func(CrashState) checkResult {
@@ -149,7 +149,7 @@ func (s *session) referenceJudge(judged map[string]checkResult) func(CrashState)
 		if r, ok := judged[key]; ok {
 			return r
 		}
-		r := s.checkWithRetry(cs)
+		r := s.judge(cs)
 		judged[key] = r
 		s.journal(key, "", r)
 		return r

@@ -76,15 +76,14 @@ func (s *session) front(f causality.Bitset) *frontStatus {
 // vectors of the front. States sharing the key recover to identical
 // content and are judged against identical legal-state sets, so they share
 // one verdict. Recovery leaves the live cluster mutated, which is harmless:
-// the next bring restores every server. Injected faults retry under the
-// policy like any other faultable work; a digest that failed for good — a
-// genuine error at once, a fault after every retry — comes back as the
-// error, with an empty key: the state then belongs to no class, and check
-// quarantines it, as a failed verdict would be.
+// the next bring restores every server. A digest that failed — an error or
+// a panic — comes back as the error, with an empty key: the state then
+// belongs to no class, and check quarantines it, as a failed verdict would
+// be.
 func (s *session) classKey(cs CrashState) (string, error) {
 	var o *recoveredOutcome
 	before := s.stats.ServerRestores
-	err := s.withRetry(func() (err error) {
+	err := guard(func() (err error) {
 		o, err = s.recon.recoveredOutcome(cs)
 		return err
 	})
@@ -111,7 +110,7 @@ func (s *session) recordClass(ckey string, r checkResult) {
 // given (scope, layer, model, status vector) is identical for every run of
 // the same workload on the same file system, so a fuzz campaign's six
 // explorer runs per cell enumerate each set once. Sets are stored only
-// after a successful (unfaulted) enumeration and are read-only afterwards,
+// after a complete enumeration and are read-only afterwards,
 // so sharing them across concurrent sessions is safe.
 //
 // The scope key folds in the file-system name, server count, workload name

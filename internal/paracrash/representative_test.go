@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"paracrash/internal/exps"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	"paracrash/internal/paracrash"
 	"paracrash/internal/pfs"
@@ -101,8 +100,9 @@ func assertMatchesReference(t *testing.T, label string, p referencePair, boundRe
 type cellRun func(pfs.FileSystem, paracrash.Library, paracrash.Workload, paracrash.Options) (*paracrash.Report, map[string]paracrash.Judged, error)
 
 // namedPair runs a named program cell (with its placement hints and, for
-// the H5 workloads, its I/O library) through the engine and the reference.
-func namedPair(t *testing.T, fsName, progName string, opts, refOpts paracrash.Options) referencePair {
+// the H5 workloads, its I/O library) through the engine and the reference,
+// each on the cell's backend as wrap wraps it (nil: as it is).
+func namedPair(t *testing.T, fsName, progName string, wrap func(pfs.FileSystem) pfs.FileSystem, opts, refOpts paracrash.Options) referencePair {
 	t.Helper()
 	prog, err := exps.ProgramByName(progName)
 	if err != nil {
@@ -110,6 +110,9 @@ func namedPair(t *testing.T, fsName, progName string, opts, refOpts paracrash.Op
 	}
 	run := func(f cellRun, opts paracrash.Options) (*paracrash.Report, map[string]paracrash.Judged) {
 		fs, w, lib := emulatorCell(t, fsName, prog)
+		if wrap != nil {
+			fs = wrap(fs)
+		}
 		rep, judged, err := f(fs, lib, w, opts)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", fsName, progName, err)
@@ -176,7 +179,7 @@ func TestRepresentativeDifferentialNamed(t *testing.T) {
 		opts.Mode = c.mode
 		refOpts := opts
 		opts.Workers = c.workers
-		p := namedPair(t, c.fs, c.prog, opts, refOpts)
+		p := namedPair(t, c.fs, c.prog, nil, opts, refOpts)
 		// Parallel workers reconstruct on their own clones, so only a serial
 		// engine is held to the serial reference's restores.
 		assertMatchesReference(t, label, p, c.workers == 1)
@@ -217,58 +220,61 @@ func TestRepresentativeDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// TestRepresentativeFaultTransparency checks that fault injection does not
-// perturb the engine: with healing quotas (the default MaxPerPoint) and
-// retries, the faulted report is byte-identical to the unfaulted one, and
-// every verdict, attributed or not, is the one the unfaulted reference
-// gives the state. The class digests are recomputed under fire, so this
-// exercises the class lookup's retry path directly.
+// TestRepresentativeFaultTransparency: a backend fault perturbs the class
+// memo no more than it perturbs the per-state reference. On a backend whose
+// apply of ARVR's rename panics, in both modes, the engine matches the
+// per-state reference on the same backend state by state, and every state
+// it does not quarantine carries the verdict the unbroken backend gives it:
+// a class whose lookup was quarantined neither loses nor lends a verdict.
 func TestRepresentativeFaultTransparency(t *testing.T) {
+	prog, err := exps.ProgramByName("ARVR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := func(fs pfs.FileSystem) pfs.FileSystem {
+		return paracrash.PanicOnApply(fs, func(op *trace.Op) bool { return op.Name == "rename" })
+	}
 	for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning} {
-		clean := paracrash.DefaultOptions()
-		clean.Mode = mode
-		cleanFP, err := runWithOpts(t, nil, clean)
+		opts := paracrash.DefaultOptions()
+		opts.Mode = mode
+		fs, w, lib := emulatorCell(t, "beegfs", prog)
+		_, clean, err := paracrash.EngineRun(fs, lib, w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulted := clean
-		faulted.Retry = paracrash.RetryPolicy{MaxAttempts: 4, Backoff: time.Microsecond}
-		faulted.Faults = faultinject.New(faultinject.Config{Seed: 11, Rate: 0.25})
-		faultedFP, err := runWithOpts(t, nil, faulted)
-		if err != nil {
-			t.Fatal(err)
+		p := namedPair(t, "beegfs", "ARVR", broken, opts, opts)
+		if len(p.engine.Skipped) == 0 {
+			t.Fatalf("mode %s: a panicking rename quarantined nothing", mode)
 		}
-		if faultedFP != cleanFP {
-			t.Errorf("mode %s: faulted run diverged from the unfaulted one", mode)
+		assertMatchesReference(t, "broken/"+mode.String(), p, true)
+		same := 0
+		for key, got := range p.engineJudged {
+			if want, ok := clean[key]; ok && !got.Skipped {
+				if got.Verdict != want.Verdict {
+					t.Errorf("mode %s: state %x: verdict %+v, on the unbroken backend %+v", mode, key, got.Verdict, want.Verdict)
+				}
+				same++
+			}
 		}
-		faulted.Faults = faultinject.New(faultinject.Config{Seed: 11, Rate: 0.25})
-		assertMatchesReference(t, "faulted/"+mode.String(), namedPair(t, "beegfs", "ARVR", faulted, clean), false)
+		if same == 0 {
+			t.Fatalf("mode %s: every state was quarantined", mode)
+		}
 	}
 }
 
-// TestRepresentativeQuarantineDoesNotPoisonClass drives every apply into a
-// hard fault (no healing, retries exhausted). Quarantine cannot poison a
-// class for two reasons this test pins end to end: a skipped verdict is
-// never recorded as a representative, and the class lookup replays the same
-// kept ops as a verdict, so a state whose reconstruction hard-faults never
-// obtains a class key and cannot silently inherit a healthy verdict. The
-// observable: under the same faults, the skip list, the whole report kernel
-// and every state's verdict match the per-state reference (the only
-// attributed states are the zero-apply ones that genuinely succeed in both).
+// TestRepresentativeQuarantineDoesNotPoisonClass runs on a backend whose
+// every apply on one server panics. Quarantine cannot poison a class for
+// two reasons this test pins end to end: a skipped verdict is never
+// recorded as a representative, and the class lookup replays the same kept
+// ops as a verdict, so a state whose reconstruction panics never obtains a
+// class key and cannot silently inherit a healthy verdict. The observable:
+// on the same backend, the skip list, the whole report kernel and every
+// state's verdict match the per-state reference.
 func TestRepresentativeQuarantineDoesNotPoisonClass(t *testing.T) {
 	opts := paracrash.DefaultOptions()
-	opts.Retry = paracrash.RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond}
-	hard := func() *faultinject.Plan {
-		return faultinject.New(faultinject.Config{
-			Seed: 3, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindErr},
-			Sites: []string{"pfs/apply"}, MaxPerPoint: 1 << 30,
-		})
-	}
-	engine, ref := opts, opts
-	engine.Faults, ref.Faults = hard(), hard()
-	p := namedPair(t, "beegfs", "ARVR", engine, ref)
+	p := namedPair(t, "beegfs", "ARVR", panicOnStorage1, opts, opts)
 	if len(p.engine.Skipped) == 0 {
-		t.Fatal("hard faults quarantined nothing — the test lost its teeth")
+		t.Fatal("a panicking backend quarantined nothing — the test lost its teeth")
 	}
 	assertMatchesReference(t, "hard-faults", p, true)
 }
@@ -313,7 +319,6 @@ func TestRepresentativeChaosResume(t *testing.T) {
 			opts := base
 			opts.Checkpoint = paracrash.OpenCheckpoint(path)
 			opts.Checkpoint.Every = 1
-			opts.Faults = faultinject.New(faultinject.Config{Seed: 13, Rate: 0.25})
 
 			ctx, cancel := context.WithTimeout(context.Background(), deadline)
 			rep, err := exps.RunOneContext(ctx, "beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))

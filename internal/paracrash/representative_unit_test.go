@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"paracrash/internal/causality"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	"paracrash/internal/pfs"
 	"paracrash/internal/pfs/beegfs"
@@ -94,7 +93,7 @@ func TestClassKeyNeverCollidesAcrossRecoveredContent(t *testing.T) {
 	for _, cs := range states {
 		ckey, err := s.classKey(cs)
 		if err != nil || ckey == "" {
-			t.Fatalf("classKey empty without fault injection for state %s: %v", cs.Keep.Key(), err)
+			t.Fatalf("classKey empty on a healthy backend for state %s: %v", cs.Keep.Key(), err)
 		}
 		want := recoveredContent(t, s, cs)
 		s.fs.Restore(saved)
@@ -254,16 +253,16 @@ func TestClassKeyHoldsEveryLayerStatus(t *testing.T) {
 }
 
 // TestRepresentativeQuarantinedVerdictIsNoClass: a state whose class lookup
-// succeeds but whose verdict faults through every attempt is quarantined,
-// and its verdict is never recorded for its class, so every other member
-// re-attempts on its own instead of inheriting the quarantine. The walk's
-// recovered outcomes are memoised before every mount is made to fault, so
-// each lookup succeeds and each verdict's legal-state replay fails.
+// succeeds but whose verdict panics is quarantined, and its verdict is never
+// recorded for its class, so every other member is judged on its own instead
+// of inheriting the quarantine. The walk's recovered outcomes are memoised
+// before the backend's Mount is made to panic, so each lookup succeeds and
+// each verdict's legal-state replay panics.
 func TestRepresentativeQuarantinedVerdictIsNoClass(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Mode = ModeBrute
-	opts.Retry = RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond}
-	fs := beegfs.New(pfs.DefaultConfig(), trace.NewRecorder())
+	armed := &atomic.Bool{}
+	fs := &panicOnMount{FileSystem: beegfs.New(pfs.DefaultConfig(), trace.NewRecorder()), armed: armed}
 	s, err := prepare(context.Background(), fs, nil, renameWorkload{}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -274,18 +273,15 @@ func TestRepresentativeQuarantinedVerdictIsNoClass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fs.SetFaults(faultinject.New(faultinject.Config{
-		Seed: 1, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindErr},
-		Sites: []string{"pfs/mount"}, MaxPerPoint: 1 << 30,
-	}))
+	armed.Store(true)
 	classOf := map[string]int{}
 	for _, cs := range states {
 		r, ckey := s.check(cs)
 		if ckey == "" {
 			t.Fatalf("class lookup failed for state %x", cs.Keep.Key())
 		}
-		if !r.skipped {
-			t.Fatalf("state %x judged %+v with every mount faulting", cs.Keep.Key(), r)
+		if !r.skipped || !strings.Contains(r.consequence, "backend bug mounting") {
+			t.Fatalf("state %x judged %+v with every mount panicking", cs.Keep.Key(), r)
 		}
 		if r.attributed {
 			t.Fatalf("state %x was attributed a quarantined verdict", cs.Keep.Key())
@@ -298,20 +294,6 @@ func TestRepresentativeQuarantinedVerdictIsNoClass(t *testing.T) {
 	if len(s.classes) != 0 {
 		t.Fatalf("%d quarantined verdicts recorded as class representatives", len(s.classes))
 	}
-}
-
-// panicOnApply is a backend with a bug: applying one chosen lowermost op
-// panics.
-type panicOnApply struct {
-	pfs.FileSystem
-	op int // trace ID of the op whose apply panics
-}
-
-func (p *panicOnApply) ApplyLowermost(op *trace.Op) error {
-	if op.ID == p.op {
-		panic("backend bug applying " + op.Key())
-	}
-	return p.FileSystem.ApplyLowermost(op)
 }
 
 // storeContent serializes every server store of fs.
@@ -330,12 +312,12 @@ func storeContent(fs pfs.FileSystem) string {
 	return b.String()
 }
 
-// TestRepresentativeBackendPanicQuarantined: a genuine failure — a backend
-// whose apply of one op panics — is not retried. Every visited state whose
-// image needs that op lands in Report.Skipped at its first attempt with the
-// panic text, no retry is counted, no class is recorded from a skipped
-// state, and every other state is judged as on the unbroken backend,
-// because the next bring starts from a clean cluster.
+// TestRepresentativeBackendPanicQuarantined: a backend whose apply of one op
+// panics. Every visited state whose image needs that op lands in
+// Report.Skipped at its first attempt, with the server and the panic text
+// in its reason, states/skipped counts exactly those, no class is recorded
+// from a skipped state, and every other state is judged as on the unbroken
+// backend, because the next bring starts from a clean cluster.
 func TestRepresentativeBackendPanicQuarantined(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Mode = ModeBrute
@@ -361,7 +343,8 @@ func TestRepresentativeBackendPanicQuarantined(t *testing.T) {
 
 	r := obs.NewRun()
 	opts.Obs = r
-	fs := &panicOnApply{FileSystem: beegfs.New(pfs.DefaultConfig(), trace.NewRecorder()), op: clean.g.Ops[x].ID}
+	bad := clean.g.Ops[x]
+	fs := PanicOnApply(beegfs.New(pfs.DefaultConfig(), trace.NewRecorder()), func(op *trace.Op) bool { return op.ID == bad.ID })
 	s, err := prepare(context.Background(), fs, nil, renameWorkload{}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -395,13 +378,14 @@ func TestRepresentativeBackendPanicQuarantined(t *testing.T) {
 		t.Errorf("%d states skipped, %d keep the op whose apply panics", len(rep.Skipped), want)
 	}
 	t.Logf("%d of %d states keep op %d and are skipped", want, len(states), x)
+	wantReason := "quarantined: panic applying ops on " + bad.Proc + ": backend bug applying " + bad.Key()
 	for _, sk := range rep.Skipped {
-		if !strings.Contains(sk.Reason, "backend bug applying") || !strings.Contains(sk.Reason, "after 1 of 3 attempts:") {
-			t.Fatalf("skip reason %q lacks the panic text or the single attempt", sk.Reason)
+		if sk.Reason != wantReason {
+			t.Fatalf("skip reason %q, want %q", sk.Reason, wantReason)
 		}
 	}
-	if n := r.Counter("fault/retries").Value(); n != 0 {
-		t.Errorf("fault/retries = %d for a genuine panic", n)
+	if n := r.Counter("states/skipped").Value(); n != int64(len(rep.Skipped)) {
+		t.Errorf("states/skipped = %d, the report skips %d states", n, len(rep.Skipped))
 	}
 	for ckey, cr := range s.classes {
 		if cr.skipped {

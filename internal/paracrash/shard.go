@@ -337,12 +337,6 @@ func (s *session) startShards(states []CrashState, workers int) []*shardRun {
 		if oa, ok := clone.(pfs.ObsAware); ok {
 			oa.SetObs(s.obs)
 		}
-		if fa, ok := clone.(pfs.FaultAware); ok {
-			// Clones share the primary's fault plan: injection decisions are
-			// schedule-independent (hash-based), so the shard count does not
-			// change which points fault.
-			fa.SetFaults(s.opts.Faults)
-		}
 		r.ws, r.table = s.shardSession(clone), make(verdictTable, hi-lo)
 		r.ws.fs.Recorder().SetEnabled(false)
 		// Per-shard depth, decremented as the shard judges; the progress

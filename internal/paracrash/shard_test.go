@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"paracrash/internal/exps"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	"paracrash/internal/paracrash"
 	"paracrash/internal/trace"
@@ -72,8 +71,8 @@ func mergeShards(t *testing.T, backend string, prog *workloads.Program, opts par
 // checkMergeDigests holds a merge to digesting only what no shard shipped:
 // every shipped verdict carries its class key, so the merge's class-digest
 // restores are classifier probes outside the generated space
-// (restores/digest <= restores/probe). A state whose digest faulted
-// through its retries ships without a class key, and the merge digests it.
+// (restores/digest <= restores/probe). A state whose digest failed ships
+// without a class key, and the merge digests it.
 func checkMergeDigests(t *testing.T, run *obs.Run, reports []*paracrash.ShardReport) {
 	t.Helper()
 	for _, sr := range reports {
@@ -226,9 +225,8 @@ func TestShardMergeValidation(t *testing.T) {
 
 // TestShardChaosResume: a shard worker killed mid-shard and restarted from
 // its shard-scoped checkpoint journal (the fleet's lease-reclaim path) must
-// converge to a report whose merge is byte-identical to a standalone run —
-// under injected faults, with every round resuming the previous round's
-// journal.
+// converge to a report whose merge is byte-identical to a standalone run,
+// with every round resuming the previous round's journal.
 func TestShardChaosResume(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	backend := "lustre"
@@ -269,7 +267,6 @@ func TestShardChaosResume(t *testing.T) {
 		ropts := opts
 		ropts.Checkpoint = paracrash.OpenCheckpoint(path)
 		ropts.Checkpoint.Every = 1
-		ropts.Faults = faultinject.New(faultinject.Config{Seed: 7, Rate: 0.25})
 
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		sr, err := paracrash.RunShard(ctx, fs, nil, prog, ropts, paracrash.ShardSpec{Index: victim, Count: count})

@@ -586,9 +586,6 @@ func (c *client) Close(path string) error {
 // restores structural invariants but cannot resurrect lost updates.
 func (f *FS) Recover() error {
 	defer f.TimeOp("pfs/recover")()
-	if err := f.FaultPoint("pfs/recover", f.Name()); err != nil {
-		return err
-	}
 	for mi := 0; mi < f.conf.MetaServers; mi++ {
 		m := f.meta(mi).FS
 		if !m.IsDir("/dentries") {
@@ -653,9 +650,6 @@ func (f *FS) Recover() error {
 // structures from the root.
 func (f *FS) Mount() (*pfs.Tree, error) {
 	defer f.TimeOp("pfs/mount")()
-	if err := f.FaultPoint("pfs/mount", f.Name()); err != nil {
-		return nil, err
-	}
 	t := pfs.NewTree()
 	var walk func(path string, dr dirRef) error
 	walk = func(path string, dr dirRef) error {

@@ -1,12 +1,10 @@
 package pfs
 
 import (
-	"errors"
 	"fmt"
 
 	"paracrash/internal/blockdev"
 	"paracrash/internal/causality"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	"paracrash/internal/trace"
 	"paracrash/internal/vfs"
@@ -130,11 +128,6 @@ type Cluster struct {
 	// obsRun, when set, receives restore/recover/mount timings. Nil (the
 	// default) disables collection; TimeOp then returns a no-op stop.
 	obsRun *obs.Run
-
-	// faults, when set, is consulted at the cluster's fault points
-	// (lowermost replay, recovery, mount). Nil (the default) disables
-	// injection at zero cost.
-	faults *faultinject.Plan
 }
 
 // ObsAware is implemented by file systems that can attach an observability
@@ -147,21 +140,6 @@ type ObsAware interface {
 
 // SetObs attaches (or, with nil, detaches) the observability run.
 func (c *Cluster) SetObs(r *obs.Run) { c.obsRun = r }
-
-// FaultAware is implemented by file systems that can arm a fault-injection
-// plan (every Cluster-based FileSystem). The explorer arms the plan on the
-// primary cluster and on each worker clone; a shared *faultinject.Plan is
-// safe for concurrent use.
-type FaultAware interface {
-	SetFaults(*faultinject.Plan)
-}
-
-// SetFaults arms (or, with nil, disarms) the fault-injection plan.
-func (c *Cluster) SetFaults(p *faultinject.Plan) { c.faults = p }
-
-// FaultPoint consults the armed plan at a named fault site; backends call
-// it at the top of Recover and Mount. Nil-safe no-op when no plan is armed.
-func (c *Cluster) FaultPoint(site, key string) error { return c.faults.Point(site, key) }
 
 // TimeOp starts a named timer span on the attached run and returns its stop
 // function; allocation-free no-op when no run is attached. Backends wrap
@@ -265,13 +243,8 @@ func (c *Cluster) Restore(st *State) {
 }
 
 // ApplyLowermost applies a recorded lowermost op to the live store of the
-// proc it was traced on. With a fault plan armed, the replay is a fault
-// point keyed by the op identity: a torn-write injection applies the first
-// half of the payload before surfacing the error (the partially persisted
-// metadata the paper's crash model worries about), every other injected
-// kind loses the op entirely. Callers distinguish injected errors (retry
-// the whole reconstruction) from genuine apply errors (crash semantics:
-// the op's effect is lost) via faultinject.Is.
+// proc it was traced on. An apply error means the op's effect is lost
+// (crash semantics).
 func (c *Cluster) ApplyLowermost(op *trace.Op) error {
 	switch p := op.Payload.(type) {
 	case vfs.Op:
@@ -279,38 +252,16 @@ func (c *Cluster) ApplyLowermost(op *trace.Op) error {
 		if s == nil {
 			return fmt.Errorf("pfs: apply: unknown fs proc %q", op.Proc)
 		}
-		if ferr := c.faults.Point("pfs/apply", op.Key()); ferr != nil {
-			if isTorn(ferr) && len(p.Data) > 1 {
-				half := p
-				half.Data = p.Data[:len(p.Data)/2]
-				_ = s.FS.Apply(half)
-			}
-			return ferr
-		}
 		return s.FS.Apply(p)
 	case blockdev.Op:
 		s := c.Block(op.Proc)
 		if s == nil {
 			return fmt.Errorf("pfs: apply: unknown block proc %q", op.Proc)
 		}
-		if ferr := c.faults.Point("pfs/apply", op.Key()); ferr != nil {
-			if isTorn(ferr) && len(p.Data) > 1 {
-				half := p
-				half.Data = p.Data[:len(p.Data)/2]
-				_ = s.Dev.Apply(half)
-			}
-			return ferr
-		}
 		return s.Dev.Apply(p)
 	default:
 		return fmt.Errorf("pfs: apply: op %s has no replayable payload", op)
 	}
-}
-
-// isTorn reports whether an injected fault is a torn write.
-func isTorn(err error) bool {
-	var fe *faultinject.Error
-	return errors.As(err, &fe) && fe.Kind == faultinject.KindTorn
 }
 
 // PersistConfig builds the Algorithm 2 configuration: every FS server uses

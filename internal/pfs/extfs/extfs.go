@@ -116,18 +116,12 @@ func (c *client) Close(path string) error {
 }
 
 // Recover implements pfs.FileSystem; ext4's journal recovery is modelled by
-// the persist-order semantics themselves, so there is nothing to do beyond
-// the fault point.
-func (f *FS) Recover() error {
-	return f.FaultPoint("pfs/recover", f.Name())
-}
+// the persist-order semantics themselves, so there is nothing to do.
+func (f *FS) Recover() error { return nil }
 
 // Mount returns the logical namespace, which is simply the local FS view.
 func (f *FS) Mount() (*pfs.Tree, error) {
 	defer f.TimeOp("pfs/mount")()
-	if err := f.FaultPoint("pfs/mount", f.Name()); err != nil {
-		return nil, err
-	}
 	t := pfs.NewTree()
 	fs := f.local().FS
 	for _, p := range fs.Walk() {

@@ -338,9 +338,6 @@ func (c *client) Close(path string) error {
 // gfid xattr) is gone are removed as orphans.
 func (f *FS) Recover() error {
 	defer f.TimeOp("pfs/recover")()
-	if err := f.FaultPoint("pfs/recover", f.Name()); err != nil {
-		return err
-	}
 	// Heal directories: the first brick is authoritative; mirror its tree
 	// onto the other bricks.
 	dirs := map[string]bool{}
@@ -388,9 +385,6 @@ func (f *FS) Recover() error {
 // base copy (the gfid xattr), with contents reassembled from all bricks.
 func (f *FS) Mount() (*pfs.Tree, error) {
 	defer f.TimeOp("pfs/mount")()
-	if err := f.FaultPoint("pfs/mount", f.Name()); err != nil {
-		return nil, err
-	}
 	t := pfs.NewTree()
 	seen := map[string]bool{}
 	for i := 0; i < f.conf.StorageServers; i++ {

@@ -626,9 +626,6 @@ func (c *client) Close(path string) error {
 // still referenced by the database and removes those that are not.
 func (f *FS) Recover() error {
 	defer f.TimeOp("pfs/recover")()
-	if err := f.FaultPoint("pfs/recover", f.Name()); err != nil {
-		return err
-	}
 	// Collect referenced file IDs across all metadata servers.
 	referenced := map[string]bool{}
 	for mi := 0; mi < f.conf.MetaServers; mi++ {
@@ -668,9 +665,6 @@ func (f *FS) Recover() error {
 // Mount materialises the logical namespace by walking the databases.
 func (f *FS) Mount() (*pfs.Tree, error) {
 	defer f.TimeOp("pfs/mount")()
-	if err := f.FaultPoint("pfs/mount", f.Name()); err != nil {
-		return nil, err
-	}
 	t := pfs.NewTree()
 	var walk func(path string, dr dirRef) error
 	walk = func(path string, dr dirRef) error {

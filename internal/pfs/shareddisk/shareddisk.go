@@ -710,9 +710,6 @@ func (c *client) Close(path string) error {
 //     (the paper's data loss and metadata loss consequences of bug #3).
 func (f *FS) Recover() error {
 	defer f.TimeOp("pfs/recover")()
-	if err := f.FaultPoint("pfs/recover", f.Name()); err != nil {
-		return err
-	}
 	if f.policy.ReplayLog {
 		var logs []logRecord
 		for i := 0; i < f.servers(); i++ {
@@ -783,9 +780,6 @@ func (f *FS) Recover() error {
 // Mount materialises the logical namespace by walking from the root.
 func (f *FS) Mount() (*pfs.Tree, error) {
 	defer f.TimeOp("pfs/mount")()
-	if err := f.FaultPoint("pfs/mount", f.Name()); err != nil {
-		return nil, err
-	}
 	sb, ok := readBlock[superBlock](f, f.owner(1), lbaSuper)
 	if !ok {
 		return nil, fmt.Errorf("%s: mount: superblock unreadable", f.policy.FSName)

@@ -158,7 +158,7 @@ func (r *JobRequest) Normalize() error {
 // the engine: the scheduler, a fleet worker's shard, the coordinator's
 // merge and the paracrash command's local run all take it, so a request
 // means the same run wherever it runs. The caller adds what a run does not
-// fingerprint (Obs, Retry, Faults, Checkpoint).
+// fingerprint (Obs, Checkpoint).
 func (r *JobRequest) Spec(maxWorkers int) (exps.Spec, error) {
 	prog, err := exps.ProgramByName(r.Program)
 	if err != nil {

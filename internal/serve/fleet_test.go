@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"paracrash/internal/exps"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	core "paracrash/internal/paracrash"
 )
@@ -169,7 +168,9 @@ func TestFleetShardFailureFailsJob(t *testing.T) {
 // worker's checkpoint journal — and the merged report is still
 // byte-identical to the standalone run.
 func TestChaosFleetWorkerDeathLeaseReclaim(t *testing.T) {
-	req := JobRequest{Kind: JobKindExplore, FS: "lustre", Program: "CR"}
+	// About 20 judged states per shard: a lifetime that outlasts a shard's
+	// preparation still ends mid-shard, after some verdicts are journaled.
+	req := JobRequest{Kind: JobKindExplore, FS: "gpfs", Program: "H5-create", Mode: "brute"}
 	want := standaloneFingerprint(t, req)
 
 	dir := t.TempDir()
@@ -192,8 +193,6 @@ func TestChaosFleetWorkerDeathLeaseReclaim(t *testing.T) {
 	// Rounds of short-lived workers with escalating lifetimes: early rounds
 	// die mid-shard leaving a held lease and a partial journal; later rounds
 	// must wait out the TTL, reclaim at epoch >= 2 and resume the journal.
-	// Fault injection makes per-state work uneven, like the engine's own
-	// chaos drill.
 	const ttl = 50 * time.Millisecond
 	var reclaims, resumed int64
 	finished := func() bool {
@@ -212,7 +211,6 @@ func TestChaosFleetWorkerDeathLeaseReclaim(t *testing.T) {
 			Heartbeat:         10 * time.Millisecond,
 			Poll:              time.Millisecond,
 			HoldLeaseOnCancel: true,
-			Faults:            faultinject.New(faultinject.Config{Seed: 7, Rate: 0.25}),
 			Obs:               wrun,
 		})
 		if err != nil {
@@ -314,18 +312,19 @@ func TestFleetTimeoutEndsTheWork(t *testing.T) {
 				t.Errorf("timed-out job left %v", left)
 			}
 
-			// A worker that starts afterwards finds nothing to do. Every
-			// fault point of its engine sleeps, so the shard it claims next
-			// is still being judged when that job times out.
+			// A worker that starts afterwards finds nothing to do. Its shard
+			// runs block until their context ends, so the shard it claims
+			// next is still being judged when that job times out.
 			run := obs.NewRun()
-			w, err := NewFleetWorker(FleetWorkerConfig{
-				Dir: dir, ID: "slow", Obs: run,
-				Faults: faultinject.New(faultinject.Config{Seed: 1, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindLatency}, Latency: 200 * time.Millisecond}),
-			})
+			w, err := NewFleetWorker(FleetWorkerConfig{Dir: dir, ID: "slow", Obs: run})
 			if err != nil {
 				t.Fatal(err)
 			}
 			w.watchDir = tc.watch
+			w.runShard = func(ctx context.Context, _ exps.Spec, _ core.ShardSpec) (*core.ShardReport, error) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan struct{})
 			go func() {

@@ -4,9 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"paracrash/internal/exps"
-	"paracrash/internal/faultinject"
 )
 
 // TestInterruptedAndResubmit simulates an unclean daemon death: a job is
@@ -75,70 +72,4 @@ func TestStoreWarnsHalfWrittenRecord(t *testing.T) {
 	if len(st.List()) != 0 {
 		t.Fatalf("half-written record was loaded: %+v", st.List())
 	}
-}
-
-// TestJobSurvivesInjectedFaults drives a real exploration job through a
-// scheduler whose fault plane is armed: bounded faults heal via retries and
-// the job's report matches an unfaulted run exactly.
-func TestJobSurvivesInjectedFaults(t *testing.T) {
-	st, _ := OpenStore("")
-	clean := NewScheduler(SchedulerConfig{MaxConcurrent: 1}, st, nil)
-	clean.Start()
-	defer clean.Drain(context.Background())
-	j1, err := clean.Submit(JobRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := waitState(t, st, j1.ID, JobDone)
-
-	faulted := NewScheduler(SchedulerConfig{
-		MaxConcurrent: 1,
-		Faults:        faultinject.New(faultinject.Config{Seed: 21, Rate: 0.3}),
-	}, st, nil)
-	faulted.Start()
-	defer faulted.Drain(context.Background())
-	j2, err := faulted.Submit(JobRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitState(t, st, j2.ID, JobDone)
-
-	if exps.ReportFingerprint(got.Report) != exps.ReportFingerprint(want.Report) {
-		t.Error("faulted job report differs from clean job report")
-	}
-}
-
-// TestJobQuarantinesInjectedPanics arms a fault plane that panics on every
-// crash-state reconstruction: the engine quarantines the poisoned states,
-// so the job finishes done (with Skipped entries) instead of failed — the
-// daemon keeps serving.
-func TestJobQuarantinesInjectedPanics(t *testing.T) {
-	st, _ := OpenStore("")
-	s := NewScheduler(SchedulerConfig{
-		MaxConcurrent: 1,
-		Faults: faultinject.New(faultinject.Config{
-			Seed: 9, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindPanic},
-			Sites: []string{"pfs/apply"}, MaxPerPoint: 1 << 30,
-		}),
-	}, st, nil)
-	s.Start()
-	defer s.Drain(context.Background())
-
-	j, err := s.Submit(JobRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitState(t, st, j.ID, JobDone)
-	if len(got.Report.Skipped) == 0 {
-		t.Fatal("panicking backend produced no quarantined states")
-	}
-
-	// The scheduler is still healthy: a clean follow-up job completes.
-	// (Fault quotas are per-plan state, so the poisoned plan keeps firing;
-	// this job is expected to quarantine too but must still finish.)
-	j2, err := s.Submit(JobRequest{Program: "WAL"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, st, j2.ID, JobDone)
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"paracrash/internal/exps"
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 	core "paracrash/internal/paracrash"
 )
@@ -49,12 +48,6 @@ type SchedulerConfig struct {
 	// ProgressInterval is how often the events endpoint writes a running
 	// job's progress snapshot to each of its readers (default 250ms).
 	ProgressInterval time.Duration
-	// Retry bounds per-crash-state fault recovery inside every explore job
-	// (the zero value is the engine's default policy).
-	Retry core.RetryPolicy
-	// Faults, when non-nil, arms the deterministic fault plane on every
-	// explore job — the daemon-level chaos knob the robustness tests drive.
-	Faults *faultinject.Plan
 	// Fleet, when non-nil, makes this scheduler a fleet coordinator: explore
 	// jobs whose effective partition width is >= 2 are sharded across worker
 	// processes through the shared results directory (see shard.go). Requires
@@ -480,17 +473,15 @@ func (s *Scheduler) checkpointPath(id string) string {
 }
 
 // spec assembles a job's run in this daemon: the request's spec under the
-// per-job worker cap, with the daemon's fault plane and the job's run and
-// checkpoint journal. The journal lives next to the job record; a
-// resubmitted job (same ID) resumes from it, and a clean finish removes it.
+// per-job worker cap, with the job's run and checkpoint journal. The
+// journal lives next to the job record; a resubmitted job (same ID)
+// resumes from it, and a clean finish removes it.
 func (s *Scheduler) spec(job *Job, run *obs.Run) (exps.Spec, error) {
 	sp, err := job.Request.Spec(s.cfg.MaxJobWorkers)
 	if err != nil {
 		return exps.Spec{}, err
 	}
 	sp.Options.Obs = run
-	sp.Options.Retry = s.cfg.Retry
-	sp.Options.Faults = s.cfg.Faults
 	if p := s.checkpointPath(job.ID); p != "" {
 		sp.Options.Checkpoint = core.OpenCheckpoint(p)
 	}

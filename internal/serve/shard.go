@@ -36,7 +36,7 @@ import (
 	"sync"
 	"time"
 
-	"paracrash/internal/faultinject"
+	"paracrash/internal/exps"
 	"paracrash/internal/obs"
 	core "paracrash/internal/paracrash"
 	"paracrash/internal/statefs"
@@ -179,9 +179,6 @@ type FleetWorkerConfig struct {
 	// host, or while the watch was down) and for expired leases. Tasks
 	// written on this host are picked up as they land. Default 500ms.
 	Poll time.Duration
-	// Retry/Faults mirror the scheduler's engine knobs.
-	Retry  core.RetryPolicy
-	Faults *faultinject.Plan
 	// Obs (nilable) receives the worker's metrics.
 	Obs *obs.Run
 	// HoldLeaseOnCancel simulates hard worker death for the chaos tests: a
@@ -213,6 +210,8 @@ type FleetWorker struct {
 	inbox  inbox
 	// watchDir starts the directory watch; tests substitute one that fails.
 	watchDir func(dir string, on func(dirEvent)) (*dirWatcher, error)
+	// runShard runs the engine for one shard; tests substitute a slow one.
+	runShard func(ctx context.Context, sp exps.Spec, shard core.ShardSpec) (*core.ShardReport, error)
 }
 
 // NewFleetWorker builds a worker over the shared directory.
@@ -228,7 +227,7 @@ func NewFleetWorker(cfg FleetWorkerConfig) (*FleetWorker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FleetWorker{cfg: cfg, leases: ld, inbox: inbox{wake: make(chan struct{}, 1)}, watchDir: watchDir}, nil
+	return &FleetWorker{cfg: cfg, leases: ld, inbox: inbox{wake: make(chan struct{}, 1)}, watchDir: watchDir, runShard: runShard}, nil
 }
 
 // ID returns the worker's identity.
@@ -509,6 +508,11 @@ func (w *FleetWorker) abandon(t ShardTask, lease *Lease) {
 	w.cfg.Obs.Counter("fleet/leases-lost").Inc()
 }
 
+// runShard is FleetWorker.runShard outside tests.
+func runShard(ctx context.Context, sp exps.Spec, shard core.ShardSpec) (*core.ShardReport, error) {
+	return sp.RunShard(ctx, shard)
+}
+
 // executeShard runs the engine for one shard with panic isolation, resuming
 // the shard's checkpoint journal (ours, or a dead predecessor's).
 func (w *FleetWorker) executeShard(ctx context.Context, t ShardTask) (report *core.ShardReport, err error) {
@@ -523,12 +527,10 @@ func (w *FleetWorker) executeShard(ctx context.Context, t ShardTask) (report *co
 		return nil, err
 	}
 	sp.Options.Obs = w.cfg.Obs
-	sp.Options.Retry = w.cfg.Retry
-	sp.Options.Faults = w.cfg.Faults
 	ckpt := core.OpenCheckpoint(shardCheckpointPath(w.cfg.Dir, t.Job, t.Shard.Index))
 	ckpt.Every = 1 // a reclaim must find the frontier, not a stale batch
 	sp.Options.Checkpoint = ckpt
-	rep, err := sp.RunShard(ctx, t.Shard)
+	rep, err := w.runShard(ctx, sp, t.Shard)
 	if err != nil {
 		return nil, err
 	}
