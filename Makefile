@@ -115,12 +115,16 @@ classify:
 # n-1, n and n+1, with equal sets, capped flags and restores/legal, and
 # legal/pfs-steps equal to the selections' distinct prefixes; the trie at
 # its snapshot cap and a clone that must not restore another cluster's
-# snapshots; the replay-step unit tests in hdf5 and stack; and Workers=4
-# runs under -race for the parse memo and the replay trie the workers share.
+# snapshots; the library replay table ((replay digest, op) -> replay state,
+# and replay digest -> legal leaf) at its cap, and shared by four sessions
+# enumerating every library status vector of a cell at once, each
+# transition applied and each leaf parsed once; the replay-step unit tests
+# in hdf5 and stack; and Workers=4 runs under -race for the parse memo, the
+# replay table and the replay trie the workers share.
 legal:
 	$(GO) test ./internal/hdf5 ./internal/stack -run 'TestClone|TestAppendState|TestReplay|TestDigest' -count=1
 	$(GO) test ./internal/paracrash/ -run 'TestModelDefinition|TestLegalLib|TestLegalPFS' -count=1 -v
-	$(GO) test -race ./internal/paracrash/ -run 'TestLegalLibParallel|TestLegalPFSParallel' -count=1
+	$(GO) test -race ./internal/paracrash/ -run 'TestLegalLibParallel|TestLegalLibShared|TestLegalPFSParallel' -count=1
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:
@@ -133,8 +137,8 @@ FUZZSEEDS ?= 64
 fuzz:
 	$(GO) test ./internal/hdf5/ -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/paracrash/ -fuzz FuzzParseModel -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/paracrash/ -fuzz FuzzStateDigest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/paracrash/ -run FuzzParseModel -fuzz FuzzParseModel -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/paracrash/ -run FuzzStateDigest -fuzz FuzzStateDigest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/paracrash/ -run FuzzJournal -fuzz FuzzJournal -fuzztime $(FUZZTIME)
 	$(GO) run ./cmd/experiments -exp fuzz -seeds $(FUZZSEEDS) -fuzz-out corpus
 
@@ -143,8 +147,8 @@ fuzz:
 fuzz-smoke:
 	$(GO) test ./internal/hdf5/ -fuzz FuzzParse -fuzztime 5s
 	$(GO) test ./internal/trace/ -fuzz FuzzTraceRoundTrip -fuzztime 5s
-	$(GO) test ./internal/paracrash/ -fuzz FuzzParseModel -fuzztime 5s
-	$(GO) test ./internal/paracrash/ -fuzz FuzzStateDigest -fuzztime 5s
+	$(GO) test ./internal/paracrash/ -run FuzzParseModel -fuzz FuzzParseModel -fuzztime 5s
+	$(GO) test ./internal/paracrash/ -run FuzzStateDigest -fuzz FuzzStateDigest -fuzztime 5s
 	$(GO) test ./internal/paracrash/ -run FuzzJournal -fuzz FuzzJournal -fuzztime 5s
 	$(GO) run ./cmd/experiments -exp fuzz -seeds 8 -enum-ops 1
 

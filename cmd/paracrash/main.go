@@ -11,6 +11,10 @@
 //
 // The flags that describe the run fill a paracrashd job request, which a
 // local run executes as the daemon would: they mean the same either way.
+//
+// Exit status: 0 when the run found no bug, 1 when it found bugs, 2 on a
+// refused command line or a failed run, and 3 when it found no bug but
+// quarantined crash states, so it is incomplete.
 package main
 
 import (
@@ -169,9 +173,25 @@ func main() {
 	rep, err := run()
 	fatalIf(err)
 	printReport(rep, inv.jsonOut, inv.verbose)
-	if len(rep.Bugs) > 0 {
-		os.Exit(1)
+	code := exitCode(rep)
+	if code == 3 {
+		fmt.Fprintf(os.Stderr, "paracrash: %d crash states quarantined; the run is incomplete\n", len(rep.Skipped))
 	}
+	os.Exit(code)
+}
+
+// exitCode is the status a finished run exits with: 1 when it found bugs,
+// 3 when it found none but quarantined crash states (it judged less than
+// it generated, so it cannot call itself clean), and 0 otherwise. Exit
+// status 2 is a refused command line or a failed run (fatalIf).
+func exitCode(rep *core.Report) int {
+	switch {
+	case len(rep.Bugs) > 0:
+		return 1
+	case len(rep.Skipped) > 0:
+		return 3
+	}
+	return 0
 }
 
 // runLocal explores the request in this process, reporting what the run

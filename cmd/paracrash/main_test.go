@@ -197,6 +197,26 @@ func TestCapWarnings(t *testing.T) {
 	}
 }
 
+// TestExitCode: bugs exit 1 whether or not states were quarantined; a run
+// without bugs exits 3 when it quarantined a state and 0 otherwise.
+func TestExitCode(t *testing.T) {
+	skipped := []core.SkippedState{{Reason: "quarantined: panic"}}
+	bugs := []*core.Bug{{}}
+	for _, tc := range []struct {
+		rep  core.Report
+		want int
+	}{
+		{core.Report{}, 0},
+		{core.Report{Bugs: bugs}, 1},
+		{core.Report{Bugs: bugs, Skipped: skipped}, 1},
+		{core.Report{Skipped: skipped}, 3},
+	} {
+		if got := exitCode(&tc.rep); got != tc.want {
+			t.Errorf("%d bugs, %d quarantined: exit %d, want %d", len(tc.rep.Bugs), len(tc.rep.Skipped), got, tc.want)
+		}
+	}
+}
+
 // parseArgs resolves a command line in-process, as main does.
 func parseArgs(args ...string) (*invocation, error) {
 	fl := flag.NewFlagSet("paracrash", flag.ContinueOnError)

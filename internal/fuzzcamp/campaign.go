@@ -97,8 +97,9 @@ type Result struct {
 	// Duplicates counts suppressed violations that shared a signature with
 	// an earlier one.
 	Duplicates int
-	// Errors records cells whose explorer runs failed outright or whose
-	// evaluation panicked, naming the program, the backend and the error.
+	// Errors records cells whose explorer runs failed outright, quarantined
+	// a crash state or whose evaluation panicked, naming the program, the
+	// backend and the error.
 	Errors   []string
 	TimedOut bool
 	Elapsed  time.Duration
@@ -184,7 +185,24 @@ func (c *campaign) explore(backend string, w paracrash.Workload, mode paracrash.
 	opts.Workers = workers
 	opts.Obs = c.obs
 	opts.LegalMemo = c.memo
-	return paracrash.Run(fs, nil, w, opts)
+	rep, err := paracrash.Run(fs, nil, w, opts)
+	if err == nil {
+		err = quarantined(backend, rep)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// quarantined fails a run that quarantined crash states: such a state has
+// no verdict, so every oracle would compare reports that judged nothing
+// there and the campaign would read green.
+func quarantined(backend string, rep *paracrash.Report) error {
+	if len(rep.Skipped) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s: %d crash states quarantined, first: %s", backend, len(rep.Skipped), rep.Skipped[0].Reason)
 }
 
 // evalCellSafe is evalCell with panic isolation: a panic escaping the

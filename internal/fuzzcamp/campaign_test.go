@@ -9,6 +9,7 @@ import (
 
 	"paracrash/internal/exps"
 	"paracrash/internal/obs"
+	"paracrash/internal/paracrash"
 	"paracrash/internal/trace"
 	"paracrash/internal/workloads"
 )
@@ -249,5 +250,30 @@ func TestCampaignPanickingCellFails(t *testing.T) {
 	}
 	if n := evaluated.Load(); n != 2 {
 		t.Errorf("%d ext4 cells evaluated, want 2", n)
+	}
+}
+
+// TestQuarantinedFailsRun: a report with quarantined states is an error
+// naming the backend, the number of states and the first reason; a report
+// without is none.
+func TestQuarantinedFailsRun(t *testing.T) {
+	if err := quarantined("ext4", &paracrash.Report{}); err != nil {
+		t.Fatalf("clean report: %v", err)
+	}
+	rep := &paracrash.Report{Skipped: []paracrash.SkippedState{
+		{Reason: "quarantined: panic applying ops on meta/1: boom"},
+		{Reason: "quarantined: second"},
+	}}
+	err := quarantined("beegfs", rep)
+	if err == nil {
+		t.Fatal("report with 2 quarantined states: no error")
+	}
+	for _, want := range []string{"beegfs", "2 crash states quarantined", "panic applying ops on meta/1: boom"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "second") {
+		t.Errorf("error %q names more than the first reason", err)
 	}
 }

@@ -429,8 +429,9 @@ type session struct {
 	ctrLegalPFSCap   *obs.Counter
 	ctrLegalLibCap   *obs.Counter
 	ctrLibSets       *obs.Counter // sets the library model admits, skipped subtrees included
-	ctrLibReplayed   *obs.Counter // leaves turned into a legal state
-	ctrLibSteps      *obs.Counter // library op applies
+	ctrLibReplayed   *obs.Counter // leaves the walk reached
+	ctrLibParses     *obs.Counter // leaves turned into a legal state: libTable misses
+	ctrLibSteps      *obs.Counter // library op applies: libTable misses
 	ctrPFSSteps      *obs.Counter // PFS client ops legal-state replay applies
 	gaugeLegalPFS    *obs.Gauge
 	gaugeLegalLib    *obs.Gauge
@@ -457,6 +458,7 @@ func (s *session) bindObs(r *obs.Run, prefix string) {
 	s.ctrLegalLibCap = r.Counter(prefix + "legal/lib-capped")
 	s.ctrLibSets = r.Counter(prefix + "legal/lib-sets")
 	s.ctrLibReplayed = r.Counter(prefix + "legal/lib-replayed")
+	s.ctrLibParses = r.Counter(prefix + "legal/lib-parses")
 	s.ctrLibSteps = r.Counter(prefix + "legal/lib-steps")
 	s.ctrPFSSteps = r.Counter(prefix + "legal/pfs-steps")
 	s.gaugeLegalPFS = r.Gauge(prefix + "legal/pfs")
@@ -1069,24 +1071,62 @@ func firstLineDiff(a, b string) string {
 	return "no textual diff"
 }
 
-// legalCache holds a run's legal-state sets and the trie of PFS replays
-// that enumerates the PFS ones. Both are pure functions of the selection,
-// so the sessions of one parallel run share a cache: each set is
-// enumerated, and each PFS selection mounted, once per run instead of once
-// per worker. mu is held for a whole enumeration, which also makes that
-// work independent of which session reaches a set first. Sessions that own
-// a cache alone (prepare's golden replay) may skip the lock.
+// legalCache holds a run's legal-state sets, the trie of PFS replays that
+// enumerates the PFS ones and the table of library replays that enumerates
+// the library ones. All are pure functions of the selection or replay
+// state, so the sessions of one parallel run share a cache: each set is
+// enumerated, each PFS selection mounted and each library transition
+// applied once per run instead of once per worker or crash front. mu is
+// held for a whole enumeration, which also makes that work independent of
+// which session reaches a set first. Sessions that own a cache alone
+// (prepare's golden replay) may skip the lock.
 type legalCache struct {
 	mu   sync.Mutex
 	sets map[legalKey]map[string]bool
 	pfs  pfsTrie
+	lib  libTable
 }
 
 // legalKey names one legal-state set of a run: its layer and status vector.
 type legalKey struct{ layer, status string }
 
 func newLegalCache() *legalCache {
-	return &legalCache{sets: map[legalKey]map[string]bool{}}
+	return &legalCache{sets: map[legalKey]map[string]bool{}, lib: libTable{
+		next:   map[libEdge]any{},
+		leaves: map[string]libLeaf{},
+	}}
+}
+
+// maxLibReplays bounds the library replay table's transitions and legal
+// leaves. At the cap nothing more is inserted: a missed transition is
+// applied and a missed leaf parsed again, so only legal/lib-steps and
+// legal/lib-parses depend on it, never a legal set.
+const maxLibReplays = 4096
+
+// libTable memoises the library legal-state walk across crash fronts by
+// replay state, as pfsTrie memoises PFS replays by selection prefix. Apply
+// and LegalState are pure functions of a replay's digest (Library.Digest),
+// and a replay handed out is never modified, so a transition reached from
+// an equal digest, or a leaf with an equal digest, is looked up instead of
+// computed again, whichever status vector or session reaches it.
+type libTable struct {
+	root   any                // Library.Start, once taken
+	next   map[libEdge]any    // (digest, op position) -> Apply's replay state
+	leaves map[string]libLeaf // digest -> LegalState's result
+}
+
+// libEdge is one library transition: the digest of the replay state it
+// leaves and the layer position of the op it applies.
+type libEdge struct {
+	digest string
+	pos    int
+}
+
+// libLeaf is LegalState's result for one replay digest; ok is false when
+// the state did not parse.
+type libLeaf struct {
+	state string
+	ok    bool
 }
 
 // maxLegalSnaps bounds the PFS replay trie's snapshot-holding nodes. At the
@@ -1161,20 +1201,43 @@ func (s *session) legalPFS(status []Status) map[string]bool {
 }
 
 // legalLib returns the set of legal library logical states for the front,
-// enumerated in one walk that applies one op per include edge to a
-// resumable replay and skips every subtree whose replay state it has walked
-// (see LayerOps.walk).
+// enumerated in one walk that steps a resumable replay by one op per
+// include edge and skips every subtree whose replay state it has walked
+// (see LayerOps.walk). Steps and leaves come from the run's libTable when
+// any front reached the same replay state before.
 func (s *session) legalLib(status []Status) map[string]bool {
 	note := func(n int) { s.noteLegal(0, n) }
 	return s.legalSet("lib/"+s.lib.Name(), s.opts.LibModel, status, note, func(set map[string]bool) {
-		step := func(st any, pos int) any {
-			s.ctrLibSteps.Inc()
-			return s.lib.Apply(st, s.libOps.Ops[pos])
+		t := &s.legal.lib
+		if t.root == nil {
+			t.root = s.lib.Start()
 		}
-		n, capped := s.libOps.walk(s.opts.LibModel, status, s.opts.MaxLegalStates, s.lib.Start(), step, s.lib.Digest, func(_ []int, st any) bool {
+		step := func(st any, pos int) any {
+			e := libEdge{s.lib.Digest(st), pos}
+			if next, ok := t.next[e]; ok {
+				return next
+			}
+			s.ctrLibSteps.Inc()
+			next := s.lib.Apply(st, s.libOps.Ops[pos])
+			if len(t.next) < maxLibReplays {
+				t.next[e] = next
+			}
+			return next
+		}
+		n, capped := s.libOps.walk(s.opts.LibModel, status, s.opts.MaxLegalStates, t.root, step, s.lib.Digest, func(_ []int, st any) bool {
 			s.ctrLibReplayed.Inc()
-			if ls, err := s.lib.LegalState(st); err == nil {
-				set[ls] = true
+			d := s.lib.Digest(st)
+			l, ok := t.leaves[d]
+			if !ok {
+				s.ctrLibParses.Inc()
+				ls, err := s.lib.LegalState(st)
+				l = libLeaf{ls, err == nil}
+				if len(t.leaves) < maxLibReplays {
+					t.leaves[d] = l
+				}
+			}
+			if l.ok {
+				set[l.state] = true
 			}
 			return true
 		})

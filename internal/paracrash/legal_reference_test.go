@@ -144,7 +144,7 @@ func BenchLegalLib(b *testing.B, newCell func() (pfs.FileSystem, Library, Worklo
 		}
 	}
 	c := r.Summary().Counters
-	for _, name := range []string{"legal/lib-sets", "legal/lib-replayed", "legal/lib-steps"} {
+	for _, name := range []string{"legal/lib-sets", "legal/lib-replayed", "legal/lib-parses", "legal/lib-steps"} {
 		b.ReportMetric(float64(c[name])/float64(b.N), name[len("legal/"):]+"/op")
 	}
 }
@@ -339,6 +339,84 @@ func LegalPFSSharedOracle(newCell func() (pfs.FileSystem, Library, Workload), wo
 				}
 			}
 		}
+	}
+	return compared, diffs, nil
+}
+
+// LegalLibSharedOracle holds legalLib to the from-scratch enumeration when
+// workers sessions share one legal cache, and so one library replay table:
+// the primary and workers−1 shard sessions on detached clones enumerate
+// every library status vector of the cell newCell builds (libStatuses) at
+// once, each in its own rotation of the vectors, once per model on the
+// same table. Every transition and every leaf must be computed once across
+// the sessions: legal/lib-steps and legal/lib-parses, summed over the
+// primary and the workers, must equal the table's entries, which stay
+// within maxLibReplays. It returns how many sets it compared and one line
+// per difference.
+func LegalLibSharedOracle(newCell func() (pfs.FileSystem, Library, Workload), workers int) (compared int, diffs []string, err error) {
+	s, statuses, err := libStatuses(newCell)
+	if err != nil {
+		return 0, nil, err
+	}
+	cloner, ok := s.fs.(pfs.Cloner)
+	if !ok {
+		return 0, nil, fmt.Errorf("%s cannot be cloned", s.fs.Name())
+	}
+	r := obs.NewRun()
+	s.bindObs(r, "")
+	sessions := []*session{s}
+	for len(sessions) < workers {
+		sessions = append(sessions, s.shardSession(cloner.CloneDetached()))
+	}
+	for _, m := range allModels {
+		// The run's set cache is keyed by status vector alone (a run has
+		// one model), so each model starts without sets but on the table
+		// the models before it grew.
+		s.legal.sets = map[legalKey]map[string]bool{}
+		got := make([][]map[string]bool, len(sessions))
+		var wg sync.WaitGroup
+		for w, ws := range sessions {
+			ws.opts.LibModel = m
+			got[w] = make([]map[string]bool, len(statuses))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range statuses {
+					j := (i + w*len(statuses)/len(sessions)) % len(statuses)
+					got[w][j] = ws.legalLib(statuses[j])
+				}
+			}()
+		}
+		wg.Wait()
+		for j, status := range statuses {
+			want := map[string]bool{}
+			s.libOps.PreservedSets(m, status, s.opts.MaxLegalStates, func(sel []int) bool {
+				ops := make([]*trace.Op, len(sel))
+				for i, pos := range sel {
+					ops[i] = s.libOps.Ops[pos]
+				}
+				st, _ := s.lib.Replay(ops)
+				want[st] = true
+				return true
+			})
+			for w := range sessions {
+				compared++
+				if !maps.Equal(got[w][j], want) {
+					diffs = append(diffs, fmt.Sprintf("session %d, status %s, %s: %d legal states, reference %d", w, statusKey(status), m, len(got[w][j]), len(want)))
+				}
+			}
+		}
+	}
+	c := r.Summary().Counters
+	t := &s.legal.lib
+	if len(t.next) > maxLibReplays || len(t.leaves) > maxLibReplays {
+		diffs = append(diffs, fmt.Sprintf("table holds %d transitions and %d leaves, cap %d", len(t.next), len(t.leaves), maxLibReplays))
+	}
+	if steps := c["legal/lib-steps"] + c["worker/legal/lib-steps"]; len(t.next) < maxLibReplays && steps != int64(len(t.next)) {
+		diffs = append(diffs, fmt.Sprintf("%d library ops applied for %d distinct transitions", steps, len(t.next)))
+	}
+	if parses := c["legal/lib-parses"] + c["worker/legal/lib-parses"]; len(t.leaves) < maxLibReplays && parses != int64(len(t.leaves)) {
+		diffs = append(diffs, fmt.Sprintf("%d leaves parsed for %d distinct leaf digests", parses, len(t.leaves)))
 	}
 	return compared, diffs, nil
 }

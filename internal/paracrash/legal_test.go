@@ -2,6 +2,7 @@ package paracrash_test
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -183,6 +184,86 @@ func TestLegalLibParallel(t *testing.T) {
 		}
 		if fps[0] != fps[1] {
 			t.Errorf("beegfs/%s: Workers=4 report differs from the serial one", name)
+		}
+	}
+}
+
+// TestLegalLibShared: the sessions of a parallel run share one library
+// replay table. `make legal` runs this under -race. Four sessions
+// enumerating every library status vector of beegfs/H5-parallel-create at
+// once, under each model on one table, must each get the reference's sets,
+// and together apply each transition and parse each leaf once.
+func TestLegalLibShared(t *testing.T) {
+	prog, err := exps.ProgramByName("H5-parallel-create")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared, diffs, err := paracrash.LegalLibSharedOracle(libCell(t, "beegfs", prog), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compared == 0 {
+		t.Error("no legal set compared")
+	}
+	if len(diffs) > 0 {
+		t.Errorf("%d of %d shared-table sets differ from the reference:\n%s", len(diffs), compared, strings.Join(diffs, "\n"))
+	}
+}
+
+// TestLegalLibTableAtCap: the library replay table holds at most
+// MaxLibReplays transitions and as many leaves. A brute-force k = 2 run of
+// beegfs/H5-parallel-create starts on a table filled to one below the cap
+// of what the run inserts, exactly to it and one past it, then to cap−1,
+// cap and cap+1 outright. Every fill must enumerate the same legal sets
+// and produce the same report fingerprint (effort counts included) as the
+// unfilled run, and the table never grows past the cap. A fill the run
+// stays under costs no extra step or parse; a full table costs both.
+func TestLegalLibTableAtCap(t *testing.T) {
+	prog, err := exps.ProgramByName("H5-parallel-create")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := paracrash.DefaultOptions()
+	opts.Mode = paracrash.ModeBrute
+	opts.Emulator.K = 2
+	run := func(edges, leaves int) paracrash.LibTableRun {
+		t.Helper()
+		r, err := paracrash.RunLibTableFilled(libCell(t, "beegfs", prog), opts, edges, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want := run(0, 0)
+	de, dl := want.Edges, want.Leaves
+	if de < 8 || dl < 4 || len(want.Sets) < 2 {
+		t.Fatalf("%d transitions, %d leaves, %d legal sets: the run is too small to cross the cap", de, dl, len(want.Sets))
+	}
+	t.Logf("unfilled run: %d transitions, %d leaves, %d steps, %d parses, %d legal lib states", de, dl, want.Steps, want.Parses, want.Report.Stats.LegalLibStates)
+	wantFP := exps.ReportFingerprint(want.Report)
+	const capN = paracrash.MaxLibReplays
+	for _, fill := range [][2]int{
+		{capN - de - 1, capN - dl - 1}, {capN - de, capN - dl}, {capN - de + 1, capN - dl + 1},
+		{capN - 1, capN - 1}, {capN, capN}, {capN + 1, capN + 1},
+	} {
+		got := run(fill[0], fill[1])
+		label := fmt.Sprintf("fill %d/%d", fill[0], fill[1])
+		if !maps.EqualFunc(got.Sets, want.Sets, maps.Equal) {
+			t.Errorf("%s: legal sets differ from the unfilled run's", label)
+		}
+		if fp := exps.ReportFingerprint(got.Report); fp != wantFP {
+			t.Errorf("%s: report fingerprint differs from the unfilled run's:\n%s\nwant\n%s", label, fp, wantFP)
+		}
+		if got.Edges > max(capN, fill[0]) || got.Leaves > max(capN, fill[1]) {
+			t.Errorf("%s: table grew to %d transitions and %d leaves, cap %d", label, got.Edges, got.Leaves, capN)
+		}
+		// Past the cap a dropped entry costs its work again only when the
+		// run reaches it again, so one fill past it may still cost nothing.
+		if got.Steps < want.Steps || fill[0] <= capN-de && got.Steps != want.Steps || fill[0] >= capN && got.Steps == want.Steps {
+			t.Errorf("%s: %d library steps, unfilled run %d", label, got.Steps, want.Steps)
+		}
+		if got.Parses < want.Parses || fill[1] <= capN-dl && got.Parses != want.Parses || fill[1] >= capN && got.Parses == want.Parses {
+			t.Errorf("%s: %d leaf parses, unfilled run %d", label, got.Parses, want.Parses)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package paracrash
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"testing"
 
@@ -127,4 +128,53 @@ func TestLegalPFSTrieAtCap(t *testing.T) {
 			t.Errorf("fill %d: %d replay steps, unfilled walk %d", fill, got.steps, want.steps)
 		}
 	}
+}
+
+// MaxLibReplays is maxLibReplays, for the external table-at-cap test.
+const MaxLibReplays = maxLibReplays
+
+// LibTableRun is one run of RunLibTableFilled: its report, the legal sets
+// it enumerated, the library replay table's size at the end (fillers
+// included; the table only grows, so that is its largest size) and the
+// legal/lib-steps and legal/lib-parses it counted.
+type LibTableRun struct {
+	Report        *Report
+	Sets          map[string]map[string]bool // layer|status -> legal set
+	Edges, Leaves int
+	Steps, Parses int64
+}
+
+// RunLibTableFilled explores the cell newCell builds under opts, serially,
+// after filling its library replay table with edges transitions and leaves
+// legal leaves that no replay state reaches (their digests are not
+// SHA-256 sums). The walk is the engine's own (explore), so the report is
+// what Run returns on a table that starts that full.
+func RunLibTableFilled(newCell func() (pfs.FileSystem, Library, Workload), opts Options, edges, leaves int) (LibTableRun, error) {
+	fs, lib, w := newCell()
+	r := obs.NewRun()
+	opts.Obs, opts.Workers = r, 1
+	s, err := prepare(context.Background(), fs, lib, w, opts)
+	if err != nil {
+		return LibTableRun{}, err
+	}
+	t := &s.legal.lib
+	for i := 0; i < edges; i++ {
+		t.next[libEdge{"filler", i}] = nil
+	}
+	for i := 0; i < leaves; i++ {
+		t.leaves[fmt.Sprintf("filler %d", i)] = libLeaf{}
+	}
+	var run LibTableRun
+	rep, err := s.explore(nil, nil)
+	if err != nil {
+		return run, err
+	}
+	c := r.Summary().Counters
+	run = LibTableRun{Report: rep, Sets: map[string]map[string]bool{},
+		Edges: len(t.next), Leaves: len(t.leaves),
+		Steps: c["legal/lib-steps"], Parses: c["legal/lib-parses"]}
+	for k, set := range s.legal.sets {
+		run.Sets[k.layer+"|"+k.status] = set
+	}
+	return run, nil
 }

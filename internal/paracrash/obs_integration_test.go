@@ -110,7 +110,7 @@ func TestObsRestoreShares(t *testing.T) {
 				c["classify/probes"], c["restores/probe"], rep.Stats.ServerRestores)
 		}
 		probes = append(probes, c["classify/probes"])
-		for _, name := range []string{"legal/pfs-capped", "legal/lib-capped", "legal/lib-sets", "legal/lib-replayed", "legal/lib-steps"} {
+		for _, name := range []string{"legal/pfs-capped", "legal/lib-capped", "legal/lib-sets", "legal/lib-replayed", "legal/lib-parses", "legal/lib-steps"} {
 			if v, ok := c[name]; !ok || v != 0 {
 				t.Errorf("workers=%d: %s = %d (registered %t), want registered at 0", workers, name, v, ok)
 			}
