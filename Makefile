@@ -47,8 +47,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Everything a change must pass before it lands.
-ci: build crossbuild vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental emulate classify legal selfcheck benchcheck
+# Everything a change must pass before it lands, in order, stopping at the
+# first failure; each target's wall time is printed as it finishes, and all
+# of them again at the end.
+CI_TARGETS = build crossbuild vet fmtcheck doclint persistlint test race fuzz-smoke chaos representative incremental emulate classify legal selfcheck benchcheck
+ci:
+	@times=""; all=$$(date +%s); \
+	for t in $(CI_TARGETS); do \
+		start=$$(date +%s); \
+		$(MAKE) --no-print-directory $$t || exit 1; \
+		line="$$(printf '%-15s %5d s' $$t $$(( $$(date +%s) - start )))"; \
+		echo "make ci: $$line"; times="$$times$$line\n"; \
+	done; \
+	printf "make ci wall time per target:\n$$times%-15s %5d s\n" total $$(( $$(date +%s) - all ))
 
 # The benchmark harness checking itself (benchmark/ is a module of its own,
 # so `go test ./...` does not reach it): every workload's verdicts against
@@ -112,7 +123,8 @@ classify:
 # preserved set replayed from the snapshot of its longest replayed prefix)
 # against the from-scratch replay kept there too: the POSIX paper programs
 # and generated programs 1-4 on all six backends, four models, k <= 2, caps
-# n-1, n and n+1, with equal sets, capped flags and restores/legal, and
+# n-1, n and n+1, each distinct selection sequence of a cell compared once,
+# with equal sets, capped flags and restores/legal, and
 # legal/pfs-steps equal to the selections' distinct prefixes; the trie at
 # its snapshot cap and a clone that must not restore another cluster's
 # snapshots; the library replay table ((replay digest, op) -> replay state,

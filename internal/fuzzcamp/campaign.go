@@ -162,10 +162,6 @@ type campaign struct {
 	nruns atomic.Int64
 	runs  *obs.Counter
 	obs   *obs.Run
-	// memo shares legal-state sets across every explorer invocation of the
-	// campaign: runs of the same cell (same workload, backend and model)
-	// enumerate each preserved-set replay once instead of once per strategy.
-	memo *paracrash.LegalMemo
 }
 
 // explore runs one explorer invocation for the campaign: a fresh file
@@ -184,7 +180,6 @@ func (c *campaign) explore(backend string, w paracrash.Workload, mode paracrash.
 	opts.LibModel = model
 	opts.Workers = workers
 	opts.Obs = c.obs
-	opts.LegalMemo = c.memo
 	rep, err := paracrash.Run(fs, nil, w, opts)
 	if err == nil {
 		err = quarantined(backend, rep)
@@ -240,8 +235,7 @@ func Run(cfg Config) (*Result, error) {
 	defer stopCampaign()
 
 	progs := cfg.workloadList()
-	c := &campaign{cfg: &cfg, runs: run.Counter("campaign/explorer-runs"), obs: run,
-		memo: paracrash.NewLegalMemo()}
+	c := &campaign{cfg: &cfg, runs: run.Counter("campaign/explorer-runs"), obs: run}
 	ctrCells := run.Counter("campaign/cells")
 	ctrViol := run.Counter("campaign/violations")
 	run.Gauge("campaign/workloads").Set(int64(len(progs)))

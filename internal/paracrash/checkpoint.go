@@ -27,6 +27,7 @@ package paracrash
 import (
 	"bytes"
 	"cmp"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -231,11 +232,11 @@ func (c *Checkpoint) resume(config string) (map[string]Verdict, error) {
 	return out, nil
 }
 
-// record journals one freshly computed verdict with its class key,
-// flushing every Every new records. Skipped (quarantined) verdicts are not
-// journaled so a resumed run re-attempts them.
-func (c *Checkpoint) record(key, class string, r checkResult) error {
-	if r.skipped {
+// record journals one freshly computed verdict of state key, with its class
+// key, flushing every Every new records. Skipped (quarantined) verdicts are
+// not journaled so a resumed run re-attempts them.
+func (c *Checkpoint) record(key string, v Verdict) error {
+	if v.Skipped {
 		return nil
 	}
 	c.mu.Lock()
@@ -244,7 +245,8 @@ func (c *Checkpoint) record(key, class string, r checkResult) error {
 		return nil
 	}
 	c.keys[key] = true
-	c.j.Verdicts = append(c.j.Verdicts, newVerdict(key, class, r))
+	v.Key = hex.EncodeToString([]byte(key))
+	c.j.Verdicts = append(c.j.Verdicts, v)
 	c.dirty++
 	if c.dirty >= cmp.Or(c.Every, defaultCheckpointEvery) {
 		return c.flushLocked()

@@ -2,6 +2,7 @@ package paracrash
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,13 +23,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if got, err := c.resume("cfg"); err != nil || len(got) != 0 {
 		t.Fatalf("fresh resume = %v, %v", got, err)
 	}
-	want := map[string]checkResult{
-		"f1|k1": {consistent: true},
-		"f1|k2": {consistent: false, layer: "PFS", consequence: "data loss", state: "s"},
-		"f2|k1": {consistent: true},
+	want := map[string]Verdict{
+		"f1|k1": {Class: "class:f1|k1", Consistent: true},
+		"f1|k2": {Class: "class:f1|k2", Layer: "PFS", Consequence: "data loss", State: "s"},
+		"f2|k1": {Class: "class:f2|k1", Consistent: true},
 	}
-	for k, r := range want {
-		if err := c.record(k, "class:"+k, r); err != nil {
+	for k, v := range want {
+		if err := c.record(k, v); err != nil {
 			t.Fatalf("record(%s): %v", k, err)
 		}
 	}
@@ -45,8 +46,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("resumed %d records, want %d", len(got), len(want))
 	}
 	for k, w := range want {
-		if got[k].result() != w || got[k].Class != "class:"+k {
-			t.Errorf("resumed %s = %+v, want %+v in class:%s", k, got[k], w, k)
+		if w.Key = hex.EncodeToString([]byte(k)); got[k] != w {
+			t.Errorf("resumed %s = %+v, want %+v", k, got[k], w)
 		}
 	}
 	if c2.Resumed() != 3 || len(c2.Warnings()) != 0 {
@@ -61,10 +62,10 @@ func TestCheckpointSkippedNotJournaled(t *testing.T) {
 	if _, err := c.resume("cfg"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.record("f|skip", "", checkResult{skipped: true, consequence: "quarantined"}); err != nil {
+	if err := c.record("f|skip", Verdict{Skipped: true, Consequence: "quarantined"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.record("f|ok", "", checkResult{consistent: true}); err != nil {
+	if err := c.record("f|ok", Verdict{Consistent: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -91,7 +92,7 @@ func TestCheckpointTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"a|1", "a|2", "a|3"} {
-		if err := c.record(k, "", checkResult{consistent: true}); err != nil {
+		if err := c.record(k, Verdict{Consistent: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +128,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	if _, err := c.resume("cfg-A"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.record("a|1", "", checkResult{consistent: true}); err != nil {
+	if err := c.record("a|1", Verdict{Consistent: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -205,13 +206,13 @@ func TestCheckpointAutoFlush(t *testing.T) {
 	if _, err := c.resume("cfg"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.record("a|1", "", checkResult{consistent: true}); err != nil {
+	if err := c.record("a|1", Verdict{Consistent: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(c.Path()); !os.IsNotExist(err) {
 		t.Fatalf("journal flushed before Every records (stat err = %v)", err)
 	}
-	if err := c.record("a|2", "", checkResult{consistent: true}); err != nil {
+	if err := c.record("a|2", Verdict{Consistent: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(c.Path()); err != nil {
@@ -239,9 +240,8 @@ func TestCheckpointConfigCoversVerdictKnobs(t *testing.T) {
 
 	transparent := DefaultOptions()
 	transparent.Workers = 7
-	transparent.LegalMemo = NewLegalMemo()
 	if checkpointConfig(testIdentity, transparent) != fp {
-		t.Error("fingerprint moves on verdict-transparent options (Workers/LegalMemo)")
+		t.Error("fingerprint moves on a verdict-transparent option (Workers)")
 	}
 }
 
@@ -327,7 +327,7 @@ func TestCheckpointTornNewline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"a|1", "a|2", "a|3"} {
-		if err := c.record(k, "", checkResult{consistent: true}); err != nil {
+		if err := c.record(k, Verdict{Consistent: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -353,7 +353,7 @@ func TestCheckpointTornNewline(t *testing.T) {
 	if w := strings.Join(c2.Warnings(), "\n"); !strings.Contains(w, "newline") {
 		t.Fatalf("no torn-tail warning, got %q", w)
 	}
-	if err := c2.record("a|4", "", checkResult{consistent: true}); err != nil {
+	if err := c2.record("a|4", Verdict{Consistent: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.Flush(); err != nil {
@@ -399,7 +399,7 @@ func FuzzJournal(f *testing.F) {
 		for held[key] {
 			key += "+"
 		}
-		v := newVerdict(key, "", checkResult{consistent: true})
+		v := Verdict{Key: hex.EncodeToString([]byte(key)), Consistent: true}
 		more, err := ReadJournal(append(append([]byte(nil), data...), journalLines(nil, []Verdict{v})...))
 		if err != nil || more.Torn != "" || !reflect.DeepEqual(more.Verdicts, append(j.Verdicts, v)) {
 			t.Fatalf("after an append the journal reads %+v (err %v), want %+v then %+v", more, err, j.Verdicts, v)

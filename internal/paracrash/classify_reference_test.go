@@ -202,18 +202,18 @@ func ClassifyDiff(fs pfs.FileSystem, lib Library, w Workload, opts Options) (Cla
 	states := s.generate()
 	st.States = len(states)
 	for i, cs := range states {
-		res, _ := s.check(cs)
-		if res.consistent || res.skipped {
+		res := s.check(cs)
+		if res.Consistent || res.Skipped {
 			continue
 		}
 		st.Inconsistent++
 		lo := s.pfsOps
-		if res.layer != "pfs" && s.libOps != nil {
+		if res.Layer != "pfs" && s.libOps != nil {
 			lo = s.libOps
 		}
 		got, want = got[:0], want[:0]
-		g := c.ClassifyState(cs, lo, res.state)
-		r := ref.ClassifyState(cs, lo, res.state)
+		g := c.ClassifyState(cs, lo, res.State)
+		r := ref.ClassifyState(cs, lo, res.State)
 		if !reflect.DeepEqual(g, r) {
 			return st, fmt.Errorf("state %d (victims %v): classified %+v, reference %+v", i, cs.Victims, g, r)
 		}

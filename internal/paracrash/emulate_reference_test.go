@@ -225,15 +225,15 @@ func EmulatorDiff(fs pfs.FileSystem, lib Library, w Workload, cfg EmulatorConfig
 	})
 	for _, cs := range got {
 		agree(cs)
-		res, _ := s.check(cs)
-		if res.consistent || res.skipped {
+		res := s.check(cs)
+		if res.Consistent || res.Skipped {
 			continue
 		}
 		lo := s.pfsOps
-		if res.layer != "pfs" && s.libOps != nil {
+		if res.Layer != "pfs" && s.libOps != nil {
 			lo = s.libOps
 		}
-		classifier.ClassifyState(cs, lo, res.state)
+		classifier.ClassifyState(cs, lo, res.State)
 	}
 	return st, mismatch
 }

@@ -169,11 +169,6 @@ type Options struct {
 	// implement pfs.Cloner always run serially regardless of this setting.
 	Workers int `json:"-"`
 
-	// LegalMemo, when non-nil, shares legal-state sets across runs of the
-	// same workload on the same file system (see LegalMemo); the fuzz
-	// campaign threads one memo through every explorer run of a cell.
-	LegalMemo *LegalMemo `json:"-"`
-
 	// Obs, when non-nil, receives the run's phase timings, counters and
 	// gauges, which progress events and summaries are read from (see
 	// internal/obs). Observability is
@@ -239,8 +234,7 @@ type Stats struct {
 	// lowermost op applies this run performed (reconstruction, class
 	// digests, legal-state replay; parallel workers and fleet shards
 	// included), so they differ between serial, parallel and resumed
-	// runs. The legal-state maxima cover the sets this run
-	// enumerated or took from a LegalMemo.
+	// runs. The legal-state maxima cover the sets this run enumerated.
 	ServerRestores int
 	OpsReplayed    int
 	LegalPFSStates int
@@ -330,23 +324,6 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// checkResult is the verdict for one crash state.
-type checkResult struct {
-	consistent  bool
-	layer       string
-	consequence string
-	// state is the canonical content of the recovered state at the failing
-	// layer (empty when consistent); the bug dedup keys on it.
-	state string
-	// skipped marks a quarantined state: its judgement failed, so there is
-	// no verdict. consequence then holds the quarantine reason. Skipped
-	// states are reported via Report.Skipped, never as inconsistencies.
-	skipped bool
-	// attributed marks a verdict a state took from its class representative
-	// (a class memo hit); countVisit counts such a state as deduplicated.
-	attributed bool
-}
-
 // session holds everything needed to reconstruct and check crash states.
 type session struct {
 	fs   pfs.FileSystem
@@ -372,26 +349,23 @@ type session struct {
 	// legal caches legal-state sets and replays (shared by the sessions of
 	// a parallel run); checkCache caches verdicts per front|keep.
 	legal      *legalCache
-	checkCache map[string]checkResult
+	checkCache map[string]Verdict
 
 	goldenPFS string // strict golden tree (all ops), for consequences
 	goldenLib string
 
 	// shipped, in the merge of a sharded run, resolves a front|keep key to
 	// the verdict a shard judged, which check then uses instead of
-	// reconstructing the state, and to the class key the shard digested the
-	// state into ("" when it did not), which check then uses instead of
-	// digesting the state again.
+	// reconstructing the state, with the class key the shard digested the
+	// state into, which check then uses instead of digesting it again.
 	shipped verdictTable
 
 	// classes is the class memo (representative.go): class key to the
 	// verdict of the class's representative. fronts memoises each crash
 	// front's status vectors, which the class key and the verdict share.
 	// Both are session-private (workers keep their own), no locking.
-	classes map[string]checkResult
+	classes map[string]Verdict
 	fronts  map[string]*frontStatus
-	// memoScope namespaces this run inside opts.LegalMemo ("" = memo off).
-	memoScope string
 
 	// recon is the reconstruction engine (see reconstruct.go): it caches
 	// prefix roots and recovered outcomes. Each session owns its
@@ -499,8 +473,8 @@ func (s *session) foldEffort(st Stats) {
 // countVisit records one visited state, given the verdict check returned
 // for it, as checked, or as deduplicated when the verdict was attributed
 // from a class representative.
-func (s *session) countVisit(r checkResult) {
-	if r.attributed {
+func (s *session) countVisit(v Verdict) {
+	if v.attributed {
 		s.stats.StatesDeduped++
 		s.ctrDeduped.Inc()
 	} else {
@@ -590,15 +564,12 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 		pfsOps:     NewLayerOps(g, trace.LayerPFS, nil),
 		clients:    map[string]pfs.Client{},
 		legal:      newLegalCache(),
-		checkCache: map[string]checkResult{},
-		classes:    map[string]checkResult{},
+		checkCache: map[string]Verdict{},
+		classes:    map[string]Verdict{},
 		fronts:     map[string]*frontStatus{},
 	}
 	if lib != nil {
 		s.libOps = NewLayerOps(g, trace.LayerIOLib, lib.IsLibOp)
-	}
-	if opts.LegalMemo != nil {
-		s.memoScope = fmt.Sprintf("%s|mls=%d", s.identity(), opts.MaxLegalStates)
 	}
 	var err error
 	if s.recon, err = newReconstructor(s); err != nil {
@@ -718,103 +689,52 @@ func (s *session) generate() []CrashState {
 // the shards' verdicts and computing only what they miss, and effort (the
 // shards' measured work) is folded into Stats.
 func (s *session) explore(shipped verdictTable, effort []Stats) (*Report, error) {
-	ctx, fs, opts, program := s.ctx, s.fs, s.opts, s.program
-	g, emu, initial := s.g, s.emu, s.initial
-
 	// Checkpoint/resume: load previously journaled verdicts (if any) and
 	// keep journaling from here on. The journal is flushed on every exit
 	// path — success, failure and cancellation alike.
-	if opts.Checkpoint != nil {
-		if err := s.resumeCheckpoint(checkpointConfig(s.identity(), opts)); err != nil {
+	if s.opts.Checkpoint != nil {
+		if err := s.resumeCheckpoint(checkpointConfig(s.identity(), s.opts)); err != nil {
 			return nil, err
 		}
 		defer s.flushCheckpoint()
 	}
 
 	// Phase 3: crash emulation + checking.
-	report := &Report{Program: program, FS: fs.Name(), Mode: opts.Mode}
-	bugs := NewBugSet()
-	classifier := NewClassifier(emu, s.probe)
-
-	seenStates := map[string]bool{} // dedup inconsistent states by recovered content
-
-	skip := func(cs CrashState) bool {
-		if opts.Mode != ModeBrute && bugs.KnownBad(cs) {
-			s.stats.StatesPruned++
-			s.ctrPruned.Inc()
-			return true
-		}
-		return false
-	}
-
-	handle := func(cs CrashState) {
-		res, _ := s.check(cs)
-		s.countVisit(res)
-		if res.skipped {
-			var victims []string
-			for _, v := range cs.Victims {
-				victims = append(victims, g.Ops[v].Key())
-			}
-			report.Skipped = append(report.Skipped, SkippedState{Victims: victims, Reason: res.consequence})
-			return
-		}
-		if res.consistent {
-			return
-		}
-		// Distinct persistence subsets recovering to the same content are
-		// one inconsistent state (the paper's redundancy removal, §5.2).
-		stateKey := res.layer + "|" + res.state
-		if !seenStates[stateKey] {
-			seenStates[stateKey] = true
-			report.Inconsistent++
-			s.ctrBad.Inc()
-			if res.layer != "pfs" {
-				report.LibOnly++
-			}
-			var victims []string
-			for _, v := range cs.Victims {
-				victims = append(victims, g.Ops[v].Key())
-			}
-			report.States = append(report.States, InconsistentState{
-				Layer: res.layer, Victims: victims, Consequence: res.consequence,
-				Key: StateDigest(res.layer, res.state),
-			})
-		}
-		lo := s.pfsOps
-		if res.layer != "pfs" && s.libOps != nil {
-			lo = s.libOps
-		}
-		// The classify span holds the probes' reconstructions and
-		// recoveries, which the pfs/* timers also count.
-		stopClassify := s.obs.StartTimer("classify")
-		for _, pr := range classifier.ClassifyState(cs, lo, res.state) {
-			bugs.Add(pr, res.layer, fs.Name(), program, res.consequence)
-		}
-		stopClassify()
-	}
-
+	report := &Report{Program: s.program, FS: s.fs.Name(), Mode: s.opts.Mode}
 	states := s.generate()
-	stopExplore := opts.Obs.Phase(obs.PhaseExplore)
+	stopExplore := s.opts.Obs.Phase(obs.PhaseExplore)
 	s.shipped = shipped
-	effort = append(effort, s.walkRuns(states, s.startShards(states, opts.effectiveWorkers()), skip, handle)...)
+	effort = append(effort, s.walkRuns(states, s.startShards(states, s.opts.effectiveWorkers()), report)...)
 	stopExplore()
 
 	// Restore the live cluster to the untouched post-run state (also on
 	// cancellation, so a reused file system is never left mid-crash-state).
-	fs.Restore(initial)
-	if err := ctx.Err(); err != nil {
+	s.fs.Restore(s.initial)
+	if err := s.ctx.Err(); err != nil {
 		return nil, fmt.Errorf("paracrash: run cancelled: %w", err)
+	}
+	if err := s.stats.reconcile(); err != nil {
+		return nil, err
 	}
 
 	for _, st := range effort {
 		s.foldEffort(st)
 	}
-	report.Bugs = bugs.Bugs()
 	s.stats.StateClasses = len(s.classes)
-	opts.Obs.Gauge("states/classes").Set(int64(s.stats.StateClasses))
+	s.opts.Obs.Gauge("states/classes").Set(int64(s.stats.StateClasses))
 	s.stats.Duration = time.Since(s.start)
 	report.Stats = s.stats
 	return report, nil
+}
+
+// reconcile holds a finished, uncancelled walk to the state-count identity:
+// every generated state was checked, deduplicated or pruned, exactly once.
+func (st Stats) reconcile() error {
+	if n := st.StatesChecked + st.StatesDeduped + st.StatesPruned; n != st.StatesGenerated {
+		return fmt.Errorf("paracrash: %d crash states generated, but %d checked + %d deduplicated + %d pruned = %d",
+			st.StatesGenerated, st.StatesChecked, st.StatesDeduped, st.StatesPruned, n)
+	}
+	return nil
 }
 
 // clientID parses the numeric rank out of a client proc name ("client/3").
@@ -850,73 +770,62 @@ func (s *session) client(proc string) (pfs.Client, error) {
 	return c, nil
 }
 
-// check reconstructs the crash state, runs recovery and performs the
-// top-down layer checks. Results are cached per (front, keep). States that
-// violate commit durability cannot occur and count as consistent (the
-// classifier probes such combinations). A state whose judgement fails comes
-// back skipped.
-//
-// A verdict shipped by a worker or read from a journal brings its class
-// key, so the state is not digested again; the class is looked up before
-// that verdict is used, so a member is attributed the same way whether its
-// representative was computed, shipped or resumed. The class key is
-// returned too: "" when the digest failed, and for a state answered from
-// the cache (a merge then digests it itself).
-func (s *session) check(cs CrashState) (checkResult, string) {
+// check judges one crash state in one sequence. A state that violates
+// commit durability cannot occur and counts as consistent (the classifier
+// probes such combinations). Otherwise the verdict comes from this
+// session's cache; else from a verdict judged elsewhere — by a shard, else
+// by the run that wrote the journal; else from the state's class; else the
+// state is judged on its own. A verdict judged elsewhere brings its class
+// key, so the state is not digested again, and the class is looked up
+// before that verdict is used, so a member is attributed the same way
+// whether its representative was computed, shipped or resumed. The verdict
+// carries the state's class key ("" when the digest failed); a state whose
+// digest or judgement fails comes back skipped.
+func (s *session) check(cs CrashState) Verdict {
 	if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
-		return checkResult{consistent: true}, ""
+		return Verdict{Consistent: true}
 	}
 	key := stateKey(cs)
-	if r, ok := s.checkCache[key]; ok {
-		return r, ""
+	if v, ok := s.checkCache[key]; ok {
+		return v
 	}
-	var r checkResult
-	ckey, ok, resumed := "", false, false
-	if v, hit := s.shipped[key]; hit {
-		// A shard may already have digested and judged it. Whether the shard
-		// attributed it from its own classes does not carry over.
-		r, ckey, ok = v.r, v.class, true
-		r.attributed = false
+	v, elsewhere := s.shipped[key]
+	resumed := false
+	if !elsewhere {
+		v, resumed = s.resumed[key]
+		elsewhere = resumed
 	}
-	if v, hit := s.resumed[key]; hit && !ok {
-		// So may the run that wrote the journal.
-		r, ckey, ok, resumed = v.result(), v.Class, true, true
+	// Neither whether a shard attributed the verdict from its own classes
+	// nor a journal record's hex key carries over.
+	v.attributed, v.Key = false, ""
+	var err error
+	if v.Class == "" {
+		v.Class, err = s.classKey(cs)
 	}
-	var derr error
-	if ckey == "" {
-		ckey, derr = s.classKey(cs)
-	}
-	if cr, hit := s.classes[ckey]; hit {
+	if cv, ok := s.classes[v.Class]; ok {
 		// A state of the same class already carries the verdict: attribute
 		// it without a verdict of its own. Members are not journaled — on
 		// resume they re-attribute from the replayed representative, keeping
 		// the journal one record per class.
-		cr.attributed = true
-		s.checkCache[key] = cr
-		return cr, ckey
+		cv.attributed = true
+		s.checkCache[key] = cv
+		return cv
 	}
 	if resumed {
 		s.stats.StatesResumed++
 	}
-	switch {
-	case ok && r.skipped:
-		// The worker that quarantined the state counted the skip on its own
-		// counters; the run's count lives where the state is reported.
-		s.ctrSkipped.Inc()
-	case ok:
-		// A worker's or the journal's verdict is used as it is.
-	case derr != nil:
-		// The digest is this state's reconstruction and recovery, and it
-		// failed; a verdict would fail the same way, so the state is
-		// quarantined here.
-		r = s.quarantine(derr)
-	default:
-		r = s.judge(cs)
+	if !elsewhere {
+		v = s.judge(cs, v.Class, err)
 	}
-	s.checkCache[key] = r
-	s.recordClass(ckey, r)
-	s.journal(key, ckey, r)
-	return r, ckey
+	if v.Skipped {
+		// Counted by the session that reports the state, whoever judged it:
+		// a shard counts its own quarantines on its worker/ counters.
+		s.ctrSkipped.Inc()
+	}
+	s.checkCache[key] = v
+	s.recordClass(v)
+	s.journal(key, v)
+	return v
 }
 
 // probe is the classifier's check: it judges a probe state through check and
@@ -928,41 +837,41 @@ func (s *session) check(cs CrashState) (checkResult, string) {
 func (s *session) probe(cs CrashState) (bool, string) {
 	s.ctrProbes.Inc()
 	before := s.stats.ServerRestores
-	res, _ := s.check(cs)
+	v := s.check(cs)
 	s.ctrProbeRestore.Add(int64(s.stats.ServerRestores - before))
-	return res.consistent || res.skipped, res.state
+	return v.Consistent || v.Skipped, v.State
 }
 
-// journal records a verdict and its class key in the checkpoint (no-op
-// when the run does not checkpoint, and for verdicts the journal already
-// holds). Journal write errors are counted, never fatal — losing checkpoint
-// durability must not take the run down.
-func (s *session) journal(key, class string, r checkResult) {
+// journal records a verdict in the checkpoint (no-op when the run does not
+// checkpoint, and for verdicts the journal already holds). Journal write
+// errors are counted, never fatal — losing checkpoint durability must not
+// take the run down.
+func (s *session) journal(key string, v Verdict) {
 	if s.ckpt == nil {
 		return
 	}
-	if err := s.ckpt.record(key, class, r); err != nil {
+	if err := s.ckpt.record(key, v); err != nil {
 		s.obs.Counter("checkpoint/flush-errors").Inc()
 	}
 }
 
-// judge reconstructs and judges cs on its own, once: a state whose verdict
-// fails or panics is quarantined.
-func (s *session) judge(cs CrashState) checkResult {
-	var r checkResult
-	if err := guard(func() (err error) {
-		r, err = s.verdict(cs)
-		return err
-	}); err != nil {
-		return s.quarantine(err)
+// judge reconstructs and judges cs on its own, once, into a verdict of
+// class ckey, unless digesting it already failed with err: a state whose
+// digest or verdict fails or panics is quarantined. The digest is the
+// state's reconstruction and recovery, so a verdict would fail the same way.
+func (s *session) judge(cs CrashState, ckey string, err error) Verdict {
+	var v Verdict
+	if err == nil {
+		err = guard(func() (err error) {
+			v, err = s.verdict(cs)
+			return err
+		})
 	}
-	return r
-}
-
-// quarantine is the verdict of a state whose judgement failed with err.
-func (s *session) quarantine(err error) checkResult {
-	s.ctrSkipped.Inc()
-	return checkResult{skipped: true, consequence: "quarantined: " + err.Error()}
+	if err != nil {
+		v = Verdict{Skipped: true, Consequence: "quarantined: " + err.Error()}
+	}
+	v.Class = ckey
+	return v
 }
 
 // guard runs fn once, turning a panic into an error carrying the panic
@@ -986,28 +895,28 @@ func guard(fn func() error) (err error) {
 // is not memoised. A failed reconstruction surfaces as an error, which
 // quarantines the state; recovery/mount failures remain verdicts — they are
 // what the checker exists to find.
-func (s *session) verdict(cs CrashState) (checkResult, error) {
+func (s *session) verdict(cs CrashState) (Verdict, error) {
 	// Recovery is a pure function of the store images, so states sharing an
 	// image (and the class lookup that already digested this one) share one
 	// memoised fsck+mount outcome.
 	o, err := s.recon.recoveredOutcome(cs)
 	if err != nil {
-		return checkResult{}, err
+		return Verdict{}, err
 	}
 	if o.recoverErr != "" {
-		return checkResult{layer: "pfs", consequence: "unrecoverable file system: " + o.recoverErr, state: "UNRECOVERABLE"}, nil
+		return Verdict{Layer: "pfs", Consequence: "unrecoverable file system: " + o.recoverErr, State: "UNRECOVERABLE"}, nil
 	}
 	if o.mountErr != "" {
-		return checkResult{layer: "pfs", consequence: "mount failed after fsck: " + o.mountErr, state: "UNMOUNTABLE"}, nil
+		return Verdict{Layer: "pfs", Consequence: "mount failed after fsck: " + o.mountErr, State: "UNMOUNTABLE"}, nil
 	}
 	tree, treeStr := o.tree, o.treeStr
 	fst := s.front(cs.Front)
 
 	if s.lib == nil {
 		if s.legalPFS(fst.pfs)[treeStr] {
-			return checkResult{consistent: true}, nil
+			return Verdict{Consistent: true}, nil
 		}
-		return checkResult{layer: "pfs", consequence: s.describePFS(treeStr), state: treeStr}, nil
+		return Verdict{Layer: "pfs", Consequence: s.describePFS(treeStr), State: treeStr}, nil
 	}
 
 	// Top-down: library first.
@@ -1015,12 +924,12 @@ func (s *session) verdict(cs CrashState) (checkResult, error) {
 
 	libState, lerr := s.lib.StateFromTree(tree)
 	if lerr == nil && legalLib[libState] {
-		return checkResult{consistent: true}, nil
+		return Verdict{Consistent: true}, nil
 	}
 	// Run the library's recovery tools before declaring inconsistency.
 	if fixed, changed := s.lib.RecoverTree(tree); changed {
 		if st, err2 := s.lib.StateFromTree(fixed); err2 == nil && legalLib[st] {
-			return checkResult{consistent: true}, nil
+			return Verdict{Consistent: true}, nil
 		}
 	}
 
@@ -1034,9 +943,9 @@ func (s *session) verdict(cs CrashState) (checkResult, error) {
 		consequence = s.describeLib(libState)
 	}
 	if s.legalPFS(fst.pfs)[treeStr] {
-		return checkResult{layer: s.lib.Name(), consequence: consequence, state: libKey}, nil
+		return Verdict{Layer: s.lib.Name(), Consequence: consequence, State: libKey}, nil
 	}
-	return checkResult{layer: "pfs", consequence: consequence + " (PFS state also illegal)", state: treeStr}, nil
+	return Verdict{Layer: "pfs", Consequence: consequence + " (PFS state also illegal)", State: treeStr}, nil
 }
 
 // describePFS summarises how the recovered tree differs from the golden
@@ -1162,24 +1071,19 @@ type pfsNode struct {
 }
 
 // legalSet returns the legal-state set of one layer ("pfs", or "lib/" and
-// the library's name) under model m for a status vector: from the run's
-// cache, or else from the cross-run memo or filled in by enumerate, in
-// which case note receives its size. An enumeration a panic cuts short
-// caches nothing: a partial legal set would make later states judge
-// against too few states.
-func (s *session) legalSet(layer string, m Model, status []Status, note func(n int), enumerate func(set map[string]bool)) map[string]bool {
+// the library's name) for a status vector: from the run's cache, or else
+// filled in by enumerate, in which case note receives its size. An
+// enumeration a panic cuts short caches nothing: a partial legal set would
+// make later states judge against too few states.
+func (s *session) legalSet(layer string, status []Status, note func(n int), enumerate func(set map[string]bool)) map[string]bool {
 	key := legalKey{layer, statusKey(status)}
 	s.legal.mu.Lock()
 	defer s.legal.mu.Unlock()
 	if set, ok := s.legal.sets[key]; ok {
 		return set
 	}
-	set, ok := s.memoLookup(layer, m, key.status)
-	if !ok {
-		set = map[string]bool{}
-		enumerate(set)
-		s.memoStore(layer, m, key.status, set)
-	}
+	set := map[string]bool{}
+	enumerate(set)
 	s.legal.sets[key] = set
 	note(len(set))
 	return set
@@ -1190,7 +1094,7 @@ func (s *session) legalSet(layer string, m Model, status []Status, note func(n i
 // longest prefix an earlier replay left in the trie.
 func (s *session) legalPFS(status []Status) map[string]bool {
 	note := func(n int) { s.noteLegal(n, 0) }
-	return s.legalSet("pfs", s.opts.PFSModel, status, note, func(set map[string]bool) {
+	return s.legalSet("pfs", status, note, func(set map[string]bool) {
 		if s.pfsOps.PreservedSets(s.opts.PFSModel, status, s.opts.MaxLegalStates, func(sel []int) bool {
 			set[s.replayPFS(sel)] = true
 			return true
@@ -1207,7 +1111,7 @@ func (s *session) legalPFS(status []Status) map[string]bool {
 // any front reached the same replay state before.
 func (s *session) legalLib(status []Status) map[string]bool {
 	note := func(n int) { s.noteLegal(0, n) }
-	return s.legalSet("lib/"+s.lib.Name(), s.opts.LibModel, status, note, func(set map[string]bool) {
+	return s.legalSet("lib/"+s.lib.Name(), status, note, func(set map[string]bool) {
 		t := &s.legal.lib
 		if t.root == nil {
 			t.root = s.lib.Start()
@@ -1340,20 +1244,4 @@ func (s *session) replayPFS(sel []int) string {
 	}
 	t.nodes[node].mounted, t.nodes[node].tree = true, st
 	return st
-}
-
-// visitOrdered is the one ordered walk, shared by the serial run and the
-// parallel/fleet merge: states are visited in generation order and every
-// one goes through the uniform check path. No per-loop accounting lives
-// here — the reconstructor counts its own work, and classifier probes inside
-// handle reconstruct through the same path.
-func (s *session) visitOrdered(states []CrashState, skip func(CrashState) bool, handle func(CrashState)) {
-	for _, cs := range states {
-		if s.ctx.Err() != nil {
-			return
-		}
-		if !skip(cs) {
-			handle(cs)
-		}
-	}
 }

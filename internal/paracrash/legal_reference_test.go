@@ -200,9 +200,9 @@ func replayPFSReference(s *session, sel []int) string {
 	return tree.Serialize()
 }
 
-// PFSOracleWork is what LegalPFSOracle compared: enumerations, and the
-// client ops the from-scratch reference replayed in them against the
-// legal/pfs-steps the trie replayed.
+// PFSOracleWork is what LegalPFSOracle compared: distinct enumerations,
+// and the client ops the from-scratch reference replayed in them against
+// the legal/pfs-steps the trie replayed.
 type PFSOracleWork struct{ Compared, ReferenceOps, Steps int }
 
 // LegalPFSOracle holds legalPFS to the from-scratch enumeration on the cell
@@ -214,8 +214,12 @@ type PFSOracleWork struct{ Compared, ReferenceOps, Steps int }
 // restores (every server once per selection). Under the trie's snapshot
 // cap, legal/pfs-steps must equal the number of distinct non-empty
 // prefixes of the selections, each replayed once, so it is strictly below
-// the reference's op replays whenever two selections share a prefix. It
-// returns the work compared and one line per difference.
+// the reference's op replays whenever two selections share a prefix. What
+// the trie does on a fresh cache is a function of the selections it is
+// handed, in order, and of whether the enumeration was capped, so an
+// enumeration repeating one compared before (cap n+1 repeats cap n; models
+// often admit the same sets) is not compared again. It returns the work
+// compared and one line per difference.
 func LegalPFSOracle(newCell func() (pfs.FileSystem, Library, Workload)) (work PFSOracleWork, diffs []string, err error) {
 	s, statuses, err := pfsStatuses(newCell)
 	if err != nil {
@@ -227,10 +231,12 @@ func LegalPFSOracle(newCell func() (pfs.FileSystem, Library, Workload)) (work PF
 		set              map[string]bool
 		n, ops, prefixes int
 		capped           bool
+		seq              string // the selections in order, then the capped flag
 	}
 	reference := func(m Model, status []Status, limit int) (e enumeration) {
 		e.set = map[string]bool{}
 		prefixes := map[string]bool{}
+		var seq strings.Builder
 		e.capped = s.pfsOps.PreservedSets(m, status, limit, func(sel []int) bool {
 			e.n++
 			e.ops += len(sel)
@@ -238,6 +244,7 @@ func LegalPFSOracle(newCell func() (pfs.FileSystem, Library, Workload)) (work PF
 				prefixes[intsKey(sel[:i])] = true
 			}
 			key := intsKey(sel)
+			seq.WriteString(key + ";")
 			st, ok := replays[key]
 			if !ok {
 				st = replayPFSReference(s, sel)
@@ -247,13 +254,19 @@ func LegalPFSOracle(newCell func() (pfs.FileSystem, Library, Workload)) (work PF
 			return true
 		})
 		e.prefixes = len(prefixes)
+		e.seq = fmt.Sprint(seq.String(), e.capped)
 		return e
 	}
+	compared := map[string]bool{}
 	for _, status := range statuses {
 		for _, m := range allModels {
 			n := reference(m, status, 0).n
 			for _, limit := range []int{n - 1, n, n + 1} {
 				want := reference(m, status, limit)
+				if compared[want.seq] {
+					continue
+				}
+				compared[want.seq] = true
 				r := obs.NewRun()
 				s.bindObs(r, "")
 				s.legal = newLegalCache()

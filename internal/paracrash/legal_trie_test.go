@@ -72,7 +72,7 @@ func TestLegalPFSForeignSnapshot(t *testing.T) {
 func TestLegalPFSTrieAtCap(t *testing.T) {
 	type walk struct {
 		sets     map[legalKey]map[string]bool
-		verdicts map[string]checkResult
+		verdicts map[string]Verdict
 		stats    Stats
 		steps    int64
 		held     int
@@ -94,9 +94,9 @@ func TestLegalPFSTrieAtCap(t *testing.T) {
 			tr.nodes = append(tr.nodes, pfsNode{snaps: tr.nodes[0].snaps, owner: s.fs})
 			tr.held++
 		}
-		w := walk{verdicts: map[string]checkResult{}}
+		w := walk{verdicts: map[string]Verdict{}}
 		for i, cs := range s.generate() {
-			res, _ := s.check(cs)
+			res := s.check(cs)
 			s.countVisit(res)
 			w.verdicts[stateKey(cs)] = res
 			if tr.held > maxLegalSnaps {

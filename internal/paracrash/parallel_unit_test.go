@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"paracrash/internal/pfs"
@@ -216,4 +217,36 @@ func stateCounts(st Stats) Stats {
 	st.Duration, st.ServerRestores, st.OpsReplayed = 0, 0, 0
 	st.LegalPFSStates, st.LegalLibStates, st.StatesResumed = 0, 0, 0
 	return st
+}
+
+// TestStatsReconcile: the state-count identity every uncancelled walk is
+// held to — each generated state checked, deduplicated or pruned exactly
+// once — accepts a balanced count and names the counts of an unbalanced
+// one, whichever side is off.
+func TestStatsReconcile(t *testing.T) {
+	for _, st := range []Stats{
+		{},
+		{StatesGenerated: 10, StatesChecked: 4, StatesDeduped: 5, StatesPruned: 1},
+		{StatesGenerated: 3, StatesChecked: 3, StatesResumed: 2, StateClasses: 7},
+	} {
+		if err := st.reconcile(); err != nil {
+			t.Errorf("%+v: %v", st, err)
+		}
+	}
+	for _, st := range []Stats{
+		{StatesGenerated: 10, StatesChecked: 4, StatesDeduped: 5},                  // a state skipped
+		{StatesGenerated: 10, StatesChecked: 5, StatesDeduped: 5, StatesPruned: 1}, // a state counted twice
+		{StatesChecked: 1},
+	} {
+		err := st.reconcile()
+		if err == nil {
+			t.Errorf("%+v: reconciled", st)
+			continue
+		}
+		want := fmt.Sprintf("%d crash states generated, but %d checked + %d deduplicated + %d pruned",
+			st.StatesGenerated, st.StatesChecked, st.StatesDeduped, st.StatesPruned)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: error %q does not say %q", st, err, want)
+		}
+	}
 }

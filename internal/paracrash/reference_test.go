@@ -3,6 +3,7 @@ package paracrash
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 
 	"paracrash/internal/causality"
@@ -99,40 +100,45 @@ func OrderEffort(fs pfs.FileSystem, lib Library, w Workload, opts Options, perm 
 	if err != nil {
 		return Stats{}, err
 	}
-	check := func(cs CrashState) checkResult {
-		r, _ := s.check(cs)
-		return r
-	}
+	check := s.check
 	if perState {
-		check = s.referenceJudge(map[string]checkResult{})
+		check = s.referenceJudge(map[string]Verdict{})
 	}
 	states := s.generate()
 	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
 		r := check(cs)
-		return r.consistent || r.skipped, r.state
+		return r.Consistent || r.Skipped, r.State
 	})
 	for _, i := range perm(len(states)) {
 		r := check(states[i])
-		if r.consistent || r.skipped {
+		if r.Consistent || r.Skipped {
 			continue
 		}
 		lo := s.pfsOps
-		if r.layer != "pfs" && s.libOps != nil {
+		if r.Layer != "pfs" && s.libOps != nil {
 			lo = s.libOps
 		}
-		classifier.ClassifyState(states[i], lo, r.state)
+		classifier.ClassifyState(states[i], lo, r.State)
 	}
 	return s.stats, nil
 }
 
 // Judged is one crash state's verdict as a run holds it at its end, for the
-// external representative suite: the wire-form verdict, whether the state
-// was visited (not only probed by the classifier; reference runs only) and
-// whether its verdict was attributed from its class (engine runs only).
+// external representative suite: the wire-form verdict without its class
+// key (the reference digests nothing), whether the state was visited (not
+// only probed by the classifier; reference runs only) and whether its
+// verdict was attributed from its class (engine runs only).
 type Judged struct {
 	Verdict
 	Visited    bool
 	Attributed bool
+}
+
+// judgedAt is the Judged of the verdict v of state key.
+func judgedAt(key string, v Verdict, visited bool) Judged {
+	j := Judged{Verdict: v, Visited: visited, Attributed: v.attributed}
+	j.Key, j.Class, j.attributed = hex.EncodeToString([]byte(key)), "", false
+	return j
 }
 
 // referenceJudge is the per-state reference's check: every crash state is
@@ -140,18 +146,18 @@ type Judged struct {
 // never looked up in the class memo. judged
 // memoises verdicts per state (classifier probes revisit states) and
 // receives every one; the checkpoint, when armed, journals every one.
-func (s *session) referenceJudge(judged map[string]checkResult) func(CrashState) checkResult {
-	return func(cs CrashState) checkResult {
+func (s *session) referenceJudge(judged map[string]Verdict) func(CrashState) Verdict {
+	return func(cs CrashState) Verdict {
 		if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
-			return checkResult{consistent: true}
+			return Verdict{Consistent: true}
 		}
 		key := stateKey(cs)
 		if r, ok := judged[key]; ok {
 			return r
 		}
-		r := s.judge(cs)
+		r := s.judge(cs, "", nil)
 		judged[key] = r
-		s.journal(key, "", r)
+		s.journal(key, r)
 		return r
 	}
 }
@@ -174,23 +180,16 @@ func ReferenceRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Re
 			return nil, nil, err
 		}
 	}
-	judgedRes := map[string]checkResult{}
+	judgedRes := map[string]Verdict{}
 	judge := s.referenceJudge(judgedRes)
 	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
 		r := judge(cs)
-		return r.consistent || r.skipped, r.state
+		return r.Consistent || r.Skipped, r.State
 	})
 	report := &Report{Program: w.Name(), FS: fs.Name(), Mode: opts.Mode}
 	bugs := NewBugSet()
 	seen := map[string]bool{}
 	visited := map[string]bool{}
-	victims := func(cs CrashState) []string {
-		var out []string
-		for _, v := range cs.Victims {
-			out = append(out, s.g.Ops[v].Key())
-		}
-		return out
-	}
 	for _, cs := range s.generate() {
 		if opts.Mode != ModeBrute && bugs.KnownBad(cs) {
 			s.stats.StatesPruned++
@@ -199,30 +198,30 @@ func ReferenceRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Re
 		s.stats.StatesChecked++
 		visited[stateKey(cs)] = true
 		r := judge(cs)
-		if r.skipped {
-			report.Skipped = append(report.Skipped, SkippedState{Victims: victims(cs), Reason: r.consequence})
+		if r.Skipped {
+			report.Skipped = append(report.Skipped, SkippedState{Victims: s.victimKeys(cs), Reason: r.Consequence})
 			continue
 		}
-		if r.consistent {
+		if r.Consistent {
 			continue
 		}
-		if k := r.layer + "|" + r.state; !seen[k] {
+		if k := r.Layer + "|" + r.State; !seen[k] {
 			seen[k] = true
 			report.Inconsistent++
-			if r.layer != "pfs" {
+			if r.Layer != "pfs" {
 				report.LibOnly++
 			}
 			report.States = append(report.States, InconsistentState{
-				Layer: r.layer, Victims: victims(cs), Consequence: r.consequence,
-				Key: StateDigest(r.layer, r.state),
+				Layer: r.Layer, Victims: s.victimKeys(cs), Consequence: r.Consequence,
+				Key: StateDigest(r.Layer, r.State),
 			})
 		}
 		lo := s.pfsOps
-		if r.layer != "pfs" && s.libOps != nil {
+		if r.Layer != "pfs" && s.libOps != nil {
 			lo = s.libOps
 		}
-		for _, pr := range classifier.ClassifyState(cs, lo, r.state) {
-			bugs.Add(pr, r.layer, fs.Name(), w.Name(), r.consequence)
+		for _, pr := range classifier.ClassifyState(cs, lo, r.State) {
+			bugs.Add(pr, r.Layer, fs.Name(), w.Name(), r.Consequence)
 		}
 	}
 	fs.Restore(s.initial)
@@ -235,7 +234,7 @@ func ReferenceRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Re
 	report.Stats = s.stats
 	judged := make(map[string]Judged, len(judgedRes))
 	for k, r := range judgedRes {
-		judged[k] = Judged{Verdict: newVerdict(k, "", r), Visited: visited[k]}
+		judged[k] = judgedAt(k, r, visited[k])
 	}
 	return report, judged, nil
 }
@@ -256,7 +255,7 @@ func EngineRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Repor
 	}
 	judged := make(map[string]Judged, len(s.checkCache))
 	for k, r := range s.checkCache {
-		judged[k] = Judged{Verdict: newVerdict(k, "", r), Attributed: r.attributed}
+		judged[k] = judgedAt(k, r, false)
 	}
 	return rep, judged, nil
 }

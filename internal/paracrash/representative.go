@@ -26,7 +26,7 @@
 // distinct recovered states.
 //
 // Attribution keeps the report's verdicts those of judging every state: a
-// member inherits its representative's full checkResult — recovered-state
+// member inherits its representative's full Verdict — recovered-state
 // content (hence InconsistentState.Key and Bug.CauseKey grouping) and
 // consequence — and only the effort stats differ (members land in
 // Stats.StatesDeduped instead of StatesChecked and need no verdict of their
@@ -40,7 +40,6 @@ package paracrash
 import (
 	"crypto/sha256"
 	"fmt"
-	"sync"
 
 	"paracrash/internal/causality"
 )
@@ -94,44 +93,24 @@ func (s *session) classKey(cs CrashState) (string, error) {
 	return o.digest + s.front(cs.Front).key, nil
 }
 
-// recordClass stores a freshly computed (or resumed) verdict as its class
-// representative. Skipped verdicts are never recorded — quarantine must not
-// poison a class — and the first verdict wins, matching the visiting order.
-func (s *session) recordClass(ckey string, r checkResult) {
-	if ckey == "" || r.skipped {
+// recordClass stores a freshly computed (or resumed) verdict as the
+// representative of its class. Skipped verdicts are never recorded —
+// quarantine must not poison a class — and the first verdict wins, matching
+// the visiting order.
+func (s *session) recordClass(v Verdict) {
+	if v.Class == "" || v.Skipped {
 		return
 	}
-	if _, ok := s.classes[ckey]; !ok {
-		s.classes[ckey] = r
+	if _, ok := s.classes[v.Class]; !ok {
+		s.classes[v.Class] = v
 	}
-}
-
-// LegalMemo shares legal-state sets across runs: the enumerated set for a
-// given (scope, layer, model, status vector) is identical for every run of
-// the same workload on the same file system, so a fuzz campaign's six
-// explorer runs per cell enumerate each set once. Sets are stored only
-// after a complete enumeration and are read-only afterwards,
-// so sharing them across concurrent sessions is safe.
-//
-// The scope key folds in the file-system name, server count, workload name
-// and a trace digest; callers reusing one memo across workloads must ensure
-// workload names identify the traced body (the fuzz campaign's generated
-// and enumerated program names do).
-type LegalMemo struct {
-	mu sync.Mutex
-	m  map[string]map[string]bool
-}
-
-// NewLegalMemo returns an empty cross-run legal-state memo.
-func NewLegalMemo() *LegalMemo {
-	return &LegalMemo{m: map[string]map[string]bool{}}
 }
 
 // identity is the run's identity across runs and processes: the backend,
 // its server count, the workload name and a digest of the traced ops. The
-// checkpoint fingerprint (which journals and shard reports carry) and the
-// legal-state memo scope both key on it, so verdicts, class keys and legal
-// sets are reused only by a run that traced the same ops.
+// checkpoint fingerprint (which journals and shard reports carry) keys on
+// it, so verdicts and class keys are reused only by a run that traced the
+// same ops.
 func (s *session) identity() string {
 	if s.id == "" {
 		h := sha256.New()
@@ -141,25 +120,4 @@ func (s *session) identity() string {
 		s.id = fmt.Sprintf("%s|%d|%s|%x", s.fs.Name(), len(s.fs.Procs()), s.program, h.Sum(nil)[:8])
 	}
 	return s.id
-}
-
-// memoLookup consults the cross-run memo (nil-safe).
-func (s *session) memoLookup(layer string, model Model, statusKey string) (map[string]bool, bool) {
-	m := s.opts.LegalMemo
-	if m == nil {
-		return nil, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	set, ok := m.m[s.memoScope+"|"+layer+"|"+model.String()+"|"+statusKey]
-	return set, ok
-}
-
-// memoStore publishes a successfully enumerated set to the cross-run memo.
-func (s *session) memoStore(layer string, model Model, statusKey string, set map[string]bool) {
-	if m := s.opts.LegalMemo; m != nil {
-		m.mu.Lock()
-		m.m[s.memoScope+"|"+layer+"|"+model.String()+"|"+statusKey] = set
-		m.mu.Unlock()
-	}
 }

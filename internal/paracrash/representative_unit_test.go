@@ -39,8 +39,8 @@ func digestSession(t *testing.T) (*session, []CrashState) {
 		fs: fs, g: g, emu: emu, initial: initial,
 		opts:       DefaultOptions(),
 		pfsOps:     NewLayerOps(g, trace.LayerPFS, nil),
-		checkCache: map[string]checkResult{},
-		classes:    map[string]checkResult{},
+		checkCache: map[string]Verdict{},
+		classes:    map[string]Verdict{},
 		fronts:     map[string]*frontStatus{},
 	}
 	var err error
@@ -166,7 +166,7 @@ func TestCrashDigestDeterministicAndStatePreserving(t *testing.T) {
 // it — no digest outlives its outcome.
 func TestCrashDigestAtOutcomeCap(t *testing.T) {
 	type walk struct {
-		verdicts map[string]checkResult
+		verdicts map[string]Verdict
 		classes  int
 		stats    Stats
 		distinct int // images in the memo at the end
@@ -184,11 +184,11 @@ func TestCrashDigestAtOutcomeCap(t *testing.T) {
 		for i := 0; i < fill; i++ {
 			s.recon.outcomes[fmt.Sprintf("filler-%d", i)] = &recoveredOutcome{}
 		}
-		w := walk{verdicts: map[string]checkResult{}}
+		w := walk{verdicts: map[string]Verdict{}}
 		for i, cs := range states {
 			_, held := s.recon.outcomes[string(s.recon.imageKey(cs.Keep))]
 			before := s.stats.ServerRestores
-			r, _ := s.check(cs)
+			r := s.check(cs)
 			s.countVisit(r)
 			w.verdicts[stateKey(cs)] = r
 			if !held && s.stats.ServerRestores == before {
@@ -276,17 +276,17 @@ func TestRepresentativeQuarantinedVerdictIsNoClass(t *testing.T) {
 	armed.Store(true)
 	classOf := map[string]int{}
 	for _, cs := range states {
-		r, ckey := s.check(cs)
-		if ckey == "" {
+		r := s.check(cs)
+		if r.Class == "" {
 			t.Fatalf("class lookup failed for state %x", cs.Keep.Key())
 		}
-		if !r.skipped || !strings.Contains(r.consequence, "backend bug mounting") {
+		if !r.Skipped || !strings.Contains(r.Consequence, "backend bug mounting") {
 			t.Fatalf("state %x judged %+v with every mount panicking", cs.Keep.Key(), r)
 		}
 		if r.attributed {
 			t.Fatalf("state %x was attributed a quarantined verdict", cs.Keep.Key())
 		}
-		classOf[ckey]++
+		classOf[r.Class]++
 	}
 	if len(classOf) == len(states) {
 		t.Fatal("no two states share a class — the test lost its teeth")
@@ -366,7 +366,7 @@ func TestRepresentativeBackendPanicQuarantined(t *testing.T) {
 			continue
 		}
 		without = &states[i]
-		strip := func(r checkResult) checkResult { r.attributed = false; return r }
+		strip := func(r Verdict) Verdict { r.attributed = false; return r }
 		if got, ref := strip(s.checkCache[stateKey(cs)]), strip(clean.checkCache[stateKey(cs)]); got != ref {
 			t.Errorf("state %d does not apply the op, yet is judged %+v, on the unbroken backend %+v", i, got, ref)
 		}
@@ -388,7 +388,7 @@ func TestRepresentativeBackendPanicQuarantined(t *testing.T) {
 		t.Errorf("states/skipped = %d, the report skips %d states", n, len(rep.Skipped))
 	}
 	for ckey, cr := range s.classes {
-		if cr.skipped {
+		if cr.Skipped {
 			t.Errorf("class %x recorded a skipped verdict", ckey)
 		}
 	}

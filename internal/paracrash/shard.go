@@ -86,38 +86,34 @@ func (sp ShardSpec) bounds(n int) (lo, hi int) {
 	return sp.Index * n / sp.Count, (sp.Index + 1) * n / sp.Count
 }
 
-// Verdict is a judged crash state in wire form: a checkpoint journal line
-// and an entry of ShardReport.Verdicts alike.
+// Verdict is the judgement of one crash state: the engine's, and in wire
+// form a checkpoint journal line and an entry of ShardReport.Verdicts alike.
 type Verdict struct {
 	// Key is the crash state's front|keep identity (the check-cache key) in
-	// hex, since JSON would mangle the binary key's invalid UTF-8. Only
-	// newVerdict encodes it and only stateKey decodes it.
+	// hex, since JSON would mangle the binary key's invalid UTF-8. It is set
+	// only on a verdict written out (journal record, shard report), and only
+	// stateKey decodes it.
 	Key string `json:"key"`
 	// Class is the class key the state was digested into ("" when it was
 	// not), so a reader takes it instead of digesting the state again.
-	Class       string `json:"class,omitempty"`
-	Consistent  bool   `json:"consistent,omitempty"`
+	Class      string `json:"class,omitempty"`
+	Consistent bool   `json:"consistent,omitempty"`
+	// Layer is the failing layer ("pfs" or the library name) and State the
+	// canonical content of the recovered state there; both are empty when
+	// consistent. The bug dedup keys on them.
 	Layer       string `json:"layer,omitempty"`
 	Consequence string `json:"consequence,omitempty"`
 	State       string `json:"state,omitempty"`
-	// Skipped marks a quarantined state (its judgement failed); Consequence
-	// then holds the quarantine reason. Skipped verdicts ride along so the
-	// merge reports the state under Report.Skipped instead of re-attempting
-	// a reconstruction the worker already proved poisoned.
+	// Skipped marks a quarantined state: its judgement failed, so there is
+	// no verdict, and Consequence holds the quarantine reason. Skipped states
+	// are reported via Report.Skipped, never as inconsistencies; skipped
+	// verdicts ride along in shard reports so the merge does not re-attempt
+	// a reconstruction the shard already proved poisoned.
 	Skipped bool `json:"skipped,omitempty"`
-}
-
-// newVerdict converts an engine verdict to wire form.
-func newVerdict(key, class string, r checkResult) Verdict {
-	return Verdict{
-		Key:         hex.EncodeToString([]byte(key)),
-		Class:       class,
-		Consistent:  r.consistent,
-		Layer:       r.layer,
-		Consequence: r.consequence,
-		State:       r.state,
-		Skipped:     r.skipped,
-	}
+	// attributed marks a verdict a state took from its class representative
+	// (a class memo hit); countVisit counts such a state as deduplicated.
+	// Being unexported, it is never serialised.
+	attributed bool
 }
 
 // stateKey decodes the binary state key; an empty or non-hex key is an
@@ -128,17 +124,6 @@ func (v Verdict) stateKey() (string, error) {
 		err = errors.New("empty verdict key")
 	}
 	return string(key), err
-}
-
-// result converts a wire verdict back to the engine's form.
-func (v Verdict) result() checkResult {
-	return checkResult{
-		consistent:  v.Consistent,
-		layer:       v.Layer,
-		consequence: v.Consequence,
-		state:       v.State,
-		skipped:     v.Skipped,
-	}
 }
 
 // ShardReport is RunShard's output: every verdict of one shard, plus the
@@ -216,7 +201,8 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 		if !ok {
 			return nil, fmt.Errorf("paracrash: shard %s: no verdict for state %d", shard, lo+i)
 		}
-		rep.Verdicts = append(rep.Verdicts, newVerdict(key, v.class, v.r))
+		v.Key = hex.EncodeToString([]byte(key))
+		rep.Verdicts = append(rep.Verdicts, v)
 	}
 	return rep, nil
 }
@@ -274,7 +260,7 @@ func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 			if err != nil {
 				return nil, fmt.Errorf("paracrash: merge: shard %s: %w", sr.Shard, err)
 			}
-			verdicts[key] = judged{v.result(), v.Class}
+			verdicts[key] = v
 		}
 	}
 	for i := 0; i < count; i++ {
@@ -286,16 +272,10 @@ func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 }
 
 // verdictTable is what a merge resolves checks through: a raw crash-state
-// key to the verdict a shard judged and the class key the shard digested
-// the state into ("" when it did not). In-process shards fill it directly;
-// MergeShards fills it from the reports' wire verdicts.
-type verdictTable map[string]judged
-
-// judged is one verdictTable entry.
-type judged struct {
-	r     checkResult
-	class string
-}
+// key to the verdict a shard judged, with the class key the shard digested
+// the state into. In-process shards fill it directly; MergeShards fills it
+// from the reports' wire verdicts.
+type verdictTable map[string]Verdict
 
 // shardRun is one contiguous run states[lo:hi] of an in-process walk: the
 // shard judging it ahead of the walk (nil for the run the walk judges
@@ -360,12 +340,13 @@ func (s *session) startShards(states []CrashState, workers int) []*shardRun {
 }
 
 // walkRuns is explore's one ordered walk, the merge step: it visits the
-// runs in order, each once its shard has stopped, resolving checks through
-// the verdicts of the shards it has reached only. What it judges itself —
-// the first run, classifier probes into later runs or outside the
+// runs in order, each once its shard has stopped, and prunes, checks and
+// records every state into rep in generation order, resolving checks
+// through the verdicts of the shards it has reached only. What it judges
+// itself — the first run, classifier probes into later runs or outside the
 // generated list, and the states a panicking shard left — therefore does
 // not depend on scheduling. It returns the shards' measured effort.
-func (s *session) walkRuns(states []CrashState, runs []*shardRun, skip func(CrashState) bool, handle func(CrashState)) []Stats {
+func (s *session) walkRuns(states []CrashState, runs []*shardRun, rep *Report) []Stats {
 	// No shard outlives the walk, even when the walk panics.
 	defer func() {
 		for _, r := range runs {
@@ -376,16 +357,72 @@ func (s *session) walkRuns(states []CrashState, runs []*shardRun, skip func(Cras
 		defer s.obs.Phase(obs.PhaseMerge)()
 		s.shipped = make(verdictTable, len(states))
 	}
+	bugs := NewBugSet()
+	classifier := NewClassifier(s.emu, s.probe)
+	seen := map[string]bool{} // inconsistent states by layer and recovered content
 	var effort []Stats
 	for _, r := range runs {
 		<-r.done
 		maps.Copy(s.shipped, r.table)
-		s.visitOrdered(states[r.lo:r.hi], skip, handle)
+		for _, cs := range states[r.lo:r.hi] {
+			if s.ctx.Err() != nil {
+				break
+			}
+			if s.opts.Mode != ModeBrute && bugs.KnownBad(cs) {
+				s.stats.StatesPruned++
+				s.ctrPruned.Inc()
+				continue
+			}
+			v := s.check(cs)
+			s.countVisit(v)
+			if v.Skipped {
+				rep.Skipped = append(rep.Skipped, SkippedState{Victims: s.victimKeys(cs), Reason: v.Consequence})
+				continue
+			}
+			if v.Consistent {
+				continue
+			}
+			// Distinct persistence subsets recovering to the same content are
+			// one inconsistent state (the paper's redundancy removal, §5.2).
+			if k := v.Layer + "|" + v.State; !seen[k] {
+				seen[k] = true
+				rep.Inconsistent++
+				s.ctrBad.Inc()
+				if v.Layer != "pfs" {
+					rep.LibOnly++
+				}
+				rep.States = append(rep.States, InconsistentState{
+					Layer: v.Layer, Victims: s.victimKeys(cs), Consequence: v.Consequence,
+					Key: StateDigest(v.Layer, v.State),
+				})
+			}
+			lo := s.pfsOps
+			if v.Layer != "pfs" && s.libOps != nil {
+				lo = s.libOps
+			}
+			// The classify span holds the probes' reconstructions and
+			// recoveries, which the pfs/* timers also count.
+			stopClassify := s.obs.StartTimer("classify")
+			for _, pr := range classifier.ClassifyState(cs, lo, v.State) {
+				bugs.Add(pr, v.Layer, s.fs.Name(), s.program, v.Consequence)
+			}
+			stopClassify()
+		}
 		if r.ws != nil {
 			effort = append(effort, r.ws.stats)
 		}
 	}
+	rep.Bugs = bugs.Bugs()
 	return effort
+}
+
+// victimKeys names a crash state's victim ops for the report.
+func (s *session) victimKeys(cs CrashState) []string {
+	var out []string
+	for _, v := range cs.Victims {
+		out = append(out, s.g.Ops[v].Key())
+	}
+	return out
 }
 
 // shardSession builds an in-process shard's private session around a
@@ -401,10 +438,9 @@ func (s *session) shardSession(fs pfs.FileSystem) *session {
 		initial:    s.initial,
 		clients:    map[string]pfs.Client{},
 		legal:      s.legal,
-		checkCache: map[string]checkResult{},
-		classes:    map[string]checkResult{},
+		checkCache: map[string]Verdict{},
+		classes:    map[string]Verdict{},
 		fronts:     map[string]*frontStatus{},
-		memoScope:  s.memoScope,
 		goldenPFS:  s.goldenPFS,
 		goldenLib:  s.goldenLib,
 		resumed:    s.resumed,
@@ -427,9 +463,9 @@ func (ws *session) exploreShard(states []CrashState, out verdictTable, pending *
 		if ws.ctx.Err() != nil {
 			return
 		}
-		r, class := ws.check(cs)
-		out[stateKey(cs)] = judged{r, class}
-		ws.countVisit(r)
+		v := ws.check(cs)
+		out[stateKey(cs)] = v
+		ws.countVisit(v)
 		pending.Add(-1)
 	}
 }

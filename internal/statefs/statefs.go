@@ -27,16 +27,11 @@
 //
 // Crash points are armed through the environment (EnvCrashPoint names a
 // "<site>@<stage>" point, EnvCrashHit selects which traversal fires) so a
-// re-exec harness can drive them without code hooks. Soft faults reuse the
-// internal/faultinject site machinery: a Plan the package's tests arm is
-// consulted as "statefs/<site>" before every write, with KindTorn surfacing
-// as a torn temp file plus an error — the recoverable sibling of the
-// torn-tmp crash.
+// re-exec harness can drive them without code hooks.
 package statefs
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -45,7 +40,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 )
 
@@ -142,8 +136,7 @@ func (o Op) Stages() []string {
 
 // Site is one registered durable-write site. Sites are registered once at
 // package init of their owning package (so importing the daemon registers
-// the full catalogue) and name both the faultinject site ("statefs/<name>")
-// and the crash points ("<name>@<stage>").
+// the full catalogue) and name the crash points ("<name>@<stage>").
 type Site struct {
 	name     string
 	op       Op
@@ -227,11 +220,10 @@ func CrashPoints() []string {
 	return out
 }
 
-// ---- fault and crash arming ----
+// ---- crash arming ----
 
 var (
-	armedPlan atomic.Pointer[faultinject.Plan]
-	armedObs  atomic.Pointer[obs.Run]
+	armedObs atomic.Pointer[obs.Run]
 
 	crashOnce   sync.Once
 	crashPoint  string // "<site>@<stage>", "" when unarmed
@@ -287,21 +279,6 @@ func (s *Site) done() {
 	}
 }
 
-// fault consults the armed plan for this operation. A KindTorn draw
-// additionally plants a torn temp file (tornPath non-empty) so recovery
-// code sees the same debris a torn-tmp crash leaves.
-func (s *Site) fault(key string, tornPath string, data []byte) error {
-	err := armedPlan.Load().Point("statefs/"+s.name, key)
-	if err == nil {
-		return nil
-	}
-	var fe *faultinject.Error
-	if tornPath != "" && errors.As(err, &fe) && fe.Kind == faultinject.KindTorn {
-		_ = os.WriteFile(tornPath, data[:len(data)/2], 0o644)
-	}
-	return err
-}
-
 // ---- operations ----
 
 // WriteBytes atomically and durably replaces path with data: temp file in
@@ -309,9 +286,6 @@ func (s *Site) fault(key string, tornPath string, data []byte) error {
 // Crash points: torn-tmp, pre-rename, post-rename.
 func WriteBytes(site *Site, path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := site.fault(path, tmp, data); err != nil {
-		return err
-	}
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -365,9 +339,6 @@ func WriteJSON(site *Site, path string, v any) error {
 // directory. A losing creator gets an error satisfying os.IsExist.
 // Crash points: torn-create, post-create.
 func CreateExclusive(site *Site, path string, data []byte) error {
-	if err := site.fault(path, "", nil); err != nil {
-		return err
-	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
@@ -415,9 +386,6 @@ func CreateExclusiveJSON(site *Site, path string, v any) error {
 // acknowledged — the ack-after-flush contract.
 // Crash points: torn-append, post-append.
 func Append(site *Site, path string, data []byte) error {
-	if err := site.fault(path, "", nil); err != nil {
-		return err
-	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -448,9 +416,6 @@ func Append(site *Site, path string, data []byte) error {
 // (and the source's, when different) — the recovery-path move fsck uses to
 // quarantine damaged records. Crash point: post-rename.
 func Rename(site *Site, oldPath, newPath string) error {
-	if err := site.fault(newPath, "", nil); err != nil {
-		return err
-	}
 	if err := os.Rename(oldPath, newPath); err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"paracrash/internal/faultinject"
 	"paracrash/internal/obs"
 )
 
@@ -270,41 +269,6 @@ func TestCrashHitSelectsTraversal(t *testing.T) {
 	}
 }
 
-// TestSoftFaults: an armed faultinject plan surfaces errors instead of
-// killing the process, and a torn draw plants a torn temp file.
-func TestSoftFaults(t *testing.T) {
-	defer Arm(nil)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "rec.json")
-
-	Arm(faultinject.New(faultinject.Config{
-		Seed: 1, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindErr},
-		Sites: []string{"statefs/test/atomic"},
-	}))
-	err := WriteBytes(tsAtomic, path, []byte("hello world\n"))
-	if !faultinject.Is(err) {
-		t.Fatalf("want injected error, got %v", err)
-	}
-	// The quota healed the point: the retry succeeds.
-	if err := WriteBytes(tsAtomic, path, []byte("hello world\n")); err != nil {
-		t.Fatalf("healed retry failed: %v", err)
-	}
-
-	Arm(faultinject.New(faultinject.Config{
-		Seed: 1, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindTorn},
-		Sites: []string{"statefs/test/atomic"},
-	}))
-	tornPath := filepath.Join(dir, "torn.json")
-	err = WriteBytes(tsAtomic, tornPath, []byte("hello world\n"))
-	if !faultinject.Is(err) {
-		t.Fatalf("want injected torn error, got %v", err)
-	}
-	tmp := readOrEmpty(t, tornPath+".tmp")
-	if len(tmp) == 0 || len(tmp) >= len("hello world\n") {
-		t.Errorf("torn fault should leave a strict-prefix tmp, has %d bytes", len(tmp))
-	}
-}
-
 // TestCoverageCounts: completed ops tick the site counters and the armed
 // obs run.
 func TestCoverageCounts(t *testing.T) {
@@ -345,9 +309,3 @@ func Coverage() map[string]int64 {
 	}
 	return out
 }
-
-// Arm installs a faultinject plan consulted (as site "statefs/<site>") by
-// every subsequent operation; nil disarms. Soft faults surface as errors
-// the caller retries or reports — the recoverable complement of the
-// hard crash points.
-func Arm(p *faultinject.Plan) { armedPlan.Store(p) }
