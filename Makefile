@@ -148,6 +148,7 @@ FUZZTIME ?= 30s
 FUZZSEEDS ?= 64
 fuzz:
 	$(GO) test ./internal/hdf5/ -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hdf5/ -run FuzzDecodeCanonical -fuzz FuzzDecodeCanonical -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/paracrash/ -run FuzzParseModel -fuzz FuzzParseModel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/paracrash/ -run FuzzStateDigest -fuzz FuzzStateDigest -fuzztime $(FUZZTIME)
@@ -158,6 +159,7 @@ fuzz:
 # small all-backend metamorphic campaign.
 fuzz-smoke:
 	$(GO) test ./internal/hdf5/ -fuzz FuzzParse -fuzztime 5s
+	$(GO) test ./internal/hdf5/ -run FuzzDecodeCanonical -fuzz FuzzDecodeCanonical -fuzztime 5s
 	$(GO) test ./internal/trace/ -fuzz FuzzTraceRoundTrip -fuzztime 5s
 	$(GO) test ./internal/paracrash/ -run FuzzParseModel -fuzz FuzzParseModel -fuzztime 5s
 	$(GO) test ./internal/paracrash/ -run FuzzStateDigest -fuzz FuzzStateDigest -fuzztime 5s

@@ -2,11 +2,63 @@ package hdf5
 
 import (
 	"bytes"
+	"encoding/binary"
 	"maps"
+	"slices"
 	"testing"
 )
 
-func stateBytes(f *File) []byte { return f.AppendState(nil) }
+func stateBytes(f *File) []byte {
+	var b bytes.Buffer
+	f.WriteState(&b)
+	return b.Bytes()
+}
+
+// appendState is the one-shot form WriteState replaced, kept as its
+// reference: replay digests hash these bytes.
+func appendState(f *File, b []byte) []byte {
+	addrs := make([]int64, 0, len(f.dirty))
+	for a := range f.dirty {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(f.img)))
+	b = append(b, f.img...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(addrs)))
+	for _, a := range addrs {
+		d := f.dirty[a]
+		b = binary.LittleEndian.AppendUint64(b, uint64(a))
+		b = binary.LittleEndian.AppendUint64(b, uint64(d.size))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(d.tag)))
+		b = append(b, d.tag...)
+	}
+	for _, v := range []int64{f.sup.Root, f.sup.EOF, int64(f.sup.Status)} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
+// TestWriteStateMatchesAppendState: WriteState writes exactly the bytes the
+// one-shot form appended, with and without dirty extents.
+func TestWriteStateMatchesAppendState(t *testing.T) {
+	f, _ := newTestFile(t)
+	steps := []func() error{
+		func() error { return nil },
+		func() error { return f.CreateGroup("/g1") },
+		func() error { return f.CreateDataset("/g1/d1", 4, 4) },
+		f.Flush,
+		func() error { return f.WriteDataset("/g1/d1", []byte("0123456789abcdef")) },
+		f.Close,
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stateBytes(f), appendState(f, nil); !bytes.Equal(got, want) {
+			t.Fatalf("step %d (%d dirty extents): WriteState wrote %d bytes, the one-shot form %d", i, len(f.dirty), len(got), len(want))
+		}
+	}
+}
 
 // TestCloneIsolation: writes and flushes through a clone never reach the
 // original's image, dirty set, state bytes or backend, and the reverse.
@@ -47,10 +99,10 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestAppendStateSeesDirtySet: two files with equal images and superblocks
-// but different dirty sets append different state bytes; flushing both
+// TestWriteStateSeesDirtySet: two files with equal images and superblocks
+// but different dirty sets write different state bytes; flushing both
 // makes them equal again.
-func TestAppendStateSeesDirtySet(t *testing.T) {
+func TestWriteStateSeesDirtySet(t *testing.T) {
 	f, _ := newTestFile(t)
 	if err := f.CreateDataset("/d", 4, 4); err != nil {
 		t.Fatal(err)
@@ -68,12 +120,12 @@ func TestAppendStateSeesDirtySet(t *testing.T) {
 		t.Fatal("fixture: writing zeros over a fresh dataset changed the image")
 	}
 	if bytes.Equal(stateBytes(a), stateBytes(b)) {
-		t.Fatal("states differing only in the dirty set append the same bytes")
+		t.Fatal("states differing only in the dirty set write the same bytes")
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stateBytes(a), stateBytes(b)) {
-		t.Fatal("flushed files with equal images append different state bytes")
+		t.Fatal("flushed files with equal images write different state bytes")
 	}
 }

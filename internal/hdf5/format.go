@@ -5,10 +5,14 @@
 // HDF5-level bugs (Table 3, rows 9–15).
 //
 // Every on-disk object is a fixed-size extent starting with a 4-byte
-// signature followed by a JSON payload. Unpersisted extents read as zeros,
-// so the parser fails on them exactly the way h5check does on a real
-// corrupted file: bad signatures, name offsets beyond the heap, and
-// addresses beyond the superblock's EOF ("addr overflow").
+// signature, a payload length and a JSON payload in the canonical form
+// json.Marshal writes. Payloads are read by a reflection-free fast path
+// (decodeCanonical) that accepts only that form; anything else goes to
+// encoding/json, which is also the fast path's test oracle. Unpersisted
+// extents read as zeros, so the parser fails on them exactly the way
+// h5check does on a real corrupted file: bad signatures, name offsets
+// beyond the heap, and addresses beyond the superblock's EOF ("addr
+// overflow").
 package hdf5
 
 import (
@@ -108,7 +112,9 @@ func encodeObject(sig string, v any, size int) []byte {
 	return out
 }
 
-// decodeObject parses an extent, validating the signature.
+// decodeObject parses an extent, validating the signature. A canonical
+// payload takes decodeCanonical's fast path; any other goes to
+// json.Unmarshal, whose errors name the corruption.
 func decodeObject(img []byte, addr int64, sig string, size int, v any) error {
 	if addr < 0 || addr+int64(size) > int64(len(img)) {
 		return fmt.Errorf("address %d beyond file end %d (addr overflow)", addr, len(img))
@@ -121,7 +127,11 @@ func decodeObject(img []byte, addr int64, sig string, size int, v any) error {
 	if int(n)+8 > size {
 		return fmt.Errorf("corrupt %s length at address %d", sigName(sig), addr)
 	}
-	if err := json.Unmarshal(ext[8:8+n], v); err != nil {
+	payload := ext[8 : 8+n]
+	if decodeCanonical(payload, v) {
+		return nil
+	}
+	if err := json.Unmarshal(payload, v); err != nil {
 		return fmt.Errorf("corrupt %s payload at address %d: %v", sigName(sig), addr, err)
 	}
 	return nil

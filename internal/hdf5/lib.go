@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
 	"slices"
 	"sort"
@@ -102,19 +103,21 @@ func (f *File) Clone(be Backend) *File {
 	return &File{be: be, img: bytes.Clone(f.img), dirty: maps.Clone(f.dirty), sup: f.sup}
 }
 
-// AppendState appends everything a later op or flush of f depends on
+// WriteState writes to w everything a later op or flush of f depends on
 // besides its backend — the image, the dirty extents in address order and
-// the superblock — to b, length-prefixed, so two files append the same bytes
-// exactly when they are in the same state.
-func (f *File) AppendState(b []byte) []byte {
+// the superblock — length-prefixed, so two files write the same bytes
+// exactly when they are in the same state. w is meant to be a hash, so
+// write errors are not reported.
+func (f *File) WriteState(w io.Writer) {
 	addrs := make([]int64, 0, len(f.dirty))
 	for a := range f.dirty {
 		addrs = append(addrs, a)
 	}
 	slices.Sort(addrs)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(f.img)))
-	b = append(b, f.img...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(addrs)))
+	b := binary.LittleEndian.AppendUint64(nil, uint64(len(f.img)))
+	w.Write(b)
+	w.Write(f.img)
+	b = binary.LittleEndian.AppendUint64(b[:0], uint64(len(addrs)))
 	for _, a := range addrs {
 		d := f.dirty[a]
 		b = binary.LittleEndian.AppendUint64(b, uint64(a))
@@ -125,7 +128,7 @@ func (f *File) AppendState(b []byte) []byte {
 	for _, v := range []int64{f.sup.Root, f.sup.EOF, int64(f.sup.Status)} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	return b
+	w.Write(b)
 }
 
 // alloc reserves size bytes at EOF.

@@ -121,6 +121,34 @@ func TestObsRestoreShares(t *testing.T) {
 	}
 }
 
+// TestRestoreServerTimer: every per-server restore the engine counts is one
+// "pfs/restore-server" span, on a file-system backend and on a block one.
+func TestRestoreServerTimer(t *testing.T) {
+	for _, tc := range []struct{ backend, program string }{{"beegfs", "ARVR"}, {"gpfs", "H5-create"}} {
+		prog, err := exps.ProgramByName(tc.program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := paracrash.DefaultOptions()
+		opts.Obs = obs.NewRun()
+		rep, err := exps.RunOne(tc.backend, prog, opts, workloads.DefaultH5Params(), exps.ConfigFor(tc.backend))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := opts.Obs.Summary()
+		var spans int64
+		for _, ts := range s.Timers {
+			if ts.Name == "pfs/restore-server" {
+				spans = ts.Count
+			}
+		}
+		if restores := s.Counters["restores/servers"]; spans != restores || restores != int64(rep.Stats.ServerRestores) || restores == 0 {
+			t.Errorf("%s/%s: %d pfs/restore-server spans, restores/servers %d, Stats %d",
+				tc.backend, tc.program, spans, restores, rep.Stats.ServerRestores)
+		}
+	}
+}
+
 // TestObsSkipCounterMatchesReport: on a backend whose every apply on one
 // server panics, states/skipped counts each quarantined state the report
 // lists once, whether the state was quarantined by the run itself, by a

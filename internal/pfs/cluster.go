@@ -143,7 +143,8 @@ func (c *Cluster) SetObs(r *obs.Run) { c.obsRun = r }
 
 // TimeOp starts a named timer span on the attached run and returns its stop
 // function; allocation-free no-op when no run is attached. Backends wrap
-// their Recover/Mount bodies with it ("pfs/recover", "pfs/mount").
+// their Recover/Mount bodies with it ("pfs/recover", "pfs/mount"), and the
+// cluster its restores ("pfs/restore-all", "pfs/restore-server").
 func (c *Cluster) TimeOp(name string) func() { return c.obsRun.StartTimer(name) }
 
 // SetTagHint sets (or, with "", clears) the semantic tag applied to

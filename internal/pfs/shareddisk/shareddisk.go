@@ -562,6 +562,8 @@ func (c *client) Read(path string) ([]byte, error) {
 	return f.readData(in), nil
 }
 
+// readData assembles a file's bytes from its data blocks, read in place:
+// they are only copied out.
 func (f *FS) readData(in inodeBlock) []byte {
 	out := make([]byte, in.Size)
 	ss := f.conf.StripeSize
@@ -569,7 +571,7 @@ func (f *FS) readData(in inodeBlock) []byte {
 		stripe := g / ss
 		srv := (in.Base + int(stripe)) % f.servers()
 		k := int(stripe) / f.servers()
-		block, ok := f.server(srv).Dev.Read(dataLBA(in.Ino, k))
+		block, ok := f.server(srv).Dev.View(dataLBA(in.Ino, k))
 		if !ok {
 			continue
 		}

@@ -29,9 +29,11 @@ func (c *Cluster) CaptureServer(proc string) (ServerSnap, bool) {
 	return ServerSnap{}, false
 }
 
-// RestoreServerSnap adopts a captured store snapshot in O(1). The snap is
-// only read, so one snap can seed any number of restores.
+// RestoreServerSnap adopts a captured store snapshot in O(1), timed as
+// "pfs/restore-server". The snap is only read, so one snap can seed any
+// number of restores.
 func (c *Cluster) RestoreServerSnap(proc string, snap ServerSnap) bool {
+	defer c.TimeOp("pfs/restore-server")()
 	if s := c.FSServer(proc); s != nil {
 		if snap.fs == nil {
 			return false

@@ -437,14 +437,16 @@ func (l *Library) LegalState(st any) (string, error) {
 	return l.parse(be.Buf), nil
 }
 
+// sum sets r's digest: the sha256 of the backend image, length-prefixed,
+// and then the open file's state, streamed into the hash.
 func (r *replay) sum() {
-	b := binary.LittleEndian.AppendUint64(nil, uint64(len(r.be.Buf)))
-	b = append(b, r.be.Buf...)
+	h := sha256.New()
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(r.be.Buf))))
+	h.Write(r.be.Buf)
 	if r.f != nil {
-		b = r.f.AppendState(b)
+		r.f.WriteState(h)
 	}
-	sum := sha256.Sum256(b)
-	r.digest = string(sum[:])
+	r.digest = string(h.Sum(nil))
 }
 
 // apply replays op on r in place.

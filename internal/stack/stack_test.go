@@ -1,6 +1,9 @@
 package stack
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -228,5 +231,43 @@ func TestRecoverTreeClearsStatus(t *testing.T) {
 	img2 := fixed.Entries["/test.h5"].Data
 	if st, _ := hdf5.Status(img2); st != 0 {
 		t.Fatal("flag not cleared")
+	}
+}
+
+// TestDigestIsOneShotHash: sum streams into the hash the bytes the one-shot
+// construction built — the length-prefixed backend image, then the open
+// file's state — so every replay digest is what it was before streaming.
+func TestDigestIsOneShotHash(t *testing.T) {
+	fs, lib := buildStack(t, DialectHDF5)
+	s, err := OpenFile(fs, 0, "/test.h5", DialectHDF5)
+	must(t, err)
+	must(t, s.CreateDataset("/g1/dnew", 4, 4))
+	must(t, s.WriteDataset("/g1/dnew", []byte("fresh-data-16byt")))
+	must(t, s.Close())
+	oneShot := func(r *replay) string {
+		b := binary.LittleEndian.AppendUint64(nil, uint64(len(r.be.Buf)))
+		b = append(b, r.be.Buf...)
+		if r.f != nil {
+			var state bytes.Buffer
+			r.f.WriteState(&state)
+			b = append(b, state.Bytes()...)
+		}
+		sum := sha256.Sum256(b)
+		return string(sum[:])
+	}
+	st := lib.Start()
+	checked := 0
+	for _, op := range fs.Recorder().Ops() {
+		if op.Layer != trace.LayerIOLib {
+			continue
+		}
+		if r := st.(*replay); lib.Digest(r) != oneShot(r) {
+			t.Fatalf("after %d ops (file open %t): streamed digest differs from the one-shot hash", checked, r.f != nil)
+		}
+		st = lib.Apply(st, op)
+		checked++
+	}
+	if r := st.(*replay); checked < 4 || r.f == nil || lib.Digest(r) != oneShot(r) {
+		t.Fatalf("%d library ops, file open %t: want the final digest checked on an open file", checked, r.f != nil)
 	}
 }
