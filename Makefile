@@ -103,8 +103,12 @@ emulate:
 # Table 1 classifier gate: the word-operation classifier against the one it
 # replaced, kept in classify_reference_test.go — identical pairs and an
 # identical probe sequence for every inconsistent state of 187 cells — plus
-# the truth tables, the probe cache's hash confirmation, the allocation
-# bounds and the ancestor table it rests on.
+# the truth tables, the probe cache's hash confirmation, the culprit memo's
+# (TestClassifierMemoConfirmsHits: entries under a colliding hash never
+# answer; TestClassifierMemoAnswersSameFrontAndVictim: a second state on the
+# same front and victim sends no probe and allocates at most its result),
+# the allocation bounds and the ancestor table it rests on. Its local number:
+# go test -run '^$' -bench BenchmarkClassifyState -benchmem ./internal/paracrash
 classify:
 	$(GO) test ./internal/causality -run 'TestQuickAncestors' -count=1
 	$(GO) test ./internal/paracrash/ -run 'TestClassif|TestBugSet' -count=1 -v

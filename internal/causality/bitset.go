@@ -17,7 +17,7 @@ import (
 // The crash emulator runs its per-candidate loop on scratch bitsets and
 // relies on Get, Equal, Union, Subtract, Intersect and Hash (and the
 // built-in copy) not allocating; Clone, Key and Members allocate and are
-// kept out of that loop.
+// kept out of that loop. AppendKey allocates only when dst must grow.
 type Bitset []uint64
 
 // NewBitset returns a bitset able to hold n bits, all clear.
@@ -106,11 +106,17 @@ func (b Bitset) ContainsAll(o Bitset) bool {
 
 // Key returns a compact string form usable as a map key.
 func (b Bitset) Key() string {
-	buf := make([]byte, 8*len(b))
-	for i, w := range b {
-		binary.LittleEndian.PutUint64(buf[8*i:], w)
+	return string(b.AppendKey(make([]byte, 0, 8*len(b))))
+}
+
+// AppendKey appends Key's bytes to dst and returns the extended slice. With
+// a reused dst it does not allocate, so a map keyed by Key can be read as
+// m[string(b.AppendKey(buf[:0]))] without building a string.
+func (b Bitset) AppendKey(dst []byte) []byte {
+	for _, w := range b {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return string(buf)
+	return dst
 }
 
 // Hash returns a 64-bit hash of the words (FNV-1a over words, not bytes).

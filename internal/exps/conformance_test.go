@@ -162,3 +162,46 @@ func TestDirectoriesAcrossServers(t *testing.T) {
 		})
 	}
 }
+
+// TestMountedTreeOwnsData: a mounted tree owns its file contents, so client
+// ops applied after the mount (overwrites in place, appends, new files)
+// leave it as it was; a second mount sees them.
+func TestMountedTreeOwnsData(t *testing.T) {
+	for _, fsName := range FSNames() {
+		t.Run(fsName, func(t *testing.T) {
+			fs, err := NewFS(fsName, ConfigFor(fsName), trace.NewRecorder())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := fs.Client(0)
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			must(c.Create("/f"))
+			must(c.WriteAt("/f", 0, bytes.Repeat([]byte("0123456789abcdef"), 20)))
+			must(c.Fsync("/f"))
+			must(c.Close("/f"))
+			first, err := fs.Mount()
+			must(err)
+			before := first.Serialize()
+
+			must(c.WriteAt("/f", 0, bytes.Repeat([]byte("Z"), 200)))
+			must(c.Append("/f", []byte("tail")))
+			must(c.Create("/g"))
+			must(c.WriteAt("/g", 0, []byte("gee")))
+			must(c.Close("/g"))
+			second, err := fs.Mount()
+			must(err)
+
+			if got := first.Serialize(); got != before {
+				t.Fatalf("client ops after the mount changed the mounted tree:\n%s\nwas:\n%s", got, before)
+			}
+			if second.Serialize() == before {
+				t.Fatal("the second mount does not see the client ops")
+			}
+		})
+	}
+}

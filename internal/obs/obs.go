@@ -143,11 +143,22 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// timer accumulates the total duration and invocation count of a named
-// span across concurrent stop/start pairs.
-type timer struct {
+// Timer accumulates the total duration and count of a named span across
+// concurrent spans. Handles are obtained from Run.Timer and are safe for
+// concurrent use; a nil *Timer is a no-op.
+type Timer struct {
 	ns atomic.Int64
 	n  atomic.Int64
+}
+
+// Since records one span that began at begin and ends now. It takes no lock
+// and allocates nothing, so a hot path that resolved its handle once can
+// time each call for one clock pair.
+func (t *Timer) Since(begin time.Time) {
+	if t != nil {
+		t.ns.Add(int64(time.Since(begin)))
+		t.n.Add(1)
+	}
 }
 
 // Run collects the metrics of one ParaCrash invocation (or one experiment
@@ -158,7 +169,7 @@ type Run struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timers   map[string]*timer
+	timers   map[string]*Timer
 	// registration order, for stable summaries and progress lines
 	counterOrder []string
 	gaugeOrder   []string
@@ -173,7 +184,7 @@ func NewRun() *Run {
 		start:    time.Now(),
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
-		timers:   map[string]*timer{},
+		timers:   map[string]*Timer{},
 	}
 	r.curPhase.Store("")
 	return r
@@ -221,20 +232,23 @@ func (r *Run) StartTimer(name string) func() {
 	if r == nil {
 		return nopStop
 	}
-	t := r.timer(name)
+	t := r.Timer(name)
 	begin := time.Now()
-	return func() {
-		t.ns.Add(int64(time.Since(begin)))
-		t.n.Add(1)
-	}
+	return func() { t.Since(begin) }
 }
 
-func (r *Run) timer(name string) *timer {
+// Timer returns (registering on first use) the named timer, for hot paths
+// that time every call: resolve the handle once, then record each span with
+// Timer.Since. Returns a nil no-op handle when r is nil.
+func (r *Run) Timer(name string) *Timer {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t, ok := r.timers[name]
 	if !ok {
-		t = &timer{}
+		t = &Timer{}
 		r.timers[name] = t
 		r.timerOrder = append(r.timerOrder, name)
 	}

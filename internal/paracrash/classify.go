@@ -159,9 +159,21 @@ func OpSignatureClass(o *trace.Op) string {
 // order's closures, and every probe is looked up in a cache keyed by word
 // hash and confirmed with Equal (the emulator's duplicate-index pattern). A
 // probe the cache has seen allocates nothing; only a new one is copied,
-// handed to Check and remembered. ClassifyState retains cs.Front in that
-// cache, so fronts must not be modified afterwards — the engine never
-// does. A Classifier is not safe for concurrent use.
+// handed to Check and remembered.
+//
+// Above the probe cache sits the culprit memo, one entry per (front,
+// victim). Every probe the search makes for candidate b is a function of
+// (front, victim, b) alone, and the state's keep set only chooses which
+// candidates are searched, so the memo records per candidate whether it was
+// probed and whether it is a culprit, with the culprit's failing state and
+// kind. A later state on the same front and victim skips the candidates the
+// memo has cleared word by word and probes only the untested ones; every
+// probe it skips would have hit the probe cache, so the sequence of Check
+// calls is the one the search makes without the memo.
+//
+// ClassifyState retains cs.Front in both caches, so fronts must not be
+// modified afterwards — the engine never does. A Classifier is not safe for
+// concurrent use.
 type Classifier struct {
 	G  *causality.Graph
 	PO *causality.PersistOrder
@@ -169,6 +181,9 @@ type Classifier struct {
 	// consistent and (when inconsistent) the canonical content of the
 	// recovered state at the failing layer.
 	Check func(cs CrashState) (bool, string)
+	// Status returns a layer's status vector against a crash front, for
+	// in-flight classification: the engine's per-front memo.
+	Status func(lo *LayerOps, front causality.Bitset) []Status
 
 	// culpritOps marks the ops that can be a culprit: lowermost ops that
 	// carry a payload and are not syncs.
@@ -179,8 +194,11 @@ type Classifier struct {
 	cands, cut, keep causality.Bitset
 	// probes holds every probe state judged so far, by probeHash.
 	probes map[uint64][]probeEntry
-	// sig and class memoise OpSignature and OpSignatureClass per node.
-	sig, class []string
+	// memo holds the culprit search's entries, by memoHash.
+	memo map[uint64][]*culpritMemo
+	// sig and class memoise OpSignature and OpSignatureClass per node, and
+	// inflight the in-flight group key of a layer op's node.
+	sig, class, inflight []string
 }
 
 // classifyCheck is the outcome of one probe state.
@@ -196,19 +214,53 @@ type probeEntry struct {
 	classifyCheck
 }
 
-// NewClassifier returns a classifier over the emulator's graph.
-func NewClassifier(e *Emulator, check func(cs CrashState) (bool, string)) *Classifier {
+// culpritMemo is the culprit search's record for one (front, victim):
+// cleared marks the candidates probed and found not to be the culprit, and
+// culprits holds those found to be one, with their failing state and kind.
+// front is the caller's (read-only) front.
+type culpritMemo struct {
+	front    causality.Bitset
+	victim   int
+	cleared  causality.Bitset
+	culprits []culprit
+}
+
+// culprit is a candidate the search found to be a victim's minimal culprit.
+type culprit struct {
+	b     int
+	kind  BugKind
+	state string
+}
+
+// culprit returns candidate b's record if the search found b to be a
+// culprit. A victim has few: each search stops at its first.
+func (m *culpritMemo) culprit(b int) (culprit, bool) {
+	for _, cu := range m.culprits {
+		if cu.b == b {
+			return cu, true
+		}
+	}
+	return culprit{}, false
+}
+
+// NewClassifier returns a classifier over the emulator's graph that judges
+// probes with check and reads layer status vectors from status. status is
+// called only for states classified with a layer, so callers that never
+// pass one may give nil.
+func NewClassifier(e *Emulator, check func(cs CrashState) (bool, string), status func(lo *LayerOps, front causality.Bitset) []Status) *Classifier {
 	n := e.G.Len()
 	c := &Classifier{
-		G: e.G, PO: e.PO, Check: check,
+		G: e.G, PO: e.PO, Check: check, Status: status,
 		culpritOps: causality.NewBitset(n),
 		none:       causality.NewBitset(n),
 		cands:      causality.NewBitset(n),
 		cut:        causality.NewBitset(n),
 		keep:       causality.NewBitset(n),
 		probes:     map[uint64][]probeEntry{},
+		memo:       map[uint64][]*culpritMemo{},
 		sig:        make([]string, n),
 		class:      make([]string, n),
+		inflight:   make([]string, n),
 	}
 	for i, o := range e.G.Ops {
 		if o.IsLowermost() && o.Payload != nil && !o.Sync {
@@ -238,6 +290,26 @@ func (c *Classifier) probe(front, keep causality.Bitset, victims ...int) classif
 // imply equal states: a hit is confirmed with Equal.
 func probeHash(front, keep causality.Bitset) uint64 {
 	return front.Hash()*1099511628211 ^ keep.Hash()
+}
+
+// memoFor returns the culprit memo of (front, v), creating it empty; fh is
+// front.Hash(). A hit is confirmed with Equal, like a probe's.
+func (c *Classifier) memoFor(front causality.Bitset, fh uint64, v int) *culpritMemo {
+	h := memoHash(fh, v)
+	for _, m := range c.memo[h] {
+		if m.victim == v && m.front.Equal(front) {
+			return m
+		}
+	}
+	m := &culpritMemo{front: front, victim: v, cleared: causality.NewBitset(c.G.Len())}
+	c.memo[h] = append(c.memo[h], m)
+	return m
+}
+
+// memoHash is the culprit memo's key for a front hash and a victim. Equal
+// hashes do not imply equal entries: a hit is confirmed with Equal.
+func memoHash(fh uint64, v int) uint64 {
+	return (fh ^ uint64(v)) * 1099511628211
 }
 
 // closure returns the persists-before closure of op i (Algorithm 1's
@@ -291,8 +363,9 @@ func (c *Classifier) ClassifyState(cs CrashState, lo *LayerOps, state string) []
 		return c.classifyInFlight(cs, lo, state)
 	}
 	var results []PairResult
+	fh := cs.Front.Hash()
 	for _, v := range cs.Victims {
-		if pr, ok := c.classifyVictim(cs, v); ok {
+		if pr, ok := c.classifyVictim(cs, fh, v); ok {
 			results = append(results, pr)
 		}
 	}
@@ -307,74 +380,83 @@ func (c *Classifier) ClassifyState(cs CrashState, lo *LayerOps, state string) []
 // classifyVictim finds the minimal culprit for victim v: the causally
 // earliest kept op b such that keeping exactly b's causal past (minus v's
 // persistence closure) already fails the check. It then distinguishes
-// reordering from atomicity by testing the opposite mixed state.
-func (c *Classifier) classifyVictim(cs CrashState, v int) (PairResult, bool) {
+// reordering from atomicity by testing the opposite mixed state. fh is
+// cs.Front.Hash().
+func (c *Classifier) classifyVictim(cs CrashState, fh uint64, v int) (PairResult, bool) {
 	front := cs.Front
 	vClosure := c.closure(v)
+	m := c.memoFor(front, fh, v)
 	// Candidates: kept ops causally after v and outside its closure that can
 	// be a culprit. Every member of the front within v's closure is dropped
 	// with v, so subtracting the whole closure equals subtracting
-	// DependsOn(v, front).
+	// DependsOn(v, front). Candidates the memo has cleared would only repeat
+	// probes the cache answers, and are skipped.
 	copy(c.cands, cs.Keep)
 	c.cands.Intersect(c.G.Descendants(v))
 	c.cands.Intersect(c.culpritOps)
 	c.cands.Subtract(vClosure)
+	c.cands.Subtract(m.cleared)
 
 	// Candidates are tested in recording order, a topological order: when
 	// the first one fails, no failing candidate happens-before it, so it is
 	// the minimal culprit.
-	culprit := -1
-	culpritState := ""
+	found := culprit{b: -1}
 search:
 	for wi, w := range c.cands {
 		for ; w != 0; w &= w - 1 {
 			b := wi*64 + bits.TrailingZeros64(w)
+			if cu, ok := m.culprit(b); ok {
+				found = cu
+				break search
+			}
 			c.downTo(c.cut, front, b)
 			copy(c.keep, c.cut)
 			c.keep.Subtract(vClosure)
 			res := c.probe(front, c.keep, v)
-			if res.pass {
-				continue
-			}
 			// The failure must be caused by losing the victim: if the same
 			// cut fails with the victim kept, the cut itself is the problem
 			// (an in-flight atomicity handled elsewhere), not this victim.
-			if !c.probe(front, c.cut).pass {
+			if res.pass || !c.probe(front, c.cut).pass {
+				m.cleared.Set(b)
 				continue
 			}
-			culprit, culpritState = b, res.state
+			found = culprit{b: b, kind: c.kindOf(front, v, b), state: res.state}
+			m.culprits = append(m.culprits, found)
 			break search
 		}
 	}
-	if culprit < 0 {
+	if found.b < 0 {
 		return PairResult{}, false
 	}
+	aSig, _ := c.opSig(v)
+	bSig, bClass := c.opSig(found.b)
+	return PairResult{
+		Kind: found.kind, A: v, B: found.b,
+		ASig: aSig, BSig: bSig, BClass: bClass,
+		StateKey: found.state,
+	}, true
+}
 
-	// Distinguish reordering from atomicity: keep v, drop the culprit (s10),
-	// then drop both (s00). c.cut still holds the culprit's cut.
+// kindOf distinguishes reordering from atomicity for victim v and its
+// culprit b: keep v, drop the culprit (s10), then drop both (s00). c.cut
+// holds the culprit's cut.
+func (c *Classifier) kindOf(front causality.Bitset, v, b int) BugKind {
 	copy(c.keep, c.cut)
-	c.keep.Subtract(c.closure(culprit))
-	s10Pass := c.probe(front, c.keep, culprit).pass
-	c.keep.Subtract(vClosure)
-	s00Pass := c.probe(front, c.keep, v, culprit).pass
+	c.keep.Subtract(c.closure(b))
+	s10Pass := c.probe(front, c.keep, b).pass
+	c.keep.Subtract(c.closure(v))
+	s00Pass := c.probe(front, c.keep, v, b).pass
 
 	// Paper §5.3: the state with OA lost and OB persisted fails while other
 	// combinations pass ⇒ reordering; both mixed states fail with both pure
 	// states passing ⇒ atomicity. When s00 is polluted by an unrelated bug
-	// (it fails too), the baseline pass (checked above) stands in for the
-	// "any other combination passes" condition and we default to
+	// (it fails too), the baseline pass (the search's cut probe) stands in
+	// for the "any other combination passes" condition and we default to
 	// reordering, as the paper does.
-	kind := BugReordering
 	if !s10Pass && s00Pass {
-		kind = BugAtomicity
+		return BugAtomicity
 	}
-	aSig, _ := c.opSig(v)
-	bSig, bClass := c.opSig(culprit)
-	return PairResult{
-		Kind: kind, A: v, B: culprit,
-		ASig: aSig, BSig: bSig, BClass: bClass,
-		StateKey: culpritState,
-	}, true
+	return BugReordering
 }
 
 // classifyInFlight handles victimless inconsistent states: the crash front
@@ -385,9 +467,8 @@ func (c *Classifier) classifyInFlight(cs CrashState, lo *LayerOps, state string)
 	if lo == nil {
 		return nil
 	}
-	status := lo.StatusAgainst(cs.Front)
 	var results []PairResult
-	for i, st := range status {
+	for i, st := range c.Status(lo, cs.Front) {
 		if st != StatusInflight {
 			continue
 		}
@@ -413,10 +494,20 @@ func (c *Classifier) classifyInFlight(cs CrashState, lo *LayerOps, state string)
 			Kind: BugAtomicity, A: missing, B: present,
 			ASig: aSig, BSig: bSig, BClass: bClass,
 			StateKey: state,
-			GroupKey: "inflight|" + lo.Ops[i].Key(),
+			GroupKey: c.inflightKey(lo, i),
 		})
 	}
 	return results
+}
+
+// inflightKey returns the group key of an in-flight split of lo.Ops[i],
+// memoised per node.
+func (c *Classifier) inflightKey(lo *LayerOps, i int) string {
+	n := lo.nodeIdx[i]
+	if c.inflight[n] == "" {
+		c.inflight[n] = "inflight|" + lo.Ops[i].Key()
+	}
+	return c.inflight[n]
 }
 
 // BugSet aggregates classified pairs into deduplicated bugs. Two pairs
@@ -457,14 +548,14 @@ func (s *BugSet) Add(pr PairResult, layer, fsName, program, consequence string) 
 	// causally latest victim (the common element of all implied persistence
 	// closures) is the canonical OpA. In-flight atomicity overrides the key
 	// with its parent operation.
-	bclass := pr.BClass
-	if bclass == "" {
-		bclass = pr.BSig
+	key := pr.GroupKey
+	if key == "" {
+		key = pr.BClass
 	}
-	group := fmt.Sprintf("%s|%s|%s", pr.Kind, layer, bclass)
-	if pr.GroupKey != "" {
-		group = fmt.Sprintf("%s|%s|%s", pr.Kind, layer, pr.GroupKey)
+	if key == "" {
+		key = pr.BSig
 	}
+	group := pr.Kind.String() + "|" + layer + "|" + key
 	if old, ok := s.bugs[group]; ok {
 		old.States++
 		if pr.A > s.bestA[group] {

@@ -81,3 +81,18 @@ func TestClassifierMatchesReference(t *testing.T) {
 		t.Fatalf("nothing classified: %+v", total)
 	}
 }
+
+// BenchmarkClassifyState is the classifier's local number: every
+// inconsistent state of gpfs/H5-create, brute force, k = 2 (a states-k2
+// benchmark cell), classified with the probes' verdicts memoised.
+func BenchmarkClassifyState(b *testing.B) {
+	prog, err := exps.ProgramByName("H5-create")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs, w, lib := emulatorCell(b, "gpfs", prog)
+	opts := paracrash.DefaultOptions()
+	opts.Mode = paracrash.ModeBrute
+	opts.Emulator.K = 2
+	paracrash.BenchClassifyState(b, fs, lib, w, opts)
+}

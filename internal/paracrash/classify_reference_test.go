@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"testing"
 
 	"paracrash/internal/causality"
 	"paracrash/internal/pfs"
@@ -197,7 +198,7 @@ func ClassifyDiff(fs pfs.FileSystem, lib Library, w Workload, opts Options) (Cla
 			return s.probe(cs)
 		}
 	}
-	c := NewClassifier(s.emu, logged(&got))
+	c := NewClassifier(s.emu, logged(&got), s.status)
 	ref := newReferenceClassifier(s.emu, logged(&want))
 	states := s.generate()
 	st.States = len(states)
@@ -234,4 +235,53 @@ func ClassifyDiff(fs pfs.FileSystem, lib Library, w Workload, opts Options) (Cla
 		st.Probes += len(got)
 	}
 	return st, nil
+}
+
+// BenchClassifyState times the Table 1 classifier on one traced cell,
+// exported to the external benchmark: every inconsistent state the session
+// judges, classified in generation order by a fresh Classifier per
+// iteration. A warm-up pass leaves every probe's verdict in the session's
+// check cache, so what is timed is the culprit search, its memo and probe
+// cache, and the check path's table lookups, not reconstruction.
+func BenchClassifyState(b *testing.B, fs pfs.FileSystem, lib Library, w Workload, opts Options) {
+	s, err := prepare(context.Background(), fs, lib, w, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type bad struct {
+		cs    CrashState
+		lo    *LayerOps
+		state string
+	}
+	var states []bad
+	for _, cs := range s.generate() {
+		v := s.check(cs)
+		if v.Consistent || v.Skipped {
+			continue
+		}
+		lo := s.pfsOps
+		if v.Layer != "pfs" && s.libOps != nil {
+			lo = s.libOps
+		}
+		states = append(states, bad{cs, lo, v.State})
+	}
+	probes := 0
+	classify := func() {
+		probes = 0
+		c := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
+			probes++
+			return s.probe(cs)
+		}, s.status)
+		for _, st := range states {
+			c.ClassifyState(st.cs, st.lo, st.state)
+		}
+	}
+	classify()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		classify()
+	}
+	b.ReportMetric(float64(len(states)), "states/op")
+	b.ReportMetric(float64(probes), "probes/op")
 }

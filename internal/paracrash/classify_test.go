@@ -50,7 +50,7 @@ func checkerFor(ai, bi int, fail map[[2]bool]bool) func(CrashState) (bool, strin
 func TestClassifyReorderingTruthTable(t *testing.T) {
 	// Table 1a: only (A lost, B persisted) fails -> reordering A -> B.
 	e, front, ai, bi := synthFixture()
-	c := NewClassifier(e, checkerFor(ai, bi, map[[2]bool]bool{{false, true}: true}))
+	c := NewClassifier(e, checkerFor(ai, bi, map[[2]bool]bool{{false, true}: true}), nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
 	results := c.ClassifyState(cs, nil, "synthetic-failure")
@@ -69,7 +69,7 @@ func TestClassifyAtomicityTruthTable(t *testing.T) {
 	c := NewClassifier(e, checkerFor(ai, bi, map[[2]bool]bool{
 		{false, true}: true,
 		{true, false}: true,
-	}))
+	}), nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
 	results := c.ClassifyState(cs, nil, "synthetic-failure")
@@ -85,7 +85,7 @@ func TestClassifyNoPairWhenOnlyCutBroken(t *testing.T) {
 	c := NewClassifier(e, checkerFor(ai, bi, map[[2]bool]bool{
 		{false, true}: true,
 		{true, true}:  true, // even the full state fails
-	}))
+	}), nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
 	results := c.ClassifyState(cs, nil, "synthetic-failure")
@@ -116,7 +116,7 @@ func TestClassifyCulpritOutsideVictimClosure(t *testing.T) {
 	front := causality.NewBitset(g.Len())
 	front.Set(ai)
 	front.Set(bi)
-	c := NewClassifier(e, checkerFor(ai, bi, map[[2]bool]bool{{false, false}: true, {false, true}: true}))
+	c := NewClassifier(e, checkerFor(ai, bi, map[[2]bool]bool{{false, false}: true, {false, true}: true}), nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
 	if results := c.ClassifyState(cs, nil, "synthetic-failure"); len(results) != 0 {
@@ -134,7 +134,7 @@ func TestClassifierProbesAllocationFree(t *testing.T) {
 	c := NewClassifier(e, func(cs CrashState) (bool, string) {
 		checks++
 		return check(cs)
-	})
+	}, nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
 	first := c.ClassifyState(cs, nil, "synthetic-failure")
@@ -169,7 +169,7 @@ func TestClassifierProbeCacheConfirmsHits(t *testing.T) {
 	clean := NewClassifier(e, func(cs CrashState) (bool, string) {
 		probes = append(probes, cs)
 		return check(cs)
-	})
+	}, nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
 	want := clean.ClassifyState(cs, nil, "synthetic-failure")
@@ -182,7 +182,7 @@ func TestClassifierProbeCacheConfirmsHits(t *testing.T) {
 		all.Set(i)
 	}
 	for _, differ := range []string{"front", "keep"} {
-		planted := NewClassifier(e, check)
+		planted := NewClassifier(e, check, nil)
 		for _, p := range probes {
 			pass, _ := check(p)
 			wrong := probeEntry{front: p.Front, keep: p.Keep, classifyCheck: classifyCheck{pass: !pass, state: "planted"}}
@@ -196,6 +196,134 @@ func TestClassifierProbeCacheConfirmsHits(t *testing.T) {
 		}
 		if got := planted.ClassifyState(cs, nil, "synthetic-failure"); !reflect.DeepEqual(got, want) {
 			t.Errorf("entries differing in the %s planted under each probe's hash: %+v, want %+v", differ, got, want)
+		}
+	}
+}
+
+// chainFixture builds A → B → C on three servers (each op happens-before
+// the next through a message, no syncs) with a front holding all three and
+// a check that fails exactly when A is lost and C kept: for victim A, B is
+// a candidate the search clears and C the culprit.
+func chainFixture() (e *Emulator, front causality.Bitset, ai, bi, ci int, check func(CrashState) (bool, string)) {
+	rec := trace.NewRecorder()
+	op := func(proc, name, path string) *trace.Op {
+		return rec.Record(trace.Op{Layer: trace.LayerLocalFS, Proc: proc, Name: name,
+			Payload: vfs.Op{Kind: vfs.OpCreate, Path: path}})
+	}
+	send := func(from, to string) {
+		m := rec.NewMsgID()
+		rec.Record(trace.Op{Layer: trace.LayerLocalFS, Proc: from, Name: "send", MsgID: m, IsSend: true})
+		rec.Record(trace.Op{Layer: trace.LayerLocalFS, Proc: to, Name: "recv", MsgID: m})
+	}
+	a := op("a", "opA", "/A")
+	send("a", "b")
+	b := op("b", "opB", "/B")
+	send("b", "c")
+	c := op("c", "opC", "/C")
+	g := causality.Build(rec.Ops())
+	e = NewEmulator(g, causality.PersistConfig{Journal: map[string]vfs.JournalMode{
+		"a": vfs.JournalData, "b": vfs.JournalData, "c": vfs.JournalData,
+	}})
+	ai, _ = g.IndexOf(a.ID)
+	bi, _ = g.IndexOf(b.ID)
+	ci, _ = g.IndexOf(c.ID)
+	front = causality.NewBitset(g.Len())
+	front.Set(ai)
+	front.Set(bi)
+	front.Set(ci)
+	check = func(cs CrashState) (bool, string) {
+		if !cs.Keep.Get(ai) && cs.Keep.Get(ci) {
+			return false, "synthetic-failure"
+		}
+		return true, ""
+	}
+	return e, front, ai, bi, ci, check
+}
+
+// TestClassifierMemoAnswersSameFrontAndVictim: a second state with the same
+// front and victim but another keep set is answered by the culprit memo. It
+// sends no probe to the check even with the probe cache emptied (without
+// the memo the search would probe the culprit again), allocates at most its
+// result slice, and classifies as a fresh classifier does.
+func TestClassifierMemoAnswersSameFrontAndVictim(t *testing.T) {
+	e, front, ai, bi, ci, check := chainFixture()
+	checks := 0
+	c := NewClassifier(e, func(cs CrashState) (bool, string) {
+		checks++
+		return check(cs)
+	}, nil)
+	first := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
+	first.Keep.Clear(ai)
+	if got := c.ClassifyState(first, nil, "synthetic-failure"); len(got) != 1 || got[0].Kind != BugReordering || got[0].B != ci {
+		t.Fatalf("first state classified %+v, want reordering %d -> %d", got, ai, ci)
+	}
+	if checks == 0 {
+		t.Fatal("the first state sent no probe")
+	}
+	m := c.memoFor(front, front.Hash(), ai)
+	if _, ok := m.culprit(ci); !ok || !m.cleared.Get(bi) || len(c.memo) != 1 {
+		t.Fatalf("memo after the first state: cleared %v, culprits %+v, %d entries", m.cleared.Members(), m.culprits, len(c.memo))
+	}
+
+	second := CrashState{Front: front, Keep: causality.NewBitset(e.G.Len()), Victims: []int{ai}}
+	second.Keep.Set(ci)
+	want := NewClassifier(e, check, nil).ClassifyState(second, nil, "synthetic-failure")
+	c.probes = map[uint64][]probeEntry{}
+	checks = 0
+	var got []PairResult
+	allocs := testing.AllocsPerRun(10, func() {
+		got = c.ClassifyState(second, nil, "synthetic-failure")
+	})
+	if checks != 0 {
+		t.Fatalf("the second state sent %d probes to the check", checks)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("second state classified %+v, a fresh classifier %+v", got, want)
+	}
+	if allocs > 1 {
+		t.Fatalf("the second state allocated %.0f times, want <= 1 (the result slice)", allocs)
+	}
+}
+
+// TestClassifierMemoConfirmsHits: the culprit memo is keyed by a hash of
+// the front and the victim, and an entry answers only when Equal confirms
+// the front and the victim matches. Entries planted under the state's hash,
+// differing in one of the two and lying either way — every candidate
+// cleared, or every candidate a culprit of the other kind — must not answer.
+func TestClassifierMemoConfirmsHits(t *testing.T) {
+	e, front, ai, _, _, check := chainFixture()
+	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
+	cs.Keep.Clear(ai)
+	want := NewClassifier(e, check, nil).ClassifyState(cs, nil, "synthetic-failure")
+	if len(want) != 1 {
+		t.Fatalf("fixture classified %+v, want one pair", want)
+	}
+	n := e.G.Len()
+	all := causality.NewBitset(n)
+	for i := 0; i < n; i++ {
+		all.Set(i)
+	}
+	for _, differ := range []string{"front", "victim"} {
+		for _, lie := range []string{"cleared", "failing"} {
+			m := &culpritMemo{front: front, victim: ai, cleared: causality.NewBitset(n)}
+			if differ == "front" {
+				m.front = all
+			} else {
+				m.victim = ai + 1
+			}
+			if lie == "cleared" {
+				copy(m.cleared, all)
+			} else {
+				for i := 0; i < n; i++ {
+					m.culprits = append(m.culprits, culprit{b: i, kind: BugAtomicity, state: "planted"})
+				}
+			}
+			planted := NewClassifier(e, check, nil)
+			h := memoHash(front.Hash(), ai)
+			planted.memo[h] = append(planted.memo[h], m)
+			if got := planted.ClassifyState(cs, nil, "synthetic-failure"); !reflect.DeepEqual(got, want) {
+				t.Errorf("an entry differing in the %s, planted with every candidate %s: %+v, want %+v", differ, lie, got, want)
+			}
 		}
 	}
 }

@@ -222,7 +222,7 @@ func EmulatorDiff(fs pfs.FileSystem, lib Library, w Workload, cfg EmulatorConfig
 	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
 		agree(cs)
 		return s.probe(cs)
-	})
+	}, s.status)
 	for _, cs := range got {
 		agree(cs)
 		res := s.check(cs)

@@ -367,6 +367,15 @@ type session struct {
 	classes map[string]Verdict
 	fronts  map[string]*frontStatus
 
+	// keyBuf, frontBuf and classBuf are scratch for the state key, the
+	// front key and the class key, so that check and front look their
+	// tables up without building a string.
+	keyBuf, frontBuf, classBuf []byte
+	// checked is the state key check last inserted into checkCache, empty
+	// when its last call inserted nothing (an infeasible state or a cache
+	// hit): a shard reuses it for its verdict table.
+	checked string
+
 	// recon is the reconstruction engine (see reconstruct.go): it caches
 	// prefix roots and recovered outcomes. Each session owns its
 	// reconstructor — shard workers build one over their clone.
@@ -782,33 +791,47 @@ func (s *session) client(proc string) (pfs.Client, error) {
 // carries the state's class key ("" when the digest failed); a state whose
 // digest or judgement fails comes back skipped.
 func (s *session) check(cs CrashState) Verdict {
+	s.checked = ""
 	if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
 		return Verdict{Consistent: true}
 	}
-	key := stateKey(cs)
-	if v, ok := s.checkCache[key]; ok {
+	// The tables are read through the key's bytes in a scratch buffer; the
+	// key becomes a string only to be inserted.
+	s.keyBuf = appendStateKey(s.keyBuf[:0], cs)
+	if v, ok := s.checkCache[string(s.keyBuf)]; ok {
 		return v
 	}
-	v, elsewhere := s.shipped[key]
-	resumed := false
-	if !elsewhere {
-		v, resumed = s.resumed[key]
+	var v Verdict
+	elsewhere, resumed := false, false
+	if len(s.shipped) > 0 {
+		v, elsewhere = s.shipped[string(s.keyBuf)]
+	}
+	if !elsewhere && len(s.resumed) > 0 {
+		v, resumed = s.resumed[string(s.keyBuf)]
 		elsewhere = resumed
 	}
+	key := string(s.keyBuf)
 	// Neither whether a shard attributed the verdict from its own classes
 	// nor a journal record's hex key carries over.
 	v.attributed, v.Key = false, ""
 	var err error
-	if v.Class == "" {
-		v.Class, err = s.classKey(cs)
+	var cv Verdict
+	member := false
+	if v.Class != "" {
+		cv, member = s.classes[v.Class]
+	} else if ck, kerr := s.classKey(cs); kerr != nil {
+		err = kerr
+	} else if cv, member = s.classes[string(ck)]; !member {
+		v.Class = string(ck)
 	}
-	if cv, ok := s.classes[v.Class]; ok {
+	if member {
 		// A state of the same class already carries the verdict: attribute
 		// it without a verdict of its own. Members are not journaled — on
 		// resume they re-attribute from the replayed representative, keeping
 		// the journal one record per class.
 		cv.attributed = true
 		s.checkCache[key] = cv
+		s.checked = key
 		return cv
 	}
 	if resumed {
@@ -823,6 +846,7 @@ func (s *session) check(cs CrashState) Verdict {
 		s.ctrSkipped.Inc()
 	}
 	s.checkCache[key] = v
+	s.checked = key
 	s.recordClass(v)
 	s.journal(key, v)
 	return v

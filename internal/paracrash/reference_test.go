@@ -108,7 +108,7 @@ func OrderEffort(fs pfs.FileSystem, lib Library, w Workload, opts Options, perm 
 	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
 		r := check(cs)
 		return r.Consistent || r.Skipped, r.State
-	})
+	}, s.status)
 	for _, i := range perm(len(states)) {
 		r := check(states[i])
 		if r.Consistent || r.Skipped {
@@ -185,7 +185,7 @@ func ReferenceRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Re
 	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
 		r := judge(cs)
 		return r.Consistent || r.Skipped, r.State
-	})
+	}, s.status)
 	report := &Report{Program: w.Name(), FS: fs.Name(), Mode: opts.Mode}
 	bugs := NewBugSet()
 	seen := map[string]bool{}

@@ -56,8 +56,8 @@ type frontStatus struct {
 
 // front returns the front's status entry.
 func (s *session) front(f causality.Bitset) *frontStatus {
-	fk := f.Key()
-	if e, ok := s.fronts[fk]; ok {
+	s.frontBuf = f.AppendKey(s.frontBuf[:0])
+	if e, ok := s.fronts[string(s.frontBuf)]; ok {
 		return e
 	}
 	e := &frontStatus{pfs: s.pfsOps.StatusAgainst(f)}
@@ -66,8 +66,21 @@ func (s *session) front(f causality.Bitset) *frontStatus {
 		e.lib = s.libOps.StatusAgainst(f)
 		e.key += "|" + statusKey(e.lib)
 	}
-	s.fronts[fk] = e
+	s.fronts[string(s.frontBuf)] = e
 	return e
+}
+
+// status is the classifier's status source: lo's status vector against the
+// front, read from the front's entry when lo is one of the session's two
+// layers and computed afresh for any other.
+func (s *session) status(lo *LayerOps, f causality.Bitset) []Status {
+	switch {
+	case lo == s.pfsOps:
+		return s.front(f).pfs
+	case lo == s.libOps && lo != nil:
+		return s.front(f).lib
+	}
+	return lo.StatusAgainst(f)
 }
 
 // classKey computes the crash state's equivalence-class key: the
@@ -78,8 +91,9 @@ func (s *session) front(f causality.Bitset) *frontStatus {
 // the next bring restores every server. A digest that failed — an error or
 // a panic — comes back as the error, with an empty key: the state then
 // belongs to no class, and check quarantines it, as a failed verdict would
-// be.
-func (s *session) classKey(cs CrashState) (string, error) {
+// be. The key is built in the session's scratch buffer and is valid until
+// the next call.
+func (s *session) classKey(cs CrashState) ([]byte, error) {
 	var o *recoveredOutcome
 	before := s.stats.ServerRestores
 	err := guard(func() (err error) {
@@ -88,9 +102,10 @@ func (s *session) classKey(cs CrashState) (string, error) {
 	})
 	s.ctrDigestRestore.Add(int64(s.stats.ServerRestores - before))
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return o.digest + s.front(cs.Front).key, nil
+	s.classBuf = append(append(s.classBuf[:0], o.digest...), s.front(cs.Front).key...)
+	return s.classBuf, nil
 }
 
 // recordClass stores a freshly computed (or resumed) verdict as the

@@ -91,7 +91,8 @@ func TestClassKeyNeverCollidesAcrossRecoveredContent(t *testing.T) {
 	contentByClass := map[string]string{}
 	distinct := map[string]bool{}
 	for _, cs := range states {
-		ckey, err := s.classKey(cs)
+		key, err := s.classKey(cs)
+		ckey := string(key)
 		if err != nil || ckey == "" {
 			t.Fatalf("classKey empty on a healthy backend for state %s: %v", cs.Keep.Key(), err)
 		}
@@ -237,7 +238,8 @@ func TestClassKeyHoldsEveryLayerStatus(t *testing.T) {
 	s, states := digestSession(t)
 	s.libOps = NewLayerOps(s.g, trace.LayerPFS, nil)
 	for _, cs := range states {
-		ckey, err := s.classKey(cs)
+		key, err := s.classKey(cs)
+		ckey := string(key)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -358,8 +358,8 @@ func (s *session) walkRuns(states []CrashState, runs []*shardRun, rep *Report) [
 		s.shipped = make(verdictTable, len(states))
 	}
 	bugs := NewBugSet()
-	classifier := NewClassifier(s.emu, s.probe)
-	seen := map[string]bool{} // inconsistent states by layer and recovered content
+	classifier := NewClassifier(s.emu, s.probe, s.status)
+	seen := map[[2]string]bool{} // inconsistent states by layer and recovered content
 	var effort []Stats
 	for _, r := range runs {
 		<-r.done
@@ -384,7 +384,7 @@ func (s *session) walkRuns(states []CrashState, runs []*shardRun, rep *Report) [
 			}
 			// Distinct persistence subsets recovering to the same content are
 			// one inconsistent state (the paper's redundancy removal, §5.2).
-			if k := v.Layer + "|" + v.State; !seen[k] {
+			if k := [2]string{v.Layer, v.State}; !seen[k] {
 				seen[k] = true
 				rep.Inconsistent++
 				s.ctrBad.Inc()
@@ -464,7 +464,11 @@ func (ws *session) exploreShard(states []CrashState, out verdictTable, pending *
 			return
 		}
 		v := ws.check(cs)
-		out[stateKey(cs)] = v
+		key := ws.checked
+		if key == "" {
+			key = stateKey(cs)
+		}
+		out[key] = v
 		ws.countVisit(v)
 		pending.Add(-1)
 	}
@@ -472,5 +476,10 @@ func (ws *session) exploreShard(states []CrashState, out verdictTable, pending *
 
 // stateKey is the cache/dedup key of a crash state.
 func stateKey(cs CrashState) string {
-	return cs.Front.Key() + "|" + cs.Keep.Key()
+	return string(appendStateKey(nil, cs))
+}
+
+// appendStateKey appends cs's stateKey bytes to dst.
+func appendStateKey(dst []byte, cs CrashState) []byte {
+	return cs.Keep.AppendKey(append(cs.Front.AppendKey(dst), '|'))
 }

@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"fmt"
+	"time"
 
 	"paracrash/internal/blockdev"
 	"paracrash/internal/causality"
@@ -128,6 +129,9 @@ type Cluster struct {
 	// obsRun, when set, receives restore/recover/mount timings. Nil (the
 	// default) disables collection; TimeOp then returns a no-op stop.
 	obsRun *obs.Run
+	// restoreAll and restoreServer time Restore and RestoreServerSnap,
+	// resolved once by SetObs (nil without a run).
+	restoreAll, restoreServer *obs.Timer
 }
 
 // ObsAware is implemented by file systems that can attach an observability
@@ -138,13 +142,17 @@ type ObsAware interface {
 	SetObs(*obs.Run)
 }
 
-// SetObs attaches (or, with nil, detaches) the observability run.
-func (c *Cluster) SetObs(r *obs.Run) { c.obsRun = r }
+// SetObs attaches (or, with nil, detaches) the observability run and
+// resolves the cluster's restore timers ("pfs/restore-all",
+// "pfs/restore-server") on it.
+func (c *Cluster) SetObs(r *obs.Run) {
+	c.obsRun = r
+	c.restoreAll, c.restoreServer = r.Timer("pfs/restore-all"), r.Timer("pfs/restore-server")
+}
 
 // TimeOp starts a named timer span on the attached run and returns its stop
 // function; allocation-free no-op when no run is attached. Backends wrap
-// their Recover/Mount bodies with it ("pfs/recover", "pfs/mount"), and the
-// cluster its restores ("pfs/restore-all", "pfs/restore-server").
+// their Recover/Mount bodies with it ("pfs/recover", "pfs/mount").
 func (c *Cluster) TimeOp(name string) func() { return c.obsRun.StartTimer(name) }
 
 // SetTagHint sets (or, with "", clears) the semantic tag applied to
@@ -228,9 +236,11 @@ func (c *Cluster) Snapshot() *State {
 	return st
 }
 
-// Restore resets every server store to st.
+// Restore resets every server store to st, timed as "pfs/restore-all".
 func (c *Cluster) Restore(st *State) {
-	defer c.TimeOp("pfs/restore-all")()
+	if c.restoreAll != nil {
+		defer c.restoreAll.Since(time.Now())
+	}
 	for _, s := range c.FSServers {
 		if snap, ok := st.FS[s.Proc]; ok {
 			s.FS.Restore(snap)

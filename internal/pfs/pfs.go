@@ -165,9 +165,11 @@ func (t *Tree) AddDir(path string) {
 	t.Entries[vfs.Clean(path)] = &Entry{Dir: true}
 }
 
-// AddFile inserts a file at path with the given contents.
+// AddFile inserts a file at path with the given contents. The tree takes
+// ownership of data, which the caller must not modify afterwards: pass a
+// fresh buffer, or the entry of a tree that is itself never modified.
 func (t *Tree) AddFile(path string, data []byte) {
-	t.Entries[vfs.Clean(path)] = &Entry{Data: append([]byte(nil), data...)}
+	t.Entries[vfs.Clean(path)] = &Entry{Data: data}
 }
 
 // Paths returns the sorted paths in the tree.

@@ -1,6 +1,8 @@
 package pfs
 
 import (
+	"time"
+
 	"paracrash/internal/blockdev"
 	"paracrash/internal/vfs"
 )
@@ -33,7 +35,9 @@ func (c *Cluster) CaptureServer(proc string) (ServerSnap, bool) {
 // "pfs/restore-server". The snap is only read, so one snap can seed any
 // number of restores.
 func (c *Cluster) RestoreServerSnap(proc string, snap ServerSnap) bool {
-	defer c.TimeOp("pfs/restore-server")()
+	if c.restoreServer != nil {
+		defer c.restoreServer.Since(time.Now())
+	}
 	if s := c.FSServer(proc); s != nil {
 		if snap.fs == nil {
 			return false

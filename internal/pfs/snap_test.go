@@ -3,6 +3,7 @@ package pfs
 import (
 	"testing"
 
+	"paracrash/internal/obs"
 	"paracrash/internal/trace"
 	"paracrash/internal/vfs"
 )
@@ -130,5 +131,36 @@ func TestStateServerSnap(t *testing.T) {
 	fsOnly.fs = vfs.New()
 	if bc.RestoreServerSnap("nsd/0", fsOnly) {
 		t.Fatal("RestoreServerSnap accepted fs snap for block server")
+	}
+}
+
+// TestRestoreServerSnapTimedAllocationFree: with a run attached, a
+// per-server restore is one "pfs/restore-server" span, recorded without a
+// lock-guarded lookup or a closure, so the restore allocates nothing.
+func TestRestoreServerSnapTimedAllocationFree(t *testing.T) {
+	c := testCluster(t)
+	run := obs.NewRun()
+	c.SetObs(run)
+	snap, ok := c.CaptureServer("oss/0")
+	if !ok {
+		t.Fatal("CaptureServer failed for oss/0")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !c.RestoreServerSnap("oss/0", snap) {
+			t.Fatal("RestoreServerSnap failed for oss/0")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a timed RestoreServerSnap allocated %.1f times, want 0", allocs)
+	}
+	// AllocsPerRun calls the function once more than it averages over.
+	var spans int64
+	for _, ts := range run.Summary().Timers {
+		if ts.Name == "pfs/restore-server" {
+			spans = ts.Count
+		}
+	}
+	if spans != 101 {
+		t.Errorf("pfs/restore-server counted %d spans, want 101", spans)
 	}
 }
