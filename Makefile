@@ -74,15 +74,15 @@ benchcheck:
 # generated programs, backends whose apply panics on one op or on one
 # server, mid-class kill/resume) — plus the white-box collision proofs, the
 # outcome-memo cap test, backends whose apply or mount panics (quarantined
-# at the first attempt, no class poisoned), the hard-fault quarantine at 1
-# and 4 workers and the digest fuzz target's seed corpus.
+# at the first attempt, no class poisoned), the hard-fault quarantine and
+# the digest fuzz target's seed corpus.
 representative:
 	$(GO) test ./internal/paracrash/ -run 'TestRepresentative|TestClassKey|TestCrashDigest|FuzzStateDigest|TestHardFaultsQuarantine' -count=1 -v
 
 # O(delta) reconstruction gate: the one exploration engine against its
 # references (every backend, both workload families) — the committed report
-# fingerprints and effort counts of serial and Workers=4 runs alike
-# (testdata/fingerprints.golden), the per-state full-rebuild reference
+# fingerprints and effort counts (testdata/fingerprints.golden), the
+# per-state full-rebuild reference
 # (reference_test.go), which also requires states sharing an image key to
 # rebuild identically (on a block and a vfs states-k2 cell at k = 2), the
 # image key's unit cases (shadowed writes, writes equal to the initial
@@ -130,17 +130,14 @@ classify:
 # n-1, n and n+1, each distinct selection sequence of a cell compared once,
 # with equal sets, capped flags and restores/legal, and
 # legal/pfs-steps equal to the selections' distinct prefixes; the trie at
-# its snapshot cap and a clone that must not restore another cluster's
-# snapshots; the library replay table ((replay digest, op) -> replay state,
-# and replay digest -> legal leaf) at its cap, and shared by four sessions
-# enumerating every library status vector of a cell at once, each
-# transition applied and each leaf parsed once; the replay-step unit tests
-# in hdf5 and stack; and Workers=4 runs under -race for the parse memo, the
-# replay table and the replay trie the workers share.
+# its snapshot cap; the library replay table ((replay digest, op) -> replay
+# state, and replay digest -> legal leaf) at its cap, and shared by every
+# library status vector of a cell under every model, each transition
+# applied and each leaf parsed once; and the replay-step unit tests in hdf5
+# and stack.
 legal:
 	$(GO) test ./internal/hdf5 ./internal/stack -run 'TestClone|TestAppendState|TestReplay|TestDigest' -count=1
 	$(GO) test ./internal/paracrash/ -run 'TestModelDefinition|TestLegalLib|TestLegalPFS' -count=1 -v
-	$(GO) test -race ./internal/paracrash/ -run 'TestLegalLibParallel|TestLegalLibShared|TestLegalPFSParallel' -count=1
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:
@@ -170,21 +167,19 @@ fuzz-smoke:
 	$(GO) test ./internal/paracrash/ -run FuzzJournal -fuzz FuzzJournal -fuzztime 5s
 	$(GO) run ./cmd/experiments -exp fuzz -seeds 8 -enum-ops 1
 
-# Chaos gate: kill explorations mid-run — serial, Workers=4, a fleet shard —
+# Chaos gate: kill explorations mid-run — a whole run and a fleet shard —
 # and resume from the checkpoint journal; the resumed reports must be
 # byte-identical to clean uninterrupted runs. The resume half also
 # holds the journal itself: a complete journal of every paper program on
 # six backends resumes in full with no warning and reads clean; a torn
-# newline is rewritten without losing a record; a Workers=2 run journals
-# every state its shards judged, and the journal resumes at 1 and 4
-# workers to the serial report; and a journal or shard report written
-# under other H5 parameters is refused. The obs and serve
+# newline is rewritten without losing a record; and a journal or shard
+# report written under other H5 parameters is refused. The obs and serve
 # halves hold telemetry to the same rule: an exploration scraped in a tight
 # loop keeps its report, jobs finish with their verdicts while /metrics is
 # scraped in a loop, and a stalled events reader never delays a job; the
 # fleet's worker-death and coordinator-death tests ride along.
 chaos:
-	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestRepresentativeChaosResume|TestShardChaosResume|TestJournalResumeComplete|TestCheckpointTornNewline|TestParallelJournalsShardVerdicts|TestResumeStaleAcrossH5Params|TestShardMergeRefusesOtherH5Params' -count=1 -v
+	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestRepresentativeChaosResume|TestShardChaosResume|TestJournalResumeComplete|TestCheckpointTornNewline|TestResumeStaleAcrossH5Params|TestShardMergeRefusesOtherH5Params' -count=1 -v
 	$(GO) test ./internal/obs/ ./internal/serve/ -run 'TestChaos' -count=1 -v
 
 # Self-check gate: the checker turned on itself. For every registered

@@ -61,7 +61,6 @@ func requestFlags(fl *flag.FlagSet, r *serve.JobRequest) {
 	fl.StringVar(&r.PFSModel, "pfs-model", "causal", "PFS consistency model: strict, commit, causal, baseline")
 	fl.StringVar(&r.LibModel, "lib-model", "baseline", "I/O library consistency model")
 	fl.IntVar(&r.K, "k", 1, "max victims per crash front (Algorithm 1's k)")
-	fl.IntVar(&r.Workers, "workers", 1, "parallel exploration workers (1 = serial, the default; 0 = one per CPU)")
 	fl.IntVar(&r.Shards, "shards", 0, "with -remote: ask the daemon to split this job across its worker fleet into this many shards (0 = daemon default)")
 	fl.IntVar(&r.Clients, "clients", 2, "MPI ranks for the parallel programs")
 	fl.IntVar(&r.Rows, "rows", 4, "preamble dataset rows (0 = the default)")
@@ -125,7 +124,7 @@ func (inv *invocation) resolve(fl *flag.FlagSet) error {
 	if inv.remote != "" {
 		return nil
 	}
-	inv.spec, _ = inv.req.Spec(0) // Normalize has accepted the program
+	inv.spec, _ = inv.req.Spec() // Normalize has accepted the program
 	var err error
 	if inv.spec.Config, err = exps.WithServers(inv.spec.Config, inv.servers); err != nil {
 		return fmt.Errorf("-%v (-fs %s)", err, inv.req.FS)

@@ -2,13 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"io"
 	"os"
 	"os/exec"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -56,7 +54,6 @@ func TestCLIFlagValidation(t *testing.T) {
 		args    []string
 		wantMsg string
 	}{
-		{"negative workers", []string{"-workers", "-1"}, "-workers must be >= 0"},
 		{"zero k", []string{"-k", "0"}, "-k must be >= 1"},
 		{"negative servers", []string{"-servers", "-4"}, "-servers must be >= 0"},
 		{"negative stripe", []string{"-stripe", "-8"}, "-stripe must be >= 0"},
@@ -142,43 +139,6 @@ func TestCLIResume(t *testing.T) {
 	}
 }
 
-// TestCLIWorkersDefault: with no -workers the run is serial (the parallel
-// engine never starts, so its "workers" gauge stays unset); an explicit
-// -workers 0 still means one worker per CPU.
-func TestCLIWorkersDefault(t *testing.T) {
-	workersGauge := func(extra ...string) (int64, bool) {
-		t.Helper()
-		path := t.TempDir() + "/metrics.json"
-		args := append([]string{"-fs", "beegfs", "-program", "ARVR", "-metrics", path}, extra...)
-		if code, _, stderr := runCLI(t, args...); code != 1 { // the cell has bugs
-			t.Fatalf("%v: exit code %d; stderr: %s", args, code, stderr)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum struct {
-			Gauges map[string]int64 `json:"gauges"`
-		}
-		if err := json.Unmarshal(raw, &sum); err != nil {
-			t.Fatal(err)
-		}
-		v, ok := sum.Gauges["workers"]
-		return v, ok
-	}
-	if v, ok := workersGauge(); ok {
-		t.Fatalf("no -workers: the parallel engine ran with %d workers", v)
-	}
-	if v, ok := workersGauge("-workers", "1"); ok {
-		t.Fatalf("-workers 1: the parallel engine ran with %d workers", v)
-	}
-	if runtime.NumCPU() > 1 {
-		if v, _ := workersGauge("-workers", "0"); v != int64(runtime.NumCPU()) {
-			t.Fatalf("-workers 0: %d workers, want one per CPU (%d)", v, runtime.NumCPU())
-		}
-	}
-}
-
 // TestCapWarnings: each cap the emulator flags becomes one line naming it;
 // an uncapped run says nothing.
 func TestCapWarnings(t *testing.T) {
@@ -237,7 +197,7 @@ func TestRequestSameLocalAndRemote(t *testing.T) {
 		{},
 		{"-fs", "beegfs", "-program", "H5-resize", "-rows", "0"},
 		{"-fs", "lustre", "-program", "H5-resize", "-resize-rows", "10", "-resize-cols", "10", "-mode", "brute", "-k", "2"},
-		{"-fs", "gpfs", "-program", "CDF-create", "-pfs-model", "commit", "-lib-model", "causal", "-workers", "0"},
+		{"-fs", "gpfs", "-program", "CDF-create", "-pfs-model", "commit", "-lib-model", "causal"},
 		{"-program", "H5-parallel-create", "-clients", "4", "-cols", "0"},
 		{"-k", "0"},
 		{"-clients", "0"},
@@ -260,7 +220,7 @@ func TestRequestSameLocalAndRemote(t *testing.T) {
 			t.Errorf("%v: local request %+v, remote request %+v", args, local.req, remote.req)
 			continue
 		}
-		daemon, err := remote.req.Spec(0)
+		daemon, err := remote.req.Spec()
 		if err != nil {
 			t.Fatal(err)
 		}

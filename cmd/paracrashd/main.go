@@ -49,7 +49,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -66,7 +65,6 @@ func main() {
 		queueDepth   = flag.Int("queue-depth", 16, "queued jobs before submissions get 429")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "default per-job timeout (0 = none)")
 		maxTimeout   = flag.Duration("max-job-timeout", time.Hour, "cap on any job's timeout (0 = no cap)")
-		maxWorkers   = flag.Int("max-job-workers", runtime.NumCPU(), "cap on one job's exploration workers (0 = one per CPU)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight jobs before cancelling them")
 
 		role      = flag.String("role", "standalone", "process role: standalone, coordinator (shard explore jobs across workers) or worker (claim and judge shards)")
@@ -174,7 +172,6 @@ func main() {
 		QueueDepth:     *queueDepth,
 		DefaultTimeout: *jobTimeout,
 		MaxTimeout:     *maxTimeout,
-		MaxJobWorkers:  *maxWorkers,
 		Tenants:        tenants,
 	}
 	if *role == "coordinator" {

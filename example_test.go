@@ -46,36 +46,6 @@ func Example_crossLayer() {
 	// [hdf5] atomicity: scsi_write(h5:snod:/g1)@server#0 -> scsi_write(h5:heap:/g1)@server#1
 }
 
-// Example_parallelExploration shards crash-state checking across four
-// workers (Options.Workers). Verdicts are merged in the serial visiting
-// order, so the parallel report lists exactly the serial run's bugs.
-func Example_parallelExploration() {
-	bugs := func(workers int) string {
-		rec := paracrash.NewRecorder()
-		fs, err := paracrash.NewFileSystem("beegfs", paracrash.DefaultConfig(), rec)
-		if err != nil {
-			panic(err)
-		}
-		opts := paracrash.DefaultOptions()
-		opts.Workers = workers
-		report, err := paracrash.Run(fs, nil, paracrash.ARVR(), opts)
-		if err != nil {
-			panic(err)
-		}
-		s := fmt.Sprintf("%d inconsistent:", report.Inconsistent)
-		for _, b := range report.Bugs {
-			s += fmt.Sprintf(" [%s %s -> %s]", b.Kind, b.OpA, b.OpB)
-		}
-		return s
-	}
-	serial, parallel := bugs(1), bugs(4)
-	fmt.Println(serial)
-	fmt.Println("parallel run identical:", parallel == serial)
-	// Output:
-	// 2 inconsistent: [reordering append(chunk)@storage#1 -> rename(dentry)@meta#0] [reordering rename(dentry)@meta#0 -> unlink(chunk)@storage#0]
-	// parallel run identical: true
-}
-
 // Example_modelSelection tests the same program and file system against
 // each consistency model of the paper's §4.4.2 lattice. Stricter models
 // flag more crash states as inconsistent; the paper tests every PFS

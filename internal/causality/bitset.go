@@ -10,9 +10,7 @@ import (
 // operations assume operands of equal capacity.
 //
 // A Bitset is safe for concurrent readers as long as no goroutine mutates
-// it; the exploration engine shares crash-front bitsets read-only across
-// workers (mutating methods like Set/Subtract are only ever applied to
-// Clone()d copies there).
+// it.
 //
 // The crash emulator runs its per-candidate loop on scratch bitsets and
 // relies on Get, Equal, Union, Subtract, Intersect and Hash (and the

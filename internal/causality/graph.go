@@ -7,8 +7,7 @@
 // NewPersistOrder respectively and never mutated afterwards, so all their
 // query methods (HB, Ideals, DownwardClosed, SyncFeasible, PersistsBefore,
 // Closure, DependsOn, ...) are safe to call from multiple goroutines
-// concurrently. The parallel exploration engine relies on this: shard
-// workers share one Graph and one PersistOrder without locking.
+// concurrently.
 package causality
 
 import (

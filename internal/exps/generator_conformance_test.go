@@ -32,9 +32,7 @@ func TestGeneratorBackendConformance(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts := paracrash.DefaultOptions()
-					opts.Workers = 1
-					rep, err := paracrash.Run(fs, nil, prog, opts)
+					rep, err := paracrash.Run(fs, nil, prog, paracrash.DefaultOptions())
 					if err != nil {
 						t.Fatalf("seed %d does not run cleanly on %s: %v", seed, fsName, err)
 					}

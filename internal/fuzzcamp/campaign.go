@@ -58,13 +58,8 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-const (
-	// diffWorkers is the worker count of the parallel run in the
-	// serial-vs-parallel differential oracle.
-	diffWorkers = 4
-	// minimizeTests bounds predicate evaluations per minimization.
-	minimizeTests = 200
-)
+// minimizeTests bounds predicate evaluations per minimization.
+const minimizeTests = 200
 
 // workloadList builds the campaign's deterministic workload sequence:
 // generated programs first (seed order), then the bounded enumeration.
@@ -111,7 +106,7 @@ func (r *Result) OK() bool {
 }
 
 // oracleOrder fixes the per-oracle summary line order.
-var oracleOrder = []string{OracleLattice, OracleDifferential, OraclePruning, OracleInjected}
+var oracleOrder = []string{OracleLattice, OraclePruning, OracleInjected}
 
 // Format renders the campaign summary.
 func (r *Result) Format() string {
@@ -167,7 +162,7 @@ type campaign struct {
 // explore runs one explorer invocation for the campaign: a fresh file
 // system, generated programs only (no I/O library), both models set to the
 // oracle's model so POSIX and library runs would judge alike.
-func (c *campaign) explore(backend string, w paracrash.Workload, mode paracrash.Mode, model paracrash.Model, workers int) (*paracrash.Report, error) {
+func (c *campaign) explore(backend string, w paracrash.Workload, mode paracrash.Mode, model paracrash.Model) (*paracrash.Report, error) {
 	c.nruns.Add(1)
 	c.runs.Inc()
 	fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
@@ -178,7 +173,6 @@ func (c *campaign) explore(backend string, w paracrash.Workload, mode paracrash.
 	opts.Mode = mode
 	opts.PFSModel = model
 	opts.LibModel = model
-	opts.Workers = workers
 	opts.Obs = c.obs
 	rep, err := paracrash.Run(fs, nil, w, opts)
 	if err == nil {

@@ -16,7 +16,7 @@ import (
 
 // TestCampaignSmokeGreen runs a tiny campaign (2 seeds + the length-1
 // enumeration on the two cheapest backends) and expects every oracle to pass
-// with the exact run accounting: six explorer invocations per cell.
+// with the exact run accounting: five explorer invocations per cell.
 func TestCampaignSmokeGreen(t *testing.T) {
 	run := obs.NewRun()
 	res, err := Run(Config{
@@ -34,8 +34,8 @@ func TestCampaignSmokeGreen(t *testing.T) {
 	if res.Cells != res.Workloads*2 {
 		t.Fatalf("cells = %d, want workloads(%d) × 2 backends", res.Cells, res.Workloads)
 	}
-	if want := int64(res.Cells * 6); res.ExplorerRuns != want {
-		t.Fatalf("explorer runs = %d, want %d (6 per cell)", res.ExplorerRuns, want)
+	if want := int64(res.Cells * 5); res.ExplorerRuns != want {
+		t.Fatalf("explorer runs = %d, want %d (5 per cell)", res.ExplorerRuns, want)
 	}
 	sum := run.Summary()
 	if sum.Counters["campaign/cells"] != int64(res.Cells) {

@@ -7,10 +7,7 @@
 //  1. model-lattice monotonicity: the consistency models order by legal-set
 //     inclusion, so the inconsistent crash states found under a weaker model
 //     must be a subset of those found under a stronger one;
-//  2. serial-vs-parallel differential: a Workers=1 and a Workers=N brute
-//     exploration must produce byte-identical reports (the parallel engine's
-//     determinism contract);
-//  3. pruning soundness: every bug cause reported by the pruning strategy
+//  2. pruning soundness: every bug cause reported by the pruning strategy
 //     must also be reported by brute force, and pruning must not
 //     go vacuously silent on a workload where brute force finds bugs.
 //

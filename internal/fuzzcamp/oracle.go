@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"paracrash/internal/exps"
 	"paracrash/internal/paracrash"
 	"paracrash/internal/workloads"
 )
@@ -17,10 +16,6 @@ const (
 	// the inconsistent-state key sets must shrink in the opposite direction
 	// (causal ⊆ strict, commit ⊆ causal, baseline ⊆ strict).
 	OracleLattice = "lattice"
-	// OracleDifferential checks the parallel engine's determinism contract:
-	// Workers=1 and Workers=N brute explorations must produce reports that
-	// are byte-identical modulo wall time.
-	OracleDifferential = "differential"
 	// OraclePruning checks pruning soundness at the bug-cause level: the
 	// pruning exploration must not report causes brute force does not
 	// (no false positives) and must not be vacuously silent when brute force
@@ -105,29 +100,9 @@ func missingFrom(sub, super map[string]bool) []string {
 	return out
 }
 
-// firstDiffLine locates the first line where two report fingerprints
-// diverge, for the differential oracles' detail messages. The reference
-// run's fingerprint goes first ("want"), the run under test second ("got").
-func firstDiffLine(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) || i < len(bl); i++ {
-		av, bv := "", ""
-		if i < len(al) {
-			av = al[i]
-		}
-		if i < len(bl) {
-			bv = bl[i]
-		}
-		if av != bv {
-			return fmt.Sprintf("line %d: want %q got %q", i+1, av, bv)
-		}
-	}
-	return "fingerprints differ"
-}
-
 // evalCell runs the full oracle battery for one workload × backend cell:
-// four serial brute runs (one per consistency model), one parallel brute
-// run and the pruning run — six explorer invocations.
+// four brute runs (one per consistency model) and the pruning run — five
+// explorer invocations.
 func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending, error) {
 	models := []paracrash.Model{
 		paracrash.ModelStrict, paracrash.ModelCommit,
@@ -135,7 +110,7 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 	}
 	brute := map[paracrash.Model]*paracrash.Report{}
 	for _, m := range models {
-		rep, err := c.explore(backend, prog, paracrash.ModeBrute, m, 1)
+		rep, err := c.explore(backend, prog, paracrash.ModeBrute, m)
 		if err != nil {
 			return nil, fmt.Errorf("brute/%s: %w", m, err)
 		}
@@ -160,11 +135,11 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 			},
 			pred: func(body []workloads.Op) bool {
 				p := workloads.NewProgram(prog.Name(), prog.PreambleOps(), body)
-				sub, err := c.explore(backend, p, paracrash.ModeBrute, e.sub, 1)
+				sub, err := c.explore(backend, p, paracrash.ModeBrute, e.sub)
 				if err != nil {
 					return false
 				}
-				super, err := c.explore(backend, p, paracrash.ModeBrute, e.super, 1)
+				super, err := c.explore(backend, p, paracrash.ModeBrute, e.super)
 				if err != nil {
 					return false
 				}
@@ -173,49 +148,19 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 		})
 	}
 
-	// Oracle 2: serial-vs-parallel differential on the causal brute run.
-	serialFP := exps.ReportFingerprint(brute[paracrash.ModelCausal])
-	par, err := c.explore(backend, prog, paracrash.ModeBrute, paracrash.ModelCausal, diffWorkers)
-	if err != nil {
-		return nil, fmt.Errorf("parallel brute/causal: %w", err)
-	}
-	if parFP := exps.ReportFingerprint(par); parFP != serialFP {
-		diff := firstDiffLine(serialFP, parFP)
-		out = append(out, &pending{
-			v: &Violation{
-				Oracle: OracleDifferential, Backend: backend, Workload: prog.Name(),
-				Signature: fmt.Sprintf("%s|%s|%s", OracleDifferential, backend, diff),
-				Detail: fmt.Sprintf("Workers=1 and Workers=%d brute reports diverge: %s",
-					diffWorkers, diff),
-			},
-			pred: func(body []workloads.Op) bool {
-				p := workloads.NewProgram(prog.Name(), prog.PreambleOps(), body)
-				s, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, 1)
-				if err != nil {
-					return false
-				}
-				n, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, diffWorkers)
-				if err != nil {
-					return false
-				}
-				return exps.ReportFingerprint(s) != exps.ReportFingerprint(n)
-			},
-		})
-	}
-
-	// Oracle 3: pruning soundness against the causal brute run.
+	// Oracle 2: pruning soundness against the causal brute run.
 	bruteCauses := causeKeys(brute[paracrash.ModelCausal])
-	rep, err := c.explore(backend, prog, paracrash.ModePruning, paracrash.ModelCausal, 1)
+	rep, err := c.explore(backend, prog, paracrash.ModePruning, paracrash.ModelCausal)
 	if err != nil {
 		return nil, fmt.Errorf("pruning/causal: %w", err)
 	}
 	pred := func(body []workloads.Op) bool {
 		p := workloads.NewProgram(prog.Name(), prog.PreambleOps(), body)
-		b, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, 1)
+		b, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal)
 		if err != nil {
 			return false
 		}
-		pr, err := c.explore(backend, p, paracrash.ModePruning, paracrash.ModelCausal, 1)
+		pr, err := c.explore(backend, p, paracrash.ModePruning, paracrash.ModelCausal)
 		if err != nil {
 			return false
 		}
@@ -243,7 +188,7 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 		})
 	}
 
-	// Oracle 4: the injection hook (tests only).
+	// Oracle 3: the injection hook (tests only).
 	if c.cfg.Inject != nil {
 		if detail := c.cfg.Inject(backend, prog); detail != "" {
 			out = append(out, &pending{

@@ -42,15 +42,11 @@ const (
 	// golden-state replays.
 	PhaseGraph = "graph-build"
 	// PhaseGenerate covers crash-state enumeration (Algorithm 1). Every
-	// run — serial, parallel or fleet shard — generates its whole state list
-	// before it explores it.
+	// run, fleet shards included, generates its whole state list before it
+	// explores it.
 	PhaseGenerate = "generate"
 	// PhaseExplore covers crash-state reconstruction and checking.
 	PhaseExplore = "explore"
-	// PhaseMerge covers the deterministic serial-order merge of in-process
-	// shard verdicts, including its waits for shards still judging
-	// (parallel runs only; nested inside PhaseExplore).
-	PhaseMerge = "merge"
 	// PhaseCampaign covers a fuzz campaign's oracle evaluation: every
 	// explorer run the campaign performs is nested inside it.
 	PhaseCampaign = "campaign"

@@ -127,8 +127,8 @@ func journalLines(hdr *Journal, vs []Verdict) []byte {
 // Checkpoint is a crash-state verdict journal bound to one file. Create it
 // with OpenCheckpoint, hand it to Options.Checkpoint, and the run loads any
 // compatible previous journal, continues from the frontier and keeps
-// journaling. Safe for concurrent use (in-process shards and the merge
-// record from their own goroutines while callers may Flush).
+// journaling. Safe for concurrent use: a caller may Flush while the run
+// records.
 type Checkpoint struct {
 	path string
 

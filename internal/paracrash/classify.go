@@ -592,7 +592,7 @@ func (s *BugSet) KnownBad(cs CrashState) bool {
 // sort tiebreaks on consequence, state count and finally the group key, which
 // is unique within a set and makes the order total; anything less falls back
 // to map iteration and the report is not reproducible (both gaps found by the
-// fuzz campaign's serial-vs-parallel differential oracle).
+// fuzz campaign).
 func (s *BugSet) Bugs() []*Bug {
 	out := make([]*Bug, 0, len(s.bugs))
 	for _, b := range s.bugs {

@@ -5,10 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"paracrash/internal/causality"
@@ -154,19 +152,8 @@ type Options struct {
 	// legal/lib-capped counter.
 	MaxLegalStates int
 
-	// Workers is the number of goroutines one exploration uses: a fleet in
-	// one process. The generated crash-state list is cut into Workers
-	// contiguous runs (ShardSpec). The calling goroutine walks them in the
-	// serial visiting order and judges the first itself; each later run is
-	// judged ahead of the walk by a shard on a detached clone of the
-	// cluster (see pfs.Cloner) with private clients and caches, and the
-	// walk takes its verdicts once that shard has finished. The report's
-	// verdicts and state counts are those of a Workers=1 run; its effort
-	// counts are the shards' and the walk's own, fixed by the
-	// configuration. 1 — what DefaultOptions sets — is the serial engine,
-	// which does the least work (EXPERIMENTS.md has what 2 buys); 0 (the
-	// zero value) means runtime.NumCPU(). File systems that do not
-	// implement pfs.Cloner always run serially regardless of this setting.
+	// Workers is accepted and ignored: exploration is serial, and
+	// parallelism is the fleet's (RunShard and MergeShards, a job's Shards).
 	Workers int `json:"-"`
 
 	// Obs, when non-nil, receives the run's phase timings, counters and
@@ -198,17 +185,7 @@ func DefaultOptions() Options {
 			MaxStates: 200000,
 		},
 		MaxLegalStates: 50000,
-		Workers:        1,
 	}
-}
-
-// effectiveWorkers resolves the Workers knob: the zero value means one
-// worker per CPU.
-func (o Options) effectiveWorkers() int {
-	if o.Workers <= 0 {
-		return runtime.NumCPU()
-	}
-	return o.Workers
 }
 
 // Stats records exploration effort, the quantities behind Figures 10/11.
@@ -218,7 +195,7 @@ type Stats struct {
 	StatesGenerated int
 	// StatesChecked counts visited crash states that missed the class memo
 	// (representative.go): each was judged on its own, or took a verdict
-	// judged for it by a worker or a journal.
+	// judged for it by a fleet shard or a journal.
 	StatesChecked int
 	// StatesDeduped counts visited crash states that hit the class memo and
 	// took their class representative's verdict. StatesChecked +
@@ -232,9 +209,9 @@ type Stats struct {
 	StatesResumed int
 	// ServerRestores and OpsReplayed count the server-store restores and
 	// lowermost op applies this run performed (reconstruction, class
-	// digests, legal-state replay; parallel workers and fleet shards
-	// included), so they differ between serial, parallel and resumed
-	// runs. The legal-state maxima cover the sets this run enumerated.
+	// digests, legal-state replay; fleet shards included), so they differ
+	// between serial, sharded and resumed runs. The legal-state maxima
+	// cover the sets this run enumerated.
 	ServerRestores int
 	OpsReplayed    int
 	LegalPFSStates int
@@ -346,9 +323,9 @@ type session struct {
 
 	clients map[string]pfs.Client
 
-	// legal caches legal-state sets and replays (shared by the sessions of
-	// a parallel run); checkCache caches verdicts per front|keep.
-	legal      *legalCache
+	// legal caches legal-state sets and replays; checkCache caches
+	// verdicts per front|keep.
+	legal      legalCache
 	checkCache map[string]Verdict
 
 	goldenPFS string // strict golden tree (all ops), for consequences
@@ -363,7 +340,6 @@ type session struct {
 	// classes is the class memo (representative.go): class key to the
 	// verdict of the class's representative. fronts memoises each crash
 	// front's status vectors, which the class key and the verdict share.
-	// Both are session-private (workers keep their own), no locking.
 	classes map[string]Verdict
 	fronts  map[string]*frontStatus
 
@@ -377,25 +353,22 @@ type session struct {
 	checked string
 
 	// recon is the reconstruction engine (see reconstruct.go): it caches
-	// prefix roots and recovered outcomes. Each session owns its
-	// reconstructor — shard workers build one over their clone.
+	// prefix roots and recovered outcomes.
 	recon *reconstructor
 
 	// resumed holds the records of a checkpoint journal, keyed like
-	// checkCache. Read-only during exploration (shared with shards).
+	// checkCache. Read-only during exploration.
 	resumed map[string]Verdict
 	// ckpt, when the run checkpoints, receives every freshly computed
-	// verdict for journaling (shared with shards).
+	// verdict for journaling.
 	ckpt *Checkpoint
 
 	stats Stats
 
 	// Observability handles, pre-resolved so the per-state hot path pays
 	// one atomic add (or nothing at all when obs is off — nil handles are
-	// no-ops). The primary session's counters mirror the Stats fields
-	// exactly; shard workers bind the same code paths to worker/-prefixed
-	// counters, and their effort reaches the primary's Stats and counters
-	// through foldEffort.
+	// no-ops). The counters mirror the Stats fields exactly; a fleet merge
+	// folds its shards' effort into both through foldEffort.
 	obs              *obs.Run
 	ctrChecked       *obs.Counter
 	ctrDeduped       *obs.Counter
@@ -421,31 +394,30 @@ type session struct {
 }
 
 // bindObs resolves the session's metric handles against r (nil for a no-op
-// collector). prefix distinguishes the primary session ("") — whose
-// counters reconcile 1:1 with Stats — from shard workers ("worker/").
-func (s *session) bindObs(r *obs.Run, prefix string) {
+// collector).
+func (s *session) bindObs(r *obs.Run) {
 	s.obs = r
-	s.ctrChecked = r.Counter(prefix + "states/checked")
-	s.ctrDeduped = r.Counter(prefix + "states/deduped")
-	s.ctrPruned = r.Counter(prefix + "states/pruned")
-	s.ctrBad = r.Counter(prefix + "states/inconsistent")
-	s.ctrRestores = r.Counter(prefix + "restores/servers")
-	s.ctrDigestRestore = r.Counter(prefix + "restores/digest")
-	s.ctrLegalRestore = r.Counter(prefix + "restores/legal")
-	s.ctrProbeRestore = r.Counter(prefix + "restores/probe")
-	s.ctrProbes = r.Counter(prefix + "classify/probes")
-	s.ctrRecover = r.Counter(prefix + "recover/calls")
-	s.ctrReplayed = r.Counter(prefix + "ops/replayed")
-	s.ctrSkipped = r.Counter(prefix + "states/skipped")
-	s.ctrLegalPFSCap = r.Counter(prefix + "legal/pfs-capped")
-	s.ctrLegalLibCap = r.Counter(prefix + "legal/lib-capped")
-	s.ctrLibSets = r.Counter(prefix + "legal/lib-sets")
-	s.ctrLibReplayed = r.Counter(prefix + "legal/lib-replayed")
-	s.ctrLibParses = r.Counter(prefix + "legal/lib-parses")
-	s.ctrLibSteps = r.Counter(prefix + "legal/lib-steps")
-	s.ctrPFSSteps = r.Counter(prefix + "legal/pfs-steps")
-	s.gaugeLegalPFS = r.Gauge(prefix + "legal/pfs")
-	s.gaugeLegalLib = r.Gauge(prefix + "legal/lib")
+	s.ctrChecked = r.Counter("states/checked")
+	s.ctrDeduped = r.Counter("states/deduped")
+	s.ctrPruned = r.Counter("states/pruned")
+	s.ctrBad = r.Counter("states/inconsistent")
+	s.ctrRestores = r.Counter("restores/servers")
+	s.ctrDigestRestore = r.Counter("restores/digest")
+	s.ctrLegalRestore = r.Counter("restores/legal")
+	s.ctrProbeRestore = r.Counter("restores/probe")
+	s.ctrProbes = r.Counter("classify/probes")
+	s.ctrRecover = r.Counter("recover/calls")
+	s.ctrReplayed = r.Counter("ops/replayed")
+	s.ctrSkipped = r.Counter("states/skipped")
+	s.ctrLegalPFSCap = r.Counter("legal/pfs-capped")
+	s.ctrLegalLibCap = r.Counter("legal/lib-capped")
+	s.ctrLibSets = r.Counter("legal/lib-sets")
+	s.ctrLibReplayed = r.Counter("legal/lib-replayed")
+	s.ctrLibParses = r.Counter("legal/lib-parses")
+	s.ctrLibSteps = r.Counter("legal/lib-steps")
+	s.ctrPFSSteps = r.Counter("legal/pfs-steps")
+	s.gaugeLegalPFS = r.Gauge("legal/pfs")
+	s.gaugeLegalLib = r.Gauge("legal/lib")
 }
 
 // countRestores records n server-store restores the engine performed.
@@ -468,10 +440,9 @@ func (s *session) noteLegal(pfsN, libN int) {
 	s.gaugeLegalLib.Max(int64(libN))
 }
 
-// foldEffort merges an in-process or fleet shard's measured effort
-// into s: restores, op applies and resumed verdicts add up, legal-set sizes
-// take the maximum. State counts are not folded — the merging walk counts
-// every state itself.
+// foldEffort merges a fleet shard's measured effort into s: restores, op
+// applies and resumed verdicts add up, legal-set sizes take the maximum.
+// State counts are not folded — the merging walk counts every state itself.
 func (s *session) foldEffort(st Stats) {
 	s.countRestores(st.ServerRestores)
 	s.countReplayed(st.OpsReplayed)
@@ -584,7 +555,7 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 	if s.recon, err = newReconstructor(s); err != nil {
 		return nil, err
 	}
-	s.bindObs(opts.Obs, "")
+	s.bindObs(opts.Obs)
 	s.stats.TraceOps = len(ops)
 	s.stats.LowermostOps = len(emu.Universe)
 	opts.Obs.Counter("trace/ops").Add(int64(len(ops)))
@@ -655,10 +626,9 @@ func (s *session) flushCheckpoint() {
 // emulatorConfig materialises the crash-emulation bounds for phase 3. The
 // victim filter is derived here, whatever the caller set: the semantic
 // filter in pruning mode, nil in brute force, so the Mode in
-// checkpointConfig's fingerprint covers it. Shard
-// workers and the merge must build the identical configuration: it decides
-// which crash states are generated, and with them the generation order the
-// shard keys index.
+// checkpointConfig's fingerprint covers it. Fleet shards and the merge must
+// build the identical configuration: it decides which crash states are
+// generated, and with them the generation order the shard keys index.
 func (o Options) emulatorConfig() EmulatorConfig {
 	emuCfg := o.Emulator
 	emuCfg.VictimFilter = nil
@@ -675,8 +645,8 @@ func semanticVictim(op *trace.Op) bool {
 }
 
 // generate enumerates the run's crash states in generation order, the one
-// visiting order of every run: serial, in-process parallel and fleet shard
-// alike. It stops early when the run is cancelled.
+// visiting order of every run, fleet shards included. It stops early when
+// the run is cancelled.
 func (s *session) generate() []CrashState {
 	stopGen := s.opts.Obs.Phase(obs.PhaseGenerate)
 	defer stopGen()
@@ -690,13 +660,11 @@ func (s *session) generate() []CrashState {
 }
 
 // explore is phase 3 of RunContext and MergeShards on a prepared session:
-// it generates the crash states, judges and classifies them, and builds the
-// report. shipped, when non-nil, holds the verdicts and class keys fleet
-// shards judged; without it, Options.Workers > 1 starts in-process shards
-// on every run of the state list but the first (startShards). Either way
-// the one walk (walkRuns) is the exact serial walk, satisfying checks from
-// the shards' verdicts and computing only what they miss, and effort (the
-// shards' measured work) is folded into Stats.
+// it generates the crash states, judges and classifies them in one serial
+// walk, and builds the report. shipped, when non-nil, holds the verdicts
+// and class keys fleet shards judged, which the walk uses instead of
+// computing them, and effort (the shards' measured work) is folded into
+// Stats.
 func (s *session) explore(shipped verdictTable, effort []Stats) (*Report, error) {
 	// Checkpoint/resume: load previously journaled verdicts (if any) and
 	// keep journaling from here on. The journal is flushed on every exit
@@ -711,9 +679,10 @@ func (s *session) explore(shipped verdictTable, effort []Stats) (*Report, error)
 	// Phase 3: crash emulation + checking.
 	report := &Report{Program: s.program, FS: s.fs.Name(), Mode: s.opts.Mode}
 	states := s.generate()
+	s.checkCache = make(map[string]Verdict, len(states))
 	stopExplore := s.opts.Obs.Phase(obs.PhaseExplore)
 	s.shipped = shipped
-	effort = append(effort, s.walkRuns(states, s.startShards(states, s.opts.effectiveWorkers()), report)...)
+	s.walk(states, report)
 	stopExplore()
 
 	// Restore the live cluster to the untouched post-run state (also on
@@ -782,9 +751,9 @@ func (s *session) client(proc string) (pfs.Client, error) {
 // check judges one crash state in one sequence. A state that violates
 // commit durability cannot occur and counts as consistent (the classifier
 // probes such combinations). Otherwise the verdict comes from this
-// session's cache; else from a verdict judged elsewhere — by a shard, else
-// by the run that wrote the journal; else from the state's class; else the
-// state is judged on its own. A verdict judged elsewhere brings its class
+// session's cache; else from a verdict judged elsewhere — by a fleet shard,
+// else by the run that wrote the journal; else from the state's class; else
+// the state is judged on its own. A verdict judged elsewhere brings its class
 // key, so the state is not digested again, and the class is looked up
 // before that verdict is used, so a member is attributed the same way
 // whether its representative was computed, shipped or resumed. The verdict
@@ -841,8 +810,7 @@ func (s *session) check(cs CrashState) Verdict {
 		v = s.judge(cs, v.Class, err)
 	}
 	if v.Skipped {
-		// Counted by the session that reports the state, whoever judged it:
-		// a shard counts its own quarantines on its worker/ counters.
+		// Counted by the session that reports the state, whoever judged it.
 		s.ctrSkipped.Inc()
 	}
 	s.checkCache[key] = v
@@ -1007,14 +975,9 @@ func firstLineDiff(a, b string) string {
 // legalCache holds a run's legal-state sets, the trie of PFS replays that
 // enumerates the PFS ones and the table of library replays that enumerates
 // the library ones. All are pure functions of the selection or replay
-// state, so the sessions of one parallel run share a cache: each set is
-// enumerated, each PFS selection mounted and each library transition
-// applied once per run instead of once per worker or crash front. mu is
-// held for a whole enumeration, which also makes that work independent of
-// which session reaches a set first. Sessions that own a cache alone
-// (prepare's golden replay) may skip the lock.
+// state, so each set is enumerated, each PFS selection mounted and each
+// library transition applied once per run instead of once per crash front.
 type legalCache struct {
-	mu   sync.Mutex
 	sets map[legalKey]map[string]bool
 	pfs  pfsTrie
 	lib  libTable
@@ -1023,8 +986,8 @@ type legalCache struct {
 // legalKey names one legal-state set of a run: its layer and status vector.
 type legalKey struct{ layer, status string }
 
-func newLegalCache() *legalCache {
-	return &legalCache{sets: map[legalKey]map[string]bool{}, lib: libTable{
+func newLegalCache() legalCache {
+	return legalCache{sets: map[legalKey]map[string]bool{}, lib: libTable{
 		next:   map[libEdge]any{},
 		leaves: map[string]libLeaf{},
 	}}
@@ -1041,7 +1004,7 @@ const maxLibReplays = 4096
 // and LegalState are pure functions of a replay's digest (Library.Digest),
 // and a replay handed out is never modified, so a transition reached from
 // an equal digest, or a leaf with an equal digest, is looked up instead of
-// computed again, whichever status vector or session reaches it.
+// computed again, whichever status vector reaches it.
 type libTable struct {
 	root   any                // Library.Start, once taken
 	next   map[libEdge]any    // (digest, op position) -> Apply's replay state
@@ -1077,11 +1040,10 @@ const maxLegalSnaps = 4096
 //
 // Client ops allocate object IDs from counters of the cluster that runs
 // them, counters every store restore leaves alone. A cluster's counters only
-// grow, so its own snapshots never hold an ID it will allocate again, but
-// another clone's may: a session restores only the root and the nodes its
-// own cluster captured, and captures over the rest.
+// grow, so the snapshots of the one cluster that owns the trie never hold an
+// ID it will allocate again.
 type pfsTrie struct {
-	procs []string // fs.Procs(), the same in every clone
+	procs []string // fs.Procs()
 	nodes []pfsNode
 	child map[rootEdge]int
 	held  int // non-root nodes holding snaps, at most maxLegalSnaps
@@ -1089,7 +1051,6 @@ type pfsTrie struct {
 
 type pfsNode struct {
 	snaps   []pfs.ServerSnap // per procs; nil once dropped at the cap
-	owner   pfs.FileSystem   // the cluster that captured snaps; nil at the root
 	mounted bool
 	tree    string // the serialisation, or "UNMOUNTABLE", once mounted
 }
@@ -1101,8 +1062,6 @@ type pfsNode struct {
 // make later states judge against too few states.
 func (s *session) legalSet(layer string, status []Status, note func(n int), enumerate func(set map[string]bool)) map[string]bool {
 	key := legalKey{layer, statusKey(status)}
-	s.legal.mu.Lock()
-	defer s.legal.mu.Unlock()
 	if set, ok := s.legal.sets[key]; ok {
 		return set
 	}
@@ -1187,10 +1146,9 @@ func statusKey(status []Status) string {
 // replayPFS returns the tree serialisation of the PFS state the selected
 // client ops reach from the initial snapshot, from the trie when the
 // selection was mounted before. Otherwise it restores every server from the
-// deepest node along sel this session may restore, replays the ops past it
+// deepest node along sel that holds snapshots, replays the ops past it
 // (capturing a node after each) and mounts. An unmountable replay is a
-// legitimate legal state. The caller holds s.legal.mu unless its session
-// owns the cache alone.
+// legitimate legal state.
 func (s *session) replayPFS(sel []int) string {
 	t := &s.legal.pfs
 	if t.nodes == nil {
@@ -1203,14 +1161,14 @@ func (s *session) replayPFS(sel []int) string {
 	}
 	procs := t.procs
 	// node descends as far as sel's path exists; from is the deepest node
-	// on it this session may restore, base its depth.
+	// on it holding snapshots, base its depth.
 	node, from, base, k := 0, 0, 0, 0
 	for ; k < len(sel); k++ {
 		c, ok := t.child[rootEdge{node, sel[k]}]
 		if !ok {
 			break
 		}
-		if node = c; t.nodes[c].snaps != nil && t.nodes[c].owner == s.fs {
+		if node = c; t.nodes[c].snaps != nil {
 			from, base = c, k+1
 		}
 	}
@@ -1250,13 +1208,10 @@ func (s *session) replayPFS(sel []int) string {
 			t.nodes = append(t.nodes, pfsNode{})
 		}
 		node = next
-		// Nodes past base hold no snaps or another cluster's: capture over
-		// the latter, and fill the former while under the cap.
-		if n := &t.nodes[node]; n.snaps != nil || t.held < maxLegalSnaps {
-			if n.snaps == nil {
-				t.held++
-			}
-			n.snaps, n.owner = make([]pfs.ServerSnap, len(procs)), s.fs
+		// Nodes past base hold no snaps: fill them while under the cap.
+		if n := &t.nodes[node]; t.held < maxLegalSnaps {
+			t.held++
+			n.snaps = make([]pfs.ServerSnap, len(procs))
 			for i, p := range procs {
 				n.snaps[i], _ = s.fs.CaptureServer(p)
 			}

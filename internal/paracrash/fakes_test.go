@@ -1,17 +1,13 @@
 package paracrash
 
 import (
-	"sync/atomic"
-	"time"
-
 	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
 )
 
 // Test-only backends with a bug: each wraps a real backend and misbehaves on
-// purpose, so the quarantine and cancellation paths are tested on a backend
-// that really fails or stalls. Each one implements pfs.Cloner and hands its
-// clones the same bug, so a Workers > 1 run really runs in parallel.
+// purpose, so the quarantine paths are tested on a backend that really
+// fails.
 
 // PanicOnApply wraps fs so that applying any lowermost op bad selects
 // panics with "backend bug applying <op>".
@@ -31,43 +27,15 @@ func (p *panicOnApply) ApplyLowermost(op *trace.Op) error {
 	return p.FileSystem.ApplyLowermost(op)
 }
 
-func (p *panicOnApply) CloneDetached() pfs.FileSystem {
-	return &panicOnApply{FileSystem: p.FileSystem.(pfs.Cloner).CloneDetached(), bad: p.bad}
-}
-
 // panicOnMount wraps a backend whose Mount panics once armed is set.
 type panicOnMount struct {
 	pfs.FileSystem
-	armed *atomic.Bool
+	armed bool
 }
 
 func (p *panicOnMount) Mount() (*pfs.Tree, error) {
-	if p.armed.Load() {
+	if p.armed {
 		panic("backend bug mounting " + p.Name())
 	}
 	return p.FileSystem.Mount()
-}
-
-func (p *panicOnMount) CloneDetached() pfs.FileSystem {
-	return &panicOnMount{FileSystem: p.FileSystem.(pfs.Cloner).CloneDetached(), armed: p.armed}
-}
-
-// SlowApply wraps fs so that every lowermost op apply takes at least d,
-// which stretches a run's reconstruction work.
-func SlowApply(fs pfs.FileSystem, d time.Duration) pfs.FileSystem {
-	return &slowApply{FileSystem: fs, d: d}
-}
-
-type slowApply struct {
-	pfs.FileSystem
-	d time.Duration
-}
-
-func (s *slowApply) ApplyLowermost(op *trace.Op) error {
-	time.Sleep(s.d)
-	return s.FileSystem.ApplyLowermost(op)
-}
-
-func (s *slowApply) CloneDetached() pfs.FileSystem {
-	return &slowApply{FileSystem: s.FileSystem.(pfs.Cloner).CloneDetached(), d: s.d}
 }

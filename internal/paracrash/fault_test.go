@@ -3,15 +3,12 @@ package paracrash_test
 import (
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"paracrash/internal/exps"
-	"paracrash/internal/obs"
 	"paracrash/internal/paracrash"
 	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
@@ -52,34 +49,32 @@ func runARVROn(t *testing.T, ctx context.Context, wrap func(pfs.FileSystem) pfs.
 }
 
 // TestHardFaultsQuarantine runs on a backend whose every apply on one
-// server panics. The run must complete without error, serially and in
-// parallel, quarantining each state that needs that server's ops as
-// Skipped at its first attempt, with the server and the panic text in its
-// reason, and judging the rest.
+// server panics. The run must complete without error, quarantining each
+// state that needs that server's ops as Skipped at its first attempt, with
+// the server and the panic text in its reason, and judging the rest. Its
+// one subtest pins Options.Workers at 1, which every value now equals.
 func TestHardFaultsQuarantine(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run("workers="+itoa(workers), func(t *testing.T) {
-			opts := paracrash.DefaultOptions()
-			opts.Workers = workers
-			rep, err := runARVROn(t, context.Background(), panicOnStorage1, opts)
-			if err != nil {
-				t.Fatalf("a panicking backend aborted the run: %v", err)
+	t.Run("workers=1", func(t *testing.T) {
+		opts := paracrash.DefaultOptions()
+		opts.Workers = 1
+		rep, err := runARVROn(t, context.Background(), panicOnStorage1, opts)
+		if err != nil {
+			t.Fatalf("a panicking backend aborted the run: %v", err)
+		}
+		if len(rep.Skipped) == 0 {
+			t.Fatal("panics applying storage/1 ops quarantined no state")
+		}
+		if judged := rep.Stats.StatesChecked + rep.Stats.StatesDeduped; judged <= len(rep.Skipped) {
+			t.Fatalf("%d states judged, all %d quarantined: the test needs states on both sides", judged, len(rep.Skipped))
+		}
+		const prefix = "quarantined: panic applying ops on storage/1: backend bug applying "
+		for _, sk := range rep.Skipped {
+			if !strings.HasPrefix(sk.Reason, prefix) {
+				t.Fatalf("quarantined state %v has reason %q, want prefix %q", sk.Victims, sk.Reason, prefix)
 			}
-			if len(rep.Skipped) == 0 {
-				t.Fatal("panics applying storage/1 ops quarantined no state")
-			}
-			if judged := rep.Stats.StatesChecked + rep.Stats.StatesDeduped; judged <= len(rep.Skipped) {
-				t.Fatalf("%d states judged, all %d quarantined: the test needs states on both sides", judged, len(rep.Skipped))
-			}
-			const prefix = "quarantined: panic applying ops on storage/1: backend bug applying "
-			for _, sk := range rep.Skipped {
-				if !strings.HasPrefix(sk.Reason, prefix) {
-					t.Fatalf("quarantined state %v has reason %q, want prefix %q", sk.Victims, sk.Reason, prefix)
-				}
-			}
-			t.Logf("run completed with %d quarantined states", len(rep.Skipped))
-		})
-	}
+		}
+		t.Logf("run completed with %d quarantined states", len(rep.Skipped))
+	})
 }
 
 // TestCheckpointResumeIdentical: a second run over a completed journal must
@@ -153,50 +148,6 @@ func TestCheckpointResumeMeasuresEffort(t *testing.T) {
 	}
 }
 
-// TestParallelJournalsShardVerdicts: the shard of a Workers=2 run journals
-// what it judges, as fleet shards do — a record for every state it judged
-// on its own, not only the walk's one per class — and that journal resumes
-// at any worker count to the serial report.
-func TestParallelJournalsShardVerdicts(t *testing.T) {
-	serial := exps.ReportFingerprint(runARVR(t, paracrash.DefaultOptions()))
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	opts := paracrash.DefaultOptions()
-	opts.Workers = 2
-	opts.Checkpoint = paracrash.OpenCheckpoint(path)
-	opts.Checkpoint.Every = 1
-	opts.Obs = obs.NewRun()
-	runARVR(t, opts)
-	judged := opts.Obs.Summary().Counters["worker/states/checked"]
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := paracrash.ReadJournal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if judged == 0 || int64(len(j.Verdicts)) < judged {
-		t.Fatalf("journal holds %d records; the shards judged %d states on their own", len(j.Verdicts), judged)
-	}
-
-	for _, workers := range []int{1, 4} {
-		resume := filepath.Join(t.TempDir(), "ckpt.jsonl")
-		if err := os.WriteFile(resume, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		opts := paracrash.DefaultOptions()
-		opts.Workers = workers
-		opts.Checkpoint = paracrash.OpenCheckpoint(resume)
-		rep := runARVR(t, opts)
-		if fp := exps.ReportFingerprint(rep); fp != serial {
-			t.Errorf("workers=%d: resumed report differs from the serial one:\n--- serial ---\n%s--- resumed ---\n%s", workers, serial, fp)
-		}
-		if rep.Stats.StatesResumed == 0 {
-			t.Errorf("workers=%d: resumed no verdicts from the Workers=2 journal", workers)
-		}
-	}
-}
-
 // TestCheckpointResumeAcrossRepresentative: a journal holding a record
 // per state — what a run that judged every state on its own wrote, here the
 // per-state reference — resumes into the engine, because check consults
@@ -230,100 +181,49 @@ func TestCheckpointResumeAcrossRepresentative(t *testing.T) {
 // TestChaosResumeDeterminism is the `make chaos` gate: a run is repeatedly
 // killed mid-flight (context deadline) and resumed from its checkpoint
 // journal; the eventual report must be byte-identical to an uninterrupted
-// run. Covers serial and parallel exploration.
+// run. Its one subtest pins Options.Workers at 1, which every value now
+// equals.
 func TestChaosResumeDeterminism(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run("workers="+itoa(workers), func(t *testing.T) {
-			base := paracrash.DefaultOptions()
-			base.Workers = workers
-			baseFP, err := runWithOpts(t, nil, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-			deadline := 2 * time.Millisecond
-			kills := 0
-			var finalFP string
-			var resumedTotal int
-			for attempt := 0; ; attempt++ {
-				if attempt > 60 {
-					t.Fatal("chaos run did not converge in 60 kill/resume rounds")
-				}
-				opts := paracrash.DefaultOptions()
-				opts.Workers = workers
-				opts.Checkpoint = paracrash.OpenCheckpoint(path)
-				opts.Checkpoint.Every = 1 // journal every verdict so each round makes progress
-
-				ctx, cancel := context.WithTimeout(context.Background(), deadline)
-				fp, err := runWithOpts(t, ctx, opts)
-				cancel()
-				if err == nil {
-					finalFP = fp
-					resumedTotal = opts.Checkpoint.Resumed()
-					break
-				}
-				if !errors.Is(err, context.DeadlineExceeded) {
-					t.Fatalf("chaos round %d died with a non-deadline error: %v", attempt, err)
-				}
-				kills++
-				deadline += deadline / 2 // back off so the run eventually finishes
-			}
-			if finalFP != baseFP {
-				t.Errorf("chaos-resumed report differs from clean baseline after %d kills:\n--- base ---\n%s--- chaos ---\n%s",
-					kills, baseFP, finalFP)
-			}
-			t.Logf("survived %d mid-run kills; final run resumed %d journaled verdicts", kills, resumedTotal)
-		})
-	}
-}
-
-// TestCancelMidMergeNoLeak cancels a parallel run on a backend whose every
-// apply is slow — which stretches the merge window — and asserts all
-// goroutines drain.
-func TestCancelMidMergeNoLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-
-	opts := paracrash.DefaultOptions()
-	opts.Workers = 4
-	slow := func(fs pfs.FileSystem) pfs.FileSystem { return paracrash.SlowApply(fs, time.Millisecond) }
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := runARVROn(t, ctx, slow, opts)
-		done <- err
-	}()
-	time.Sleep(5 * time.Millisecond) // let workers start publishing to the merge
-	cancel()
-
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want nil or context.Canceled", err)
+	t.Run("workers=1", func(t *testing.T) {
+		base := paracrash.DefaultOptions()
+		base.Workers = 1
+		baseFP, err := runWithOpts(t, nil, base)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled run did not return")
-	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
+		path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+		deadline := 2 * time.Millisecond
+		kills := 0
+		var finalFP string
+		var resumedTotal int
+		for attempt := 0; ; attempt++ {
+			if attempt > 60 {
+				t.Fatal("chaos run did not converge in 60 kill/resume rounds")
+			}
+			opts := paracrash.DefaultOptions()
+			opts.Workers = 1
+			opts.Checkpoint = paracrash.OpenCheckpoint(path)
+			opts.Checkpoint.Every = 1 // journal every verdict so each round makes progress
+
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			fp, err := runWithOpts(t, ctx, opts)
+			cancel()
+			if err == nil {
+				finalFP = fp
+				resumedTotal = opts.Checkpoint.Resumed()
+				break
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("chaos round %d died with a non-deadline error: %v", attempt, err)
+			}
+			kills++
+			deadline += deadline / 2 // back off so the run eventually finishes
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
+		if finalFP != baseFP {
+			t.Errorf("chaos-resumed report differs from clean baseline after %d kills:\n--- base ---\n%s--- chaos ---\n%s",
+				kills, baseFP, finalFP)
+		}
+		t.Logf("survived %d mid-run kills; final run resumed %d journaled verdicts", kills, resumedTotal)
+	})
 }

@@ -20,9 +20,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with the cur
 var goldenModes = []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning}
 
 // TestIncrementalGoldenFingerprints pins the report of every cell of the
-// differential matrix (6 backends × incrementalPrograms × 2 modes × Workers
-// {1,4}), plus H5-create on every backend so the top-down library branch of
-// the verdict is covered: the ReportFingerprint hash (verdicts and state
+// differential matrix (6 backends × incrementalPrograms × 2 modes), plus
+// H5-create on every backend so the top-down library branch of the verdict
+// is covered: the ReportFingerprint hash (verdicts and state
 // counts) and the measured restores and op replays on every line. A hash
 // diff means report bytes moved; an effort diff means the engine does
 // different work, which a change must name beforehand.
@@ -35,20 +35,17 @@ func TestIncrementalGoldenFingerprints(t *testing.T) {
 	var buf bytes.Buffer
 	for _, backend := range exps.FSNames() {
 		for _, mode := range goldenModes {
-			for _, workers := range []int{1, 4} {
-				for _, prog := range progs {
-					rep := runEngine(t, backend, prog, mode, workers)
-					goldenLine(&buf, backend, prog.Name(), mode, workers, rep)
-				}
-				opts := paracrash.DefaultOptions()
-				opts.Mode = mode
-				opts.Workers = workers
-				rep, err := exps.RunOne(backend, h5, opts, workloads.DefaultH5Params(), exps.ConfigFor(backend))
-				if err != nil {
-					t.Fatalf("%s/%s: %v", backend, h5.Name, err)
-				}
-				goldenLine(&buf, backend, h5.Name, mode, workers, rep)
+			for _, prog := range progs {
+				rep := runEngine(t, backend, prog, mode)
+				goldenLine(&buf, backend, prog.Name(), mode, rep)
 			}
+			opts := paracrash.DefaultOptions()
+			opts.Mode = mode
+			rep, err := exps.RunOne(backend, h5, opts, workloads.DefaultH5Params(), exps.ConfigFor(backend))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", backend, h5.Name, err)
+			}
+			goldenLine(&buf, backend, h5.Name, mode, rep)
 		}
 	}
 
@@ -77,9 +74,8 @@ func TestIncrementalGoldenFingerprints(t *testing.T) {
 }
 
 // goldenLine writes one cell: the ReportFingerprint hash and the effort
-// counts. Shards judge fixed runs, so a parallel run's effort is as fixed
-// by its configuration as a serial run's.
-func goldenLine(buf *bytes.Buffer, backend, prog string, mode paracrash.Mode, workers int, rep *paracrash.Report) {
-	fmt.Fprintf(buf, "%s/%s/%s/workers=%d %x restores=%d replayed=%d\n", backend, prog, mode, workers,
+// counts. Cell names end in "/workers=1", as the committed lines do.
+func goldenLine(buf *bytes.Buffer, backend, prog string, mode paracrash.Mode, rep *paracrash.Report) {
+	fmt.Fprintf(buf, "%s/%s/%s/workers=1 %x restores=%d replayed=%d\n", backend, prog, mode,
 		sha256.Sum256([]byte(exps.ReportFingerprint(rep))), rep.Stats.ServerRestores, rep.Stats.OpsReplayed)
 }

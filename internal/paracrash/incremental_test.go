@@ -43,9 +43,20 @@ func incrementalPrograms(t *testing.T) []*workloads.Program {
 	return progs
 }
 
+// newFS returns a constructor of fresh clusters of backend.
+func newFS(t *testing.T, backend string) func() pfs.FileSystem {
+	return func() pfs.FileSystem {
+		fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+}
+
 // runEngine runs one (backend, program) cell with default options and
 // returns the report.
-func runEngine(t *testing.T, backend string, prog *workloads.Program, mode paracrash.Mode, workers int) *paracrash.Report {
+func runEngine(t *testing.T, backend string, prog *workloads.Program, mode paracrash.Mode) *paracrash.Report {
 	t.Helper()
 	fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
 	if err != nil {
@@ -53,7 +64,6 @@ func runEngine(t *testing.T, backend string, prog *workloads.Program, mode parac
 	}
 	opts := paracrash.DefaultOptions()
 	opts.Mode = mode
-	opts.Workers = workers
 	rep, err := paracrash.Run(fs, nil, prog, opts)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", backend, prog.Name(), err)
@@ -65,9 +75,7 @@ func runEngine(t *testing.T, backend string, prog *workloads.Program, mode parac
 // reference on every backend and both workload families: every generated
 // crash state must reconstruct and recover exactly as a full rebuild on a
 // fresh cluster does, at no more than a full rebuild's work per state
-// (paracrash.ReferenceDiff); and the
-// engine must be schedule-independent (serial and parallel runs
-// byte-identical including effort stats). The complete reports are pinned by
+// (paracrash.ReferenceDiff). The complete reports are pinned by
 // TestIncrementalGoldenFingerprints.
 func TestIncrementalEngineEquivalence(t *testing.T) {
 	progs := incrementalPrograms(t)
@@ -75,22 +83,12 @@ func TestIncrementalEngineEquivalence(t *testing.T) {
 		for _, prog := range progs {
 			for _, mode := range goldenModes {
 				t.Run(backend+"/"+prog.Name()+"/"+mode.String(), func(t *testing.T) {
-					fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
-					if err != nil {
-						t.Fatal(err)
-					}
-					checked, err := paracrash.ReferenceDiff(fs, prog, mode)
+					checked, err := paracrash.ReferenceDiff(newFS(t, backend), prog, mode)
 					if err != nil {
 						t.Error(err)
 					}
 					if checked == 0 {
 						t.Error("no crash states generated; the reference check is vacuous")
-					}
-
-					inc := runEngine(t, backend, prog, mode, 1)
-					par := runEngine(t, backend, prog, mode, 4)
-					if sf, pf := exps.ReportFingerprint(inc), exps.ReportFingerprint(par); sf != pf {
-						t.Errorf("incremental serial and parallel runs diverge:\n--- serial ---\n%s--- workers=4 ---\n%s", sf, pf)
 					}
 				})
 			}
@@ -110,12 +108,8 @@ func TestIncrementalImageKeyReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs, err := exps.NewFS(c.backend, exps.ConfigFor(c.backend), trace.NewRecorder())
-			if err != nil {
-				t.Fatal(err)
-			}
 			w, _ := prog.Make(workloads.DefaultH5Params())
-			checked, images, err := paracrash.ReferenceDiffAt(fs, w, paracrash.ModeBrute, 2)
+			checked, images, err := paracrash.ReferenceDiffAt(newFS(t, c.backend), w, paracrash.ModeBrute, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,57 +284,53 @@ func TestIncrementalReconstructionContent(t *testing.T) {
 func TestIncrementalFaultTransparency(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	for _, backend := range []string{"beegfs", "lustre"} {
-		for _, workers := range []int{1, 4} {
-			t.Run(backend+"/workers="+itoa(workers), func(t *testing.T) {
-				run := func(wrap func(pfs.FileSystem) pfs.FileSystem) (pfs.FileSystem, map[string]paracrash.Judged) {
-					fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts := paracrash.DefaultOptions()
-					opts.Workers = workers
-					_, judged, err := paracrash.EngineRun(wrap(fs), nil, prog, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return fs, judged
+		t.Run(backend, func(t *testing.T) {
+			run := func(wrap func(pfs.FileSystem) pfs.FileSystem) (pfs.FileSystem, map[string]paracrash.Judged) {
+				fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
+				if err != nil {
+					t.Fatal(err)
 				}
-				fs, clean := run(func(fs pfs.FileSystem) pfs.FileSystem { return fs })
-				var writes []*trace.Op // tagged lowermost ops change a store
-				for _, op := range fs.Recorder().Ops() {
-					if (op.Layer == trace.LayerLocalFS || op.Layer == trace.LayerBlock) && op.Tag != "" {
-						writes = append(writes, op)
-					}
+				_, judged, err := paracrash.EngineRun(wrap(fs), nil, prog, paracrash.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
 				}
-				bad := writes[len(writes)/2]
-				_, faulted := run(func(fs pfs.FileSystem) pfs.FileSystem {
-					return paracrash.PanicOnApply(fs, func(op *trace.Op) bool { return op.ID == bad.ID })
-				})
-
-				skipped, same := 0, 0
-				for key, got := range faulted {
-					want, ok := clean[key]
-					switch {
-					case got.Skipped:
-						skipped++
-						if !strings.Contains(got.Consequence, "backend bug applying "+bad.Key()) {
-							t.Errorf("state %x quarantined for %q", key, got.Consequence)
-						}
-					case !ok:
-						// Visited only here: a quarantined probe reads as
-						// consistent, so pruning may skip less.
-					case got.Verdict != want.Verdict:
-						t.Errorf("state %x: verdict %+v, on the unbroken backend %+v", key, got.Verdict, want.Verdict)
-					default:
-						same++
-					}
+				return fs, judged
+			}
+			fs, clean := run(func(fs pfs.FileSystem) pfs.FileSystem { return fs })
+			var writes []*trace.Op // tagged lowermost ops change a store
+			for _, op := range fs.Recorder().Ops() {
+				if (op.Layer == trace.LayerLocalFS || op.Layer == trace.LayerBlock) && op.Tag != "" {
+					writes = append(writes, op)
 				}
-				if skipped == 0 || same == 0 {
-					t.Fatalf("%d states quarantined, %d judged as on the unbroken backend: the test needs both", skipped, same)
-				}
-				t.Logf("op %s: %d states quarantined, %d judged as on the unbroken backend", bad.Key(), skipped, same)
+			}
+			bad := writes[len(writes)/2]
+			_, faulted := run(func(fs pfs.FileSystem) pfs.FileSystem {
+				return paracrash.PanicOnApply(fs, func(op *trace.Op) bool { return op.ID == bad.ID })
 			})
-		}
+
+			skipped, same := 0, 0
+			for key, got := range faulted {
+				want, ok := clean[key]
+				switch {
+				case got.Skipped:
+					skipped++
+					if !strings.Contains(got.Consequence, "backend bug applying "+bad.Key()) {
+						t.Errorf("state %x quarantined for %q", key, got.Consequence)
+					}
+				case !ok:
+					// Visited only here: a quarantined probe reads as
+					// consistent, so pruning may skip less.
+				case got.Verdict != want.Verdict:
+					t.Errorf("state %x: verdict %+v, on the unbroken backend %+v", key, got.Verdict, want.Verdict)
+				default:
+					same++
+				}
+			}
+			if skipped == 0 || same == 0 {
+				t.Fatalf("%d states quarantined, %d judged as on the unbroken backend: the test needs both", skipped, same)
+			}
+			t.Logf("op %s: %d states quarantined, %d judged as on the unbroken backend", bad.Key(), skipped, same)
+		})
 	}
 }
 
@@ -353,7 +343,7 @@ func TestIncrementalFaultTransparency(t *testing.T) {
 func TestIncrementalChaosResume(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	backend := "lustre"
-	base := runEngine(t, backend, prog, paracrash.ModePruning, 1)
+	base := runEngine(t, backend, prog, paracrash.ModePruning)
 	baseFP := exps.ReportFingerprint(base)
 
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")

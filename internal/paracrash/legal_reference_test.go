@@ -6,7 +6,6 @@ import (
 	"maps"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"paracrash/internal/causality"
@@ -94,7 +93,7 @@ func LegalLibOracle(newCell func() (pfs.FileSystem, Library, Workload)) (compare
 			for _, limit := range []int{n - 1, n, n + 1} {
 				want, wantN, wantCapped := reference(m, status, limit)
 				r := obs.NewRun()
-				s.bindObs(r, "")
+				s.bindObs(r)
 				s.legal = newLegalCache()
 				s.opts.LibModel, s.opts.MaxLegalStates = m, limit
 				got := s.legalLib(status)
@@ -137,7 +136,7 @@ func BenchLegalLib(b *testing.B, newCell func() (pfs.FileSystem, Library, Worklo
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.bindObs(r, "")
+		s.bindObs(r)
 		b.StartTimer()
 		for _, status := range statuses {
 			s.legalLib(status)
@@ -268,7 +267,7 @@ func LegalPFSOracle(newCell func() (pfs.FileSystem, Library, Workload)) (work PF
 				}
 				compared[want.seq] = true
 				r := obs.NewRun()
-				s.bindObs(r, "")
+				s.bindObs(r)
 				s.legal = newLegalCache()
 				s.opts.PFSModel, s.opts.MaxLegalStates = m, limit
 				got := s.legalPFS(status)
@@ -300,108 +299,28 @@ func LegalPFSOracle(newCell func() (pfs.FileSystem, Library, Workload)) (work PF
 	return work, diffs, nil
 }
 
-// LegalPFSSharedOracle holds legalPFS to the from-scratch enumeration when
-// workers sessions share one legal cache, and so one replay trie: the
-// primary and workers−1 shard sessions on detached clones enumerate every
-// PFS status vector of the cell newCell builds (pfsStatuses) at once, each
-// in its own rotation of the vectors, once per model on the same trie. It
-// returns how many sets it compared and one line per difference.
-func LegalPFSSharedOracle(newCell func() (pfs.FileSystem, Library, Workload), workers int) (compared int, diffs []string, err error) {
-	s, statuses, err := pfsStatuses(newCell)
-	if err != nil {
-		return 0, nil, err
-	}
-	cloner, ok := s.fs.(pfs.Cloner)
-	if !ok {
-		return 0, nil, fmt.Errorf("%s cannot be cloned", s.fs.Name())
-	}
-	sessions := []*session{s}
-	for len(sessions) < workers {
-		sessions = append(sessions, s.shardSession(cloner.CloneDetached()))
-	}
-	for _, m := range allModels {
-		// The run's set cache is keyed by status vector alone (a run has
-		// one model), so each model starts without sets but on the trie
-		// the models before it grew.
-		s.legal.sets = map[legalKey]map[string]bool{}
-		got := make([][]map[string]bool, len(sessions))
-		var wg sync.WaitGroup
-		for w, ws := range sessions {
-			ws.opts.PFSModel = m
-			got[w] = make([]map[string]bool, len(statuses))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range statuses {
-					j := (i + w*len(statuses)/len(sessions)) % len(statuses)
-					got[w][j] = ws.legalPFS(statuses[j])
-				}
-			}()
-		}
-		wg.Wait()
-		for j, status := range statuses {
-			want := map[string]bool{}
-			s.pfsOps.PreservedSets(m, status, s.opts.MaxLegalStates, func(sel []int) bool {
-				want[replayPFSReference(s, sel)] = true
-				return true
-			})
-			for w := range sessions {
-				compared++
-				if !maps.Equal(got[w][j], want) {
-					diffs = append(diffs, fmt.Sprintf("session %d, status %s, %s: %d legal states, reference %d", w, statusKey(status), m, len(got[w][j]), len(want)))
-				}
-			}
-		}
-	}
-	return compared, diffs, nil
-}
-
 // LegalLibSharedOracle holds legalLib to the from-scratch enumeration when
-// workers sessions share one legal cache, and so one library replay table:
-// the primary and workers−1 shard sessions on detached clones enumerate
-// every library status vector of the cell newCell builds (libStatuses) at
-// once, each in its own rotation of the vectors, once per model on the
-// same table. Every transition and every leaf must be computed once across
-// the sessions: legal/lib-steps and legal/lib-parses, summed over the
-// primary and the workers, must equal the table's entries, which stay
-// within maxLibReplays. It returns how many sets it compared and one line
-// per difference.
-func LegalLibSharedOracle(newCell func() (pfs.FileSystem, Library, Workload), workers int) (compared int, diffs []string, err error) {
+// every library status vector of the cell newCell builds (libStatuses) is
+// enumerated on one library replay table, once per model. Every transition
+// and every leaf must be computed once across the vectors and models:
+// legal/lib-steps and legal/lib-parses must equal the table's entries,
+// which stay within maxLibReplays. It returns how many sets it compared and
+// one line per difference.
+func LegalLibSharedOracle(newCell func() (pfs.FileSystem, Library, Workload)) (compared int, diffs []string, err error) {
 	s, statuses, err := libStatuses(newCell)
 	if err != nil {
 		return 0, nil, err
 	}
-	cloner, ok := s.fs.(pfs.Cloner)
-	if !ok {
-		return 0, nil, fmt.Errorf("%s cannot be cloned", s.fs.Name())
-	}
 	r := obs.NewRun()
-	s.bindObs(r, "")
-	sessions := []*session{s}
-	for len(sessions) < workers {
-		sessions = append(sessions, s.shardSession(cloner.CloneDetached()))
-	}
+	s.bindObs(r)
 	for _, m := range allModels {
 		// The run's set cache is keyed by status vector alone (a run has
 		// one model), so each model starts without sets but on the table
 		// the models before it grew.
 		s.legal.sets = map[legalKey]map[string]bool{}
-		got := make([][]map[string]bool, len(sessions))
-		var wg sync.WaitGroup
-		for w, ws := range sessions {
-			ws.opts.LibModel = m
-			got[w] = make([]map[string]bool, len(statuses))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range statuses {
-					j := (i + w*len(statuses)/len(sessions)) % len(statuses)
-					got[w][j] = ws.legalLib(statuses[j])
-				}
-			}()
-		}
-		wg.Wait()
-		for j, status := range statuses {
+		s.opts.LibModel = m
+		for _, status := range statuses {
+			got := s.legalLib(status)
 			want := map[string]bool{}
 			s.libOps.PreservedSets(m, status, s.opts.MaxLegalStates, func(sel []int) bool {
 				ops := make([]*trace.Op, len(sel))
@@ -412,11 +331,9 @@ func LegalLibSharedOracle(newCell func() (pfs.FileSystem, Library, Workload), wo
 				want[st] = true
 				return true
 			})
-			for w := range sessions {
-				compared++
-				if !maps.Equal(got[w][j], want) {
-					diffs = append(diffs, fmt.Sprintf("session %d, status %s, %s: %d legal states, reference %d", w, statusKey(status), m, len(got[w][j]), len(want)))
-				}
+			compared++
+			if !maps.Equal(got, want) {
+				diffs = append(diffs, fmt.Sprintf("status %s, %s: %d legal states, reference %d", statusKey(status), m, len(got), len(want)))
 			}
 		}
 	}
@@ -425,10 +342,10 @@ func LegalLibSharedOracle(newCell func() (pfs.FileSystem, Library, Workload), wo
 	if len(t.next) > maxLibReplays || len(t.leaves) > maxLibReplays {
 		diffs = append(diffs, fmt.Sprintf("table holds %d transitions and %d leaves, cap %d", len(t.next), len(t.leaves), maxLibReplays))
 	}
-	if steps := c["legal/lib-steps"] + c["worker/legal/lib-steps"]; len(t.next) < maxLibReplays && steps != int64(len(t.next)) {
+	if steps := c["legal/lib-steps"]; len(t.next) < maxLibReplays && steps != int64(len(t.next)) {
 		diffs = append(diffs, fmt.Sprintf("%d library ops applied for %d distinct transitions", steps, len(t.next)))
 	}
-	if parses := c["legal/lib-parses"] + c["worker/legal/lib-parses"]; len(t.leaves) < maxLibReplays && parses != int64(len(t.leaves)) {
+	if parses := c["legal/lib-parses"]; len(t.leaves) < maxLibReplays && parses != int64(len(t.leaves)) {
 		diffs = append(diffs, fmt.Sprintf("%d leaves parsed for %d distinct leaf digests", parses, len(t.leaves)))
 	}
 	return compared, diffs, nil

@@ -102,44 +102,6 @@ func TestLegalPFSOracle(t *testing.T) {
 	t.Logf("%d enumerations: the trie replayed %d client ops, the reference %d", total.Compared, total.Steps, total.ReferenceOps)
 }
 
-// TestLegalPFSParallel: the sessions of a parallel run share one replay
-// trie, whose snapshots only the cluster that captured them restores.
-// `make legal` runs this under -race. Four sessions enumerating at once
-// must each get the reference's sets, and a Workers=4 run's report must
-// match the serial one's.
-func TestLegalPFSParallel(t *testing.T) {
-	for _, backend := range []string{"beegfs", "orangefs", "gpfs"} {
-		for seed := int64(1); seed <= 2; seed++ {
-			label := fmt.Sprintf("%s/gen-%d", backend, seed)
-			compared, diffs, err := paracrash.LegalPFSSharedOracle(genCell(t, backend, seed), 4)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if compared == 0 {
-				t.Errorf("%s: no legal set compared", label)
-			}
-			if len(diffs) > 0 {
-				t.Errorf("%s: %d of %d shared-trie sets differ from the reference:\n%s", label, len(diffs), compared, strings.Join(diffs, "\n"))
-			}
-			var fps [2]string
-			for i, workers := range []int{1, 4} {
-				fs, lib, w := genCell(t, backend, seed)()
-				opts := paracrash.DefaultOptions()
-				opts.Mode = paracrash.ModeBrute
-				opts.Workers = workers
-				rep, err := paracrash.Run(fs, lib, w, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fps[i] = exps.ReportFingerprint(rep)
-			}
-			if fps[0] != fps[1] {
-				t.Errorf("%s: Workers=4 report differs from the serial one", label)
-			}
-		}
-	}
-}
-
 // TestModelDefinitionPaper (`make legal`) holds PreservedSets to the
 // models' definitions kept in test code, capped or not, and checks the
 // set-level lattice, on every paper program's PFS and library layer on all
@@ -162,43 +124,16 @@ func TestModelDefinitionPaper(t *testing.T) {
 	}
 }
 
-// TestLegalLibParallel: Workers=4 shares one library adapter, and with it
-// the parse memo, across the workers and the merge. `make legal` runs this
-// under -race; the report must match the serial run's.
-func TestLegalLibParallel(t *testing.T) {
-	for _, name := range []string{"H5-parallel-create", "H5-resize"} {
-		prog, err := exps.ProgramByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fps [2]string
-		for i, workers := range []int{1, 4} {
-			opts := paracrash.DefaultOptions()
-			opts.Mode = paracrash.ModeBrute
-			opts.Workers = workers
-			rep, err := exps.RunOne("beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fps[i] = exps.ReportFingerprint(rep)
-		}
-		if fps[0] != fps[1] {
-			t.Errorf("beegfs/%s: Workers=4 report differs from the serial one", name)
-		}
-	}
-}
-
-// TestLegalLibShared: the sessions of a parallel run share one library
-// replay table. `make legal` runs this under -race. Four sessions
-// enumerating every library status vector of beegfs/H5-parallel-create at
-// once, under each model on one table, must each get the reference's sets,
-// and together apply each transition and parse each leaf once.
+// TestLegalLibShared: every crash front and model of a run shares one
+// library replay table. Enumerating every library status vector of
+// beegfs/H5-parallel-create under each model on one table must get the
+// reference's sets, and apply each transition and parse each leaf once.
 func TestLegalLibShared(t *testing.T) {
 	prog, err := exps.ProgramByName("H5-parallel-create")
 	if err != nil {
 		t.Fatal(err)
 	}
-	compared, diffs, err := paracrash.LegalLibSharedOracle(libCell(t, "beegfs", prog), 4)
+	compared, diffs, err := paracrash.LegalLibSharedOracle(libCell(t, "beegfs", prog))
 	if err != nil {
 		t.Fatal(err)
 	}

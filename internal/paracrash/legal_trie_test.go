@@ -12,55 +12,6 @@ import (
 	"paracrash/internal/trace"
 )
 
-// threeFiles creates three files with payloads of different lengths, so a
-// replay that gave two of them one object ID would show in the tree.
-type threeFiles struct{}
-
-func (threeFiles) Name() string { return "unit-three-files" }
-
-func (threeFiles) Preamble(fs pfs.FileSystem) error { return fs.Client(0).Mkdir("/d") }
-
-func (threeFiles) Run(fs pfs.FileSystem) error {
-	c := fs.Client(0)
-	for _, f := range []struct{ path, data string }{{"/d/a", "aaaa"}, {"/d/b", "bbbbbbbb"}, {"/d/c", "cc"}} {
-		if err := c.Create(f.path); err != nil {
-			return err
-		}
-		if err := c.Append(f.path, []byte(f.data)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TestLegalPFSForeignSnapshot: client ops allocate object IDs from the
-// counters of the cluster replaying them, and a detached clone starts with
-// the primary's. A node the primary captured after creating /d/b holds the
-// ID the clone's counter allocates next, so a clone that replayed /d/c from
-// it would give /d/c /d/b's chunk. The clone must reach the reference's
-// tree, and the trie must keep the memo for the primary's prefix.
-func TestLegalPFSForeignSnapshot(t *testing.T) {
-	fs := beegfs.New(pfs.DefaultConfig(), trace.NewRecorder())
-	s, err := prepare(context.Background(), fs, nil, threeFiles{}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := s.pfsOps.Len(); n != 6 {
-		t.Fatalf("%d PFS-layer ops, want creat/pwrite of three files", n)
-	}
-	clone := s.shardSession(fs.CloneDetached())
-	s.replayPFS([]int{2})    // creat /d/b
-	sel := []int{2, 3, 4, 5} // and its pwrite, then creat and pwrite /d/c
-	got := clone.replayPFS(sel)
-	if want := replayPFSReference(s, sel); got != want {
-		t.Fatalf("clone replayed from the primary's snapshot:\n%s\nwant\n%s", got, want)
-	}
-	node := s.legal.pfs.child[rootEdge{0, 2}]
-	if n := s.legal.pfs.nodes[node]; n.owner != clone.fs {
-		t.Errorf("node {2} is still the primary's after the clone replayed through it")
-	}
-}
-
 // TestLegalPFSTrieAtCap: the replay trie holds snapshots on at most
 // maxLegalSnaps nodes. A brute-force walk over the rename workload's k = 2
 // states starts with filler snapshots that bring the trie to one below the
@@ -91,7 +42,7 @@ func TestLegalPFSTrieAtCap(t *testing.T) {
 		tr := &s.legal.pfs
 		for i := 0; i < fill; i++ {
 			tr.child[rootEdge{0, -1 - i}] = len(tr.nodes)
-			tr.nodes = append(tr.nodes, pfsNode{snaps: tr.nodes[0].snaps, owner: s.fs})
+			tr.nodes = append(tr.nodes, pfsNode{snaps: tr.nodes[0].snaps})
 			tr.held++
 		}
 		w := walk{verdicts: map[string]Verdict{}}
@@ -144,15 +95,15 @@ type LibTableRun struct {
 	Steps, Parses int64
 }
 
-// RunLibTableFilled explores the cell newCell builds under opts, serially,
-// after filling its library replay table with edges transitions and leaves
+// RunLibTableFilled explores the cell newCell builds under opts after
+// filling its library replay table with edges transitions and leaves
 // legal leaves that no replay state reaches (their digests are not
 // SHA-256 sums). The walk is the engine's own (explore), so the report is
 // what Run returns on a table that starts that full.
 func RunLibTableFilled(newCell func() (pfs.FileSystem, Library, Workload), opts Options, edges, leaves int) (LibTableRun, error) {
 	fs, lib, w := newCell()
 	r := obs.NewRun()
-	opts.Obs, opts.Workers = r, 1
+	opts.Obs = r
 	s, err := prepare(context.Background(), fs, lib, w, opts)
 	if err != nil {
 		return LibTableRun{}, err

@@ -2,7 +2,6 @@ package paracrash_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"paracrash/internal/exps"
@@ -14,7 +13,7 @@ import (
 )
 
 // runWithObs runs ARVR on BeeGFS with an attached observability run.
-func runWithObs(t *testing.T, mode paracrash.Mode, workers int) (*paracrash.Report, *obs.Run) {
+func runWithObs(t *testing.T, mode paracrash.Mode) (*paracrash.Report, *obs.Run) {
 	t.Helper()
 	prog, err := exps.ProgramByName("ARVR")
 	if err != nil {
@@ -22,67 +21,60 @@ func runWithObs(t *testing.T, mode paracrash.Mode, workers int) (*paracrash.Repo
 	}
 	opts := paracrash.DefaultOptions()
 	opts.Mode = mode
-	opts.Workers = workers
 	r := obs.NewRun()
 	opts.Obs = r
 	rep, err := exps.RunOne("beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
 	if err != nil {
-		t.Fatalf("RunOne(mode=%s, workers=%d): %v", mode, workers, err)
+		t.Fatalf("RunOne(mode=%s): %v", mode, err)
 	}
 	return rep, r
 }
 
 // TestObsCountersReconcileWithStats is the tentpole's accounting contract:
-// the primary counters must equal the report's Stats exactly — for every
-// strategy, serial and parallel.
+// the counters must equal the report's Stats exactly, for every strategy.
 func TestObsCountersReconcileWithStats(t *testing.T) {
 	for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning} {
-		for _, workers := range []int{1, 8} {
-			t.Run(mode.String()+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
-				rep, r := runWithObs(t, mode, workers)
-				s := r.Summary()
-				wantCounters := map[string]int64{
-					"states/generated":    int64(rep.Stats.StatesGenerated),
-					"states/checked":      int64(rep.Stats.StatesChecked),
-					"states/deduped":      int64(rep.Stats.StatesDeduped),
-					"states/pruned":       int64(rep.Stats.StatesPruned),
-					"restores/servers":    int64(rep.Stats.ServerRestores),
-					"ops/replayed":        int64(rep.Stats.OpsReplayed),
-					"states/inconsistent": int64(rep.Inconsistent),
-					"trace/ops":           int64(rep.Stats.TraceOps),
-					"trace/lowermost":     int64(rep.Stats.LowermostOps),
+		t.Run(mode.String(), func(t *testing.T) {
+			rep, r := runWithObs(t, mode)
+			s := r.Summary()
+			wantCounters := map[string]int64{
+				"states/generated":    int64(rep.Stats.StatesGenerated),
+				"states/checked":      int64(rep.Stats.StatesChecked),
+				"states/deduped":      int64(rep.Stats.StatesDeduped),
+				"states/pruned":       int64(rep.Stats.StatesPruned),
+				"restores/servers":    int64(rep.Stats.ServerRestores),
+				"ops/replayed":        int64(rep.Stats.OpsReplayed),
+				"states/inconsistent": int64(rep.Inconsistent),
+				"trace/ops":           int64(rep.Stats.TraceOps),
+				"trace/lowermost":     int64(rep.Stats.LowermostOps),
+			}
+			for name, want := range wantCounters {
+				if got := s.Counters[name]; got != want {
+					t.Errorf("counter %s = %d, Stats say %d", name, got, want)
 				}
-				for name, want := range wantCounters {
-					if got := s.Counters[name]; got != want {
-						t.Errorf("counter %s = %d, Stats say %d", name, got, want)
-					}
+			}
+			wantGauges := map[string]int64{
+				"legal/pfs":      int64(rep.Stats.LegalPFSStates),
+				"legal/lib":      int64(rep.Stats.LegalLibStates),
+				"states/classes": int64(rep.Stats.StateClasses),
+			}
+			for name, want := range wantGauges {
+				if got := s.Gauges[name]; got != want {
+					t.Errorf("gauge %s = %d, Stats say %d", name, got, want)
 				}
-				wantGauges := map[string]int64{
-					"legal/pfs":      int64(rep.Stats.LegalPFSStates),
-					"legal/lib":      int64(rep.Stats.LegalLibStates),
-					"states/classes": int64(rep.Stats.StateClasses),
+			}
+			// Every pipeline phase must have timed exactly one span.
+			phases := []string{obs.PhaseTrace, obs.PhaseGraph, obs.PhaseGenerate, obs.PhaseExplore}
+			byName := map[string]obs.TimerStat{}
+			for _, ts := range s.Timers {
+				byName[ts.Name] = ts
+			}
+			for _, ph := range phases {
+				if ts, ok := byName["phase/"+ph]; !ok || ts.Count != 1 {
+					t.Errorf("phase %s: timer = %+v, want one span", ph, ts)
 				}
-				for name, want := range wantGauges {
-					if got := s.Gauges[name]; got != want {
-						t.Errorf("gauge %s = %d, Stats say %d", name, got, want)
-					}
-				}
-				// Every pipeline phase must have timed exactly one span.
-				phases := []string{obs.PhaseTrace, obs.PhaseGraph, obs.PhaseGenerate, obs.PhaseExplore}
-				if workers != 1 {
-					phases = append(phases, obs.PhaseMerge)
-				}
-				byName := map[string]obs.TimerStat{}
-				for _, ts := range s.Timers {
-					byName[ts.Name] = ts
-				}
-				for _, ph := range phases {
-					if ts, ok := byName["phase/"+ph]; !ok || ts.Count != 1 {
-						t.Errorf("phase %s: timer = %+v, want one span", ph, ts)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -90,34 +82,24 @@ func TestObsCountersReconcileWithStats(t *testing.T) {
 // of restores/servers, and so is the classifier's restores/probe; the
 // capped-enumeration counters are registered at 0 on a run whose legal sets
 // fit under MaxLegalStates, and so are the library walk's counters on a run
-// without a library layer. classify/probes counts the probe states the
-// classifier sent to the check: the merge replays the serial walk, so a
-// parallel run sends the same ones.
+// without a library layer.
 func TestObsRestoreShares(t *testing.T) {
-	var probes []int64
-	for _, workers := range []int{1, 4} {
-		rep, r := runWithObs(t, paracrash.ModeBrute, workers)
-		c := r.Summary().Counters
-		if c["restores/legal"] == 0 || c["restores/digest"] == 0 {
-			t.Errorf("workers=%d: restores/legal=%d restores/digest=%d, want both counted",
-				workers, c["restores/legal"], c["restores/digest"])
-		}
-		if shares := c["restores/legal"] + c["restores/digest"]; shares > int64(rep.Stats.ServerRestores) {
-			t.Errorf("workers=%d: shares add up to %d, more than the %d restores", workers, shares, rep.Stats.ServerRestores)
-		}
-		if c["classify/probes"] == 0 || c["restores/probe"] > int64(rep.Stats.ServerRestores) {
-			t.Errorf("workers=%d: classify/probes=%d restores/probe=%d of %d restores", workers,
-				c["classify/probes"], c["restores/probe"], rep.Stats.ServerRestores)
-		}
-		probes = append(probes, c["classify/probes"])
-		for _, name := range []string{"legal/pfs-capped", "legal/lib-capped", "legal/lib-sets", "legal/lib-replayed", "legal/lib-parses", "legal/lib-steps"} {
-			if v, ok := c[name]; !ok || v != 0 {
-				t.Errorf("workers=%d: %s = %d (registered %t), want registered at 0", workers, name, v, ok)
-			}
-		}
+	rep, r := runWithObs(t, paracrash.ModeBrute)
+	c := r.Summary().Counters
+	if c["restores/legal"] == 0 || c["restores/digest"] == 0 {
+		t.Errorf("restores/legal=%d restores/digest=%d, want both counted", c["restores/legal"], c["restores/digest"])
 	}
-	if probes[0] != probes[1] {
-		t.Errorf("classify/probes: serial %d, 4 workers %d", probes[0], probes[1])
+	if shares := c["restores/legal"] + c["restores/digest"]; shares > int64(rep.Stats.ServerRestores) {
+		t.Errorf("shares add up to %d, more than the %d restores", shares, rep.Stats.ServerRestores)
+	}
+	if c["classify/probes"] == 0 || c["restores/probe"] > int64(rep.Stats.ServerRestores) {
+		t.Errorf("classify/probes=%d restores/probe=%d of %d restores",
+			c["classify/probes"], c["restores/probe"], rep.Stats.ServerRestores)
+	}
+	for _, name := range []string{"legal/pfs-capped", "legal/lib-capped", "legal/lib-sets", "legal/lib-replayed", "legal/lib-parses", "legal/lib-steps"} {
+		if v, ok := c[name]; !ok || v != 0 {
+			t.Errorf("%s = %d (registered %t), want registered at 0", name, v, ok)
+		}
 	}
 }
 
@@ -151,16 +133,15 @@ func TestRestoreServerTimer(t *testing.T) {
 
 // TestObsSkipCounterMatchesReport: on a backend whose every apply on one
 // server panics, states/skipped counts each quarantined state the report
-// lists once, whether the state was quarantined by the run itself, by a
-// parallel worker or by a fleet shard.
+// lists once, whether the state was quarantined by the run itself or by a
+// fleet shard.
 func TestObsSkipCounterMatchesReport(t *testing.T) {
 	prog, err := exps.ProgramByName("ARVR")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := func(workers int, r *obs.Run) paracrash.Options {
+	opts := func(r *obs.Run) paracrash.Options {
 		opts := paracrash.DefaultOptions()
-		opts.Workers = workers
 		opts.Obs = r
 		return opts
 	}
@@ -174,27 +155,25 @@ func TestObsSkipCounterMatchesReport(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	for _, workers := range []int{1, 4} {
-		r := obs.NewRun()
-		rep, err := runARVROn(t, ctx, panicOnStorage1, opts(workers, r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("workers=%d", workers), rep, r)
+	r := obs.NewRun()
+	rep, err := runARVROn(t, ctx, panicOnStorage1, opts(r))
+	if err != nil {
+		t.Fatal(err)
 	}
+	check("run", rep, r)
 
 	var shards []*paracrash.ShardReport
 	for i := 0; i < 3; i++ {
 		fs, w, lib := emulatorCell(t, "beegfs", prog)
-		sr, err := paracrash.RunShard(ctx, panicOnStorage1(fs), lib, w, opts(1, nil), paracrash.ShardSpec{Index: i, Count: 3})
+		sr, err := paracrash.RunShard(ctx, panicOnStorage1(fs), lib, w, opts(nil), paracrash.ShardSpec{Index: i, Count: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		shards = append(shards, sr)
 	}
-	r := obs.NewRun()
+	r = obs.NewRun()
 	fs, w, lib := emulatorCell(t, "beegfs", prog)
-	merged, err := paracrash.MergeShards(ctx, panicOnStorage1(fs), lib, w, opts(1, r), shards)
+	merged, err := paracrash.MergeShards(ctx, panicOnStorage1(fs), lib, w, opts(r), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,16 +218,13 @@ func TestLegalEnumerationCap(t *testing.T) {
 	}
 }
 
-// TestObsPreservesDeterminism pins the acceptance criterion: with metrics
-// attached, a Workers=8 run must still produce a report byte-identical to a
-// Workers=1 run — and both identical to a run with obs disabled.
+// TestObsPreservesDeterminism pins the acceptance criterion: a run with
+// metrics attached produces a report byte-identical to a run with obs
+// disabled.
 func TestObsPreservesDeterminism(t *testing.T) {
-	baseFP, _ := runFingerprinted(t, "beegfs", "ARVR", paracrash.ModeBrute, 1) // obs off
-	for _, workers := range []int{1, 8} {
-		rep, _ := runWithObs(t, paracrash.ModeBrute, workers)
-		if fp := exps.ReportFingerprint(rep); fp != baseFP {
-			t.Errorf("workers=%d with obs: fingerprint differs from obs-off serial run", workers)
-		}
+	base := runCell(t, "beegfs", "ARVR", paracrash.ModeBrute, 1) // obs off
+	if rep, _ := runWithObs(t, paracrash.ModeBrute); exps.ReportFingerprint(rep) != exps.ReportFingerprint(base) {
+		t.Error("fingerprint with obs differs from the obs-off run")
 	}
 }
 

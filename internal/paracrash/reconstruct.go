@@ -43,8 +43,8 @@
 // Effort is counted where it happens: every server-store restore and every
 // lowermost op apply bring performs lands in Stats.ServerRestores and
 // Stats.OpsReplayed — including the reconstructions class lookups pay for.
-// Resumed verdicts and parallel workers therefore report the work they
-// actually did, not a serial walk's.
+// Resumed runs and fleet shards therefore report the work they actually
+// did, not a full walk's.
 //
 // The engine's reference lives in test code: reference_test.go rebuilds every
 // generated state on a fresh cluster (restore everything, replay every kept
@@ -77,13 +77,12 @@ import (
 const maxPrefixRoots = 4096
 
 // reconstructor brings the live cluster to crash states. One reconstructor
-// serves one session (the primary's or a shard worker's clone); it owns the
-// prefix-root tries and the outcome memo.
+// serves one session; it owns the prefix-root tries and the outcome memo.
 type reconstructor struct {
 	s *session
 
 	procs   []string      // sorted servers with universe ops
-	servers []imageServer // per proc; read-only, shared with clones
+	servers []imageServer // per proc; read-only
 	keyLen  int           // bytes in an image key
 
 	roots []prefixRoots // per proc
@@ -189,16 +188,24 @@ func (e *Emulator) serverProcs() ([]string, map[string][]int) {
 // *missingStoreError when the initial snapshot lacks a store for some server.
 func newReconstructor(s *session) (*reconstructor, error) {
 	procs, serverOps := s.emu.serverProcs()
-	r := &reconstructor{s: s, procs: procs, servers: make([]imageServer, len(procs))}
+	r := &reconstructor{
+		s: s, procs: procs,
+		servers:  make([]imageServer, len(procs)),
+		roots:    make([]prefixRoots, len(procs)),
+		outcomes: map[string]*recoveredOutcome{},
+	}
 	for pi, p := range procs {
-		if _, ok := s.initial.ServerSnap(p); !ok {
+		snap, ok := s.initial.ServerSnap(p)
+		if !ok {
 			return nil, &missingStoreError{proc: p}
 		}
 		sv := newImageServer(s.g.Ops, serverOps[p], s.initial.Dev[p])
 		sv.off = r.keyLen
 		r.keyLen += sv.n
 		r.servers[pi] = sv
+		r.roots[pi] = newPrefixRoots(snap)
 	}
+	r.key = make([]byte, r.keyLen)
 	for _, p := range s.fs.Procs() {
 		if _, ok := serverOps[p]; ok {
 			continue
@@ -210,25 +217,7 @@ func newReconstructor(s *session) (*reconstructor, error) {
 		r.others = append(r.others, p)
 		r.otherSnaps = append(r.otherSnaps, snap)
 	}
-	return r.clone(s), nil
-}
-
-// clone returns a reconstructor for ws (a shard worker's session over a
-// detached clone) that shares r's read-only image tables and owns fresh
-// caches seeded from the same initial snapshot.
-func (r *reconstructor) clone(ws *session) *reconstructor {
-	c := &reconstructor{
-		s: ws, procs: r.procs, servers: r.servers, keyLen: r.keyLen,
-		others: r.others, otherSnaps: r.otherSnaps,
-		roots:    make([]prefixRoots, len(r.procs)),
-		outcomes: map[string]*recoveredOutcome{},
-		key:      make([]byte, r.keyLen),
-	}
-	for pi, p := range r.procs {
-		snap, _ := ws.initial.ServerSnap(p)
-		c.roots[pi] = newPrefixRoots(snap)
-	}
-	return c
+	return r, nil
 }
 
 // newImageServer classes the ops of one server — idx indexes ops, in trace

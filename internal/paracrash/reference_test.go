@@ -12,24 +12,25 @@ import (
 
 // ReferenceDiff is the reconstruction engine's reference, exported to the
 // external differential suite (the workloads it runs import this package).
-// It walks every generated crash state of (fs, w) under mode and requires
-// that the reconstructor's recoveredOutcome yield exactly what the slow
-// obvious way yields: a fresh detached clone, everything restored to the
-// initial snapshot, every kept op replayed in universe order, then recover,
+// It walks every generated crash state of w on a cluster newFS builds under
+// mode and requires that the reconstructor's recoveredOutcome yield exactly
+// what the slow obvious way yields: another fresh cluster from newFS,
+// everything restored to the initial snapshot, every kept op replayed in universe order, then recover,
 // mount, serialize. No classes, no memo, no prefix roots on the reference
 // side. Each reconstruction's measured work must also stay within a full
 // rebuild: at most one restore per server, one op apply per kept op. And
 // every state sharing an image key must rebuild to a byte-identical
 // reference outcome: the key may merge kept sets only when their images
 // are the same.
-func ReferenceDiff(fs pfs.FileSystem, w Workload, mode Mode) (checked int, err error) {
-	checked, _, err = ReferenceDiffAt(fs, w, mode, DefaultOptions().Emulator.K)
+func ReferenceDiff(newFS func() pfs.FileSystem, w Workload, mode Mode) (checked int, err error) {
+	checked, _, err = ReferenceDiffAt(newFS, w, mode, DefaultOptions().Emulator.K)
 	return checked, err
 }
 
 // ReferenceDiffAt is ReferenceDiff with k victims per crash state; it also
 // returns the number of distinct image keys the checked states produced.
-func ReferenceDiffAt(fs pfs.FileSystem, w Workload, mode Mode, k int) (checked, images int, err error) {
+func ReferenceDiffAt(newFS func() pfs.FileSystem, w Workload, mode Mode, k int) (checked, images int, err error) {
+	fs := newFS()
 	opts := DefaultOptions()
 	opts.Mode = mode
 	opts.Emulator.K = k
@@ -40,7 +41,7 @@ func ReferenceDiffAt(fs pfs.FileSystem, w Workload, mode Mode, k int) (checked, 
 	byImage := map[string]recoveredOutcome{}
 	for idx, cs := range s.generate() {
 		kept := 0
-		ref := fs.(pfs.Cloner).CloneDetached()
+		ref := newFS()
 		ref.Restore(s.initial)
 		for _, i := range s.emu.Universe {
 			if cs.Keep.Get(i) {
@@ -240,8 +241,8 @@ func ReferenceRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Re
 }
 
 // EngineRun runs the engine exactly as RunContext does and also returns the
-// verdict it holds at the end for every state it judged — visited or probed,
-// serial or merged from parallel workers — keyed by state key, with
+// verdict it holds at the end for every state it judged — visited or
+// probed — keyed by state key, with
 // Attributed set where the state took its class representative's verdict.
 // A sync-infeasible state is judged consistent without being held.
 func EngineRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Report, map[string]Judged, error) {

@@ -19,8 +19,7 @@ import (
 // referencePair holds one cell's engine run and its per-state reference run
 // (paracrash.ReferenceRun: every state judged on its own, no class memo).
 // engineJudged is nil when the engine ran through the public API; onDigest
-// is the engine run's class-lookup share of its restores (restores/digest
-// on the primary and on its parallel workers).
+// is the engine run's class-lookup share of its restores (restores/digest).
 type referencePair struct {
 	engine, ref             *paracrash.Report
 	engineJudged, refJudged map[string]paracrash.Judged
@@ -102,7 +101,7 @@ type cellRun func(pfs.FileSystem, paracrash.Library, paracrash.Workload, paracra
 // namedPair runs a named program cell (with its placement hints and, for
 // the H5 workloads, its I/O library) through the engine and the reference,
 // each on the cell's backend as wrap wraps it (nil: as it is).
-func namedPair(t *testing.T, fsName, progName string, wrap func(pfs.FileSystem) pfs.FileSystem, opts, refOpts paracrash.Options) referencePair {
+func namedPair(t *testing.T, fsName, progName string, wrap func(pfs.FileSystem) pfs.FileSystem, opts paracrash.Options) referencePair {
 	t.Helper()
 	prog, err := exps.ProgramByName(progName)
 	if err != nil {
@@ -120,10 +119,10 @@ func namedPair(t *testing.T, fsName, progName string, wrap func(pfs.FileSystem) 
 		return rep, judged
 	}
 	var p referencePair
+	p.ref, p.refJudged = run(paracrash.ReferenceRun, opts)
 	opts.Obs = obs.NewRun()
 	p.engine, p.engineJudged = run(paracrash.EngineRun, opts)
-	p.onDigest = int(opts.Obs.Counter("restores/digest").Value() + opts.Obs.Counter("worker/restores/digest").Value())
-	p.ref, p.refJudged = run(paracrash.ReferenceRun, refOpts)
+	p.onDigest = int(opts.Obs.Counter("restores/digest").Value())
 	return p
 }
 
@@ -162,27 +161,21 @@ func TestRepresentativeDifferentialNamed(t *testing.T) {
 	cells := []struct {
 		fs, prog string
 		mode     paracrash.Mode
-		workers  int
 	}{
-		{"beegfs", "ARVR", paracrash.ModeBrute, 1},
-		{"beegfs", "ARVR", paracrash.ModeBrute, 4},
-		{"beegfs", "ARVR", paracrash.ModePruning, 1},
-		{"orangefs", "CR", paracrash.ModePruning, 1},
-		{"glusterfs", "WAL", paracrash.ModePruning, 1},
-		{"gpfs", "H5-create", paracrash.ModePruning, 1},
-		{"lustre", "H5-resize", paracrash.ModePruning, 1},
-		{"ext4", "CR", paracrash.ModePruning, 1},
+		{"beegfs", "ARVR", paracrash.ModeBrute},
+		{"beegfs", "ARVR", paracrash.ModePruning},
+		{"orangefs", "CR", paracrash.ModePruning},
+		{"glusterfs", "WAL", paracrash.ModePruning},
+		{"gpfs", "H5-create", paracrash.ModePruning},
+		{"lustre", "H5-resize", paracrash.ModePruning},
+		{"ext4", "CR", paracrash.ModePruning},
 	}
 	for _, c := range cells {
-		label := fmt.Sprintf("%s/%s/%s/workers=%d", c.fs, c.prog, c.mode, c.workers)
+		label := fmt.Sprintf("%s/%s/%s", c.fs, c.prog, c.mode)
 		opts := paracrash.DefaultOptions()
 		opts.Mode = c.mode
-		refOpts := opts
-		opts.Workers = c.workers
-		p := namedPair(t, c.fs, c.prog, nil, opts, refOpts)
-		// Parallel workers reconstruct on their own clones, so only a serial
-		// engine is held to the serial reference's restores.
-		assertMatchesReference(t, label, p, c.workers == 1)
+		p := namedPair(t, c.fs, c.prog, nil, opts)
+		assertMatchesReference(t, label, p, true)
 		if c.fs == "beegfs" && c.mode == paracrash.ModeBrute {
 			s := p.engine.Stats
 			if s.StatesChecked*5 > s.StatesGenerated {
@@ -242,7 +235,7 @@ func TestRepresentativeFaultTransparency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := namedPair(t, "beegfs", "ARVR", broken, opts, opts)
+		p := namedPair(t, "beegfs", "ARVR", broken, opts)
 		if len(p.engine.Skipped) == 0 {
 			t.Fatalf("mode %s: a panicking rename quarantined nothing", mode)
 		}
@@ -272,7 +265,7 @@ func TestRepresentativeFaultTransparency(t *testing.T) {
 // state's verdict match the per-state reference.
 func TestRepresentativeQuarantineDoesNotPoisonClass(t *testing.T) {
 	opts := paracrash.DefaultOptions()
-	p := namedPair(t, "beegfs", "ARVR", panicOnStorage1, opts, opts)
+	p := namedPair(t, "beegfs", "ARVR", panicOnStorage1, opts)
 	if len(p.engine.Skipped) == 0 {
 		t.Fatal("a panicking backend quarantined nothing — the test lost its teeth")
 	}
@@ -297,46 +290,43 @@ func TestRepresentativeChaosResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		base := paracrash.DefaultOptions()
-		base.Workers = workers
-		clean, err := exps.RunOne("beegfs", prog, base, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if clean.Stats.StatesDeduped == 0 {
-			t.Fatal("no state was attributed from a class; the chaos test would prove nothing")
-		}
-
-		path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-		deadline := 2 * time.Millisecond
-		kills := 0
-		var final *paracrash.Report
-		for attempt := 0; ; attempt++ {
-			if attempt > 60 {
-				t.Fatal("chaos run did not converge in 60 kill/resume rounds")
-			}
-			opts := base
-			opts.Checkpoint = paracrash.OpenCheckpoint(path)
-			opts.Checkpoint.Every = 1
-
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			rep, err := exps.RunOneContext(ctx, "beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
-			cancel()
-			if err == nil {
-				final = rep
-				break
-			}
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("chaos round %d died with a non-deadline error: %v", attempt, err)
-			}
-			kills++
-			deadline += deadline / 2
-		}
-		if got, want := exps.ReportFingerprint(final), exps.ReportFingerprint(clean); got != want {
-			t.Errorf("workers=%d: resumed report differs from the uninterrupted one after %d kills:\n--- clean ---\n%s--- chaos ---\n%s",
-				workers, kills, want, got)
-		}
-		assertMatchesReference(t, "chaos", referencePair{engine: final, ref: ref}, false)
+	base := paracrash.DefaultOptions()
+	clean, err := exps.RunOne("beegfs", prog, base, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if clean.Stats.StatesDeduped == 0 {
+		t.Fatal("no state was attributed from a class; the chaos test would prove nothing")
+	}
+
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	deadline := 2 * time.Millisecond
+	kills := 0
+	var final *paracrash.Report
+	for attempt := 0; ; attempt++ {
+		if attempt > 60 {
+			t.Fatal("chaos run did not converge in 60 kill/resume rounds")
+		}
+		opts := base
+		opts.Checkpoint = paracrash.OpenCheckpoint(path)
+		opts.Checkpoint.Every = 1
+
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		rep, err := exps.RunOneContext(ctx, "beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
+		cancel()
+		if err == nil {
+			final = rep
+			break
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("chaos round %d died with a non-deadline error: %v", attempt, err)
+		}
+		kills++
+		deadline += deadline / 2
+	}
+	if got, want := exps.ReportFingerprint(final), exps.ReportFingerprint(clean); got != want {
+		t.Errorf("resumed report differs from the uninterrupted one after %d kills:\n--- clean ---\n%s--- chaos ---\n%s",
+			kills, want, got)
+	}
+	assertMatchesReference(t, "chaos", referencePair{engine: final, ref: ref}, false)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"paracrash/internal/causality"
@@ -263,8 +262,7 @@ func TestClassKeyHoldsEveryLayerStatus(t *testing.T) {
 func TestRepresentativeQuarantinedVerdictIsNoClass(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Mode = ModeBrute
-	armed := &atomic.Bool{}
-	fs := &panicOnMount{FileSystem: beegfs.New(pfs.DefaultConfig(), trace.NewRecorder()), armed: armed}
+	fs := &panicOnMount{FileSystem: beegfs.New(pfs.DefaultConfig(), trace.NewRecorder())}
 	s, err := prepare(context.Background(), fs, nil, renameWorkload{}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +273,7 @@ func TestRepresentativeQuarantinedVerdictIsNoClass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	armed.Store(true)
+	fs.armed = true
 	classOf := map[string]int{}
 	for _, cs := range states {
 		r := s.check(cs)

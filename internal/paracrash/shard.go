@@ -1,40 +1,28 @@
-// Sharded exploration: the generated crash-state list is cut into
-// contiguous runs of generation order, one per shard (ShardSpec.bounds),
-// shards judge their runs, and one serial merge resolves every check
-// through the shards' verdicts. The same two steps run in one process
-// (Options.Workers > 1) and across processes (the fleet).
+// Sharded exploration, the fleet's: the generated crash-state list is cut
+// into contiguous runs of generation order, one per shard
+// (ShardSpec.bounds), shards judge their runs in separate processes, and
+// one serial merge resolves every check through the shards' verdicts.
+// Exploration within a process is serial; parallelism is the fleet's.
 //
-// In process, the merge is explore's own walk and judges the first run
-// itself, while startShards judges every later run ahead of it, each shard
-// on a detached clone of the cluster (pfs.Cloner) with its own clients,
-// reconstruction scratch state and check caches; the legal-state cache is
-// shared, so each legal set is enumerated once per run. Everything else
-// the shards share — the causality graph, the persist order, the emulator
-// universe, the layer-op tables, the initial snapshot, the golden states
-// and the Library — is immutable during exploration (see the concurrency
-// notes in internal/causality and internal/pfs). With Workers = 1 there is
-// one run and no shard: the walk is the serial engine.
+// RunShard is the worker side: it rebuilds the full analysis state (trace,
+// causality graph, emulator universe, golden states — prepare is pure per
+// configuration, so every process derives the identical generation order),
+// judges only the states whose generation index falls in its shard, and
+// returns their verdicts, each with the class key it was digested into, in
+// a serializable ShardReport. MergeShards is the coordinator side: it
+// validates that the shard reports cover the partition and were produced
+// under the same verdict-relevant configuration and trace, then runs the
+// merge.
 //
-// Across processes, RunShard is the worker side: it rebuilds the full
-// analysis state (trace, causality graph, emulator universe, golden states —
-// prepare is pure per configuration, so every process derives the identical
-// generation order), judges only the states whose generation index falls in
-// its shard, and returns their verdicts, each with the class key it was
-// digested into, in a serializable ShardReport. MergeShards is the
-// coordinator side: it validates that the shard reports cover the partition
-// and were produced under the same verdict-relevant configuration and
-// trace, then runs the merge.
-//
-// Either way a shard judges every state it owns — it has no view of the
-// merge's BugSet, so the merge prunes — and journals each fresh verdict into
-// the run's Checkpoint. The merge is explore's serial walk verbatim
-// (visiting order, pruning, representative attribution), resolving checks
-// and class lookups through a verdictTable, so no shipped state is judged
-// or digested twice, and computing locally only what no shard judged
-// (classifier probes outside the shards' runs, and the states of a shard
-// that panicked). Its report has the serial run's verdicts, state keys,
-// state counts and bug set, and Stats whose effort is the merge's own plus
-// every shard's.
+// A shard judges every state it owns — it has no view of the merge's
+// BugSet, so the merge prunes — and journals each fresh verdict into the
+// run's Checkpoint. The merge is explore's serial walk verbatim (visiting
+// order, pruning, representative attribution), resolving checks and class
+// lookups through a verdictTable, so no shipped state is judged or digested
+// twice, and computing locally only what no shard judged (classifier probes
+// outside the shards' runs, and the states of a shard that panicked). Its
+// report has the serial run's verdicts, state keys, state counts and bug
+// set, and Stats whose effort is the merge's own plus every shard's.
 package paracrash
 
 import (
@@ -42,7 +30,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"maps"
 	"time"
 
 	"paracrash/internal/obs"
@@ -77,8 +64,7 @@ func (sp ShardSpec) Validate() error {
 func (sp ShardSpec) suffix() string { return fmt.Sprintf("|shard=%d/%d", sp.Index, sp.Count) }
 
 // bounds returns the run [lo, hi) of generation indices this shard owns
-// out of n states, the one partition function of in-process and fleet
-// sharding alike. The Count runs tile [0, n) in order and differ in size by
+// out of n states, the fleet's partition function. The Count runs tile [0, n) in order and differ in size by
 // at most one. A run keeps neighbouring states — which share a crash front,
 // its prefix roots and often a class — on one shard, so shards judge fewer
 // class representatives twice than a round-robin dealing would.
@@ -151,8 +137,7 @@ type ShardReport struct {
 // space and returns the shard's verdicts. The preparation phases (preamble,
 // traced run, causality analysis, golden replay) run in full — they are
 // what make the generation order, and with it the shard partition, stable
-// across processes. Options.Workers is ignored: a shard explores serially
-// (fleet parallelism is between processes, not within a shard).
+// across processes. A shard explores serially, as every run does.
 //
 // With Options.Checkpoint set, the shard journals verdicts under a
 // shard-scoped fingerprint and resumes from a compatible journal, so a
@@ -182,6 +167,7 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 	opts.Obs.Gauge("shard/states").Set(int64(len(states)))
 
 	table := make(verdictTable, len(states))
+	s.checkCache = make(map[string]Verdict, len(states))
 	stopExplore := opts.Obs.Phase(obs.PhaseExplore)
 	s.exploreShard(states, table, opts.Obs.Gauge("shard/pending"))
 	stopExplore()
@@ -273,147 +259,63 @@ func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 
 // verdictTable is what a merge resolves checks through: a raw crash-state
 // key to the verdict a shard judged, with the class key the shard digested
-// the state into. In-process shards fill it directly; MergeShards fills it
-// from the reports' wire verdicts.
+// the state into. MergeShards fills it from the reports' wire verdicts.
 type verdictTable map[string]Verdict
 
-// shardRun is one contiguous run states[lo:hi] of an in-process walk: the
-// shard judging it ahead of the walk (nil for the run the walk judges
-// itself), the verdicts the shard has judged, and a channel closed once the
-// shard has stopped (finished, cancelled or panicked).
-type shardRun struct {
-	ws     *session
-	lo, hi int
-	table  verdictTable
-	done   chan struct{}
-}
-
-// startShards is the in-process fleet's shard step. It cuts the states
-// into min(workers, len(states)) runs (one when the file system cannot be
-// cloned, or when a fleet merge brings the shards' verdicts) and starts a
-// shard on every run but the first, each judging on a detached clone in
-// its own goroutine; the first run is the walk's own. With one run no
-// shard starts, and the walk is the serial engine.
-func (s *session) startShards(states []CrashState, workers int) []*shardRun {
-	cloner, ok := s.fs.(pfs.Cloner)
-	n := min(workers, len(states))
-	if !ok || s.shipped != nil || n < 2 {
-		n = 1
-	} else {
-		s.obs.Gauge("workers").Set(int64(n))
-	}
-	runs := make([]*shardRun, n)
-	for i := range n {
-		lo, hi := ShardSpec{Index: i, Count: n}.bounds(len(states))
-		r := &shardRun{lo: lo, hi: hi, done: make(chan struct{})}
-		runs[i] = r
-		if i == 0 {
-			close(r.done)
-			continue
-		}
-		// Clones are built sequentially here (backend constructors are not
-		// concurrency-safe against each other's recorder plumbing).
-		clone := cloner.CloneDetached()
-		if oa, ok := clone.(pfs.ObsAware); ok {
-			oa.SetObs(s.obs)
-		}
-		r.ws, r.table = s.shardSession(clone), make(verdictTable, hi-lo)
-		r.ws.fs.Recorder().SetEnabled(false)
-		// Per-shard depth, decremented as the shard judges; the progress
-		// stream shows stragglers directly.
-		pending := s.obs.Gauge(fmt.Sprintf("worker/%02d/pending", i))
-		pending.Set(int64(hi - lo))
-		go func() {
-			defer close(r.done)
-			// Last-resort quarantine: per-attempt recovery inside check
-			// should contain every backend panic; if one escapes, the shard's
-			// remaining states are left for the walk to judge.
-			defer func() {
-				if p := recover(); p != nil {
-					s.obs.Counter("worker/panics").Inc()
-				}
-			}()
-			r.ws.exploreShard(states[lo:hi], r.table, pending)
-		}()
-	}
-	return runs
-}
-
-// walkRuns is explore's one ordered walk, the merge step: it visits the
-// runs in order, each once its shard has stopped, and prunes, checks and
-// records every state into rep in generation order, resolving checks
-// through the verdicts of the shards it has reached only. What it judges
-// itself — the first run, classifier probes into later runs or outside the
-// generated list, and the states a panicking shard left — therefore does
-// not depend on scheduling. It returns the shards' measured effort.
-func (s *session) walkRuns(states []CrashState, runs []*shardRun, rep *Report) []Stats {
-	// No shard outlives the walk, even when the walk panics.
-	defer func() {
-		for _, r := range runs {
-			<-r.done
-		}
-	}()
-	if len(runs) > 1 {
-		defer s.obs.Phase(obs.PhaseMerge)()
-		s.shipped = make(verdictTable, len(states))
-	}
+// walk is explore's one ordered walk: it prunes, checks and records every
+// state into rep in generation order. In a fleet merge, checks resolve
+// through the verdicts the shards shipped (s.shipped), and the walk judges
+// itself only what no shard judged: classifier probes outside the
+// generated list, and the states of a shard that panicked.
+func (s *session) walk(states []CrashState, rep *Report) {
 	bugs := NewBugSet()
 	classifier := NewClassifier(s.emu, s.probe, s.status)
 	seen := map[[2]string]bool{} // inconsistent states by layer and recovered content
-	var effort []Stats
-	for _, r := range runs {
-		<-r.done
-		maps.Copy(s.shipped, r.table)
-		for _, cs := range states[r.lo:r.hi] {
-			if s.ctx.Err() != nil {
-				break
-			}
-			if s.opts.Mode != ModeBrute && bugs.KnownBad(cs) {
-				s.stats.StatesPruned++
-				s.ctrPruned.Inc()
-				continue
-			}
-			v := s.check(cs)
-			s.countVisit(v)
-			if v.Skipped {
-				rep.Skipped = append(rep.Skipped, SkippedState{Victims: s.victimKeys(cs), Reason: v.Consequence})
-				continue
-			}
-			if v.Consistent {
-				continue
-			}
-			// Distinct persistence subsets recovering to the same content are
-			// one inconsistent state (the paper's redundancy removal, §5.2).
-			if k := [2]string{v.Layer, v.State}; !seen[k] {
-				seen[k] = true
-				rep.Inconsistent++
-				s.ctrBad.Inc()
-				if v.Layer != "pfs" {
-					rep.LibOnly++
-				}
-				rep.States = append(rep.States, InconsistentState{
-					Layer: v.Layer, Victims: s.victimKeys(cs), Consequence: v.Consequence,
-					Key: StateDigest(v.Layer, v.State),
-				})
-			}
-			lo := s.pfsOps
-			if v.Layer != "pfs" && s.libOps != nil {
-				lo = s.libOps
-			}
-			// The classify span holds the probes' reconstructions and
-			// recoveries, which the pfs/* timers also count.
-			stopClassify := s.obs.StartTimer("classify")
-			for _, pr := range classifier.ClassifyState(cs, lo, v.State) {
-				bugs.Add(pr, v.Layer, s.fs.Name(), s.program, v.Consequence)
-			}
-			stopClassify()
+	for _, cs := range states {
+		if s.ctx.Err() != nil {
+			break
 		}
-		if r.ws != nil {
-			effort = append(effort, r.ws.stats)
+		if s.opts.Mode != ModeBrute && bugs.KnownBad(cs) {
+			s.stats.StatesPruned++
+			s.ctrPruned.Inc()
+			continue
 		}
+		v := s.check(cs)
+		s.countVisit(v)
+		if v.Skipped {
+			rep.Skipped = append(rep.Skipped, SkippedState{Victims: s.victimKeys(cs), Reason: v.Consequence})
+			continue
+		}
+		if v.Consistent {
+			continue
+		}
+		// Distinct persistence subsets recovering to the same content are
+		// one inconsistent state (the paper's redundancy removal, §5.2).
+		if k := [2]string{v.Layer, v.State}; !seen[k] {
+			seen[k] = true
+			rep.Inconsistent++
+			s.ctrBad.Inc()
+			if v.Layer != "pfs" {
+				rep.LibOnly++
+			}
+			rep.States = append(rep.States, InconsistentState{
+				Layer: v.Layer, Victims: s.victimKeys(cs), Consequence: v.Consequence,
+				Key: StateDigest(v.Layer, v.State),
+			})
+		}
+		lo := s.pfsOps
+		if v.Layer != "pfs" && s.libOps != nil {
+			lo = s.libOps
+		}
+		// The classify span holds the probes' reconstructions and
+		// recoveries, which the pfs/* timers also count.
+		stopClassify := s.obs.StartTimer("classify")
+		for _, pr := range classifier.ClassifyState(cs, lo, v.State) {
+			bugs.Add(pr, v.Layer, s.fs.Name(), s.program, v.Consequence)
+		}
+		stopClassify()
 	}
 	rep.Bugs = bugs.Bugs()
-	return effort
 }
 
 // victimKeys names a crash state's victim ops for the report.
@@ -425,51 +327,22 @@ func (s *session) victimKeys(cs CrashState) []string {
 	return out
 }
 
-// shardSession builds an in-process shard's private session around a
-// detached clone: shared read-only analysis state, legal-state cache,
-// resumed verdicts and checkpoint; private clients and check caches. The
-// shard's effort lands on worker/-prefixed counters; the merge folds its
-// Stats into the primary's, which keeps the primary's counters reconciling
-// 1:1 with the primary's Stats.
-func (s *session) shardSession(fs pfs.FileSystem) *session {
-	ws := &session{
-		fs: fs, lib: s.lib, opts: s.opts, ctx: s.ctx,
-		g: s.g, emu: s.emu, pfsOps: s.pfsOps, libOps: s.libOps,
-		initial:    s.initial,
-		clients:    map[string]pfs.Client{},
-		legal:      s.legal,
-		checkCache: map[string]Verdict{},
-		classes:    map[string]Verdict{},
-		fronts:     map[string]*frontStatus{},
-		goldenPFS:  s.goldenPFS,
-		goldenLib:  s.goldenLib,
-		resumed:    s.resumed,
-		ckpt:       s.ckpt,
-	}
-	ws.bindObs(s.obs, "worker/")
-	// The clone gets its own reconstructor (private prefix roots and
-	// outcomes over the clone's stores) sharing the primary's image tables.
-	ws.recon = s.recon.clone(ws)
-	return ws
-}
-
-// exploreShard is the one shard loop, in-process and fleet alike: it
-// judges a shard's run of states in generation order into out, and stops
-// early when the run is cancelled. All per-state logic lives in ws.check —
-// the shard's private reconstructor caches prefix roots, counts the work in
-// the shard's own Stats and journals every fresh verdict.
-func (ws *session) exploreShard(states []CrashState, out verdictTable, pending *obs.Gauge) {
+// exploreShard is RunShard's loop: it judges a shard's run of states in
+// generation order into out, and stops early when the run is cancelled. All
+// per-state logic lives in check, which caches prefix roots, counts the
+// work in the shard's Stats and journals every fresh verdict.
+func (s *session) exploreShard(states []CrashState, out verdictTable, pending *obs.Gauge) {
 	for _, cs := range states {
-		if ws.ctx.Err() != nil {
+		if s.ctx.Err() != nil {
 			return
 		}
-		v := ws.check(cs)
-		key := ws.checked
+		v := s.check(cs)
+		key := s.checked
 		if key == "" {
 			key = stateKey(cs)
 		}
 		out[key] = v
-		ws.countVisit(v)
+		s.countVisit(v)
 		pending.Add(-1)
 	}
 }

@@ -100,8 +100,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 				t.Run(backend+"/"+prog.Name()+"/"+mode.String(), func(t *testing.T) {
 					opts := paracrash.DefaultOptions()
 					opts.Mode = mode
-					opts.Workers = 1
-					standalone := runEngine(t, backend, prog, mode, 1)
+					standalone := runEngine(t, backend, prog, mode)
 					merged := mergeShards(t, backend, prog, opts, runShards(t, backend, prog, opts, 3))
 					if sf, mf := exps.ReportFingerprint(standalone), exps.ReportFingerprint(merged); sf != mf {
 						t.Errorf("3-shard fleet report differs from standalone:\n--- standalone ---\n%s--- fleet ---\n%s", sf, mf)
@@ -114,24 +113,21 @@ func TestShardMergeEquivalence(t *testing.T) {
 
 // TestShardMergeEquivalenceKnobs re-runs the byte-identity oracle on one
 // backend with the partition width varied: a single-shard partition (the
-// degenerate fleet) and more shards than workers must both merge to the
-// standalone fingerprint.
+// degenerate fleet) and a wide one must both merge to the standalone
+// fingerprint.
 func TestShardMergeEquivalenceKnobs(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	backend := "beegfs"
 	cases := []struct {
 		name   string
-		mut    func(*paracrash.Options)
 		shards int
 	}{
-		{"single-shard", func(o *paracrash.Options) {}, 1},
-		{"many-shards", func(o *paracrash.Options) {}, 7},
+		{"single-shard", 1},
+		{"many-shards", 7},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := paracrash.DefaultOptions()
-			opts.Workers = 1
-			tc.mut(&opts)
 			fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
 			if err != nil {
 				t.Fatal(err)
@@ -231,8 +227,7 @@ func TestShardChaosResume(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	backend := "lustre"
 	opts := paracrash.DefaultOptions()
-	opts.Workers = 1
-	base := runEngine(t, backend, prog, paracrash.ModePruning, 1)
+	base := runEngine(t, backend, prog, paracrash.ModePruning)
 	baseFP := exps.ReportFingerprint(base)
 
 	const count = 3

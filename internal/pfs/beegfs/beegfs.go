@@ -73,17 +73,6 @@ func must(err error) {
 	}
 }
 
-// CloneDetached implements pfs.Cloner: a fresh deployment with an untraced
-// recorder, carrying over the ID allocators so objects created by replayed
-// client operations never collide with IDs present in restored snapshots.
-func (f *FS) CloneDetached() pfs.FileSystem {
-	rec := trace.NewRecorder()
-	rec.SetEnabled(false)
-	c := New(f.conf, rec)
-	c.nextDirID, c.nextFileID = f.nextDirID, f.nextFileID
-	return c
-}
-
 // Name implements pfs.FileSystem.
 func (f *FS) Name() string { return "beegfs" }
 

@@ -136,8 +136,7 @@ type Cluster struct {
 
 // ObsAware is implemented by file systems that can attach an observability
 // run (every Cluster-based FileSystem). The explorer sets the run on the
-// primary cluster and on each worker clone; a shared *obs.Run is safe for
-// concurrent use.
+// cluster it explores.
 type ObsAware interface {
 	SetObs(*obs.Run)
 }

@@ -25,14 +25,6 @@ func New(conf pfs.Config, rec *trace.Recorder) *FS {
 	return &FS{Cluster: pfs.NewCluster(conf, rec, []string{"local/0"}), conf: conf}
 }
 
-// CloneDetached implements pfs.Cloner: a fresh single-server deployment
-// with an untraced recorder (extfs keeps no allocator state to copy).
-func (f *FS) CloneDetached() pfs.FileSystem {
-	rec := trace.NewRecorder()
-	rec.SetEnabled(false)
-	return New(f.conf, rec)
-}
-
 // Name implements pfs.FileSystem.
 func (f *FS) Name() string { return "ext4" }
 

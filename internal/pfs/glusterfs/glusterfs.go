@@ -48,17 +48,6 @@ func must(err error) {
 	}
 }
 
-// CloneDetached implements pfs.Cloner: a fresh volume with an untraced
-// recorder, carrying over the gfid allocator so files created by replayed
-// client operations never collide with gfids present in restored snapshots.
-func (f *FS) CloneDetached() pfs.FileSystem {
-	rec := trace.NewRecorder()
-	rec.SetEnabled(false)
-	c := New(f.conf, rec)
-	c.nextGfid = f.nextGfid
-	return c
-}
-
 // Name implements pfs.FileSystem.
 func (f *FS) Name() string { return "glusterfs" }
 

@@ -105,22 +105,6 @@ func must(err error) {
 	}
 }
 
-// CloneDetached implements pfs.Cloner: a fresh deployment with an untraced
-// recorder, carrying over the ID/sequence/page allocators so replayed
-// client operations never collide with identifiers present in restored
-// snapshots.
-func (f *FS) CloneDetached() pfs.FileSystem {
-	rec := trace.NewRecorder()
-	rec.SetEnabled(false)
-	c := New(f.conf, rec)
-	c.nextDirID, c.nextFileID, c.nextSeq = f.nextDirID, f.nextFileID, f.nextSeq
-	c.nextPage = make(map[string]int, len(f.nextPage))
-	for k, v := range f.nextPage {
-		c.nextPage[k] = v
-	}
-	return c
-}
-
 // Name implements pfs.FileSystem.
 func (f *FS) Name() string { return "orangefs" }
 

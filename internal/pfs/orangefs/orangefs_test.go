@@ -201,32 +201,3 @@ func TestPageMemoCap(t *testing.T) {
 		}
 	}
 }
-
-func TestCloneHasItsOwnPageMemo(t *testing.T) {
-	f := newFS(t)
-	if err := f.Client(0).Create("/foo"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Mount(); err != nil {
-		t.Fatal(err)
-	}
-	primary := len(f.pages)
-	if primary == 0 {
-		t.Fatal("mount decoded no pages")
-	}
-	c := f.CloneDetached().(*FS)
-	if len(c.pages) != 0 {
-		t.Fatalf("clone starts with %d memoised pages", len(c.pages))
-	}
-	c.Restore(f.Snapshot())
-	tree, err := c.Mount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tree.Entries["/foo"]; !ok {
-		t.Fatal("clone lost /foo")
-	}
-	if len(c.pages) == 0 || len(f.pages) != primary {
-		t.Fatalf("clone mount: clone memo %d, primary memo %d -> %d", len(c.pages), primary, len(f.pages))
-	}
-}

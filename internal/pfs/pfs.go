@@ -123,25 +123,6 @@ type FileSystem interface {
 	Mount() (*Tree, error)
 }
 
-// Cloner is implemented by file systems whose deployment can be cloned
-// into a detached replica: a new FileSystem with the same configuration and
-// freshly formatted server stores that shares no mutable state with the
-// original. The parallel exploration engine gives each worker a clone and
-// rebuilds every crash state in it via Restore/ApplyLowermost from a shared
-// read-only snapshot, so the clone never needs the original's store
-// content — only its allocator positions. Implementations must copy any
-// in-memory ID counters from the source so that client operations replayed
-// in the clone allocate identifiers that cannot collide with objects
-// already present in restored snapshots. The clone's Recorder must start
-// disabled (clones are never traced).
-//
-// A *State produced by Snapshot is immutable once taken and safe to share
-// across goroutines: Restore/RestoreServerSnap adopt its structurally-shared
-// store snapshots copy-on-write and nothing writes into it.
-type Cloner interface {
-	CloneDetached() FileSystem
-}
-
 // Tree is a PFS's logical namespace: the golden-master comparison unit for
 // PFS-level consistency checking.
 type Tree struct {
@@ -238,8 +219,8 @@ func (t *Tree) Diff(o *Tree) string {
 // State is a snapshot of every server store in a cluster. A State is
 // immutable once taken: Restore/RestoreServerSnap adopt its stores
 // copy-on-write and never write into it, so one State (e.g. the initial
-// snapshot) can back concurrent reconstructions in many cluster clones at
-// once, each restore costing O(1) per server.
+// snapshot) can back any number of reconstructions, each restore costing
+// O(1) per server.
 type State struct {
 	FS  map[string]*vfs.FS
 	Dev map[string]*blockdev.Dev

@@ -177,18 +177,6 @@ func New(conf pfs.Config, policy Policy, rec *trace.Recorder) *FS {
 	return f
 }
 
-// CloneDetached implements pfs.Cloner: a fresh deployment (same policy)
-// with an untraced recorder, carrying over the inode and log-sequence
-// allocators so replayed client operations never collide with inos or log
-// records present in restored snapshots.
-func (f *FS) CloneDetached() pfs.FileSystem {
-	rec := trace.NewRecorder()
-	rec.SetEnabled(false)
-	c := New(f.conf, f.policy, rec)
-	c.nextIno, c.nextSeq = f.nextIno, f.nextSeq
-	return c
-}
-
 // allocWith returns server srv's allocation map content with ino added or
 // removed, reading the current map from disk (the FS keeps no state outside
 // its stores).

@@ -273,25 +273,3 @@ func TestDecodeMemoCap(t *testing.T) {
 		}
 	}
 }
-
-func TestCloneHasItsOwnDecodeMemo(t *testing.T) {
-	f := newGPFS(t)
-	if err := f.Client(0).Create("/foo"); err != nil {
-		t.Fatal(err)
-	}
-	primary := len(f.memo)
-	if primary == 0 {
-		t.Fatal("create decoded no blocks")
-	}
-	c := f.CloneDetached().(*FS)
-	if len(c.memo) != 0 {
-		t.Fatalf("clone starts with %d memoised decodes", len(c.memo))
-	}
-	c.Restore(f.Snapshot())
-	if _, ok := mustTree(t, c).Entries["/foo"]; !ok {
-		t.Fatal("clone lost /foo")
-	}
-	if len(c.memo) == 0 || len(f.memo) != primary {
-		t.Fatalf("clone mount: clone memo %d, primary memo %d -> %d", len(c.memo), primary, len(f.memo))
-	}
-}

@@ -77,8 +77,8 @@ type JobRequest struct {
 	LibModel string `json:"lib_model,omitempty"`
 	// K is Algorithm 1's victims-per-front bound (default 1).
 	K int `json:"k,omitempty"`
-	// Workers is the per-job exploration worker budget; the scheduler
-	// clamps it to its per-job maximum. 0 (or omitted) means one per CPU.
+	// Workers is accepted, validated >= 0 and ignored: exploration is
+	// serial, and a job is spread over processes with Shards.
 	Workers int `json:"workers,omitempty"`
 	// Shards requests a fleet partition width for this explore job: the
 	// coordinator splits the crash-state space into this many shards for
@@ -153,23 +153,22 @@ func (r *JobRequest) Normalize() error {
 	return nil
 }
 
-// Spec assembles a normalized request into its run; maxWorkers caps the
-// per-job worker budget (0 = no cap). It is the one path from a request to
-// the engine: the scheduler, a fleet worker's shard, the coordinator's
-// merge and the paracrash command's local run all take it, so a request
-// means the same run wherever it runs. The caller adds what a run does not
-// fingerprint (Obs, Checkpoint).
-func (r *JobRequest) Spec(maxWorkers int) (exps.Spec, error) {
+// Spec assembles a normalized request into its run. It is the one path
+// from a request to the engine: the scheduler, a fleet worker's shard, the
+// coordinator's merge and the paracrash command's local run all take it, so
+// a request means the same run wherever it runs. The caller adds what a run
+// does not fingerprint (Obs, Checkpoint).
+func (r *JobRequest) Spec() (exps.Spec, error) {
 	prog, err := exps.ProgramByName(r.Program)
 	if err != nil {
 		return exps.Spec{}, err
 	}
-	return exps.Spec{FS: r.FS, Program: prog, Options: r.options(maxWorkers), H5: r.h5Params(), Config: exps.ConfigFor(r.FS)}, nil
+	return exps.Spec{FS: r.FS, Program: prog, Options: r.options(), H5: r.h5Params(), Config: exps.ConfigFor(r.FS)}, nil
 }
 
 // options materialises the exploration Options for a normalized explore
-// request. maxWorkers caps the per-job worker budget (0 = no cap).
-func (r *JobRequest) options(maxWorkers int) core.Options {
+// request.
+func (r *JobRequest) options() core.Options {
 	opts := core.DefaultOptions()
 	// Read the mode as stored data: a job record or shard task written
 	// before a mode was retired still resolves (and never to the zero Mode;
@@ -182,10 +181,6 @@ func (r *JobRequest) options(maxWorkers int) core.Options {
 		opts.LibModel, _ = core.ParseModel(r.LibModel)
 	}
 	opts.Emulator.K = cmp.Or(r.K, opts.Emulator.K)
-	opts.Workers = r.Workers // 0 or omitted = one per CPU, whatever DefaultOptions says
-	if maxWorkers > 0 && (opts.Workers == 0 || opts.Workers > maxWorkers) {
-		opts.Workers = maxWorkers
-	}
 	return opts
 }
 

@@ -81,7 +81,7 @@ func standaloneFingerprint(t *testing.T, req JobRequest) string {
 	if err := req.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := req.Spec(1)
+	sp, err := req.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -28,8 +27,7 @@ var (
 )
 
 // SchedulerConfig bounds the scheduler. The zero value is usable: 2
-// concurrent jobs, a 16-deep queue, no default timeout, per-job workers
-// capped at one per CPU.
+// concurrent jobs, a 16-deep queue, no default timeout.
 type SchedulerConfig struct {
 	// MaxConcurrent is the number of jobs running at once (default 2).
 	MaxConcurrent int
@@ -41,10 +39,6 @@ type SchedulerConfig struct {
 	// MaxTimeout caps every job's timeout, requested or defaulted
 	// (0 = no cap).
 	MaxTimeout time.Duration
-	// MaxJobWorkers caps Options.Workers per job so one job cannot claim
-	// more than a share of the CPUs, or build a cluster clone per worker
-	// beyond them (0 = runtime.NumCPU()).
-	MaxJobWorkers int
 	// ProgressInterval is how often the events endpoint writes a running
 	// job's progress snapshot to each of its readers (default 250ms).
 	ProgressInterval time.Duration
@@ -66,9 +60,6 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 16
-	}
-	if c.MaxJobWorkers < 1 {
-		c.MaxJobWorkers = runtime.NumCPU()
 	}
 	if c.ProgressInterval <= 0 {
 		c.ProgressInterval = 250 * time.Millisecond
@@ -477,7 +468,7 @@ func (s *Scheduler) checkpointPath(id string) string {
 // journal lives next to the job record; a resubmitted job (same ID)
 // resumes from it, and a clean finish removes it.
 func (s *Scheduler) spec(job *Job, run *obs.Run) (exps.Spec, error) {
-	sp, err := job.Request.Spec(s.cfg.MaxJobWorkers)
+	sp, err := job.Request.Spec()
 	if err != nil {
 		return exps.Spec{}, err
 	}

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -223,7 +224,7 @@ func TestDrainDeadlineCancels(t *testing.T) {
 
 // TestJobTimeoutCancelsExploration bounds a real brute-force exploration
 // with a tiny per-job timeout and verifies the job lands in canceled
-// without leaking worker goroutines.
+// without leaking goroutines.
 func TestJobTimeoutCancelsExploration(t *testing.T) {
 	before := runtime.NumGoroutine()
 	st, _ := OpenStore("")
@@ -231,7 +232,7 @@ func TestJobTimeoutCancelsExploration(t *testing.T) {
 	s.Start()
 
 	j, err := s.Submit(JobRequest{
-		Mode: "brute", K: 2, Workers: 4,
+		Mode: "brute", K: 2,
 		TimeoutSeconds: 0.02,
 	})
 	if err != nil {
@@ -625,7 +626,7 @@ func TestRetiredOptimizedMode(t *testing.T) {
 	if j, ok := st.Get("j-done"); !ok || j.Report == nil || j.Report.Mode != core.ModePruning {
 		t.Fatalf("stored report's mode did not load as pruning: %+v", j.Report)
 	}
-	if mode := (&JobRequest{Mode: "optimized"}).options(0).Mode; mode != core.ModePruning {
+	if mode := (&JobRequest{Mode: "optimized"}).options().Mode; mode != core.ModePruning {
 		t.Fatalf("stored request mode resolves to %s, want pruning", mode)
 	}
 
@@ -806,20 +807,14 @@ func writeFile(t *testing.T, path, content string) {
 	}
 }
 
-// TestJobWorkersZeroMeansPerCPU: a request that omits workers (or sends 0)
-// keeps meaning one per CPU — not the engine's serial default — capped by
-// the daemon's per-job maximum.
-func TestJobWorkersZeroMeansPerCPU(t *testing.T) {
-	if w := (&JobRequest{}).options(0).Workers; w != 0 {
-		t.Fatalf("workers omitted, no cap: Options.Workers = %d, want 0 (one per CPU)", w)
-	}
-	if w := (&JobRequest{}).options(3).Workers; w != 3 {
-		t.Fatalf("workers omitted, cap 3: Options.Workers = %d, want 3", w)
-	}
-	if w := (&JobRequest{Workers: 2}).options(3).Workers; w != 2 {
-		t.Fatalf("workers 2, cap 3: Options.Workers = %d", w)
-	}
-	if w := (&JobRequest{Workers: 8}).options(3).Workers; w != 3 {
-		t.Fatalf("workers 8, cap 3: Options.Workers = %d", w)
+// TestJobWorkersIgnored: a request's workers field is validated but
+// runs nothing: exploration is serial, so any count yields the options of
+// a request that omits it.
+func TestJobWorkersIgnored(t *testing.T) {
+	want := (&JobRequest{}).options()
+	for _, w := range []int{1, 8} {
+		if got := (&JobRequest{Workers: w}).options(); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers %d: options %+v, want %+v", w, got, want)
+		}
 	}
 }

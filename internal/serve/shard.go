@@ -522,7 +522,7 @@ func (w *FleetWorker) executeShard(ctx context.Context, t ShardTask) (report *co
 			err = fmt.Errorf("serve: shard panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	sp, err := t.Request.Spec(0)
+	sp, err := t.Request.Spec()
 	if err != nil {
 		return nil, err
 	}

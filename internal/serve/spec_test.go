@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"context"
 	"os"
 	"reflect"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -25,29 +23,6 @@ func TestTimeoutForClampsOverflow(t *testing.T) {
 	s.cfg.MaxTimeout = 0
 	if d := s.timeoutFor(JobRequest{TimeoutSeconds: 1e10}); d <= 0 {
 		t.Errorf("timeout_seconds 1e10 with no cap: timeout %v, want the longest duration", d)
-	}
-}
-
-// TestJobWorkersCappedByDefault: with no -max-job-workers a job asking for
-// 100000 workers runs with one per CPU, as its workers gauge shows.
-func TestJobWorkersCappedByDefault(t *testing.T) {
-	if runtime.NumCPU() == 1 {
-		t.Skip("one CPU: the capped job runs the serial engine, which sets no workers gauge")
-	}
-	st, _ := OpenStore("")
-	s := NewScheduler(SchedulerConfig{}, st, nil)
-	s.Start()
-	defer s.Drain(context.Background())
-	job, err := s.Submit(JobRequest{FS: "beegfs", Program: "H5-create", Mode: "brute", K: 2, Workers: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitState(t, st, job.ID, JobDone)
-	_, jr, _ := s.progress(job.ID)
-	<-jr.done
-	want := min(runtime.NumCPU(), done.Report.Stats.StatesGenerated)
-	if got := jr.final.Gauges["workers"]; got != int64(want) {
-		t.Fatalf("workers gauge %d, want %d (one per CPU, at most one per state)", got, want)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
-	"sync"
 
 	"paracrash/internal/hdf5"
 	"paracrash/internal/mpiio"
@@ -292,8 +291,7 @@ type Library struct {
 	seed []byte
 
 	// parsed memoises the canonical logical state of each file image by its
-	// sha256. The parallel workers of one run share the adapter, hence mu.
-	mu     sync.Mutex
+	// sha256.
 	parsed map[[sha256.Size]byte]string
 }
 
@@ -339,19 +337,14 @@ func (l *Library) StateFromTree(t *pfs.Tree) (string, error) {
 // distinct image once.
 func (l *Library) parse(img []byte) string {
 	key := sha256.Sum256(img)
-	l.mu.Lock()
-	st, ok := l.parsed[key]
-	l.mu.Unlock()
-	if ok {
+	if st, ok := l.parsed[key]; ok {
 		return st
 	}
-	st = hdf5.Parse(img, l.Dialect == DialectNetCDF).Serialize()
-	l.mu.Lock()
+	st := hdf5.Parse(img, l.Dialect == DialectNetCDF).Serialize()
 	if l.parsed == nil {
 		l.parsed = map[[sha256.Size]byte]string{}
 	}
 	l.parsed[key] = st
-	l.mu.Unlock()
 	return st
 }
 
