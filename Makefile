@@ -93,9 +93,12 @@ representative:
 incremental:
 	$(GO) test ./internal/paracrash/ -run 'TestIncremental|TestImageKey' -count=1 -v
 
-# Crash-emulator gate (Algorithm 1): Generate against the reference kept in
-# test code (same states, same order, same victims on every backend and
-# paper program), the closure-table and sync-coverage properties it rests on,
+# Crash-emulator gate (Algorithms 1 and 2): Generate against the reference
+# kept in test code (same states, same order, same victims on every backend
+# and paper program), the row-built persists-before relation against
+# Algorithm 2 evaluated pair by pair (random traces under every persistence
+# machinery, every paper cell and the 24 generated POSIX programs on six
+# backends), the closure-table and required-mask properties they rest on,
 # the allocation and memory bounds, and both caps tested at the cap.
 emulate:
 	$(GO) test ./internal/causality ./internal/paracrash -run 'TestEmulator|TestPersistOrder|TestGenerate' -count=1

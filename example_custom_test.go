@@ -192,8 +192,7 @@ func (c *mirrorClient) Unlink(path string) error {
 }
 func (c *mirrorClient) Fsync(path string) error {
 	f := c.fs
-	op := f.RecordClientOp(c.proc, "fsync", path, "", 0, nil)
-	op.Sync = true
+	f.RecordClientOp(c.proc, "fsync", path, "", 0, nil)
 	defer f.PopClient(c.proc)
 	for i := 0; i < 2; i++ {
 		srv := f.FSServers[i]

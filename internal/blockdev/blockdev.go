@@ -10,8 +10,8 @@
 //
 // The block table is a persistent, structurally-shared map, so Snapshot and
 // Restore are O(1) pointer copies. Block contents are never mutated in
-// place (Write installs a fresh copy), so no per-block ownership tracking
-// is needed: sharing the trie is always safe. An *Dev returned by Snapshot
+// place (Write installs a block it owns from then on), so no per-block
+// ownership tracking is needed: sharing the trie is always safe. An *Dev returned by Snapshot
 // must not be written to.
 package blockdev
 
@@ -62,9 +62,12 @@ func New() *Dev {
 	return &Dev{blocks: persist.NewMap[int64, []byte](persist.Int64Hash)}
 }
 
-// Write stores data at lba, replacing any previous contents.
+// Write stores data at lba, replacing any previous contents. The device
+// takes ownership of data: it is installed as the block without a copy, so
+// the caller must not modify it afterwards (the replay of a traced write
+// installs the trace's payload, which nothing modifies).
 func (d *Dev) Write(lba int64, data []byte) {
-	d.blocks = d.blocks.Set(lba, append([]byte(nil), data...))
+	d.blocks = d.blocks.Set(lba, data)
 }
 
 // Read returns the contents of lba and whether the block has been written.
@@ -78,7 +81,7 @@ func (d *Dev) Read(lba int64) ([]byte, bool) {
 
 // View is Read without the copy: the returned bytes are the stored block
 // and must not be modified. They never change underneath the caller, since
-// Write installs a fresh copy instead of writing in place.
+// Write installs a new block instead of writing in place.
 func (d *Dev) View(lba int64) ([]byte, bool) {
 	return d.blocks.Get(lba)
 }
@@ -97,6 +100,12 @@ func (d *Dev) LBAs() []int64 {
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Range calls f on every written block, in no particular order, until f
+// returns false. The bytes are the stored block and must not be modified.
+func (d *Dev) Range(f func(lba int64, data []byte) bool) {
+	d.blocks.Range(f)
 }
 
 // Apply replays op onto the device.

@@ -5,13 +5,13 @@
 //
 // Concurrency: Graph and PersistOrder are fully precomputed by Build and
 // NewPersistOrder respectively and never mutated afterwards, so all their
-// query methods (HB, Ideals, DownwardClosed, SyncFeasible, PersistsBefore,
-// Closure, DependsOn, ...) are safe to call from multiple goroutines
-// concurrently.
+// query methods (HB, Ideals, Required, PersistsBefore, Closure, DependsOn,
+// ...) are safe to call from multiple goroutines concurrently.
 package causality
 
 import (
 	"fmt"
+	"math/bits"
 
 	"paracrash/internal/trace"
 	"paracrash/internal/vfs"
@@ -172,23 +172,6 @@ func (g *Graph) IndexOf(opID int) (int, bool) {
 	return i, ok
 }
 
-// DownwardClosed reports whether the set s (bitset over nodes restricted to
-// universe) is closed under happens-before predecessors within universe:
-// for every member j and every universe node i with i→j, i is a member.
-func (g *Graph) DownwardClosed(s Bitset, universe []int) bool {
-	for _, j := range universe {
-		if !s.Get(j) {
-			continue
-		}
-		for _, i := range universe {
-			if g.HB(i, j) && !s.Get(i) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Ideals enumerates every consistent cut (order ideal) of the sub-poset
 // induced by universe, invoking visit with a bitset over graph nodes whose
 // set bits all belong to universe. Enumeration stops early when visit
@@ -198,22 +181,14 @@ func (g *Graph) DownwardClosed(s Bitset, universe []int) bool {
 // The enumeration processes universe nodes in index order (a topological
 // order, since edges always point forward in recording order) and branches
 // on membership; a node may join only if all its universe predecessors have
-// joined, which yields each ideal exactly once.
+// joined — its ancestor row masked to the universe holds nothing outside
+// the cut so far — which yields each ideal exactly once.
 func (g *Graph) Ideals(universe []int, limit int, visit func(Bitset) bool) int {
-	// preds[k] = indices (into universe) of predecessors of universe[k].
-	preds := make([][]int, len(universe))
-	for k, j := range universe {
-		for k2, i := range universe {
-			if k2 >= k {
-				break
-			}
-			if g.HB(i, j) {
-				preds[k] = append(preds[k], k2)
-			}
-		}
+	inUniverse := NewBitset(len(g.Ops))
+	for _, j := range universe {
+		inUniverse.Set(j)
 	}
 	cur := NewBitset(len(g.Ops))
-	inSet := make([]bool, len(universe))
 	count := 0
 	stopped := false
 
@@ -230,26 +205,22 @@ func (g *Graph) Ideals(universe []int, limit int, visit func(Bitset) bool) int {
 			return
 		}
 		// Branch 1: exclude universe[k].
-		inSet[k] = false
 		rec(k + 1)
 		if stopped {
 			return
 		}
-		// Branch 2: include universe[k] if all predecessors are in.
-		ok := true
-		for _, p := range preds[k] {
-			if !inSet[p] {
-				ok = false
-				break
+		// Branch 2: include universe[k] if all predecessors are in. They
+		// all come before it, so only the words up to its own are read.
+		j := universe[k]
+		anc := g.anc[j]
+		for w := 0; w <= j/64; w++ {
+			if anc[w]&inUniverse[w]&^cur[w] != 0 {
+				return
 			}
 		}
-		if ok {
-			inSet[k] = true
-			cur.Set(universe[k])
-			rec(k + 1)
-			cur.Clear(universe[k])
-			inSet[k] = false
-		}
+		cur.Set(j)
+		rec(k + 1)
+		cur.Clear(j)
 	}
 	rec(0)
 	return count
@@ -286,11 +257,12 @@ func (c PersistConfig) IsBlock(proc string) bool {
 // PersistOrder precomputes the persists-before relation (Algorithm 2) over
 // a universe of lowermost-layer nodes, its transitive closure per node, and
 // the coverage of every sync, so the crash emulator's per-candidate queries
-// (DependsOn, SyncFeasible) are a few word operations.
+// (Closure, DependsOn, Required) are a few word operations.
 type PersistOrder struct {
 	g        *Graph
 	universe []int
-	// pb[a].Get(b) ⇔ universe[a] persists-before universe[b]
+	// pb[a].Get(j) ⇔ universe[a] persists-before graph node j (a universe
+	// node).
 	pb []Bitset
 	// posOf maps graph node index -> position in universe (-1 if absent).
 	posOf []int
@@ -304,159 +276,178 @@ type PersistOrder struct {
 	covered []Bitset
 }
 
-// NewPersistOrder computes persists-before over the given lowermost nodes.
+// NewPersistOrder computes persists-before over the given lowermost nodes,
+// row by row: each proc, block flag, journaling mode and file identity is
+// resolved once per universe node, and every rule of Algorithm 2 is an OR of
+// happens-before rows under masks. Rows are over graph nodes, so the graph's
+// own happens-before rows serve, masked to the universe.
 func NewPersistOrder(g *Graph, universe []int, cfg PersistConfig) *PersistOrder {
+	n := len(g.Ops)
 	po := &PersistOrder{
 		g:        g,
 		universe: universe,
 		pb:       make([]Bitset, len(universe)),
-		posOf:    make([]int, len(g.Ops)),
+		posOf:    make([]int, n),
 		closure:  make([]Bitset, len(universe)),
 	}
 	for i := range po.posOf {
 		po.posOf[i] = -1
 	}
-	for k, i := range universe {
-		po.posOf[i] = k
-		po.pb[k] = NewBitset(len(universe))
+	// Per proc: its universe nodes, the block flag and the journaling mode;
+	// per file identity: its universe nodes. Meta holds the metadata ops.
+	type procInfo struct {
+		nodes Bitset
+		block bool
+		mode  vfs.JournalMode
 	}
-	// Collect sync nodes per proc for the commit rule.
-	syncs := []int{}
-	for _, i := range universe {
-		if g.Ops[i].Sync {
-			syncs = append(syncs, i)
-		}
-	}
+	procOf := map[string]*procInfo{}
+	fileOf := map[string]Bitset{}
+	inUniverse, meta := NewBitset(n), NewBitset(n)
+	procs := make([]*procInfo, len(universe))
 	for a, i := range universe {
-		for b, j := range universe {
-			if a == b {
-				continue
+		po.posOf[i] = a
+		po.pb[a] = NewBitset(n)
+		o := g.Ops[i]
+		p := procOf[o.Proc]
+		if p == nil {
+			p = &procInfo{nodes: NewBitset(n), block: cfg.IsBlock(o.Proc), mode: cfg.ModeOf(o.Proc)}
+			procOf[o.Proc] = p
+		}
+		procs[a] = p
+		p.nodes.Set(i)
+		if o.FileID != "" {
+			f := fileOf[o.FileID]
+			if f == nil {
+				f = NewBitset(n)
+				fileOf[o.FileID] = f
 			}
-			if po.computePersistsBefore(i, j, cfg, syncs) {
-				po.pb[a].Set(b)
-			}
+			f.Set(i)
+		}
+		inUniverse.Set(i)
+		if o.Meta {
+			meta.Set(i)
 		}
 	}
-	// Transitive closure in one reverse pass: every persists-before edge
-	// implies happens-before, which points forward in recording (universe)
-	// order, so closure[b] is final before any a < b reads it. A successor
-	// already in closure[a] brought its whole closure along.
-	for a := len(universe) - 1; a >= 0; a-- {
-		c := NewBitset(len(g.Ops))
-		c.Set(universe[a])
-		for _, b := range po.pb[a].Members() {
-			if !c.Get(universe[b]) {
-				c.Union(po.closure[b])
-			}
-		}
-		po.closure[a] = c
-	}
-	// Sync coverage: once a sync completes, the operations it covers are
-	// durable — no later crash can lose them.
-	for _, s := range syncs {
+
+	// Commit rule, for every sync s and every op i it covers (i == s or
+	// HB(i, s)): i persists before everything s happens before. A barrier
+	// covers every op of its device; a file system's sync covers the ops
+	// of its proc on its file. The syncs of a proc are in program order, so
+	// the first sync to cover i happens before every later one and its row
+	// holds theirs: i takes that row alone.
+	taken := NewBitset(n)
+	for a, s := range universe {
 		os := g.Ops[s]
-		var covered Bitset
-		for _, i := range universe {
-			if i == s {
-				continue
-			}
-			oi := g.Ops[i]
-			if oi.Proc != os.Proc || !g.HB(i, s) {
-				continue
-			}
-			if cfg.IsBlock(oi.Proc) || (os.FileID != "" && os.FileID == oi.FileID) {
-				if covered == nil {
-					covered = NewBitset(len(g.Ops))
-				}
-				covered.Set(i)
-			}
+		if !os.Sync {
+			continue
 		}
-		if covered != nil {
+		p := procs[a]
+		var covers Bitset
+		switch {
+		case p.block:
+			covers = p.nodes
+		case os.FileID != "":
+			covers = fileOf[os.FileID]
+		default:
+			continue
+		}
+		row := g.hb[s]
+		po.pb[a].Union(row)
+		taken.Set(s)
+		covered, anc, nonEmpty := NewBitset(n), g.anc[s], false
+		for w := range covered {
+			c := anc[w] & p.nodes[w] & covers[w]
+			covered[w] = c
+			nonEmpty = nonEmpty || c != 0
+			for x := c &^ taken[w]; x != 0; x &= x - 1 {
+				po.pb[po.posOf[w*64+bits.TrailingZeros64(x)]].Union(row)
+			}
+			taken[w] |= c
+		}
+		if nonEmpty {
 			po.syncs = append(po.syncs, s)
 			po.covered = append(po.covered, covered)
 		}
 	}
+
+	// Same-server rule: on a local file system, i persists before the ops of
+	// its proc it happens before, as the journaling mode allows; a block
+	// device orders only through barriers.
+	for a, i := range universe {
+		p := procs[a]
+		if p.block {
+			continue
+		}
+		var mask Bitset // nil: every op of the proc
+		switch p.mode {
+		case vfs.JournalOrdered:
+			// Metadata is ordered; data persists before subsequent metadata.
+			mask = meta
+		case vfs.JournalWriteback:
+			if !g.Ops[i].Meta {
+				continue
+			}
+			mask = meta
+		}
+		row, pb := g.hb[i], po.pb[a]
+		for w := range pb {
+			x := row[w] & p.nodes[w]
+			if mask != nil {
+				x &= mask[w]
+			}
+			pb[w] |= x
+		}
+	}
+	for _, pb := range po.pb {
+		pb.Intersect(inUniverse)
+	}
+
+	// Transitive closure in one reverse pass: every persists-before edge
+	// implies happens-before, which points forward in recording (universe)
+	// order, so closure[b] is final before any a < b reads it. A successor
+	// already in closure[a] brought its whole closure along, so each word is
+	// re-read after every union.
+	for a := len(universe) - 1; a >= 0; a-- {
+		c := NewBitset(n)
+		c.Set(universe[a])
+		for w, pb := range po.pb[a] {
+			for x := pb &^ c[w]; x != 0; x = pb &^ c[w] {
+				c.Union(po.closure[po.posOf[w*64+bits.TrailingZeros64(x)]])
+			}
+		}
+		po.closure[a] = c
+	}
 	return po
 }
 
-// SyncFeasible reports whether a crash state (front, keep) respects commit
-// durability: every op covered by a sync that completed within the front
-// must be in keep. States violating this cannot occur on real storage. It
-// does not allocate.
-func (po *PersistOrder) SyncFeasible(front, keep Bitset) bool {
+// Required sets dst to the ops of front that commit durability forbids a
+// crash at front to lose — the union, over every sync completed within
+// front, of the ops it covers that are in front — and returns it. dst is
+// reused when it has front's capacity and allocated otherwise. A keep set
+// is physically possible exactly when it contains the result, so callers
+// compute it once per front and test each keep set with one AND-NOT.
+func (po *PersistOrder) Required(front, dst Bitset) Bitset {
+	if len(dst) != len(front) {
+		dst = make(Bitset, len(front))
+	} else {
+		clear(dst)
+	}
 	for k, s := range po.syncs {
 		if !front.Get(s) {
 			continue
 		}
 		for w, c := range po.covered[k] {
-			if c&front[w]&^keep[w] != 0 {
-				return false
-			}
+			dst[w] |= c & front[w]
 		}
 	}
-	return true
-}
-
-// computePersistsBefore implements Algorithm 2 for a single pair.
-func (po *PersistOrder) computePersistsBefore(i, j int, cfg PersistConfig, syncs []int) bool {
-	g := po.g
-	oi, oj := g.Ops[i], g.Ops[j]
-
-	// The commit rule applies everywhere: a sync covering op i that happened
-	// between i and j forces i to persist first. For file systems the sync
-	// must cover i's file; for block devices any barrier on i's device
-	// suffices.
-	for _, s := range syncs {
-		os := g.Ops[s]
-		if os.Proc != oi.Proc {
-			continue
-		}
-		covers := false
-		if cfg.IsBlock(oi.Proc) {
-			covers = true // device-wide barrier
-		} else if os.FileID != "" && os.FileID == oi.FileID {
-			covers = true
-		}
-		if covers && (s == i || g.HB(i, s)) && g.HB(s, j) {
-			return true
-		}
-	}
-
-	if oi.Proc != oj.Proc {
-		// Different servers: only the commit rule above orders them.
-		return false
-	}
-
-	if cfg.IsBlock(oi.Proc) {
-		// Same block device: ordering only through barriers (handled above).
-		return false
-	}
-
-	// Same local file system: journaling mode decides.
-	if !g.HB(i, j) {
-		return false
-	}
-	switch cfg.ModeOf(oi.Proc) {
-	case vfs.JournalData:
-		return true
-	case vfs.JournalOrdered:
-		// Metadata is ordered; data persists before subsequent metadata.
-		return oj.Meta
-	case vfs.JournalWriteback:
-		return oi.Meta && oj.Meta
-	default:
-		return true
-	}
+	return dst
 }
 
 // PersistsBefore reports whether graph node i persists-before graph node j.
 // Both must be members of the universe.
 func (po *PersistOrder) PersistsBefore(i, j int) bool {
-	a, b := po.posOf[i], po.posOf[j]
-	if a < 0 || b < 0 {
-		return false
-	}
-	return po.pb[a].Get(b)
+	a := po.posOf[i]
+	return a >= 0 && po.pb[a].Get(j)
 }
 
 // Closure returns Algorithm 1's depends_on for victim over the whole trace:

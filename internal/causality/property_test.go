@@ -39,7 +39,7 @@ func TestQuickPreservedSetsDownwardClosed(t *testing.T) {
 		ok := true
 		g.Ideals(uni, 0, func(front Bitset) bool {
 			// Every front must itself be downward closed under HB.
-			if !g.DownwardClosed(front, uni) {
+			if !downwardClosed(g, front, uni) {
 				ok = false
 				return false
 			}

@@ -12,25 +12,20 @@ import (
 // through nodes of within only (nil = the whole universe).
 func referenceDependsOn(po *PersistOrder, victim int, within Bitset) Bitset {
 	out := NewBitset(len(po.g.Ops))
-	v := po.posOf[victim]
-	if v < 0 {
+	if po.posOf[victim] < 0 {
 		return out
 	}
 	out.Set(victim)
-	work := []int{v}
-	seen := NewBitset(len(po.universe))
-	seen.Set(v)
+	work := []int{victim}
 	for len(work) > 0 {
 		a := work[0]
 		work = work[1:]
-		for _, b := range po.pb[a].Members() {
-			nodeB := po.universe[b]
-			if within != nil && !within.Get(nodeB) {
+		for _, b := range po.pb[po.posOf[a]].Members() {
+			if within != nil && !within.Get(b) {
 				continue
 			}
-			if !seen.Get(b) {
-				seen.Set(b)
-				out.Set(nodeB)
+			if !out.Get(b) {
+				out.Set(b)
 				work = append(work, b)
 			}
 		}
@@ -38,8 +33,65 @@ func referenceDependsOn(po *PersistOrder, victim int, within Bitset) Bitset {
 	return out
 }
 
-// referenceCoveredBy is the sync-coverage map SyncFeasible used to range
-// over: sync node -> the nodes whose persistence it guarantees.
+// referencePersistsBefore is Algorithm 2 for a single pair, the way
+// NewPersistOrder computed every pair of the universe before it built the
+// relation row by row: a sync on i's proc covering i (its device, or its
+// file) that i is or happens before and that happens before j; else, on the
+// same local file system, happens-before as the journaling mode allows.
+func referencePersistsBefore(g *Graph, i, j int, cfg PersistConfig, syncs []int) bool {
+	oi, oj := g.Ops[i], g.Ops[j]
+	for _, s := range syncs {
+		os := g.Ops[s]
+		if os.Proc != oi.Proc {
+			continue
+		}
+		covers := cfg.IsBlock(oi.Proc) || (os.FileID != "" && os.FileID == oi.FileID)
+		if covers && (s == i || g.HB(i, s)) && g.HB(s, j) {
+			return true
+		}
+	}
+	if oi.Proc != oj.Proc || cfg.IsBlock(oi.Proc) || !g.HB(i, j) {
+		return false
+	}
+	switch cfg.ModeOf(oi.Proc) {
+	case vfs.JournalOrdered:
+		return oj.Meta
+	case vfs.JournalWriteback:
+		return oi.Meta && oj.Meta
+	default:
+		return true
+	}
+}
+
+// ReferencePersistOrder holds PersistsBefore to referencePersistsBefore on
+// every pair of po's universe, po built under cfg, and returns the number of
+// persists-before edges.
+func ReferencePersistOrder(t testing.TB, name string, po *PersistOrder, cfg PersistConfig) int {
+	t.Helper()
+	g, uni := po.g, po.universe
+	var syncs []int
+	for _, i := range uni {
+		if g.Ops[i].Sync {
+			syncs = append(syncs, i)
+		}
+	}
+	edges := 0
+	for _, i := range uni {
+		for _, j := range uni {
+			want := i != j && referencePersistsBefore(g, i, j, cfg, syncs)
+			if got := po.PersistsBefore(i, j); got != want {
+				t.Fatalf("%s: PersistsBefore(%d, %d) = %v, pairwise reference %v", name, i, j, got, want)
+			}
+			if want {
+				edges++
+			}
+		}
+	}
+	return edges
+}
+
+// referenceCoveredBy is the sync-coverage map feasibility was once ranged
+// over per state: sync node -> the nodes whose persistence it guarantees.
 func referenceCoveredBy(g *Graph, universe []int, cfg PersistConfig) map[int][]int {
 	coveredBy := map[int][]int{}
 	for _, s := range universe {
@@ -110,6 +162,22 @@ func persistCells(t *testing.T, visit func(name string, g *Graph, uni []int, cfg
 	}
 }
 
+// TestPersistOrderMatchesPairwise: the relation built row by row equals
+// Algorithm 2 evaluated pair by pair under every persistence machinery. The
+// paper's cells and the generated programs are held to it in
+// pairwise_test.go.
+func TestPersistOrderMatchesPairwise(t *testing.T) {
+	edges := map[string]int{}
+	persistCells(t, func(name string, g *Graph, uni []int, cfg PersistConfig) {
+		edges[name] += ReferencePersistOrder(t, name, NewPersistOrder(g, uni, cfg), cfg)
+	})
+	for _, name := range []string{"data", "ordered", "writeback", "block", "mixed"} {
+		if edges[name] == 0 {
+			t.Errorf("%s: no persists-before edge; the comparison is vacuous", name)
+		}
+	}
+}
+
 // TestPersistOrderEdgesPointForward: the closure table is built in one
 // reverse pass, which is exact only if every persists-before edge points
 // forward in universe order. Every rule of Algorithm 2 implies
@@ -118,12 +186,12 @@ func TestPersistOrderEdgesPointForward(t *testing.T) {
 	persistCells(t, func(name string, g *Graph, uni []int, cfg PersistConfig) {
 		po := NewPersistOrder(g, uni, cfg)
 		for a, i := range uni {
-			for _, b := range po.pb[a].Members() {
-				if b <= a {
-					t.Fatalf("%s: persists-before edge %d -> %d points backward in universe order", name, i, uni[b])
+			for _, j := range po.pb[a].Members() {
+				if po.posOf[j] <= a {
+					t.Fatalf("%s: persists-before edge %d -> %d points backward in universe order", name, i, j)
 				}
-				if !g.HB(i, uni[b]) {
-					t.Fatalf("%s: %d persists-before %d without happening before it", name, i, uni[b])
+				if !g.HB(i, j) {
+					t.Fatalf("%s: %d persists-before %d without happening before it", name, i, j)
 				}
 			}
 		}
@@ -158,19 +226,22 @@ func TestPersistOrderClosureMatchesWorklist(t *testing.T) {
 	}
 }
 
-// TestPersistOrderSyncFeasibleMatchesReference: the bitset coverage test and
-// the map it replaced agree on every front, for the normal state and for
-// every single- and double-victim keep set the emulator would build.
+// TestPersistOrderSyncFeasibleMatchesReference: a keep set holding the
+// front's Required mask and the coverage map it replaced agree on every
+// front, for the normal state and for every single- and double-victim keep
+// set the emulator would build.
 func TestPersistOrderSyncFeasibleMatchesReference(t *testing.T) {
 	infeasible := 0
 	persistCells(t, func(name string, g *Graph, uni []int, cfg PersistConfig) {
 		po := NewPersistOrder(g, uni, cfg)
 		coveredBy := referenceCoveredBy(g, uni, cfg)
+		var required Bitset
 		g.Ideals(uni, 0, func(front Bitset) bool {
+			required = po.Required(front, required)
 			check := func(keep Bitset) {
-				got, want := po.SyncFeasible(front, keep), referenceSyncFeasible(coveredBy, front, keep)
+				got, want := keep.ContainsAll(required), referenceSyncFeasible(coveredBy, front, keep)
 				if got != want {
-					t.Fatalf("%s: SyncFeasible(%v, %v) = %v, reference %v", name, front.Members(), keep.Members(), got, want)
+					t.Fatalf("%s: keep %v holds Required(%v) = %v: %v, reference %v", name, keep.Members(), front.Members(), required.Members(), got, want)
 				}
 				if !got {
 					infeasible++

@@ -71,11 +71,10 @@ func (f *File) ReadAll() ([]byte, error) {
 
 // Sync records MPI_File_sync and forwards the fsync to the PFS.
 func (f *File) Sync() error {
-	op := f.rec.Push(trace.Op{
+	f.rec.Push(trace.Op{
 		Layer: trace.LayerMPI, Proc: f.client.Proc(),
-		Name: "MPI_File_sync", Path: f.path, FileID: f.path,
+		Name: "MPI_File_sync", Path: f.path, FileID: f.path, Sync: true,
 	})
-	op.Sync = true
 	defer f.rec.Pop(f.client.Proc())
 	return f.client.Fsync(f.path)
 }

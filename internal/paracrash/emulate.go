@@ -83,17 +83,22 @@ func NewEmulator(g *causality.Graph, pc causality.PersistConfig) *Emulator {
 // stops when visit returns false or a cap is hit. Returns the number of
 // states visited.
 //
-// Per front, a combination of victims is a drop set — the union of the
-// victims' precomputed persists-before closures (PersistOrder.Closure), one
-// scratch bitset per depth — and its keep set is front AND-NOT drop, built in
-// a second scratch. A victim already in the drop set leaves the keep set as
-// its parent combination's, which was tested before it, so it is descended
-// through but not tested again. Feasibility and duplicate detection run on
-// the scratch; Keep and Victims are copied only for an emitted state, which
-// owns them. Duplicates are tracked per front on Keep alone (word hash, then
-// Equal) and forgotten at the next front: Ideals yields each front once, so
-// (Front, Keep) pairs cannot repeat across fronts, and the emulator holds no
-// per-state data past the front that produced it.
+// Victim candidates pass VictimFilter once per run; per front they are the
+// survivors inside the front. Per front, a combination of victims is a drop
+// set — the union of the victims' precomputed persists-before closures
+// (PersistOrder.Closure), one scratch bitset per depth — and its keep set is
+// front AND-NOT drop, built in the same pass over the words. A victim
+// already in the drop set leaves the keep set as its parent combination's,
+// which was tested before it, so it is descended through on its parent's
+// drop set but not tested again; at the last depth it is only counted. A
+// keep set is feasible when it holds the front's required mask
+// (PersistOrder.Required, once per front). Feasibility and duplicate
+// detection run on the scratch; Keep and Victims are copied only for an
+// emitted state, which owns them. Duplicates are tracked per front on Keep
+// alone (word hash, then Equal) and forgotten at the next front: Ideals
+// yields each front once, so (Front, Keep) pairs cannot repeat across
+// fronts, and the emulator holds no per-state data past the front that
+// produced it.
 //
 // MaxStates and MaxFronts end the run only once a further state or front
 // shows up, and then set emulate/states-capped or emulate/fronts-capped: a
@@ -108,8 +113,8 @@ func (e *Emulator) Generate(cfg EmulatorConfig, visit func(CrashState) bool) int
 
 	n, k := e.G.Len(), max(cfg.K, 0)
 	var front causality.Bitset
-	keep := causality.NewBitset(n)
-	drop := make([]causality.Bitset, k+1) // drop[d]: closures of the first d victims
+	keep, required := causality.NewBitset(n), causality.NewBitset(n)
+	drop := make([]causality.Bitset, k+1) // drop[d]: scratch for the closures of d victims
 	for d := range drop {
 		drop[d] = causality.NewBitset(n)
 	}
@@ -121,7 +126,7 @@ func (e *Emulator) Generate(cfg EmulatorConfig, visit func(CrashState) bool) int
 	// be lost.
 	test := func() bool {
 		candidates++
-		if !e.PO.SyncFeasible(front, keep) {
+		if !keep.ContainsAll(required) {
 			infeasible++
 			return true
 		}
@@ -143,27 +148,37 @@ func (e *Emulator) Generate(cfg EmulatorConfig, visit func(CrashState) bool) int
 		return visit(CrashState{Front: front, Keep: keep.Clone(), Victims: append([]int(nil), chosen...)})
 	}
 
-	var cands []int
-	var choose func(start, d int) bool
-	choose = func(start, d int) bool {
-		if d == k {
-			return true
+	var pool, cands []int
+	for _, i := range e.Universe {
+		if cfg.VictimFilter == nil || cfg.VictimFilter(e.G.Ops[i]) {
+			pool = append(pool, i)
 		}
+	}
+	// choose extends the combination of d victims whose drop set is dropped
+	// by one more victim from cands[start:].
+	var choose func(start, d int, dropped causality.Bitset) bool
+	choose = func(start, d int, dropped causality.Bitset) bool {
+		next := drop[d+1]
 		for i := start; i < len(cands); i++ {
 			v := cands[i]
 			chosen = append(chosen[:d], v)
-			copy(drop[d+1], drop[d])
-			if drop[d].Get(v) {
+			if dropped.Get(v) {
 				closureHits++
-			} else {
-				drop[d+1].Union(e.PO.Closure(v))
-				copy(keep, front)
-				keep.Subtract(drop[d+1])
-				if !test() {
+				if d+1 < k && !choose(i+1, d+1, dropped) {
 					return false
 				}
+				continue
 			}
-			if !choose(i+1, d+1) {
+			cl := e.PO.Closure(v)
+			for w, x := range dropped {
+				x |= cl[w]
+				next[w] = x
+				keep[w] = front[w] &^ x
+			}
+			if !test() {
+				return false
+			}
+			if d+1 < k && !choose(i+1, d+1, next) {
 				return false
 			}
 		}
@@ -174,17 +189,17 @@ func (e *Emulator) Generate(cfg EmulatorConfig, visit func(CrashState) bool) int
 		ctrFronts.Inc()
 		front = f
 		clear(seen)
-		// Victim candidates: lowermost ops inside the front.
 		cands = cands[:0]
-		for _, i := range e.Universe {
-			if front.Get(i) && (cfg.VictimFilter == nil || cfg.VictimFilter(e.G.Ops[i])) {
+		for _, i := range pool {
+			if front.Get(i) {
 				cands = append(cands, i)
 			}
 		}
+		required = e.PO.Required(front, required)
 		// n = 0: the normal state (everything persisted); then 1..K victims.
 		chosen = chosen[:0]
 		copy(keep, front)
-		return test() && choose(0, 0)
+		return test() && (k == 0 || choose(0, 0, drop[0]))
 	}
 
 	switch cfg.FrontMode {

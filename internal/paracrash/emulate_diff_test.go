@@ -39,8 +39,8 @@ func emulatorCell(t testing.TB, backend string, prog exps.Program) (pfs.FileSyst
 // paper's 11 programs at k ∈ {0, 1, 2} (k = 3 on the POSIX programs), under
 // both front modes, with and without the pruning victim filter, and with
 // MaxStates cutting the run short mid-front. On the k = 2 all-cuts cell,
-// SyncFeasible and DependsOn are also held to the reference on every state
-// the pipeline checks or the classifier probes.
+// Required-based feasibility and DependsOn are also held to the reference on
+// every state the pipeline checks or the classifier probes.
 func TestEmulatorMatchesReference(t *testing.T) {
 	for _, backend := range exps.FSNames() {
 		for _, prog := range exps.Programs() {

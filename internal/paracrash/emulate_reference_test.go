@@ -156,9 +156,9 @@ type EmulatorDiffStats struct {
 // by element under cfg (the cell's own victim filter is put in when
 // filter is set), and on an uncapped run every combination the reference
 // materialised must be accounted for as tested or as a closure hit. With
-// probe set it then runs every generated state through
-// the session's check and the classifier the way the pipeline does, and
-// requires SyncFeasible and DependsOn to agree with the reference on every
+// probe set it then runs every generated state through the session's check
+// and the classifier the way the pipeline does, and requires Required-based
+// feasibility and DependsOn to agree with the reference on every
 // (front, keep) and (victim, front) that came up.
 func EmulatorDiff(fs pfs.FileSystem, lib Library, w Workload, cfg EmulatorConfig, filter, probe bool) (EmulatorDiffStats, error) {
 	var st EmulatorDiffStats
@@ -210,8 +210,8 @@ func EmulatorDiff(fs pfs.FileSystem, lib Library, w Workload, cfg EmulatorConfig
 	var mismatch error
 	agree := func(cs CrashState) {
 		st.Probed++
-		if g, r := s.emu.PO.SyncFeasible(cs.Front, cs.Keep), ref.referenceSyncFeasible(cs.Front, cs.Keep); g != r && mismatch == nil {
-			mismatch = fmt.Errorf("SyncFeasible(front %v, keep %v) = %v, reference %v", cs.Front.Members(), cs.Keep.Members(), g, r)
+		if g, r := cs.Keep.ContainsAll(s.emu.PO.Required(cs.Front, nil)), ref.referenceSyncFeasible(cs.Front, cs.Keep); g != r && mismatch == nil {
+			mismatch = fmt.Errorf("keep %v holds Required(front %v): %v, reference %v", cs.Keep.Members(), cs.Front.Members(), g, r)
 		}
 		for _, v := range cs.Victims {
 			if g, r := s.emu.PO.DependsOn(v, cs.Front), ref.referenceDependsOn(v, cs.Front); !g.Equal(r) && mismatch == nil {

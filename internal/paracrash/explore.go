@@ -347,6 +347,10 @@ type session struct {
 	// front key and the class key, so that check and front look their
 	// tables up without building a string.
 	keyBuf, frontBuf, classBuf []byte
+	// reqFront and required are the front check last judged and its
+	// required mask (PersistOrder.Required): the states of one front are
+	// checked in a row, so the mask is computed once per front.
+	reqFront, required causality.Bitset
 	// checked is the state key check last inserted into checkCache, empty
 	// when its last call inserted nothing (an infeasible state or a cache
 	// hit): a shard reuses it for its verdict table.
@@ -748,6 +752,16 @@ func (s *session) client(proc string) (pfs.Client, error) {
 	return c, nil
 }
 
+// feasible reports whether cs respects commit durability: its keep set
+// holds every op that a sync completed within its front makes durable.
+func (s *session) feasible(cs CrashState) bool {
+	if !s.reqFront.Equal(cs.Front) {
+		s.reqFront = append(s.reqFront[:0], cs.Front...)
+		s.required = s.emu.PO.Required(cs.Front, s.required)
+	}
+	return cs.Keep.ContainsAll(s.required)
+}
+
 // check judges one crash state in one sequence. A state that violates
 // commit durability cannot occur and counts as consistent (the classifier
 // probes such combinations). Otherwise the verdict comes from this
@@ -761,7 +775,7 @@ func (s *session) client(proc string) (pfs.Client, error) {
 // digest or judgement fails comes back skipped.
 func (s *session) check(cs CrashState) Verdict {
 	s.checked = ""
-	if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
+	if !s.feasible(cs) {
 		return Verdict{Consistent: true}
 	}
 	// The tables are read through the key's bytes in a scratch buffer; the

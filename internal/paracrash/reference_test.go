@@ -149,7 +149,7 @@ func judgedAt(key string, v Verdict, visited bool) Judged {
 // receives every one; the checkpoint, when armed, journals every one.
 func (s *session) referenceJudge(judged map[string]Verdict) func(CrashState) Verdict {
 	return func(cs CrashState) Verdict {
-		if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
+		if !cs.Keep.ContainsAll(s.emu.PO.Required(cs.Front, nil)) {
 			return Verdict{Consistent: true}
 		}
 		key := stateKey(cs)

@@ -357,7 +357,7 @@ func TestRepresentativeBackendPanicQuarantined(t *testing.T) {
 	want := 0
 	var with, without *CrashState
 	for i, cs := range states {
-		if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
+		if !s.feasible(cs) {
 			continue
 		}
 		if cs.Keep.Get(x) {

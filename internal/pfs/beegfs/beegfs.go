@@ -544,8 +544,7 @@ func (c *client) Fsync(path string) error {
 	if err != nil {
 		return err
 	}
-	op := f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
-	op.Sync = true
+	f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
 	defer f.PopClient(c.proc)
 
 	for i := 0; i < f.conf.StorageServers; i++ {

@@ -80,7 +80,8 @@ func NewBlockServer(proc string) *BlockServer {
 }
 
 // Write records and applies a block write. tag describes the structure the
-// block holds ("log", "inode", "dir", "data", ...).
+// block holds ("log", "inode", "dir", "data", ...). data is copied once: the
+// device and the trace's payload share the copy, and neither modifies it.
 func (s *BlockServer) Write(rec *trace.Recorder, lba int64, data []byte, tag string) {
 	op := blockdev.Op{Kind: blockdev.OpWrite, LBA: lba, Data: append([]byte(nil), data...)}
 	rec.Record(trace.Op{
@@ -354,7 +355,8 @@ func (c *Cluster) ServerRPC(fromProc, toProc string, handler func()) {
 
 // RecordClientOp records a PFS-layer client call and returns it; callers
 // wrap the op's server work between this and PopClient so lowermost ops
-// pick up the caller edge.
+// pick up the caller edge. An "fsync" is recorded as a sync. The returned
+// op must not be modified (trace.Recorder.Record).
 func (c *Cluster) RecordClientOp(proc, name, path, path2 string, off int64, data []byte) *trace.Op {
 	op := trace.Op{
 		Layer:  trace.LayerPFS,
@@ -368,7 +370,7 @@ func (c *Cluster) RecordClientOp(proc, name, path, path2 string, off int64, data
 		Sync:   name == "fsync",
 	}
 	if data != nil {
-		op.Data = append([]byte(nil), data...)
+		op.Data = data // Push copies it when the recorder is on
 		op.Size = int64(len(data))
 	}
 	return c.Rec.Push(op)

@@ -90,8 +90,7 @@ func (c *client) Unlink(path string) error {
 
 func (c *client) Fsync(path string) error {
 	f := c.fs
-	op := f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
-	op.Sync = true
+	f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
 	defer f.PopClient(c.proc)
 	var err error
 	f.RPC(c.proc, "local/0", func() {

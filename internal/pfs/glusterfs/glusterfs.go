@@ -298,8 +298,7 @@ func (c *client) Unlink(path string) error {
 // Fsync flushes the file on every brick holding a stripe.
 func (c *client) Fsync(path string) error {
 	f := c.fs
-	op := f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
-	op.Sync = true
+	f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
 	defer f.PopClient(c.proc)
 
 	for i := 0; i < f.conf.StorageServers; i++ {

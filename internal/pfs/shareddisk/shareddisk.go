@@ -32,10 +32,13 @@
 package shareddisk
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -671,8 +674,7 @@ func (c *client) Fsync(path string) error {
 	if _, err := f.resolve(path); err != nil {
 		return err
 	}
-	op := f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
-	op.Sync = true
+	f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
 	defer f.PopClient(c.proc)
 	for i := 0; i < f.servers(); i++ {
 		srv := i
@@ -694,29 +696,55 @@ func (c *client) Close(path string) error {
 // Recover implements the file system's crash recovery:
 //
 //  1. journal replay (Lustre policy only): every readable log record is
-//     re-applied in sequence order, restoring committed transactions;
+//     re-applied in sequence order (then server, then LBA), restoring
+//     committed transactions; only each block's last logged image is
+//     installed, and only where the block does not hold it already;
 //  2. structural pass "accepting all fixes" (mmfsck-style): directory
 //     entries referencing unreadable or unallocated inodes are removed
 //     (the paper's data loss and metadata loss consequences of bug #3).
 func (f *FS) Recover() error {
 	defer f.TimeOp("pfs/recover")()
 	if f.policy.ReplayLog {
-		var logs []logRecord
+		type logAt struct {
+			srv int
+			lba int64
+			rec logRecord
+		}
+		var logs []logAt
 		for i := 0; i < f.servers(); i++ {
-			for _, lba := range f.server(i).Dev.LBAs() {
-				if lba < lbaLog {
+			f.server(i).Dev.Range(func(lba int64, _ []byte) bool {
+				if lba >= lbaLog {
+					if rec, ok := readBlock[logRecord](f, i, lba); ok {
+						logs = append(logs, logAt{i, lba, rec})
+					}
+				}
+				return true
+			})
+		}
+		slices.SortFunc(logs, func(a, b logAt) int {
+			return cmp.Or(cmp.Compare(a.rec.Seq, b.rec.Seq), cmp.Compare(a.srv, b.srv), cmp.Compare(a.lba, b.lba))
+		})
+		// Every logged write is a whole-block image, so replaying them in
+		// order leaves each block with its last image: walk backwards and
+		// install only that one, and only where the block does not hold it
+		// already (redo replay is idempotent). The image is the decode
+		// memo's, which nothing modifies, so the device may own it.
+		type target struct {
+			srv int
+			lba int64
+		}
+		done := map[target]bool{}
+		for k := len(logs) - 1; k >= 0; k-- {
+			writes := logs[k].rec.Writes
+			for j := len(writes) - 1; j >= 0; j-- {
+				w := writes[j]
+				if w.Srv < 0 || w.Srv >= f.servers() || done[target{w.Srv, w.LBA}] {
 					continue
 				}
-				if rec, ok := readBlock[logRecord](f, i, lba); ok {
-					logs = append(logs, rec)
-				}
-			}
-		}
-		sort.Slice(logs, func(a, b int) bool { return logs[a].Seq < logs[b].Seq })
-		for _, l := range logs {
-			for _, w := range l.Writes {
-				if w.Srv >= 0 && w.Srv < f.servers() {
-					f.server(w.Srv).Dev.Write(w.LBA, w.Data)
+				done[target{w.Srv, w.LBA}] = true
+				dev := f.server(w.Srv).Dev
+				if cur, ok := dev.View(w.LBA); !ok || !bytes.Equal(cur, w.Data) {
+					dev.Write(w.LBA, w.Data)
 				}
 			}
 		}

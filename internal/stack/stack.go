@@ -166,20 +166,17 @@ func procName(rank int) string { return fmt.Sprintf("client/%d", rank) }
 
 // libOp records a library-layer trace op and leaves it pushed as the
 // current caller; callers must Pop.
-func (s *Session) libOp(kind, path, path2 string, data []byte, off int64) *trace.Op {
+func (s *Session) libOp(kind, path, path2 string, data []byte, off int64) {
 	op := trace.Op{
 		Layer: trace.LayerIOLib, Proc: s.proc,
 		Name: s.dialect.opName(kind), Path: path, Path2: path2,
-		FileID: s.path, Offset: off,
+		FileID: s.path, Offset: off, Sync: kind == "flush",
 	}
 	if data != nil {
-		op.Data = append([]byte(nil), data...)
+		op.Data = data // Push copies it when the recorder is on
 		op.Size = int64(len(data))
 	}
-	if kind == "flush" {
-		op.Sync = true
-	}
-	return s.rec.Push(op)
+	s.rec.Push(op)
 }
 
 // Proc returns the session's client process name.

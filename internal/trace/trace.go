@@ -179,6 +179,9 @@ type Recorder struct {
 	nextID  int
 	nextMsg int
 	enabled bool
+	// off is what Record and Push return while recording is off, reset on
+	// every such call, so that a switched-off recorder allocates nothing.
+	off Op
 
 	// callStack maps a proc to its stack of in-flight caller op IDs so that
 	// nested recordings pick up caller-callee edges automatically.
@@ -208,17 +211,22 @@ func (r *Recorder) Enabled() bool {
 
 // Record appends op to the trace, assigning its ID. If the op's Parent is
 // zero (unset) and the proc has an in-flight caller, the caller edge is
-// filled in. The returned op is always non-nil; when recording is disabled
-// the op gets ID -1 and is not stored.
+// filled in. The stored op owns a copy of op.Data, so callers may pass
+// bytes they go on to reuse. The returned op is always non-nil. When
+// recording is disabled nothing is stored, copied or allocated: the op
+// returned is the recorder's sentinel, with ID -1 and Parent -1 until the
+// next call, and callers must not modify it — set every field of an op
+// before recording it.
 func (r *Recorder) Record(op Op) *Op {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.record(op)
+}
+
+func (r *Recorder) record(op Op) *Op {
 	if !r.enabled {
-		op.ID = -1
-		if op.Parent == 0 {
-			op.Parent = -1
-		}
-		return &op
+		r.off = Op{ID: -1, Parent: -1}
+		return &r.off
 	}
 	op.ID = r.nextID
 	r.nextID++
@@ -229,7 +237,11 @@ func (r *Recorder) Record(op Op) *Op {
 			op.Parent = -1
 		}
 	}
-	p := &op
+	if op.Data != nil {
+		op.Data = append([]byte(nil), op.Data...)
+	}
+	p := new(Op)
+	*p = op
 	r.ops = append(r.ops, p)
 	return p
 }
@@ -237,9 +249,9 @@ func (r *Recorder) Record(op Op) *Op {
 // Push records op and makes it the current caller for its proc until the
 // matching Pop. Used by upper layers wrapping lower-layer calls.
 func (r *Recorder) Push(op Op) *Op {
-	p := r.Record(op)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	p := r.record(op)
 	// When disabled p.ID is -1, which acts as a harmless sentinel.
 	r.callStack[op.Proc] = append(r.callStack[op.Proc], p.ID)
 	return p

@@ -70,6 +70,43 @@ func TestDisabledRecorder(t *testing.T) {
 	}
 }
 
+// TestDisabledRecorderAllocatesNothing: while recording is off, Record and
+// Push store nothing, copy no payload and allocate nothing — the preamble,
+// the golden replay and every legal-state replay run with it off.
+func TestDisabledRecorderAllocatesNothing(t *testing.T) {
+	r := NewRecorder()
+	r.SetEnabled(false)
+	data := []byte("payload")
+	var sink *Op
+	if n := testing.AllocsPerRun(100, func() {
+		sink = r.Record(Op{Proc: "p", Name: "pwrite", Data: data, Size: int64(len(data))})
+	}); n != 0 {
+		t.Fatalf("disabled Record: %.1f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sink = r.Push(Op{Proc: "p", Name: "H5Dwrite", Data: data, Size: int64(len(data))})
+		r.Pop("p")
+	}); n != 0 {
+		t.Fatalf("disabled Push/Pop: %.1f allocations, want 0", n)
+	}
+	if sink.ID != -1 || sink.Parent != -1 || sink.Data != nil || r.Len() != 0 {
+		t.Fatalf("disabled recorder returned %+v and stored %d ops", sink, r.Len())
+	}
+}
+
+// TestRecordOwnsData: a recorded op keeps its bytes when the caller reuses
+// its buffer.
+func TestRecordOwnsData(t *testing.T) {
+	r := NewRecorder()
+	data := []byte("abc")
+	op := r.Record(Op{Proc: "p", Name: "pwrite", Data: data})
+	pushed := r.Push(Op{Proc: "p", Name: "H5Dwrite", Data: data})
+	copy(data, "xyz")
+	if string(op.Data) != "abc" || string(pushed.Data) != "abc" {
+		t.Fatalf("recorded data follows the caller's buffer: %q, %q", op.Data, pushed.Data)
+	}
+}
+
 func TestMsgIDsArePositive(t *testing.T) {
 	r := NewRecorder()
 	if id := r.NewMsgID(); id <= 0 {
