@@ -81,25 +81,21 @@ func Example_customWorkload() {
 // operation is applied to both replicas with no synchronisation protocol,
 // reads load-balance across the replicas by path hash, and there is no
 // fsck. It keeps all state in the embedded Cluster's server stores, so
-// snapshot/restore-based crash reconstruction is automatically faithful.
+// snapshot/restore-based crash reconstruction is automatically faithful;
+// the Cluster also supplies the rest of pfs.FileSystem, so a backend
+// writes only Name, Client, Recover and Mount.
 type mirrorFS struct {
 	*pfs.Cluster
-	conf pfs.Config
 }
 
 func newMirrorFS(conf pfs.Config, rec *trace.Recorder) *mirrorFS {
-	return &mirrorFS{
-		Cluster: pfs.NewCluster(conf, rec, []string{"replica/0", "replica/1"}),
-		conf:    conf,
-	}
+	return &mirrorFS{Cluster: pfs.NewCluster(conf, rec, pfs.ProcNames("replica", 2))}
 }
 
-func (f *mirrorFS) Name() string              { return "mirrorfs" }
-func (f *mirrorFS) Config() pfs.Config        { return f.conf }
-func (f *mirrorFS) Recorder() *trace.Recorder { return f.Rec }
+func (f *mirrorFS) Name() string { return "mirrorfs" }
 
 func (f *mirrorFS) Client(id int) pfs.Client {
-	return &mirrorClient{fs: f, proc: fmt.Sprintf("client/%d", id)}
+	return &mirrorClient{fs: f, proc: pfs.ClientProc(id)}
 }
 
 // Recover does nothing: mirrorfs ships no fsck — the design flaw under
@@ -156,16 +152,11 @@ func (c *mirrorClient) both(name, path, path2 string, off int64, data []byte, op
 	f := c.fs
 	f.RecordClientOp(c.proc, name, path, path2, off, data)
 	defer f.PopClient(c.proc)
-	var firstErr error
-	for i := 0; i < 2; i++ {
-		srv := f.FSServers[i]
-		f.RPC(c.proc, srv.Proc, func() {
-			if err := srv.Do(f.Rec, op, path, tag); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
+	var err error
+	for _, srv := range f.FSServers {
+		f.RPC(c.proc, srv.Proc, func() { err = pfs.FirstErr(err, srv.Do(f.Rec, op, path, tag)) })
 	}
-	return firstErr
+	return err
 }
 
 func (c *mirrorClient) Create(path string) error {
@@ -194,8 +185,7 @@ func (c *mirrorClient) Fsync(path string) error {
 	f := c.fs
 	f.RecordClientOp(c.proc, "fsync", path, "", 0, nil)
 	defer f.PopClient(c.proc)
-	for i := 0; i < 2; i++ {
-		srv := f.FSServers[i]
+	for _, srv := range f.FSServers {
 		f.RPC(c.proc, srv.Proc, func() { _ = srv.DoSync(f.Rec, path, path, false) })
 	}
 	return nil

@@ -73,23 +73,12 @@ func (s Spec) TraceJSON() ([]byte, error) {
 	return trace.Encode(ops)
 }
 
-// tracedOps builds the spec's stack as Run does, runs the program's
-// preamble untraced and its body traced, and returns the traced ops.
+// tracedOps builds the spec's stack as Run does and returns the ops of its
+// traced body (paracrash.TraceProgram).
 func (s Spec) tracedOps() ([]*trace.Op, error) {
 	fs, w, _, err := s.stack()
 	if err != nil {
 		return nil, err
 	}
-	rec := fs.Recorder()
-	rec.SetEnabled(false)
-	if err := w.Preamble(fs); err != nil {
-		return nil, fmt.Errorf("preamble: %w", err)
-	}
-	rec.Reset()
-	rec.SetEnabled(true)
-	if err := w.Run(fs); err != nil {
-		return nil, fmt.Errorf("run: %w", err)
-	}
-	rec.SetEnabled(false)
-	return rec.Ops(), nil
+	return paracrash.TraceProgram(fs, w, nil)
 }

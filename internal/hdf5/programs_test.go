@@ -20,9 +20,6 @@ type tapFS struct {
 
 func (t tapFS) Client(id int) pfs.Client { return tapClient{t.FileSystem.Client(id), t.writes} }
 
-// SetTagHint keeps the backend's data-write labels, as MPI-IO sets them.
-func (t tapFS) SetTagHint(tag string) { t.FileSystem.(pfs.TagHinter).SetTagHint(tag) }
-
 type tapClient struct {
 	pfs.Client
 	writes *[][]byte

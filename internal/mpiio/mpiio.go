@@ -56,9 +56,9 @@ func (f *File) WriteAt(off int64, data []byte, tag string) error {
 		Offset: off, Size: int64(len(data)), Tag: tag,
 	})
 	defer f.rec.Pop(f.client.Proc())
-	if th, ok := f.fs.(pfs.TagHinter); ok && tag != "" {
-		th.SetTagHint(tag)
-		defer th.SetTagHint("")
+	if tag != "" {
+		f.fs.SetTagHint(tag)
+		defer f.fs.SetTagHint("")
 	}
 	return f.client.WriteAt(f.path, off, data)
 }

@@ -165,8 +165,7 @@ func OpSignatureClass(o *trace.Op) string {
 // victim). Every probe the search makes for candidate b is a function of
 // (front, victim, b) alone, and the state's keep set only chooses which
 // candidates are searched, so the memo records per candidate whether it was
-// probed and whether it is a culprit, with the culprit's failing state and
-// kind. A later state on the same front and victim skips the candidates the
+// probed and whether it is a culprit, with the culprit's kind. A later state on the same front and victim skips the candidates the
 // memo has cleared word by word and probes only the untested ones; every
 // probe it skips would have hit the probe cache, so the sequence of Check
 // calls is the one the search makes without the memo.
@@ -178,9 +177,8 @@ type Classifier struct {
 	G  *causality.Graph
 	PO *causality.PersistOrder
 	// Check reconstructs and checks a crash state, returning whether it is
-	// consistent and (when inconsistent) the canonical content of the
-	// recovered state at the failing layer.
-	Check func(cs CrashState) (bool, string)
+	// consistent.
+	Check func(cs CrashState) bool
 	// Status returns a layer's status vector against a crash front, for
 	// in-flight classification: the engine's per-front memo.
 	Status func(lo *LayerOps, front causality.Bitset) []Status
@@ -201,22 +199,17 @@ type Classifier struct {
 	sig, class, inflight []string
 }
 
-// classifyCheck is the outcome of one probe state.
-type classifyCheck struct {
-	pass  bool
-	state string
-}
-
-// probeEntry is a probe state the classifier has judged; front is the
-// caller's (read-only) front, keep the classifier's own copy.
+// probeEntry is a probe state the classifier has judged and whether it
+// passed; front is the caller's (read-only) front, keep the classifier's
+// own copy.
 type probeEntry struct {
 	front, keep causality.Bitset
-	classifyCheck
+	pass        bool
 }
 
 // culpritMemo is the culprit search's record for one (front, victim):
 // cleared marks the candidates probed and found not to be the culprit, and
-// culprits holds those found to be one, with their failing state and kind.
+// culprits holds those found to be one, with their kind.
 // front is the caller's (read-only) front.
 type culpritMemo struct {
 	front    causality.Bitset
@@ -227,9 +220,8 @@ type culpritMemo struct {
 
 // culprit is a candidate the search found to be a victim's minimal culprit.
 type culprit struct {
-	b     int
-	kind  BugKind
-	state string
+	b    int
+	kind BugKind
 }
 
 // culprit returns candidate b's record if the search found b to be a
@@ -247,7 +239,7 @@ func (m *culpritMemo) culprit(b int) (culprit, bool) {
 // probes with check and reads layer status vectors from status. status is
 // called only for states classified with a layer, so callers that never
 // pass one may give nil.
-func NewClassifier(e *Emulator, check func(cs CrashState) (bool, string), status func(lo *LayerOps, front causality.Bitset) []Status) *Classifier {
+func NewClassifier(e *Emulator, check func(cs CrashState) bool, status func(lo *LayerOps, front causality.Bitset) []Status) *Classifier {
 	n := e.G.Len()
 	c := &Classifier{
 		G: e.G, PO: e.PO, Check: check, Status: status,
@@ -270,20 +262,20 @@ func NewClassifier(e *Emulator, check func(cs CrashState) (bool, string), status
 	return c
 }
 
-// probe judges the state (front, keep) with the given victims. keep may be
-// scratch: a cache hit reads it only, and a miss hands Check a copy, which
-// the cache keeps.
-func (c *Classifier) probe(front, keep causality.Bitset, victims ...int) classifyCheck {
+// probe judges the state (front, keep) with the given victims and reports
+// whether it passed. keep may be scratch: a cache hit reads it only, and a
+// miss hands Check a copy, which the cache keeps.
+func (c *Classifier) probe(front, keep causality.Bitset, victims ...int) bool {
 	h := probeHash(front, keep)
 	for _, e := range c.probes[h] {
 		if e.keep.Equal(keep) && e.front.Equal(front) {
-			return e.classifyCheck
+			return e.pass
 		}
 	}
 	e := probeEntry{front: front, keep: keep.Clone()}
-	e.pass, e.state = c.Check(CrashState{Front: front, Keep: e.keep, Victims: append([]int(nil), victims...)})
+	e.pass = c.Check(CrashState{Front: front, Keep: e.keep, Victims: append([]int(nil), victims...)})
 	c.probes[h] = append(c.probes[h], e)
-	return e.classifyCheck
+	return e.pass
 }
 
 // probeHash is the probe cache's key for (front, keep). Equal hashes do not
@@ -347,8 +339,6 @@ type PairResult struct {
 	// BClass is the culprit's class signature (server index stripped), the
 	// aggregation key.
 	BClass string
-	// StateKey is the canonical content of the minimal failing state.
-	StateKey string
 	// GroupKey, when non-empty, overrides the dedup key (used for in-flight
 	// atomicity, where every split of the same parent op is one bug).
 	GroupKey string
@@ -356,11 +346,10 @@ type PairResult struct {
 
 // ClassifyState isolates the operation pairs responsible for an
 // inconsistent crash state. lo is the LayerOps of the layer the
-// inconsistency was attributed to (used to detect in-flight atomicity);
-// state is the canonical content of the inconsistent recovered state.
-func (c *Classifier) ClassifyState(cs CrashState, lo *LayerOps, state string) []PairResult {
+// inconsistency was attributed to (used to detect in-flight atomicity).
+func (c *Classifier) ClassifyState(cs CrashState, lo *LayerOps) []PairResult {
 	if len(cs.Victims) == 0 {
-		return c.classifyInFlight(cs, lo, state)
+		return c.classifyInFlight(cs, lo)
 	}
 	var results []PairResult
 	fh := cs.Front.Hash()
@@ -372,7 +361,7 @@ func (c *Classifier) ClassifyState(cs CrashState, lo *LayerOps, state string) []
 	if len(results) == 0 {
 		// No victim-caused pair isolated: the crash front itself may split
 		// an operation that should have been atomic.
-		return c.classifyInFlight(cs, lo, state)
+		return c.classifyInFlight(cs, lo)
 	}
 	return results
 }
@@ -412,15 +401,14 @@ search:
 			c.downTo(c.cut, front, b)
 			copy(c.keep, c.cut)
 			c.keep.Subtract(vClosure)
-			res := c.probe(front, c.keep, v)
 			// The failure must be caused by losing the victim: if the same
 			// cut fails with the victim kept, the cut itself is the problem
 			// (an in-flight atomicity handled elsewhere), not this victim.
-			if res.pass || !c.probe(front, c.cut).pass {
+			if c.probe(front, c.keep, v) || !c.probe(front, c.cut) {
 				m.cleared.Set(b)
 				continue
 			}
-			found = culprit{b: b, kind: c.kindOf(front, v, b), state: res.state}
+			found = culprit{b: b, kind: c.kindOf(front, v, b)}
 			m.culprits = append(m.culprits, found)
 			break search
 		}
@@ -433,7 +421,6 @@ search:
 	return PairResult{
 		Kind: found.kind, A: v, B: found.b,
 		ASig: aSig, BSig: bSig, BClass: bClass,
-		StateKey: found.state,
 	}, true
 }
 
@@ -443,9 +430,9 @@ search:
 func (c *Classifier) kindOf(front causality.Bitset, v, b int) BugKind {
 	copy(c.keep, c.cut)
 	c.keep.Subtract(c.closure(b))
-	s10Pass := c.probe(front, c.keep, b).pass
+	s10Pass := c.probe(front, c.keep, b)
 	c.keep.Subtract(c.closure(v))
-	s00Pass := c.probe(front, c.keep, v, b).pass
+	s00Pass := c.probe(front, c.keep, v, b)
 
 	// Paper §5.3: the state with OA lost and OB persisted fails while other
 	// combinations pass ⇒ reordering; both mixed states fail with both pure
@@ -463,7 +450,7 @@ func (c *Classifier) kindOf(front causality.Bitset, v, b int) BugKind {
 // split the storage footprint of a layer operation that should have been
 // atomic. The missing and surviving descendants of the in-flight op form an
 // atomicity pair.
-func (c *Classifier) classifyInFlight(cs CrashState, lo *LayerOps, state string) []PairResult {
+func (c *Classifier) classifyInFlight(cs CrashState, lo *LayerOps) []PairResult {
 	if lo == nil {
 		return nil
 	}
@@ -493,7 +480,6 @@ func (c *Classifier) classifyInFlight(cs CrashState, lo *LayerOps, state string)
 		results = append(results, PairResult{
 			Kind: BugAtomicity, A: missing, B: present,
 			ASig: aSig, BSig: bSig, BClass: bClass,
-			StateKey: state,
 			GroupKey: c.inflightKey(lo, i),
 		})
 	}
@@ -511,10 +497,11 @@ func (c *Classifier) inflightKey(lo *LayerOps, i int) string {
 }
 
 // BugSet aggregates classified pairs into deduplicated bugs. Two pairs
-// share a root cause when they have the same kind, layer, culprit operation
-// and failing-state content (paper §5.2); the representative victim is the
-// causally latest one, which is the common element of every implied
-// persistence closure.
+// share a root cause when they have the same kind, layer and culprit
+// operation class (its signature with the server index stripped), or, for
+// an in-flight atomicity split, the same in-flight parent operation (paper
+// §5.2); the representative victim is the causally latest one, which is
+// the common element of every implied persistence closure.
 type BugSet struct {
 	bugs  map[string]*Bug
 	bestA map[string]int

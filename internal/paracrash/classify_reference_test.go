@@ -20,23 +20,22 @@ import (
 type referenceClassifier struct {
 	G     *causality.Graph
 	PO    *causality.PersistOrder
-	Check func(cs CrashState) (bool, string)
-	cache map[string]classifyCheck
+	Check func(cs CrashState) bool
+	cache map[string]bool
 }
 
-func newReferenceClassifier(e *Emulator, check func(cs CrashState) (bool, string)) *referenceClassifier {
-	return &referenceClassifier{G: e.G, PO: e.PO, Check: check, cache: map[string]classifyCheck{}}
+func newReferenceClassifier(e *Emulator, check func(cs CrashState) bool) *referenceClassifier {
+	return &referenceClassifier{G: e.G, PO: e.PO, Check: check, cache: map[string]bool{}}
 }
 
-func (c *referenceClassifier) checkCached(cs CrashState) classifyCheck {
+func (c *referenceClassifier) checkCached(cs CrashState) bool {
 	key := cs.Front.Key() + "|" + cs.Keep.Key()
-	if v, ok := c.cache[key]; ok {
-		return v
+	if pass, ok := c.cache[key]; ok {
+		return pass
 	}
-	pass, state := c.Check(cs)
-	v := classifyCheck{pass: pass, state: state}
-	c.cache[key] = v
-	return v
+	pass := c.Check(cs)
+	c.cache[key] = pass
+	return pass
 }
 
 func (c *referenceClassifier) downTo(front causality.Bitset, b int) causality.Bitset {
@@ -49,9 +48,9 @@ func (c *referenceClassifier) downTo(front causality.Bitset, b int) causality.Bi
 	return out
 }
 
-func (c *referenceClassifier) ClassifyState(cs CrashState, lo *LayerOps, state string) []PairResult {
+func (c *referenceClassifier) ClassifyState(cs CrashState, lo *LayerOps) []PairResult {
 	if len(cs.Victims) == 0 {
-		return c.classifyInFlight(cs, lo, state)
+		return c.classifyInFlight(cs, lo)
 	}
 	var results []PairResult
 	for _, v := range cs.Victims {
@@ -60,7 +59,7 @@ func (c *referenceClassifier) ClassifyState(cs CrashState, lo *LayerOps, state s
 		}
 	}
 	if len(results) == 0 {
-		return c.classifyInFlight(cs, lo, state)
+		return c.classifyInFlight(cs, lo)
 	}
 	return results
 }
@@ -81,20 +80,17 @@ func (c *referenceClassifier) classifyVictim(cs CrashState, v int) (PairResult, 
 
 	failed := map[int]bool{}
 	culprit := -1
-	culpritState := ""
 	for _, b := range cands {
 		base := c.downTo(cs.Front, b)
 		keep := base.Clone()
 		keep.Subtract(vClosure)
-		res := c.checkCached(CrashState{Front: cs.Front, Keep: keep, Victims: []int{v}})
-		if res.pass {
+		if c.checkCached(CrashState{Front: cs.Front, Keep: keep, Victims: []int{v}}) {
 			continue
 		}
-		if !c.checkCached(CrashState{Front: cs.Front, Keep: base}).pass {
+		if !c.checkCached(CrashState{Front: cs.Front, Keep: base}) {
 			continue
 		}
 		failed[b] = true
-		culpritState = res.state
 		minimal := true
 		for _, b2 := range cands {
 			if b2 != b && failed[b2] && c.G.HB(b2, b) {
@@ -114,11 +110,11 @@ func (c *referenceClassifier) classifyVictim(cs CrashState, v int) (PairResult, 
 	bClosure := c.PO.DependsOn(culprit, cs.Front)
 	s10 := c.downTo(cs.Front, culprit)
 	s10.Subtract(bClosure)
-	s10Pass := c.checkCached(CrashState{Front: cs.Front, Keep: s10, Victims: []int{culprit}}).pass
+	s10Pass := c.checkCached(CrashState{Front: cs.Front, Keep: s10, Victims: []int{culprit}})
 	s00 := c.downTo(cs.Front, culprit)
 	s00.Subtract(bClosure)
 	s00.Subtract(vClosure)
-	s00Pass := c.checkCached(CrashState{Front: cs.Front, Keep: s00, Victims: []int{v, culprit}}).pass
+	s00Pass := c.checkCached(CrashState{Front: cs.Front, Keep: s00, Victims: []int{v, culprit}})
 
 	kind := BugReordering
 	if !s10Pass && s00Pass {
@@ -127,12 +123,11 @@ func (c *referenceClassifier) classifyVictim(cs CrashState, v int) (PairResult, 
 	return PairResult{
 		Kind: kind, A: v, B: culprit,
 		ASig: OpSignature(c.G.Ops[v]), BSig: OpSignature(c.G.Ops[culprit]),
-		BClass:   OpSignatureClass(c.G.Ops[culprit]),
-		StateKey: culpritState,
+		BClass: OpSignatureClass(c.G.Ops[culprit]),
 	}, true
 }
 
-func (c *referenceClassifier) classifyInFlight(cs CrashState, lo *LayerOps, state string) []PairResult {
+func (c *referenceClassifier) classifyInFlight(cs CrashState, lo *LayerOps) []PairResult {
 	if lo == nil {
 		return nil
 	}
@@ -162,7 +157,6 @@ func (c *referenceClassifier) classifyInFlight(cs CrashState, lo *LayerOps, stat
 			Kind: BugAtomicity, A: missing, B: present,
 			ASig: OpSignature(c.G.Ops[missing]), BSig: OpSignature(c.G.Ops[present]),
 			BClass:   OpSignatureClass(c.G.Ops[present]),
-			StateKey: state,
 			GroupKey: "inflight|" + lo.Ops[i].Key(),
 		})
 	}
@@ -192,8 +186,8 @@ func ClassifyDiff(fs pfs.FileSystem, lib Library, w Workload, opts Options) (Cla
 		return st, err
 	}
 	var got, want []string
-	logged := func(log *[]string) func(CrashState) (bool, string) {
-		return func(cs CrashState) (bool, string) {
+	logged := func(log *[]string) func(CrashState) bool {
+		return func(cs CrashState) bool {
 			*log = append(*log, fmt.Sprintf("front %v keep %v victims %v", cs.Front.Members(), cs.Keep.Members(), cs.Victims))
 			return s.probe(cs)
 		}
@@ -213,8 +207,8 @@ func ClassifyDiff(fs pfs.FileSystem, lib Library, w Workload, opts Options) (Cla
 			lo = s.libOps
 		}
 		got, want = got[:0], want[:0]
-		g := c.ClassifyState(cs, lo, res.State)
-		r := ref.ClassifyState(cs, lo, res.State)
+		g := c.ClassifyState(cs, lo)
+		r := ref.ClassifyState(cs, lo)
 		if !reflect.DeepEqual(g, r) {
 			return st, fmt.Errorf("state %d (victims %v): classified %+v, reference %+v", i, cs.Victims, g, r)
 		}
@@ -249,9 +243,8 @@ func BenchClassifyState(b *testing.B, fs pfs.FileSystem, lib Library, w Workload
 		b.Fatal(err)
 	}
 	type bad struct {
-		cs    CrashState
-		lo    *LayerOps
-		state string
+		cs CrashState
+		lo *LayerOps
 	}
 	var states []bad
 	for _, cs := range s.generate() {
@@ -263,17 +256,17 @@ func BenchClassifyState(b *testing.B, fs pfs.FileSystem, lib Library, w Workload
 		if v.Layer != "pfs" && s.libOps != nil {
 			lo = s.libOps
 		}
-		states = append(states, bad{cs, lo, v.State})
+		states = append(states, bad{cs, lo})
 	}
 	probes := 0
 	classify := func() {
 		probes = 0
-		c := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
+		c := NewClassifier(s.emu, func(cs CrashState) bool {
 			probes++
 			return s.probe(cs)
 		}, s.status)
 		for _, st := range states {
-			c.ClassifyState(st.cs, st.lo, st.state)
+			c.ClassifyState(st.cs, st.lo)
 		}
 	}
 	classify()

@@ -37,14 +37,8 @@ func synthFixture() (*Emulator, causality.Bitset, int, int) {
 
 // checkerFor builds a Check function that fails exactly the listed
 // (hasA, hasB) combinations.
-func checkerFor(ai, bi int, fail map[[2]bool]bool) func(CrashState) (bool, string) {
-	return func(cs CrashState) (bool, string) {
-		combo := [2]bool{cs.Keep.Get(ai), cs.Keep.Get(bi)}
-		if fail[combo] {
-			return false, "synthetic-failure"
-		}
-		return true, ""
-	}
+func checkerFor(ai, bi int, fail map[[2]bool]bool) func(CrashState) bool {
+	return func(cs CrashState) bool { return !fail[[2]bool{cs.Keep.Get(ai), cs.Keep.Get(bi)}] }
 }
 
 func TestClassifyReorderingTruthTable(t *testing.T) {
@@ -53,7 +47,7 @@ func TestClassifyReorderingTruthTable(t *testing.T) {
 	c := NewClassifier(e, checkerFor(ai, bi, map[[2]bool]bool{{false, true}: true}), nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
-	results := c.ClassifyState(cs, nil, "synthetic-failure")
+	results := c.ClassifyState(cs, nil)
 	if len(results) != 1 {
 		t.Fatalf("results = %+v", results)
 	}
@@ -72,7 +66,7 @@ func TestClassifyAtomicityTruthTable(t *testing.T) {
 	}), nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
-	results := c.ClassifyState(cs, nil, "synthetic-failure")
+	results := c.ClassifyState(cs, nil)
 	if len(results) != 1 || results[0].Kind != BugAtomicity {
 		t.Fatalf("results = %+v, want one atomicity pair", results)
 	}
@@ -88,7 +82,7 @@ func TestClassifyNoPairWhenOnlyCutBroken(t *testing.T) {
 	}), nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
-	results := c.ClassifyState(cs, nil, "synthetic-failure")
+	results := c.ClassifyState(cs, nil)
 	for _, pr := range results {
 		if pr.Kind == BugReordering && pr.A == ai {
 			t.Fatalf("victim blamed although the baseline cut fails too: %+v", pr)
@@ -119,7 +113,7 @@ func TestClassifyCulpritOutsideVictimClosure(t *testing.T) {
 	c := NewClassifier(e, checkerFor(ai, bi, map[[2]bool]bool{{false, false}: true, {false, true}: true}), nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
-	if results := c.ClassifyState(cs, nil, "synthetic-failure"); len(results) != 0 {
+	if results := c.ClassifyState(cs, nil); len(results) != 0 {
 		t.Fatalf("blamed an op in the victim's closure: %+v", results)
 	}
 }
@@ -131,20 +125,20 @@ func TestClassifierProbesAllocationFree(t *testing.T) {
 	e, front, ai, bi := synthFixture()
 	checks := 0
 	check := checkerFor(ai, bi, map[[2]bool]bool{{false, true}: true})
-	c := NewClassifier(e, func(cs CrashState) (bool, string) {
+	c := NewClassifier(e, func(cs CrashState) bool {
 		checks++
 		return check(cs)
 	}, nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
-	first := c.ClassifyState(cs, nil, "synthetic-failure")
+	first := c.ClassifyState(cs, nil)
 	probed := checks
 	if len(first) != 1 || probed == 0 {
 		t.Fatalf("results %+v after %d checks", first, probed)
 	}
 	var again []PairResult
 	allocs := testing.AllocsPerRun(10, func() {
-		again = c.ClassifyState(cs, nil, "synthetic-failure")
+		again = c.ClassifyState(cs, nil)
 	})
 	if !reflect.DeepEqual(again, first) {
 		t.Fatalf("re-classified %+v, first %+v", again, first)
@@ -166,13 +160,13 @@ func TestClassifierProbeCacheConfirmsHits(t *testing.T) {
 	e, front, ai, bi := synthFixture()
 	check := checkerFor(ai, bi, map[[2]bool]bool{{false, true}: true})
 	var probes []CrashState
-	clean := NewClassifier(e, func(cs CrashState) (bool, string) {
+	clean := NewClassifier(e, func(cs CrashState) bool {
 		probes = append(probes, cs)
 		return check(cs)
 	}, nil)
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
-	want := clean.ClassifyState(cs, nil, "synthetic-failure")
+	want := clean.ClassifyState(cs, nil)
 	if len(probes) < 2 {
 		t.Fatalf("only %d probes", len(probes))
 	}
@@ -184,8 +178,7 @@ func TestClassifierProbeCacheConfirmsHits(t *testing.T) {
 	for _, differ := range []string{"front", "keep"} {
 		planted := NewClassifier(e, check, nil)
 		for _, p := range probes {
-			pass, _ := check(p)
-			wrong := probeEntry{front: p.Front, keep: p.Keep, classifyCheck: classifyCheck{pass: !pass, state: "planted"}}
+			wrong := probeEntry{front: p.Front, keep: p.Keep, pass: !check(p)}
 			if differ == "front" {
 				wrong.front = all
 			} else {
@@ -194,7 +187,7 @@ func TestClassifierProbeCacheConfirmsHits(t *testing.T) {
 			h := probeHash(p.Front, p.Keep)
 			planted.probes[h] = append(planted.probes[h], wrong)
 		}
-		if got := planted.ClassifyState(cs, nil, "synthetic-failure"); !reflect.DeepEqual(got, want) {
+		if got := planted.ClassifyState(cs, nil); !reflect.DeepEqual(got, want) {
 			t.Errorf("entries differing in the %s planted under each probe's hash: %+v, want %+v", differ, got, want)
 		}
 	}
@@ -204,7 +197,7 @@ func TestClassifierProbeCacheConfirmsHits(t *testing.T) {
 // the next through a message, no syncs) with a front holding all three and
 // a check that fails exactly when A is lost and C kept: for victim A, B is
 // a candidate the search clears and C the culprit.
-func chainFixture() (e *Emulator, front causality.Bitset, ai, bi, ci int, check func(CrashState) (bool, string)) {
+func chainFixture() (e *Emulator, front causality.Bitset, ai, bi, ci int, check func(CrashState) bool) {
 	rec := trace.NewRecorder()
 	op := func(proc, name, path string) *trace.Op {
 		return rec.Record(trace.Op{Layer: trace.LayerLocalFS, Proc: proc, Name: name,
@@ -231,12 +224,7 @@ func chainFixture() (e *Emulator, front causality.Bitset, ai, bi, ci int, check 
 	front.Set(ai)
 	front.Set(bi)
 	front.Set(ci)
-	check = func(cs CrashState) (bool, string) {
-		if !cs.Keep.Get(ai) && cs.Keep.Get(ci) {
-			return false, "synthetic-failure"
-		}
-		return true, ""
-	}
+	check = func(cs CrashState) bool { return cs.Keep.Get(ai) || !cs.Keep.Get(ci) }
 	return e, front, ai, bi, ci, check
 }
 
@@ -248,13 +236,13 @@ func chainFixture() (e *Emulator, front causality.Bitset, ai, bi, ci int, check 
 func TestClassifierMemoAnswersSameFrontAndVictim(t *testing.T) {
 	e, front, ai, bi, ci, check := chainFixture()
 	checks := 0
-	c := NewClassifier(e, func(cs CrashState) (bool, string) {
+	c := NewClassifier(e, func(cs CrashState) bool {
 		checks++
 		return check(cs)
 	}, nil)
 	first := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	first.Keep.Clear(ai)
-	if got := c.ClassifyState(first, nil, "synthetic-failure"); len(got) != 1 || got[0].Kind != BugReordering || got[0].B != ci {
+	if got := c.ClassifyState(first, nil); len(got) != 1 || got[0].Kind != BugReordering || got[0].B != ci {
 		t.Fatalf("first state classified %+v, want reordering %d -> %d", got, ai, ci)
 	}
 	if checks == 0 {
@@ -267,12 +255,12 @@ func TestClassifierMemoAnswersSameFrontAndVictim(t *testing.T) {
 
 	second := CrashState{Front: front, Keep: causality.NewBitset(e.G.Len()), Victims: []int{ai}}
 	second.Keep.Set(ci)
-	want := NewClassifier(e, check, nil).ClassifyState(second, nil, "synthetic-failure")
+	want := NewClassifier(e, check, nil).ClassifyState(second, nil)
 	c.probes = map[uint64][]probeEntry{}
 	checks = 0
 	var got []PairResult
 	allocs := testing.AllocsPerRun(10, func() {
-		got = c.ClassifyState(second, nil, "synthetic-failure")
+		got = c.ClassifyState(second, nil)
 	})
 	if checks != 0 {
 		t.Fatalf("the second state sent %d probes to the check", checks)
@@ -294,7 +282,7 @@ func TestClassifierMemoConfirmsHits(t *testing.T) {
 	e, front, ai, _, _, check := chainFixture()
 	cs := CrashState{Front: front, Keep: front.Clone(), Victims: []int{ai}}
 	cs.Keep.Clear(ai)
-	want := NewClassifier(e, check, nil).ClassifyState(cs, nil, "synthetic-failure")
+	want := NewClassifier(e, check, nil).ClassifyState(cs, nil)
 	if len(want) != 1 {
 		t.Fatalf("fixture classified %+v, want one pair", want)
 	}
@@ -315,13 +303,13 @@ func TestClassifierMemoConfirmsHits(t *testing.T) {
 				copy(m.cleared, all)
 			} else {
 				for i := 0; i < n; i++ {
-					m.culprits = append(m.culprits, culprit{b: i, kind: BugAtomicity, state: "planted"})
+					m.culprits = append(m.culprits, culprit{b: i, kind: BugAtomicity})
 				}
 			}
 			planted := NewClassifier(e, check, nil)
 			h := memoHash(front.Hash(), ai)
 			planted.memo[h] = append(planted.memo[h], m)
-			if got := planted.ClassifyState(cs, nil, "synthetic-failure"); !reflect.DeepEqual(got, want) {
+			if got := planted.ClassifyState(cs, nil); !reflect.DeepEqual(got, want) {
 				t.Errorf("an entry differing in the %s, planted with every candidate %s: %+v, want %+v", differ, lie, got, want)
 			}
 		}

@@ -17,19 +17,19 @@ func TestClientIDParsing(t *testing.T) {
 		"client/12": 12,
 	}
 	for proc, want := range good {
-		id, err := clientID(proc)
+		id, err := pfs.ClientID(proc)
 		if err != nil {
-			t.Errorf("clientID(%q): unexpected error %v", proc, err)
+			t.Errorf("ClientID(%q): unexpected error %v", proc, err)
 			continue
 		}
 		if id != want {
-			t.Errorf("clientID(%q) = %d, want %d", proc, id, want)
+			t.Errorf("ClientID(%q) = %d, want %d", proc, id, want)
 		}
 	}
 	bad := []string{"client", "client/", "client/x", "client/-1", "client/1x", "client/0.5", ""}
 	for _, proc := range bad {
-		if id, err := clientID(proc); err == nil {
-			t.Errorf("clientID(%q) = %d, want error", proc, id)
+		if id, err := pfs.ClientID(proc); err == nil {
+			t.Errorf("ClientID(%q) = %d, want error", proc, id)
 		}
 	}
 }

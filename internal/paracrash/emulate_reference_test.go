@@ -219,7 +219,7 @@ func EmulatorDiff(fs pfs.FileSystem, lib Library, w Workload, cfg EmulatorConfig
 			}
 		}
 	}
-	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
+	classifier := NewClassifier(s.emu, func(cs CrashState) bool {
 		agree(cs)
 		return s.probe(cs)
 	}, s.status)
@@ -233,7 +233,7 @@ func EmulatorDiff(fs pfs.FileSystem, lib Library, w Workload, cfg EmulatorConfig
 		if res.Layer != "pfs" && s.libOps != nil {
 			lo = s.libOps
 		}
-		classifier.ClassifyState(cs, lo, res.State)
+		classifier.ClassifyState(cs, lo)
 	}
 	return st, mismatch
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -487,6 +486,32 @@ func RunContext(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload,
 	return s.explore(nil, nil)
 }
 
+// TraceProgram runs phases 0–1 of the pipeline on fs and returns the traced
+// ops: w's preamble with the recorder off, then atRest (nil for none) on
+// the initial state before anything is traced, then w's body on a reset,
+// enabled recorder, which is left off. Exploration and every trace dump
+// (Fig. 9, -dump-trace) record the same ops through it.
+func TraceProgram(fs pfs.FileSystem, w Workload, atRest func() error) ([]*trace.Op, error) {
+	rec := fs.Recorder()
+	rec.SetEnabled(false)
+	if err := w.Preamble(fs); err != nil {
+		return nil, fmt.Errorf("paracrash: preamble: %w", err)
+	}
+	if atRest != nil {
+		if err := atRest(); err != nil {
+			return nil, err
+		}
+	}
+	rec.Reset()
+	rec.SetEnabled(true)
+	err := w.Run(fs)
+	rec.SetEnabled(false)
+	if err != nil {
+		return nil, fmt.Errorf("paracrash: test program: %w", err)
+	}
+	return rec.Ops(), nil
+}
+
 // prepare runs phases 0–2 of the pipeline — preamble, traced execution,
 // causality analysis, golden replay — and returns the exploration session.
 // It is shared by the full pipeline (RunContext/MergeShards) and the
@@ -498,39 +523,31 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rec := fs.Recorder()
-	if oa, ok := fs.(pfs.ObsAware); ok {
-		// Store-level timings (restore/recover/mount) report to the same
-		// run; a nil opts.Obs simply clears them to the no-op collector.
-		oa.SetObs(opts.Obs)
-	}
+	// Store-level timings (restore/recover/mount) report to the same run;
+	// a nil opts.Obs simply clears them to the no-op collector.
+	fs.SetObs(opts.Obs)
 
-	// Phase 0: preamble (untraced) and the initial snapshot.
+	// Phases 0–1: preamble (untraced), the initial snapshot and the
+	// library's seed, then traced test execution.
 	stopTrace := opts.Obs.Phase(obs.PhaseTrace)
-	rec.SetEnabled(false)
-	if err := w.Preamble(fs); err != nil {
-		return nil, fmt.Errorf("paracrash: preamble: %w", err)
-	}
-	initial := fs.Snapshot()
-
-	if lib != nil {
+	var initial *pfs.State
+	ops, err := TraceProgram(fs, w, func() error {
+		initial = fs.Snapshot()
+		if lib == nil {
+			return nil
+		}
 		t, err := fs.Mount()
 		if err != nil {
-			return nil, fmt.Errorf("paracrash: mounting initial state: %w", err)
+			return fmt.Errorf("paracrash: mounting initial state: %w", err)
 		}
 		if err := lib.Seed(t); err != nil {
-			return nil, fmt.Errorf("paracrash: seeding library: %w", err)
+			return fmt.Errorf("paracrash: seeding library: %w", err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Phase 1: traced test execution.
-	rec.Reset()
-	rec.SetEnabled(true)
-	if err := w.Run(fs); err != nil {
-		return nil, fmt.Errorf("paracrash: test program: %w", err)
-	}
-	rec.SetEnabled(false)
-	ops := rec.Ops()
 	stopTrace()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("paracrash: run cancelled: %w", err)
@@ -555,7 +572,6 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 	if lib != nil {
 		s.libOps = NewLayerOps(g, trace.LayerIOLib, lib.IsLibOp)
 	}
-	var err error
 	if s.recon, err = newReconstructor(s); err != nil {
 		return nil, err
 	}
@@ -719,31 +735,12 @@ func (st Stats) reconcile() error {
 	return nil
 }
 
-// clientID parses the numeric rank out of a client proc name ("client/3").
-// Proc names come from the trace recorder; one that does not parse means
-// the trace is corrupt, and collapsing it onto rank 0 — as an ignored
-// Sscanf error used to — would silently replay another client's state.
-func clientID(proc string) (int, error) {
-	i := strings.IndexByte(proc, '/')
-	if i < 0 {
-		return 0, fmt.Errorf("paracrash: client proc %q: missing \"/<rank>\" suffix", proc)
-	}
-	id, err := strconv.Atoi(proc[i+1:])
-	if err != nil {
-		return 0, fmt.Errorf("paracrash: client proc %q: unparsable rank: %v", proc, err)
-	}
-	if id < 0 {
-		return 0, fmt.Errorf("paracrash: client proc %q: negative rank", proc)
-	}
-	return id, nil
-}
-
 // client returns (and caches) the client endpoint for a client proc name.
 func (s *session) client(proc string) (pfs.Client, error) {
 	if c, ok := s.clients[proc]; ok {
 		return c, nil
 	}
-	id, err := clientID(proc)
+	id, err := pfs.ClientID(proc)
 	if err != nil {
 		return nil, err
 	}
@@ -840,12 +837,12 @@ func (s *session) check(cs CrashState) Verdict {
 // both). A quarantined probe state carries no verdict; it reads as
 // consistent, so classification degrades gracefully instead of inventing
 // causes from a state that could not be reconstructed.
-func (s *session) probe(cs CrashState) (bool, string) {
+func (s *session) probe(cs CrashState) bool {
 	s.ctrProbes.Inc()
 	before := s.stats.ServerRestores
 	v := s.check(cs)
 	s.ctrProbeRestore.Add(int64(s.stats.ServerRestores - before))
-	return v.Consistent || v.Skipped, v.State
+	return v.Consistent || v.Skipped
 }
 
 // journal records a verdict in the checkpoint (no-op when the run does not

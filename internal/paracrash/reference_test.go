@@ -106,9 +106,9 @@ func OrderEffort(fs pfs.FileSystem, lib Library, w Workload, opts Options, perm 
 		check = s.referenceJudge(map[string]Verdict{})
 	}
 	states := s.generate()
-	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
+	classifier := NewClassifier(s.emu, func(cs CrashState) bool {
 		r := check(cs)
-		return r.Consistent || r.Skipped, r.State
+		return r.Consistent || r.Skipped
 	}, s.status)
 	for _, i := range perm(len(states)) {
 		r := check(states[i])
@@ -119,7 +119,7 @@ func OrderEffort(fs pfs.FileSystem, lib Library, w Workload, opts Options, perm 
 		if r.Layer != "pfs" && s.libOps != nil {
 			lo = s.libOps
 		}
-		classifier.ClassifyState(states[i], lo, r.State)
+		classifier.ClassifyState(states[i], lo)
 	}
 	return s.stats, nil
 }
@@ -183,9 +183,9 @@ func ReferenceRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Re
 	}
 	judgedRes := map[string]Verdict{}
 	judge := s.referenceJudge(judgedRes)
-	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
+	classifier := NewClassifier(s.emu, func(cs CrashState) bool {
 		r := judge(cs)
-		return r.Consistent || r.Skipped, r.State
+		return r.Consistent || r.Skipped
 	}, s.status)
 	report := &Report{Program: w.Name(), FS: fs.Name(), Mode: opts.Mode}
 	bugs := NewBugSet()
@@ -221,7 +221,7 @@ func ReferenceRun(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Re
 		if r.Layer != "pfs" && s.libOps != nil {
 			lo = s.libOps
 		}
-		for _, pr := range classifier.ClassifyState(cs, lo, r.State) {
+		for _, pr := range classifier.ClassifyState(cs, lo) {
 			bugs.Add(pr, r.Layer, fs.Name(), w.Name(), r.Consequence)
 		}
 	}

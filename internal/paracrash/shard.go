@@ -310,7 +310,7 @@ func (s *session) walk(states []CrashState, rep *Report) {
 		// The classify span holds the probes' reconstructions and
 		// recoveries, which the pfs/* timers also count.
 		stopClassify := s.obs.StartTimer("classify")
-		for _, pr := range classifier.ClassifyState(cs, lo, v.State) {
+		for _, pr := range classifier.ClassifyState(cs, lo) {
 			bugs.Add(pr, v.Layer, s.fs.Name(), s.program, v.Consequence)
 		}
 		stopClassify()

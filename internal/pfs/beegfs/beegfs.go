@@ -18,7 +18,6 @@ package beegfs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 
@@ -30,7 +29,6 @@ import (
 // FS is a simulated BeeGFS deployment.
 type FS struct {
 	*pfs.Cluster
-	conf pfs.Config
 
 	nextDirID  int
 	nextFileID int
@@ -39,58 +37,32 @@ type FS struct {
 // New creates a BeeGFS deployment with the configured server counts and
 // initialises the root directory structures (owned by meta/0).
 func New(conf pfs.Config, rec *trace.Recorder) *FS {
-	var procs []string
-	for i := 0; i < conf.MetaServers; i++ {
-		procs = append(procs, fmt.Sprintf("meta/%d", i))
-	}
-	for i := 0; i < conf.StorageServers; i++ {
-		procs = append(procs, fmt.Sprintf("storage/%d", i))
-	}
 	f := &FS{
-		Cluster:    pfs.NewCluster(conf, rec, procs),
-		conf:       conf,
+		Cluster:    pfs.NewMetaCluster(conf, rec),
 		nextDirID:  1,
 		nextFileID: 1,
 	}
 	// Initial structures are created directly (pre-mount mkfs, untraced).
 	for i := 0; i < conf.MetaServers; i++ {
-		fs := f.meta(i).FS
-		must(fs.Mkdir("/inodes"))
-		must(fs.Mkdir("/dentries"))
+		fs := f.Meta(i).FS
+		pfs.Must(fs.Mkdir("/inodes"))
+		pfs.Must(fs.Mkdir("/dentries"))
 	}
-	must(f.meta(0).FS.Mkdir("/dentries/root"))
-	must(f.meta(0).FS.Create("/inodes/root"))
-	must(f.meta(0).FS.SetXattr("/inodes/root", "t", []byte("d")))
+	pfs.Must(f.Meta(0).FS.Mkdir("/dentries/root"))
+	pfs.Must(f.Meta(0).FS.Create("/inodes/root"))
+	pfs.Must(f.Meta(0).FS.SetXattr("/inodes/root", "t", []byte("d")))
 	for i := 0; i < conf.StorageServers; i++ {
-		must(f.storage(i).FS.Mkdir("/chunks"))
+		pfs.Must(f.Storage(i).FS.Mkdir("/chunks"))
 	}
 	return f
-}
-
-func must(err error) {
-	if err != nil {
-		panic(fmt.Sprintf("beegfs: setup: %v", err))
-	}
 }
 
 // Name implements pfs.FileSystem.
 func (f *FS) Name() string { return "beegfs" }
 
-// Config implements pfs.FileSystem.
-func (f *FS) Config() pfs.Config { return f.conf }
-
-// Recorder implements pfs.FileSystem.
-func (f *FS) Recorder() *trace.Recorder { return f.Rec }
-
-func (f *FS) meta(i int) *pfs.ServerFS    { return f.FSServers[i] }
-func (f *FS) storage(i int) *pfs.ServerFS { return f.FSServers[f.conf.MetaServers+i] }
-
-func (f *FS) metaProc(i int) string    { return fmt.Sprintf("meta/%d", i) }
-func (f *FS) storageProc(i int) string { return fmt.Sprintf("storage/%d", i) }
-
 // Client implements pfs.FileSystem.
 func (f *FS) Client(id int) pfs.Client {
-	return &client{fs: f, proc: fmt.Sprintf("client/%d", id)}
+	return &client{fs: f, proc: pfs.ClientProc(id)}
 }
 
 // dirRef locates a directory's metadata: the owning meta server and its ID.
@@ -116,7 +88,7 @@ func (f *FS) resolveDir(path string) (dirRef, error) {
 	}
 	for _, comp := range strings.Split(strings.TrimPrefix(path, "/"), "/") {
 		dentry := fmt.Sprintf("/dentries/%s/%s", cur.id, comp)
-		mfs := f.meta(cur.owner).FS
+		mfs := f.Meta(cur.owner).FS
 		t, ok := mfs.GetXattr(dentry, "t")
 		if !ok {
 			return dirRef{}, fmt.Errorf("beegfs: %q: no such directory", path)
@@ -138,13 +110,13 @@ func (f *FS) resolveDir(path string) (dirRef, error) {
 // resolveFile locates the file at path.
 func (f *FS) resolveFile(path string) (fileRef, error) {
 	path = vfs.Clean(path)
-	dir, name := splitPath(path)
+	dir, name := vfs.Split(path)
 	dr, err := f.resolveDir(dir)
 	if err != nil {
 		return fileRef{}, err
 	}
 	dentry := fmt.Sprintf("/dentries/%s/%s", dr.id, name)
-	mfs := f.meta(dr.owner).FS
+	mfs := f.Meta(dr.owner).FS
 	t, ok := mfs.GetXattr(dentry, "t")
 	if !ok {
 		return fileRef{}, fmt.Errorf("beegfs: %q: no such file", path)
@@ -155,42 +127,10 @@ func (f *FS) resolveFile(path string) (fileRef, error) {
 	fid, _ := mfs.GetXattr(dentry, "id")
 	base, _ := mfs.GetXattr(dentry, "base")
 	bi, err := strconv.Atoi(string(base))
-	if err != nil || bi < 0 || bi >= f.conf.StorageServers {
+	if err != nil || bi < 0 || bi >= f.Conf.StorageServers {
 		return fileRef{}, fmt.Errorf("beegfs: %q: corrupt base target %q", path, base)
 	}
 	return fileRef{dir: dr, name: name, fid: string(fid), base: bi}, nil
-}
-
-func splitPath(p string) (dir, name string) {
-	p = vfs.Clean(p)
-	i := strings.LastIndexByte(p, '/')
-	if i == 0 {
-		return "/", p[1:]
-	}
-	return p[:i], p[i+1:]
-}
-
-// pickBase chooses the first stripe target for a new file.
-func (f *FS) pickBase(path string) int {
-	if f.conf.FilePlacement != nil {
-		if b, ok := f.conf.FilePlacement[vfs.Clean(path)]; ok {
-			return b % f.conf.StorageServers
-		}
-	}
-	h := fnv.New32a()
-	h.Write([]byte(vfs.Clean(path)))
-	return int(h.Sum32()) % f.conf.StorageServers
-}
-
-// pickDirOwner chooses the owning metadata server for a new directory.
-func (f *FS) pickDirOwner(path string) int {
-	if f.conf.DirPlacement != nil {
-		if o, ok := f.conf.DirPlacement[vfs.Clean(path)]; ok {
-			return o % f.conf.MetaServers
-		}
-	}
-	o := f.nextDirID % f.conf.MetaServers
-	return o
 }
 
 // client is the BeeGFS client endpoint.
@@ -206,56 +146,49 @@ func (c *client) Proc() string { return c.proc }
 // the base storage target to create the chunk file.
 func (c *client) Create(path string) error {
 	f := c.fs
-	dir, name := splitPath(path)
+	dir, name := vfs.Split(path)
 	dr, err := f.resolveDir(dir)
 	if err != nil {
 		return err
 	}
 	fid := fmt.Sprintf("f%d", f.nextFileID)
 	f.nextFileID++
-	base := f.pickBase(path)
+	base := f.Conf.FileBase(path, f.Conf.StorageServers, true)
 
 	f.RecordClientOp(c.proc, "creat", vfs.Clean(path), "", 0, nil)
 	defer f.PopClient(c.proc)
 
 	var err2 error
-	f.RPC(c.proc, f.metaProc(dr.owner), func() {
-		m := f.meta(dr.owner)
+	f.RPC(c.proc, f.Meta(dr.owner).Proc, func() {
+		m := f.Meta(dr.owner)
 		idfile := "/inodes/" + fid
 		dentry := fmt.Sprintf("/dentries/%s/%s", dr.id, name)
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: idfile}, fid, "idfile"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "t", Value: []byte("f")}, fid, "idfile"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "id", Value: []byte(fid)}, fid, "idfile"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "base", Value: []byte(strconv.Itoa(base))}, fid, "idfile"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpLink, Path: idfile, Path2: dentry}, fid, "dentry"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + dr.id, Name: "mtime", Value: []byte(fid)}, dr.id, "dir_inode"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: idfile}, fid, "idfile"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "t", Value: []byte("f")}, fid, "idfile"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "id", Value: []byte(fid)}, fid, "idfile"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "base", Value: []byte(strconv.Itoa(base))}, fid, "idfile"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpLink, Path: idfile, Path2: dentry}, fid, "dentry"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + dr.id, Name: "mtime", Value: []byte(fid)}, dr.id, "dir_inode"))
 		// The metadata server instructs the base storage target to create
 		// the chunk file (Figure 2: sendto(storage); creat(chunk)).
-		f.ServerRPC(f.metaProc(dr.owner), f.storageProc(base), func() {
-			s := f.storage(base)
-			err2 = firstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: "/chunks/" + fid}, fid, "chunk"))
+		f.ServerRPC(f.Meta(dr.owner).Proc, f.Storage(base).Proc, func() {
+			s := f.Storage(base)
+			err2 = pfs.FirstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: "/chunks/" + fid}, fid, "chunk"))
 		})
 	})
 	return err2
-}
-
-func firstErr(a, b error) error {
-	if a != nil {
-		return a
-	}
-	return b
 }
 
 // Mkdir creates a directory: a dentry on the parent's owner and the
 // dentries container + dir inode on the new directory's owner.
 func (c *client) Mkdir(path string) error {
 	f := c.fs
-	dir, name := splitPath(path)
+	dir, name := vfs.Split(path)
 	dr, err := f.resolveDir(dir)
 	if err != nil {
 		return err
 	}
-	owner := f.pickDirOwner(path)
+	owner := f.Conf.DirOwner(path, f.nextDirID)
 	id := fmt.Sprintf("d%d", f.nextDirID)
 	f.nextDirID++
 
@@ -263,28 +196,28 @@ func (c *client) Mkdir(path string) error {
 	defer f.PopClient(c.proc)
 
 	var err2 error
-	f.RPC(c.proc, f.metaProc(dr.owner), func() {
-		m := f.meta(dr.owner)
+	f.RPC(c.proc, f.Meta(dr.owner).Proc, func() {
+		m := f.Meta(dr.owner)
 		dentry := fmt.Sprintf("/dentries/%s/%s", dr.id, name)
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: dentry}, id, "dentry"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: dentry, Name: "t", Value: []byte("d")}, id, "dentry"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: dentry, Name: "id", Value: []byte(id)}, id, "dentry"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: dentry, Name: "owner", Value: []byte(strconv.Itoa(owner))}, id, "dentry"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + dr.id, Name: "mtime", Value: []byte(id)}, dr.id, "dir_inode"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: dentry}, id, "dentry"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: dentry, Name: "t", Value: []byte("d")}, id, "dentry"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: dentry, Name: "id", Value: []byte(id)}, id, "dentry"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: dentry, Name: "owner", Value: []byte(strconv.Itoa(owner))}, id, "dentry"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + dr.id, Name: "mtime", Value: []byte(id)}, dr.id, "dir_inode"))
 		// The parent's meta server instructs the new owner to materialise
 		// the directory.
 		if owner != dr.owner {
-			f.ServerRPC(f.metaProc(dr.owner), f.metaProc(owner), func() {
-				o := f.meta(owner)
-				err2 = firstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpMkdir, Path: "/dentries/" + id}, id, "dentries_dir"))
-				err2 = firstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: "/inodes/" + id}, id, "dir_inode"))
-				err2 = firstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + id, Name: "t", Value: []byte("d")}, id, "dir_inode"))
+			f.ServerRPC(f.Meta(dr.owner).Proc, f.Meta(owner).Proc, func() {
+				o := f.Meta(owner)
+				err2 = pfs.FirstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpMkdir, Path: "/dentries/" + id}, id, "dentries_dir"))
+				err2 = pfs.FirstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: "/inodes/" + id}, id, "dir_inode"))
+				err2 = pfs.FirstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + id, Name: "t", Value: []byte("d")}, id, "dir_inode"))
 			})
 		} else {
-			o := f.meta(owner)
-			err2 = firstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpMkdir, Path: "/dentries/" + id}, id, "dentries_dir"))
-			err2 = firstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: "/inodes/" + id}, id, "dir_inode"))
-			err2 = firstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + id, Name: "t", Value: []byte("d")}, id, "dir_inode"))
+			o := f.Meta(owner)
+			err2 = pfs.FirstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpMkdir, Path: "/dentries/" + id}, id, "dentries_dir"))
+			err2 = pfs.FirstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: "/inodes/" + id}, id, "dir_inode"))
+			err2 = pfs.FirstErr(err2, o.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + id, Name: "t", Value: []byte("d")}, id, "dir_inode"))
 		}
 	})
 	return err2
@@ -302,13 +235,13 @@ func (c *client) WriteAt(path string, off int64, data []byte) error {
 	defer f.PopClient(c.proc)
 
 	var err2 error
-	for _, st := range pfs.StripeRange(off, data, f.conf.StorageServers, f.conf.StripeSize, fr.base) {
+	for _, st := range pfs.StripeRange(off, data, f.Conf.StorageServers, f.Conf.StripeSize, fr.base) {
 		st := st
-		f.RPC(c.proc, f.storageProc(st.Server), func() {
-			s := f.storage(st.Server)
+		f.RPC(c.proc, f.Storage(st.Server).Proc, func() {
+			s := f.Storage(st.Server)
 			chunk := "/chunks/" + fr.fid
 			if !s.FS.Exists(chunk) {
-				err2 = firstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: chunk}, fr.fid, "chunk"))
+				err2 = pfs.FirstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: chunk}, fr.fid, "chunk"))
 			}
 			// Name the op "append" when extending at EOF (the common case
 			// in the paper's traces), "pwrite" otherwise.
@@ -317,7 +250,7 @@ func (c *client) WriteAt(path string, off int64, data []byte) error {
 			if st.LocalOffset == sz {
 				op = vfs.Op{Kind: vfs.OpAppend, Path: chunk, Data: st.Data}
 			}
-			err2 = firstErr(err2, s.Do(f.Rec, op, fr.fid, f.DataTag("chunk")))
+			err2 = pfs.FirstErr(err2, s.Do(f.Rec, op, fr.fid, f.DataTag("chunk")))
 		})
 	}
 	return err2
@@ -338,13 +271,13 @@ func (c *client) size(path string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lens := make([]int64, f.conf.StorageServers)
-	for i := 0; i < f.conf.StorageServers; i++ {
-		if sz, err := f.storage(i).FS.Size("/chunks/" + fr.fid); err == nil {
+	lens := make([]int64, f.Conf.StorageServers)
+	for i := 0; i < f.Conf.StorageServers; i++ {
+		if sz, err := f.Storage(i).FS.Size("/chunks/" + fr.fid); err == nil {
 			lens[i] = sz
 		}
 	}
-	return pfs.UnstripeSize(lens, f.conf.StorageServers, f.conf.StripeSize, fr.base), nil
+	return pfs.UnstripeSize(lens, f.Conf.StorageServers, f.Conf.StripeSize, fr.base), nil
 }
 
 // Read reassembles the file from its chunks (untraced; reads do not affect
@@ -359,8 +292,8 @@ func (c *client) Read(path string) ([]byte, error) {
 }
 
 func (f *FS) readFile(fr fileRef) []byte {
-	return pfs.ReassembleFile(f.conf.StorageServers, f.conf.StripeSize, fr.base, func(srv int) []byte {
-		b, err := f.storage(srv).FS.Read("/chunks/" + fr.fid)
+	return pfs.ReassembleFile(f.Conf.StorageServers, f.Conf.StripeSize, fr.base, func(srv int) []byte {
+		b, err := f.Storage(srv).FS.Read("/chunks/" + fr.fid)
 		if err != nil {
 			return nil
 		}
@@ -382,7 +315,7 @@ func (c *client) Rename(from, to string) error {
 		}
 		return err
 	}
-	toDir, toName := splitPath(to)
+	toDir, toName := vfs.Split(to)
 	dst, err := f.resolveDir(toDir)
 	if err != nil {
 		return err
@@ -400,26 +333,26 @@ func (c *client) Rename(from, to string) error {
 	var err2 error
 	if dst.owner == fr.dir.owner {
 		// Single metadata server: Figure 2's sequence.
-		f.RPC(c.proc, f.metaProc(dst.owner), func() {
-			m := f.meta(dst.owner)
+		f.RPC(c.proc, f.Meta(dst.owner).Proc, func() {
+			m := f.Meta(dst.owner)
 			srcDentry := fmt.Sprintf("/dentries/%s/%s", fr.dir.id, fr.name)
 			dstDentry := fmt.Sprintf("/dentries/%s/%s", dst.id, toName)
-			err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpRename, Path: srcDentry, Path2: dstDentry}, fr.fid, "dentry"))
-			err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + dst.id, Name: "mtime", Value: []byte(fr.fid)}, dst.id, "dir_inode"))
+			err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpRename, Path: srcDentry, Path2: dstDentry}, fr.fid, "dentry"))
+			err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + dst.id, Name: "mtime", Value: []byte(fr.fid)}, dst.id, "dir_inode"))
 			if oldFid != "" {
-				err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/inodes/" + oldFid}, oldFid, "idfile"))
+				err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/inodes/" + oldFid}, oldFid, "idfile"))
 			}
-			err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + fr.fid, Name: "mtime", Value: []byte("renamed")}, fr.fid, "idfile"))
+			err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + fr.fid, Name: "mtime", Value: []byte("renamed")}, fr.fid, "idfile"))
 			if oldFid != "" {
 				// Instruct storage to remove the replaced file's chunks.
-				for i := 0; i < f.conf.StorageServers; i++ {
+				for i := 0; i < f.Conf.StorageServers; i++ {
 					srv := i
-					if !f.storage(srv).FS.Exists("/chunks/" + oldFid) {
+					if !f.Storage(srv).FS.Exists("/chunks/" + oldFid) {
 						continue
 					}
-					f.ServerRPC(f.metaProc(dst.owner), f.storageProc(srv), func() {
-						s := f.storage(srv)
-						err2 = firstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/chunks/" + oldFid}, oldFid, "chunk"))
+					f.ServerRPC(f.Meta(dst.owner).Proc, f.Storage(srv).Proc, func() {
+						s := f.Storage(srv)
+						err2 = pfs.FirstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/chunks/" + oldFid}, oldFid, "chunk"))
 					})
 				}
 			}
@@ -429,8 +362,8 @@ func (c *client) Rename(from, to string) error {
 	}
 
 	// Cross-owner rename: destination first, then source removal.
-	f.RPC(c.proc, f.metaProc(dst.owner), func() {
-		m := f.meta(dst.owner)
+	f.RPC(c.proc, f.Meta(dst.owner).Proc, func() {
+		m := f.Meta(dst.owner)
 		idfile := "/inodes/" + fr.fid
 		dstDentry := fmt.Sprintf("/dentries/%s/%s", dst.id, toName)
 		if oldFid != "" {
@@ -439,34 +372,34 @@ func (c *client) Rename(from, to string) error {
 			// then its chunks after the new dentry is in place — so the
 			// destination name, like the same-owner path, is never resolvable
 			// to a third file but can transiently disappear.
-			err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: dstDentry}, oldFid, "dentry"))
-			err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/inodes/" + oldFid}, oldFid, "idfile"))
+			err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: dstDentry}, oldFid, "dentry"))
+			err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/inodes/" + oldFid}, oldFid, "idfile"))
 		}
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: idfile}, fr.fid, "idfile"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "t", Value: []byte("f")}, fr.fid, "idfile"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "id", Value: []byte(fr.fid)}, fr.fid, "idfile"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "base", Value: []byte(strconv.Itoa(fr.base))}, fr.fid, "idfile"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpLink, Path: idfile, Path2: dstDentry}, fr.fid, "dentry"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + dst.id, Name: "mtime", Value: []byte(fr.fid)}, dst.id, "dir_inode"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: idfile}, fr.fid, "idfile"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "t", Value: []byte("f")}, fr.fid, "idfile"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "id", Value: []byte(fr.fid)}, fr.fid, "idfile"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: idfile, Name: "base", Value: []byte(strconv.Itoa(fr.base))}, fr.fid, "idfile"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpLink, Path: idfile, Path2: dstDentry}, fr.fid, "dentry"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + dst.id, Name: "mtime", Value: []byte(fr.fid)}, dst.id, "dir_inode"))
 		if oldFid != "" {
-			for i := 0; i < f.conf.StorageServers; i++ {
+			for i := 0; i < f.Conf.StorageServers; i++ {
 				srv := i
-				if !f.storage(srv).FS.Exists("/chunks/" + oldFid) {
+				if !f.Storage(srv).FS.Exists("/chunks/" + oldFid) {
 					continue
 				}
-				f.ServerRPC(f.metaProc(dst.owner), f.storageProc(srv), func() {
-					s := f.storage(srv)
-					err2 = firstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/chunks/" + oldFid}, oldFid, "chunk"))
+				f.ServerRPC(f.Meta(dst.owner).Proc, f.Storage(srv).Proc, func() {
+					s := f.Storage(srv)
+					err2 = pfs.FirstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/chunks/" + oldFid}, oldFid, "chunk"))
 				})
 			}
 		}
 	})
-	f.RPC(c.proc, f.metaProc(fr.dir.owner), func() {
-		m := f.meta(fr.dir.owner)
+	f.RPC(c.proc, f.Meta(fr.dir.owner).Proc, func() {
+		m := f.Meta(fr.dir.owner)
 		srcDentry := fmt.Sprintf("/dentries/%s/%s", fr.dir.id, fr.name)
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: srcDentry}, fr.fid, "dentry"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/inodes/" + fr.fid}, fr.fid, "idfile"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + fr.dir.id, Name: "mtime", Value: []byte(fr.fid)}, fr.dir.id, "dir_inode"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: srcDentry}, fr.fid, "dentry"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/inodes/" + fr.fid}, fr.fid, "idfile"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + fr.dir.id, Name: "mtime", Value: []byte(fr.fid)}, fr.dir.id, "dir_inode"))
 	})
 	return err2
 }
@@ -477,8 +410,8 @@ func (c *client) Rename(from, to string) error {
 // parent's owner is involved.
 func (c *client) renameDir(from, to string) error {
 	f := c.fs
-	fromParent, fromName := splitPath(from)
-	toParent, toName := splitPath(to)
+	fromParent, fromName := vfs.Split(from)
+	toParent, toName := vfs.Split(to)
 	if vfs.Clean(fromParent) != vfs.Clean(toParent) {
 		return fmt.Errorf("beegfs: cross-directory dir rename not supported: %s -> %s", from, to)
 	}
@@ -494,12 +427,12 @@ func (c *client) renameDir(from, to string) error {
 	defer f.PopClient(c.proc)
 
 	var err2 error
-	f.RPC(c.proc, f.metaProc(pr.owner), func() {
-		m := f.meta(pr.owner)
+	f.RPC(c.proc, f.Meta(pr.owner).Proc, func() {
+		m := f.Meta(pr.owner)
 		srcDentry := fmt.Sprintf("/dentries/%s/%s", pr.id, fromName)
 		dstDentry := fmt.Sprintf("/dentries/%s/%s", pr.id, toName)
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpRename, Path: srcDentry, Path2: dstDentry}, dr.id, "dentry"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + pr.id, Name: "mtime", Value: []byte(dr.id)}, pr.id, "dir_inode"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpRename, Path: srcDentry, Path2: dstDentry}, dr.id, "dentry"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + pr.id, Name: "mtime", Value: []byte(dr.id)}, pr.id, "dir_inode"))
 	})
 	return err2
 }
@@ -516,20 +449,20 @@ func (c *client) Unlink(path string) error {
 	defer f.PopClient(c.proc)
 
 	var err2 error
-	f.RPC(c.proc, f.metaProc(fr.dir.owner), func() {
-		m := f.meta(fr.dir.owner)
+	f.RPC(c.proc, f.Meta(fr.dir.owner).Proc, func() {
+		m := f.Meta(fr.dir.owner)
 		dentry := fmt.Sprintf("/dentries/%s/%s", fr.dir.id, fr.name)
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: dentry}, fr.fid, "dentry"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/inodes/" + fr.fid}, fr.fid, "idfile"))
-		err2 = firstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + fr.dir.id, Name: "mtime", Value: []byte(fr.fid)}, fr.dir.id, "dir_inode"))
-		for i := 0; i < f.conf.StorageServers; i++ {
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: dentry}, fr.fid, "dentry"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/inodes/" + fr.fid}, fr.fid, "idfile"))
+		err2 = pfs.FirstErr(err2, m.Do(f.Rec, vfs.Op{Kind: vfs.OpSetXattr, Path: "/inodes/" + fr.dir.id, Name: "mtime", Value: []byte(fr.fid)}, fr.dir.id, "dir_inode"))
+		for i := 0; i < f.Conf.StorageServers; i++ {
 			srv := i
-			if !f.storage(srv).FS.Exists("/chunks/" + fr.fid) {
+			if !f.Storage(srv).FS.Exists("/chunks/" + fr.fid) {
 				continue
 			}
-			f.ServerRPC(f.metaProc(fr.dir.owner), f.storageProc(srv), func() {
-				s := f.storage(srv)
-				err2 = firstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/chunks/" + fr.fid}, fr.fid, "chunk"))
+			f.ServerRPC(f.Meta(fr.dir.owner).Proc, f.Storage(srv).Proc, func() {
+				s := f.Storage(srv)
+				err2 = pfs.FirstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: "/chunks/" + fr.fid}, fr.fid, "chunk"))
 			})
 		}
 	})
@@ -547,13 +480,13 @@ func (c *client) Fsync(path string) error {
 	f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
 	defer f.PopClient(c.proc)
 
-	for i := 0; i < f.conf.StorageServers; i++ {
+	for i := 0; i < f.Conf.StorageServers; i++ {
 		srv := i
-		if !f.storage(srv).FS.Exists("/chunks/" + fr.fid) {
+		if !f.Storage(srv).FS.Exists("/chunks/" + fr.fid) {
 			continue
 		}
-		f.RPC(c.proc, f.storageProc(srv), func() {
-			s := f.storage(srv)
+		f.RPC(c.proc, f.Storage(srv).Proc, func() {
+			s := f.Storage(srv)
 			_ = s.DoSync(f.Rec, "/chunks/"+fr.fid, fr.fid, false)
 		})
 	}
@@ -574,8 +507,8 @@ func (c *client) Close(path string) error {
 // restores structural invariants but cannot resurrect lost updates.
 func (f *FS) Recover() error {
 	defer f.TimeOp("pfs/recover")()
-	for mi := 0; mi < f.conf.MetaServers; mi++ {
-		m := f.meta(mi).FS
+	for mi := 0; mi < f.Conf.MetaServers; mi++ {
+		m := f.Meta(mi).FS
 		if !m.IsDir("/dentries") {
 			if err := m.MkdirAll("/dentries"); err != nil {
 				return fmt.Errorf("beegfs-fsck: %v", err)
@@ -602,18 +535,18 @@ func (f *FS) Recover() error {
 					// valid storage index is unrepairable: drop it, as
 					// beegfs-fsck drops entries it cannot resolve.
 					base, _ := m.GetXattr(e, "base")
-					if bi, err := strconv.Atoi(string(base)); err != nil || bi < 0 || bi >= f.conf.StorageServers {
+					if bi, err := strconv.Atoi(string(base)); err != nil || bi < 0 || bi >= f.Conf.StorageServers {
 						_ = m.Unlink(e)
 					}
 				case "d":
 					id, _ := m.GetXattr(e, "id")
 					owner, _ := m.GetXattr(e, "owner")
 					oi, err := strconv.Atoi(string(owner))
-					if err != nil || oi < 0 || oi >= f.conf.MetaServers {
+					if err != nil || oi < 0 || oi >= f.Conf.MetaServers {
 						_ = m.Unlink(e)
 						continue
 					}
-					ofs := f.meta(oi).FS
+					ofs := f.Meta(oi).FS
 					if !ofs.IsDir("/dentries/" + string(id)) {
 						_ = ofs.MkdirAll("/dentries/" + string(id))
 					}
@@ -626,8 +559,8 @@ func (f *FS) Recover() error {
 		}
 	}
 	// Root must exist.
-	if !f.meta(0).FS.IsDir("/dentries/root") {
-		if err := f.meta(0).FS.MkdirAll("/dentries/root"); err != nil {
+	if !f.Meta(0).FS.IsDir("/dentries/root") {
+		if err := f.Meta(0).FS.MkdirAll("/dentries/root"); err != nil {
 			return fmt.Errorf("beegfs-fsck: root: %v", err)
 		}
 	}
@@ -641,10 +574,10 @@ func (f *FS) Mount() (*pfs.Tree, error) {
 	t := pfs.NewTree()
 	var walk func(path string, dr dirRef) error
 	walk = func(path string, dr dirRef) error {
-		if dr.owner >= f.conf.MetaServers {
+		if dr.owner >= f.Conf.MetaServers {
 			return fmt.Errorf("beegfs: mount: bad owner %d", dr.owner)
 		}
-		m := f.meta(dr.owner).FS
+		m := f.Meta(dr.owner).FS
 		container := "/dentries/" + dr.id
 		if !m.IsDir(container) {
 			return nil // unmaterialised directory: empty
@@ -658,7 +591,7 @@ func (f *FS) Mount() (*pfs.Tree, error) {
 			child := vfs.Clean(path + "/" + name)
 			t0, ok := m.GetXattr(e, "t")
 			if !ok {
-				return fmt.Errorf("beegfs: mount: corrupt dentry %s on %s", e, f.metaProc(dr.owner))
+				return fmt.Errorf("beegfs: mount: corrupt dentry %s on %s", e, f.Meta(dr.owner).Proc)
 			}
 			switch string(t0) {
 			case "d":
@@ -676,7 +609,7 @@ func (f *FS) Mount() (*pfs.Tree, error) {
 				fid, _ := m.GetXattr(e, "id")
 				base, _ := m.GetXattr(e, "base")
 				bi, err := strconv.Atoi(string(base))
-				if err != nil || bi < 0 || bi >= f.conf.StorageServers {
+				if err != nil || bi < 0 || bi >= f.Conf.StorageServers {
 					return fmt.Errorf("beegfs: mount: corrupt base target %q on dentry %s", base, e)
 				}
 				t.AddFile(child, f.readFile(fileRef{fid: string(fid), base: bi}))

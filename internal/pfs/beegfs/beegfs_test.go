@@ -21,7 +21,7 @@ func TestMetadataLayout(t *testing.T) {
 	}
 	// The dentry is a hard link to the idfile on the owning meta server
 	// (Figure 2's link(idfile, dentries/...)).
-	m := f.meta(0).FS
+	m := f.Meta(0).FS
 	dentry := "/dentries/root/foo"
 	if !m.Exists(dentry) {
 		t.Fatal("dentry missing on meta/0")
@@ -64,8 +64,8 @@ func TestStripingAcrossStorageServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stripes 0 (128B) and 2 (44B) land on server 0; stripe 1 on server 1.
-	s0, _ := f.storage(0).FS.Size("/chunks/" + fr.fid)
-	s1, _ := f.storage(1).FS.Size("/chunks/" + fr.fid)
+	s0, _ := f.Storage(0).FS.Size("/chunks/" + fr.fid)
+	s1, _ := f.Storage(1).FS.Size("/chunks/" + fr.fid)
 	if s0 != 172 || s1 != 128 {
 		t.Fatalf("chunk sizes = %d, %d; want 172, 128", s0, s1)
 	}
@@ -83,7 +83,7 @@ func TestFsckDropsCorruptDentries(t *testing.T) {
 	}
 	// Inject a dentry with no parseable metadata (as a crash state could
 	// leave behind).
-	m := f.meta(0).FS
+	m := f.Meta(0).FS
 	if err := m.Create("/dentries/root/corrupt"); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFsckMaterialisesMissingDirContainers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ofs := f.meta(dr.owner).FS
+	ofs := f.Meta(dr.owner).FS
 	if err := ofs.Rmdir("/dentries/" + dr.id); err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,8 @@ func TestRenameReplaceRemovesOldChunks(t *testing.T) {
 	if err := c.Rename("/a", "/b"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < f.conf.StorageServers; i++ {
-		if f.storage(i).FS.Exists("/chunks/" + oldB.fid) {
+	for i := 0; i < f.Conf.StorageServers; i++ {
+		if f.Storage(i).FS.Exists("/chunks/" + oldB.fid) {
 			t.Fatal("replaced file's chunk not removed")
 		}
 	}
@@ -224,7 +224,7 @@ func TestCorruptBaseSurfacesAsInconsistency(t *testing.T) {
 			if err := c.Create("/victim"); err != nil {
 				t.Fatal(err)
 			}
-			m := f.meta(0).FS
+			m := f.Meta(0).FS
 			if err := m.SetXattr("/dentries/root/victim", "base", []byte(corrupt)); err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +259,7 @@ func TestFsckDropsNegativeOwner(t *testing.T) {
 	if err := c.Mkdir("/d"); err != nil {
 		t.Fatal(err)
 	}
-	m := f.meta(0).FS
+	m := f.Meta(0).FS
 	if err := m.SetXattr("/dentries/root/d", "owner", []byte("-2")); err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +320,8 @@ func TestCrossOwnerRenameReplacesExistingTarget(t *testing.T) {
 	if _, err := f.resolveFile("/d0/src"); err == nil {
 		t.Fatal("source still resolvable after rename")
 	}
-	for i := 0; i < f.conf.StorageServers; i++ {
-		if f.storage(i).FS.Exists("/chunks/" + oldDst.fid) {
+	for i := 0; i < f.Conf.StorageServers; i++ {
+		if f.Storage(i).FS.Exists("/chunks/" + oldDst.fid) {
 			t.Fatal("replaced file's chunks not removed")
 		}
 	}

@@ -135,13 +135,6 @@ type Cluster struct {
 	restoreAll, restoreServer *obs.Timer
 }
 
-// ObsAware is implemented by file systems that can attach an observability
-// run (every Cluster-based FileSystem). The explorer sets the run on the
-// cluster it explores.
-type ObsAware interface {
-	SetObs(*obs.Run)
-}
-
 // SetObs attaches (or, with nil, detaches) the observability run and
 // resolves the cluster's restore timers ("pfs/restore-all",
 // "pfs/restore-server") on it.
@@ -156,8 +149,7 @@ func (c *Cluster) SetObs(r *obs.Run) {
 func (c *Cluster) TimeOp(name string) func() { return c.obsRun.StartTimer(name) }
 
 // SetTagHint sets (or, with "", clears) the semantic tag applied to
-// subsequent data writes. Exposed on every FileSystem via the embedded
-// Cluster.
+// subsequent data writes.
 func (c *Cluster) SetTagHint(tag string) { c.tagHint = tag }
 
 // DataTag returns the upper-layer tag hint if one is set, def otherwise.
@@ -168,11 +160,8 @@ func (c *Cluster) DataTag(def string) string {
 	return def
 }
 
-// TagHinter is implemented by file systems whose data writes can carry
-// upper-layer semantic tags (every Cluster-based FileSystem).
-type TagHinter interface {
-	SetTagHint(tag string)
-}
+// Recorder returns the trace recorder shared by every layer.
+func (c *Cluster) Recorder() *trace.Recorder { return c.Rec }
 
 // NewCluster returns a cluster with the given user-level server procs.
 func NewCluster(conf Config, rec *trace.Recorder, fsProcs []string) *Cluster {
@@ -182,6 +171,20 @@ func NewCluster(conf Config, rec *trace.Recorder, fsProcs []string) *Cluster {
 	}
 	return c
 }
+
+// NewMetaCluster returns the user-level layout BeeGFS and OrangeFS share:
+// conf.MetaServers metadata servers ("meta/<i>") followed by
+// conf.StorageServers storage servers ("storage/<i>"); Meta and Storage
+// index them.
+func NewMetaCluster(conf Config, rec *trace.Recorder) *Cluster {
+	return NewCluster(conf, rec, append(ProcNames("meta", conf.MetaServers), ProcNames("storage", conf.StorageServers)...))
+}
+
+// Meta returns metadata server i of a NewMetaCluster layout.
+func (c *Cluster) Meta(i int) *ServerFS { return c.FSServers[i] }
+
+// Storage returns storage server i of a NewMetaCluster layout.
+func (c *Cluster) Storage(i int) *ServerFS { return c.FSServers[c.Conf.MetaServers+i] }
 
 // NewBlockCluster returns a cluster with the given kernel-level server procs.
 func NewBlockCluster(conf Config, rec *trace.Recorder, blockProcs []string) *Cluster {
@@ -291,45 +294,28 @@ func (c *Cluster) PersistConfig() causality.PersistConfig {
 	return cfg
 }
 
-// RPC simulates a synchronous remote procedure call from fromProc to
-// toProc: it records the request send/recv pair, runs handler with the
-// server as the recording context (ops it records pick up the recv op as
-// caller), then records the reply pair. This yields exactly the
-// sendto/recvfrom causality edges of the paper's Figure 2 traces.
+// RPC simulates a synchronous remote procedure call from client fromProc
+// to server toProc: it records the request send/recv pair, runs handler
+// with the server as the recording context (ops it records pick up the recv
+// op as caller), then records the reply pair. This yields exactly the
+// sendto/recvfrom causality edges of the paper's Figure 2 traces. The
+// client's side is recorded at the PFS layer.
 func (c *Cluster) RPC(fromProc, toProc string, handler func()) {
-	req := c.Rec.NewMsgID()
-	send := c.Rec.Record(trace.Op{
-		Layer: trace.LayerPFS, Proc: fromProc,
-		Name: "sendto", Path: toProc, MsgID: req, IsSend: true,
-	})
-	parent := send.ID
-	if parent <= 0 {
-		parent = -1
-	}
-	c.Rec.Push(trace.Op{
-		Layer: trace.LayerLocalFS, Proc: toProc,
-		Name: "recvfrom", Path: fromProc, MsgID: req, Parent: parent,
-	})
-	handler()
-	c.Rec.Pop(toProc)
-	rep := c.Rec.NewMsgID()
-	c.Rec.Record(trace.Op{
-		Layer: trace.LayerLocalFS, Proc: toProc,
-		Name: "sendto", Path: fromProc, MsgID: rep, IsSend: true,
-	})
-	c.Rec.Record(trace.Op{
-		Layer: trace.LayerPFS, Proc: fromProc,
-		Name: "recvfrom", Path: toProc, MsgID: rep,
-	})
+	c.rpc(trace.LayerPFS, fromProc, toProc, handler)
 }
 
 // ServerRPC simulates a server-to-server call (e.g. BeeGFS metadata server
-// instructing a storage server), recorded at the lowermost layer on both
-// sides.
+// instructing a storage server): an RPC whose both sides are recorded at
+// the lowermost layer.
 func (c *Cluster) ServerRPC(fromProc, toProc string, handler func()) {
+	c.rpc(trace.LayerLocalFS, fromProc, toProc, handler)
+}
+
+// rpc records an RPC whose caller side is at layer from.
+func (c *Cluster) rpc(from trace.Layer, fromProc, toProc string, handler func()) {
 	req := c.Rec.NewMsgID()
 	send := c.Rec.Record(trace.Op{
-		Layer: trace.LayerLocalFS, Proc: fromProc,
+		Layer: from, Proc: fromProc,
 		Name: "sendto", Path: toProc, MsgID: req, IsSend: true,
 	})
 	parent := send.ID
@@ -348,7 +334,7 @@ func (c *Cluster) ServerRPC(fromProc, toProc string, handler func()) {
 		Name: "sendto", Path: fromProc, MsgID: rep, IsSend: true,
 	})
 	c.Rec.Record(trace.Op{
-		Layer: trace.LayerLocalFS, Proc: fromProc,
+		Layer: from, Proc: fromProc,
 		Name: "recvfrom", Path: toProc, MsgID: rep,
 	})
 }

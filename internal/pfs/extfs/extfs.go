@@ -7,8 +7,6 @@
 package extfs
 
 import (
-	"fmt"
-
 	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
 	"paracrash/internal/vfs"
@@ -17,28 +15,21 @@ import (
 // FS is a single-node local file system exposed through the pfs interface.
 type FS struct {
 	*pfs.Cluster
-	conf pfs.Config
 }
 
 // New creates the baseline deployment (exactly one server, "local/0").
 func New(conf pfs.Config, rec *trace.Recorder) *FS {
-	return &FS{Cluster: pfs.NewCluster(conf, rec, []string{"local/0"}), conf: conf}
+	return &FS{Cluster: pfs.NewCluster(conf, rec, []string{"local/0"})}
 }
 
 // Name implements pfs.FileSystem.
 func (f *FS) Name() string { return "ext4" }
 
-// Config implements pfs.FileSystem.
-func (f *FS) Config() pfs.Config { return f.conf }
-
-// Recorder implements pfs.FileSystem.
-func (f *FS) Recorder() *trace.Recorder { return f.Rec }
-
 func (f *FS) local() *pfs.ServerFS { return f.FSServers[0] }
 
 // Client implements pfs.FileSystem.
 func (f *FS) Client(id int) pfs.Client {
-	return &client{fs: f, proc: fmt.Sprintf("client/%d", id)}
+	return &client{fs: f, proc: pfs.ClientProc(id)}
 }
 
 type client struct {

@@ -24,57 +24,27 @@ import (
 // FS is a simulated GlusterFS striped volume.
 type FS struct {
 	*pfs.Cluster
-	conf pfs.Config
 
 	nextGfid int
 }
 
 // New creates a GlusterFS deployment with conf.StorageServers bricks.
 func New(conf pfs.Config, rec *trace.Recorder) *FS {
-	var procs []string
-	for i := 0; i < conf.StorageServers; i++ {
-		procs = append(procs, fmt.Sprintf("brick/%d", i))
-	}
-	f := &FS{Cluster: pfs.NewCluster(conf, rec, procs), conf: conf, nextGfid: 1}
-	for i := 0; i < conf.StorageServers; i++ {
-		must(f.brick(i).FS.Mkdir("/vol"))
+	f := &FS{Cluster: pfs.NewCluster(conf, rec, pfs.ProcNames("brick", conf.StorageServers)), nextGfid: 1}
+	for _, b := range f.FSServers {
+		pfs.Must(b.FS.Mkdir("/vol"))
 	}
 	return f
-}
-
-func must(err error) {
-	if err != nil {
-		panic(fmt.Sprintf("glusterfs: setup: %v", err))
-	}
 }
 
 // Name implements pfs.FileSystem.
 func (f *FS) Name() string { return "glusterfs" }
 
-// Config implements pfs.FileSystem.
-func (f *FS) Config() pfs.Config { return f.conf }
-
-// Recorder implements pfs.FileSystem.
-func (f *FS) Recorder() *trace.Recorder { return f.Rec }
-
 func (f *FS) brick(i int) *pfs.ServerFS { return f.FSServers[i] }
-func (f *FS) brickProc(i int) string    { return fmt.Sprintf("brick/%d", i) }
 
 // Client implements pfs.FileSystem.
 func (f *FS) Client(id int) pfs.Client {
-	return &client{fs: f, proc: fmt.Sprintf("client/%d", id)}
-}
-
-// base returns the first stripe target for a path: brick 0 for a pure
-// striped volume, unless pinned by FilePlacement (the distribution
-// sensitivity studies).
-func (f *FS) base(path string) int {
-	if f.conf.FilePlacement != nil {
-		if b, ok := f.conf.FilePlacement[vfs.Clean(path)]; ok {
-			return b % f.conf.StorageServers
-		}
-	}
-	return 0
+	return &client{fs: f, proc: pfs.ClientProc(id)}
 }
 
 // local returns the brick-local path of a volume path.
@@ -90,7 +60,9 @@ func (c *client) Proc() string { return c.proc }
 // Create creates the file on its base brick with the volume xattrs.
 func (c *client) Create(path string) error {
 	f := c.fs
-	base := f.base(path)
+	// Brick 0 for a pure striped volume, unless pinned by FilePlacement
+	// (the distribution sensitivity studies).
+	base := f.Conf.FileBase(path, f.Conf.StorageServers, false)
 	gfid := fmt.Sprintf("g%d", f.nextGfid)
 	f.nextGfid++
 
@@ -98,7 +70,7 @@ func (c *client) Create(path string) error {
 	defer f.PopClient(c.proc)
 
 	var err error
-	f.RPC(c.proc, f.brickProc(base), func() {
+	f.RPC(c.proc, f.brick(base).Proc, func() {
 		b := f.brick(base)
 		err = b.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: local(path)}, gfid, "file")
 		if err == nil {
@@ -119,13 +91,11 @@ func (c *client) Mkdir(path string) error {
 	defer f.PopClient(c.proc)
 
 	var err error
-	for i := 0; i < f.conf.StorageServers; i++ {
+	for i := 0; i < f.Conf.StorageServers; i++ {
 		srv := i
-		f.RPC(c.proc, f.brickProc(srv), func() {
+		f.RPC(c.proc, f.brick(srv).Proc, func() {
 			b := f.brick(srv)
-			if e := b.Do(f.Rec, vfs.Op{Kind: vfs.OpMkdir, Path: local(path)}, vfs.Clean(path), "dir"); e != nil && err == nil {
-				err = e
-			}
+			err = pfs.FirstErr(err, b.Do(f.Rec, vfs.Op{Kind: vfs.OpMkdir, Path: local(path)}, vfs.Clean(path), "dir"))
 		})
 	}
 	return err
@@ -137,12 +107,12 @@ func (c *client) Mkdir(path string) error {
 // brick-0 file); a base that is present but does not parse to a valid
 // brick index is corruption and surfaces as an error.
 func (f *FS) gfidOf(path string) (string, int, error) {
-	for i := 0; i < f.conf.StorageServers; i++ {
+	for i := 0; i < f.Conf.StorageServers; i++ {
 		if g, ok := f.brick(i).FS.GetXattr(local(path), "gfid"); ok {
 			base := 0
 			if b, ok := f.brick(i).FS.GetXattr(local(path), "base"); ok {
 				bi, err := strconv.Atoi(string(b))
-				if err != nil || bi < 0 || bi >= f.conf.StorageServers {
+				if err != nil || bi < 0 || bi >= f.Conf.StorageServers {
 					return "", 0, fmt.Errorf("glusterfs: %q: corrupt base xattr %q", path, b)
 				}
 				base = bi
@@ -165,24 +135,20 @@ func (c *client) WriteAt(path string, off int64, data []byte) error {
 	defer f.PopClient(c.proc)
 
 	var err2 error
-	for _, st := range pfs.StripeRange(off, data, f.conf.StorageServers, f.conf.StripeSize, base) {
+	for _, st := range pfs.StripeRange(off, data, f.Conf.StorageServers, f.Conf.StripeSize, base) {
 		st := st
-		f.RPC(c.proc, f.brickProc(st.Server), func() {
+		f.RPC(c.proc, f.brick(st.Server).Proc, func() {
 			b := f.brick(st.Server)
 			lp := local(path)
 			if !b.FS.Exists(lp) {
-				if e := b.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: lp}, gfid, "stripe"); e != nil && err2 == nil {
-					err2 = e
-				}
+				err2 = pfs.FirstErr(err2, b.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: lp}, gfid, "stripe"))
 			}
 			sz, _ := b.FS.Size(lp)
 			op := vfs.Op{Kind: vfs.OpWrite, Path: lp, Offset: st.LocalOffset, Data: st.Data}
 			if st.LocalOffset == sz {
 				op = vfs.Op{Kind: vfs.OpAppend, Path: lp, Data: st.Data}
 			}
-			if e := b.Do(f.Rec, op, gfid, f.DataTag("stripe")); e != nil && err2 == nil {
-				err2 = e
-			}
+			err2 = pfs.FirstErr(err2, b.Do(f.Rec, op, gfid, f.DataTag("stripe")))
 		})
 	}
 	return err2
@@ -195,13 +161,13 @@ func (c *client) Append(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	lens := make([]int64, f.conf.StorageServers)
+	lens := make([]int64, f.Conf.StorageServers)
 	for i := range lens {
 		if sz, err := f.brick(i).FS.Size(local(path)); err == nil {
 			lens[i] = sz
 		}
 	}
-	return c.WriteAt(path, pfs.UnstripeSize(lens, f.conf.StorageServers, f.conf.StripeSize, base), data)
+	return c.WriteAt(path, pfs.UnstripeSize(lens, f.Conf.StorageServers, f.Conf.StripeSize, base), data)
 }
 
 // Read reassembles the file from its stripes.
@@ -215,7 +181,7 @@ func (c *client) Read(path string) ([]byte, error) {
 }
 
 func (f *FS) readFile(path string, base int) []byte {
-	return pfs.ReassembleFile(f.conf.StorageServers, f.conf.StripeSize, base, func(srv int) []byte {
+	return pfs.ReassembleFile(f.Conf.StorageServers, f.Conf.StripeSize, base, func(srv int) []byte {
 		b, err := f.brick(srv).FS.Read(local(path))
 		if err != nil {
 			return nil
@@ -226,7 +192,7 @@ func (f *FS) readFile(path string, base int) []byte {
 
 // exists reports whether any brick holds the path.
 func (f *FS) exists(path string) bool {
-	for i := 0; i < f.conf.StorageServers; i++ {
+	for i := 0; i < f.Conf.StorageServers; i++ {
 		if f.brick(i).FS.Exists(local(path)) {
 			return true
 		}
@@ -245,7 +211,7 @@ func (c *client) Rename(from, to string) error {
 	defer f.PopClient(c.proc)
 
 	var err error
-	for i := 0; i < f.conf.StorageServers; i++ {
+	for i := 0; i < f.Conf.StorageServers; i++ {
 		srv := i
 		bfs := f.brick(srv).FS
 		hasSrc := bfs.Exists(local(from))
@@ -253,17 +219,13 @@ func (c *client) Rename(from, to string) error {
 		if !hasSrc && !hasDst {
 			continue
 		}
-		f.RPC(c.proc, f.brickProc(srv), func() {
+		f.RPC(c.proc, f.brick(srv).Proc, func() {
 			b := f.brick(srv)
 			if hasSrc {
-				if e := b.Do(f.Rec, vfs.Op{Kind: vfs.OpRename, Path: local(from), Path2: local(to)}, vfs.Clean(from), "dentry"); e != nil && err == nil {
-					err = e
-				}
+				err = pfs.FirstErr(err, b.Do(f.Rec, vfs.Op{Kind: vfs.OpRename, Path: local(from), Path2: local(to)}, vfs.Clean(from), "dentry"))
 			} else {
 				// Replaced target stripe with no source counterpart.
-				if e := b.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: local(to)}, vfs.Clean(to), "stripe"); e != nil && err == nil {
-					err = e
-				}
+				err = pfs.FirstErr(err, b.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: local(to)}, vfs.Clean(to), "stripe"))
 			}
 		})
 	}
@@ -280,16 +242,14 @@ func (c *client) Unlink(path string) error {
 	defer f.PopClient(c.proc)
 
 	var err error
-	for i := 0; i < f.conf.StorageServers; i++ {
+	for i := 0; i < f.Conf.StorageServers; i++ {
 		srv := i
 		if !f.brick(srv).FS.Exists(local(path)) {
 			continue
 		}
-		f.RPC(c.proc, f.brickProc(srv), func() {
+		f.RPC(c.proc, f.brick(srv).Proc, func() {
 			b := f.brick(srv)
-			if e := b.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: local(path)}, vfs.Clean(path), "dentry"); e != nil && err == nil {
-				err = e
-			}
+			err = pfs.FirstErr(err, b.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: local(path)}, vfs.Clean(path), "dentry"))
 		})
 	}
 	return err
@@ -301,12 +261,12 @@ func (c *client) Fsync(path string) error {
 	f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
 	defer f.PopClient(c.proc)
 
-	for i := 0; i < f.conf.StorageServers; i++ {
+	for i := 0; i < f.Conf.StorageServers; i++ {
 		srv := i
 		if !f.brick(srv).FS.Exists(local(path)) {
 			continue
 		}
-		f.RPC(c.proc, f.brickProc(srv), func() {
+		f.RPC(c.proc, f.brick(srv).Proc, func() {
 			_ = f.brick(srv).DoSync(f.Rec, local(path), vfs.Clean(path), false)
 		})
 	}
@@ -334,7 +294,7 @@ func (f *FS) Recover() error {
 			dirs[p] = true
 		}
 	}
-	for i := 1; i < f.conf.StorageServers; i++ {
+	for i := 1; i < f.Conf.StorageServers; i++ {
 		bfs := f.brick(i).FS
 		for p := range dirs {
 			if !bfs.IsDir(p) && !bfs.Exists(p) {
@@ -343,7 +303,7 @@ func (f *FS) Recover() error {
 		}
 	}
 	// Remove orphaned stripe files (no base copy anywhere).
-	for i := 0; i < f.conf.StorageServers; i++ {
+	for i := 0; i < f.Conf.StorageServers; i++ {
 		bfs := f.brick(i).FS
 		for _, p := range bfs.Walk() {
 			if !strings.HasPrefix(p, "/vol") || bfs.IsDir(p) {
@@ -353,7 +313,7 @@ func (f *FS) Recover() error {
 				continue
 			}
 			orphan := true
-			for j := 0; j < f.conf.StorageServers; j++ {
+			for j := 0; j < f.Conf.StorageServers; j++ {
 				if _, ok := f.brick(j).FS.GetXattr(p, "gfid"); ok {
 					orphan = false
 					break
@@ -375,7 +335,7 @@ func (f *FS) Mount() (*pfs.Tree, error) {
 	defer f.TimeOp("pfs/mount")()
 	t := pfs.NewTree()
 	seen := map[string]bool{}
-	for i := 0; i < f.conf.StorageServers; i++ {
+	for i := 0; i < f.Conf.StorageServers; i++ {
 		bfs := f.brick(i).FS
 		for _, p := range bfs.Walk() {
 			if !strings.HasPrefix(p, "/vol") || p == "/vol" || seen[p] {
@@ -395,7 +355,7 @@ func (f *FS) Mount() (*pfs.Tree, error) {
 			base := 0
 			if b, ok := bfs.GetXattr(p, "base"); ok {
 				bi, err := strconv.Atoi(string(b))
-				if err != nil || bi < 0 || bi >= f.conf.StorageServers {
+				if err != nil || bi < 0 || bi >= f.Conf.StorageServers {
 					return nil, fmt.Errorf("glusterfs: mount: corrupt base xattr %q on %s", b, p)
 				}
 				base = bi

@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"paracrash/internal/pfs"
@@ -53,7 +52,6 @@ type dentryVal struct {
 // FS is a simulated OrangeFS deployment.
 type FS struct {
 	*pfs.Cluster
-	conf pfs.Config
 
 	nextDirID  int
 	nextFileID int
@@ -71,16 +69,8 @@ const maxPages = 4096
 
 // New creates an OrangeFS deployment and initialises the root directory.
 func New(conf pfs.Config, rec *trace.Recorder) *FS {
-	var procs []string
-	for i := 0; i < conf.MetaServers; i++ {
-		procs = append(procs, fmt.Sprintf("meta/%d", i))
-	}
-	for i := 0; i < conf.StorageServers; i++ {
-		procs = append(procs, fmt.Sprintf("storage/%d", i))
-	}
 	f := &FS{
-		Cluster:    pfs.NewCluster(conf, rec, procs),
-		conf:       conf,
+		Cluster:    pfs.NewMetaCluster(conf, rec),
 		nextDirID:  1,
 		nextFileID: 1,
 		nextSeq:    1,
@@ -88,41 +78,23 @@ func New(conf pfs.Config, rec *trace.Recorder) *FS {
 		pages:      map[string][]record{},
 	}
 	for i := 0; i < conf.MetaServers; i++ {
-		fs := f.meta(i).FS
-		must(fs.Mkdir("/db"))
-		must(fs.Create("/db/keyval.db"))
-		must(fs.Create("/db/attrs.db"))
+		fs := f.Meta(i).FS
+		pfs.Must(fs.Mkdir("/db"))
+		pfs.Must(fs.Create("/db/keyval.db"))
+		pfs.Must(fs.Create("/db/attrs.db"))
 	}
 	for i := 0; i < conf.StorageServers; i++ {
-		must(f.storage(i).FS.Mkdir("/bstreams"))
+		pfs.Must(f.Storage(i).FS.Mkdir("/bstreams"))
 	}
 	return f
-}
-
-func must(err error) {
-	if err != nil {
-		panic(fmt.Sprintf("orangefs: setup: %v", err))
-	}
 }
 
 // Name implements pfs.FileSystem.
 func (f *FS) Name() string { return "orangefs" }
 
-// Config implements pfs.FileSystem.
-func (f *FS) Config() pfs.Config { return f.conf }
-
-// Recorder implements pfs.FileSystem.
-func (f *FS) Recorder() *trace.Recorder { return f.Rec }
-
-func (f *FS) meta(i int) *pfs.ServerFS    { return f.FSServers[i] }
-func (f *FS) storage(i int) *pfs.ServerFS { return f.FSServers[f.conf.MetaServers+i] }
-
-func (f *FS) metaProc(i int) string    { return fmt.Sprintf("meta/%d", i) }
-func (f *FS) storageProc(i int) string { return fmt.Sprintf("storage/%d", i) }
-
 // Client implements pfs.FileSystem.
 func (f *FS) Client(id int) pfs.Client {
-	return &client{fs: f, proc: fmt.Sprintf("client/%d", id)}
+	return &client{fs: f, proc: pfs.ClientProc(id)}
 }
 
 // dbTxn writes the given records as ONE transaction: a single page write
@@ -132,9 +104,9 @@ func (f *FS) Client(id int) pfs.Client {
 // transaction gets a fresh page and the highest sequence number per key
 // wins at scan time.
 func (f *FS) dbTxn(mi int, db string, recs []record, tag string) error {
-	proc := f.metaProc(mi)
+	m := f.Meta(mi)
 	dbPath := "/db/" + db
-	slot := proc + "|" + dbPath
+	slot := m.Proc + "|" + dbPath
 	page := f.nextPage[slot]
 	f.nextPage[slot]++
 	for i := range recs {
@@ -150,7 +122,6 @@ func (f *FS) dbTxn(mi int, db string, recs []record, tag string) error {
 	}
 	padded := make([]byte, PageSize)
 	copy(padded, buf)
-	m := f.meta(mi)
 	if err := m.Do(f.Rec, vfs.Op{Kind: vfs.OpWrite, Path: dbPath, Offset: int64(page) * PageSize, Data: padded}, dbPath, tag); err != nil {
 		return err
 	}
@@ -166,7 +137,7 @@ func (f *FS) dbPut(mi int, db, key, val string, del bool, tag string) error {
 // record with the highest sequence number wins. Unparseable pages are
 // skipped (a lost page is a lost transaction).
 func (f *FS) dbScan(mi int, db string) map[string]record {
-	data, err := f.meta(mi).FS.Read("/db/" + db)
+	data, err := f.Meta(mi).FS.Read("/db/" + db)
 	if err != nil {
 		return map[string]record{}
 	}
@@ -228,15 +199,6 @@ type fileRef struct {
 	base int
 }
 
-func splitPath(p string) (dir, name string) {
-	p = vfs.Clean(p)
-	i := strings.LastIndexByte(p, '/')
-	if i == 0 {
-		return "/", p[1:]
-	}
-	return p[:i], p[i+1:]
-}
-
 func (f *FS) resolveDir(path string) (dirRef, error) {
 	cur := dirRef{owner: 0, id: "root"}
 	path = vfs.Clean(path)
@@ -258,7 +220,7 @@ func (f *FS) resolveDir(path string) (dirRef, error) {
 }
 
 func (f *FS) resolveFile(path string) (fileRef, error) {
-	dir, name := splitPath(path)
+	dir, name := vfs.Split(path)
 	dr, err := f.resolveDir(dir)
 	if err != nil {
 		return fileRef{}, err
@@ -272,26 +234,6 @@ func (f *FS) resolveFile(path string) (fileRef, error) {
 		return fileRef{}, fmt.Errorf("orangefs: %q: not a regular file", path)
 	}
 	return fileRef{dir: dr, name: name, fid: dv.ID, base: dv.Base}, nil
-}
-
-func (f *FS) pickBase(path string) int {
-	if f.conf.FilePlacement != nil {
-		if b, ok := f.conf.FilePlacement[vfs.Clean(path)]; ok {
-			return b % f.conf.StorageServers
-		}
-	}
-	h := fnv.New32a()
-	h.Write([]byte(vfs.Clean(path)))
-	return int(h.Sum32()) % f.conf.StorageServers
-}
-
-func (f *FS) pickDirOwner(path string) int {
-	if f.conf.DirPlacement != nil {
-		if o, ok := f.conf.DirPlacement[vfs.Clean(path)]; ok {
-			return o % f.conf.MetaServers
-		}
-	}
-	return f.nextDirID % f.conf.MetaServers
 }
 
 func marshalDentry(dv dentryVal) string {
@@ -310,48 +252,41 @@ func (c *client) Proc() string { return c.proc }
 // creates the bstream on the base storage target.
 func (c *client) Create(path string) error {
 	f := c.fs
-	dir, name := splitPath(path)
+	dir, name := vfs.Split(path)
 	dr, err := f.resolveDir(dir)
 	if err != nil {
 		return err
 	}
 	fid := fmt.Sprintf("f%d", f.nextFileID)
 	f.nextFileID++
-	base := f.pickBase(path)
+	base := f.Conf.FileBase(path, f.Conf.StorageServers, true)
 
 	f.RecordClientOp(c.proc, "creat", vfs.Clean(path), "", 0, nil)
 	defer f.PopClient(c.proc)
 
 	var err2 error
-	f.RPC(c.proc, f.metaProc(dr.owner), func() {
-		err2 = firstErr(err2, f.dbPut(dr.owner, "keyval.db", "d:"+dr.id+":"+name,
+	f.RPC(c.proc, f.Meta(dr.owner).Proc, func() {
+		err2 = pfs.FirstErr(err2, f.dbPut(dr.owner, "keyval.db", "d:"+dr.id+":"+name,
 			marshalDentry(dentryVal{T: "f", ID: fid, Base: base}), false, "keyval.db"))
-		err2 = firstErr(err2, f.dbPut(dr.owner, "attrs.db", "a:"+fid, "size=0", false, "attrs.db"))
+		err2 = pfs.FirstErr(err2, f.dbPut(dr.owner, "attrs.db", "a:"+fid, "size=0", false, "attrs.db"))
 	})
-	f.RPC(c.proc, f.storageProc(base), func() {
-		s := f.storage(base)
-		err2 = firstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: "/bstreams/" + fid + ".bstream"}, fid, "bstream"))
+	f.RPC(c.proc, f.Storage(base).Proc, func() {
+		s := f.Storage(base)
+		err2 = pfs.FirstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: "/bstreams/" + fid + ".bstream"}, fid, "bstream"))
 	})
 	return err2
-}
-
-func firstErr(a, b error) error {
-	if a != nil {
-		return a
-	}
-	return b
 }
 
 // Mkdir adds the dentry on the parent's owner and attributes on the new
 // directory's owner.
 func (c *client) Mkdir(path string) error {
 	f := c.fs
-	dir, name := splitPath(path)
+	dir, name := vfs.Split(path)
 	dr, err := f.resolveDir(dir)
 	if err != nil {
 		return err
 	}
-	owner := f.pickDirOwner(path)
+	owner := f.Conf.DirOwner(path, f.nextDirID)
 	id := fmt.Sprintf("d%d", f.nextDirID)
 	f.nextDirID++
 
@@ -359,12 +294,12 @@ func (c *client) Mkdir(path string) error {
 	defer f.PopClient(c.proc)
 
 	var err2 error
-	f.RPC(c.proc, f.metaProc(dr.owner), func() {
-		err2 = firstErr(err2, f.dbPut(dr.owner, "keyval.db", "d:"+dr.id+":"+name,
+	f.RPC(c.proc, f.Meta(dr.owner).Proc, func() {
+		err2 = pfs.FirstErr(err2, f.dbPut(dr.owner, "keyval.db", "d:"+dr.id+":"+name,
 			marshalDentry(dentryVal{T: "d", ID: id, Owner: owner}), false, "keyval.db"))
 	})
-	f.RPC(c.proc, f.metaProc(owner), func() {
-		err2 = firstErr(err2, f.dbPut(owner, "attrs.db", "a:"+id, "dir", false, "attrs.db"))
+	f.RPC(c.proc, f.Meta(owner).Proc, func() {
+		err2 = pfs.FirstErr(err2, f.dbPut(owner, "attrs.db", "a:"+id, "dir", false, "attrs.db"))
 	})
 	return err2
 }
@@ -382,20 +317,20 @@ func (c *client) WriteAt(path string, off int64, data []byte) error {
 	defer f.PopClient(c.proc)
 
 	var err2 error
-	for _, st := range pfs.StripeRange(off, data, f.conf.StorageServers, f.conf.StripeSize, fr.base) {
+	for _, st := range pfs.StripeRange(off, data, f.Conf.StorageServers, f.Conf.StripeSize, fr.base) {
 		st := st
-		f.RPC(c.proc, f.storageProc(st.Server), func() {
-			s := f.storage(st.Server)
+		f.RPC(c.proc, f.Storage(st.Server).Proc, func() {
+			s := f.Storage(st.Server)
 			b := c.bstream(fr.fid)
 			if !s.FS.Exists(b) {
-				err2 = firstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: b}, fr.fid, "bstream"))
+				err2 = pfs.FirstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpCreate, Path: b}, fr.fid, "bstream"))
 			}
 			sz, _ := s.FS.Size(b)
 			op := vfs.Op{Kind: vfs.OpWrite, Path: b, Offset: st.LocalOffset, Data: st.Data}
 			if st.LocalOffset == sz {
 				op = vfs.Op{Kind: vfs.OpAppend, Path: b, Data: st.Data}
 			}
-			err2 = firstErr(err2, s.Do(f.Rec, op, fr.fid, f.DataTag("bstream")))
+			err2 = pfs.FirstErr(err2, s.Do(f.Rec, op, fr.fid, f.DataTag("bstream")))
 		})
 	}
 	return err2
@@ -408,13 +343,13 @@ func (c *client) Append(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	lens := make([]int64, f.conf.StorageServers)
+	lens := make([]int64, f.Conf.StorageServers)
 	for i := range lens {
-		if sz, err := f.storage(i).FS.Size(c.bstream(fr.fid)); err == nil {
+		if sz, err := f.Storage(i).FS.Size(c.bstream(fr.fid)); err == nil {
 			lens[i] = sz
 		}
 	}
-	return c.WriteAt(path, pfs.UnstripeSize(lens, f.conf.StorageServers, f.conf.StripeSize, fr.base), data)
+	return c.WriteAt(path, pfs.UnstripeSize(lens, f.Conf.StorageServers, f.Conf.StripeSize, fr.base), data)
 }
 
 // Read reassembles the file.
@@ -428,8 +363,8 @@ func (c *client) Read(path string) ([]byte, error) {
 }
 
 func (f *FS) readFile(fid string, base int) []byte {
-	return pfs.ReassembleFile(f.conf.StorageServers, f.conf.StripeSize, base, func(srv int) []byte {
-		b, err := f.storage(srv).FS.Read("/bstreams/" + fid + ".bstream")
+	return pfs.ReassembleFile(f.Conf.StorageServers, f.Conf.StripeSize, base, func(srv int) []byte {
+		b, err := f.Storage(srv).FS.Read("/bstreams/" + fid + ".bstream")
 		if err != nil {
 			return nil
 		}
@@ -449,7 +384,7 @@ func (c *client) Rename(from, to string) error {
 		}
 		return err
 	}
-	toDir, toName := splitPath(to)
+	toDir, toName := vfs.Split(to)
 	dst, err := f.resolveDir(toDir)
 	if err != nil {
 		return err
@@ -466,14 +401,14 @@ func (c *client) Rename(from, to string) error {
 	var err2 error
 	// Step 1: strand the replaced bstream (data preserved for recovery).
 	if hasOld {
-		for i := 0; i < f.conf.StorageServers; i++ {
+		for i := 0; i < f.Conf.StorageServers; i++ {
 			srv := i
-			if !f.storage(srv).FS.Exists(c.bstream(old.fid)) {
+			if !f.Storage(srv).FS.Exists(c.bstream(old.fid)) {
 				continue
 			}
-			f.RPC(c.proc, f.storageProc(srv), func() {
-				s := f.storage(srv)
-				err2 = firstErr(err2, s.Do(f.Rec, vfs.Op{
+			f.RPC(c.proc, f.Storage(srv).Proc, func() {
+				s := f.Storage(srv)
+				err2 = pfs.FirstErr(err2, s.Do(f.Rec, vfs.Op{
 					Kind: vfs.OpRename, Path: c.bstream(old.fid), Path2: "/bstreams/stranded-" + old.fid,
 				}, old.fid, "bstream"))
 			})
@@ -483,7 +418,7 @@ func (c *client) Rename(from, to string) error {
 	// DB transaction (atomic); cross-server renames need two transactions,
 	// which is the root of the CR bug.
 	sameServer := fr.dir.owner == dst.owner
-	f.RPC(c.proc, f.metaProc(dst.owner), func() {
+	f.RPC(c.proc, f.Meta(dst.owner).Proc, func() {
 		recs := []record{{
 			K: "d:" + dst.id + ":" + toName,
 			V: marshalDentry(dentryVal{T: "f", ID: fr.fid, Base: fr.base}),
@@ -491,25 +426,25 @@ func (c *client) Rename(from, to string) error {
 		if sameServer && (fr.dir.id != dst.id || fr.name != toName) {
 			recs = append(recs, record{K: "d:" + fr.dir.id + ":" + fr.name, Del: true})
 		}
-		err2 = firstErr(err2, f.dbTxn(dst.owner, "keyval.db", recs, "keyval.db"))
-		err2 = firstErr(err2, f.dbPut(dst.owner, "attrs.db", "a:"+fr.fid, "renamed", false, "attrs.db"))
+		err2 = pfs.FirstErr(err2, f.dbTxn(dst.owner, "keyval.db", recs, "keyval.db"))
+		err2 = pfs.FirstErr(err2, f.dbPut(dst.owner, "attrs.db", "a:"+fr.fid, "renamed", false, "attrs.db"))
 	})
 	if !sameServer {
-		f.RPC(c.proc, f.metaProc(fr.dir.owner), func() {
-			err2 = firstErr(err2, f.dbPut(fr.dir.owner, "keyval.db", "d:"+fr.dir.id+":"+fr.name,
+		f.RPC(c.proc, f.Meta(fr.dir.owner).Proc, func() {
+			err2 = pfs.FirstErr(err2, f.dbPut(fr.dir.owner, "keyval.db", "d:"+fr.dir.id+":"+fr.name,
 				"", true, "keyval.db"))
 		})
 	}
 	// Step 3: drop the stranded bstream after the commit.
 	if hasOld {
-		for i := 0; i < f.conf.StorageServers; i++ {
+		for i := 0; i < f.Conf.StorageServers; i++ {
 			srv := i
-			if !f.storage(srv).FS.Exists("/bstreams/stranded-" + old.fid) {
+			if !f.Storage(srv).FS.Exists("/bstreams/stranded-" + old.fid) {
 				continue
 			}
-			f.RPC(c.proc, f.storageProc(srv), func() {
-				s := f.storage(srv)
-				err2 = firstErr(err2, s.Do(f.Rec, vfs.Op{
+			f.RPC(c.proc, f.Storage(srv).Proc, func() {
+				s := f.Storage(srv)
+				err2 = pfs.FirstErr(err2, s.Do(f.Rec, vfs.Op{
 					Kind: vfs.OpUnlink, Path: "/bstreams/stranded-" + old.fid,
 				}, old.fid, "bstream"))
 			})
@@ -521,8 +456,8 @@ func (c *client) Rename(from, to string) error {
 // renameDir renames a directory entry within the same parent.
 func (c *client) renameDir(from, to string) error {
 	f := c.fs
-	fromParent, fromName := splitPath(from)
-	toParent, toName := splitPath(to)
+	fromParent, fromName := vfs.Split(from)
+	toParent, toName := vfs.Split(to)
 	if vfs.Clean(fromParent) != vfs.Clean(toParent) {
 		return fmt.Errorf("orangefs: cross-directory dir rename not supported")
 	}
@@ -538,8 +473,8 @@ func (c *client) renameDir(from, to string) error {
 	defer f.PopClient(c.proc)
 
 	var err2 error
-	f.RPC(c.proc, f.metaProc(pr.owner), func() {
-		err2 = firstErr(err2, f.dbTxn(pr.owner, "keyval.db", []record{
+	f.RPC(c.proc, f.Meta(pr.owner).Proc, func() {
+		err2 = pfs.FirstErr(err2, f.dbTxn(pr.owner, "keyval.db", []record{
 			{K: "d:" + pr.id + ":" + toName, V: marshalDentry(dentryVal{T: "d", ID: dr.id, Owner: dr.owner})},
 			{K: "d:" + pr.id + ":" + fromName, Del: true},
 		}, "keyval.db"))
@@ -558,18 +493,18 @@ func (c *client) Unlink(path string) error {
 	defer f.PopClient(c.proc)
 
 	var err2 error
-	f.RPC(c.proc, f.metaProc(fr.dir.owner), func() {
-		err2 = firstErr(err2, f.dbPut(fr.dir.owner, "keyval.db", "d:"+fr.dir.id+":"+fr.name, "", true, "keyval.db"))
-		err2 = firstErr(err2, f.dbPut(fr.dir.owner, "attrs.db", "a:"+fr.fid, "", true, "attrs.db"))
+	f.RPC(c.proc, f.Meta(fr.dir.owner).Proc, func() {
+		err2 = pfs.FirstErr(err2, f.dbPut(fr.dir.owner, "keyval.db", "d:"+fr.dir.id+":"+fr.name, "", true, "keyval.db"))
+		err2 = pfs.FirstErr(err2, f.dbPut(fr.dir.owner, "attrs.db", "a:"+fr.fid, "", true, "attrs.db"))
 	})
-	for i := 0; i < f.conf.StorageServers; i++ {
+	for i := 0; i < f.Conf.StorageServers; i++ {
 		srv := i
-		if !f.storage(srv).FS.Exists(c.bstream(fr.fid)) {
+		if !f.Storage(srv).FS.Exists(c.bstream(fr.fid)) {
 			continue
 		}
-		f.RPC(c.proc, f.storageProc(srv), func() {
-			s := f.storage(srv)
-			err2 = firstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: c.bstream(fr.fid)}, fr.fid, "bstream"))
+		f.RPC(c.proc, f.Storage(srv).Proc, func() {
+			s := f.Storage(srv)
+			err2 = pfs.FirstErr(err2, s.Do(f.Rec, vfs.Op{Kind: vfs.OpUnlink, Path: c.bstream(fr.fid)}, fr.fid, "bstream"))
 		})
 	}
 	return err2
@@ -585,13 +520,13 @@ func (c *client) Fsync(path string) error {
 	f.RecordClientOp(c.proc, "fsync", vfs.Clean(path), "", 0, nil)
 	defer f.PopClient(c.proc)
 
-	for i := 0; i < f.conf.StorageServers; i++ {
+	for i := 0; i < f.Conf.StorageServers; i++ {
 		srv := i
-		if !f.storage(srv).FS.Exists(c.bstream(fr.fid)) {
+		if !f.Storage(srv).FS.Exists(c.bstream(fr.fid)) {
 			continue
 		}
-		f.RPC(c.proc, f.storageProc(srv), func() {
-			_ = f.storage(srv).DoSync(f.Rec, c.bstream(fr.fid), fr.fid, false)
+		f.RPC(c.proc, f.Storage(srv).Proc, func() {
+			_ = f.Storage(srv).DoSync(f.Rec, c.bstream(fr.fid), fr.fid, false)
 		})
 	}
 	return nil
@@ -611,7 +546,7 @@ func (f *FS) Recover() error {
 	defer f.TimeOp("pfs/recover")()
 	// Collect referenced file IDs across all metadata servers.
 	referenced := map[string]bool{}
-	for mi := 0; mi < f.conf.MetaServers; mi++ {
+	for mi := 0; mi < f.Conf.MetaServers; mi++ {
 		for k, rec := range f.dbScan(mi, "keyval.db") {
 			if rec.Del || !strings.HasPrefix(k, "d:") {
 				continue
@@ -622,8 +557,8 @@ func (f *FS) Recover() error {
 			}
 		}
 	}
-	for si := 0; si < f.conf.StorageServers; si++ {
-		s := f.storage(si).FS
+	for si := 0; si < f.Conf.StorageServers; si++ {
+		s := f.Storage(si).FS
 		entries, err := s.List("/bstreams")
 		if err != nil {
 			continue
@@ -651,7 +586,7 @@ func (f *FS) Mount() (*pfs.Tree, error) {
 	t := pfs.NewTree()
 	var walk func(path string, dr dirRef) error
 	walk = func(path string, dr dirRef) error {
-		if dr.owner >= f.conf.MetaServers {
+		if dr.owner >= f.Conf.MetaServers {
 			return fmt.Errorf("orangefs: mount: bad owner %d", dr.owner)
 		}
 		prefix := "d:" + dr.id + ":"

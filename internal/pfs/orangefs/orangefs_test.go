@@ -53,7 +53,7 @@ func TestDBScanNewestWinsAndSkipsTornPages(t *testing.T) {
 	}
 	// Failure injection: tear a page (overwrite half with garbage) — the
 	// scan must skip it without failing.
-	m := f.meta(0).FS
+	m := f.Meta(0).FS
 	if err := m.WriteAt("/db/keyval.db", 0, []byte("garbage-not-json")); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestStrandedBstreamRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate the stranding step persisting without the commit.
-	for i := 0; i < f.conf.StorageServers; i++ {
-		s := f.storage(i).FS
+	for i := 0; i < f.Conf.StorageServers; i++ {
+		s := f.Storage(i).FS
 		if s.Exists("/bstreams/" + fr.fid + ".bstream") {
 			if err := s.Rename("/bstreams/"+fr.fid+".bstream", "/bstreams/stranded-"+fr.fid); err != nil {
 				t.Fatal(err)
@@ -101,7 +101,7 @@ func TestStrandedBstreamRecovery(t *testing.T) {
 func TestStrandedOrphanRemoved(t *testing.T) {
 	// A stranded bstream whose file ID is no longer referenced is deleted.
 	f := newFS(t)
-	s := f.storage(0).FS
+	s := f.Storage(0).FS
 	if err := s.Create("/bstreams/stranded-f99"); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestUndecodablePageStaysSkippedOnMemoHit(t *testing.T) {
 	// including the first record, on the first scan and on memo hits.
 	f := newFS(t)
 	const bad = `[{"k":"d:root:ghost","v":"{}","seq":99},{"k":"x","seq":"bad"}]`
-	m := f.meta(0).FS
+	m := f.Meta(0).FS
 	size, err := m.Size("/db/keyval.db")
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 
 	"paracrash/internal/blockdev"
 	"paracrash/internal/causality"
+	"paracrash/internal/obs"
 	"paracrash/internal/trace"
 	"paracrash/internal/vfs"
 )
@@ -79,16 +80,24 @@ type Client interface {
 	Close(path string) error
 }
 
-// FileSystem is a testable parallel file system.
+// FileSystem is a testable parallel file system. A backend embeds a
+// *Cluster, which supplies everything but Name, Client, Recover and Mount:
+// those four are the backend's protocol.
 type FileSystem interface {
 	// Name returns the PFS name ("beegfs", "orangefs", ...).
 	Name() string
-	// Config returns the deployment configuration.
-	Config() Config
 	// Recorder returns the trace recorder shared by every layer.
 	Recorder() *trace.Recorder
-	// Client returns the client endpoint for client process id.
+	// Client returns the client endpoint for client process id, recording
+	// under ClientProc(id).
 	Client(id int) Client
+
+	// SetObs attaches (or, with nil, detaches) the observability run that
+	// receives the store-level timings (restore, recover, mount).
+	SetObs(*obs.Run)
+	// SetTagHint sets (or, with "", clears) the upper-layer semantic tag
+	// that subsequent lowermost data writes carry.
+	SetTagHint(tag string)
 
 	// PersistConfig describes the persistence semantics of every
 	// lowermost-layer process for Algorithm 2.

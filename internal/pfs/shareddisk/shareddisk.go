@@ -117,7 +117,6 @@ type logRecord struct {
 // FS is a simulated shared-disk parallel file system.
 type FS struct {
 	*pfs.Cluster
-	conf   pfs.Config
 	policy Policy
 
 	nextIno int
@@ -153,13 +152,8 @@ func New(conf pfs.Config, policy Policy, rec *trace.Recorder) *FS {
 	if n <= 0 {
 		n = 2
 	}
-	var procs []string
-	for i := 0; i < n; i++ {
-		procs = append(procs, fmt.Sprintf("server/%d", i))
-	}
 	f := &FS{
-		Cluster: pfs.NewBlockCluster(conf, rec, procs),
-		conf:    conf,
+		Cluster: pfs.NewBlockCluster(conf, rec, pfs.ProcNames("server", n)),
 		policy:  policy,
 		nextIno: 2, // root is ino 1
 		nextSeq: 1,
@@ -218,17 +212,8 @@ func sortedInos(m map[int]bool) []int {
 // Name implements pfs.FileSystem.
 func (f *FS) Name() string { return f.policy.FSName }
 
-// Config implements pfs.FileSystem.
-func (f *FS) Config() pfs.Config { return f.conf }
-
-// Recorder implements pfs.FileSystem.
-func (f *FS) Recorder() *trace.Recorder { return f.Rec }
-
-func (f *FS) servers() int { return len(f.BlockServers) }
-func (f *FS) server(i int) *pfs.BlockServer {
-	return f.BlockServers[i]
-}
-func (f *FS) serverProc(i int) string { return fmt.Sprintf("server/%d", i) }
+func (f *FS) servers() int                  { return len(f.BlockServers) }
+func (f *FS) server(i int) *pfs.BlockServer { return f.BlockServers[i] }
 
 // owner returns the metadata owner server of an ino.
 func (f *FS) owner(ino int) int { return ino % f.servers() }
@@ -278,7 +263,7 @@ func (t *txn) commit(clientProc string, home int, tag string) {
 	rec := logRecord{Seq: f.nextSeq, Writes: t.writes}
 	f.nextSeq++
 
-	f.RPC(clientProc, f.serverProc(home), func() {
+	f.RPC(clientProc, f.server(home).Proc, func() {
 		s := f.server(home)
 		s.Write(f.Rec, lbaLog+int64(rec.Seq), mustJSON(rec), "log")
 		if f.policy.Barriers {
@@ -296,7 +281,7 @@ func (t *txn) commit(clientProc string, home int, tag string) {
 	}
 	for _, srv := range order {
 		srv := srv
-		f.RPC(clientProc, f.serverProc(srv), func() {
+		f.RPC(clientProc, f.server(srv).Proc, func() {
 			s := f.server(srv)
 			for _, w := range byServer[srv] {
 				s.Write(f.Rec, w.LBA, w.Data, tagOf(w.LBA, tag))
@@ -329,7 +314,7 @@ func tagOf(lba int64, fallback string) string {
 
 // Client implements pfs.FileSystem.
 func (f *FS) Client(id int) pfs.Client {
-	return &client{fs: f, proc: fmt.Sprintf("client/%d", id)}
+	return &client{fs: f, proc: pfs.ClientProc(id)}
 }
 
 // resolve walks the directory structures to find the ino of a path.
@@ -361,24 +346,6 @@ func (f *FS) inode(ino int) (inodeBlock, bool) {
 	return readBlock[inodeBlock](f, f.owner(ino), inodeLBA(ino))
 }
 
-func splitPath(p string) (dir, name string) {
-	p = vfs.Clean(p)
-	i := strings.LastIndexByte(p, '/')
-	if i == 0 {
-		return "/", p[1:]
-	}
-	return p[:i], p[i+1:]
-}
-
-func (f *FS) pickBase(path string) int {
-	if f.conf.FilePlacement != nil {
-		if b, ok := f.conf.FilePlacement[vfs.Clean(path)]; ok {
-			return b % f.servers()
-		}
-	}
-	return 0
-}
-
 // entriesOf reads a directory's entry map (copy).
 func (f *FS) entriesOf(ino int) (map[string]int, error) {
 	ent, ok := readBlock[entriesBlock](f, f.owner(ino), entriesLBA(ino))
@@ -404,7 +371,7 @@ func (c *client) Proc() string { return c.proc }
 // Figure 9d atomic group.
 func (c *client) Create(path string) error {
 	f := c.fs
-	dir, name := splitPath(path)
+	dir, name := vfs.Split(path)
 	pino, err := f.resolve(dir)
 	if err != nil {
 		return err
@@ -419,7 +386,7 @@ func (c *client) Create(path string) error {
 	}
 	ino := f.nextIno
 	f.nextIno++
-	base := f.pickBase(path)
+	base := f.Conf.FileBase(path, f.servers(), false)
 	owner := f.owner(ino)
 	entries[name] = ino
 
@@ -438,7 +405,7 @@ func (c *client) Create(path string) error {
 // Mkdir creates a directory inode with an empty entries block.
 func (c *client) Mkdir(path string) error {
 	f := c.fs
-	dir, name := splitPath(path)
+	dir, name := vfs.Split(path)
 	pino, err := f.resolve(dir)
 	if err != nil {
 		return err
@@ -487,7 +454,7 @@ func (c *client) WriteAt(path string, off int64, data []byte) error {
 	f.RecordClientOp(c.proc, "pwrite", vfs.Clean(path), "", off, data)
 	defer f.PopClient(c.proc)
 
-	stripes := pfs.StripeRange(off, data, f.servers(), f.conf.StripeSize, in.Base)
+	stripes := pfs.StripeRange(off, data, f.servers(), f.Conf.StripeSize, in.Base)
 	byServer := map[int][]pfs.Stripe{}
 	var order []int
 	for _, st := range stripes {
@@ -498,13 +465,13 @@ func (c *client) WriteAt(path string, off int64, data []byte) error {
 	}
 	for _, srv := range order {
 		srv := srv
-		f.RPC(c.proc, f.serverProc(srv), func() {
+		f.RPC(c.proc, f.server(srv).Proc, func() {
 			s := f.server(srv)
 			for _, st := range byServer[srv] {
-				k := int(st.LocalOffset / f.conf.StripeSize)
+				k := int(st.LocalOffset / f.Conf.StripeSize)
 				// Read-modify-write the whole stripe block.
 				block, _ := s.Dev.Read(dataLBA(ino, k))
-				inBlock := st.LocalOffset % f.conf.StripeSize
+				inBlock := st.LocalOffset % f.Conf.StripeSize
 				need := inBlock + int64(len(st.Data))
 				if int64(len(block)) < need {
 					grown := make([]byte, need)
@@ -557,7 +524,7 @@ func (c *client) Read(path string) ([]byte, error) {
 // they are only copied out.
 func (f *FS) readData(in inodeBlock) []byte {
 	out := make([]byte, in.Size)
-	ss := f.conf.StripeSize
+	ss := f.Conf.StripeSize
 	for g := int64(0); g < in.Size; g += ss {
 		stripe := g / ss
 		srv := (in.Base + int(stripe)) % f.servers()
@@ -583,8 +550,8 @@ func (f *FS) readData(in inodeBlock) []byte {
 // inode) in one transaction — the Figure 9d group.
 func (c *client) Rename(from, to string) error {
 	f := c.fs
-	srcDir, srcName := splitPath(from)
-	dstDir, dstName := splitPath(to)
+	srcDir, srcName := vfs.Split(from)
+	dstDir, dstName := vfs.Split(to)
 	spino, err := f.resolve(srcDir)
 	if err != nil {
 		return err
@@ -642,7 +609,7 @@ func (c *client) Rename(from, to string) error {
 // Unlink removes the entry and frees the inode.
 func (c *client) Unlink(path string) error {
 	f := c.fs
-	dir, name := splitPath(path)
+	dir, name := vfs.Split(path)
 	pino, err := f.resolve(dir)
 	if err != nil {
 		return err
@@ -678,7 +645,7 @@ func (c *client) Fsync(path string) error {
 	defer f.PopClient(c.proc)
 	for i := 0; i < f.servers(); i++ {
 		srv := i
-		f.RPC(c.proc, f.serverProc(srv), func() {
+		f.RPC(c.proc, f.server(srv).Proc, func() {
 			f.server(srv).Sync(f.Rec)
 		})
 	}

@@ -205,17 +205,17 @@ func TestChaosFleetWorkerDeathLeaseReclaim(t *testing.T) {
 		}
 		wrun := obs.NewRun()
 		w, err := NewFleetWorker(FleetWorkerConfig{
-			Dir:               dir,
-			ID:                fmt.Sprintf("chaos-w%d", round),
-			LeaseTTL:          ttl,
-			Heartbeat:         10 * time.Millisecond,
-			Poll:              time.Millisecond,
-			HoldLeaseOnCancel: true,
-			Obs:               wrun,
+			Dir:       dir,
+			ID:        fmt.Sprintf("chaos-w%d", round),
+			LeaseTTL:  ttl,
+			Heartbeat: 10 * time.Millisecond,
+			Poll:      time.Millisecond,
+			Obs:       wrun,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		w.holdLeaseOnCancel = true
 		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(round+1)*3*time.Millisecond)
 		_ = w.Run(ctx)
 		cancel()

@@ -181,10 +181,6 @@ type FleetWorkerConfig struct {
 	Poll time.Duration
 	// Obs (nilable) receives the worker's metrics.
 	Obs *obs.Run
-	// HoldLeaseOnCancel simulates hard worker death for the chaos tests: a
-	// cancelled worker exits without releasing its lease, so reclaim must
-	// wait out the TTL exactly as after a kill -9.
-	HoldLeaseOnCancel bool
 }
 
 func (c FleetWorkerConfig) withDefaults() FleetWorkerConfig {
@@ -212,6 +208,10 @@ type FleetWorker struct {
 	watchDir func(dir string, on func(dirEvent)) (*dirWatcher, error)
 	// runShard runs the engine for one shard; tests substitute a slow one.
 	runShard func(ctx context.Context, sp exps.Spec, shard core.ShardSpec) (*core.ShardReport, error)
+	// holdLeaseOnCancel simulates hard worker death for the chaos tests: a
+	// cancelled worker exits without releasing its lease, so reclaim must
+	// wait out the TTL exactly as after a kill -9.
+	holdLeaseOnCancel bool
 }
 
 // NewFleetWorker builds a worker over the shared directory.
@@ -475,10 +475,10 @@ func (w *FleetWorker) runTask(ctx context.Context, t ShardTask, lease *Lease) {
 	default:
 	}
 	if ctx.Err() != nil {
-		// Worker shutdown mid-shard: leave no result. With HoldLeaseOnCancel
+		// Worker shutdown mid-shard: leave no result. With holdLeaseOnCancel
 		// the lease times out like a crash; otherwise release it so another
 		// worker picks the shard up immediately.
-		if !w.cfg.HoldLeaseOnCancel {
+		if !w.holdLeaseOnCancel {
 			_ = w.leases.Release(lease)
 		}
 		return

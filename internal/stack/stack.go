@@ -142,7 +142,7 @@ func FormatFile(fs pfs.FileSystem, rank int, path string, d Dialect) (*Session, 
 // OpenFile opens an existing library file over the stack for the given
 // rank, recording the library-level open.
 func OpenFile(fs pfs.FileSystem, rank int, path string, d Dialect) (*Session, error) {
-	s := &Session{fs: fs, rec: fs.Recorder(), path: path, proc: procName(rank), dialect: d, rank0: rank == 0}
+	s := &Session{fs: fs, rec: fs.Recorder(), path: path, proc: pfs.ClientProc(rank), dialect: d, rank0: rank == 0}
 	s.libOp("open", path, "", nil, 0)
 	defer s.rec.Pop(s.proc)
 	mf, err := mpiio.Open(fs, rank, path, false)
@@ -161,8 +161,6 @@ func OpenFile(fs pfs.FileSystem, rank int, path string, d Dialect) (*Session, er
 	s.mf, s.f = mf, f
 	return s, nil
 }
-
-func procName(rank int) string { return fmt.Sprintf("client/%d", rank) }
 
 // libOp records a library-layer trace op and leaves it pushed as the
 // current caller; callers must Pop.

@@ -140,7 +140,8 @@ func TestSnapshotAllocsO1(t *testing.T) {
 	fs := New()
 	for i := 0; i < 500; i++ {
 		p := "/f" + string(rune('a'+i%26)) + "/" + itoa(i)
-		if err := fs.MkdirAll(parent(p)); err != nil {
+		dir, _ := Split(p)
+		if err := fs.MkdirAll(dir); err != nil {
 			t.Fatal(err)
 		}
 		if err := fs.Create(p); err != nil {

@@ -273,13 +273,14 @@ func isClean(p string) bool {
 	return true
 }
 
-func parent(p string) string {
+// Split splits the clean form of p into its parent directory and base name.
+func Split(p string) (dir, name string) {
 	p = Clean(p)
 	i := strings.LastIndexByte(p, '/')
-	if i <= 0 {
-		return "/"
+	if i == 0 {
+		return "/", p[1:]
 	}
-	return p[:i]
+	return p[:i], p[i+1:]
 }
 
 func (fs *FS) lookup(p string) (*inode, bool) {
@@ -328,7 +329,7 @@ func (fs *FS) IsDir(p string) bool {
 
 // checkParent verifies the parent directory of p exists.
 func (fs *FS) checkParent(p string) error {
-	par := parent(p)
+	par, _ := Split(p)
 	in, ok := fs.lookup(par)
 	if !ok {
 		return fmt.Errorf("vfs: parent %q of %q does not exist", par, p)
@@ -378,14 +379,12 @@ func (fs *FS) Mkdir(p string) error {
 // MkdirAll creates p and any missing ancestors.
 func (fs *FS) MkdirAll(p string) error {
 	p = Clean(p)
-	if p == "/" {
+	if p == "/" || fs.IsDir(p) {
 		return nil
 	}
-	if err := fs.MkdirAll(parent(p)); err != nil {
+	dir, _ := Split(p)
+	if err := fs.MkdirAll(dir); err != nil {
 		return err
-	}
-	if fs.IsDir(p) {
-		return nil
 	}
 	return fs.Mkdir(p)
 }

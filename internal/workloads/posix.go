@@ -9,144 +9,63 @@ import (
 	"bytes"
 
 	"paracrash/internal/paracrash"
-	"paracrash/internal/pfs"
 )
-
-// posixProgram is a simple single-client POSIX workload.
-type posixProgram struct {
-	name     string
-	preamble func(c pfs.Client) error
-	run      func(c pfs.Client) error
-}
-
-// Name implements paracrash.Workload.
-func (p *posixProgram) Name() string { return p.name }
-
-// Preamble implements paracrash.Workload.
-func (p *posixProgram) Preamble(fs pfs.FileSystem) error {
-	if p.preamble == nil {
-		return nil
-	}
-	return p.preamble(fs.Client(0))
-}
-
-// Run implements paracrash.Workload.
-func (p *posixProgram) Run(fs pfs.FileSystem) error {
-	return p.run(fs.Client(0))
-}
 
 // ARVR is Atomic-Replace-via-Rename: atomically replace the contents of a
 // preexisting file foo by writing a temporary file and renaming it over the
 // original — the checkpointing-library pattern.
 func ARVR() paracrash.Workload {
-	return &posixProgram{
-		name: "ARVR",
-		preamble: func(c pfs.Client) error {
-			if err := c.Create("/foo"); err != nil {
-				return err
-			}
-			if err := c.WriteAt("/foo", 0, bytes.Repeat([]byte("old"), 20)); err != nil {
-				return err
-			}
-			return c.Close("/foo")
-		},
-		run: func(c pfs.Client) error {
-			if err := c.Create("/tmp"); err != nil {
-				return err
-			}
-			if err := c.WriteAt("/tmp", 0, bytes.Repeat([]byte("new"), 20)); err != nil {
-				return err
-			}
-			if err := c.Close("/tmp"); err != nil {
-				return err
-			}
-			return c.Rename("/tmp", "/foo")
-		},
-	}
+	return NewProgram("ARVR", []Op{
+		{Kind: OpCreat, Path: "/foo"},
+		{Kind: OpPwrite, Path: "/foo", Data: bytes.Repeat([]byte("old"), 20)},
+		{Kind: OpClose, Path: "/foo"},
+	}, []Op{
+		{Kind: OpCreat, Path: "/tmp"},
+		{Kind: OpPwrite, Path: "/tmp", Data: bytes.Repeat([]byte("new"), 20)},
+		{Kind: OpClose, Path: "/tmp"},
+		{Kind: OpRename, Path: "/tmp", Path2: "/foo"},
+	})
 }
 
 // CR is Create-and-Rename: create A/foo, then move it to directory B.
 func CR() paracrash.Workload {
-	return &posixProgram{
-		name: "CR",
-		preamble: func(c pfs.Client) error {
-			if err := c.Mkdir("/A"); err != nil {
-				return err
-			}
-			return c.Mkdir("/B")
-		},
-		run: func(c pfs.Client) error {
-			if err := c.Create("/A/foo"); err != nil {
-				return err
-			}
-			if err := c.Close("/A/foo"); err != nil {
-				return err
-			}
-			return c.Rename("/A/foo", "/B/foo")
-		},
-	}
+	return NewProgram("CR", []Op{
+		{Kind: OpMkdir, Path: "/A"},
+		{Kind: OpMkdir, Path: "/B"},
+	}, []Op{
+		{Kind: OpCreat, Path: "/A/foo"},
+		{Kind: OpClose, Path: "/A/foo"},
+		{Kind: OpRename, Path: "/A/foo", Path2: "/B/foo"},
+	})
 }
 
 // RC is Rename-and-Create: rename directory A to B, then create B/foo.
 func RC() paracrash.Workload {
-	return &posixProgram{
-		name: "RC",
-		preamble: func(c pfs.Client) error {
-			return c.Mkdir("/A")
-		},
-		run: func(c pfs.Client) error {
-			if err := c.Rename("/A", "/B"); err != nil {
-				return err
-			}
-			if err := c.Create("/B/foo"); err != nil {
-				return err
-			}
-			return c.Close("/B/foo")
-		},
-	}
+	return NewProgram("RC", []Op{
+		{Kind: OpMkdir, Path: "/A"},
+	}, []Op{
+		{Kind: OpRename, Path: "/A", Path2: "/B"},
+		{Kind: OpCreat, Path: "/B/foo"},
+		{Kind: OpClose, Path: "/B/foo"},
+	})
 }
 
 // WAL is Write-Ahead-Logging: append the intended modification to a log
 // file, overwrite the target file with multiple pages, then drop the log.
 func WAL() paracrash.Workload {
 	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, 64) }
-	return &posixProgram{
-		name: "WAL",
-		preamble: func(c pfs.Client) error {
-			if err := c.Create("/foo"); err != nil {
-				return err
-			}
-			if err := c.WriteAt("/foo", 0, page('o')); err != nil {
-				return err
-			}
-			if err := c.WriteAt("/foo", 64, page('O')); err != nil {
-				return err
-			}
-			if err := c.Close("/foo"); err != nil {
-				return err
-			}
-			return nil
-		},
-		run: func(c pfs.Client) error {
-			if err := c.Create("/log"); err != nil {
-				return err
-			}
-			if err := c.Append("/log", page('L')); err != nil {
-				return err
-			}
-			if err := c.Close("/log"); err != nil {
-				return err
-			}
-			if err := c.WriteAt("/foo", 0, page('n')); err != nil {
-				return err
-			}
-			if err := c.WriteAt("/foo", 64, page('N')); err != nil {
-				return err
-			}
-			if err := c.Close("/foo"); err != nil {
-				return err
-			}
-			return c.Unlink("/log")
-		},
-	}
+	return NewProgram("WAL", []Op{
+		{Kind: OpCreat, Path: "/foo"},
+		{Kind: OpPwrite, Path: "/foo", Data: page('o')},
+		{Kind: OpPwrite, Path: "/foo", Off: 64, Data: page('O')},
+		{Kind: OpClose, Path: "/foo"},
+	}, []Op{
+		{Kind: OpCreat, Path: "/log"},
+		{Kind: OpAppend, Path: "/log", Data: page('L')},
+		{Kind: OpClose, Path: "/log"},
+		{Kind: OpPwrite, Path: "/foo", Data: page('n')},
+		{Kind: OpPwrite, Path: "/foo", Off: 64, Data: page('N')},
+		{Kind: OpClose, Path: "/foo"},
+		{Kind: OpUnlink, Path: "/log"},
+	})
 }
