@@ -57,7 +57,7 @@ var experiments = []struct {
 	run   func(*settings)
 }{
 	{"fig5", true, func(*settings) { fmt.Println(exps.Fig5()) }},
-	{"fig8", true, func(s *settings) { fmt.Println(exps.Fig8(core.DefaultOptions(), s.h5p).Format()) }},
+	{"fig8", true, runFig8},
 	{"fig9", true, func(s *settings) { fmt.Println(exps.Fig9(s.h5p)) }},
 	{"fig10", true, func(s *settings) { fmt.Println(exps.FormatFig10(exps.Fig10(s.h5p))) }},
 	{"fig11", true, func(s *settings) { fmt.Println(exps.FormatFig11(exps.Fig11(s.servers, s.h5p))) }},
@@ -136,6 +136,34 @@ func main() {
 	if !known {
 		fatal(fmt.Errorf("unknown experiment %q (want %s)", *exp, experimentNames()))
 	}
+}
+
+// runFig8 prints the Figure 8 matrix, then names every cell whose run
+// errored on stderr and exits 1 if there is one: a matrix with a hole in
+// it is not the paper's figure.
+func runFig8(s *settings) {
+	res := exps.Fig8(core.DefaultOptions(), s.h5p)
+	fmt.Println(res.Format())
+	if errs := cellErrors(res); len(errs) > 0 {
+		for _, e := range errs {
+			fmt.Fprintln(os.Stderr, "experiments: fig8:", e)
+		}
+		os.Exit(1)
+	}
+}
+
+// cellErrors names each errored cell of a Figure 8 matrix by program, file
+// system and error, in table order.
+func cellErrors(r *exps.Fig8Result) []string {
+	var out []string
+	for _, prog := range r.Programs {
+		for _, fs := range r.FS {
+			if c := r.Cells[prog][fs]; c.Err != "" {
+				out = append(out, fmt.Sprintf("%s on %s: %s", prog, fs, c.Err))
+			}
+		}
+	}
+	return out
 }
 
 // runSpeedups prints the §6.4 headline numbers on ARVR/BeeGFS.

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"paracrash/internal/exps"
 )
 
 // TestMain doubles the test binary as the CLI when the re-exec marker is
@@ -160,5 +162,26 @@ func TestExperimentTable(t *testing.T) {
 	}
 	if !slices.Equal(documented, names) {
 		t.Errorf("package comment documents %v, the table has %v", documented, names)
+	}
+}
+
+// TestCellErrors: every errored cell of a Figure 8 matrix is named, with
+// its program, file system and error, and a clean matrix names none.
+func TestCellErrors(t *testing.T) {
+	r := &exps.Fig8Result{
+		Programs: []string{"ARVR", "WAL"},
+		FS:       []string{"beegfs", "ext4"},
+		Cells: map[string]map[string]exps.Cell{
+			"ARVR": {"beegfs": {Inconsistent: 3}, "ext4": {Err: "boom"}},
+			"WAL":  {"beegfs": {Err: "bang"}, "ext4": {}},
+		},
+	}
+	want := []string{"ARVR on ext4: boom", "WAL on beegfs: bang"}
+	if got := cellErrors(r); !slices.Equal(got, want) {
+		t.Errorf("cellErrors = %q, want %q", got, want)
+	}
+	r.Cells["ARVR"]["ext4"], r.Cells["WAL"]["beegfs"] = exps.Cell{}, exps.Cell{}
+	if got := cellErrors(r); len(got) != 0 {
+		t.Errorf("clean matrix: cellErrors = %q", got)
 	}
 }

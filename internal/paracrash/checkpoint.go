@@ -139,9 +139,8 @@ type Checkpoint struct {
 
 	mu sync.Mutex
 	// j is the journal as this run writes it, resumed and fresh records in
-	// journal order; keys holds their binary state keys.
+	// journal order.
 	j        Journal
-	keys     map[string]bool
 	resumed  int
 	warnings []string
 	dirty    int
@@ -154,7 +153,7 @@ type Checkpoint struct {
 // OpenCheckpoint binds a checkpoint journal to path. The file is not read
 // until a run resumes from it, and not created until the first flush.
 func OpenCheckpoint(path string) *Checkpoint {
-	return &Checkpoint{path: path, keys: map[string]bool{}}
+	return &Checkpoint{path: path}
 }
 
 // Path returns the journal file path.
@@ -185,7 +184,6 @@ func (c *Checkpoint) resume(config string) (map[string]Verdict, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.j = Journal{Version: checkpointVersion, Config: config}
-	c.keys = map[string]bool{}
 	c.resumed, c.warnings, c.dirty, c.persisted = 0, nil, 0, 0
 
 	data, err := os.ReadFile(c.path)
@@ -218,7 +216,6 @@ func (c *Checkpoint) resume(config string) (map[string]Verdict, error) {
 	out := make(map[string]Verdict, len(j.Verdicts))
 	for _, v := range j.Verdicts {
 		key, _ := v.stateKey() // ReadJournal kept only keys that decode
-		c.keys[key] = true
 		out[key] = v
 	}
 	c.j.Verdicts = j.Verdicts
@@ -232,19 +229,17 @@ func (c *Checkpoint) resume(config string) (map[string]Verdict, error) {
 	return out, nil
 }
 
-// record journals one freshly computed verdict of state key, with its class
-// key, flushing every Every new records. Skipped (quarantined) verdicts are
-// not journaled so a resumed run re-attempts them.
+// record journals one verdict the run judged, of state key and with its
+// class key, flushing every Every new records. The run judges a key at
+// most once and never one the journal holds, so no key is recorded twice.
+// Skipped (quarantined) verdicts are not journaled so a resumed run
+// re-attempts them.
 func (c *Checkpoint) record(key string, v Verdict) error {
 	if v.Skipped {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.keys[key] {
-		return nil
-	}
-	c.keys[key] = true
 	v.Key = hex.EncodeToString([]byte(key))
 	c.j.Verdicts = append(c.j.Verdicts, v)
 	c.dirty++

@@ -330,11 +330,13 @@ type session struct {
 	goldenPFS string // strict golden tree (all ops), for consequences
 	goldenLib string
 
-	// shipped, in the merge of a sharded run, resolves a front|keep key to
-	// the verdict a shard judged, which check then uses instead of
-	// reconstructing the state, with the class key the shard digested the
-	// state into, which check then uses instead of digesting it again.
-	shipped verdictTable
+	// elsewhere resolves a front|keep key to a verdict judged elsewhere: by
+	// a fleet shard, in the merge of a sharded run, or by the run that
+	// wrote the checkpoint journal (marked resumed); a shard's verdict wins
+	// over a journal record of the same key. check uses it instead of
+	// reconstructing the state, with the class key it carries instead of
+	// digesting the state again. Loaded before the walk, read-only during it.
+	elsewhere map[string]Verdict
 
 	// classes is the class memo (representative.go): class key to the
 	// verdict of the class's representative. fronts memoises each crash
@@ -350,20 +352,13 @@ type session struct {
 	// required mask (PersistOrder.Required): the states of one front are
 	// checked in a row, so the mask is computed once per front.
 	reqFront, required causality.Bitset
-	// checked is the state key check last inserted into checkCache, empty
-	// when its last call inserted nothing (an infeasible state or a cache
-	// hit): a shard reuses it for its verdict table.
-	checked string
 
 	// recon is the reconstruction engine (see reconstruct.go): it caches
 	// prefix roots and recovered outcomes.
 	recon *reconstructor
 
-	// resumed holds the records of a checkpoint journal, keyed like
-	// checkCache. Read-only during exploration.
-	resumed map[string]Verdict
-	// ckpt, when the run checkpoints, receives every freshly computed
-	// verdict for journaling.
+	// ckpt, when the run checkpoints, receives every verdict judge
+	// computes for journaling.
 	ckpt *Checkpoint
 
 	stats Stats
@@ -619,8 +614,10 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 }
 
 // resumeCheckpoint loads previously journaled verdicts (if any) for a run
-// whose verdict-relevant configuration fingerprints to config, and arms the
-// session to keep journaling. Callers arrange the exit-path Flush.
+// whose verdict-relevant configuration fingerprints to config into the
+// verdicts judged elsewhere, below any a shard shipped for the same key,
+// and arms the session to keep journaling. Callers arrange the exit-path
+// Flush.
 func (s *session) resumeCheckpoint(config string) error {
 	stopResume := s.opts.Obs.Phase(obs.PhaseResume)
 	defer stopResume()
@@ -628,7 +625,15 @@ func (s *session) resumeCheckpoint(config string) error {
 	if err != nil {
 		return fmt.Errorf("paracrash: resume: %w", err)
 	}
-	s.resumed = resumed
+	if s.elsewhere == nil {
+		s.elsewhere = make(map[string]Verdict, len(resumed))
+	}
+	for key, v := range resumed {
+		if _, shipped := s.elsewhere[key]; !shipped {
+			v.resumed = true
+			s.elsewhere[key] = v
+		}
+	}
 	s.ckpt = s.opts.Checkpoint
 	s.opts.Obs.Counter("resume/verdicts").Add(int64(len(resumed)))
 	s.opts.Obs.Counter("resume/warnings").Add(int64(len(s.opts.Checkpoint.Warnings())))
@@ -685,7 +690,8 @@ func (s *session) generate() []CrashState {
 // and class keys fleet shards judged, which the walk uses instead of
 // computing them, and effort (the shards' measured work) is folded into
 // Stats.
-func (s *session) explore(shipped verdictTable, effort []Stats) (*Report, error) {
+func (s *session) explore(shipped map[string]Verdict, effort []Stats) (*Report, error) {
+	s.elsewhere = shipped
 	// Checkpoint/resume: load previously journaled verdicts (if any) and
 	// keep journaling from here on. The journal is flushed on every exit
 	// path — success, failure and cancellation alike.
@@ -701,7 +707,6 @@ func (s *session) explore(shipped verdictTable, effort []Stats) (*Report, error)
 	states := s.generate()
 	s.checkCache = make(map[string]Verdict, len(states))
 	stopExplore := s.opts.Obs.Phase(obs.PhaseExplore)
-	s.shipped = shipped
 	s.walk(states, report)
 	stopExplore()
 
@@ -771,7 +776,6 @@ func (s *session) feasible(cs CrashState) bool {
 // carries the state's class key ("" when the digest failed); a state whose
 // digest or judgement fails comes back skipped.
 func (s *session) check(cs CrashState) Verdict {
-	s.checked = ""
 	if !s.feasible(cs) {
 		return Verdict{Consistent: true}
 	}
@@ -781,19 +785,12 @@ func (s *session) check(cs CrashState) Verdict {
 	if v, ok := s.checkCache[string(s.keyBuf)]; ok {
 		return v
 	}
-	var v Verdict
-	elsewhere, resumed := false, false
-	if len(s.shipped) > 0 {
-		v, elsewhere = s.shipped[string(s.keyBuf)]
-	}
-	if !elsewhere && len(s.resumed) > 0 {
-		v, resumed = s.resumed[string(s.keyBuf)]
-		elsewhere = resumed
-	}
+	v, elsewhere := s.elsewhere[string(s.keyBuf)]
+	resumed := v.resumed
 	key := string(s.keyBuf)
-	// Neither whether a shard attributed the verdict from its own classes
-	// nor a journal record's hex key carries over.
-	v.attributed, v.Key = false, ""
+	// Neither whether a shard attributed the verdict from its own classes,
+	// nor where it came from, nor a journal record's hex key carries over.
+	v.attributed, v.resumed, v.Key = false, false, ""
 	var err error
 	var cv Verdict
 	member := false
@@ -811,23 +808,23 @@ func (s *session) check(cs CrashState) Verdict {
 		// the journal one record per class.
 		cv.attributed = true
 		s.checkCache[key] = cv
-		s.checked = key
 		return cv
 	}
 	if resumed {
 		s.stats.StatesResumed++
 	}
 	if !elsewhere {
+		// Only a verdict judged here is journaled: one judged elsewhere
+		// is in its shard's report or already in the journal.
 		v = s.judge(cs, v.Class, err)
+		s.journal(key, v)
 	}
 	if v.Skipped {
 		// Counted by the session that reports the state, whoever judged it.
 		s.ctrSkipped.Inc()
 	}
 	s.checkCache[key] = v
-	s.checked = key
 	s.recordClass(v)
-	s.journal(key, v)
 	return v
 }
 
@@ -846,9 +843,8 @@ func (s *session) probe(cs CrashState) bool {
 }
 
 // journal records a verdict in the checkpoint (no-op when the run does not
-// checkpoint, and for verdicts the journal already holds). Journal write
-// errors are counted, never fatal — losing checkpoint durability must not
-// take the run down.
+// checkpoint). Journal write errors are counted, never fatal — losing
+// checkpoint durability must not take the run down.
 func (s *session) journal(key string, v Verdict) {
 	if s.ckpt == nil {
 		return

@@ -18,11 +18,12 @@
 // BugSet, so the merge prunes — and journals each fresh verdict into the
 // run's Checkpoint. The merge is explore's serial walk verbatim (visiting
 // order, pruning, representative attribution), resolving checks and class
-// lookups through a verdictTable, so no shipped state is judged or digested
-// twice, and computing locally only what no shard judged (classifier probes
-// outside the shards' runs, and the states of a shard that panicked). Its
-// report has the serial run's verdicts, state keys, state counts and bug
-// set, and Stats whose effort is the merge's own plus every shard's.
+// lookups through the verdicts the shards shipped, so no shipped state is
+// judged, digested or journaled twice, and computing locally only what no
+// shard judged (classifier probes outside the shards' runs, and the states
+// of a shard that panicked). Its report has the serial run's verdicts,
+// state keys, state counts and bug set, and Stats whose effort is the
+// merge's own plus every shard's.
 package paracrash
 
 import (
@@ -98,8 +99,10 @@ type Verdict struct {
 	Skipped bool `json:"skipped,omitempty"`
 	// attributed marks a verdict a state took from its class representative
 	// (a class memo hit); countVisit counts such a state as deduplicated.
-	// Being unexported, it is never serialised.
-	attributed bool
+	// resumed marks a verdict resumeCheckpoint loaded from a journal, so
+	// check counts the state in StatesResumed. Being unexported, neither is
+	// ever serialised.
+	attributed, resumed bool
 }
 
 // stateKey decodes the binary state key; an empty or non-hex key is an
@@ -166,10 +169,9 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 	states := all[lo:hi]
 	opts.Obs.Gauge("shard/states").Set(int64(len(states)))
 
-	table := make(verdictTable, len(states))
 	s.checkCache = make(map[string]Verdict, len(states))
 	stopExplore := opts.Obs.Phase(obs.PhaseExplore)
-	s.exploreShard(states, table, opts.Obs.Gauge("shard/pending"))
+	s.exploreShard(states, opts.Obs.Gauge("shard/pending"))
 	stopExplore()
 
 	// Leave the cluster at the untouched post-run state, like RunContext.
@@ -182,10 +184,14 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 	s.stats.Duration = time.Since(s.start)
 	rep := &ShardReport{Shard: shard, Config: config, StatesGenerated: s.stats.StatesGenerated, Stats: s.stats}
 	for i, cs := range states {
+		// The loop checked every state, and check caches the verdict of
+		// every state but an infeasible one.
 		key := stateKey(cs)
-		v, ok := table[key] // judged: the loop covers every state unless cancelled
-		if !ok {
+		v, ok := s.checkCache[key]
+		if !ok && s.feasible(cs) {
 			return nil, fmt.Errorf("paracrash: shard %s: no verdict for state %d", shard, lo+i)
+		} else if !ok {
+			v = Verdict{Consistent: true}
 		}
 		v.Key = hex.EncodeToString([]byte(key))
 		rep.Verdicts = append(rep.Verdicts, v)
@@ -218,7 +224,7 @@ func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	count := shards[0].Shard.Count
 	generated := shards[0].StatesGenerated
 	seen := make(map[int]bool, len(shards))
-	verdicts := verdictTable{}
+	verdicts := map[string]Verdict{}
 	effort := make([]Stats, 0, len(shards))
 	for _, sr := range shards {
 		if err := sr.Shard.Validate(); err != nil {
@@ -257,14 +263,9 @@ func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	return s.explore(verdicts, effort)
 }
 
-// verdictTable is what a merge resolves checks through: a raw crash-state
-// key to the verdict a shard judged, with the class key the shard digested
-// the state into. MergeShards fills it from the reports' wire verdicts.
-type verdictTable map[string]Verdict
-
 // walk is explore's one ordered walk: it prunes, checks and records every
 // state into rep in generation order. In a fleet merge, checks resolve
-// through the verdicts the shards shipped (s.shipped), and the walk judges
+// through the verdicts the shards shipped (s.elsewhere), and the walk judges
 // itself only what no shard judged: classifier probes outside the
 // generated list, and the states of a shard that panicked.
 func (s *session) walk(states []CrashState, rep *Report) {
@@ -328,21 +329,15 @@ func (s *session) victimKeys(cs CrashState) []string {
 }
 
 // exploreShard is RunShard's loop: it judges a shard's run of states in
-// generation order into out, and stops early when the run is cancelled. All
-// per-state logic lives in check, which caches prefix roots, counts the
-// work in the shard's Stats and journals every fresh verdict.
-func (s *session) exploreShard(states []CrashState, out verdictTable, pending *obs.Gauge) {
+// generation order into checkCache, and stops early when the run is
+// cancelled. All per-state logic lives in check, which caches prefix roots,
+// counts the work in the shard's Stats and journals every fresh verdict.
+func (s *session) exploreShard(states []CrashState, pending *obs.Gauge) {
 	for _, cs := range states {
 		if s.ctx.Err() != nil {
 			return
 		}
-		v := s.check(cs)
-		key := s.checked
-		if key == "" {
-			key = stateKey(cs)
-		}
-		out[key] = v
-		s.countVisit(v)
+		s.countVisit(s.check(cs))
 		pending.Add(-1)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -282,6 +283,89 @@ func TestShardChaosResume(t *testing.T) {
 		t.Errorf("chaos-resumed shard merge differs after %d kills:\n--- standalone ---\n%s--- fleet ---\n%s", kills, baseFP, mf)
 	} else {
 		t.Logf("survived %d mid-shard kills", kills)
+	}
+}
+
+// TestMergeJournalsOnlyItsOwnVerdicts: a run journals only the verdicts it
+// judged itself. A fleet merge under a checkpoint copies no shipped verdict
+// into its journal: on ext4/CR every state it checks was shipped, so it
+// writes no journal at all, and on beegfs/ARVR its journal holds only keys
+// no shard shipped (classifier probes). A resumed standalone run, which
+// judges nothing, leaves its journal byte-identical.
+func TestMergeJournalsOnlyItsOwnVerdicts(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		fs, program string
+		journal     bool
+	}{{"ext4", "CR", false}, {"beegfs", "ARVR", true}} {
+		t.Run(c.fs+"/"+c.program, func(t *testing.T) {
+			prog, err := exps.ProgramByName(c.program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := exps.Spec{FS: c.fs, Program: prog, Options: paracrash.DefaultOptions(), H5: workloads.DefaultH5Params(), Config: exps.ConfigFor(c.fs)}
+			shipped := map[string]bool{}
+			reports := make([]*paracrash.ShardReport, 2)
+			for i := range reports {
+				sr, err := sp.RunShard(ctx, paracrash.ShardSpec{Index: i, Count: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				reports[i] = wireRoundTrip(t, sr)
+				for _, v := range sr.Verdicts {
+					shipped[v.Key] = true
+				}
+			}
+			standalone, err := sp.Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			merge := sp
+			path := filepath.Join(t.TempDir(), "merge.jsonl")
+			merge.Options.Checkpoint = paracrash.OpenCheckpoint(path)
+			merged, err := merge.Merge(ctx, reports)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sf, mf := exps.ReportFingerprint(standalone), exps.ReportFingerprint(merged); sf != mf {
+				t.Errorf("merge under a checkpoint differs from standalone:\n%s---\n%s", sf, mf)
+			}
+			data, err := os.ReadFile(path)
+			switch {
+			case !c.journal && !os.IsNotExist(err):
+				t.Errorf("the merge judged nothing but wrote a journal (%d bytes, err %v)", len(data), err)
+			case c.journal && err != nil:
+				t.Fatalf("the merge judged probes but wrote no journal: %v", err)
+			case c.journal:
+				j, err := paracrash.ReadJournal(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range j.Verdicts {
+					if shipped[v.Key] {
+						t.Errorf("the merge journaled shipped verdict %s", v.Key)
+					}
+				}
+			}
+
+			run := sp
+			path = filepath.Join(t.TempDir(), "run.jsonl")
+			run.Options.Checkpoint = paracrash.OpenCheckpoint(path)
+			for i := 0; i < 2; i++ {
+				if _, err := run.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if i == 1 && run.Options.Checkpoint.Resumed() == 0 {
+					t.Error("the second run resumed nothing")
+				}
+				if again, err := os.ReadFile(path); err != nil || (i == 1 && string(again) != string(data)) {
+					t.Errorf("run %d: the resumed run changed its journal (err %v)", i, err)
+				} else {
+					data = again
+				}
+			}
+		})
 	}
 }
 

@@ -1,31 +1,22 @@
-// Fsck: the daemon runs the same kind of crash-consistency check on its
-// own state directory that the engine runs on simulated file systems. A
-// state directory is a bag of independently-written records (job files,
-// leases, shard tasks and results, checkpoint journals), and an unclean
-// death can leave it with exactly the debris classes bounded black-box
-// crash testing predicts: orphan temp files from interrupted atomic
-// replaces, torn records from interrupted creates, torn journal tails from
-// interrupted appends, and cross-record staleness (shard files outliving
-// their merged job, leases outliving their owner).
-//
-// Fsck scans for every class, classifies each finding, and — in repair
-// mode — either repairs it (reconstructible state: temp files, leases,
-// shard tasks/results, journal tails) or quarantines it (state that cannot
-// be reconstructed and must not be silently dropped: job records, whole
-// journals with unreadable headers, shard files whose owning job record is
-// gone). The report is machine-readable; the daemon exports its counters
-// on /metrics and reflects quarantines in /healthz and /readyz so a
-// wounded daemon degrades visibly instead of serving garbage.
-// `make selfcheck` proves the pass sufficient: for every statefs crash
-// point, kill → fsck → restart recovers to a byte-identical report.
+// Fsck: the daemon runs on its own state directory the kind of check the
+// engine runs on simulated file systems. An unclean death leaves exactly
+// the debris classes bounded black-box crash testing predicts: orphan temp
+// files, torn records and journal tails, and records outliving their job.
+// Fsck reads each record with the reader the daemon reads it with, repairs
+// what is reconstructible and quarantines what is not, in a
+// machine-readable report the daemon exports on /metrics, /healthz and
+// /readyz. docs/OPERATIONS.md §8 lists every finding and why its repair is
+// safe. `make selfcheck` proves the pass sufficient: for every statefs
+// crash point, kill → fsck → restart recovers to a byte-identical report.
 package serve
 
 import (
-	"encoding/json"
+	"cmp"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,53 +31,40 @@ const FsckVersion = 1
 // records are moved into.
 const QuarantineDirName = "quarantine"
 
-// Fsck problem categories.
+// Fsck problem categories, each with its repair. docs/OPERATIONS.md §8
+// says why each repair is safe.
 const (
-	// ProblemOrphanTmp is a leftover temp file from an interrupted atomic
-	// replace. Repair: remove (the destination record is intact).
+	// ProblemOrphanTmp is a temp file an interrupted atomic replace left: remove.
 	ProblemOrphanTmp = "orphan-tmp"
-	// ProblemTornJobRecord is a job record that does not parse — the torn
-	// file a crash mid-create leaves. Repair: quarantine (a job record is
-	// not reconstructible and may still identify lost work).
+	// ProblemTornJobRecord is a job record that does not parse: quarantine.
 	ProblemTornJobRecord = "torn-job-record"
-	// ProblemVersionSkew is a job record with a different schema version.
-	// Repair: quarantine.
+	// ProblemVersionSkew is a job record of another schema version: quarantine.
 	ProblemVersionSkew = "version-skew"
-	// ProblemMalformedLease is a lease file that does not parse (a worker
-	// died mid-create). Repair: remove — a missing lease just means the
-	// task is claimable, which is also true of a dead claimant's task.
+	// ProblemMalformedLease is a lease that does not parse: remove.
 	ProblemMalformedLease = "malformed-lease"
-	// ProblemStaleLease is a lease past its deadline (its owner died and
-	// no one reclaimed the task yet). Repair: remove.
+	// ProblemStaleLease is a lease past its deadline: remove.
 	ProblemStaleLease = "stale-lease"
-	// ProblemDamagedShardTask is a shard task that does not parse or has
-	// a skewed version. Repair: remove — the coordinator rewrites tasks
-	// idempotently on resubmission.
+	// ProblemDamagedShardTask is a shard task that does not parse or has a
+	// skewed version: remove.
 	ProblemDamagedShardTask = "damaged-shard-task"
-	// ProblemDamagedShardResult is a shard result that does not parse or
-	// has a skewed version. Repair: remove — the worker recomputes the
-	// shard from its checkpoint journal.
+	// ProblemDamagedShardResult is a shard result that does not parse or has
+	// a skewed version: remove.
 	ProblemDamagedShardResult = "damaged-shard-result"
-	// ProblemTornJournalTail is a checkpoint journal with a torn tail (a
-	// crash mid-append): a damaged record, or a last record without its
-	// newline. Repair: rewrite to what core.ReadJournal keeps — every
-	// record before the damage, and a complete unterminated last record.
+	// ProblemTornJournalTail is a journal a crash cut mid-append (a damaged
+	// record, or a last one without its newline): rewrite to what
+	// core.ReadJournal keeps.
 	ProblemTornJournalTail = "torn-journal-tail"
-	// ProblemDuplicateJournalRecord is a checkpoint journal carrying the
-	// same verdict key twice. Repair: rewrite deduplicated (first
-	// occurrence wins, matching resume semantics) so no verdict can ever
-	// be double-counted.
+	// ProblemDuplicateJournalRecord is a journal holding a verdict key twice:
+	// rewrite, first occurrence kept.
 	ProblemDuplicateJournalRecord = "duplicate-journal-record"
-	// ProblemUnreadableJournal is a checkpoint journal whose header line
-	// does not parse. Repair: quarantine the whole file.
+	// ProblemUnreadableJournal is a journal whose header does not parse:
+	// quarantine.
 	ProblemUnreadableJournal = "unreadable-journal"
-	// ProblemStaleShardFiles is fleet debris (task, result, checkpoint or
-	// lease) for a job whose record is already terminal — the coordinator
-	// died between the merge and its cleanup. Repair: remove.
+	// ProblemStaleShardFiles is a record of a terminal job that outlived it
+	// (the coordinator died between merge and cleanup): remove.
 	ProblemStaleShardFiles = "stale-shard-files"
-	// ProblemOrphanShardFiles is fleet debris whose owning job has no
-	// record at all. Repair: quarantine tasks/results/journals (they may
-	// witness work whose job record was lost) and remove leases.
+	// ProblemOrphanShardFiles is a record of a job with no record:
+	// quarantine, or remove a lease.
 	ProblemOrphanShardFiles = "orphan-shard-files"
 )
 
@@ -165,7 +143,8 @@ type fsck struct {
 	rep  *FsckReport
 
 	// jobs maps parsed job IDs to terminality, for cross-record checks.
-	jobs map[string]bool
+	jobs   map[string]bool
+	leases *LeaseDir // the lease reader
 }
 
 // Fsck checks (and in repair mode, repairs) the daemon's state directory.
@@ -178,10 +157,11 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 		opts.Now = time.Now()
 	}
 	f := &fsck{
-		dir:  dir,
-		opts: opts,
-		rep:  &FsckReport{Version: FsckVersion, Dir: dir, Repair: opts.Repair},
-		jobs: map[string]bool{},
+		dir:    dir,
+		opts:   opts,
+		rep:    &FsckReport{Version: FsckVersion, Dir: dir, Repair: opts.Repair},
+		jobs:   map[string]bool{},
+		leases: &LeaseDir{dir: dir},
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -199,9 +179,8 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 		if e.IsDir() {
 			continue
 		}
-		names = append(names, e.Name())
+		names = append(names, e.Name()) // in name order, as ReadDir lists
 	}
-	sort.Strings(names)
 	for _, name := range names {
 		f.rep.Scanned++
 		f.checkFile(name)
@@ -213,56 +192,56 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 		f.checkOwnership(name)
 	}
 
-	sort.Slice(f.rep.Problems, func(a, b int) bool {
-		pa, pb := f.rep.Problems[a], f.rep.Problems[b]
-		if pa.Path != pb.Path {
-			return pa.Path < pb.Path
-		}
-		return pa.Category < pb.Category
+	slices.SortFunc(f.rep.Problems, func(a, b FsckProblem) int {
+		return cmp.Or(strings.Compare(a.Path, b.Path), strings.Compare(a.Category, b.Category))
 	})
 	f.rep.Clean = len(f.rep.Problems) == 0
 	return f.rep, nil
 }
 
 // checkFile classifies one directory entry and repairs per-file damage.
+// Each record is read by the reader the daemon reads it with; the checks
+// beyond it (a lease naming no task, a result naming no job) are on the
+// value that reader returns.
 func (f *fsck) checkFile(name string) {
 	path := filepath.Join(f.dir, name)
-	switch {
-	case strings.HasSuffix(name, ".tmp") || strings.HasPrefix(name, ".ckpt-"):
+	if strings.HasSuffix(name, ".tmp") || strings.HasPrefix(name, ".ckpt-") {
 		f.remove(name, ProblemOrphanTmp, "leftover temp file from an interrupted atomic replace")
-	case strings.HasPrefix(name, "job-") && strings.HasSuffix(name, ".json"):
-		var j Job
-		data, err := os.ReadFile(path)
-		if err != nil || json.Unmarshal(data, &j) != nil || j.ID == "" {
+		return
+	}
+	rec, ok := parseRecord(name)
+	if !ok {
+		return
+	}
+	switch rec.kind {
+	case kindJob:
+		j, err := readJob(path)
+		var skew skewError
+		switch {
+		case errors.As(err, &skew):
+			f.quarantine(name, ProblemVersionSkew, "job record has "+skew.Error())
+		case err != nil:
 			f.quarantine(name, ProblemTornJobRecord, "job record does not parse")
-			return
+		default:
+			f.jobs[j.ID] = j.State.Terminal()
 		}
-		if j.Version != JobVersion {
-			f.quarantine(name, ProblemVersionSkew, fmt.Sprintf("job record has schema version %d, want %d", j.Version, JobVersion))
-			return
-		}
-		f.jobs[j.ID] = j.State.Terminal()
-	case strings.HasPrefix(name, "lease-") && strings.HasSuffix(name, ".json"):
-		var l Lease
-		data, err := os.ReadFile(path)
-		if err != nil || json.Unmarshal(data, &l) != nil || l.Task == "" {
+	case kindLease:
+		l, err := f.leases.read(path)
+		switch {
+		case err != nil || l.Task == "":
 			f.remove(name, ProblemMalformedLease, "lease file does not parse (claimant died mid-create)")
-			return
-		}
-		if l.Expired(f.opts.Now) {
+		case l.Expired(f.opts.Now):
 			f.remove(name, ProblemStaleLease, fmt.Sprintf("lease by %s expired %s", l.Owner, l.Expires.Format(time.RFC3339)))
 		}
-	case strings.HasPrefix(name, "task-") && strings.HasSuffix(name, ".json"):
+	case kindTask:
 		if _, ok := readShardTask(path); !ok {
 			f.remove(name, ProblemDamagedShardTask, "shard task does not parse or has a skewed version")
 		}
-	case strings.HasPrefix(name, "result-") && strings.HasSuffix(name, ".json"):
-		var r ShardResult
-		data, err := os.ReadFile(path)
-		if err != nil || json.Unmarshal(data, &r) != nil || r.Job == "" || r.Version != FleetVersion {
+	case kindResult:
+		if r, ok, err := ReadShardResult(f.dir, rec.job, rec.shard); err != nil || !ok || r.Job == "" {
 			f.remove(name, ProblemDamagedShardResult, "shard result does not parse or has a skewed version")
 		}
-	case strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".jsonl"):
+	case kindJournal, kindShardJournal:
 		f.checkJournal(name)
 	}
 }
@@ -301,23 +280,24 @@ func (f *fsck) checkJournal(name string) {
 }
 
 // checkOwnership flags fleet debris whose owning job record is terminal
-// (stale) or missing (orphan). Job records themselves and already-removed
-// files are skipped.
+// (stale) or missing (orphan). Job records themselves, files that are no
+// record and already-removed files are skipped.
 func (f *fsck) checkOwnership(name string) {
-	job, kind := ownerOf(name)
-	if job == "" {
+	rec, ok := parseRecord(name)
+	if !ok || rec.kind == kindJob || rec.job == "" {
 		return
 	}
 	if _, err := os.Stat(filepath.Join(f.dir, name)); os.IsNotExist(err) {
 		return // pass 1 already removed or quarantined it
 	}
+	job, kind := rec.job, records[rec.kind].what
 	terminal, known := f.jobs[job]
 	switch {
 	case known && terminal:
 		f.remove(name, ProblemStaleShardFiles,
 			fmt.Sprintf("%s outlives terminal job %s (coordinator died between merge and cleanup)", kind, job))
 	case !known:
-		if kind == "lease" {
+		if rec.kind == kindLease {
 			// Leases are transient claims; with no job to claim for, drop.
 			f.remove(name, ProblemOrphanShardFiles, fmt.Sprintf("lease for unknown job %s", job))
 			return
@@ -325,31 +305,6 @@ func (f *fsck) checkOwnership(name string) {
 		f.quarantine(name, ProblemOrphanShardFiles,
 			fmt.Sprintf("%s belongs to unknown job %s (its record may have been lost)", kind, job))
 	}
-}
-
-// ownerOf extracts the owning job ID and record kind from a fleet or
-// journal file name; job is "" for names that have no owner (job records,
-// temp files, foreign files).
-func ownerOf(name string) (job, kind string) {
-	for _, r := range []struct{ prefix, suffix, kind string }{
-		{"task-", ".json", "shard task"},
-		{"result-", ".json", "shard result"},
-		{"ckpt-", ".jsonl", "checkpoint journal"},
-		{"lease-", ".json", "lease"},
-	} {
-		if !strings.HasPrefix(name, r.prefix) || !strings.HasSuffix(name, r.suffix) {
-			continue
-		}
-		// Fleet records are <job>-shard-<i>; a standalone journal is <job>.
-		base := strings.TrimSuffix(strings.TrimPrefix(name, r.prefix), r.suffix)
-		if job, ok := jobOfLeaseTask(base); ok {
-			return job, r.kind
-		}
-		if r.kind != "lease" {
-			return base, r.kind
-		}
-	}
-	return "", ""
 }
 
 // problem records one finding; action is downgraded to ActionDetected on

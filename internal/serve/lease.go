@@ -1,17 +1,11 @@
 // Lease records: how fleet workers claim shard work without a coordinator
-// round-trip. A lease is one JSON file in the shared results directory,
-// created with O_EXCL so exactly one claimant wins, renewed by its owner
-// before the TTL elapses, and reclaimable by anyone once it expires — the
-// crash-recovery path for a worker that died mid-shard. Epochs count
-// ownership transfers: a renewal or release by a worker whose epoch the
-// file no longer carries fails with ErrLeaseLost, so a paused-and-revived
-// worker notices it was presumed dead instead of double-writing.
-//
-// The protocol tolerates the one race a shared directory cannot exclude:
-// two workers may both observe an expired lease and both remove-then-create
-// it. The O_EXCL create serialises them — one wins the new epoch — and the
-// loser's verdicts were deterministic anyway, so even a worker that briefly
-// keeps computing after losing its lease cannot corrupt a merge.
+// round-trip. A lease is created with O_EXCL, so one claimant wins; its
+// owner renews it before the TTL elapses, and anyone may reclaim it once it
+// expires. Epochs count ownership transfers, so a revived worker whose
+// epoch the file no longer carries gets ErrLeaseLost instead of
+// double-writing. Two workers may both remove-then-create an expired
+// lease: the O_EXCL create picks one, and the loser's verdicts were
+// deterministic anyway, so it cannot corrupt a merge.
 package serve
 
 import (
@@ -19,9 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"paracrash/internal/statefs"
@@ -37,7 +28,7 @@ var ErrLeaseLost = errors.New("serve: lease lost")
 
 // Lease is one claim on a unit of fleet work.
 type Lease struct {
-	// Task names the work unit (e.g. "<job>-shard-2").
+	// Task names the work unit: a shardID, e.g. "<job>-shard-2".
 	Task string `json:"task"`
 	// Owner is the claiming worker's ID.
 	Owner string `json:"owner"`
@@ -72,7 +63,7 @@ func NewLeaseDir(dir string) (*LeaseDir, error) {
 
 // path returns the lease file for a task.
 func (d *LeaseDir) path(task string) string {
-	return filepath.Join(d.dir, "lease-"+sanitizeID(task)+".json")
+	return kindLease.path(d.dir, task)
 }
 
 // Claim attempts to acquire the task's lease for owner with the given TTL.
@@ -89,23 +80,20 @@ func (d *LeaseDir) Claim(task, owner string, ttl time.Duration) (*Lease, error) 
 		// Already ours: refresh the deadline (idempotent claim after a
 		// worker restart that kept its ID).
 		cur.Expires = now.Add(ttl)
-		if err := d.rewrite(path, cur); err != nil {
+		if err := statefs.WriteJSON(siteLeaseRenew, path, cur); err != nil {
 			return nil, err
 		}
 		return &cur, nil
 	case err == nil && !cur.Expired(now):
 		return nil, fmt.Errorf("%w: %s owns %s until %s", ErrLeaseHeld, cur.Owner, task, cur.Expires.Format(time.RFC3339))
-	case err == nil:
-		// Expired: anyone may reclaim. Remove then O_EXCL-create; losing
-		// either race means another worker won the reclaim.
-		_ = os.Remove(path)
-		next := Lease{Task: task, Owner: owner, Epoch: cur.Epoch + 1, Expires: now.Add(ttl)}
-		if err := d.create(path, next); err != nil {
-			return nil, err
+	case err == nil || os.IsNotExist(err):
+		// Free (cur is zero: epoch 1), or expired and anyone's to reclaim:
+		// remove it, then O_EXCL-create; losing either race means another
+		// worker won the claim.
+		if err == nil {
+			_ = os.Remove(path)
 		}
-		return &next, nil
-	case os.IsNotExist(err):
-		next := Lease{Task: task, Owner: owner, Epoch: 1, Expires: now.Add(ttl)}
+		next := Lease{Task: task, Owner: owner, Epoch: cur.Epoch + 1, Expires: now.Add(ttl)}
 		if err := d.create(path, next); err != nil {
 			return nil, err
 		}
@@ -119,72 +107,41 @@ func (d *LeaseDir) Claim(task, owner string, ttl time.Duration) (*Lease, error) 
 // own the exact epoch it claimed; anything else — file gone, other owner,
 // other epoch — is ErrLeaseLost.
 func (d *LeaseDir) Renew(l *Lease, ttl time.Duration) error {
-	path := d.path(l.Task)
-	cur, err := d.read(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("%w: lease file for %s is gone", ErrLeaseLost, l.Task)
-		}
+	err := d.owned(l)
+	if os.IsNotExist(err) {
+		return fmt.Errorf("%w: lease file for %s is gone", ErrLeaseLost, l.Task)
+	} else if err != nil {
 		return err
 	}
-	if cur.Owner != l.Owner || cur.Epoch != l.Epoch {
-		return fmt.Errorf("%w: %s is owned by %s (epoch %d)", ErrLeaseLost, l.Task, cur.Owner, cur.Epoch)
-	}
 	l.Expires = d.now().Add(ttl)
-	return d.rewrite(path, *l)
+	return statefs.WriteJSON(siteLeaseRenew, d.path(l.Task), *l)
 }
 
 // Release drops the lease so the task stops looking claimed. Releasing a
 // lease the caller no longer owns returns ErrLeaseLost and removes nothing.
 func (d *LeaseDir) Release(l *Lease) error {
-	path := d.path(l.Task)
-	cur, err := d.read(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // already gone — release is idempotent
-		}
+	err := d.owned(l)
+	if os.IsNotExist(err) {
+		return nil // already gone — release is idempotent
+	} else if err != nil {
 		return err
 	}
-	if cur.Owner != l.Owner || cur.Epoch != l.Epoch {
-		return fmt.Errorf("%w: %s is owned by %s (epoch %d)", ErrLeaseLost, l.Task, cur.Owner, cur.Epoch)
-	}
-	return os.Remove(path)
+	return os.Remove(d.path(l.Task))
 }
 
-// Get returns the task's current lease, with ok=false when none exists.
-func (d *LeaseDir) Get(task string) (Lease, bool, error) {
-	l, err := d.read(d.path(task))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return Lease{}, false, nil
-		}
-		return Lease{}, false, err
+// owned reads l's lease file and fails with ErrLeaseLost unless it still
+// carries l's owner and epoch; a missing file is a not-exist error.
+func (d *LeaseDir) owned(l *Lease) error {
+	cur, err := d.read(d.path(l.Task))
+	if err == nil && (cur.Owner != l.Owner || cur.Epoch != l.Epoch) {
+		err = fmt.Errorf("%w: %s is owned by %s (epoch %d)", ErrLeaseLost, l.Task, cur.Owner, cur.Epoch)
 	}
-	return l, true, nil
+	return err
 }
 
-// List returns every lease in the directory, sorted by task. Unparsable
-// files (a worker died mid-create before O_EXCL content landed — impossible
-// with our create, but directories are shared) are skipped.
-func (d *LeaseDir) List() ([]Lease, error) {
-	paths, err := filepath.Glob(filepath.Join(d.dir, "lease-*.json"))
-	if err != nil {
-		return nil, err
-	}
-	var out []Lease
-	for _, p := range paths {
-		l, err := d.read(p)
-		if err != nil {
-			continue
-		}
-		out = append(out, l)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Task < out[b].Task })
-	return out, nil
-}
-
-// read parses one lease file. A file that exists but does not parse is
-// reported as malformed, distinct from not-exist.
+// read parses one lease file: the one lease reader, the claimants' and
+// fsck's. A file that exists but does not parse is reported as malformed,
+// distinct from not-exist.
 func (d *LeaseDir) read(path string) (Lease, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -200,34 +157,11 @@ func (d *LeaseDir) read(path string) (Lease, error) {
 // create writes a brand-new lease file through the statefs O_EXCL
 // discipline, the cross-process mutual-exclusion primitive: exactly one
 // concurrent claimant succeeds, and the winning claim is fsynced along
-// with its directory entry before the claimant proceeds (the missing
-// parent-directory fsync here was one of the durability holes the statefs
-// migration closed).
+// with its directory entry before the claimant proceeds.
 func (d *LeaseDir) create(path string, l Lease) error {
 	err := statefs.CreateExclusiveJSON(siteLeaseCreate, path, l)
 	if err != nil && os.IsExist(err) {
 		return fmt.Errorf("%w: lost the claim race for %s", ErrLeaseHeld, l.Task)
 	}
 	return err
-}
-
-// rewrite replaces a held lease in place (renewal, idempotent re-claim)
-// through the statefs atomic discipline.
-func (d *LeaseDir) rewrite(path string, l Lease) error {
-	return statefs.WriteJSON(siteLeaseRenew, path, l)
-}
-
-// leaseTaskForShard names the lease protecting one shard of one job.
-func leaseTaskForShard(job string, index int) string {
-	return fmt.Sprintf("%s-shard-%d", job, index)
-}
-
-// jobOfLeaseTask extracts the job ID out of a shard lease task name,
-// with ok=false for non-shard tasks.
-func jobOfLeaseTask(task string) (string, bool) {
-	i := strings.LastIndex(task, "-shard-")
-	if i < 0 {
-		return "", false
-	}
-	return task[:i], true
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -129,11 +128,9 @@ type Scheduler struct {
 // the daemon-level metrics. Call Start to launch the worker pool.
 //
 // The scheduler also owns the daemon's telemetry router (see Router): the
-// daemon run is its process-level collector, every live job's run is
-// attached under the job ID for the duration of the job, and a finished
-// job's counters fold into the fleet totals on detach — so the /metrics
-// exposition carries per-job series for running jobs and monotonic
-// fleet-level rollups across completions.
+// daemon run is its process-level collector, and each live job's run is
+// attached under its ID until the job ends, when its counters fold into
+// the fleet totals — per-job series while running, monotonic rollups after.
 func NewScheduler(cfg SchedulerConfig, store *Store, run *obs.Run) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
@@ -245,62 +242,69 @@ func (s *Scheduler) SubmitTenant(req JobRequest, tn *Tenant) (Job, error) {
 		Request:   req,
 		CreatedAt: time.Now().UTC(),
 	}
-	name, prio, maxRun := "", 1, 0
+	var limits func() error
 	if tn != nil {
 		job.Tenant = tn.Name
-		name = tn.Name
-		prio, _ = priorityIndex(tn.Priority) // validated at registry build
-		maxRun = tn.MaxRunning
+		// Rate, then quota, before the shared queue depth: a tenant over its
+		// own budget is told so even when the queue is full too.
+		limits = func() error {
+			if s.cfg.Tenants != nil && !s.cfg.Tenants.Allow(tn.Name) {
+				s.obs.Counter("tenant/" + tn.Name + "/rate-limited").Inc()
+				return ErrRateLimited
+			}
+			if tn.MaxQueued > 0 && s.fq.queuedFor(tn.Name) >= tn.MaxQueued {
+				s.obs.Counter("tenant/" + tn.Name + "/quota-rejected").Inc()
+				return ErrQuotaExceeded
+			}
+			return nil
+		}
 	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.ctrRejected.Inc()
-		return Job{}, ErrDraining
+	// Snapshot the record as it is stored: once enqueued, workers own it.
+	var snap Job
+	if err := s.admit(job, tn, limits, func() { s.store.Add(job); snap = *job }); err != nil {
+		return Job{}, err
 	}
-	// Admission order: the tenant's own limits first (rate, then quota), the
-	// shared queue depth last — a tenant over its own budget is told so even
-	// when the global queue also happens to be full.
-	if tn != nil && s.cfg.Tenants != nil && !s.cfg.Tenants.Allow(tn.Name) {
-		s.mu.Unlock()
-		s.ctrRejected.Inc()
-		s.obs.Counter("tenant/" + tn.Name + "/rate-limited").Inc()
-		return Job{}, ErrRateLimited
-	}
-	if tn != nil && tn.MaxQueued > 0 && s.fq.queuedFor(tn.Name) >= tn.MaxQueued {
-		s.mu.Unlock()
-		s.ctrRejected.Inc()
-		s.obs.Counter("tenant/" + tn.Name + "/quota-rejected").Inc()
-		return Job{}, ErrQuotaExceeded
-	}
-	// Every push happens under s.mu and workers only drain the queue, so
-	// this depth check bounds the queue exactly.
-	if s.fq.len() >= s.cfg.QueueDepth {
-		s.mu.Unlock()
-		s.ctrRejected.Inc()
-		return Job{}, ErrQueueFull
-	}
-	// Register the live half, its router attachment and the store record
-	// before the job becomes visible to workers: a worker that dequeues it
-	// immediately must find all three (and may finish, dropping the run and
-	// detaching it, before Submit returns), and the events endpoint can
-	// subscribe the instant Submit returns. Snapshot the record now — once
-	// enqueued, workers own it.
-	jr := newJobRun()
-	s.runs[job.ID] = jr
-	s.router.Attach(job.ID, jr.run)
-	s.store.Add(job)
-	snap := *job
-	s.gaugeQueued.Add(1)
-	s.fq.push(&queuedJob{job: job, tenant: name, maxRun: maxRun}, prio)
-	s.mu.Unlock()
-
 	s.ctrSubmitted.Inc()
 	if tn != nil {
 		s.obs.Counter("tenant/" + tn.Name + "/submitted").Inc()
 	}
 	return snap, nil
+}
+
+// admit is SubmitTenant's and Resubmit's one admission step. Under s.mu it
+// refuses, and counts, a job while draining, then as limits (nil for none)
+// says, then when the queue is full: pushes happen only here and workers
+// only drain, so that bounds the queue exactly. The job's live half, router
+// attachment and record (persist) exist before a worker can dequeue it,
+// and it queues in its tenant's priority class under its running cap.
+func (s *Scheduler) admit(job *Job, tn *Tenant, limits func() error, persist func()) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err := ErrDraining
+	if !s.draining {
+		if err = nil; limits != nil {
+			err = limits()
+		}
+		if err == nil && s.fq.len() >= s.cfg.QueueDepth {
+			err = ErrQueueFull
+		}
+	}
+	if err != nil {
+		s.ctrRejected.Inc()
+		return err
+	}
+	jr := newJobRun()
+	s.runs[job.ID] = jr
+	s.router.Attach(job.ID, jr.run)
+	persist()
+	s.gaugeQueued.Add(1)
+	prio, maxRun := 1, 0
+	if tn != nil {
+		prio, _ = priorityIndex(tn.Priority) // validated at registry build
+		maxRun = tn.MaxRunning
+	}
+	s.fq.push(&queuedJob{job: job, tenant: job.Tenant, maxRun: maxRun}, prio)
+	return nil
 }
 
 // progress returns what the events endpoint reads of a job: its live run
@@ -399,17 +403,17 @@ func (s *Scheduler) runJob(job *Job) {
 	report, err := s.safeExecute(ctx, job, jr.run)
 
 	end := time.Now().UTC()
+	state, ctr := JobDone, s.ctrDone
+	switch {
+	case err == nil:
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		state, ctr = JobCanceled, s.ctrCanceled
+	default:
+		state, ctr = JobFailed, s.ctrFailed
+	}
 	perr := s.store.Update(job.ID, func(j *Job) {
-		j.FinishedAt = &end
-		j.Report = report
-		switch {
-		case err == nil:
-			j.State = JobDone
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			j.State = JobCanceled
-			j.Error = err.Error()
-		default:
-			j.State = JobFailed
+		j.FinishedAt, j.Report, j.State = &end, report, state
+		if err != nil {
 			j.Error = err.Error()
 		}
 	})
@@ -418,14 +422,7 @@ func (s *Scheduler) runJob(job *Job) {
 		// costs restart durability.
 		s.obs.Counter("jobs/persist-errors").Inc()
 	}
-	switch {
-	case err == nil:
-		s.ctrDone.Inc()
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		s.ctrCanceled.Inc()
-	default:
-		s.ctrFailed.Inc()
-	}
+	ctr.Inc()
 
 	// With the record written, freeze the final event and end every
 	// events stream. Dropping the run releases the job's collector, and
@@ -454,15 +451,6 @@ func (s *Scheduler) safeExecute(ctx context.Context, job *Job, run *obs.Run) (re
 	return s.executor(ctx, job, run)
 }
 
-// checkpointPath is the per-job checkpoint-journal location ("" for a
-// memory-only store — no directory to journal into).
-func (s *Scheduler) checkpointPath(id string) string {
-	if s.store.Dir() == "" {
-		return ""
-	}
-	return filepath.Join(s.store.Dir(), "ckpt-"+sanitizeID(id)+".jsonl")
-}
-
 // spec assembles a job's run in this daemon: the request's spec under the
 // per-job worker cap, with the job's run and checkpoint journal. The
 // journal lives next to the job record; a resubmitted job (same ID)
@@ -473,8 +461,8 @@ func (s *Scheduler) spec(job *Job, run *obs.Run) (exps.Spec, error) {
 		return exps.Spec{}, err
 	}
 	sp.Options.Obs = run
-	if p := s.checkpointPath(job.ID); p != "" {
-		sp.Options.Checkpoint = core.OpenCheckpoint(p)
+	if dir := s.store.Dir(); dir != "" {
+		sp.Options.Checkpoint = core.OpenCheckpoint(kindJournal.path(dir, job.ID))
 	}
 	return sp, nil
 }
@@ -531,38 +519,22 @@ func (s *Scheduler) Resubmit(id string) error {
 		return fmt.Errorf("serve: job %s marked failed: %w", id, errFuzzRetired)
 	}
 
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.ctrRejected.Inc()
-		return ErrDraining
-	}
-	if s.fq.len() >= s.cfg.QueueDepth {
-		s.mu.Unlock()
-		s.ctrRejected.Inc()
-		return ErrQueueFull
-	}
-	jr := newJobRun()
-	s.runs[id] = jr
-	s.router.Attach(id, jr.run)
-	_ = s.store.Update(id, func(job *Job) {
-		job.State = JobQueued
-		job.Resumes++
-		job.StartedAt = nil
+	// Resubmission is the daemon recovering its own interrupted work, so
+	// the tenant's rate limit and queued quota do not re-apply — but its
+	// priority class and running cap still do. Workers only read ID,
+	// Request and Tenant off the queued record; the store keeps the
+	// canonical copy.
+	tn, _ := s.tenantOf(j.Tenant)
+	err := s.admit(&Job{ID: id, Request: j.Request, Tenant: j.Tenant}, tn, nil, func() {
+		_ = s.store.Update(id, func(job *Job) {
+			job.State = JobQueued
+			job.Resumes++
+			job.StartedAt = nil
+		})
 	})
-	s.gaugeQueued.Add(1)
-	// Workers only read ID, Request and Tenant off the queued record; the
-	// store keeps the canonical copy. Resubmission is the daemon recovering
-	// its own interrupted work, so the tenant's rate limit and queued quota
-	// do not re-apply — but its priority class and running cap still do.
-	prio, maxRun := 1, 0
-	if tn, ok := s.tenantOf(j.Tenant); ok {
-		prio, _ = priorityIndex(tn.Priority)
-		maxRun = tn.MaxRunning
+	if err != nil {
+		return err
 	}
-	s.fq.push(&queuedJob{job: &Job{ID: id, Request: j.Request, Tenant: j.Tenant}, tenant: j.Tenant, maxRun: maxRun}, prio)
-	s.mu.Unlock()
-
 	s.obs.Counter("jobs/resumed").Inc()
 	return nil
 }

@@ -1,29 +1,19 @@
-// Fleet sharding: how one explore job spreads across worker processes.
+// Fleet sharding: how one explore job spreads across worker processes
+// (docs/ARCHITECTURE.md §2a). The coordinator writes one task record per
+// shard into the shared results directory; a worker claims the shard's
+// lease (lease.go), judges it with paracrash.RunShard, journaling every
+// verdict so that a reclaimed shard resumes, and writes a result record;
+// the coordinator merges the results with MergeShards. Everything is files
+// in one directory (layout.go), written through statefs.
 //
-// The coordinator partitions a job's crash-state space into Count shards
-// and writes one task record per shard into the shared results directory.
-// Worker processes (cmd/paracrashd -role worker) pick tasks up, claim a
-// shard's lease (lease.go), judge the shard with paracrash.RunShard —
-// journaling verdicts to a shard-scoped checkpoint so a reclaimed shard
-// resumes the dead worker's frontier — and persist a result record. The
-// coordinator collects the results and merges them with MergeShards into
-// the byte-identical standalone report.
-//
-// Everything is files in one directory with the store's temp+rename+fsync
-// discipline: the fleet needs no RPC fabric beyond a shared file system,
-// which is the natural deployment substrate for a PFS testing tool.
-//
-// Both sides wait the same way: one select over a directory watch
-// (watch_linux.go) and a poll ticker. The watch names the record that just
-// landed, so a woken worker reads that one task file and a woken
-// coordinator looks for its own job's result files — no listing, no
-// parsing to test existence. The ticker is the liveness fallback at the cadence it
-// always had: it alone serves writers on other hosts of a shared file
-// system, platforms without inotify, exhausted watch limits and dropped
-// events, and it alone finds expired leases.
+// Both sides wait on one select over a directory watch (watch_linux.go),
+// which names the record that landed, and a poll ticker: the liveness
+// fallback for writers on other hosts, platforms without inotify, dropped
+// events, and expired leases.
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,7 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -70,31 +60,20 @@ type ShardResult struct {
 	Report *core.ShardReport `json:"report,omitempty"`
 }
 
-// shardTaskPath/shardResultPath name the fleet records for one shard.
-func shardTaskPath(dir, job string, index int) string {
-	return filepath.Join(dir, fmt.Sprintf("task-%s-shard-%d.json", sanitizeID(job), index))
-}
-func shardResultPath(dir, job string, index int) string {
-	return filepath.Join(dir, fmt.Sprintf("result-%s-shard-%d.json", sanitizeID(job), index))
-}
-
-// shardCheckpointPath is the shard's verdict journal — shared between the
-// worker that started the shard and any worker that reclaims it.
-func shardCheckpointPath(dir, job string, index int) string {
-	return filepath.Join(dir, fmt.Sprintf("ckpt-%s-shard-%d.jsonl", sanitizeID(job), index))
-}
+// id is the shardID the shard's records are named by.
+func (t ShardTask) id() string { return shardID(t.Job, t.Shard.Index) }
 
 // WriteShardTask persists one task record.
 func WriteShardTask(dir string, t ShardTask) error {
 	t.Version = FleetVersion
-	return statefs.WriteJSON(siteShardTask, shardTaskPath(dir, t.Job, t.Shard.Index), t)
+	return statefs.WriteJSON(siteShardTask, kindTask.path(dir, t.id()), t)
 }
 
 // ListShardTasks returns every task record in the directory, sorted by job
 // then shard index (the worker scan order). Unparsable or version-skewed
 // records are skipped — one corrupt task must not wedge the fleet.
 func ListShardTasks(dir string) ([]ShardTask, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "task-*-shard-*.json"))
+	paths, err := kindTask.glob(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -104,17 +83,15 @@ func ListShardTasks(dir string) ([]ShardTask, error) {
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Job != out[b].Job {
-			return out[a].Job < out[b].Job
-		}
-		return out[a].Shard.Index < out[b].Shard.Index
+	slices.SortFunc(out, func(a, b ShardTask) int {
+		return cmp.Or(strings.Compare(a.Job, b.Job), cmp.Compare(a.Shard.Index, b.Shard.Index))
 	})
 	return out, nil
 }
 
-// readShardTask loads one task record; ok=false when it is missing,
-// unparsable or version-skewed.
+// readShardTask is the one reader of task records, the workers' and
+// fsck's; ok=false when the record is missing, unparsable or
+// version-skewed.
 func readShardTask(path string) (ShardTask, bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -130,16 +107,17 @@ func readShardTask(path string) (ShardTask, bool) {
 // WriteShardResult persists one result record.
 func WriteShardResult(dir string, r ShardResult) error {
 	r.Version = FleetVersion
-	return statefs.WriteJSON(siteShardResult, shardResultPath(dir, r.Job, r.Shard.Index), r)
+	return statefs.WriteJSON(siteShardResult, kindResult.path(dir, shardID(r.Job, r.Shard.Index)), r)
 }
 
-// ReadShardResult loads one shard's result; ok=false when none exists yet.
+// ReadShardResult is the one reader of result records, the coordinator's
+// and fsck's: it loads one shard's result, with ok=false when none exists
+// yet.
 func ReadShardResult(dir, job string, index int) (ShardResult, bool, error) {
-	data, err := os.ReadFile(shardResultPath(dir, job, index))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return ShardResult{}, false, nil
-		}
+	data, err := os.ReadFile(kindResult.path(dir, shardID(job, index)))
+	if os.IsNotExist(err) {
+		return ShardResult{}, false, nil
+	} else if err != nil {
 		return ShardResult{}, false, err
 	}
 	var r ShardResult
@@ -156,10 +134,9 @@ func ReadShardResult(dir, job string, index int) (ShardResult, bool, error) {
 // leases and shard checkpoints — once the job has ended, however it ended.
 func RemoveShardFiles(dir, job string, count int) {
 	for i := 0; i < count; i++ {
-		os.Remove(shardTaskPath(dir, job, i))
-		os.Remove(shardResultPath(dir, job, i))
-		os.Remove(shardCheckpointPath(dir, job, i))
-		os.Remove(filepath.Join(dir, "lease-"+sanitizeID(leaseTaskForShard(job, i))+".json"))
+		for _, k := range []recordKind{kindTask, kindResult, kindShardJournal, kindLease} {
+			os.Remove(k.path(dir, shardID(job, i)))
+		}
 	}
 }
 
@@ -176,8 +153,7 @@ type FleetWorkerConfig struct {
 	Heartbeat time.Duration
 	// Poll is the fallback cadence: how often an idle worker lists the
 	// directory for tasks the watch did not announce (written from another
-	// host, or while the watch was down) and for expired leases. Tasks
-	// written on this host are picked up as they land. Default 500ms.
+	// host, or while the watch was down) and for expired leases. Default 500ms.
 	Poll time.Duration
 	// Obs (nilable) receives the worker's metrics.
 	Obs *obs.Run
@@ -220,10 +196,7 @@ func NewFleetWorker(cfg FleetWorkerConfig) (*FleetWorker, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("serve: fleet worker needs a shared directory")
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("serve: fleet dir: %w", err)
-	}
-	ld, err := NewLeaseDir(cfg.Dir)
+	ld, err := NewLeaseDir(cfg.Dir) // creates the directory if need be
 	if err != nil {
 		return nil, err
 	}
@@ -257,17 +230,19 @@ func (b *inbox) on(ev dirEvent) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	task := ""
+	rec, ok := parseRecord(ev.name)
 	switch {
 	case ev.name == "":
 		b.overflow = true
 	case ev.removed && ev.name == b.running:
 		signal(b.removed)
 		return
-	case !ev.removed && strings.HasPrefix(ev.name, "task-"):
+	case !ev.removed && strings.HasPrefix(ev.name, records[kindTask].prefix):
+		// Any task-prefixed name: readShardTask refuses one that is no task.
 		task = ev.name
-	case ev.removed && strings.HasPrefix(ev.name, "lease-"):
-		// A released lease frees its shard: task-X and lease-X share X.
-		task = "task-" + strings.TrimPrefix(ev.name, "lease-")
+	case ok && ev.removed && rec.kind == kindLease:
+		// A released lease frees its shard: a task and its lease share an ID.
+		task = kindTask.name(rec.id)
 	default:
 		return
 	}
@@ -381,10 +356,10 @@ func (w *FleetWorker) scan(ctx context.Context) bool {
 // it, reporting whether it did. The task may come from an old listing or a
 // stale event: every check is against the directory as it is now.
 func (w *FleetWorker) tryTask(ctx context.Context, t ShardTask) bool {
-	if _, err := os.Stat(shardResultPath(w.cfg.Dir, t.Job, t.Shard.Index)); err == nil {
+	if _, err := os.Stat(kindResult.path(w.cfg.Dir, t.id())); err == nil {
 		return false // judged; the coordinator has yet to merge it
 	}
-	lease, err := w.leases.Claim(leaseTaskForShard(t.Job, t.Shard.Index), w.cfg.ID, w.cfg.LeaseTTL)
+	lease, err := w.leases.Claim(t.id(), w.cfg.ID, w.cfg.LeaseTTL)
 	if err != nil {
 		if !errors.Is(err, ErrLeaseHeld) {
 			w.cfg.Obs.Counter("fleet/claim-errors").Inc()
@@ -404,7 +379,7 @@ func (w *FleetWorker) tryTask(ctx context.Context, t ShardTask) bool {
 // stall) abandons the shard silently — the new owner produces the result —
 // and so does a removed task file: its job is over.
 func (w *FleetWorker) runTask(ctx context.Context, t ShardTask, lease *Lease) {
-	task := shardTaskPath(w.cfg.Dir, t.Job, t.Shard.Index)
+	task := kindTask.path(w.cfg.Dir, t.id())
 	removed := w.inbox.follow(filepath.Base(task))
 	defer w.inbox.follow("")
 	// The claim came first, so a job that ended before this look removes
@@ -503,7 +478,7 @@ func (w *FleetWorker) runTask(ctx context.Context, t ShardTask, lease *Lease) {
 // records. Nobody will read a result or resume the journal, so the worker
 // leaves neither, nor its lease.
 func (w *FleetWorker) abandon(t ShardTask, lease *Lease) {
-	os.Remove(shardCheckpointPath(w.cfg.Dir, t.Job, t.Shard.Index))
+	os.Remove(kindShardJournal.path(w.cfg.Dir, t.id()))
 	_ = w.leases.Release(lease) // gone already, or ours to remove
 	w.cfg.Obs.Counter("fleet/leases-lost").Inc()
 }
@@ -527,7 +502,7 @@ func (w *FleetWorker) executeShard(ctx context.Context, t ShardTask) (report *co
 		return nil, err
 	}
 	sp.Options.Obs = w.cfg.Obs
-	ckpt := core.OpenCheckpoint(shardCheckpointPath(w.cfg.Dir, t.Job, t.Shard.Index))
+	ckpt := core.OpenCheckpoint(kindShardJournal.path(w.cfg.Dir, t.id()))
 	ckpt.Every = 1 // a reclaim must find the frontier, not a stale batch
 	sp.Options.Checkpoint = ckpt
 	rep, err := w.runShard(ctx, sp, t.Shard)
@@ -585,6 +560,7 @@ func (s *Scheduler) watchResults() {
 	w, err := s.watchDir(s.store.Dir(), func(ev dirEvent) {
 		s.watchMu.Lock()
 		defer s.watchMu.Unlock()
+		rec, ok := parseRecord(ev.name)
 		switch {
 		case ev.name == "":
 			// Events were dropped: any job may have missed its result.
@@ -592,13 +568,8 @@ func (s *Scheduler) watchResults() {
 			for _, wake := range s.waiting {
 				signal(wake)
 			}
-		case !ev.removed && strings.HasPrefix(ev.name, "result-"):
-			// result-<job>-shard-<i>.json
-			if i := strings.LastIndex(ev.name, "-shard-"); i >= len("result-") {
-				if wake, ok := s.waiting[ev.name[len("result-"):i]]; ok {
-					signal(wake)
-				}
-			}
+		case ok && !ev.removed && rec.kind == kindResult:
+			signal(s.waiting[rec.job]) // a nil channel, no job waiting, takes none
 		}
 	})
 	if err != nil {
@@ -670,7 +641,6 @@ func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, co
 			res, ok, err := ReadShardResult(dir, job.ID, i)
 			if err != nil {
 				run.Counter("fleet/result-read-errors").Inc()
-				continue
 			}
 			if !ok {
 				continue

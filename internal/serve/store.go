@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -13,12 +12,11 @@ import (
 )
 
 // Store indexes every job the daemon knows about. Every job — queued,
-// running or terminal — is persisted to the results directory as one
-// `job-<id>.json` per job, schema-versioned by JobVersion and written with
-// the temp-file + rename + fsync discipline, so a restarted daemon both
-// lists previously completed jobs and notices the ones an unclean death
-// interrupted (Interrupted). An empty directory path keeps the store
-// memory-only.
+// running or terminal — is persisted to the results directory as one job
+// record, schema-versioned by JobVersion and written atomically, so a
+// restarted daemon both lists previously completed jobs and notices the
+// ones an unclean death interrupted (Interrupted). An empty directory path
+// keeps the store memory-only.
 type Store struct {
 	dir string
 
@@ -41,31 +39,18 @@ func OpenStore(dir string) (*Store, []error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return s, []error{fmt.Errorf("serve: results dir: %w", err)}
 	}
-	paths, err := filepath.Glob(filepath.Join(dir, "job-*.json"))
+	paths, err := kindJob.glob(dir)
 	if err != nil {
 		return s, []error{err}
 	}
 	var loaded []*Job
 	for _, p := range paths {
-		data, err := os.ReadFile(p)
+		j, err := readJob(p)
 		if err != nil {
-			warns = append(warns, fmt.Errorf("serve: read %s: %w", p, err))
+			warns = append(warns, err)
 			continue
 		}
-		var j Job
-		if err := json.Unmarshal(data, &j); err != nil {
-			warns = append(warns, fmt.Errorf("serve: parse %s: %w", p, err))
-			continue
-		}
-		if j.Version != JobVersion {
-			warns = append(warns, fmt.Errorf("serve: %s has schema version %d, want %d", p, j.Version, JobVersion))
-			continue
-		}
-		if j.ID == "" {
-			warns = append(warns, fmt.Errorf("serve: %s has no job ID", p))
-			continue
-		}
-		loaded = append(loaded, &j)
+		loaded = append(loaded, j)
 	}
 	sort.Slice(loaded, func(a, b int) bool { return loaded[a].CreatedAt.Before(loaded[b].CreatedAt) })
 	for _, j := range loaded {
@@ -73,6 +58,35 @@ func OpenStore(dir string) (*Store, []error) {
 		s.order = append(s.order, j.ID)
 	}
 	return s, warns
+}
+
+// skewError is a job record of another schema version, which fsck tells
+// apart from a torn one.
+type skewError struct{ version int }
+
+func (e skewError) Error() string {
+	return fmt.Sprintf("schema version %d, want %d", e.version, JobVersion)
+}
+
+// readJob is the one reader of job records, OpenStore's and fsck's. A
+// record that does not parse or names no job is an error, and one of
+// another schema version a skewError.
+func readJob(path string) (*Job, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("serve: read %s: %w", path, err)
+	}
+	var j Job
+	if err := json.Unmarshal(data, &j); err != nil {
+		return nil, fmt.Errorf("serve: parse %s: %w", path, err)
+	}
+	if j.ID == "" {
+		return nil, fmt.Errorf("serve: %s has no job ID", path)
+	}
+	if j.Version != JobVersion {
+		return nil, fmt.Errorf("serve: %s has %w", path, skewError{j.Version})
+	}
+	return &j, nil
 }
 
 // Interrupted returns the jobs a previous daemon left non-terminal (it died
@@ -159,8 +173,7 @@ func (s *Store) Update(id string, fn func(*Job)) error {
 // this project exists to detect, implemented exactly once in
 // internal/statefs and crash-tested by `make selfcheck`.
 func (s *Store) persist(j *Job) error {
-	path := filepath.Join(s.dir, "job-"+sanitizeID(j.ID)+".json")
-	if err := statefs.WriteJSON(siteJobRecord, path, j); err != nil {
+	if err := statefs.WriteJSON(siteJobRecord, kindJob.path(s.dir, j.ID), j); err != nil {
 		return fmt.Errorf("serve: persist job %s: %w", j.ID, err)
 	}
 	return nil

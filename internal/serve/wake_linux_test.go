@@ -182,7 +182,7 @@ func TestWakeupNotLost(t *testing.T) {
 		if err := WriteShardTask(dir, ShardTask{Job: job, Shard: core.ShardSpec{Index: i % 2, Count: 2}, Request: req}); err != nil {
 			t.Fatal(err)
 		}
-		result := shardResultPath(dir, job, i%2)
+		result := kindResult.path(dir, shardID(job, i%2))
 		for {
 			if _, err := os.Stat(result); err == nil {
 				break
